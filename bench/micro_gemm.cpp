@@ -5,7 +5,9 @@
 // with, compiled with identical flags in this binary so the comparison
 // isolates kernel structure. Shapes follow the paper's training hot path:
 // skinny batches m ∈ {1, 4, 16} are what the CPU Hogbatch workers run,
-// wide batches m ∈ {256, 1024} are GPU-style minibatches.
+// wide batches m ∈ {256, 1024} are GPU-style minibatches. A density sweep
+// on real-sim's first-layer shapes times the dense kernel against the
+// zero-skipping path for sparse inputs.
 //
 // scripts/bench_smoke.sh runs this binary (in a -DHETSGD_NATIVE=ON build)
 // and distills the GFLOP/s counters into BENCH_gemm.json;
@@ -14,9 +16,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
+#include "obs/clock.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
@@ -187,6 +191,94 @@ void BM_ForwardLayerFused(benchmark::State& state) {
 BENCHMARK(BM_ForwardLayerFused)
     ->ArgsProduct({{4, 256}, {0, 1}})
     ->ArgNames({"m", "fused"});
+
+// Density sweep over real-sim's first-layer products: a 512-row batch of
+// 2963-wide inputs into 48 units (bench scale, see data::make_paper_dataset),
+// entries nonzero with probability permille / 1000. Every iteration runs
+// the product once on the dense packed kernel and once on the zero-skipping
+// path (tensor::detail::set_sparse_path), timing each, so host drift hits
+// both alike. dense_GFLOP/s and sparse_GFLOP/s count the dense flops for
+// both, so their ratio is the time ratio; the density where it crosses 1 is
+// the selection constant in tensor/gemm.cpp.
+constexpr Index kSweepRows = 512;
+constexpr Index kSweepWidth = 2963;
+constexpr Index kSweepUnits = 48;
+
+Matrix sparse_input(Index rows, Index cols, double density, Rng& rng) {
+  Matrix x(rows, cols);
+  for (Index i = 0; i < rows; ++i) {
+    for (Index j = 0; j < cols; ++j) {
+      if (rng.bernoulli(density)) x(i, j) = rng.normal(0.0, 1.0);
+    }
+  }
+  return x;
+}
+
+template <typename Product>
+void time_both_paths(benchmark::State& state, double flops,
+                     const Product& product) {
+  using tensor::detail::SparsePath;
+  std::uint64_t dense_ns = 0;
+  std::uint64_t sparse_ns = 0;
+  const SparsePath previous =
+      tensor::detail::set_sparse_path(SparsePath::kAuto);
+  for (auto _ : state) {
+    for (SparsePath path : {SparsePath::kDense, SparsePath::kSparse}) {
+      tensor::detail::set_sparse_path(path);
+      const std::uint64_t t0 = obs::wall_now_ns();
+      product();
+      (path == SparsePath::kDense ? dense_ns : sparse_ns) +=
+          obs::wall_now_ns() - t0;
+    }
+  }
+  tensor::detail::set_sparse_path(previous);
+  const double total = flops * static_cast<double>(state.iterations());
+  state.counters["dense_GFLOP/s"] = total / static_cast<double>(dense_ns);
+  state.counters["sparse_GFLOP/s"] = total / static_cast<double>(sparse_ns);
+}
+
+// Forward: act(x * W^T + b), the first hidden layer.
+void BM_SparseInputForward(benchmark::State& state) {
+  Rng rng(6);
+  Matrix x = sparse_input(kSweepRows, kSweepWidth,
+                          static_cast<double>(state.range(0)) / 1000.0, rng);
+  Matrix w(kSweepUnits, kSweepWidth), bias(1, kSweepUnits),
+      out(kSweepRows, kSweepUnits);
+  tensor::fill_normal(w.view(), rng, 0, 1);
+  tensor::fill_normal(bias.view(), rng, 0, 1);
+  const double flops =
+      tensor::gemm_flops(kSweepRows, kSweepUnits, kSweepWidth);
+  time_both_paths(state, flops, [&] {
+    tensor::gemm_bias_act(Trans::kNo, Trans::kYes, 1.0, x.view(), w.view(),
+                          out.view(), bias.view(),
+                          tensor::Epilogue::kBiasTanh);
+    benchmark::DoNotOptimize(out.data());
+  });
+}
+
+// Weight gradient: delta^T * x, the first layer's dW.
+void BM_SparseInputGradient(benchmark::State& state) {
+  Rng rng(7);
+  Matrix x = sparse_input(kSweepRows, kSweepWidth,
+                          static_cast<double>(state.range(0)) / 1000.0, rng);
+  Matrix delta(kSweepRows, kSweepUnits), grad(kSweepUnits, kSweepWidth);
+  tensor::fill_normal(delta.view(), rng, 0, 1);
+  const double flops =
+      tensor::gemm_flops(kSweepUnits, kSweepWidth, kSweepRows);
+  time_both_paths(state, flops, [&] {
+    tensor::matmul_tn(delta.view(), x.view(), grad.view());
+    benchmark::DoNotOptimize(grad.data());
+  });
+}
+
+void sweep_densities(benchmark::internal::Benchmark* b) {
+  for (int permille : {0, 10, 50, 100, 150, 200, 300, 500, 750, 1000}) {
+    b->Arg(permille);
+  }
+  b->ArgName("permille");
+}
+BENCHMARK(BM_SparseInputForward)->Apply(sweep_densities);
+BENCHMARK(BM_SparseInputGradient)->Apply(sweep_densities);
 
 void BM_Axpy(benchmark::State& state) {
   const Index n = state.range(0);

@@ -7,6 +7,12 @@ frozen-seed-kernel GFLOP/s (and their ratio), then compares against the
 checked-in baseline: the run fails if any shape's new/seed speedup dropped
 more than the threshold (default 20%) below the baseline's.
 
+The density sweep (BM_SparseInput*, dense vs zero-skipping path on the
+same operands) is recorded per density, plus each product's crossover
+under "sparse_crossover": the density at which the zero-skipping path
+stops being faster, interpolated between the two swept densities around
+it. The sweep is recorded, not gated.
+
 Speedup ratios, not absolute GFLOP/s, are gated: absolute throughput varies
 across hosts, the ratio of two kernels compiled into the same binary much
 less so.
@@ -18,22 +24,30 @@ import sys
 from pathlib import Path
 
 # Benchmarks compare pairs selected by a 0/1 arg: `seed` (production kernel
-# vs frozen seed kernel) and `fused` (unfused sequence vs fused epilogue).
-# Maps flag name -> (name of the 0-variant, name of the 1-variant, whether
-# speedup is variant0/variant1 or variant1/variant0).
+# vs frozen seed kernel) and `fused` (unfused sequence vs fused epilogue);
+# the `sparse` pair (dense kernel vs zero-skipping path) runs in one
+# benchmark that reports dense_GFLOP/s and sparse_GFLOP/s. Maps flag name
+# -> (name of the 0-variant, name of the 1-variant, the variant whose
+# GFLOP/s is the speedup's numerator).
 PAIR_FLAGS = {
-    "seed": ("new", "seed"),    # speedup = new / seed
-    "fused": ("unfused", "fused"),  # speedup = fused / unfused
+    "seed": ("new", "seed", "new"),          # speedup = new / seed
+    "fused": ("unfused", "fused", "fused"),  # speedup = fused / unfused
+    "sparse": ("dense", "sparse", "sparse"),  # speedup = sparse / dense
 }
 
 
 def parse_raw(raw):
-    """Group benchmark repetitions into per-shape entries."""
+    """Group benchmark results into per-shape entries.
+
+    With --benchmark_repetitions, only the median aggregate of each
+    benchmark is used; a single run is used as is.
+    """
     shapes = {}
     for b in raw.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
+        if (b.get("run_type") == "aggregate"
+                and b.get("aggregate_name") != "median"):
             continue
-        parts = b["name"].split("/")
+        parts = b.get("run_name", b["name"]).split("/")
         args = {}
         plain = []
         for p in parts[1:]:
@@ -48,7 +62,7 @@ def parse_raw(raw):
         entry = shapes.setdefault(key, {})
         gflops = b.get("GFLOP/s")
         if flag is not None and gflops is not None:
-            zero_name, one_name = PAIR_FLAGS[flag]
+            zero_name, one_name, _ = PAIR_FLAGS[flag]
             variant = one_name if args[flag] != "0" else zero_name
             entry[f"{variant}_gflops"] = round(gflops, 3)
             entry["_flag"] = flag
@@ -56,16 +70,49 @@ def parse_raw(raw):
             entry["gflops"] = round(gflops, 3)
         elif "bytes_per_second" in b:
             entry["gbytes_per_second"] = round(b["bytes_per_second"] / 1e9, 3)
+        # Alternating benchmarks time both variants of a pair in one run and
+        # report each as <variant>_GFLOP/s.
+        for counter, value in b.items():
+            if counter.endswith("_GFLOP/s"):
+                variant = counter[:-len("_GFLOP/s")]
+                entry[f"{variant}_gflops"] = round(value, 3)
+                entry["_flag"] = next(f for f, names in PAIR_FLAGS.items()
+                                      if variant in names[:2])
     for entry in shapes.values():
         flag = entry.pop("_flag", None)
         if flag is None:
             continue
-        zero_name, one_name = PAIR_FLAGS[flag]
-        num = entry.get(f"{one_name if flag == 'fused' else zero_name}_gflops")
-        den = entry.get(f"{zero_name if flag == 'fused' else one_name}_gflops")
+        zero_name, one_name, num_name = PAIR_FLAGS[flag]
+        den_name = one_name if num_name == zero_name else zero_name
+        num = entry.get(f"{num_name}_gflops")
+        den = entry.get(f"{den_name}_gflops")
         if num is not None and den:
             entry["speedup"] = round(num / den, 3)
     return shapes
+
+
+def sparse_crossovers(shapes):
+    """Per swept product, the density where sparse/dense speedup falls to 1.
+
+    Linear interpolation between the last density at which the zero-skipping
+    path is faster and the first at which it is not; null when it is faster
+    (or slower) at every swept density.
+    """
+    sweeps = {}
+    for key, entry in shapes.items():
+        name, _, arg = key.partition("/permille:")
+        if arg and "speedup" in entry:
+            sweeps.setdefault(name, []).append((int(arg), entry["speedup"]))
+    out = {}
+    for name, points in sorted(sweeps.items()):
+        points.sort()
+        crossover = None
+        for (p0, s0), (p1, s1) in zip(points, points[1:]):
+            if s0 >= 1.0 > s1:
+                crossover = (p0 + (p1 - p0) * (s0 - 1.0) / (s0 - s1)) / 1000.0
+                break
+        out[name] = None if crossover is None else round(crossover, 3)
+    return out
 
 
 def gate(current, baseline, threshold):
@@ -106,6 +153,7 @@ def main():
         "host_cpus": raw.get("context", {}).get("num_cpus"),
         "shapes": parse_raw(raw),
     }
+    current["sparse_crossover"] = sparse_crossovers(current["shapes"])
     out_path = Path(opts.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(current, indent=2) + "\n")

@@ -14,6 +14,10 @@
 //               consumer is the only reader and writer; the hand-off from
 //               producers happens through Node::next (release/acquire).
 //   - closed_, sleeping_ : atomics with acquire/release pairing.
+//   - pushing_ : producers inside push(), seq_cst together with the closed_
+//                check and store. A push that saw the queue open is counted
+//                here until its node is linked, so the consumer's final drain
+//                after close waits for it instead of missing it.
 //   - wake_mutex_ + wake_cv_ : guard ONLY the sleep/wake protocol. No data
 //     field is guarded by wake_mutex_; the lock closes the classic
 //     missed-wakeup window between the consumer's empty-check and its wait.
@@ -24,6 +28,7 @@
 #include <condition_variable>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/macros.hpp"
@@ -55,12 +60,21 @@ class MpscQueue {
     }
   }
 
-  // Multi-producer push. Returns false if the queue has been closed.
+  // Multi-producer push. Returns false if the queue has been closed; a push
+  // that returns true is always seen by the consumer's final drain.
   bool push(T value) HETSGD_EXCLUDES(wake_mutex_) {
-    if (closed_.load(std::memory_order_acquire)) return false;
+    // seq_cst increment-then-check pairs with close()'s store and the load
+    // in wait_for_in_flight_pushes(): either this push sees closed_, or the
+    // consumer sees it in flight.
+    pushing_.fetch_add(1);
+    if (closed_.load()) {
+      pushing_.fetch_sub(1);
+      return false;
+    }
     Node* node = new Node(std::move(value));
     Node* prev = head_.exchange(node, std::memory_order_acq_rel);
     prev->next.store(node, std::memory_order_release);
+    pushing_.fetch_sub(1);
     // Wake the consumer if it is sleeping. The flag avoids taking the mutex
     // on every push.
     if (sleeping_.load(std::memory_order_acquire)) {
@@ -89,7 +103,8 @@ class MpscQueue {
       if (auto v = try_pop()) return v;
       if (closed_.load(std::memory_order_acquire)) {
         // Final drain: a producer may have completed a push between our
-        // try_pop and the closed check.
+        // try_pop and the closed check, or still be linking one.
+        wait_for_in_flight_pushes();
         if (auto v = try_pop()) return v;
         return std::nullopt;
       }
@@ -107,6 +122,7 @@ class MpscQueue {
     for (;;) {
       if (auto v = try_pop()) return v;
       if (closed_.load(std::memory_order_acquire)) {
+        wait_for_in_flight_pushes();
         if (auto v = try_pop()) return v;
         return std::nullopt;
       }
@@ -116,7 +132,7 @@ class MpscQueue {
   }
 
   void close() HETSGD_EXCLUDES(wake_mutex_) {
-    closed_.store(true, std::memory_order_release);
+    closed_.store(true);
     MutexLock lock(wake_mutex_);
     wake_cv_.notify_all();
   }
@@ -126,10 +142,17 @@ class MpscQueue {
  private:
   struct Node {
     Node() : next(nullptr) {}
-    explicit Node(T v) : next(nullptr), value(std::move(v)) {}
+    explicit Node(T&& v) : next(nullptr), value(std::move(v)) {}
     std::atomic<Node*> next;
     T value{};
   };
+
+  // Called by the consumer once it has seen closed_: spins until every push
+  // that saw the queue open has linked its node. Such pushes are a few
+  // instructions from done, and no new push can be accepted after close.
+  void wait_for_in_flight_pushes() const {
+    while (pushing_.load() != 0) std::this_thread::yield();
+  }
 
   bool empty_unsynchronized() const {
     return tail_->next.load(std::memory_order_acquire) == nullptr;
@@ -153,6 +176,7 @@ class MpscQueue {
   alignas(hetsgd::kCacheLineSize) std::atomic<Node*> head_;  // producers
   alignas(hetsgd::kCacheLineSize) Node* tail_;               // consumer only
   std::atomic<bool> closed_{false};
+  std::atomic<int> pushing_{0};
   std::atomic<bool> sleeping_{false};
   AnnotatedMutex wake_mutex_;
   std::condition_variable_any wake_cv_;  // waits directly on wake_mutex_

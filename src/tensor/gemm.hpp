@@ -39,6 +39,14 @@ void gemm_naive(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
 // OpenMP-parallel with a shape-aware partition (rows when m is large,
 // columns when m is small). Deterministic: the result is bit-identical for
 // any thread count, including serial.
+//
+// Sparse inputs: the weight-gradient product C = alpha * A^T * B + beta * C
+// (ta == kYes, tb == kNo) treats B as the layer input x. When x has at
+// least 8 rows and 64 columns, at most kSparseMaxDensity (gemm.cpp) of its
+// entries are nonzero, and A holds no NaN or Inf, the call visits only x's
+// nonzeros instead of running the packed kernel. The result matches the
+// dense kernel to rounding, keeps NaN/Inf where the dense kernel has them,
+// and stays bit-identical for any thread count (DESIGN.md §8).
 void gemm(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
           ConstMatrixView b, Scalar beta, MatrixView c);
 
@@ -48,7 +56,10 @@ void gemm(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
 // final C write-back while the tile is still in registers — replacing the
 // gemm -> add_row_bias -> activation_forward sequence and its two extra
 // full passes over C. Matches the unfused sequence to rounding (within
-// 1e-12 in the equivalence suite; FP contraction may differ by ulps).
+// 1e-12 in the equivalence suite; FP contraction and the zero-skipping
+// path's summation order may differ by ulps). With ta == kNo, A is the
+// layer input x and takes the zero-skipping path under the same rule as
+// gemm's (B must then be free of NaN and Inf).
 void gemm_bias_act(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
                    ConstMatrixView b, MatrixView c, ConstMatrixView bias,
                    Epilogue epilogue);
@@ -64,5 +75,18 @@ void matmul_nn(ConstMatrixView a, ConstMatrixView b, MatrixView out);
 // Number of floating point operations a GEMM of these dimensions performs
 // (2*m*n*k); used by the gpusim perf model to charge virtual time.
 double gemm_flops(Index m, Index n, Index k);
+
+namespace detail {
+
+// Override of the zero-skipping path's density rule on the calling thread,
+// so tests and bench/micro_gemm's density sweep can run both kernels on the
+// same operands. kAuto (the default, and what every caller runs) applies
+// the rule; kDense never takes the path; kSparse takes it at any density.
+// The shape and NaN/Inf rules apply in every mode. Returns the previous
+// setting.
+enum class SparsePath { kAuto, kDense, kSparse };
+SparsePath set_sparse_path(SparsePath path);
+
+}  // namespace detail
 
 }  // namespace hetsgd::tensor

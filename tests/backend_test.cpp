@@ -18,6 +18,7 @@
 #include "backend/mlp_executor.hpp"
 #include "common/rng.hpp"
 #include "nn/mlp.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/ops.hpp"
 
 namespace hetsgd::backend {
@@ -35,21 +36,50 @@ nn::MlpConfig test_config() {
   return c;
 }
 
+nn::MlpConfig config_with_input(Index input_dim) {
+  nn::MlpConfig c = test_config();
+  c.input_dim = input_dim;
+  return c;
+}
+
 struct Fixture {
-  nn::MlpConfig config = test_config();
+  nn::MlpConfig config;
   Rng rng{42};
-  nn::Model model{config, rng};
+  nn::Model model;
   Matrix x;
   std::vector<std::int32_t> y;
 
-  explicit Fixture(Index batch) : x(batch, config.input_dim) {
+  // `density` < 1 zeroes input entries at random, as in a sparse dataset
+  // stored dense (real-sim is ~1% nonzero).
+  explicit Fixture(Index batch, Index input_dim = 8, double density = 1.0)
+      : config(config_with_input(input_dim)),
+        model(config, rng),
+        x(batch, input_dim) {
     tensor::fill_normal(x.view(), rng, 0, 1);
+    if (density < 1.0) {
+      for (Index i = 0; i < x.rows(); ++i) {
+        for (Index j = 0; j < x.cols(); ++j) {
+          if (!rng.bernoulli(density)) x(i, j) = 0;
+        }
+      }
+    }
     y.resize(static_cast<std::size_t>(batch));
     for (auto& label : y) {
       label = static_cast<std::int32_t>(rng.next_below(4));
     }
   }
 };
+
+// A 128-feature, ~1% nonzero input: wide and sparse enough that the first
+// layer's forward and weight-gradient products take the zero-skipping GEMM
+// path (tensor/gemm.cpp).
+Fixture sparse_fixture() { return Fixture(16, 128, 0.01); }
+
+std::uint64_t sparse_gemms() {
+  return obs::MetricsRegistry::instance()
+      .counter("hetsgd_sparse_gemms_total")
+      .value();
+}
 
 class BackendSuite : public ::testing::TestWithParam<std::string> {
  protected:
@@ -70,23 +100,29 @@ TEST_P(BackendSuite, RegisteredUnderItsName) {
 }
 
 TEST_P(BackendSuite, GradientMatchesHostExactly) {
-  Fixture f(16);
-  auto b = make();
-  MlpExecutor mlp(*b, f.config, 16);
-  mlp.upload_model(f.model, 0.0);
-  double done = 0.0;
-  const double device_loss = mlp.compute_gradient(f.x.view(), f.y, 0.0, &done);
-  nn::Gradient device_grad = nn::make_zero_gradient(f.model);
-  mlp.download_gradient(device_grad, done);
+  for (Fixture f : {Fixture(16), sparse_fixture()}) {
+    SCOPED_TRACE(f.config.input_dim);
+    auto b = make();
+    MlpExecutor mlp(*b, f.config, 16);
+    mlp.upload_model(f.model, 0.0);
+    const std::uint64_t sparse_before = sparse_gemms();
+    double done = 0.0;
+    const double device_loss =
+        mlp.compute_gradient(f.x.view(), f.y, 0.0, &done);
+    nn::Gradient device_grad = nn::make_zero_gradient(f.model);
+    mlp.download_gradient(device_grad, done);
+    // The sparse input's first layer runs the zero-skipping path.
+    EXPECT_EQ(sparse_gemms() > sparse_before, f.config.input_dim == 128);
 
-  nn::Workspace ws;
-  nn::Gradient host_grad = nn::make_zero_gradient(f.model);
-  const double host_loss =
-      nn::compute_gradient(f.model, f.x.view(), f.y, ws, host_grad);
+    nn::Workspace ws;
+    nn::Gradient host_grad = nn::make_zero_gradient(f.model);
+    const double host_loss =
+        nn::compute_gradient(f.model, f.x.view(), f.y, ws, host_grad);
 
-  // Same kernel sequence on every backend: results are bit-identical.
-  EXPECT_DOUBLE_EQ(device_loss, host_loss);
-  EXPECT_EQ(device_grad.max_abs_diff(host_grad), 0.0);
+    // Same kernel sequence on every backend: results are bit-identical.
+    EXPECT_DOUBLE_EQ(device_loss, host_loss);
+    EXPECT_EQ(device_grad.max_abs_diff(host_grad), 0.0);
+  }
 }
 
 TEST_P(BackendSuite, SmallerBatchThanMaxWorks) {
@@ -246,40 +282,43 @@ TEST_P(BackendSuite, BatchStagingIsNotAFaultSurface) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendSuite,
                          ::testing::ValuesIn(registered_backends()),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) { return param_info.param; });
 
 // The seam's core promise, checked across the whole registry at once:
 // identical math AND identical virtual completion times on every backend,
-// so --backend never changes a training trajectory.
+// so --backend never changes a training trajectory — for a dense input
+// and for a sparse one that takes the zero-skipping GEMM path.
 TEST(BackendEquivalence, AllBackendsAgreeOnMathAndVirtualTime) {
-  Fixture f(16);
-  struct Run {
-    std::string name;
-    double t_upload, t_done, t_apply;
-    nn::Gradient grad;
-    nn::Model model_after;
-  };
-  std::vector<Run> runs;
-  for (const std::string& name : registered_backends()) {
-    auto b = make_backend(name, v100_spec());
-    ASSERT_NE(b, nullptr);
-    MlpExecutor mlp(*b, f.config, 16);
-    Run r{name, 0.0, 0.0, 0.0, nn::make_zero_gradient(f.model), f.model};
-    r.t_upload = mlp.upload_model(f.model, 0.0);
-    mlp.compute_gradient(f.x.view(), f.y, r.t_upload, &r.t_done);
-    mlp.download_gradient(r.grad, r.t_done);
-    r.t_apply = mlp.apply_gradient(0.2, r.t_done);
-    mlp.download_model(r.model_after, r.t_apply);
-    runs.push_back(std::move(r));
-  }
-  ASSERT_GE(runs.size(), 2u);
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    SCOPED_TRACE(runs[0].name + " vs " + runs[i].name);
-    EXPECT_DOUBLE_EQ(runs[i].t_upload, runs[0].t_upload);
-    EXPECT_DOUBLE_EQ(runs[i].t_done, runs[0].t_done);
-    EXPECT_DOUBLE_EQ(runs[i].t_apply, runs[0].t_apply);
-    EXPECT_EQ(runs[i].grad.max_abs_diff(runs[0].grad), 0.0);
-    EXPECT_EQ(runs[i].model_after.max_abs_diff(runs[0].model_after), 0.0);
+  for (Fixture f : {Fixture(16), sparse_fixture()}) {
+    SCOPED_TRACE(f.config.input_dim);
+    struct Run {
+      std::string name;
+      double t_upload, t_done, t_apply;
+      nn::Gradient grad;
+      nn::Model model_after;
+    };
+    std::vector<Run> runs;
+    for (const std::string& name : registered_backends()) {
+      auto b = make_backend(name, v100_spec());
+      ASSERT_NE(b, nullptr);
+      MlpExecutor mlp(*b, f.config, 16);
+      Run r{name, 0.0, 0.0, 0.0, nn::make_zero_gradient(f.model), f.model};
+      r.t_upload = mlp.upload_model(f.model, 0.0);
+      mlp.compute_gradient(f.x.view(), f.y, r.t_upload, &r.t_done);
+      mlp.download_gradient(r.grad, r.t_done);
+      r.t_apply = mlp.apply_gradient(0.2, r.t_done);
+      mlp.download_model(r.model_after, r.t_apply);
+      runs.push_back(std::move(r));
+    }
+    ASSERT_GE(runs.size(), 2u);
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      SCOPED_TRACE(runs[0].name + " vs " + runs[i].name);
+      EXPECT_DOUBLE_EQ(runs[i].t_upload, runs[0].t_upload);
+      EXPECT_DOUBLE_EQ(runs[i].t_done, runs[0].t_done);
+      EXPECT_DOUBLE_EQ(runs[i].t_apply, runs[0].t_apply);
+      EXPECT_EQ(runs[i].grad.max_abs_diff(runs[0].grad), 0.0);
+      EXPECT_EQ(runs[i].model_after.max_abs_diff(runs[0].model_after), 0.0);
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.hpp"
+#include "obs/metrics.hpp"
 
 namespace hetsgd::core {
 namespace {
@@ -109,6 +110,24 @@ TEST(Trainer, MaxEpochsStopsTraining) {
   Trainer trainer(small_dataset(), config);
   TrainingResult r = trainer.run();
   EXPECT_NEAR(r.epochs, 3.0, 0.01);
+}
+
+// The zero-skipping GEMM path (tensor/gemm.cpp) engages by itself where
+// the first layer's input is sparse: a run on real-sim's shape (937 inputs
+// at this scale, ~1% nonzero) takes it, one on covtype's (54 dense inputs)
+// never does.
+TEST(Trainer, SparseGemmPathFollowsTheDataset) {
+  obs::Counter& sparse_gemms =
+      obs::MetricsRegistry::instance().counter("hetsgd_sparse_gemms_total");
+  const auto run = [&](data::PaperDataset dataset) {
+    const std::uint64_t before = sparse_gemms.value();
+    Trainer trainer(data::make_paper_dataset(dataset, 0.002, 5),
+                    small_config(Algorithm::kMinibatchGpu));
+    trainer.run();
+    return sparse_gemms.value() - before;
+  };
+  EXPECT_EQ(run(data::PaperDataset::kCovtype), 0u);
+  EXPECT_GT(run(data::PaperDataset::kRealSim), 0u);
 }
 
 TEST(Trainer, ReferenceIsDeterministic) {
