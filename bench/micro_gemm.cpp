@@ -5,9 +5,9 @@
 // with, compiled with identical flags in this binary so the comparison
 // isolates kernel structure. Shapes follow the paper's training hot path:
 // skinny batches m ∈ {1, 4, 16} are what the CPU Hogbatch workers run,
-// wide batches m ∈ {256, 1024} are GPU-style minibatches. A density sweep
-// on real-sim's first-layer shapes times the dense kernel against the
-// zero-skipping path for sparse inputs.
+// wide batches m ∈ {256, 1024} are GPU-style minibatches. Input-density
+// benchmarks on first-layer and hidden-layer shapes time the dense kernel
+// against the zero-skipping path for sparse inputs and its selection rule.
 //
 // scripts/bench_smoke.sh runs this binary (in a -DHETSGD_NATIVE=ON build)
 // and distills the GFLOP/s counters into BENCH_gemm.json;
@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
@@ -192,17 +193,27 @@ BENCHMARK(BM_ForwardLayerFused)
     ->ArgsProduct({{4, 256}, {0, 1}})
     ->ArgNames({"m", "fused"});
 
-// Density sweep over real-sim's first-layer products: a 512-row batch of
-// 2963-wide inputs into 48 units (bench scale, see data::make_paper_dataset),
-// entries nonzero with probability permille / 1000. Every iteration runs
-// the product once on the dense packed kernel and once on the zero-skipping
-// path (tensor::detail::set_sparse_path), timing each, so host drift hits
-// both alike. dense_GFLOP/s and sparse_GFLOP/s count the dense flops for
-// both, so their ratio is the time ratio; the density where it crosses 1 is
+// Input-density benchmarks for the zero-skipping path (tensor/gemm.cpp) on
+// the two products that take the layer input x as an operand: the forward
+// act(x * W^T + b) and the weight gradient delta^T * x, for an m-row batch
+// of width-wide inputs into `units` units, entries nonzero with probability
+// permille / 1000. Every iteration runs the product once on the dense packed
+// kernel and once on a second path (tensor::detail::set_sparse_path), in
+// alternating order, timing each, so host drift hits both alike. Both
+// GFLOP/s counters count the dense flops, so their ratio is the time ratio.
+//
+// BM_SparseInput*: dense kernel vs zero-skipping path (sparse_GFLOP/s),
+// swept over density on the first layers of real-sim (2963 inputs) and
+// delicious (500 inputs) at bench scale: 512 rows, the eval chunk and the
+// GPU batch, into 48 units. The lowest density where the ratio crosses 1 is
 // the selection constant in tensor/gemm.cpp.
-constexpr Index kSweepRows = 512;
-constexpr Index kSweepWidth = 2963;
-constexpr Index kSweepUnits = 48;
+//
+// BM_AutoInput*: dense kernel vs the selection rule itself (auto_GFLOP/s)
+// on inputs on either side of it: a dense hidden layer at the paper's 512
+// units, at m = 16 and 512, and w8a's 300-wide 15%-dense first layer, which
+// keep the dense kernel, so the ratio is what the density check costs them;
+// and delicious's 12%-dense first layer, which takes the path.
+using tensor::detail::SparsePath;
 
 Matrix sparse_input(Index rows, Index cols, double density, Rng& rng) {
   Matrix x(rows, cols);
@@ -215,70 +226,101 @@ Matrix sparse_input(Index rows, Index cols, double density, Rng& rng) {
 }
 
 template <typename Product>
-void time_both_paths(benchmark::State& state, double flops,
-                     const Product& product) {
-  using tensor::detail::SparsePath;
+void time_against_dense(benchmark::State& state, SparsePath other,
+                        const char* other_counter, double flops,
+                        const Product& product) {
   std::uint64_t dense_ns = 0;
-  std::uint64_t sparse_ns = 0;
-  const SparsePath previous =
-      tensor::detail::set_sparse_path(SparsePath::kAuto);
+  std::uint64_t other_ns = 0;
+  const SparsePath previous = tensor::detail::set_sparse_path(other);
+  SparsePath order[] = {SparsePath::kDense, other};
   for (auto _ : state) {
-    for (SparsePath path : {SparsePath::kDense, SparsePath::kSparse}) {
+    for (SparsePath path : order) {
       tensor::detail::set_sparse_path(path);
       const std::uint64_t t0 = obs::wall_now_ns();
       product();
-      (path == SparsePath::kDense ? dense_ns : sparse_ns) +=
+      (path == SparsePath::kDense ? dense_ns : other_ns) +=
           obs::wall_now_ns() - t0;
     }
+    std::swap(order[0], order[1]);  // neither path always runs warm
   }
   tensor::detail::set_sparse_path(previous);
   const double total = flops * static_cast<double>(state.iterations());
   state.counters["dense_GFLOP/s"] = total / static_cast<double>(dense_ns);
-  state.counters["sparse_GFLOP/s"] = total / static_cast<double>(sparse_ns);
+  state.counters[other_counter] = total / static_cast<double>(other_ns);
 }
 
-// Forward: act(x * W^T + b), the first hidden layer.
-void BM_SparseInputForward(benchmark::State& state) {
+// Args: m, width, units, permille.
+void input_forward(benchmark::State& state, SparsePath other,
+                   const char* other_counter) {
+  const Index m = state.range(0), width = state.range(1),
+              units = state.range(2);
   Rng rng(6);
-  Matrix x = sparse_input(kSweepRows, kSweepWidth,
-                          static_cast<double>(state.range(0)) / 1000.0, rng);
-  Matrix w(kSweepUnits, kSweepWidth), bias(1, kSweepUnits),
-      out(kSweepRows, kSweepUnits);
+  Matrix x = sparse_input(m, width,
+                          static_cast<double>(state.range(3)) / 1000.0, rng);
+  Matrix w(units, width), bias(1, units), out(m, units);
   tensor::fill_normal(w.view(), rng, 0, 1);
   tensor::fill_normal(bias.view(), rng, 0, 1);
-  const double flops =
-      tensor::gemm_flops(kSweepRows, kSweepUnits, kSweepWidth);
-  time_both_paths(state, flops, [&] {
-    tensor::gemm_bias_act(Trans::kNo, Trans::kYes, 1.0, x.view(), w.view(),
-                          out.view(), bias.view(),
-                          tensor::Epilogue::kBiasTanh);
-    benchmark::DoNotOptimize(out.data());
-  });
+  time_against_dense(state, other, other_counter,
+                     tensor::gemm_flops(m, units, width), [&] {
+                       tensor::gemm_bias_act(Trans::kNo, Trans::kYes, 1.0,
+                                             x.view(), w.view(), out.view(),
+                                             bias.view(),
+                                             tensor::Epilogue::kBiasTanh);
+                       benchmark::DoNotOptimize(out.data());
+                     });
 }
 
-// Weight gradient: delta^T * x, the first layer's dW.
-void BM_SparseInputGradient(benchmark::State& state) {
+void input_gradient(benchmark::State& state, SparsePath other,
+                    const char* other_counter) {
+  const Index m = state.range(0), width = state.range(1),
+              units = state.range(2);
   Rng rng(7);
-  Matrix x = sparse_input(kSweepRows, kSweepWidth,
-                          static_cast<double>(state.range(0)) / 1000.0, rng);
-  Matrix delta(kSweepRows, kSweepUnits), grad(kSweepUnits, kSweepWidth);
+  Matrix x = sparse_input(m, width,
+                          static_cast<double>(state.range(3)) / 1000.0, rng);
+  Matrix delta(m, units), grad(units, width);
   tensor::fill_normal(delta.view(), rng, 0, 1);
-  const double flops =
-      tensor::gemm_flops(kSweepUnits, kSweepWidth, kSweepRows);
-  time_both_paths(state, flops, [&] {
-    tensor::matmul_tn(delta.view(), x.view(), grad.view());
-    benchmark::DoNotOptimize(grad.data());
-  });
+  time_against_dense(state, other, other_counter,
+                     tensor::gemm_flops(units, width, m), [&] {
+                       tensor::matmul_tn(delta.view(), x.view(), grad.view());
+                       benchmark::DoNotOptimize(grad.data());
+                     });
+}
+
+void BM_SparseInputForward(benchmark::State& state) {
+  input_forward(state, SparsePath::kSparse, "sparse_GFLOP/s");
+}
+void BM_SparseInputGradient(benchmark::State& state) {
+  input_gradient(state, SparsePath::kSparse, "sparse_GFLOP/s");
+}
+void BM_AutoInputForward(benchmark::State& state) {
+  input_forward(state, SparsePath::kAuto, "auto_GFLOP/s");
+}
+void BM_AutoInputGradient(benchmark::State& state) {
+  input_gradient(state, SparsePath::kAuto, "auto_GFLOP/s");
 }
 
 void sweep_densities(benchmark::internal::Benchmark* b) {
-  for (int permille : {0, 10, 50, 100, 150, 200, 300, 500, 750, 1000}) {
-    b->Arg(permille);
+  for (int width : {2963, 500}) {
+    for (int permille :
+         {0, 10, 50, 100, 120, 150, 200, 300, 500, 750, 1000}) {
+      b->Args({512, width, 48, permille});
+    }
   }
-  b->ArgName("permille");
+  b->ArgNames({"m", "width", "units", "permille"});
 }
 BENCHMARK(BM_SparseInputForward)->Apply(sweep_densities);
 BENCHMARK(BM_SparseInputGradient)->Apply(sweep_densities);
+
+void selection_inputs(benchmark::internal::Benchmark* b) {
+  b->Args({16, 512, 512, 1000});
+  b->Args({512, 512, 512, 1000});
+  b->Args({512, 300, 48, 150});
+  b->Args({512, 500, 48, 120});
+  b->ArgNames({"m", "width", "units", "permille"});
+  b->MinTime(1.0);  // gated by check_bench_regression.py: average out jitter
+}
+BENCHMARK(BM_AutoInputForward)->Apply(selection_inputs);
+BENCHMARK(BM_AutoInputGradient)->Apply(selection_inputs);
 
 void BM_Axpy(benchmark::State& state) {
   const Index n = state.range(0);

@@ -4,10 +4,10 @@
 #
 # Builds bench/micro_gemm in a HETSGD_NATIVE=ON build (the packed kernel's
 # tuned configuration), runs the skinny/dense shape sweep against the frozen
-# seed kernel compiled into the same binary (three repetitions, medians),
-# distills the GFLOP/s counters into bench_results/BENCH_gemm.json, and
-# fails if any shape regressed more than 20% against the checked-in
-# baseline (bench_results/BENCH_gemm_baseline.json).
+# seed kernel compiled into the same binary, distills the GFLOP/s counters
+# into bench_results/BENCH_gemm.json, and fails if any shape regressed more
+# than 20% against the checked-in baseline
+# (bench_results/BENCH_gemm_baseline.json).
 #
 # Usage:
 #   scripts/bench_smoke.sh                    # run + gate
@@ -31,8 +31,6 @@ cmake --build "$BUILD_DIR" --target micro_gemm -j"$(nproc)"
 
 "$BUILD_DIR/bench/micro_gemm" \
   --benchmark_min_time=0.3 \
-  --benchmark_repetitions=3 \
-  --benchmark_report_aggregates_only=true \
   --benchmark_out="$RAW_JSON" \
   --benchmark_out_format=json
 

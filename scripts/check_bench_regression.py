@@ -11,7 +11,10 @@ The density sweep (BM_SparseInput*, dense vs zero-skipping path on the
 same operands) is recorded per density, plus each product's crossover
 under "sparse_crossover": the density at which the zero-skipping path
 stops being faster, interpolated between the two swept densities around
-it. The sweep is recorded, not gated.
+it; the sweep is not gated. BM_AutoInput* times the dense kernel against
+the selection rule itself on inputs on either side of it, dense hidden
+layers included: the rule fails the gate where it runs more than 10%
+slower than the dense kernel.
 
 Speedup ratios, not absolute GFLOP/s, are gated: absolute throughput varies
 across hosts, the ratio of two kernels compiled into the same binary much
@@ -24,30 +27,27 @@ import sys
 from pathlib import Path
 
 # Benchmarks compare pairs selected by a 0/1 arg: `seed` (production kernel
-# vs frozen seed kernel) and `fused` (unfused sequence vs fused epilogue);
-# the `sparse` pair (dense kernel vs zero-skipping path) runs in one
-# benchmark that reports dense_GFLOP/s and sparse_GFLOP/s. Maps flag name
-# -> (name of the 0-variant, name of the 1-variant, the variant whose
-# GFLOP/s is the speedup's numerator).
+# vs frozen seed kernel) and `fused` (unfused sequence vs fused epilogue).
+# The `sparse` (dense kernel vs zero-skipping path) and `auto` (dense kernel
+# vs selection rule) pairs run in one benchmark that reports
+# <variant>_GFLOP/s for both variants. Maps pair name -> (name of the
+# 0-variant, name of the 1-variant, the variant whose GFLOP/s is the
+# speedup's numerator).
 PAIR_FLAGS = {
     "seed": ("new", "seed", "new"),          # speedup = new / seed
     "fused": ("unfused", "fused", "fused"),  # speedup = fused / unfused
     "sparse": ("dense", "sparse", "sparse"),  # speedup = sparse / dense
+    "auto": ("dense", "auto", "auto"),       # speedup = auto / dense
 }
 
 
 def parse_raw(raw):
-    """Group benchmark results into per-shape entries.
-
-    With --benchmark_repetitions, only the median aggregate of each
-    benchmark is used; a single run is used as is.
-    """
+    """Group benchmark repetitions into per-shape entries."""
     shapes = {}
     for b in raw.get("benchmarks", []):
-        if (b.get("run_type") == "aggregate"
-                and b.get("aggregate_name") != "median"):
+        if b.get("run_type") == "aggregate":
             continue
-        parts = b.get("run_name", b["name"]).split("/")
+        parts = b["name"].split("/")
         args = {}
         plain = []
         for p in parts[1:]:
@@ -56,6 +56,7 @@ def parse_raw(raw):
                 args[k] = v
             else:
                 plain.append(p)
+        args.pop("min_time", None)  # a benchmark's own run length
         flag = next((f for f in PAIR_FLAGS if f in args), None)
         key_args = [f"{k}:{v}" for k, v in args.items() if k not in PAIR_FLAGS]
         key = "/".join([parts[0]] + key_args + plain)
@@ -72,12 +73,13 @@ def parse_raw(raw):
             entry["gbytes_per_second"] = round(b["bytes_per_second"] / 1e9, 3)
         # Alternating benchmarks time both variants of a pair in one run and
         # report each as <variant>_GFLOP/s.
-        for counter, value in b.items():
-            if counter.endswith("_GFLOP/s"):
-                variant = counter[:-len("_GFLOP/s")]
+        variants = {c[:-len("_GFLOP/s")]: v for c, v in b.items()
+                    if c.endswith("_GFLOP/s")}
+        if variants:
+            for variant, value in variants.items():
                 entry[f"{variant}_gflops"] = round(value, 3)
-                entry["_flag"] = next(f for f, names in PAIR_FLAGS.items()
-                                      if variant in names[:2])
+            entry["_flag"] = next(f for f, names in PAIR_FLAGS.items()
+                                  if set(names[:2]) == set(variants))
     for entry in shapes.values():
         flag = entry.pop("_flag", None)
         if flag is None:
@@ -101,7 +103,7 @@ def sparse_crossovers(shapes):
     sweeps = {}
     for key, entry in shapes.items():
         name, _, arg = key.partition("/permille:")
-        if arg and "speedup" in entry:
+        if name.startswith("BM_SparseInput") and arg and "speedup" in entry:
             sweeps.setdefault(name, []).append((int(arg), entry["speedup"]))
     out = {}
     for name, points in sorted(sweeps.items()):
@@ -113,6 +115,20 @@ def sparse_crossovers(shapes):
                 break
         out[name] = None if crossover is None else round(crossover, 3)
     return out
+
+
+# Slowest the selection rule may run, as a fraction of the dense kernel's
+# speed, on any BM_AutoInput* input.
+AUTO_FLOOR = 0.9
+
+
+def gate_selection(current):
+    """Return a failure for each input the selection rule slows down."""
+    return [f"{key}: selection rule at {entry['speedup']:.3f}x the dense "
+            f"kernel (< {AUTO_FLOOR})"
+            for key, entry in sorted(current["shapes"].items())
+            if key.startswith("BM_AutoInput")
+            and entry.get("speedup", 1.0) < AUTO_FLOOR]
 
 
 def gate(current, baseline, threshold):
@@ -170,7 +186,7 @@ def main():
         return 1
     with open(base_path) as f:
         baseline = json.load(f)
-    failures = gate(current, baseline, opts.threshold)
+    failures = gate(current, baseline, opts.threshold) + gate_selection(current)
     if failures:
         print("GEMM benchmark regression detected:", file=sys.stderr)
         for line in failures:

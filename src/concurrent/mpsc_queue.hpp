@@ -63,15 +63,18 @@ class MpscQueue {
   // Multi-producer push. Returns false if the queue has been closed; a push
   // that returns true is always seen by the consumer's final drain.
   bool push(T value) HETSGD_EXCLUDES(wake_mutex_) {
+    // Allocated before the push is counted in flight, so nothing between
+    // the increment and the decrement can throw.
+    Node* node = new Node(std::move(value));
     // seq_cst increment-then-check pairs with close()'s store and the load
     // in wait_for_in_flight_pushes(): either this push sees closed_, or the
     // consumer sees it in flight.
     pushing_.fetch_add(1);
     if (closed_.load()) {
       pushing_.fetch_sub(1);
+      delete node;
       return false;
     }
-    Node* node = new Node(std::move(value));
     Node* prev = head_.exchange(node, std::memory_order_acq_rel);
     prev->next.store(node, std::memory_order_release);
     pushing_.fetch_sub(1);

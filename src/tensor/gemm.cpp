@@ -330,47 +330,46 @@ void scale_c(MatrixView c, Index m, Index n, Scalar beta) {
 // columns build up in a transposed scratch, so both inner loops are
 // contiguous axpys.
 //
-// One OpenMP team reads x once: each thread gathers the nonzero offsets of
-// its part of x (its C rows, or its C column range across all rows) while
-// counting them, and checks its share of the other operand for NaN/Inf.
-// After a barrier every thread reaches the same verdict from the shared
-// tallies; only then is scratch allocated and W transposed. The path is
-// taken when x has at least kSkinnyM rows and kSparseMinWidth columns (the
-// Hogwild lanes' 1-row products keep their kernels), at most
+// The path is taken when x has at least kSkinnyM rows and kSparseMinWidth
+// columns (the Hogwild lanes' 1-row products keep their kernels), at most
 // kSparseMaxDensity of its entries are nonzero, and the other operand is
 // finite: skipping x's zeros would drop the 0 * NaN terms that make the
-// dense result NaN. Otherwise the caller runs the dense kernel, having paid
-// for part of one pass over x (a thread stops scanning once its own count
-// is over the limit).
+// dense result NaN. Each call first counts the nonzeros of kSampleRows
+// evenly spaced rows of x, serially; a sample over the density limit keeps
+// the dense kernel right away. A dense input, such as a hidden layer's
+// activations, thus costs a scan of three rows and never forks a team.
 //
-// A row of x (within the thread's part) with more than kDenseRowDensity of
-// its entries nonzero runs the same loop over all its entries instead,
-// skipping the offset indirection. A zero term adds +-0 to a partial sum
-// that starts at +0 and is never -0, so both loops give the same bits, and
-// so does any split of x among threads: each C element is summed by one
-// thread, over x's rows (gradient) or nonzeros (forward) in ascending
-// order. Results are bit-identical for any thread count.
+// An input that passes the sample is read once by one OpenMP team: each
+// thread gathers the nonzero offsets of its part of x (its C rows, or its
+// C column range across all rows) while counting them, and, unless its own
+// count is already over the limit, checks its share of the other operand
+// for NaN/Inf. After a barrier every thread reaches the same verdict from
+// the shared tallies; only then is scratch allocated and W transposed. On
+// a dense verdict the caller runs the dense kernel.
+//
+// Each C element is summed by one thread, over x's rows (gradient) or
+// nonzeros (forward) in ascending order, so results are bit-identical for
+// any thread count.
 
 // Highest fraction of nonzeros in x at which skipping zeros still beats
-// the packed kernel: the crossover of bench/micro_gemm's density sweep on
-// real-sim's first-layer products (bench_results/BENCH_gemm.json), 0.144
-// to 0.147 for the forward and 0.19 to 0.225 for the gradient product on
-// an AVX-512 host. The lower one serves both.
+// the packed kernel: the low end of the lowest crossover in bench/micro_gemm's
+// density sweep (bench_results/BENCH_gemm.json "sparse_crossover") over the
+// first-layer products of real-sim (2963 inputs) and delicious (500
+// inputs) into 48 units. On a 4-vCPU AVX-512 host that is real-sim's
+// forward product, 0.137 to 0.175 over four sweeps.
 constexpr double kSparseMaxDensity = 0.14;
 // Narrower inputs keep the dense kernel without a scan: the hidden layers
 // of the bench MLPs (48 units of dense tanh activations) never pay for it.
 constexpr Index kSparseMinWidth = 64;
-// Row density above which the all-entries loop beats gathering: forced
-// onto every row of the sweep's shapes, the two break even at 70-100%
-// nonzero.
-constexpr double kDenseRowDensity = 0.75;
+// Rows of x the serial pre-check samples (kSkinnyM-row inputs: every row).
+constexpr Index kSampleRows = 16;
 
 // The density rule's override (detail::set_sparse_path), per thread.
 thread_local detail::SparsePath tl_sparse_path = detail::SparsePath::kAuto;
 
 // Nonzeros of one thread's part of x, row by row: `counts` holds each
-// scanned row's nonzero count, `offsets` the nonzero column offsets of the
-// rows that stay sparse, back to back. One per thread, reused across calls.
+// scanned row's nonzero count, `offsets` their nonzero column offsets,
+// back to back. One per thread, reused across calls.
 struct NonzeroRows {
   std::vector<Index> counts;
   std::vector<Index> offsets;
@@ -386,7 +385,8 @@ bool sparse_shape(Index rows, Index cols) {
          tl_sparse_path != detail::SparsePath::kDense;
 }
 
-// Most nonzeros x (rows x cols) may hold and still take the path.
+// Most nonzeros `rows` rows of x (`cols` wide) may hold and still take the
+// path.
 Index nonzero_limit(Index rows, Index cols) {
   const double max_density =
       tl_sparse_path == detail::SparsePath::kSparse ? 1.0 : kSparseMaxDensity;
@@ -394,10 +394,19 @@ Index nonzero_limit(Index rows, Index cols) {
                             static_cast<double>(cols));
 }
 
-// A row with more nonzeros than this, out of `width` entries, runs the
-// dense loop.
-Index dense_row_threshold(Index width) {
-  return static_cast<Index>(kDenseRowDensity * static_cast<double>(width));
+// The serial pre-check: true when kSampleRows evenly spaced rows of x
+// (rows x cols, rows >= kSkinnyM) hold at most the density limit of
+// nonzeros. Stops at the first sampled row that takes the count over it.
+bool sample_within_limit(const Scalar* x, Index ldx, Index rows, Index cols) {
+  const Index samples = std::min(rows, kSampleRows);
+  const Index limit = nonzero_limit(samples, cols);
+  Index count = 0;
+  for (Index s = 0; s < samples && count <= limit; ++s) {
+    const Scalar* HETSGD_RESTRICT row = x + s * rows / samples * ldx;
+#pragma omp simd reduction(+ : count)
+    for (Index c = 0; c < cols; ++c) count += row[c] != Scalar{0};
+  }
+  return count <= limit;
 }
 
 // Writes the offsets c in [c0, c1) where row[c] != 0 to nz, ascending, and
@@ -417,20 +426,17 @@ Index gather_nonzeros(const Scalar* HETSGD_RESTRICT row, Index c0, Index c1,
 // nonzero count, stopping after the row that takes it past `limit`.
 Index gather_rows(const Scalar* x, Index ldx, Index r0, Index r1, Index c0,
                   Index c1, Index limit, NonzeroRows& rows) {
-  const Index width = c1 - c0;
-  const Index dense_row = dense_row_threshold(width);
+  const auto width = static_cast<std::size_t>(c1 - c0);
   rows.counts.clear();
-  std::size_t used = 0;
   Index total = 0;
   for (Index r = r0; r < r1 && total <= limit; ++r) {
-    const std::size_t room = used + static_cast<std::size_t>(width);
-    if (rows.offsets.size() < room) {
-      rows.offsets.resize(std::max(room, 2 * rows.offsets.size()));
+    const std::size_t used = static_cast<std::size_t>(total);
+    if (rows.offsets.size() < used + width) {
+      rows.offsets.resize(std::max(used + width, 2 * rows.offsets.size()));
     }
     const Index count =
         gather_nonzeros(x + r * ldx, c0, c1, rows.offsets.data() + used);
     rows.counts.push_back(count);
-    if (count <= dense_row) used += static_cast<std::size_t>(count);
     total += count;
   }
   return total;
@@ -469,27 +475,23 @@ inline void axpy_row(Scalar a, const Scalar* HETSGD_RESTRICT x,
   for (Index j = 0; j < n; ++j) y[j] += a * x[j];
 }
 
+// Both kernels below stay out of line: inlined into the OpenMP team's body,
+// gcc 12 spills the axpy loop's pointers, and the gradient kernel runs
+// 10-20% slower at 10-15% density (bench/micro_gemm BM_SparseInputGradient).
+
 // Forward rows [i0, i0 + rows.counts.size()): C row i = epilogue(sum over
 // nonzero x[i,p] of alpha * x[i,p] * B row p, + bias), with x = g.a and
 // B = g.b stored k x n untransposed. C is zero on entry.
-void sparse_forward_rows(const PackedGemm& g, Index n, Index i0,
-                         const NonzeroRows& rows) {
-  const Index dense_row = dense_row_threshold(g.k);
+HETSGD_NOINLINE void sparse_forward_rows(const PackedGemm& g, Index n,
+                                         Index i0, const NonzeroRows& rows) {
   const Index* nz = rows.offsets.data();
   for (std::size_t q = 0; q < rows.counts.size(); ++q) {
     const Index i = i0 + static_cast<Index>(q);
     const Scalar* HETSGD_RESTRICT xrow = g.a + i * g.lda;
     Scalar* HETSGD_RESTRICT crow = g.c + i * g.ldc;
-    const Index count = rows.counts[q];
-    if (count > dense_row) {
-      for (Index p = 0; p < g.k; ++p) {
-        axpy_row(g.alpha * xrow[p], g.b + p * g.ldb, crow, n);
-      }
-    } else {
-      for (Index q2 = 0; q2 < count; ++q2) {
-        axpy_row(g.alpha * xrow[nz[q2]], g.b + nz[q2] * g.ldb, crow, n);
-      }
-      nz += count;
+    const Index* const end = nz + rows.counts[q];
+    for (; nz != end; ++nz) {
+      axpy_row(g.alpha * xrow[*nz], g.b + *nz * g.ldb, crow, n);
     }
     if (g.bias != nullptr) detail::epilogue_row(g.epilogue, crow, g.bias, n);
   }
@@ -500,23 +502,17 @@ void sparse_forward_rows(const PackedGemm& g, Index n, Index i0,
 // (k x n) gathered row by row in `rows`. Column j builds up in ct row j so
 // the inner loop is a contiguous axpy over d's row; the final pass adds it
 // into C.
-void sparse_gradient_cols(const PackedGemm& g, Index m, Index j0, Index j1,
-                          const NonzeroRows& rows, Scalar* ct) {
+HETSGD_NOINLINE void sparse_gradient_cols(const PackedGemm& g, Index m,
+                                          Index j0, Index j1,
+                                          const NonzeroRows& rows,
+                                          Scalar* ct) {
   std::fill(ct + j0 * m, ct + j1 * m, Scalar{0});
-  const Index dense_row = dense_row_threshold(j1 - j0);
   const Index* nz = rows.offsets.data();
   for (Index r = 0; r < g.k; ++r) {
     const Scalar* HETSGD_RESTRICT xrow = g.b + r * g.ldb;
     const Scalar* HETSGD_RESTRICT drow = g.a + r * g.lda;
-    const Index count = rows.counts[static_cast<std::size_t>(r)];
-    if (count > dense_row) {
-      for (Index j = j0; j < j1; ++j) axpy_row(xrow[j], drow, ct + j * m, m);
-    } else {
-      for (Index q = 0; q < count; ++q) {
-        axpy_row(xrow[nz[q]], drow, ct + nz[q] * m, m);
-      }
-      nz += count;
-    }
+    const Index* const end = nz + rows.counts[static_cast<std::size_t>(r)];
+    for (; nz != end; ++nz) axpy_row(xrow[*nz], drow, ct + *nz * m, m);
   }
   for (Index i = 0; i < m; ++i) {
     Scalar* HETSGD_RESTRICT crow = g.c + i * g.ldc;
@@ -565,7 +561,10 @@ Scalar* team_scratch(Index tid, std::size_t count, Scalar*& shared) {
 // x = g.a (m x k). Returns false, with C untouched, when the selection
 // keeps the dense kernel.
 bool try_sparse_forward(const PackedGemm& g, Index m, Index n) {
-  if (g.ta || !sparse_shape(m, g.k)) return false;
+  if (g.ta || !sparse_shape(m, g.k) ||
+      !sample_within_limit(g.a, g.lda, m, g.k)) {
+    return false;
+  }
   const Index limit = nonzero_limit(m, g.k);
   const int threads = worth_threads(sparse_work(m, g.k, limit, n), m);
   SparseTally tally(limit, threads);
@@ -577,7 +576,8 @@ bool try_sparse_forward(const PackedGemm& g, Index m, Index n) {
     tally.nonzeros[t] =
         gather_rows(g.a, g.lda, rows.lo, rows.hi, 0, g.k, tally.limit, tl_rows);
     const Range w = thread_range(tid, nth, w_rows, 1);
-    tally.finite[t] = all_finite(g.b + w.lo * g.ldb, g.ldb, w.hi - w.lo,
+    tally.finite[t] = tally.nonzeros[t] > tally.limit ||
+                      all_finite(g.b + w.lo * g.ldb, g.ldb, w.hi - w.lo,
                                  g.tb ? g.k : n);
 #pragma omp barrier
     if (!tally.sparse()) return;
@@ -600,7 +600,10 @@ bool try_sparse_forward(const PackedGemm& g, Index m, Index n) {
 // x = g.b (k x n). Returns false, with C untouched, when the selection
 // keeps the dense kernel.
 bool try_sparse_gradient(const PackedGemm& g, Index m, Index n) {
-  if (!g.ta || g.tb || !sparse_shape(g.k, n)) return false;
+  if (!g.ta || g.tb || !sparse_shape(g.k, n) ||
+      !sample_within_limit(g.b, g.ldb, g.k, n)) {
+    return false;
+  }
   const Index limit = nonzero_limit(g.k, n);
   const int threads =
       worth_threads(sparse_work(g.k, n, limit, m), (n + kNR - 1) / kNR);
@@ -612,7 +615,8 @@ bool try_sparse_gradient(const PackedGemm& g, Index m, Index n) {
     tally.nonzeros[t] = gather_rows(g.b, g.ldb, 0, g.k, cols.lo, cols.hi,
                                     tally.limit, tl_rows);
     const Range d = thread_range(tid, nth, g.k, 1);
-    tally.finite[t] = all_finite(g.a + d.lo * g.lda, g.lda, d.hi - d.lo, m);
+    tally.finite[t] = tally.nonzeros[t] > tally.limit ||
+                      all_finite(g.a + d.lo * g.lda, g.lda, d.hi - d.lo, m);
 #pragma omp barrier
     if (!tally.sparse()) return;
     Scalar* scratch = team_scratch(tid, static_cast<std::size_t>(n * m), ct);

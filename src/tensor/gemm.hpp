@@ -43,10 +43,12 @@ void gemm_naive(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
 // Sparse inputs: the weight-gradient product C = alpha * A^T * B + beta * C
 // (ta == kYes, tb == kNo) treats B as the layer input x. When x has at
 // least 8 rows and 64 columns, at most kSparseMaxDensity (gemm.cpp) of its
-// entries are nonzero, and A holds no NaN or Inf, the call visits only x's
-// nonzeros instead of running the packed kernel. The result matches the
-// dense kernel to rounding, keeps NaN/Inf where the dense kernel has them,
-// and stays bit-identical for any thread count (DESIGN.md §8).
+// entries are nonzero, both in a 16-row sample and overall, and A holds no
+// NaN or Inf, the call visits only x's nonzeros instead of running the
+// packed kernel. A dense x fails the sample after a scan of three rows. The
+// result matches the dense kernel to rounding, keeps NaN/Inf where the
+// dense kernel has them, and stays bit-identical for any thread count
+// (DESIGN.md §8).
 void gemm(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
           ConstMatrixView b, Scalar beta, MatrixView c);
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <tuple>
+#include <utility>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -287,27 +288,30 @@ TEST(GemmBiasAct, AlphaZeroAppliesEpilogueToBias) {
   }
 }
 
-// The scaled fused product: C = act(alpha * A * B^T + bias).
+// The scaled fused product: C = act(alpha * A * B^T + bias), on the packed
+// kernel (17 dense inputs) and on the zero-skipping path (200 sparse ones).
 TEST(GemmBiasAct, RespectsAlpha) {
-  const Index m = 9, n = 33, k = 17;
+  const Index m = 9, n = 33;
   const Scalar alpha = -0.5;
   Rng rng(42);
-  Matrix a = random_matrix(m, k, rng);
-  Matrix b = random_matrix(n, k, rng);
-  Matrix bias = random_matrix(1, n, rng);
-  Matrix fused(m, n);
-  gemm_bias_act(Trans::kNo, Trans::kYes, alpha, a.view(), b.view(),
-                fused.view(), bias.view(), Epilogue::kBiasTanh);
-  Matrix ref(m, n);
-  gemm(Trans::kNo, Trans::kYes, alpha, a.view(), b.view(), Scalar{0},
-       ref.view());
-  add_row_bias(bias.view(), ref.view());
-  for (Index i = 0; i < m; ++i) {
-    for (Index j = 0; j < n; ++j) {
-      ref(i, j) = ref_act(Epilogue::kBiasTanh, ref(i, j));
+  for (auto [k, density] : {std::pair<Index, double>{17, 1.0}, {200, 0.02}}) {
+    Matrix a = sparse_matrix(m, k, density, rng);
+    Matrix b = random_matrix(n, k, rng);
+    Matrix bias = random_matrix(1, n, rng);
+    Matrix fused(m, n);
+    gemm_bias_act(Trans::kNo, Trans::kYes, alpha, a.view(), b.view(),
+                  fused.view(), bias.view(), Epilogue::kBiasTanh);
+    Matrix ref(m, n);
+    gemm_naive(Trans::kNo, Trans::kYes, alpha, a.view(), b.view(), Scalar{0},
+               ref.view());
+    add_row_bias(bias.view(), ref.view());
+    for (Index i = 0; i < m; ++i) {
+      for (Index j = 0; j < n; ++j) {
+        ref(i, j) = ref_act(Epilogue::kBiasTanh, ref(i, j));
+      }
     }
+    EXPECT_LT(max_abs_diff(ref.view(), fused.view()), 1e-12) << "k=" << k;
   }
-  EXPECT_LT(max_abs_diff(ref.view(), fused.view()), 1e-12);
 }
 
 TEST(Gemm, MatmulWrappers) {
@@ -351,8 +355,9 @@ TEST(Gemm, FlopsFormula) {
 }
 
 // The zero-skipping path engages exactly when the rule in gemm.cpp says:
-// x at least 8 rows by 64 columns and sparse. Each shape bound is probed
-// from both sides with a sparse x; a dense x never takes the path.
+// x at least 8 rows by 64 columns and sparse, in a sample of its rows and
+// overall. Each shape bound is probed from both sides with a sparse x; a
+// dense x never takes the path.
 TEST(SparseInput, PathFollowsShapeAndDensity) {
   Rng rng(61);
   const auto forward_takes_path = [&](const Matrix& x) {
@@ -380,6 +385,18 @@ TEST(SparseInput, PathFollowsShapeAndDensity) {
     EXPECT_EQ(takes_path(rows8), 1u);
     EXPECT_EQ(takes_path(rows7), 0u);  // forward: the skinny kernel
     EXPECT_EQ(takes_path(random_matrix(200, 640, rng)), 0u);
+    // Both stages of the density rule: the 16 sampled rows (every 16th of
+    // 256) and the whole of x must each be sparse enough.
+    Matrix sampled_dense(256, 640);
+    Matrix sampled_empty = random_matrix(256, 640, rng);
+    for (Index i = 0; i < 256; i += 16) {
+      for (Index j = 0; j < 640; ++j) {
+        sampled_dense(i, j) = 1;  // x is 1/16 dense
+        sampled_empty(i, j) = 0;  // x is 15/16 dense
+      }
+    }
+    EXPECT_EQ(takes_path(sampled_dense), 0u);
+    EXPECT_EQ(takes_path(sampled_empty), 0u);
   };
   check_bounds(forward_takes_path);
   check_bounds(gradient_takes_path);
