@@ -10,7 +10,7 @@
 #include "common/csv_writer.hpp"
 #include "core/cost_model.hpp"
 #include "data/synthetic.hpp"
-#include "backend/device_model.hpp"
+#include "gpusim/perf_model.hpp"
 #include "bench_common.hpp"
 
 using namespace hetsgd;

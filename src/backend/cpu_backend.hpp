@@ -1,6 +1,5 @@
-// Host-CPU backend: the packed-SIMD tensor kernels behind the Backend seam.
-//
-// Two modes, selected at construction:
+// The one Backend implementation: the packed-SIMD tensor kernels behind
+// the seam, in one of two modes selected at construction.
 //
 //  * kZeroCopy — the Hogwild configuration. Buffers may adopt() live host
 //    storage (the shared model, a lane's gradient slab), stage_batch()
@@ -11,19 +10,20 @@
 //    mode's arithmetic — and its data races on shared storage — are
 //    bit-for-bit the pre-seam host path.
 //
-//  * kDevice — the replica configuration (registry name "cpu"): behaves
-//    like a discrete device that happens to be the host. Buffers are
-//    private capacity-accounted allocations, transfers really copy (and
-//    honor fault injection, giving every backend the same fault surface),
-//    and each kernel charges its modeled cost on a FIFO queue cursor with
-//    the same formulas gpusim's Stream uses — so a worker driving this
-//    backend advances virtual time just like one driving the simulator.
+//  * kDevice — the replica configuration, modeling the paper's GPU worker
+//    (§V-A): a discrete device that happens to be the host. Buffers are
+//    private capacity-accounted allocations (alloc() aborts past the
+//    spec's memory, like a failed cudaMalloc), transfers really copy and
+//    honor fault injection, and each kernel charges its PerfModel cost on
+//    a FIFO queue cursor, so virtual time advances as on a CUDA stream.
+//    This mode exports the device signals: "gpusim" h2d_copy/d2h_copy
+//    trace spans and the hetsgd_gpu_{transfers,transfer_bytes,kernels}_total
+//    counters.
 //
 // Thread confinement per Backend's contract: single-owner, unsynchronized.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "backend/backend.hpp"
@@ -34,10 +34,9 @@ class CpuBackend final : public Backend {
  public:
   enum class Mode { kZeroCopy, kDevice };
 
-  CpuBackend(const DeviceSpec& spec, Mode mode);
+  CpuBackend(const gpusim::DeviceSpec& spec, Mode mode);
 
-  const std::string& name() const override { return name_; }
-  const PerfModel& perf() const override { return perf_; }
+  const gpusim::PerfModel& perf() const override { return perf_; }
   bool zero_copy() const override { return mode_ == Mode::kZeroCopy; }
 
   Buffer alloc(tensor::Index rows, tensor::Index cols) override;
@@ -96,13 +95,17 @@ class CpuBackend final : public Backend {
   // Charges `cost` on the FIFO queue cursor (kDevice) or returns `issue`
   // unchanged (kZeroCopy, where the worker charges analytically).
   double charge(double cost, double issue);
+  // charge() for one kernel; kDevice also counts it as a device kernel.
+  double launch(double cost, double issue);
+  // Counts and charges one upload/download of `bytes`.
+  double transfer(std::uint64_t bytes, double issue);
   void check_transfer_fault(const char* direction);
 
-  std::string name_ = "cpu";
-  PerfModel perf_;
+  gpusim::PerfModel perf_;
   Mode mode_;
   std::vector<Slot> slots_;
-  // FIFO queue cursor: the same advance_to/advance math as gpusim::Stream.
+  // FIFO queue cursor: an op starts at max(issue, previous completion) and
+  // completes `cost` later.
   double queue_time_ = 0.0;
   std::uint64_t bytes_in_use_ = 0;
   std::int64_t pending_faults_ = 0;

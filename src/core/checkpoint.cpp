@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 
 #include "common/logging.hpp"
 #include "common/macros.hpp"
@@ -126,10 +127,8 @@ std::uint64_t config_fingerprint(const TrainingConfig& config,
   h = mix(h, static_cast<std::uint64_t>(config.gpu.max_batch));
   h = mix_double(h, config.gpu.host_merge_bandwidth);
   h = mix(h, static_cast<std::uint64_t>(config.gpu.worker_count));
-  // Execution backend: trajectories are backend-independent by design, but
-  // resuming under a different engine than the one that cut the checkpoint
-  // should be an explicit choice, not a silent one.
-  for (const char c : config.backend) {
+  // The retired --backend name's default, so older checkpoints still match.
+  for (const char c : std::string_view("sim")) {
     h = mix(h, static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
   }
   h = mix(h, static_cast<std::uint64_t>(dataset.example_count()));

@@ -5,15 +5,11 @@
 #include <string>
 
 #include "core/fault.hpp"
-#include "backend/device_model.hpp"
+#include "gpusim/perf_model.hpp"
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/exporter.hpp"
 #include "tensor/types.hpp"
-
-namespace hetsgd {
-class CliParser;
-}
 
 namespace hetsgd::core {
 
@@ -33,12 +29,6 @@ const char* algorithm_name(Algorithm a);
 bool parse_algorithm(const std::string& name, Algorithm& out);
 bool algorithm_uses_cpu(Algorithm a);
 bool algorithm_uses_gpu(Algorithm a);
-
-// --backend flag support: registers the flag (help text enumerates the
-// backend registry) and validates a parsed value against it.
-void register_backend_flag(CliParser& cli, std::string* backend);
-bool validate_backend(const std::string& name);
-std::string backend_names_help();
 
 // CPU worker parameters. The worker simulates `sim_lanes` Hogwild threads
 // (the paper's t = 56); its batch is sim_lanes * examples_per_thread, split
@@ -130,13 +120,6 @@ struct TrainingConfig {
   int real_threads = 0;
 
   std::uint64_t seed = 1234;
-
-  // Execution backend for replica (device) workers, by registry name
-  // (backend::registered_backends(): "sim" = the gpusim device, "cpu" =
-  // host execution). The modeled hardware stays gpu.spec either way, so
-  // training trajectories are backend-independent; the flag chooses which
-  // engine runs the kernels. Hogwild lanes always run zero-copy on host.
-  std::string backend = "sim";
 
   CpuWorkerConfig cpu;
   GpuWorkerConfig gpu;

@@ -8,7 +8,7 @@
 
 #include <cstdint>
 
-#include "backend/device_model.hpp"
+#include "gpusim/perf_model.hpp"
 #include "nn/model.hpp"
 
 namespace hetsgd::core {

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "backend/device_model.hpp"
+#include "gpusim/perf_model.hpp"
 #include "msg/message.hpp"
 
 namespace hetsgd {

@@ -1,11 +1,10 @@
 #include "core/minibatch_reference.hpp"
 
 #include <algorithm>
-#include <memory>
 
+#include "backend/cpu_backend.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/macros.hpp"
-#include "core/worker.hpp"
 #include "nn/mlp.hpp"
 
 namespace hetsgd::core {
@@ -22,8 +21,8 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
 
   Rng rng(cfg.seed);
   nn::Model model(cfg.mlp, rng);
-  std::unique_ptr<backend::Backend> dev = make_device_backend(cfg);
-  backend::MlpExecutor mlp(*dev, cfg.mlp, cfg.gpu.batch);
+  backend::CpuBackend dev(cfg.gpu.spec, backend::CpuBackend::Mode::kDevice);
+  backend::MlpExecutor mlp(dev, cfg.mlp, cfg.gpu.batch);
 
   // Loss-evaluation sample (fixed rows copied out before shuffling).
   const Index n = dataset.example_count();
@@ -124,7 +123,7 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
   // The device crunches back-to-back batches; utilization is the GEMM
   // efficiency at the configured batch size.
   result.mean_utilization =
-      dev->perf().utilization(static_cast<double>(cfg.gpu.batch));
+      dev.perf().utilization(static_cast<double>(cfg.gpu.batch));
   return result;
 }
 

@@ -19,7 +19,7 @@
 
 #include "common/thread_annotations.hpp"
 #include "core/fault.hpp"
-#include "backend/device_model.hpp"
+#include "gpusim/perf_model.hpp"
 #include "msg/message.hpp"
 #include "tensor/types.hpp"
 

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "backend/device_model.hpp"
 #include "msg/message.hpp"
 
 namespace hetsgd::core {

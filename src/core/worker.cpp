@@ -21,9 +21,8 @@ using tensor::Index;
 
 std::unique_ptr<backend::Backend> make_device_backend(
     const TrainingConfig& config) {
-  auto b = backend::make_backend(config.backend, config.gpu.spec);
-  HETSGD_ASSERT(b != nullptr, "unknown --backend name");
-  return b;
+  return std::make_unique<backend::CpuBackend>(
+      config.gpu.spec, backend::CpuBackend::Mode::kDevice);
 }
 
 namespace {
@@ -66,7 +65,7 @@ Worker::Worker(msg::WorkerId id, const TrainingConfig& config,
   upload_snapshot_ = global_model;
 }
 
-const backend::PerfModel& Worker::perf() const {
+const gpusim::PerfModel& Worker::perf() const {
   return mode_ == ExecMode::kHogwild ? hogwild_perf_ : backend_->perf();
 }
 

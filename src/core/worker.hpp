@@ -12,12 +12,11 @@
 //    charged analytically per batch through the cost model.
 //
 //  * kReplica — mini-batch SGD against a private device replica (§V-A,
-//    the GPU worker handler). One Backend instance (--backend: the gpusim
-//    device by default, or the host CpuBackend in device mode) holds the
-//    replica; every batch uploads the model, runs the kernel sequence,
-//    downloads the gradient, and merges on the host. Transfer faults are
-//    retried with capped exponential virtual-time backoff before
-//    escalating to the coordinator.
+//    the GPU worker handler). One device-mode CpuBackend modeling
+//    config.gpu.spec holds the replica; every batch uploads the model,
+//    runs the kernel sequence, downloads the gradient, and merges on the
+//    host. Transfer faults are retried with capped exponential
+//    virtual-time backoff before escalating to the coordinator.
 //
 // Wire behavior (message protocol, trace spans, checkpoint state tags
 // 'C'/'G', fault semantics) is bit-compatible with the pre-seam workers.
@@ -34,6 +33,7 @@
 #include "core/config.hpp"
 #include "core/fault.hpp"
 #include "data/dataset.hpp"
+#include "gpusim/virtual_clock.hpp"
 #include "msg/actor.hpp"
 #include "nn/mlp.hpp"
 
@@ -43,10 +43,8 @@ namespace hetsgd::core {
 // DeviceKind (kHogwild <-> kCpu, kReplica <-> kGpu).
 enum class ExecMode { kHogwild, kReplica };
 
-// Builds the replica-mode device backend selected by `config.backend`
-// ("sim" by default; see backend::registered_backends()). The modeled
-// hardware is always config.gpu.spec — the flag chooses the execution
-// engine behind it, so virtual-time trajectories are backend-independent.
+// Builds the replica workers' device: a device-mode CpuBackend modeling
+// config.gpu.spec.
 std::unique_ptr<backend::Backend> make_device_backend(
     const TrainingConfig& config);
 
@@ -62,7 +60,7 @@ class Worker final : public msg::Actor {
   msg::WorkerId id() const { return id_; }
   ExecMode mode() const { return mode_; }
   // The perf model this worker charges virtual time with.
-  const backend::PerfModel& perf() const;
+  const gpusim::PerfModel& perf() const;
   // Replica mode only: the backend holding the device replica.
   const backend::Backend& device_backend() const { return *backend_; }
 
@@ -107,9 +105,9 @@ class Worker final : public msg::Actor {
   nn::Model& model_;  // the shared global model (reference replica)
   msg::Actor& coordinator_;
   ExecMode mode_;
-  backend::PerfModel hogwild_perf_;
+  gpusim::PerfModel hogwild_perf_;
   FaultPlan* fault_plan_ = nullptr;
-  backend::VirtualClock clock_;
+  gpusim::VirtualClock clock_;
   double busy_vtime_ = 0.0;
 
   // --- kHogwild state ----------------------------------------------------

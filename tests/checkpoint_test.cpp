@@ -353,6 +353,17 @@ TEST(Fingerprint, IgnoresTimeBudget) {
   EXPECT_EQ(config_fingerprint(a, d), config_fingerprint(b, d));
 }
 
+TEST(Fingerprint, MatchesCheckpointsCutBeforeTheBackendFlagWasRetired) {
+  // Pinned to the value computed when configs still carried a --backend
+  // name (default "sim"), so checkpoints cut then keep resuming.
+  tensor::Matrix x{{0.5, -1.25, 2.0},
+                   {0.0, 3.5, -0.75},
+                   {1.0, 0.25, -2.5},
+                   {-0.5, 0.0, 4.0}};
+  const data::Dataset d("pinned", std::move(x), {0, 1, 2, 1}, 3);
+  EXPECT_EQ(config_fingerprint(small_config(), d), 0x1853304e5aa2fe7fULL);
+}
+
 // --- checkpoint manager ---------------------------------------------------
 
 TEST(CheckpointManagerTest, SaveAssignsSequenceAndWritesManifest) {

@@ -3,7 +3,6 @@
 #include "core/trainer.hpp"
 
 #include <cmath>
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -37,9 +36,6 @@ TrainingConfig small_config(Algorithm a) {
   config.gpu.max_batch = 256;
   config.cpu.sim_lanes = 8;  // keep real work small in tests
   config.real_threads = 2;
-  // CI runs this suite once per registered backend: HETSGD_BACKEND picks
-  // the execution engine for device workers (scripts/check_all.sh gate 1).
-  if (const char* env = std::getenv("HETSGD_BACKEND")) config.backend = env;
   return config;
 }
 

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -82,12 +81,6 @@ struct Rig {
     c.cpu.sim_lanes = 4;
     c.gpu.max_batch = 128;
     c.gpu.batch = 128;
-    // CI runs this suite once per registered backend: the leg exports
-    // HETSGD_BACKEND and every assertion below must hold unchanged, since
-    // trajectories (and so virtual time) are backend-independent.
-    if (const char* env = std::getenv("HETSGD_BACKEND")) {
-      c.backend = env;
-    }
     return c;
   }
 
@@ -229,9 +222,8 @@ TEST(GpuWorkerProtocol, GpuClockIncludesTransfersAndKernels) {
   worker.start();
   worker.send({msg::kCoordinator, rig.work(0, 128)});
   msg::ScheduleWork report = rig.coordinator.wait_for_report(0);
-  // At least the model upload + download at PCIe bandwidth. The charge is
-  // backend-independent: every backend models config.gpu.spec.
-  backend::PerfModel perf(rig.config.gpu.spec);
+  // At least the model upload + download at PCIe bandwidth.
+  gpusim::PerfModel perf(rig.config.gpu.spec);
   const std::uint64_t model_bytes =
       rig.model.parameter_count() * sizeof(tensor::Scalar);
   EXPECT_GT(report.clock_vtime, 2.0 * perf.transfer_seconds(model_bytes) -

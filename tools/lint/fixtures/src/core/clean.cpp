@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <memory>
 #include <vector>
-// hetsgd-lint: allow(gpusim-include) fixture: sanctioned device unit test
-#include "gpusim/device.hpp"
 
 namespace fixture {
 

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <thread>
 #include "common/timer.hpp"  // EXPECT: adhoc-timer
-#include "gpusim/device.hpp"  // EXPECT: gpusim-include
 
 namespace fixture {
 

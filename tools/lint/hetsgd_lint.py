@@ -39,14 +39,6 @@ Rules (each a short, greppable id):
                     exported trace/metrics streams instead of a private
                     timer.
 
-  gpusim-include    A direct `#include "gpusim/..."` outside src/backend/
-                    and src/gpusim/ (scanned across src/, tests/, bench/
-                    and examples/). The simulated device is an
-                    implementation detail behind the backend seam; code
-                    reaches it through backend/backend.hpp or
-                    backend/device_model.hpp. gpusim's own unit tests
-                    carry waivers.
-
   tsan-supp-stale   A `race:<symbol>` entry in scripts/tsan.supp whose
                     symbol no longer exists in src/, or whose defining file
                     lacks a `hetsgd-racy` marker. Keeps the suppression
@@ -110,7 +102,6 @@ ADHOC_TIMER_RE = re.compile(r"\bWallTimer\b")
 
 TIMER_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]common/timer\.hpp[>"]')
 
-GPUSIM_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"gpusim/')
 
 SUPP_RE = re.compile(r"^\s*race:(\S+)")
 
@@ -210,14 +201,6 @@ def in_ckpt_scope(root: str, path: str) -> bool:
             or rel.startswith(os.path.join("src", "nn") + os.sep))
 
 
-def in_gpusim_seam(root: str, path: str) -> bool:
-    """The only directories allowed to include gpusim headers directly: the
-    backend seam (SimBackend wraps the device) and gpusim itself."""
-    rel = os.path.relpath(path, root)
-    return (rel.startswith(os.path.join("src", "backend") + os.sep)
-            or rel.startswith(os.path.join("src", "gpusim") + os.sep))
-
-
 def allow_naked_new(root: str, path: str) -> bool:
     """Queue node internals are the one sanctioned home of new/delete."""
     rel = os.path.relpath(path, root)
@@ -263,11 +246,6 @@ def lint_file(root: str, path: str, findings: list[Finding]) -> None:
                        "raw clock read in src/gpusim/ — the device model is "
                        "virtual-time only; wall-time instrumentation goes "
                        "through the obs layer")
-        if GPUSIM_INCLUDE_RE.search(raw) and not in_gpusim_seam(root, path):
-            report("gpusim-include",
-                   "direct gpusim include outside src/backend/ and "
-                   "src/gpusim/ — go through the backend seam "
-                   "(backend/backend.hpp, backend/device_model.hpp)")
         if in_ckpt_scope(root, path) and CKPT_OFSTREAM_RE.search(code):
             report("ckpt-ofstream",
                    "raw std::ofstream in checkpoint scope — durable state "
@@ -283,38 +261,6 @@ def lint_file(root: str, path: str, findings: list[Finding]) -> None:
             report("stdout-logging",
                    "stdout write in src/ — diagnostics go through "
                    "HETSGD_LOG_* (stderr)")
-
-
-def lint_gpusim_includes_outside_src(root: str,
-                                     findings: list[Finding]) -> None:
-    """Applies only the gpusim-include rule to tests/, bench/ and examples/
-    (the full rule set is src/-scoped by design, but the backend seam must
-    hold tree-wide or the equivalence suite quietly re-couples to gpusim)."""
-    for top in ("tests", "bench", "examples"):
-        base = os.path.join(root, top)
-        if not os.path.isdir(base):
-            continue
-        for dirpath, dirnames, filenames in os.walk(base):
-            dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
-            for name in sorted(filenames):
-                if not name.endswith(CXX_EXTENSIONS):
-                    continue
-                path = os.path.realpath(os.path.join(dirpath, name))
-                try:
-                    with open(path, encoding="utf-8", errors="replace") as f:
-                        lines = f.read().splitlines()
-                except OSError:
-                    continue
-                for i, raw in enumerate(lines):
-                    if not GPUSIM_INCLUDE_RE.search(raw):
-                        continue
-                    if "gpusim-include" in waiver_rules(lines, i):
-                        continue
-                    findings.append(Finding(
-                        "gpusim-include", path, i + 1,
-                        "direct gpusim include outside src/backend/ and "
-                        "src/gpusim/ — go through the backend seam "
-                        "(backend/backend.hpp, backend/device_model.hpp)"))
 
 
 def lint_tsan_supp(root: str, findings: list[Finding]) -> None:
@@ -393,7 +339,6 @@ def run_lint(root: str, compile_commands: str | None) -> int:
     findings: list[Finding] = []
     for path in iter_source_files(root, compile_commands):
         lint_file(root, path, findings)
-    lint_gpusim_includes_outside_src(root, findings)
     lint_tsan_supp(root, findings)
     lint_test_registration(root, findings)
     for f in findings:
