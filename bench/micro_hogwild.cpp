@@ -2,13 +2,23 @@
 // and the adaptive controller's per-request overhead ("the computation of
 // a new batch size is light and does not incur observable overhead",
 // §VI-C).
+//
+// The update is the one a Hogwild lane runs (Worker::ensure_lane_capacity
+// and execute_hogwild): each lane owns a zero-copy CpuBackend whose
+// MlpExecutor is bound to the shared model and the lane's gradient, and
+// nn::Optimizer::step applies the gradient.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
+#include "backend/cpu_backend.hpp"
+#include "backend/mlp_executor.hpp"
 #include "common/rng.hpp"
 #include "concurrent/thread_pool.hpp"
 #include "core/adaptive.hpp"
 #include "data/synthetic.hpp"
-#include "nn/mlp.hpp"
+#include "nn/optimizer.hpp"
 
 namespace {
 
@@ -23,6 +33,31 @@ nn::MlpConfig bench_mlp(tensor::Index dim, std::int32_t classes) {
   return c;
 }
 
+// One Hogwild lane: its backend, executor, gradient slab and optimizer.
+struct Lane {
+  Lane(nn::Model& shared, tensor::Index max_batch)
+      : backend(gpusim::xeon56_spec(), backend::CpuBackend::Mode::kZeroCopy),
+        grad(nn::make_zero_gradient(shared)),
+        exec(backend, shared.config(), max_batch),
+        optimizer(nn::OptimizerConfig{}, shared) {
+    exec.bind_shared_model(shared);
+    exec.bind_host_gradient(grad);
+  }
+
+  // One example's gradient against the live shared model, applied to it
+  // with no synchronization.
+  void step(const data::Dataset& d, tensor::Index row, nn::Model& shared) {
+    exec.compute_gradient(d.batch_features(row, 1), d.batch_labels(row, 1),
+                          0.0, nullptr);
+    optimizer.step(shared, grad, 1e-4);
+  }
+
+  backend::CpuBackend backend;
+  nn::Gradient grad;
+  backend::MlpExecutor exec;
+  nn::Optimizer optimizer;
+};
+
 void BM_GradientSingleExample(benchmark::State& state) {
   data::SyntheticSpec spec;
   spec.examples = 256;
@@ -32,14 +67,10 @@ void BM_GradientSingleExample(benchmark::State& state) {
   nn::MlpConfig c = bench_mlp(d.dim(), d.num_classes());
   Rng rng(1);
   nn::Model model(c, rng);
-  nn::Workspace ws;
-  nn::Gradient grad = nn::make_zero_gradient(model);
+  Lane lane(model, 1);
   tensor::Index i = 0;
   for (auto _ : state) {
-    auto x = d.batch_features(i % 256, 1);
-    auto y = d.batch_labels(i % 256, 1);
-    nn::compute_gradient(model, x, y, ws, grad);
-    nn::sgd_step(model, grad, 1e-4);
+    lane.step(d, i % 256, model);
     ++i;
   }
   state.counters["updates/s"] = benchmark::Counter(
@@ -59,10 +90,9 @@ void BM_HogwildLanes(benchmark::State& state) {
   Rng rng(2);
   nn::Model model(c, rng);
   concurrent::ThreadPool pool(lanes);
-  std::vector<nn::Workspace> ws(lanes);
-  std::vector<nn::Gradient> grads;
+  std::vector<std::unique_ptr<Lane>> lane_state;
   for (std::size_t l = 0; l < lanes; ++l) {
-    grads.push_back(nn::make_zero_gradient(model));
+    lane_state.push_back(std::make_unique<Lane>(model, 1));
   }
   const std::size_t kPerLane = 16;
   for (auto _ : state) {
@@ -70,10 +100,7 @@ void BM_HogwildLanes(benchmark::State& state) {
       for (std::size_t k = 0; k < kPerLane; ++k) {
         const tensor::Index row =
             static_cast<tensor::Index>((lane * kPerLane + k) % 1024);
-        auto x = d.batch_features(row, 1);
-        auto y = d.batch_labels(row, 1);
-        nn::compute_gradient(model, x, y, ws[lane], grads[lane]);
-        nn::sgd_step(model, grads[lane], 1e-4);
+        lane_state[lane]->step(d, row, model);
       }
     });
   }

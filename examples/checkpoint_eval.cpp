@@ -9,6 +9,8 @@
 #include <optional>
 #include <string>
 
+#include "backend/cpu_backend.hpp"
+#include "backend/mlp_executor.hpp"
 #include "common/cli.hpp"
 #include "core/trainer.hpp"
 #include "data/split.hpp"
@@ -71,16 +73,26 @@ int main(int argc, char** argv) {
   mlp.input_dim = split.train.dim();
   mlp.num_classes = split.train.num_classes();
   nn::Model model(mlp, rng);
-  nn::Workspace ws;
   nn::Gradient grad = nn::make_zero_gradient(model);
-  for (int step = 0; step < 400; ++step) {
-    const tensor::Index batch = 256;
-    const tensor::Index begin =
-        (step * batch) % (split.train.example_count() - batch);
-    nn::compute_gradient(model, split.train.batch_features(begin, batch),
-                         split.train.batch_labels(begin, batch), ws, grad);
-    nn::sgd_step(model, grad, 0.3);
-  }
+  // Plain SGD on the host: a zero-copy executor trains the model it is
+  // bound to in place.
+  backend::CpuBackend host(gpusim::xeon56_spec(),
+                           backend::CpuBackend::Mode::kZeroCopy);
+  backend::MlpExecutor exec(host, mlp, backend::kEvalChunkRows);
+  exec.bind_shared_model(model);
+  exec.bind_host_gradient(grad);
+  auto train = [&](int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const tensor::Index batch = 256;
+      const tensor::Index begin =
+          (step * batch) % (split.train.example_count() - batch);
+      exec.compute_gradient(split.train.batch_features(begin, batch),
+                            split.train.batch_labels(begin, batch), 0.0,
+                            nullptr);
+      exec.apply_gradient(0.3, 0.0);
+    }
+  };
+  train(400);
   nn::save_model(model, ckpt);
   std::printf("checkpoint written: %s (%llu parameters)\n", ckpt.c_str(),
               static_cast<unsigned long long>(model.parameter_count()));
@@ -95,21 +107,18 @@ int main(int argc, char** argv) {
                  load_error.c_str());
     return 1;
   }
-  nn::Model resumed = std::move(*maybe_resumed);
-  std::printf("checkpoint loaded: identical=%s\n",
-              resumed.max_abs_diff(model) == 0.0 ? "yes" : "NO");
-  for (int step = 0; step < 200; ++step) {
-    const tensor::Index batch = 256;
-    const tensor::Index begin =
-        (step * batch) % (split.train.example_count() - batch);
-    nn::compute_gradient(resumed, split.train.batch_features(begin, batch),
-                         split.train.batch_labels(begin, batch), ws, grad);
-    nn::sgd_step(resumed, grad, 0.3);
-  }
+  const bool identical = maybe_resumed->max_abs_diff(model) == 0.0;
+  std::printf("checkpoint loaded: identical=%s\n", identical ? "yes" : "NO");
+  // Continue from the loaded parameters. The copy reuses the model's
+  // storage, so the executor's binding holds.
+  model = *maybe_resumed;
+  train(200);
 
   // Held-out evaluation.
   nn::ConfusionMatrix cm = nn::evaluate_classifier(
-      resumed, split.test.features().view(), split.test.labels(), ws);
+      [&](tensor::ConstMatrixView x) { return exec.forward(x); },
+      static_cast<std::int32_t>(mlp.num_classes), split.test.features().view(),
+      split.test.labels());
   std::printf("\nheld-out evaluation (%llu examples):\n",
               static_cast<unsigned long long>(cm.total()));
   std::printf("  accuracy: %.1f%%   macro-F1: %.3f\n", 100.0 * cm.accuracy(),
@@ -119,5 +128,5 @@ int main(int argc, char** argv) {
                 cm.precision(c), cm.recall(c), cm.f1(c));
   }
   std::remove(ckpt.c_str());
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -115,11 +115,20 @@ class Backend {
                                double issue) = 0;
   // Fused softmax + cross-entropy: writes dLoss/dlogits into `dlogits`,
   // stores the mean loss into *loss, and charges the kernel plus the
-  // one-scalar D2H return of the loss value.
+  // one-scalar D2H return of the loss value. A null `dlogits` handle runs
+  // the loss alone (evaluation) and writes no buffer.
   virtual double softmax_xent(const Buffer& logits,
                               std::span<const std::int32_t> labels,
                               const Buffer& dlogits, tensor::Index batch,
                               tensor::Scalar* loss, double issue) = 0;
+  // Fused sigmoid + binary cross-entropy, the multi-label counterpart:
+  // `targets` holds the batch's 0/1 rows (batch x logits.cols) and, like
+  // the labels above, is read from host memory. Same outputs and charges
+  // as softmax_xent.
+  virtual double sigmoid_bce(const Buffer& logits,
+                             tensor::ConstMatrixView targets,
+                             const Buffer& dlogits, tensor::Index batch,
+                             tensor::Scalar* loss, double issue) = 0;
   // grad_w = delta^T * prev (full out x in result).
   virtual double matmul_tn(const Buffer& delta, const Buffer& prev,
                            tensor::Index batch, const Buffer& grad_w,

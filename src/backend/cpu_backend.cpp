@@ -189,18 +189,36 @@ double CpuBackend::gemm_bias_act(const Buffer& x, const Buffer& w,
   return launch(perf_.gemm_seconds(batch, w.rows, w.cols), issue);
 }
 
+double CpuBackend::charge_loss(std::uint64_t elements, double issue) {
+  launch(perf_.elementwise_seconds(elements * 6), issue);
+  // One scalar (the loss) returns to the host.
+  return charge(perf_.transfer_seconds(sizeof(Scalar)), issue);
+}
+
 double CpuBackend::softmax_xent(const Buffer& logits,
                                 std::span<const std::int32_t> labels,
                                 const Buffer& dlogits, Index batch,
                                 Scalar* loss, double issue) {
   auto lv = rows(logits, batch);
-  auto dv = rows(dlogits, batch);
-  const Scalar l = nn::softmax_cross_entropy(lv, labels, &dv);
+  tensor::MatrixView dv;
+  if (dlogits.valid()) dv = rows(dlogits, batch);
+  const Scalar l =
+      nn::softmax_cross_entropy(lv, labels, dlogits.valid() ? &dv : nullptr);
   if (loss != nullptr) *loss = l;
-  launch(perf_.elementwise_seconds(static_cast<std::uint64_t>(lv.size()) * 6),
-         issue);
-  // One scalar (the loss) returns to the host.
-  return charge(perf_.transfer_seconds(sizeof(Scalar)), issue);
+  return charge_loss(static_cast<std::uint64_t>(lv.size()), issue);
+}
+
+double CpuBackend::sigmoid_bce(const Buffer& logits,
+                               tensor::ConstMatrixView targets,
+                               const Buffer& dlogits, Index batch,
+                               Scalar* loss, double issue) {
+  auto lv = rows(logits, batch);
+  tensor::MatrixView dv;
+  if (dlogits.valid()) dv = rows(dlogits, batch);
+  const Scalar l =
+      nn::sigmoid_bce(lv, targets, dlogits.valid() ? &dv : nullptr);
+  if (loss != nullptr) *loss = l;
+  return charge_loss(static_cast<std::uint64_t>(lv.size()), issue);
 }
 
 double CpuBackend::matmul_tn(const Buffer& delta, const Buffer& prev,

@@ -59,6 +59,9 @@ class CpuBackend final : public Backend {
                       std::span<const std::int32_t> labels,
                       const Buffer& dlogits, tensor::Index batch,
                       tensor::Scalar* loss, double issue) override;
+  double sigmoid_bce(const Buffer& logits, tensor::ConstMatrixView targets,
+                     const Buffer& dlogits, tensor::Index batch,
+                     tensor::Scalar* loss, double issue) override;
   double matmul_tn(const Buffer& delta, const Buffer& prev,
                    tensor::Index batch, const Buffer& grad_w,
                    double issue) override;
@@ -97,6 +100,9 @@ class CpuBackend final : public Backend {
   double charge(double cost, double issue);
   // charge() for one kernel; kDevice also counts it as a device kernel.
   double launch(double cost, double issue);
+  // Charges a fused loss kernel over `elements` logits, then the
+  // one-scalar D2H return of the loss value.
+  double charge_loss(std::uint64_t elements, double issue);
   // Counts and charges one upload/download of `bytes`.
   double transfer(std::uint64_t bytes, double issue);
   void check_transfer_fault(const char* direction);

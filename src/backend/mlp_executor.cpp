@@ -1,5 +1,7 @@
 #include "backend/mlp_executor.hpp"
 
+#include <algorithm>
+
 #include "common/macros.hpp"
 #include "nn/activation.hpp"
 
@@ -9,8 +11,8 @@ using tensor::Index;
 using tensor::Scalar;
 
 MlpExecutor::MlpExecutor(Backend& backend, const nn::MlpConfig& config,
-                         Index max_batch)
-    : backend_(backend), config_(config), max_batch_(max_batch) {
+                         Index max_batch, nn::LossKind loss)
+    : backend_(backend), config_(config), max_batch_(max_batch), loss_(loss) {
   config_.validate();
   HETSGD_ASSERT(max_batch > 0, "max_batch must be positive");
   const auto shapes = config_.layer_shapes();
@@ -101,28 +103,21 @@ double MlpExecutor::upload_model(const nn::Model& model, double issue_time) {
   return t;
 }
 
-Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
-                                     std::span<const std::int32_t> labels,
-                                     double issue_time,
-                                     double* completion_time) {
+void MlpExecutor::run_forward(tensor::ConstMatrixView x,
+                              std::uint64_t target_bytes, double issue_time) {
   const Index batch = x.rows();
   HETSGD_ASSERT(batch > 0 && batch <= max_batch_, "batch exceeds max_batch");
   HETSGD_ASSERT(x.cols() == config_.input_dim, "batch width mismatch");
-  HETSGD_ASSERT(static_cast<Index>(labels.size()) == batch,
-                "label count mismatch");
-  HETSGD_ASSERT(!replica_.empty() && !gradient_.empty(),
+  HETSGD_ASSERT(!replica_.empty(),
                 "executor not bound (zero-copy backends need bind_* first)");
 
-  const std::size_t layers = replica_.size();
-
-  // H2D: the batch itself, labels riding along (4 bytes each, charged
+  // H2D: the batch itself, the labels or targets riding along (charged
   // without a dedicated buffer — the loss kernel is the only consumer).
-  backend_.stage_batch(
-      x, input_, static_cast<std::uint64_t>(batch) * sizeof(std::int32_t),
-      issue_time);
+  backend_.stage_batch(x, input_, target_bytes, issue_time);
 
   // Forward: per layer one fused kernel out = act(A_prev * W^T + b); the
   // output layer keeps raw logits (bias only).
+  const std::size_t layers = replica_.size();
   Buffer prev = input_;
   for (std::size_t l = 0; l < layers; ++l) {
     const tensor::Epilogue ep =
@@ -132,14 +127,13 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
                            acts_[l], batch, ep, issue_time);
     prev = acts_[l];
   }
+}
 
-  // Loss + dLoss/dlogits (fused softmax-xent kernel).
-  Scalar loss = 0;
-  backend_.softmax_xent(acts_.back(), labels, deltas_.back(), batch, &loss,
-                        issue_time);
-
-  // Backward.
-  for (std::size_t l = layers; l-- > 0;) {
+void MlpExecutor::run_backward(Index batch, double issue_time,
+                               double* completion_time) {
+  HETSGD_ASSERT(!gradient_.empty(),
+                "executor not bound (zero-copy backends need bind_* first)");
+  for (std::size_t l = replica_.size(); l-- > 0;) {
     const Buffer& prev_act = l == 0 ? input_ : acts_[l - 1];
     // dW = delta^T * prev_act; db = column sums of delta.
     backend_.matmul_tn(deltas_[l], prev_act, batch, gradient_[l].weights,
@@ -157,7 +151,72 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
   if (completion_time != nullptr) {
     *completion_time = backend_.synchronize(issue_time);
   }
+}
+
+Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
+                                     std::span<const std::int32_t> labels,
+                                     double issue_time,
+                                     double* completion_time) {
+  HETSGD_ASSERT(loss_ == nn::LossKind::kSoftmaxCrossEntropy,
+                "class labels need a softmax-xent executor");
+  const Index batch = x.rows();
+  HETSGD_ASSERT(static_cast<Index>(labels.size()) == batch,
+                "label count mismatch");
+  run_forward(x, static_cast<std::uint64_t>(batch) * sizeof(std::int32_t),
+              issue_time);
+  // Loss + dLoss/dlogits (fused softmax-xent kernel).
+  Scalar loss = 0;
+  backend_.softmax_xent(acts_.back(), labels, deltas_.back(), batch, &loss,
+                        issue_time);
+  run_backward(batch, issue_time, completion_time);
   return loss;
+}
+
+Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
+                                     tensor::ConstMatrixView targets,
+                                     double issue_time,
+                                     double* completion_time) {
+  HETSGD_ASSERT(loss_ == nn::LossKind::kSigmoidBce,
+                "0/1 targets need a sigmoid-BCE executor");
+  const Index batch = x.rows();
+  HETSGD_ASSERT(targets.rows() == batch &&
+                    targets.cols() == config_.num_classes,
+                "targets shape mismatch");
+  run_forward(x, static_cast<std::uint64_t>(targets.size()) * sizeof(Scalar),
+              issue_time);
+  Scalar loss = 0;
+  backend_.sigmoid_bce(acts_.back(), targets, deltas_.back(), batch, &loss,
+                       issue_time);
+  run_backward(batch, issue_time, completion_time);
+  return loss;
+}
+
+tensor::ConstMatrixView MlpExecutor::forward(tensor::ConstMatrixView x) {
+  run_forward(x, 0, 0.0);
+  return backend_.view(acts_.back()).rows_view(0, x.rows());
+}
+
+double MlpExecutor::mean_loss(tensor::ConstMatrixView x,
+                              std::span<const std::int32_t> labels) {
+  HETSGD_ASSERT(loss_ == nn::LossKind::kSoftmaxCrossEntropy,
+                "class labels need a softmax-xent executor");
+  const Index n = x.rows();
+  HETSGD_ASSERT(static_cast<Index>(labels.size()) == n,
+                "label count mismatch");
+  double total = 0.0;
+  for (Index begin = 0; begin < n; begin += kEvalChunkRows) {
+    const Index count = std::min(kEvalChunkRows, n - begin);
+    run_forward(x.rows_view(begin, count),
+                static_cast<std::uint64_t>(count) * sizeof(std::int32_t), 0.0);
+    // A null dlogits handle: the loss alone, no delta written.
+    Scalar loss = 0;
+    backend_.softmax_xent(acts_.back(),
+                          labels.subspan(static_cast<std::size_t>(begin),
+                                         static_cast<std::size_t>(count)),
+                          Buffer{}, count, &loss, 0.0);
+    total += static_cast<double>(loss) * static_cast<double>(count);
+  }
+  return total / static_cast<double>(n);
 }
 
 double MlpExecutor::apply_gradient(Scalar eta, double issue_time) {

@@ -1,13 +1,17 @@
-// Backend-parameterized MLP training executor: the one forward / backward /
-// update sequence both worker kinds run.
+// Backend-parameterized MLP executor: the one forward / backward / update
+// sequence. Both worker kinds train through it, and the coordinator, the
+// baselines, the examples and the benches evaluate through it.
 //
-// Replaces the host nn::Mlp free-function path and nn::DeviceMlp with a
-// single kernel sequence issued through a Backend. The sequence (and so
-// the arithmetic, bit for bit) is the one the two paths always shared:
+// The sequence (and so the arithmetic, bit for bit) is:
 //
-//   stage batch -> per-layer fused gemm+bias+act -> fused softmax-xent ->
+//   stage batch -> per-layer fused gemm+bias+act -> fused loss kernel
+//   (softmax-xent or sigmoid-BCE, the executor's LossKind) ->
 //   per-layer dW = delta^T*prev, db = colsum(delta),
 //             delta' = (delta*W) ⊙ act'  -> (optional) on-device axpy
+//
+// Evaluation runs the same forward, then either a loss-only kernel that
+// writes no dLoss/dlogits (mean_loss) or nothing (forward, which hands
+// back the logits).
 //
 // Two buffer regimes, chosen by the backend's zero_copy() capability:
 //
@@ -19,9 +23,9 @@
 //
 //  * Zero-copy (CpuBackend::kZeroCopy): bind_shared_model() /
 //    bind_host_gradient() adopt live host storage, so the "replica" IS the
-//    shared global model (Hogwild's reference replica — no copy), uploads
+//    bound host model (Hogwild's reference replica — no copy), uploads
 //    and downloads are free no-ops, and stage_batch aliases the dataset
-//    rows in place.
+//    rows in place. Evaluation needs only the model bound.
 //
 // Confinement follows the owning backend: one executor, one thread.
 #pragma once
@@ -31,16 +35,23 @@
 #include <vector>
 
 #include "backend/backend.hpp"
+#include "nn/loss.hpp"
 #include "nn/model.hpp"
 
 namespace hetsgd::backend {
 
+// Rows per chunk of MlpExecutor::mean_loss(); evaluation executors are
+// sized for one chunk.
+inline constexpr tensor::Index kEvalChunkRows = 512;
+
 class MlpExecutor {
  public:
   // Sizes buffers for batches up to `max_batch`; allocates the private
-  // replica unless the backend is zero-copy.
+  // replica unless the backend is zero-copy. `loss` picks the loss kernel
+  // and so which compute_gradient overload applies.
   MlpExecutor(Backend& backend, const nn::MlpConfig& config,
-              tensor::Index max_batch);
+              tensor::Index max_batch,
+              nn::LossKind loss = nn::LossKind::kSoftmaxCrossEntropy);
   ~MlpExecutor();
 
   MlpExecutor(const MlpExecutor&) = delete;
@@ -50,9 +61,11 @@ class MlpExecutor {
   const nn::MlpConfig& config() const { return config_; }
   tensor::Index max_batch() const { return max_batch_; }
 
-  // Zero-copy backends only: alias the replica onto the live shared model
-  // (reads during compute_gradient race with concurrent lanes — Hogwild by
-  // design) and the gradient onto the caller's host gradient slab.
+  // Zero-copy backends only: alias the replica onto a live host model (for
+  // the Hogwild lanes the shared one: reads during compute_gradient race
+  // with concurrent lanes by design) and the gradient onto the caller's
+  // host gradient slab. The aliases stay valid across copy-assignments of
+  // a same-shape model, which reuse its storage.
   void bind_shared_model(nn::Model& model);
   void bind_host_gradient(nn::Gradient& grad);
 
@@ -66,10 +79,27 @@ class MlpExecutor {
   // Forward + backward over `x` (batch x input_dim). Returns the batch
   // loss; sets `*completion_time` (if non-null) to the synchronized queue
   // time. The gradient lands in the gradient buffers (== the bound host
-  // gradient under zero-copy).
+  // gradient under zero-copy). Softmax-xent executors take one class label
+  // per row; sigmoid-BCE executors take a batch x num_classes matrix of
+  // 0/1 targets. Either reaches the loss kernel from host memory.
   tensor::Scalar compute_gradient(tensor::ConstMatrixView x,
                                   std::span<const std::int32_t> labels,
                                   double issue_time, double* completion_time);
+  tensor::Scalar compute_gradient(tensor::ConstMatrixView x,
+                                  tensor::ConstMatrixView targets,
+                                  double issue_time, double* completion_time);
+
+  // Forward only over `x` (at most max_batch rows): the host-visible logits
+  // (batch x num_classes), valid until the next call on this executor.
+  tensor::ConstMatrixView forward(tensor::ConstMatrixView x);
+
+  // Mean softmax cross-entropy over (x, labels), any number of rows: the
+  // forward and a loss-only kernel per kEvalChunkRows-row chunk, each
+  // chunk's loss weighted by its rows and accumulated in double. Writes
+  // neither deltas nor gradient. Issues at virtual time 0 and reports no
+  // completion: evaluation runs on zero-copy backends, which charge none.
+  double mean_loss(tensor::ConstMatrixView x,
+                   std::span<const std::int32_t> labels);
 
   // replica <- replica - eta * gradient, entirely backend-side.
   double apply_gradient(tensor::Scalar eta, double issue_time);
@@ -88,9 +118,18 @@ class MlpExecutor {
     Buffer bias;
   };
 
+  // Stages `x` (`target_bytes` of labels or targets riding along) and runs
+  // the fused forward; the logits land in acts_.back().
+  void run_forward(tensor::ConstMatrixView x, std::uint64_t target_bytes,
+                   double issue_time);
+  // Back-propagates deltas_.back() (dLoss/dlogits) into the gradient.
+  void run_backward(tensor::Index batch, double issue_time,
+                    double* completion_time);
+
   Backend& backend_;
   nn::MlpConfig config_;
   tensor::Index max_batch_;
+  nn::LossKind loss_;
   std::vector<LayerBuffers> replica_;
   std::vector<LayerBuffers> gradient_;
   std::vector<Buffer> acts_;

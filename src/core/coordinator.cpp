@@ -8,8 +8,6 @@
 #include "common/logging.hpp"
 #include "common/macros.hpp"
 #include "core/cost_model.hpp"
-#include "nn/mlp.hpp"
-#include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -58,7 +56,10 @@ Coordinator::Coordinator(data::Dataset& dataset, nn::Model& model,
       fingerprint_(config_fingerprint(config, dataset)),
       adaptive_(config.alpha), cpu_perf_(config.cpu.spec),
       gpu_perf_(config.gpu.spec), eval_snapshot_(model),
+      eval_backend_(config.cpu.spec, backend::CpuBackend::Mode::kZeroCopy),
+      eval_exec_(eval_backend_, config.mlp, backend::kEvalChunkRows),
       rng_(config.seed ^ 0xc0ffee), last_good_model_(model) {
+  eval_exec_.bind_shared_model(eval_snapshot_);
   // Copy out the loss-evaluation sample before any shuffling.
   const Index n = dataset_.example_count();
   Index sample = eval_sample > 0 ? std::min(eval_sample, n) : n;
@@ -113,10 +114,6 @@ void Coordinator::on_start() {
   // original run performed before the cut.
   if (!resumed_ && config_.eval_interval_vseconds > 0.0) {
     next_eval_vtime_ = config_.eval_interval_vseconds;
-  }
-  if (!resumed_ && config_.fault.checkpoint_interval_vseconds > 0.0 &&
-      !config_.fault.checkpoint_path.empty()) {
-    next_checkpoint_vtime_ = config_.fault.checkpoint_interval_vseconds;
   }
   if (ckpt_mgr_ != nullptr && !resumed_ &&
       config_.fault.checkpoint_interval_vseconds > 0.0) {
@@ -626,10 +623,6 @@ void Coordinator::maybe_flip_epoch() {
     evaluate_loss(boundary);
     if (shutting_down_) return;  // divergence abort
   }
-  // Epoch barrier: drop the evaluation scratch back to zero so its
-  // high-water batch (the eval chunk) is not pinned across epochs; the
-  // next evaluate_loss() regrows it on demand.
-  eval_ws_.release();
   if (config_.charge_loss_eval_to_gpu) {
     // Forward pass over the dataset on the GPU: utilization spike of Fig 7.
     const double eval_cost =
@@ -679,31 +672,18 @@ void Coordinator::evaluate_loss(double vtime) {
   // lanes' unsynchronized writes (nn::Model::operator= in tsan.supp);
   // evaluating the snapshot keeps the measurement internally consistent.
   eval_snapshot_ = model_;
-  const Index n = eval_x_.rows();
-  const Index chunk = 512;
-  double total = 0.0;
-  for (Index begin = 0; begin < n; begin += chunk) {
-    const Index count = std::min(chunk, n - begin);
-    auto x = eval_x_.rows_view(begin, count);
-    std::span<const std::int32_t> y(eval_y_.data() + begin,
-                                    static_cast<std::size_t>(count));
-    total += static_cast<double>(
-                 nn::compute_loss(eval_snapshot_, x, y, eval_ws_)) *
-             static_cast<double>(count);
-  }
-  const double loss = total / static_cast<double>(n);
+  const double loss = eval_exec_.mean_loss(eval_x_.view(), eval_y_);
   if (!std::isfinite(loss)) {
     handle_divergence(vtime, loss);
     return;
   }
   // Divergence insurance: remember the last model snapshot that evaluated
-  // to a finite loss, and persist it on the auto-checkpoint cadence.
+  // to a finite loss.
   last_good_model_ = eval_snapshot_;
   last_good_loss_ = loss;
   has_last_good_ = true;
   metrics().loss.set(loss);
   HETSGD_TRACE_COUNTER("loss", loss);
-  maybe_auto_checkpoint();
   curve_.push_back({vtime, epochs_completed(), loss});
 }
 
@@ -738,17 +718,6 @@ void Coordinator::handle_divergence(double vtime, double loss) {
                         FaultKind::kDivergenceRollback, 0,
                         "restored last-good model, lr backed off"});
   curve_.push_back({vtime, epochs_completed(), last_good_loss_});
-}
-
-void Coordinator::maybe_auto_checkpoint() {
-  if (next_checkpoint_vtime_ <= 0.0) return;
-  const double progress = ledger_.max_clock();
-  if (progress < next_checkpoint_vtime_) return;
-  nn::save_model(last_good_model_, config_.fault.checkpoint_path);
-  ++checkpoints_written_;
-  while (next_checkpoint_vtime_ <= progress) {
-    next_checkpoint_vtime_ += config_.fault.checkpoint_interval_vseconds;
-  }
 }
 
 void Coordinator::maybe_eval_checkpoints() {
@@ -859,16 +828,6 @@ bool Coordinator::restore(const TrainingCheckpoint& ckpt, std::string* error) {
     }
     ledger_.restore_stats(wc.stats);
     adaptive_.restore_worker(wc.id, wc.adaptive_batch, wc.adaptive_updates);
-  }
-  // The legacy model-only auto-checkpoint cadence is not persisted (its
-  // output is a single overwritten file); re-seed it past the restored
-  // frontier so it keeps firing on the same grid.
-  if (config_.fault.checkpoint_interval_vseconds > 0.0 &&
-      !config_.fault.checkpoint_path.empty()) {
-    next_checkpoint_vtime_ = config_.fault.checkpoint_interval_vseconds;
-    while (next_checkpoint_vtime_ <= ledger_.max_clock()) {
-      next_checkpoint_vtime_ += config_.fault.checkpoint_interval_vseconds;
-    }
   }
   resumed_ = true;
   return true;

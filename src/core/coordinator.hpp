@@ -44,6 +44,8 @@
 #include <utility>
 #include <vector>
 
+#include "backend/cpu_backend.hpp"
+#include "backend/mlp_executor.hpp"
 #include "common/thread_annotations.hpp"
 #include "core/adaptive.hpp"
 #include "core/checkpoint.hpp"
@@ -53,7 +55,7 @@
 #include "core/utilization.hpp"
 #include "data/dataset.hpp"
 #include "msg/actor.hpp"
-#include "nn/mlp.hpp"
+#include "nn/model.hpp"
 
 namespace hetsgd::core {
 
@@ -224,7 +226,6 @@ class Coordinator final : public msg::Actor {
   void maybe_flip_epoch() HETSGD_REQUIRES(mu_);
   void evaluate_loss(double vtime) HETSGD_REQUIRES(mu_);
   void maybe_eval_checkpoints() HETSGD_REQUIRES(mu_);
-  void maybe_auto_checkpoint() HETSGD_REQUIRES(mu_);
   void begin_shutdown() HETSGD_REQUIRES(mu_);
   bool any_busy() const HETSGD_REQUIRES(mu_);
   bool all_finished() const HETSGD_REQUIRES(mu_);
@@ -299,8 +300,13 @@ class Coordinator final : public msg::Actor {
   // Loss evaluation sample (copied rows, immune to dataset shuffles).
   tensor::Matrix eval_x_;             // immutable after construction
   std::vector<std::int32_t> eval_y_;  // immutable after construction
-  nn::Workspace eval_ws_ HETSGD_GUARDED_BY(mu_);
   nn::Model eval_snapshot_ HETSGD_GUARDED_BY(mu_);
+  // The evaluation engine: a zero-copy executor sized for one
+  // kEvalChunkRows chunk and bound once to eval_snapshot_. The binding
+  // outlives every snapshot copy, which reuses the same-shape storage.
+  // Zero-copy mode charges no virtual time and ticks no device counter.
+  backend::CpuBackend eval_backend_ HETSGD_GUARDED_BY(mu_);
+  backend::MlpExecutor eval_exec_ HETSGD_GUARDED_BY(mu_);
 
   std::vector<LossPoint> curve_ HETSGD_GUARDED_BY(mu_);
   Rng rng_;  // coordinator-thread-confined
@@ -326,7 +332,6 @@ class Coordinator final : public msg::Actor {
   nn::Model last_good_model_ HETSGD_GUARDED_BY(mu_);
   double last_good_loss_ HETSGD_GUARDED_BY(mu_) = 0.0;
   bool has_last_good_ HETSGD_GUARDED_BY(mu_) = false;
-  double next_checkpoint_vtime_ HETSGD_GUARDED_BY(mu_) = 0.0;
 
   // --- full-checkpoint state ----------------------------------------------
   CheckpointManager* ckpt_mgr_ HETSGD_GUARDED_BY(mu_) = nullptr;

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/macros.hpp"
-#include "nn/mlp.hpp"
+#include "nn/model.hpp"
 #include "tensor/gemm.hpp"
 
 namespace hetsgd::core {

@@ -244,9 +244,8 @@ void register_fault_flags(CliParser& cli, FaultToleranceConfig* fault) {
   cli.add_double("fault-lr-backoff", &fault->lr_backoff,
                  "learning-rate multiplier applied on each rollback");
   cli.add_double("checkpoint-interval", &fault->checkpoint_interval_vseconds,
-                 "auto-checkpoint cadence in virtual seconds (0 = off)");
-  cli.add_string("checkpoint-path", &fault->checkpoint_path,
-                 "auto-checkpoint file (requires --checkpoint-interval)");
+                 "full-checkpoint cadence under --checkpoint-dir in virtual "
+                 "seconds (0 = every epoch flip)");
   cli.add_string("checkpoint-dir", &fault->checkpoint_dir,
                  "directory for full crash-consistent checkpoints "
                  "(model+optimizer+RNG+ledger; empty = off)");

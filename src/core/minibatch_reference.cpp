@@ -5,7 +5,6 @@
 #include "backend/cpu_backend.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/macros.hpp"
-#include "nn/mlp.hpp"
 
 namespace hetsgd::core {
 
@@ -44,21 +43,6 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
           dataset.labels()[static_cast<std::size_t>(src)];
     }
   }
-  nn::Workspace eval_ws;
-  auto eval_loss = [&](nn::Model& m) {
-    double total = 0.0;
-    const Index chunk = 512;
-    for (Index begin = 0; begin < sample; begin += chunk) {
-      const Index count = std::min(chunk, sample - begin);
-      std::span<const std::int32_t> y(eval_y.data() + begin,
-                                      static_cast<std::size_t>(count));
-      total += static_cast<double>(nn::compute_loss(
-                   m, eval_x.rows_view(begin, count), y, eval_ws)) *
-               static_cast<double>(count);
-    }
-    return total / static_cast<double>(sample);
-  };
-
   // TF-style: model uploaded once and kept resident across steps.
   double clock = mlp.upload_model(model, 0.0);
 
@@ -71,12 +55,18 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
 
   ReferenceResult result;
   std::uint64_t examples_total = 0;
+  // The loss is evaluated on a host snapshot through a zero-copy executor
+  // bound to it once; downloads overwrite the snapshot in place.
   nn::Model snapshot = model;
+  backend::CpuBackend eval_backend(cfg.cpu.spec,
+                                   backend::CpuBackend::Mode::kZeroCopy);
+  backend::MlpExecutor eval_mlp(eval_backend, cfg.mlp, backend::kEvalChunkRows);
+  eval_mlp.bind_shared_model(snapshot);
   auto record = [&](double vtime) {
     mlp.download_model(snapshot, clock);  // D2H copy, cost excluded (§VII-A)
     result.curve.push_back(
         {vtime, static_cast<double>(examples_total) / static_cast<double>(n),
-         eval_loss(snapshot)});
+         eval_mlp.mean_loss(eval_x.view(), eval_y)});
   };
   record(0.0);
   double next_eval = options.eval_interval_vseconds;

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "backend/cpu_backend.hpp"
+#include "backend/mlp_executor.hpp"
 #include "common/macros.hpp"
 #include "core/cost_model.hpp"
-#include "nn/mlp.hpp"
 
 namespace hetsgd::core {
 
@@ -26,10 +27,27 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
   nn::Gradient mu = nn::make_zero_gradient(w);      // full gradient at w~
   nn::Gradient g_cur = nn::make_zero_gradient(w);   // batch grad at w
   nn::Gradient g_snap = nn::make_zero_gradient(w);  // batch grad at w~
-  nn::Workspace ws;
 
   const Index n = dataset.example_count();
   const Index batch = std::min(options.batch, n);
+  const Index full_chunk = std::min<Index>(n, 8192);
+
+  // One zero-copy executor per model, bound once: `snapshot = w` below
+  // reuses the same-shape storage, so the bindings stay valid. The
+  // iterate's also evaluates the loss.
+  backend::CpuBackend w_backend(cfg.cpu.spec,
+                                backend::CpuBackend::Mode::kZeroCopy);
+  backend::MlpExecutor w_exec(w_backend, cfg.mlp,
+                              std::max(batch, backend::kEvalChunkRows));
+  w_exec.bind_shared_model(w);
+  w_exec.bind_host_gradient(g_cur);
+  backend::CpuBackend snap_backend(cfg.cpu.spec,
+                                   backend::CpuBackend::Mode::kZeroCopy);
+  backend::MlpExecutor snap_exec(snap_backend, cfg.mlp,
+                                 std::max(batch, full_chunk));
+  snap_exec.bind_shared_model(snapshot);
+  snap_exec.bind_host_gradient(g_snap);
+
   const std::uint64_t inner_per_round =
       options.inner_steps > 0
           ? options.inner_steps
@@ -40,7 +58,7 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
   const double batch_cost =
       gpu_batch_seconds(perf, cfg.mlp, batch, 0.0);
   const double full_pass_cost =
-      gpu_epoch_seconds(perf, cfg.mlp, n, std::min<Index>(n, 8192), 0.0);
+      gpu_epoch_seconds(perf, cfg.mlp, n, full_chunk, 0.0);
 
   // Loss evaluation sample.
   const Index sample =
@@ -53,26 +71,13 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
     eval_y[static_cast<std::size_t>(i)] =
         dataset.labels()[static_cast<std::size_t>(i)];
   }
-  auto eval_loss = [&](const nn::Model& m) {
-    double total = 0.0;
-    const Index chunk = 512;
-    for (Index begin = 0; begin < sample; begin += chunk) {
-      const Index count = std::min(chunk, sample - begin);
-      std::span<const std::int32_t> y(eval_y.data() + begin,
-                                      static_cast<std::size_t>(count));
-      total += static_cast<double>(nn::compute_loss(
-                   m, eval_x.rows_view(begin, count), y, ws)) *
-               static_cast<double>(count);
-    }
-    return total / static_cast<double>(sample);
-  };
 
   SvrgResult result;
   double clock = 0.0;
   double examples_done = 0.0;
   auto record = [&] {
-    result.curve.push_back(
-        {clock, examples_done / static_cast<double>(n), eval_loss(w)});
+    result.curve.push_back({clock, examples_done / static_cast<double>(n),
+                            w_exec.mean_loss(eval_x.view(), eval_y)});
   };
   record();
   double next_eval = options.eval_interval_vseconds;
@@ -85,11 +90,11 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
     // Snapshot: w~ <- w, mu <- full gradient at w~.
     snapshot = w;
     mu.set_zero();
-    for (Index begin = 0; begin < n; begin += 8192) {
-      const Index count = std::min<Index>(8192, n - begin);
+    for (Index begin = 0; begin < n; begin += full_chunk) {
+      const Index count = std::min(full_chunk, n - begin);
       auto x = dataset.batch_features(begin, count);
       auto y = dataset.batch_labels(begin, count);
-      nn::compute_gradient(snapshot, x, y, ws, g_snap);
+      snap_exec.compute_gradient(x, y, 0.0, nullptr);
       mu.axpy(static_cast<Scalar>(count) / static_cast<Scalar>(n), g_snap);
     }
     clock += full_pass_cost;
@@ -105,8 +110,8 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
       }
       auto x = dataset.batch_features(cursor, batch);
       auto y = dataset.batch_labels(cursor, batch);
-      nn::compute_gradient(w, x, y, ws, g_cur);
-      nn::compute_gradient(snapshot, x, y, ws, g_snap);
+      w_exec.compute_gradient(x, y, 0.0, nullptr);
+      snap_exec.compute_gradient(x, y, 0.0, nullptr);
       // w -= eta * (g_cur - g_snap + mu)
       w.axpy(static_cast<Scalar>(-eta), g_cur);
       w.axpy(static_cast<Scalar>(eta), g_snap);

@@ -54,7 +54,7 @@ Worker::Worker(msg::WorkerId id, const TrainingConfig& config,
       optimizers_.emplace_back(config.optimizer, model_);
     }
     // Lanes start sized for the configured per-thread examples and grow on
-    // demand (ensure_lane_capacity), like the old Workspace did.
+    // demand (ensure_lane_capacity).
     ensure_lane_capacity(std::max<Index>(1, config_.cpu.examples_per_thread));
     return;
   }

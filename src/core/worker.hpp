@@ -35,7 +35,8 @@
 #include "data/dataset.hpp"
 #include "gpusim/virtual_clock.hpp"
 #include "msg/actor.hpp"
-#include "nn/mlp.hpp"
+#include "nn/model.hpp"
+#include "nn/optimizer.hpp"
 
 namespace hetsgd::core {
 
@@ -89,8 +90,8 @@ class Worker final : public msg::Actor {
   bool execute(const msg::ExecuteWork& work);
   bool execute_hogwild(const msg::ExecuteWork& work);
   bool execute_replica(const msg::ExecuteWork& work);
-  // Grows the per-lane executors to hold `sub_batch` rows (the Workspace
-  // growth of the pre-seam path, now explicit and releasable).
+  // Grows the per-lane executors to hold `sub_batch` rows; growth is
+  // one-way until release_scratch().
   void ensure_lane_capacity(tensor::Index sub_batch);
   void release_scratch();
   void request_work(std::uint64_t examples, double intensity,

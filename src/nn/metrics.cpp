@@ -73,18 +73,20 @@ double ConfusionMatrix::macro_f1() const {
   return sum / static_cast<double>(classes_);
 }
 
-ConfusionMatrix evaluate_classifier(const Model& model,
+ConfusionMatrix evaluate_classifier(const LogitsFn& logits_of,
+                                    std::int32_t classes,
                                     tensor::ConstMatrixView x,
-                                    std::span<const std::int32_t> labels,
-                                    Workspace& ws) {
+                                    std::span<const std::int32_t> labels) {
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == x.rows(),
                 "label count != example count");
-  ConfusionMatrix cm(static_cast<std::int32_t>(model.config().num_classes));
+  ConfusionMatrix cm(classes);
   const Index chunk = 512;
   for (Index begin = 0; begin < x.rows(); begin += chunk) {
     const Index count = std::min(chunk, x.rows() - begin);
-    forward(model, x.rows_view(begin, count), ws);
-    auto logits = ws.logits().rows_view(0, count);
+    const tensor::ConstMatrixView logits =
+        logits_of(x.rows_view(begin, count));
+    HETSGD_ASSERT(logits.rows() == count && logits.cols() == classes,
+                  "logits shape mismatch");
     for (Index r = 0; r < count; ++r) {
       const tensor::Scalar* row = logits.row(r);
       Index best = 0;

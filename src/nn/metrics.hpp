@@ -2,10 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
-#include "nn/mlp.hpp"
 #include "tensor/matrix.hpp"
 
 namespace hetsgd::nn {
@@ -36,10 +36,17 @@ class ConfusionMatrix {
   std::uint64_t total_ = 0;
 };
 
-// Runs the model over (x, labels) in chunks and fills a confusion matrix.
-ConfusionMatrix evaluate_classifier(const Model& model,
+// Maps a chunk of at most 512 rows of x to its logits (rows x classes).
+// The view must stay valid until the next call; backend::MlpExecutor's
+// forward() is one.
+using LogitsFn =
+    std::function<tensor::ConstMatrixView(tensor::ConstMatrixView x)>;
+
+// Runs `logits_of` over x in 512-row chunks and fills a confusion matrix
+// of each row's argmax against its label.
+ConfusionMatrix evaluate_classifier(const LogitsFn& logits_of,
+                                    std::int32_t classes,
                                     tensor::ConstMatrixView x,
-                                    std::span<const std::int32_t> labels,
-                                    Workspace& ws);
+                                    std::span<const std::int32_t> labels);
 
 }  // namespace hetsgd::nn

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/macros.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace hetsgd::nn {
@@ -34,6 +35,16 @@ void MlpConfig::validate() const {
   HETSGD_ASSERT(hidden_layers >= 0, "MlpConfig: negative hidden layer count");
   HETSGD_ASSERT(hidden_layers == 0 || hidden_units > 0,
                 "MlpConfig: hidden_units must be positive");
+}
+
+double training_flops(const MlpConfig& config, tensor::Index batch) {
+  double flops = 0;
+  for (const auto& s : config.layer_shapes()) {
+    // Forward GEMM + two backward GEMMs (dW and delta propagation), each
+    // 2*m*n*k; element-wise work is negligible by comparison.
+    flops += 3.0 * tensor::gemm_flops(batch, s.out, s.in);
+  }
+  return flops;
 }
 
 namespace {

@@ -50,6 +50,10 @@ struct MlpConfig {
   void validate() const;
 };
 
+// Approximate FLOPs of one forward+backward pass over `batch` examples —
+// the quantity the gpusim perf model charges for a training step.
+double training_flops(const MlpConfig& config, tensor::Index batch);
+
 struct Layer {
   tensor::Matrix weights;  // out x in
   tensor::Matrix bias;     // 1 x out

@@ -44,9 +44,10 @@ class Optimizer {
   const OptimizerConfig& config() const { return config_; }
 
   // Applies one update with step size eta. For kSgd this is exactly
-  // sgd_step; stateful optimizers also advance their internal state.
-  // Hogwild-safe in the same sense as sgd_step: racy on a shared model by
-  // design, while the optimizer state itself is lane-private.
+  // W <- W - eta * grad (Model::axpy, Eq. (3)); stateful optimizers also
+  // advance their internal state. Hogwild-safe in the same sense as that
+  // axpy: racy on a shared model by design, while the optimizer state
+  // itself is lane-private.
   void step(Model& model, const Gradient& grad, tensor::Scalar eta);
 
   // Steps taken so far (drives Adam's bias correction).

@@ -1,10 +1,10 @@
-// The replica workers' engine — CpuBackend in device mode — checked against
-// the host reference path (nn::compute_gradient, nn::sgd_step), plus the
-// contract a worker relies on: the FIFO virtual-time queue, pinned
+// The replica workers' engine — CpuBackend in device mode — checked bit for
+// bit against zero-copy mode (the Hogwild lanes' host path) and, in both
+// modes, against the independent reference MLP (reference_mlp.hpp), plus
+// the contract a worker relies on: the FIFO virtual-time queue, pinned
 // completion times, the transfer fault surface, buffer ownership, and the
 // device signals (trace spans and counters) the benchmarks read. Buffers,
-// transfers and each kernel are also checked in both modes, zero-copy
-// (the Hogwild lanes) included.
+// transfers and each kernel are also checked in both modes.
 #include "backend/cpu_backend.hpp"
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <fstream>
 #include <limits>
 #include <memory>
-#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -22,21 +21,15 @@
 
 #include "backend/mlp_executor.hpp"
 #include "common/rng.hpp"
+#include "executor_modes.hpp"
 #include "nn/activation.hpp"
 #include "nn/loss.hpp"
-#include "nn/mlp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "reference_mlp.hpp"
 #include "tensor/ops.hpp"
 
 namespace hetsgd::backend {
-
-// Names the mode in test output. gtest finds PrintTo by argument-dependent
-// lookup, so it lives in the mode's namespace, not the unnamed one.
-static void PrintTo(CpuBackend::Mode mode, std::ostream* os) {
-  *os << (mode == CpuBackend::Mode::kDevice ? "kDevice" : "kZeroCopy");
-}
-
 namespace {
 
 using tensor::Index;
@@ -84,11 +77,10 @@ struct Fixture {
     }
   }
 
-  // The host reference gradient of the fixture's model on its batch.
-  nn::Gradient host_gradient(double* loss = nullptr) const {
-    nn::Workspace ws;
+  // The reference gradient of the fixture's model on its batch.
+  nn::Gradient reference_gradient(double* loss = nullptr) const {
     nn::Gradient g = nn::make_zero_gradient(model);
-    const double l = nn::compute_gradient(model, x.view(), y, ws, g);
+    const double l = ref::softmax_xent(model, x.view(), y, &g);
     if (loss != nullptr) *loss = l;
     return g;
   }
@@ -97,7 +89,42 @@ struct Fixture {
 // A 128-feature, ~1% nonzero input: wide and sparse enough that the first
 // layer's forward and weight-gradient products take the zero-skipping GEMM
 // path (tensor/gemm.cpp).
-Fixture sparse_fixture() { return Fixture(16, 128, 0.01); }
+Fixture sparse_fixture(Index batch = 16) { return Fixture(batch, 128, 0.01); }
+
+// Executor results against the reference MLP, which sums in other orders:
+// one gradient agrees to rounding, a 20-step trajectory a little looser.
+constexpr double kRefTol = 1e-12;
+constexpr double kTrajectoryTol = 1e-10;
+
+// One executor gradient of the fixture in `mode` (ModeRunner: a device
+// replica round trip, or zero-copy in place), sized for `max_batch`.
+struct ModeGradient {
+  double loss;
+  nn::Gradient grad;
+};
+
+ModeGradient mode_gradient(const Fixture& f, CpuBackend::Mode mode,
+                           Index max_batch) {
+  nn::Model model = f.model;
+  ModeRunner run(mode, model, max_batch);
+  const double loss = run.gradient(f.x.view(), f.y);
+  return {loss, run.grad()};
+}
+
+// Both modes' gradients of the fixture: equal bit for bit, and within
+// kRefTol of the reference.
+void expect_gradients_match(const Fixture& f, Index max_batch) {
+  const ModeGradient device =
+      mode_gradient(f, CpuBackend::Mode::kDevice, max_batch);
+  const ModeGradient host =
+      mode_gradient(f, CpuBackend::Mode::kZeroCopy, max_batch);
+  EXPECT_EQ(device.loss, host.loss);
+  EXPECT_EQ(device.grad.max_abs_diff(host.grad), 0.0);
+  double want_loss = 0.0;
+  const nn::Gradient want = f.reference_gradient(&want_loss);
+  EXPECT_NEAR(device.loss, want_loss, kRefTol);
+  EXPECT_LT(device.grad.max_abs_diff(want), kRefTol);
+}
 
 std::uint64_t counter(const char* name) {
   return obs::MetricsRegistry::instance().counter(name).value();
@@ -108,55 +135,51 @@ CpuBackend device(const gpusim::DeviceSpec& spec = gpusim::v100_spec()) {
 }
 
 TEST(DeviceBackend, GradientMatchesHostExactly) {
-  for (Fixture f : {Fixture(16), sparse_fixture()}) {
+  for (const Fixture& f : {Fixture(16), sparse_fixture()}) {
     SCOPED_TRACE(f.config.input_dim);
-    CpuBackend b = device();
-    MlpExecutor mlp(b, f.config, 16);
-    mlp.upload_model(f.model, 0.0);
     const std::uint64_t sparse_before = counter("hetsgd_sparse_gemms_total");
-    double done = 0.0;
-    const double device_loss =
-        mlp.compute_gradient(f.x.view(), f.y, 0.0, &done);
-    nn::Gradient device_grad = nn::make_zero_gradient(f.model);
-    mlp.download_gradient(device_grad, done);
+    expect_gradients_match(f, 16);
     // The sparse input's first layer runs the zero-skipping path.
     EXPECT_EQ(counter("hetsgd_sparse_gemms_total") > sparse_before,
               f.config.input_dim == 128);
-
-    double host_loss = 0.0;
-    const nn::Gradient host_grad = f.host_gradient(&host_loss);
-    // Same kernel sequence as the host path: results are bit-identical.
-    EXPECT_DOUBLE_EQ(device_loss, host_loss);
-    EXPECT_EQ(device_grad.max_abs_diff(host_grad), 0.0);
   }
 }
 
 TEST(DeviceBackend, SmallerBatchThanMaxWorks) {
-  Fixture f(5);
-  CpuBackend b = device();
-  MlpExecutor mlp(b, f.config, 32);
-  mlp.upload_model(f.model, 0.0);
-  double done = 0.0;
-  mlp.compute_gradient(f.x.view(), f.y, 0.0, &done);
-  nn::Gradient device_grad = nn::make_zero_gradient(f.model);
-  mlp.download_gradient(device_grad, done);
-  EXPECT_EQ(device_grad.max_abs_diff(f.host_gradient()), 0.0);
+  for (const Fixture& f : {Fixture(5), sparse_fixture(5)}) {
+    SCOPED_TRACE(f.config.input_dim);
+    expect_gradients_match(f, 32);
+  }
+}
+
+// One SGD step on the executor's side of the seam (ModeRunner::sgd: the
+// device-side axpy, or the zero-copy update of the model in place).
+nn::Model mode_sgd_step(const Fixture& f, CpuBackend::Mode mode, double eta) {
+  nn::Model model = f.model;
+  ModeRunner run(mode, model, f.x.rows());
+  run.gradient(f.x.view(), f.y);
+  run.sgd(eta);
+  return model;
+}
+
+// Both modes' updated models: equal bit for bit, and within kRefTol of the
+// reference step.
+void expect_sgd_steps_match(const Fixture& f, double eta) {
+  const nn::Model device_model =
+      mode_sgd_step(f, CpuBackend::Mode::kDevice, eta);
+  const nn::Model host_model =
+      mode_sgd_step(f, CpuBackend::Mode::kZeroCopy, eta);
+  EXPECT_EQ(device_model.max_abs_diff(host_model), 0.0);
+  nn::Model expected = f.model;
+  ref::sgd(expected, f.reference_gradient(), eta);
+  EXPECT_LT(device_model.max_abs_diff(expected), kRefTol);
 }
 
 TEST(DeviceBackend, ApplyGradientMatchesHostSgd) {
-  Fixture f(8);
-  CpuBackend b = device();
-  MlpExecutor mlp(b, f.config, 8);
-  mlp.upload_model(f.model, 0.0);
-  double done = 0.0;
-  mlp.compute_gradient(f.x.view(), f.y, 0.0, &done);
-  mlp.apply_gradient(0.1, done);
-  nn::Model replica = f.model;
-  mlp.download_model(replica, done);
-
-  nn::Model expected = f.model;
-  nn::sgd_step(expected, f.host_gradient(), 0.1);
-  EXPECT_LT(replica.max_abs_diff(expected), 1e-15);
+  for (const Fixture& f : {Fixture(8), sparse_fixture(8)}) {
+    SCOPED_TRACE(f.config.input_dim);
+    expect_sgd_steps_match(f, 0.1);
+  }
 }
 
 TEST(DeviceBackend, UploadDownloadRoundTrip) {
@@ -186,8 +209,8 @@ TEST(DeviceBackend, VirtualTimeAdvances) {
 // times the former standalone simulated-GPU engine produced for the same
 // sequence (hex-float literals, so the match is exact): the one engine
 // must keep every recorded schedule, for a dense input and for a sparse
-// one that takes the zero-skipping GEMM path. Math is checked against the
-// host path alongside.
+// one that takes the zero-skipping GEMM path. Math is checked against
+// zero-copy mode and the reference alongside.
 TEST(DeviceBackend, PinnedVirtualTimeAndHostMath) {
   struct Expected {
     double t_upload, t_done, t_apply;
@@ -216,11 +239,17 @@ TEST(DeviceBackend, PinnedVirtualTimeAndHostMath) {
     EXPECT_EQ(t_done, want.t_done);
     EXPECT_EQ(t_apply, want.t_apply);
 
-    const nn::Gradient host_grad = f.host_gradient();
-    EXPECT_EQ(grad.max_abs_diff(host_grad), 0.0);
+    EXPECT_EQ(
+        grad.max_abs_diff(mode_gradient(f, CpuBackend::Mode::kZeroCopy, 16)
+                              .grad),
+        0.0);
+    EXPECT_LT(grad.max_abs_diff(f.reference_gradient()), kRefTol);
+    EXPECT_EQ(model_after.max_abs_diff(
+                  mode_sgd_step(f, CpuBackend::Mode::kZeroCopy, 0.2)),
+              0.0);
     nn::Model expected = f.model;
-    nn::sgd_step(expected, host_grad, 0.2);
-    EXPECT_EQ(model_after.max_abs_diff(expected), 0.0);
+    ref::sgd(expected, f.reference_gradient(), 0.2);
+    EXPECT_LT(model_after.max_abs_diff(expected), kRefTol);
   }
 }
 
@@ -303,24 +332,34 @@ TEST(DeviceBackend, BatchBeyondMaxDies) {
 }
 
 TEST(DeviceBackend, TrainingConvergesLikeHost) {
-  Fixture f(32);
-  CpuBackend b = device();
-  MlpExecutor mlp(b, f.config, 32);
-  nn::Model host_model = f.model;
-  nn::Workspace ws;
-  nn::Gradient host_grad = nn::make_zero_gradient(host_model);
+  for (const Fixture& f : {Fixture(32), sparse_fixture(32)}) {
+    SCOPED_TRACE(f.config.input_dim);
+    // The replica stays resident for all 20 steps, as in
+    // run_minibatch_reference.
+    CpuBackend b = device();
+    MlpExecutor mlp(b, f.config, 32);
+    double clock = mlp.upload_model(f.model, 0.0);
+    for (int step = 0; step < 20; ++step) {
+      double done = clock;
+      mlp.compute_gradient(f.x.view(), f.y, clock, &done);
+      clock = mlp.apply_gradient(0.3, done);
+    }
+    nn::Model final_device = f.model;
+    mlp.download_model(final_device, clock);
 
-  double clock = mlp.upload_model(f.model, 0.0);
-  for (int step = 0; step < 20; ++step) {
-    double done = clock;
-    mlp.compute_gradient(f.x.view(), f.y, clock, &done);
-    clock = mlp.apply_gradient(0.3, done);
-    nn::compute_gradient(host_model, f.x.view(), f.y, ws, host_grad);
-    nn::sgd_step(host_model, host_grad, 0.3);
+    nn::Model host_model = f.model;
+    ModeRunner host(CpuBackend::Mode::kZeroCopy, host_model, 32);
+    nn::Model ref_model = f.model;
+    nn::Gradient ref_grad = nn::make_zero_gradient(ref_model);
+    for (int step = 0; step < 20; ++step) {
+      host.gradient(f.x.view(), f.y);
+      host.sgd(0.3);
+      ref::softmax_xent(ref_model, f.x.view(), f.y, &ref_grad);
+      ref::sgd(ref_model, ref_grad, 0.3);
+    }
+    EXPECT_EQ(final_device.max_abs_diff(host_model), 0.0);
+    EXPECT_LT(final_device.max_abs_diff(ref_model), kTrajectoryTol);
   }
-  nn::Model final_device = f.model;
-  mlp.download_model(final_device, clock);
-  EXPECT_LT(final_device.max_abs_diff(host_model), 1e-12);
 }
 
 TEST(DeviceBackend, NanPoisonedInputPropagatesToGradient) {
@@ -396,8 +435,88 @@ TEST(DeviceBackend, CountsKernelsAndTransfers) {
   EXPECT_EQ(b.transfer_count(), 4 * f.config.layer_shapes().size());
 }
 
+// A device-mode executor's delta buffers, copied out. The executor
+// allocates, per layer, the replica's weights and bias, the gradient's,
+// then the activation and the delta — the DeviceMlp's order, which
+// capacity aborts rely on — so layer l's delta is buffer 6l + 6.
+std::vector<Matrix> device_deltas(CpuBackend& b, const nn::MlpConfig& config,
+                                  Index max_batch) {
+  std::vector<Matrix> deltas;
+  const auto shapes = config.layer_shapes();
+  for (std::size_t l = 0; l < shapes.size(); ++l) {
+    const Buffer delta{6 * l + 6, max_batch, shapes[l].out};
+    const tensor::MatrixView v = b.view(delta);
+    Matrix m(v.rows(), v.cols());
+    std::copy_n(v.data(), v.size(), m.data());
+    deltas.push_back(std::move(m));
+  }
+  return deltas;
+}
+
+// The loss-only entry: compute_gradient's loss on the same batch, in both
+// modes alike, the forward and one loss kernel per 512-row chunk, and no
+// delta or gradient buffer written.
+TEST(MlpExecutorEval, MeanLossMatchesComputeGradientAndWritesNoDelta) {
+  for (const Fixture& f : {Fixture(16), sparse_fixture()}) {
+    SCOPED_TRACE(f.config.input_dim);
+    // Another batch: negated, doubled inputs and shifted labels.
+    Matrix other_x = f.x;
+    for (Index i = 0; i < other_x.size(); ++i) other_x.data()[i] *= -2.0;
+    std::vector<std::int32_t> other_y = f.y;
+    for (auto& label : other_y) label = (label + 1) % 4;
+    CpuBackend b = device();
+    MlpExecutor mlp(b, f.config, 16);
+    double t = mlp.upload_model(f.model, 0.0);
+    const double loss = mlp.compute_gradient(f.x.view(), f.y, t, &t);
+    nn::Gradient grad = nn::make_zero_gradient(f.model);
+    mlp.download_gradient(grad, t);
+    const std::vector<Matrix> deltas = device_deltas(b, f.config, 16);
+
+    const std::uint64_t kernels = counter("hetsgd_gpu_kernels_total");
+    // Evaluating another batch must leave the first one's deltas and
+    // gradient in place.
+    mlp.mean_loss(other_x.view(), other_y);
+    EXPECT_EQ(mlp.mean_loss(f.x.view(), f.y), loss);
+    EXPECT_EQ(counter("hetsgd_gpu_kernels_total") - kernels,
+              2 * (f.config.layer_shapes().size() + 1));
+    const std::vector<Matrix> after = device_deltas(b, f.config, 16);
+    for (std::size_t l = 0; l < deltas.size(); ++l) {
+      EXPECT_EQ(tensor::max_abs_diff(after[l].view(), deltas[l].view()), 0.0)
+          << "delta " << l;
+    }
+    nn::Gradient grad_after = nn::make_zero_gradient(f.model);
+    mlp.download_gradient(grad_after, t);
+    EXPECT_EQ(grad_after.max_abs_diff(grad), 0.0);
+
+    nn::Model model = f.model;
+    ModeRunner host(CpuBackend::Mode::kZeroCopy, model, 16);
+    EXPECT_EQ(host.mean_loss(f.x.view(), f.y), loss);
+    EXPECT_NEAR(loss, ref::softmax_xent(f.model, f.x.view(), f.y), kRefTol);
+  }
+}
+
+// Past one chunk, mean_loss weights each 512-row chunk's mean by its rows.
+TEST(MlpExecutorEval, MeanLossWeightsChunksByRows) {
+  const Fixture f(700);
+  for (const auto mode : kBothModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    nn::Model model = f.model;
+    ModeRunner run(mode, model, kEvalChunkRows);
+    const std::span<const std::int32_t> y(f.y);
+    const double head = run.gradient(f.x.rows_view(0, 512), y.subspan(0, 512));
+    const double tail =
+        run.gradient(f.x.rows_view(512, 188), y.subspan(512, 188));
+    EXPECT_EQ(run.mean_loss(f.x.view(), f.y),
+              (head * 512.0 + tail * 188.0) / 700.0);
+    EXPECT_NEAR(run.mean_loss(f.x.view(), f.y),
+                ref::softmax_xent(f.model, f.x.view(), f.y), kRefTol);
+  }
+}
+
 TEST(ZeroCopyBackend, CountsNoDeviceKernelsOrTransfers) {
   Fixture f(16);
+  const nn::Gradient device_grad =
+      mode_gradient(f, CpuBackend::Mode::kDevice, 16).grad;
   CpuBackend b(gpusim::xeon56_spec(), CpuBackend::Mode::kZeroCopy);
   MlpExecutor mlp(b, f.config, 16);
   nn::Gradient grad = nn::make_zero_gradient(f.model);
@@ -408,8 +527,11 @@ TEST(ZeroCopyBackend, CountsNoDeviceKernelsOrTransfers) {
   double done = mlp.upload_model(f.model, 0.0);
   mlp.compute_gradient(f.x.view(), f.y, done, &done);
   mlp.download_gradient(grad, done);
-  EXPECT_EQ(grad.max_abs_diff(f.host_gradient()), 0.0);
+  EXPECT_EQ(grad.max_abs_diff(device_grad), 0.0);
   mlp.apply_gradient(0.1, done);  // updates the bound model in place
+  // Evaluation, too, stays off the device signals.
+  mlp.mean_loss(f.x.view(), f.y);
+  mlp.forward(f.x.view());
   EXPECT_EQ(counter("hetsgd_gpu_kernels_total"), kernels);
   EXPECT_EQ(counter("hetsgd_gpu_transfers_total"), transfers);
 }
@@ -420,11 +542,6 @@ TEST(ZeroCopyBackend, CountsNoDeviceKernelsOrTransfers) {
 // wraps, on the first `batch` rows of larger buffers, and against its
 // virtual-time charge: its PerfModel cost on the queue in device mode,
 // nothing in zero-copy mode (the worker charges whole batches there).
-
-gpusim::DeviceSpec spec_for(CpuBackend::Mode mode) {
-  return mode == CpuBackend::Mode::kDevice ? gpusim::v100_spec()
-                                           : gpusim::xeon56_spec();
-}
 
 Matrix random_matrix(Index rows, Index cols, Rng& rng) {
   Matrix m(rows, cols);
@@ -515,6 +632,59 @@ TEST_P(BothModes, SoftmaxXentMatchesHost) {
   const double loss_copy = b_.perf().transfer_seconds(sizeof(tensor::Scalar));
   EXPECT_DOUBLE_EQ(done, device_mode() ? 1.0 + kernel + loss_copy : 1.0);
   EXPECT_EQ(kernels_counted(), device_mode() ? 1u : 0u);
+}
+
+TEST_P(BothModes, SigmoidBceMatchesHost) {
+  Rng rng(16);
+  const Matrix logits = random_matrix(4, 3, rng);
+  Matrix targets(3, 3);
+  for (Index i = 0; i < targets.size(); ++i) {
+    targets.data()[i] = rng.bernoulli(0.4) ? 1.0 : 0.0;
+  }
+  const Buffer dlogits = b_.alloc(4, 3);
+  tensor::Scalar loss = 0;
+  const double done =
+      b_.sigmoid_bce(put(logits), targets.view(), dlogits, 3, &loss, 1.0);
+  Matrix want(3, 3);
+  tensor::MatrixView want_view = want.view();
+  const tensor::Scalar want_loss =
+      nn::sigmoid_bce(logits.rows_view(0, 3), targets.view(), &want_view);
+  EXPECT_EQ(loss, want_loss);
+  const Matrix got = get(dlogits);
+  EXPECT_EQ(tensor::max_abs_diff(got.rows_view(0, 3), want.view()), 0.0);
+  EXPECT_EQ(tensor::frobenius_norm(got.rows_view(3, 1)), 0.0);
+  // Charged like softmax-xent: the kernel, then the loss value's return.
+  const double kernel = b_.perf().elementwise_seconds(3 * 3 * 6);
+  const double loss_copy = b_.perf().transfer_seconds(sizeof(tensor::Scalar));
+  EXPECT_DOUBLE_EQ(done, device_mode() ? 1.0 + kernel + loss_copy : 1.0);
+  EXPECT_EQ(kernels_counted(), device_mode() ? 1u : 0u);
+}
+
+// A null dlogits handle runs either loss kernel alone: the same loss and
+// charge as with the gradient, and no buffer written.
+TEST_P(BothModes, LossOnlyKernelsMatchTheFullOnes) {
+  Rng rng(17);
+  const Matrix logits = random_matrix(3, 3, rng);
+  const Buffer logits_buf = put(logits);
+  const std::vector<std::int32_t> labels = {2, 0, 1};
+  Matrix targets(3, 3);
+  for (Index i = 0; i < targets.size(); ++i) {
+    targets.data()[i] = rng.bernoulli(0.5) ? 1.0 : 0.0;
+  }
+  const Buffer dlogits = b_.alloc(3, 3);
+  tensor::Scalar full = 0;
+  tensor::Scalar alone = 0;
+  const double full_done =
+      b_.softmax_xent(logits_buf, labels, dlogits, 3, &full, 10.0);
+  const double alone_done =
+      b_.softmax_xent(logits_buf, labels, Buffer{}, 3, &alone, 20.0);
+  EXPECT_EQ(alone, full);
+  EXPECT_DOUBLE_EQ(alone_done - 20.0, full_done - 10.0);
+  b_.sigmoid_bce(logits_buf, targets.view(), dlogits, 3, &full, 30.0);
+  b_.sigmoid_bce(logits_buf, targets.view(), Buffer{}, 3, &alone, 40.0);
+  EXPECT_EQ(alone, full);
+  EXPECT_EQ(tensor::max_abs_diff(get(logits_buf).view(), logits.view()), 0.0);
+  EXPECT_EQ(kernels_counted(), device_mode() ? 4u : 0u);
 }
 
 TEST_P(BothModes, MatmulTnMatchesHost) {
@@ -772,20 +942,26 @@ TEST(ZeroCopyBackend, SynchronizeReturnsIssue) {
 }
 
 TEST(ZeroCopyBackend, ApplyGradientUpdatesTheSharedModel) {
-  Fixture f(8);
-  CpuBackend b = zero_copy();
-  MlpExecutor mlp(b, f.config, 8);
-  nn::Model shared = f.model;
-  nn::Gradient grad = nn::make_zero_gradient(f.model);
-  mlp.bind_shared_model(shared);
-  mlp.bind_host_gradient(grad);
-  double done = 0.0;
-  mlp.compute_gradient(f.x.view(), f.y, 0.0, &done);
-  mlp.apply_gradient(0.1, done);
-  // The replica is the shared model: the update lands there, no download.
-  nn::Model expected = f.model;
-  nn::sgd_step(expected, f.host_gradient(), 0.1);
-  EXPECT_LT(shared.max_abs_diff(expected), 1e-15);
+  for (const Fixture& f : {Fixture(8), sparse_fixture(8)}) {
+    SCOPED_TRACE(f.config.input_dim);
+    CpuBackend b = zero_copy();
+    MlpExecutor mlp(b, f.config, 8);
+    nn::Model shared = f.model;
+    nn::Gradient grad = nn::make_zero_gradient(f.model);
+    mlp.bind_shared_model(shared);
+    mlp.bind_host_gradient(grad);
+    double done = 0.0;
+    mlp.compute_gradient(f.x.view(), f.y, 0.0, &done);
+    mlp.apply_gradient(0.1, done);
+    // The replica is the shared model: the update lands there, no
+    // download — the same model the device replica's round trip produces.
+    EXPECT_EQ(
+        shared.max_abs_diff(mode_sgd_step(f, CpuBackend::Mode::kDevice, 0.1)),
+        0.0);
+    nn::Model expected = f.model;
+    ref::sgd(expected, f.reference_gradient(), 0.1);
+    EXPECT_LT(shared.max_abs_diff(expected), kRefTol);
+  }
 }
 
 #if !defined(HETSGD_TRACE_DISABLED)

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/mlp.hpp"
+#include "nn/model.hpp"
 
 namespace hetsgd::core {
 namespace {

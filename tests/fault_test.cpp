@@ -271,21 +271,6 @@ TEST(FaultRecovery, ExhaustedTransferRetriesEscalateToCoordinator) {
   expect_ledger_invariant(r);
 }
 
-TEST(FaultRecovery, AutoCheckpointWritesLoadableSnapshots) {
-  const std::string path = temp_path("hetsgd_fault_autockpt.ckpt");
-  TrainingConfig config = small_config();
-  config.fault.checkpoint_interval_vseconds = 0.002;
-  config.fault.checkpoint_path = path;
-  Trainer trainer(small_dataset(), config);
-  TrainingResult r = trainer.run();
-  EXPECT_GE(r.checkpoints_written, 1u);
-  std::string error;
-  std::optional<nn::Model> restored = nn::try_load_model(path, &error);
-  ASSERT_TRUE(restored.has_value()) << error;
-  EXPECT_TRUE(restored->all_finite());
-  std::remove(path.c_str());
-}
-
 TEST(FaultRecovery, FaultEventsCsvIsWritten) {
   const std::string path = temp_path("hetsgd_fault_events.csv");
   TrainingConfig config = small_config();

@@ -1,20 +1,36 @@
-#include "nn/mlp.hpp"
-
+// The MLP the executor runs — forward, loss kinds, back-propagation and the
+// SGD step — in both CpuBackend modes: device mode (the replica workers)
+// bit for bit against zero-copy mode (the Hogwild lanes), both against
+// finite differences of their own loss and against the independent
+// reference in reference_mlp.hpp.
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "backend/mlp_executor.hpp"
 #include "common/rng.hpp"
+#include "executor_modes.hpp"
+#include "nn/loss.hpp"
+#include "reference_mlp.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
-namespace hetsgd::nn {
+namespace hetsgd::backend {
 namespace {
 
+using nn::Activation;
+using nn::Gradient;
+using nn::MlpConfig;
+using nn::Model;
 using tensor::Index;
 using tensor::Matrix;
 using tensor::Scalar;
+
+// Gradients and losses against the reference: the two sum in different
+// orders, so they agree to rounding, and over a long trajectory nearly so.
+constexpr double kRefTol = 1e-12;
+constexpr double kTrajectoryTol = 1e-9;
 
 MlpConfig tiny_config(Activation act = Activation::kSigmoid) {
   MlpConfig c;
@@ -44,66 +60,35 @@ Problem make_problem(const MlpConfig& c, Index batch, std::uint64_t seed) {
   return p;
 }
 
-TEST(WorkspaceScratch, GrowsMonotonicallyUntilClampedOrReleased) {
-  MlpConfig c = tiny_config();
-  Problem big = make_problem(c, 64, 1);
-  Problem small = make_problem(c, 8, 2);
-  Workspace ws;
+// kBothModes runs device mode first: keeps its result so zero-copy mode's
+// can be required to match it bit for bit.
+class SameInBothModes {
+ public:
+  void check(CpuBackend::Mode mode, const Model& result) {
+    if (mode == CpuBackend::Mode::kDevice) {
+      device_ = result;
+    } else {
+      EXPECT_EQ(result.max_abs_diff(device_), 0.0);
+    }
+  }
 
-  forward(big.model, big.x.view(), ws);
-  const std::uint64_t high_water = ws.scratch_bytes();
-  EXPECT_EQ(ws.capacity_rows(), 64);
-  EXPECT_GT(high_water, 0u);
+ private:
+  Model device_;
+};
 
-  // A smaller batch reuses the tall buffers: no shrink on its own.
-  forward(small.model, small.x.view(), ws);
-  EXPECT_EQ(ws.capacity_rows(), 64);
-  EXPECT_EQ(ws.scratch_bytes(), high_water);
-
-  // clamp() cuts the tall buffers down; shorter ones are left alone.
-  ws.clamp(16);
-  EXPECT_EQ(ws.capacity_rows(), 16);
-  EXPECT_LT(ws.scratch_bytes(), high_water);
-  ws.clamp(32);  // clamping above the current height is a no-op
-  EXPECT_EQ(ws.capacity_rows(), 16);
-
-  // release() frees everything; the workspace stays usable and the math
-  // after a regrow matches a fresh workspace exactly.
-  ws.release();
-  EXPECT_EQ(ws.capacity_rows(), 0);
-  EXPECT_EQ(ws.scratch_bytes(), 0u);
-
-  Workspace fresh;
-  Gradient grad_reused = make_zero_gradient(big.model);
-  Gradient grad_fresh = make_zero_gradient(big.model);
-  const Scalar loss_reused = compute_gradient(
-      big.model, big.x.view(), big.y, ws, grad_reused);
-  const Scalar loss_fresh = compute_gradient(
-      big.model, big.x.view(), big.y, fresh, grad_fresh);
-  EXPECT_EQ(loss_reused, loss_fresh);
-  EXPECT_EQ(grad_reused.max_abs_diff(grad_fresh), 0.0);
+Matrix copy_of(tensor::ConstMatrixView v) {
+  Matrix m(v.rows(), v.cols());
+  for (Index i = 0; i < v.size(); ++i) m.data()[i] = v.data()[i];
+  return m;
 }
 
 TEST(Forward, OutputShape) {
-  MlpConfig c = tiny_config();
-  Problem p = make_problem(c, 7, 1);
-  Workspace ws;
-  forward(p.model, p.x.view(), ws);
-  EXPECT_EQ(ws.logits().rows(), 7);
-  EXPECT_EQ(ws.logits().cols(), 3);
-}
-
-TEST(Forward, HiddenActivationsInSigmoidRange) {
-  MlpConfig c = tiny_config(Activation::kSigmoid);
-  Problem p = make_problem(c, 5, 2);
-  Workspace ws;
-  forward(p.model, p.x.view(), ws);
-  const auto& hidden = ws.acts()[0];
-  for (Index r = 0; r < 5; ++r) {
-    for (Index col = 0; col < c.hidden_units; ++col) {
-      EXPECT_GT(hidden(r, col), 0.0);
-      EXPECT_LT(hidden(r, col), 1.0);
-    }
+  Problem p = make_problem(tiny_config(), 7, 1);
+  for (const auto mode : kBothModes) {
+    ModeRunner run(mode, p.model, 8);
+    const tensor::ConstMatrixView logits = run.forward(p.x.view());
+    EXPECT_EQ(logits.rows(), 7);
+    EXPECT_EQ(logits.cols(), 3);
   }
 }
 
@@ -117,51 +102,107 @@ TEST(Forward, MatchesManualSingleLayer) {
   m.layer(0).weights = Matrix{{1, 2}, {3, 4}};
   m.layer(0).bias = Matrix{{0.5, -0.5}};
   Matrix x{{1, 1}};
-  Workspace ws;
-  forward(m, x.view(), ws);
-  EXPECT_DOUBLE_EQ(ws.logits()(0, 0), 3.5);   // 1+2+0.5
-  EXPECT_DOUBLE_EQ(ws.logits()(0, 1), 6.5);   // 3+4-0.5
+  for (const auto mode : kBothModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ModeRunner run(mode, m, 1);
+    const tensor::ConstMatrixView logits = run.forward(x.view());
+    EXPECT_DOUBLE_EQ(logits(0, 0), 3.5);  // 1+2+0.5
+    EXPECT_DOUBLE_EQ(logits(0, 1), 6.5);  // 3+4-0.5
+  }
 }
 
+TEST(Forward, MatchesReferenceLogits) {
+  for (Activation act : {Activation::kSigmoid, Activation::kTanh,
+                         Activation::kRelu, Activation::kIdentity}) {
+    Problem p = make_problem(tiny_config(act), 9, 4);
+    const ref::Rows want = ref::logits(p.model, p.x.view());
+    Matrix device_logits;
+    for (const auto mode : kBothModes) {
+      ModeRunner run(mode, p.model, 9);
+      const Matrix got = copy_of(run.forward(p.x.view()));
+      for (Index r = 0; r < got.rows(); ++r) {
+        for (Index c = 0; c < got.cols(); ++c) {
+          EXPECT_NEAR(got(r, c), want[r][c], kRefTol);
+        }
+      }
+      if (mode == CpuBackend::Mode::kDevice) {
+        device_logits = got;
+      } else {
+        EXPECT_EQ(tensor::max_abs_diff(got.view(), device_logits.view()), 0.0);
+      }
+    }
+  }
+}
+
+// The reference itself, against finite differences of its own loss: the
+// oracle the executor is compared with is checked independently too.
+TEST(ReferenceMlp, GradientMatchesFiniteDifferences) {
+  Problem p = make_problem(tiny_config(Activation::kTanh), 4, 7);
+  Gradient grad = nn::make_zero_gradient(p.model);
+  ref::softmax_xent(p.model, p.x.view(), p.y, &grad);
+  const double eps = 1e-6;
+  for (std::size_t l = 0; l < p.model.layer_count(); ++l) {
+    Matrix& w = p.model.layer(l).weights;
+    for (Index idx = 0; idx < w.size(); idx += 3) {
+      const Scalar saved = w.data()[idx];
+      w.data()[idx] = saved + eps;
+      const double up = ref::softmax_xent(p.model, p.x.view(), p.y);
+      w.data()[idx] = saved - eps;
+      const double down = ref::softmax_xent(p.model, p.x.view(), p.y);
+      w.data()[idx] = saved;
+      EXPECT_NEAR(grad.layer(l).weights.data()[idx], (up - down) / (2 * eps),
+                  1e-7);
+    }
+  }
+}
+
+// Central differences of the executor's own loss, in both modes. The
+// gradients of the two modes are also compared bit for bit, and with the
+// reference's to kRefTol.
 class GradientCheck : public ::testing::TestWithParam<Activation> {};
 
 TEST_P(GradientCheck, MatchesFiniteDifferences) {
-  MlpConfig c = tiny_config(GetParam());
-  Problem p = make_problem(c, 4, 5);
-  Workspace ws;
-  Gradient grad = make_zero_gradient(p.model);
-  compute_gradient(p.model, p.x.view(), p.y, ws, grad);
+  Problem p = make_problem(tiny_config(GetParam()), 4, 5);
+  Gradient want = nn::make_zero_gradient(p.model);
+  ref::softmax_xent(p.model, p.x.view(), p.y, &want);
+  SameInBothModes same;
+  for (const auto mode : kBothModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ModeRunner run(mode, p.model, 4);
+    run.gradient(p.x.view(), p.y);
+    const Gradient grad = run.grad();
+    EXPECT_LT(grad.max_abs_diff(want), kRefTol);
+    same.check(mode, grad);
 
-  const double eps = 1e-6;
-  Workspace ws2;
-  // Check a spread of parameters in every layer (weights + biases).
-  for (std::size_t l = 0; l < p.model.layer_count(); ++l) {
-    auto& w = p.model.layer(l).weights;
-    for (Index idx = 0; idx < w.size();
-         idx += std::max<Index>(1, w.size() / 7)) {
-      const Scalar saved = w.data()[idx];
-      w.data()[idx] = saved + eps;
-      const double up =
-          compute_loss(p.model, p.x.view(), p.y, ws2);
-      w.data()[idx] = saved - eps;
-      const double down =
-          compute_loss(p.model, p.x.view(), p.y, ws2);
-      w.data()[idx] = saved;
-      const double numeric = (up - down) / (2 * eps);
-      EXPECT_NEAR(grad.layer(l).weights.data()[idx], numeric, 1e-7)
-          << "layer " << l << " weight index " << idx;
-    }
-    auto& b = p.model.layer(l).bias;
-    for (Index idx = 0; idx < b.size(); ++idx) {
-      const Scalar saved = b.data()[idx];
-      b.data()[idx] = saved + eps;
-      const double up = compute_loss(p.model, p.x.view(), p.y, ws2);
-      b.data()[idx] = saved - eps;
-      const double down = compute_loss(p.model, p.x.view(), p.y, ws2);
-      b.data()[idx] = saved;
-      EXPECT_NEAR(grad.layer(l).bias.data()[idx], (up - down) / (2 * eps),
-                  1e-7)
-          << "layer " << l << " bias index " << idx;
+    const double eps = 1e-6;
+    auto loss = [&] { return run.mean_loss(p.x.view(), p.y); };
+    // A spread of parameters in every layer (weights + biases).
+    for (std::size_t l = 0; l < p.model.layer_count(); ++l) {
+      auto& w = p.model.layer(l).weights;
+      for (Index idx = 0; idx < w.size();
+           idx += std::max<Index>(1, w.size() / 7)) {
+        const Scalar saved = w.data()[idx];
+        w.data()[idx] = saved + eps;
+        const double up = loss();
+        w.data()[idx] = saved - eps;
+        const double down = loss();
+        w.data()[idx] = saved;
+        EXPECT_NEAR(grad.layer(l).weights.data()[idx], (up - down) / (2 * eps),
+                    1e-7)
+            << "layer " << l << " weight index " << idx;
+      }
+      auto& b = p.model.layer(l).bias;
+      for (Index idx = 0; idx < b.size(); ++idx) {
+        const Scalar saved = b.data()[idx];
+        b.data()[idx] = saved + eps;
+        const double up = loss();
+        b.data()[idx] = saved - eps;
+        const double down = loss();
+        b.data()[idx] = saved;
+        EXPECT_NEAR(grad.layer(l).bias.data()[idx], (up - down) / (2 * eps),
+                    1e-7)
+            << "layer " << l << " bias index " << idx;
+      }
     }
   }
 }
@@ -172,6 +213,7 @@ INSTANTIATE_TEST_SUITE_P(Activations, GradientCheck,
                                            Activation::kRelu,
                                            Activation::kIdentity));
 
+// The sigmoid-BCE loss kind: same checks as GradientCheck.
 TEST(GradientBce, MatchesFiniteDifferences) {
   MlpConfig c = tiny_config();
   Rng rng(11);
@@ -182,109 +224,152 @@ TEST(GradientBce, MatchesFiniteDifferences) {
   for (Index i = 0; i < targets.size(); ++i) {
     targets.data()[i] = rng.bernoulli(0.4) ? 1.0 : 0.0;
   }
-  Workspace ws;
-  Gradient grad = make_zero_gradient(m);
-  compute_gradient_bce(m, x.view(), targets.view(), ws, grad);
+  Gradient want = nn::make_zero_gradient(m);
+  const double want_loss = ref::sigmoid_bce(m, x.view(), targets.view(), &want);
+  SameInBothModes same;
+  for (const auto mode : kBothModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ModeRunner run(mode, m, 3, nn::LossKind::kSigmoidBce);
+    EXPECT_NEAR(run.gradient(x.view(), targets.view()), want_loss, kRefTol);
+    const Gradient grad = run.grad();
+    EXPECT_LT(grad.max_abs_diff(want), kRefTol);
+    same.check(mode, grad);
 
-  const double eps = 1e-6;
-  Workspace ws2;
-  auto loss_fn = [&] {
-    forward(m, x.view(), ws2);
-    auto logits = ws2.logits().rows_view(0, 3);
-    return sigmoid_bce(logits, targets.view(), nullptr);
-  };
-  auto& w = m.layer(1).weights;
-  for (Index idx = 0; idx < w.size(); idx += 3) {
-    const Scalar saved = w.data()[idx];
-    w.data()[idx] = saved + eps;
-    const double up = loss_fn();
-    w.data()[idx] = saved - eps;
-    const double down = loss_fn();
-    w.data()[idx] = saved;
-    EXPECT_NEAR(grad.layer(1).weights.data()[idx], (up - down) / (2 * eps),
-                1e-7);
+    const double eps = 1e-6;
+    // The executor's own loss; the probe's gradient is discarded.
+    ModeRunner probe(mode, m, 3, nn::LossKind::kSigmoidBce);
+    auto loss = [&] { return probe.gradient(x.view(), targets.view()); };
+    for (std::size_t l = 0; l < m.layer_count(); ++l) {
+      auto& w = m.layer(l).weights;
+      for (Index idx = 0; idx < w.size(); idx += 3) {
+        const Scalar saved = w.data()[idx];
+        w.data()[idx] = saved + eps;
+        const double up = loss();
+        w.data()[idx] = saved - eps;
+        const double down = loss();
+        w.data()[idx] = saved;
+        EXPECT_NEAR(grad.layer(l).weights.data()[idx], (up - down) / (2 * eps),
+                    1e-7)
+            << "layer " << l << " weight index " << idx;
+      }
+    }
   }
+}
+
+TEST(GradientBce, LabelsOnABceExecutorDie) {
+  Problem p = make_problem(tiny_config(), 2, 3);
+  EXPECT_DEATH(
+      {
+        ModeRunner run(CpuBackend::Mode::kZeroCopy, p.model, 2,
+                       nn::LossKind::kSigmoidBce);
+        run.gradient(p.x.view(), p.y);
+      },
+      "need a softmax-xent executor");
 }
 
 TEST(SgdStep, GradientDescentReducesLoss) {
-  MlpConfig c = tiny_config();
-  Problem p = make_problem(c, 32, 13);
-  Workspace ws;
-  Gradient grad = make_zero_gradient(p.model);
-  const double initial = compute_gradient(p.model, p.x.view(), p.y, ws, grad);
-  double prev = initial;
+  Problem start = make_problem(tiny_config(), 32, 13);
+  // The same 1500 steps on the reference.
+  Model want = start.model;
+  Gradient want_grad = nn::make_zero_gradient(want);
   for (int step = 0; step < 1500; ++step) {
-    sgd_step(p.model, grad, 0.5);
-    prev = compute_gradient(p.model, p.x.view(), p.y, ws, grad);
+    ref::softmax_xent(want, start.x.view(), start.y, &want_grad);
+    ref::sgd(want, want_grad, 0.5);
   }
-  // Full-batch gradient descent must make substantial progress on a
-  // 32-example problem (sigmoid hidden layers learn slowly, hence the
-  // generous step budget).
-  EXPECT_LT(prev, 0.5 * initial);
+  SameInBothModes same;
+  for (const auto mode : kBothModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    Model model = start.model;
+    ModeRunner run(mode, model, 32);
+    const double initial = run.gradient(start.x.view(), start.y);
+    double last = initial;
+    for (int step = 0; step < 1500; ++step) {
+      run.sgd(0.5);
+      last = run.gradient(start.x.view(), start.y);
+    }
+    // Full-batch gradient descent must make substantial progress on a
+    // 32-example problem (sigmoid hidden layers learn slowly, hence the
+    // generous step budget).
+    EXPECT_LT(last, 0.5 * initial);
+    EXPECT_LT(model.max_abs_diff(want), kTrajectoryTol);
+    same.check(mode, model);
+  }
 }
 
-TEST(Workspace, ReusableAcrossBatchSizes) {
-  MlpConfig c = tiny_config();
-  Problem big = make_problem(c, 16, 17);
-  Problem small = make_problem(c, 4, 17);
-  Workspace ws;
-  Gradient g1 = make_zero_gradient(big.model);
-  Gradient g2 = make_zero_gradient(big.model);
-
-  // Large batch first, then small: buffers must not leak stale rows.
-  compute_gradient(big.model, big.x.view(), big.y, ws, g1);
-  compute_gradient(big.model, small.x.view(), small.y, ws, g2);
-
-  Workspace fresh;
-  Gradient g3 = make_zero_gradient(big.model);
-  compute_gradient(big.model, small.x.view(), small.y, fresh, g3);
-  EXPECT_EQ(g2.max_abs_diff(g3), 0.0);
+TEST(Executor, ReusableAcrossBatchSizes) {
+  Problem big = make_problem(tiny_config(), 16, 17);
+  Problem small = make_problem(tiny_config(), 4, 17);
+  Gradient want = nn::make_zero_gradient(big.model);
+  ref::softmax_xent(big.model, small.x.view(), small.y, &want);
+  SameInBothModes same;
+  for (const auto mode : kBothModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    // Large batch first, then small: buffers must not leak stale rows.
+    ModeRunner reused(mode, big.model, 16);
+    reused.gradient(big.x.view(), big.y);
+    reused.gradient(small.x.view(), small.y);
+    ModeRunner fresh(mode, big.model, 4);
+    fresh.gradient(small.x.view(), small.y);
+    EXPECT_EQ(reused.grad().max_abs_diff(fresh.grad()), 0.0);
+    EXPECT_LT(reused.grad().max_abs_diff(want), kRefTol);
+    same.check(mode, reused.grad());
+  }
 }
 
 TEST(Mlp, BatchGradientIsMeanOfExampleGradients) {
-  MlpConfig c = tiny_config();
-  Problem p = make_problem(c, 8, 19);
-  Workspace ws;
-  Gradient batch_grad = make_zero_gradient(p.model);
-  compute_gradient(p.model, p.x.view(), p.y, ws, batch_grad);
+  Problem p = make_problem(tiny_config(), 8, 19);
+  Gradient want = nn::make_zero_gradient(p.model);
+  ref::softmax_xent(p.model, p.x.view(), p.y, &want);
+  SameInBothModes same;
+  for (const auto mode : kBothModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ModeRunner run(mode, p.model, 8);
+    run.gradient(p.x.view(), p.y);
+    const Gradient batch_grad = run.grad();
+    EXPECT_LT(batch_grad.max_abs_diff(want), kRefTol);
+    same.check(mode, batch_grad);
 
-  Gradient sum = make_zero_gradient(p.model);
-  Gradient one = make_zero_gradient(p.model);
-  for (Index i = 0; i < 8; ++i) {
-    std::span<const std::int32_t> yi(p.y.data() + i, 1);
-    compute_gradient(p.model, p.x.rows_view(i, 1), yi, ws, one);
-    sum.axpy(1.0 / 8.0, one);
+    Gradient sum = nn::make_zero_gradient(p.model);
+    for (Index i = 0; i < 8; ++i) {
+      std::span<const std::int32_t> yi(p.y.data() + i, 1);
+      run.gradient(p.x.rows_view(i, 1), yi);
+      sum.axpy(1.0 / 8.0, run.grad());
+    }
+    EXPECT_LT(batch_grad.max_abs_diff(sum), 1e-10);
   }
-  EXPECT_LT(batch_grad.max_abs_diff(sum), 1e-10);
 }
 
 TEST(Mlp, TrainingFlopsScalesWithBatchAndDepth) {
   MlpConfig c = tiny_config();
-  const double f1 = training_flops(c, 16);
-  const double f2 = training_flops(c, 32);
+  const double f1 = nn::training_flops(c, 16);
+  const double f2 = nn::training_flops(c, 32);
   EXPECT_NEAR(f2 / f1, 2.0, 1e-9);
   MlpConfig deeper = c;
   deeper.hidden_layers = 4;
-  EXPECT_GT(training_flops(deeper, 16), f1);
+  EXPECT_GT(nn::training_flops(deeper, 16), f1);
 }
 
 TEST(Mlp, InputWidthMismatchDies) {
   MlpConfig c = tiny_config();
   Problem p = make_problem(c, 2, 23);
   Matrix bad(2, c.input_dim + 1);
-  Workspace ws;
-  EXPECT_DEATH(forward(p.model, bad.view(), ws), "input_dim");
+  EXPECT_DEATH(
+      {
+        ModeRunner run(CpuBackend::Mode::kZeroCopy, p.model, 2);
+        run.forward(bad.view());
+      },
+      "batch width mismatch");
 }
 
-// Unfused reference forward: the three-pass gemm -> add_row_bias ->
-// activation_forward sequence that forward() replaced with the fused
-// gemm_bias_act write-back.
+// Unfused forward: the three-pass gemm -> add_row_bias ->
+// activation_forward sequence that the executor's fused gemm_bias_act
+// write-back replaced.
 Scalar unfused_forward_loss(const Model& model, tensor::ConstMatrixView x,
                             std::span<const std::int32_t> labels) {
   std::vector<Matrix> acts(model.layer_count());
   tensor::ConstMatrixView input = x;
   for (std::size_t l = 0; l < model.layer_count(); ++l) {
-    const Layer& layer = model.layer(l);
+    const nn::Layer& layer = model.layer(l);
     acts[l].resize(x.rows(), layer.weights.rows());
     auto out = acts[l].view();
     tensor::matmul_nt(input, layer.weights.view(), out);
@@ -294,7 +379,7 @@ Scalar unfused_forward_loss(const Model& model, tensor::ConstMatrixView x,
     }
     input = acts[l].view();
   }
-  return softmax_cross_entropy(acts.back().view(), labels, nullptr);
+  return nn::softmax_cross_entropy(acts.back().view(), labels, nullptr);
 }
 
 // Acceptance check for the fused forward path: across several SGD steps
@@ -304,19 +389,23 @@ Scalar unfused_forward_loss(const Model& model, tensor::ConstMatrixView x,
 TEST(Mlp, FusedForwardMatchesUnfusedTrajectory) {
   for (Activation act : {Activation::kSigmoid, Activation::kTanh,
                          Activation::kRelu, Activation::kIdentity}) {
-    MlpConfig c = tiny_config(act);
-    Problem p = make_problem(c, 16, 99);
-    Workspace ws;
-    Gradient grad = make_zero_gradient(p.model);
-    for (int step = 0; step < 8; ++step) {
-      const Scalar fused = compute_gradient(p.model, p.x.view(), p.y, ws, grad);
-      const Scalar unfused = unfused_forward_loss(p.model, p.x.view(), p.y);
-      EXPECT_NEAR(fused, unfused, 1e-10)
-          << "activation=" << activation_name(act) << " step=" << step;
-      sgd_step(p.model, grad, 0.1);
+    const Problem start = make_problem(tiny_config(act), 16, 99);
+    SameInBothModes same;
+    for (const auto mode : kBothModes) {
+      Model model = start.model;
+      ModeRunner run(mode, model, 16);
+      for (int step = 0; step < 8; ++step) {
+        const Scalar fused = run.gradient(start.x.view(), start.y);
+        const Scalar unfused =
+            unfused_forward_loss(model, start.x.view(), start.y);
+        EXPECT_NEAR(fused, unfused, 1e-10)
+            << "activation=" << activation_name(act) << " step=" << step;
+        run.sgd(0.1);
+      }
+      same.check(mode, model);
     }
   }
 }
 
 }  // namespace
-}  // namespace hetsgd::nn
+}  // namespace hetsgd::backend

@@ -5,7 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "nn/mlp.hpp"
+#include "executor_modes.hpp"
+#include "reference_mlp.hpp"
 #include "tensor/ops.hpp"
 
 namespace hetsgd::nn {
@@ -36,12 +37,15 @@ TEST(Optimizer, SgdMatchesSgdStep) {
   Rng rng(1);
   Model m1(tiny(), rng);
   Model m2 = m1;
+  Model m3 = m1;
   Gradient g = m1;  // use weights as a synthetic gradient
   OptimizerConfig cfg;
   Optimizer opt(cfg, m1);
   opt.step(m1, g, 0.1);
-  sgd_step(m2, g, 0.1);
+  m2.axpy(-0.1, g);  // Eq. (3)
   EXPECT_EQ(m1.max_abs_diff(m2), 0.0);
+  ref::sgd(m3, g, 0.1);
+  EXPECT_LT(m1.max_abs_diff(m3), 1e-15);
 }
 
 TEST(Optimizer, MomentumAcceleratesConstantGradient) {
@@ -59,7 +63,7 @@ TEST(Optimizer, MomentumAcceleratesConstantGradient) {
   // plain SGD's (velocity accumulates toward g / (1 - mu)).
   for (int i = 0; i < 20; ++i) {
     opt.step(m, g, 0.01);
-    sgd_step(ref, g, 0.01);
+    ref.axpy(-0.01, g);
   }
   const Scalar moved_momentum =
       std::abs(m.layer(0).weights(0, 0) - ref.layer(0).weights(0, 0));
@@ -75,7 +79,7 @@ TEST(Optimizer, MomentumFirstStepEqualsSgd) {
   cfg.kind = OptimizerKind::kMomentum;
   Optimizer opt(cfg, m);
   opt.step(m, g, 0.05);
-  sgd_step(ref, g, 0.05);
+  ref.axpy(-0.05, g);
   EXPECT_LT(m.max_abs_diff(ref), 1e-15);  // v starts at 0
 }
 
@@ -186,31 +190,63 @@ TEST(LrSchedule, Names) {
 
 TEST(Optimizer, AdamTrainsTinyProblemFasterThanSgdPerStep) {
   // Adam's per-parameter scaling should fit a small problem in fewer steps
-  // at the same nominal rate.
+  // at the same nominal rate. Gradients come from the executor in both
+  // modes — bit for bit the same trajectories — and from the reference,
+  // whose trajectories agree to rounding.
+  using backend::CpuBackend;
   Rng rng(9);
   MlpConfig c = tiny();
-  Model sgd_model(c, rng);
-  Model adam_model = sgd_model;
+  const Model start(c, rng);
   tensor::Matrix x(16, 4);
   tensor::fill_normal(x.view(), rng, 0, 1);
   std::vector<std::int32_t> y(16);
   for (auto& label : y) {
     label = static_cast<std::int32_t>(rng.next_below(2));
   }
-  Workspace ws;
-  Gradient g = make_zero_gradient(sgd_model);
-  Optimizer sgd(OptimizerConfig{}, sgd_model);
   OptimizerConfig acfg;
   acfg.kind = OptimizerKind::kAdam;
-  Optimizer adam(acfg, adam_model);
-  double sgd_loss = 0, adam_loss = 0;
-  for (int i = 0; i < 100; ++i) {
-    sgd_loss = compute_gradient(sgd_model, x.view(), y, ws, g);
-    sgd.step(sgd_model, g, 0.01);
-    adam_loss = compute_gradient(adam_model, x.view(), y, ws, g);
-    adam.step(adam_model, g, 0.01);
-  }
-  EXPECT_LT(adam_loss, sgd_loss);
+
+  struct Trajectory {
+    Model sgd_model, adam_model;
+    double sgd_loss = 0, adam_loss = 0;
+  };
+  // `gradient(model, g)` fills g and returns the loss.
+  auto train = [&](auto gradient) {
+    Trajectory t{start, start};
+    Gradient g = make_zero_gradient(start);
+    Optimizer sgd(OptimizerConfig{}, t.sgd_model);
+    Optimizer adam(acfg, t.adam_model);
+    for (int i = 0; i < 100; ++i) {
+      t.sgd_loss = gradient(t.sgd_model, g);
+      sgd.step(t.sgd_model, g, 0.01);
+      t.adam_loss = gradient(t.adam_model, g);
+      adam.step(t.adam_model, g, 0.01);
+    }
+    return t;
+  };
+  auto executor_in = [&](CpuBackend::Mode mode) {
+    return [&, mode](Model& m, Gradient& g) {
+      backend::ModeRunner run(mode, m, 16);
+      const double loss = run.gradient(x.view(), y);
+      g = run.grad();
+      return loss;
+    };
+  };
+  const Trajectory device = train(executor_in(CpuBackend::Mode::kDevice));
+  const Trajectory host = train(executor_in(CpuBackend::Mode::kZeroCopy));
+  const Trajectory want = train([&](Model& m, Gradient& g) {
+    return ref::softmax_xent(m, x.view(), y, &g);
+  });
+
+  EXPECT_LT(device.adam_loss, device.sgd_loss);
+  EXPECT_EQ(device.sgd_loss, host.sgd_loss);
+  EXPECT_EQ(device.adam_loss, host.adam_loss);
+  EXPECT_EQ(device.sgd_model.max_abs_diff(host.sgd_model), 0.0);
+  EXPECT_EQ(device.adam_model.max_abs_diff(host.adam_model), 0.0);
+  EXPECT_NEAR(device.sgd_loss, want.sgd_loss, 1e-12);
+  EXPECT_NEAR(device.adam_loss, want.adam_loss, 1e-12);
+  EXPECT_LT(device.sgd_model.max_abs_diff(want.sgd_model), 1e-10);
+  EXPECT_LT(device.adam_model.max_abs_diff(want.adam_model), 1e-10);
 }
 
 }  // namespace

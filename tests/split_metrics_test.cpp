@@ -2,7 +2,9 @@
 
 #include "data/split.hpp"
 #include "data/synthetic.hpp"
+#include "executor_modes.hpp"
 #include "nn/metrics.hpp"
+#include "reference_mlp.hpp"
 
 namespace hetsgd {
 namespace {
@@ -120,23 +122,68 @@ TEST(EvaluateClassifier, TrainedModelBeatsChance) {
   config.hidden_layers = 1;
   config.hidden_units = 16;
   config.hidden_activation = nn::Activation::kTanh;
-  nn::Model model(config, rng);
-  nn::Workspace ws;
-  nn::Gradient grad = nn::make_zero_gradient(model);
+  const nn::Model start(config, rng);
+  const tensor::ConstMatrixView train_x = split.train.features().view();
+  const tensor::ConstMatrixView test_x = split.test.features().view();
+  const auto classes = static_cast<std::int32_t>(config.num_classes);
 
-  for (int step = 0; step < 300; ++step) {
-    nn::compute_gradient(model, split.train.batch_features(
-                                    0, split.train.example_count()),
-                         split.train.labels(), ws, grad);
-    nn::sgd_step(model, grad, 0.5);
+  // Full-batch gradient descent and held-out evaluation through the
+  // executor in each mode; the confusion matrices must agree exactly.
+  nn::Model device_model;
+  nn::ConfusionMatrix device_cm(classes);
+  for (const auto mode : backend::kBothModes) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    nn::Model model = start;
+    backend::ModeRunner run(mode, model, split.train.example_count());
+    for (int step = 0; step < 300; ++step) {
+      run.gradient(train_x, split.train.labels());
+      run.sgd(0.5);
+    }
+    nn::ConfusionMatrix cm = nn::evaluate_classifier(
+        [&](tensor::ConstMatrixView x) { return run.forward(x); }, classes,
+        test_x, split.test.labels());
+    EXPECT_EQ(cm.total(), static_cast<std::uint64_t>(
+                              split.test.example_count()));
+    EXPECT_GT(cm.accuracy(), 0.6);  // chance = 0.33
+    EXPECT_GT(cm.macro_f1(), 0.5);
+    if (mode == backend::CpuBackend::Mode::kDevice) {
+      device_model = model;
+      device_cm = cm;
+    } else {
+      EXPECT_EQ(model.max_abs_diff(device_model), 0.0);
+      for (std::int32_t a = 0; a < classes; ++a) {
+        for (std::int32_t p = 0; p < classes; ++p) {
+          EXPECT_EQ(cm.count(a, p), device_cm.count(a, p));
+        }
+      }
+    }
   }
 
-  nn::ConfusionMatrix cm = nn::evaluate_classifier(
-      model, split.test.features().view(), split.test.labels(), ws);
-  EXPECT_EQ(cm.total(), static_cast<std::uint64_t>(
-                            split.test.example_count()));
-  EXPECT_GT(cm.accuracy(), 0.6);  // chance = 0.33
-  EXPECT_GT(cm.macro_f1(), 0.5);
+  // The same descent on the reference MLP ends within rounding of the
+  // executor's model and classifies the held-out split the same way.
+  nn::Model want = start;
+  nn::Gradient grad = nn::make_zero_gradient(want);
+  for (int step = 0; step < 300; ++step) {
+    ref::softmax_xent(want, train_x, split.train.labels(), &grad);
+    ref::sgd(want, grad, 0.5);
+  }
+  EXPECT_LT(device_model.max_abs_diff(want), 1e-9);
+  tensor::Matrix logits;
+  nn::ConfusionMatrix want_cm = nn::evaluate_classifier(
+      [&](tensor::ConstMatrixView x) {
+        const ref::Rows rows = ref::logits(want, x);
+        logits.resize(x.rows(), classes);
+        for (tensor::Index r = 0; r < x.rows(); ++r) {
+          for (tensor::Index c = 0; c < classes; ++c) logits(r, c) = rows[r][c];
+        }
+        return tensor::ConstMatrixView(logits.view());
+      },
+      classes, test_x, split.test.labels());
+  for (std::int32_t a = 0; a < classes; ++a) {
+    for (std::int32_t p = 0; p < classes; ++p) {
+      EXPECT_EQ(want_cm.count(a, p), device_cm.count(a, p));
+    }
+  }
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.hpp"
-#include "nn/mlp.hpp"
+#include "nn/model.hpp"
 
 namespace hetsgd::core {
 namespace {
