@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   // bound to in place.
   backend::CpuBackend host(gpusim::xeon56_spec(),
                            backend::CpuBackend::Mode::kZeroCopy);
-  backend::MlpExecutor exec(host, mlp, backend::kEvalChunkRows);
+  backend::MlpExecutor exec(host, mlp, nn::kEvalChunkRows);
   exec.bind_shared_model(model);
   exec.bind_host_gradient(grad);
   auto train = [&](int steps) {

@@ -17,7 +17,6 @@
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "data/synthetic.hpp"
-#include "nn/loss.hpp"
 
 using namespace hetsgd;
 using tensor::Index;
@@ -67,7 +66,7 @@ int main(int argc, char** argv) {
   // Sized for the 256-row recall check below; training batches are 128.
   backend::CpuBackend host(gpusim::xeon56_spec(),
                            backend::CpuBackend::Mode::kZeroCopy);
-  backend::MlpExecutor host_mlp(host, mlp, 256, nn::LossKind::kSigmoidBce);
+  backend::MlpExecutor host_mlp(host, mlp, 256);
   host_mlp.bind_shared_model(model);
   host_mlp.bind_host_gradient(grad);
 

@@ -124,7 +124,7 @@ class Backend {
   // Fused sigmoid + binary cross-entropy, the multi-label counterpart:
   // `targets` holds the batch's 0/1 rows (batch x logits.cols) and, like
   // the labels above, is read from host memory. Same outputs and charges
-  // as softmax_xent.
+  // as softmax_xent; `dlogits` is required.
   virtual double sigmoid_bce(const Buffer& logits,
                              tensor::ConstMatrixView targets,
                              const Buffer& dlogits, tensor::Index batch,

@@ -213,10 +213,8 @@ double CpuBackend::sigmoid_bce(const Buffer& logits,
                                const Buffer& dlogits, Index batch,
                                Scalar* loss, double issue) {
   auto lv = rows(logits, batch);
-  tensor::MatrixView dv;
-  if (dlogits.valid()) dv = rows(dlogits, batch);
-  const Scalar l =
-      nn::sigmoid_bce(lv, targets, dlogits.valid() ? &dv : nullptr);
+  auto dv = rows(dlogits, batch);
+  const Scalar l = nn::sigmoid_bce(lv, targets, &dv);
   if (loss != nullptr) *loss = l;
   return charge_loss(static_cast<std::uint64_t>(lv.size()), issue);
 }

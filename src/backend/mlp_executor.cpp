@@ -11,8 +11,8 @@ using tensor::Index;
 using tensor::Scalar;
 
 MlpExecutor::MlpExecutor(Backend& backend, const nn::MlpConfig& config,
-                         Index max_batch, nn::LossKind loss)
-    : backend_(backend), config_(config), max_batch_(max_batch), loss_(loss) {
+                         Index max_batch)
+    : backend_(backend), config_(config), max_batch_(max_batch) {
   config_.validate();
   HETSGD_ASSERT(max_batch > 0, "max_batch must be positive");
   const auto shapes = config_.layer_shapes();
@@ -157,8 +157,6 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
                                      std::span<const std::int32_t> labels,
                                      double issue_time,
                                      double* completion_time) {
-  HETSGD_ASSERT(loss_ == nn::LossKind::kSoftmaxCrossEntropy,
-                "class labels need a softmax-xent executor");
   const Index batch = x.rows();
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == batch,
                 "label count mismatch");
@@ -176,8 +174,6 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
                                      tensor::ConstMatrixView targets,
                                      double issue_time,
                                      double* completion_time) {
-  HETSGD_ASSERT(loss_ == nn::LossKind::kSigmoidBce,
-                "0/1 targets need a sigmoid-BCE executor");
   const Index batch = x.rows();
   HETSGD_ASSERT(targets.rows() == batch &&
                     targets.cols() == config_.num_classes,
@@ -198,14 +194,12 @@ tensor::ConstMatrixView MlpExecutor::forward(tensor::ConstMatrixView x) {
 
 double MlpExecutor::mean_loss(tensor::ConstMatrixView x,
                               std::span<const std::int32_t> labels) {
-  HETSGD_ASSERT(loss_ == nn::LossKind::kSoftmaxCrossEntropy,
-                "class labels need a softmax-xent executor");
   const Index n = x.rows();
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == n,
                 "label count mismatch");
   double total = 0.0;
-  for (Index begin = 0; begin < n; begin += kEvalChunkRows) {
-    const Index count = std::min(kEvalChunkRows, n - begin);
+  for (Index begin = 0; begin < n; begin += nn::kEvalChunkRows) {
+    const Index count = std::min(nn::kEvalChunkRows, n - begin);
     run_forward(x.rows_view(begin, count),
                 static_cast<std::uint64_t>(count) * sizeof(std::int32_t), 0.0);
     // A null dlogits handle: the loss alone, no delta written.

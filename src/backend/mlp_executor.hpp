@@ -5,7 +5,7 @@
 // The sequence (and so the arithmetic, bit for bit) is:
 //
 //   stage batch -> per-layer fused gemm+bias+act -> fused loss kernel
-//   (softmax-xent or sigmoid-BCE, the executor's LossKind) ->
+//   (softmax-xent for class labels, sigmoid-BCE for 0/1 targets) ->
 //   per-layer dW = delta^T*prev, db = colsum(delta),
 //             delta' = (delta*W) ⊙ act'  -> (optional) on-device axpy
 //
@@ -35,23 +35,17 @@
 #include <vector>
 
 #include "backend/backend.hpp"
-#include "nn/loss.hpp"
+#include "nn/metrics.hpp"
 #include "nn/model.hpp"
 
 namespace hetsgd::backend {
 
-// Rows per chunk of MlpExecutor::mean_loss(); evaluation executors are
-// sized for one chunk.
-inline constexpr tensor::Index kEvalChunkRows = 512;
-
 class MlpExecutor {
  public:
   // Sizes buffers for batches up to `max_batch`; allocates the private
-  // replica unless the backend is zero-copy. `loss` picks the loss kernel
-  // and so which compute_gradient overload applies.
+  // replica unless the backend is zero-copy.
   MlpExecutor(Backend& backend, const nn::MlpConfig& config,
-              tensor::Index max_batch,
-              nn::LossKind loss = nn::LossKind::kSoftmaxCrossEntropy);
+              tensor::Index max_batch);
   ~MlpExecutor();
 
   MlpExecutor(const MlpExecutor&) = delete;
@@ -79,9 +73,9 @@ class MlpExecutor {
   // Forward + backward over `x` (batch x input_dim). Returns the batch
   // loss; sets `*completion_time` (if non-null) to the synchronized queue
   // time. The gradient lands in the gradient buffers (== the bound host
-  // gradient under zero-copy). Softmax-xent executors take one class label
-  // per row; sigmoid-BCE executors take a batch x num_classes matrix of
-  // 0/1 targets. Either reaches the loss kernel from host memory.
+  // gradient under zero-copy). One class label per row trains softmax
+  // cross-entropy; a batch x num_classes matrix of 0/1 targets trains
+  // sigmoid BCE. Either reaches the loss kernel from host memory.
   tensor::Scalar compute_gradient(tensor::ConstMatrixView x,
                                   std::span<const std::int32_t> labels,
                                   double issue_time, double* completion_time);
@@ -94,7 +88,7 @@ class MlpExecutor {
   tensor::ConstMatrixView forward(tensor::ConstMatrixView x);
 
   // Mean softmax cross-entropy over (x, labels), any number of rows: the
-  // forward and a loss-only kernel per kEvalChunkRows-row chunk, each
+  // forward and a loss-only kernel per nn::kEvalChunkRows-row chunk, each
   // chunk's loss weighted by its rows and accumulated in double. Writes
   // neither deltas nor gradient. Issues at virtual time 0 and reports no
   // completion: evaluation runs on zero-copy backends, which charge none.
@@ -129,7 +123,6 @@ class MlpExecutor {
   Backend& backend_;
   nn::MlpConfig config_;
   tensor::Index max_batch_;
-  nn::LossKind loss_;
   std::vector<LayerBuffers> replica_;
   std::vector<LayerBuffers> gradient_;
   std::vector<Buffer> acts_;

@@ -57,7 +57,7 @@ Coordinator::Coordinator(data::Dataset& dataset, nn::Model& model,
       adaptive_(config.alpha), cpu_perf_(config.cpu.spec),
       gpu_perf_(config.gpu.spec), eval_snapshot_(model),
       eval_backend_(config.cpu.spec, backend::CpuBackend::Mode::kZeroCopy),
-      eval_exec_(eval_backend_, config.mlp, backend::kEvalChunkRows),
+      eval_exec_(eval_backend_, config.mlp, nn::kEvalChunkRows),
       rng_(config.seed ^ 0xc0ffee), last_good_model_(model) {
   eval_exec_.bind_shared_model(eval_snapshot_);
   // Copy out the loss-evaluation sample before any shuffling.

@@ -302,7 +302,7 @@ class Coordinator final : public msg::Actor {
   std::vector<std::int32_t> eval_y_;  // immutable after construction
   nn::Model eval_snapshot_ HETSGD_GUARDED_BY(mu_);
   // The evaluation engine: a zero-copy executor sized for one
-  // kEvalChunkRows chunk and bound once to eval_snapshot_. The binding
+  // nn::kEvalChunkRows chunk and bound once to eval_snapshot_. The binding
   // outlives every snapshot copy, which reuses the same-shape storage.
   // Zero-copy mode charges no virtual time and ticks no device counter.
   backend::CpuBackend eval_backend_ HETSGD_GUARDED_BY(mu_);

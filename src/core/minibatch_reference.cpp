@@ -60,7 +60,7 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
   nn::Model snapshot = model;
   backend::CpuBackend eval_backend(cfg.cpu.spec,
                                    backend::CpuBackend::Mode::kZeroCopy);
-  backend::MlpExecutor eval_mlp(eval_backend, cfg.mlp, backend::kEvalChunkRows);
+  backend::MlpExecutor eval_mlp(eval_backend, cfg.mlp, nn::kEvalChunkRows);
   eval_mlp.bind_shared_model(snapshot);
   auto record = [&](double vtime) {
     mlp.download_model(snapshot, clock);  // D2H copy, cost excluded (§VII-A)

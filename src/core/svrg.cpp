@@ -38,7 +38,7 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
   backend::CpuBackend w_backend(cfg.cpu.spec,
                                 backend::CpuBackend::Mode::kZeroCopy);
   backend::MlpExecutor w_exec(w_backend, cfg.mlp,
-                              std::max(batch, backend::kEvalChunkRows));
+                              std::max(batch, nn::kEvalChunkRows));
   w_exec.bind_shared_model(w);
   w_exec.bind_host_gradient(g_cur);
   backend::CpuBackend snap_backend(cfg.cpu.spec,

@@ -12,11 +12,6 @@
 
 namespace hetsgd::nn {
 
-enum class LossKind {
-  kSoftmaxCrossEntropy,  // labels: one class index per example
-  kSigmoidBce,           // labels: dense 0/1 target matrix
-};
-
 // Mean softmax cross-entropy over the batch. `logits` is B x C, `labels`
 // holds B class indices in [0, C). If `dlogits` is non-null it receives
 // dLoss/dlogits = (softmax(logits) - onehot) / B.

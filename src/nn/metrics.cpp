@@ -80,9 +80,8 @@ ConfusionMatrix evaluate_classifier(const LogitsFn& logits_of,
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == x.rows(),
                 "label count != example count");
   ConfusionMatrix cm(classes);
-  const Index chunk = 512;
-  for (Index begin = 0; begin < x.rows(); begin += chunk) {
-    const Index count = std::min(chunk, x.rows() - begin);
+  for (Index begin = 0; begin < x.rows(); begin += kEvalChunkRows) {
+    const Index count = std::min(kEvalChunkRows, x.rows() - begin);
     const tensor::ConstMatrixView logits =
         logits_of(x.rows_view(begin, count));
     HETSGD_ASSERT(logits.rows() == count && logits.cols() == classes,

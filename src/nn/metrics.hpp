@@ -36,14 +36,19 @@ class ConfusionMatrix {
   std::uint64_t total_ = 0;
 };
 
-// Maps a chunk of at most 512 rows of x to its logits (rows x classes).
-// The view must stay valid until the next call; backend::MlpExecutor's
-// forward() is one.
+// Rows per evaluation chunk: evaluate_classifier and
+// backend::MlpExecutor::mean_loss walk their inputs in chunks this size,
+// and the executors that serve them are sized for one.
+inline constexpr tensor::Index kEvalChunkRows = 512;
+
+// Maps a chunk of at most kEvalChunkRows rows of x to its logits
+// (rows x classes). The view must stay valid until the next call;
+// backend::MlpExecutor's forward() is one.
 using LogitsFn =
     std::function<tensor::ConstMatrixView(tensor::ConstMatrixView x)>;
 
-// Runs `logits_of` over x in 512-row chunks and fills a confusion matrix
-// of each row's argmax against its label.
+// Runs `logits_of` over x in kEvalChunkRows-row chunks and fills a
+// confusion matrix of each row's argmax against its label.
 ConfusionMatrix evaluate_classifier(const LogitsFn& logits_of,
                                     std::int32_t classes,
                                     tensor::ConstMatrixView x,

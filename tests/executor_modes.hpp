@@ -30,19 +30,19 @@ inline constexpr CpuBackend::Mode kBothModes[] = {CpuBackend::Mode::kDevice,
 
 class ModeRunner {
  public:
-  ModeRunner(CpuBackend::Mode mode, nn::Model& model, tensor::Index max_batch,
-             nn::LossKind loss = nn::LossKind::kSoftmaxCrossEntropy)
+  ModeRunner(CpuBackend::Mode mode, nn::Model& model, tensor::Index max_batch)
       : backend_(spec_for(mode), mode),
         model_(model),
         grad_(nn::make_zero_gradient(model)),
-        exec_(backend_, model.config(), max_batch, loss) {
+        exec_(backend_, model.config(), max_batch) {
     if (backend_.zero_copy()) {
       exec_.bind_shared_model(model_);
       exec_.bind_host_gradient(grad_);
     }
   }
 
-  // The model's loss on the batch; its gradient lands in grad().
+  // The model's loss on the batch (class labels: softmax cross-entropy;
+  // a 0/1 target matrix: sigmoid BCE); its gradient lands in grad().
   template <typename Targets>
   double gradient(tensor::ConstMatrixView x, const Targets& targets) {
     double t = exec_.upload_model(model_, 0.0);

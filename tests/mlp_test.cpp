@@ -213,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(Activations, GradientCheck,
                                            Activation::kRelu,
                                            Activation::kIdentity));
 
-// The sigmoid-BCE loss kind: same checks as GradientCheck.
+// Sigmoid BCE over 0/1 targets: same checks as GradientCheck.
 TEST(GradientBce, MatchesFiniteDifferences) {
   MlpConfig c = tiny_config();
   Rng rng(11);
@@ -229,7 +229,7 @@ TEST(GradientBce, MatchesFiniteDifferences) {
   SameInBothModes same;
   for (const auto mode : kBothModes) {
     SCOPED_TRACE(static_cast<int>(mode));
-    ModeRunner run(mode, m, 3, nn::LossKind::kSigmoidBce);
+    ModeRunner run(mode, m, 3);
     EXPECT_NEAR(run.gradient(x.view(), targets.view()), want_loss, kRefTol);
     const Gradient grad = run.grad();
     EXPECT_LT(grad.max_abs_diff(want), kRefTol);
@@ -237,7 +237,7 @@ TEST(GradientBce, MatchesFiniteDifferences) {
 
     const double eps = 1e-6;
     // The executor's own loss; the probe's gradient is discarded.
-    ModeRunner probe(mode, m, 3, nn::LossKind::kSigmoidBce);
+    ModeRunner probe(mode, m, 3);
     auto loss = [&] { return probe.gradient(x.view(), targets.view()); };
     for (std::size_t l = 0; l < m.layer_count(); ++l) {
       auto& w = m.layer(l).weights;
@@ -254,17 +254,6 @@ TEST(GradientBce, MatchesFiniteDifferences) {
       }
     }
   }
-}
-
-TEST(GradientBce, LabelsOnABceExecutorDie) {
-  Problem p = make_problem(tiny_config(), 2, 3);
-  EXPECT_DEATH(
-      {
-        ModeRunner run(CpuBackend::Mode::kZeroCopy, p.model, 2,
-                       nn::LossKind::kSigmoidBce);
-        run.gradient(p.x.view(), p.y);
-      },
-      "need a softmax-xent executor");
 }
 
 TEST(SgdStep, GradientDescentReducesLoss) {
