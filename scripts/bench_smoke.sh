@@ -7,7 +7,8 @@
 # seed kernel compiled into the same binary, distills the GFLOP/s counters
 # into bench_results/BENCH_gemm.json, and fails if any shape regressed more
 # than 20% against the checked-in baseline
-# (bench_results/BENCH_gemm_baseline.json).
+# (bench_results/BENCH_gemm_baseline.json). Every benchmark runs 5 times in
+# random order; the gate compares each variant's median.
 #
 # Usage:
 #   scripts/bench_smoke.sh                    # run + gate
@@ -31,6 +32,8 @@ cmake --build "$BUILD_DIR" --target micro_gemm -j"$(nproc)"
 
 "$BUILD_DIR/bench/micro_gemm" \
   --benchmark_min_time=0.3 \
+  --benchmark_repetitions=5 \
+  --benchmark_enable_random_interleaving=true \
   --benchmark_out="$RAW_JSON" \
   --benchmark_out_format=json
 

@@ -5,7 +5,9 @@ Reads the google-benchmark JSON produced by scripts/bench_smoke.sh, writes
 a compact BENCH_gemm.json mapping each shape to its packed-kernel and
 frozen-seed-kernel GFLOP/s (and their ratio), then compares against the
 checked-in baseline: the run fails if any shape's new/seed speedup dropped
-more than the threshold (default 20%) below the baseline's.
+more than the threshold (default 20%) below the baseline's. With
+--benchmark_repetitions, each variant's figure is its median over the
+repetitions, and a speedup is the ratio of two medians.
 
 The density sweep (BM_SparseInput*, dense vs zero-skipping path on the
 same operands) is recorded per density, plus each product's crossover
@@ -23,6 +25,8 @@ less so.
 
 import argparse
 import json
+import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -42,8 +46,9 @@ PAIR_FLAGS = {
 
 
 def parse_raw(raw):
-    """Group benchmark repetitions into per-shape entries."""
-    shapes = {}
+    """Group benchmark repetitions into per-shape entries of medians."""
+    samples = {}  # shape -> field -> one value per repetition
+    flags = {}    # shape -> its PAIR_FLAGS entry
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
@@ -60,34 +65,38 @@ def parse_raw(raw):
         flag = next((f for f in PAIR_FLAGS if f in args), None)
         key_args = [f"{k}:{v}" for k, v in args.items() if k not in PAIR_FLAGS]
         key = "/".join([parts[0]] + key_args + plain)
-        entry = shapes.setdefault(key, {})
+        entry = samples.setdefault(key, {})
         gflops = b.get("GFLOP/s")
         if flag is not None and gflops is not None:
             zero_name, one_name, _ = PAIR_FLAGS[flag]
             variant = one_name if args[flag] != "0" else zero_name
-            entry[f"{variant}_gflops"] = round(gflops, 3)
-            entry["_flag"] = flag
+            entry.setdefault(f"{variant}_gflops", []).append(gflops)
+            flags[key] = flag
         elif gflops is not None:
-            entry["gflops"] = round(gflops, 3)
+            entry.setdefault("gflops", []).append(gflops)
         elif "bytes_per_second" in b:
-            entry["gbytes_per_second"] = round(b["bytes_per_second"] / 1e9, 3)
+            entry.setdefault("gbytes_per_second", []).append(
+                b["bytes_per_second"] / 1e9)
         # Alternating benchmarks time both variants of a pair in one run and
         # report each as <variant>_GFLOP/s.
         variants = {c[:-len("_GFLOP/s")]: v for c, v in b.items()
                     if c.endswith("_GFLOP/s")}
         if variants:
             for variant, value in variants.items():
-                entry[f"{variant}_gflops"] = round(value, 3)
-            entry["_flag"] = next(f for f, names in PAIR_FLAGS.items()
-                                  if set(names[:2]) == set(variants))
-    for entry in shapes.values():
-        flag = entry.pop("_flag", None)
+                entry.setdefault(f"{variant}_gflops", []).append(value)
+            flags[key] = next(f for f, names in PAIR_FLAGS.items()
+                              if set(names[:2]) == set(variants))
+    shapes = {}
+    for key, fields in sorted(samples.items()):
+        medians = {f: statistics.median(v) for f, v in fields.items()}
+        entry = shapes[key] = {f: round(v, 3) for f, v in medians.items()}
+        flag = flags.get(key)
         if flag is None:
             continue
         zero_name, one_name, num_name = PAIR_FLAGS[flag]
         den_name = one_name if num_name == zero_name else zero_name
-        num = entry.get(f"{num_name}_gflops")
-        den = entry.get(f"{den_name}_gflops")
+        num = medians.get(f"{num_name}_gflops")
+        den = medians.get(f"{den_name}_gflops")
         if num is not None and den:
             entry["speedup"] = round(num / den, 3)
     return shapes
@@ -131,11 +140,16 @@ def gate_selection(current):
             and entry.get("speedup", 1.0) < AUTO_FLOOR]
 
 
+# Pairs the baseline records but gate() leaves alone: the density sweep is
+# not gated, and the selection rule has its own floor (gate_selection).
+UNGATED = ("BM_SparseInput", "BM_AutoInput")
+
+
 def gate(current, baseline, threshold):
     """Return a list of human-readable failures."""
     failures = []
     for key, base in sorted(baseline.get("shapes", {}).items()):
-        if "speedup" not in base:
+        if "speedup" not in base or key.startswith(UNGATED):
             continue
         cur = current["shapes"].get(key)
         if cur is None or "speedup" not in cur:
@@ -163,10 +177,15 @@ def main():
 
     with open(opts.raw) as f:
         raw = json.load(f)
+    runs = [b for b in raw.get("benchmarks", [])
+            if b.get("run_type") != "aggregate"]
     current = {
         "benchmark": "bench/micro_gemm",
         "build": "HETSGD_NATIVE=ON",
         "host_cpus": raw.get("context", {}).get("num_cpus"),
+        # CPUs this process may run on (what `nproc` prints).
+        "nproc": len(os.sched_getaffinity(0)),
+        "repetitions": max((b.get("repetitions", 1) for b in runs), default=0),
         "shapes": parse_raw(raw),
     }
     current["sparse_crossover"] = sparse_crossovers(current["shapes"])

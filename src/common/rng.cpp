@@ -120,13 +120,4 @@ RngState Rng::state() const {
   return st;
 }
 
-void Rng::set_state(const RngState& state) {
-  s_[0] = state.s[0];
-  s_[1] = state.s[1];
-  s_[2] = state.s[2];
-  s_[3] = state.s[3];
-  cached_normal_ = state.cached_normal;
-  has_cached_normal_ = state.has_cached_normal;
-}
-
 }  // namespace hetsgd

@@ -66,10 +66,9 @@ class Rng {
   // generator's state and `stream`, without perturbing this generator.
   Rng fork(std::uint64_t stream) const;
 
-  // Snapshot / restore for checkpointing. A generator with a restored
-  // state replays exactly the sequence the original would have produced.
+  // Snapshot for checkpointing. Resume replays the stream from its seed
+  // and checks that it lands on the persisted state.
   RngState state() const;
-  void set_state(const RngState& state);
 
  private:
   std::uint64_t s_[4];

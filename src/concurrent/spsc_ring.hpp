@@ -9,7 +9,7 @@
 // through the head_/tail_ release/acquire protocol: the producer only
 // writes slots in [tail, head+capacity), the consumer only reads slots in
 // [tail, head) — never the same slot concurrently. Adding a second
-// producer or consumer is a data race; use MpscQueue or BlockingQueue.
+// producer or consumer is a data race; use MpscQueue.
 #pragma once
 
 #include <atomic>
@@ -50,12 +50,6 @@ class SpscRing {
   }
 
   std::size_t capacity() const { return mask_ + 1; }
-
-  // Approximate size; exact only from the consumer thread.
-  std::size_t size_approx() const {
-    return head_.load(std::memory_order_acquire) -
-           tail_.load(std::memory_order_acquire);
-  }
 
  private:
   const std::size_t mask_;

@@ -350,7 +350,6 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
       break;
     } catch (const backend::TransferError& e) {
       if (attempt >= max_retries) throw;  // escalate to the coordinator
-      ++transfer_retries_;
       static obs::Counter& retry_counter = obs::MetricsRegistry::instance()
           .counter("hetsgd_transfer_retries_total");
       retry_counter.inc();

@@ -69,9 +69,6 @@ class Worker final : public msg::Actor {
   // start(); nullptr = no injections.
   void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
 
-  // Transfer retries performed so far (diagnostics / tests).
-  std::uint64_t transfer_retries() const { return transfer_retries_; }
-
   // Checkpointing: the worker's private state (virtual clock, update
   // counters, optimizer slots) as an opaque blob, produced on the actor
   // thread in response to StateRequest. restore_state() is the inverse;
@@ -126,7 +123,6 @@ class Worker final : public msg::Actor {
 
   // --- kReplica state ----------------------------------------------------
   std::uint64_t updates_ = 0;
-  std::uint64_t transfer_retries_ = 0;
   std::unique_ptr<backend::Backend> backend_;
   std::unique_ptr<backend::MlpExecutor> executor_;
   nn::Gradient host_gradient_;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -19,7 +20,7 @@ using tensor::Scalar;
 namespace {
 
 struct SparseExample {
-  double label = 0;
+  std::int32_t label = 0;
   std::vector<std::pair<Index, Scalar>> entries;
 };
 
@@ -38,15 +39,28 @@ ParseStatus parse_line(const std::string& line, std::size_t line_no,
   if (pos == std::string::npos || line[pos] == '#') return ParseStatus::kSkip;
   const char* s = line.c_str() + pos;
   char* end = nullptr;
-  out.label = std::strtod(s, &end);
+  const double label = std::strtod(s, &end);
   if (end == s) {
     *error = at_line(line_no, "missing or non-numeric label");
     return ParseStatus::kError;
   }
-  if (!std::isfinite(out.label)) {
+  if (!std::isfinite(label)) {
     *error = at_line(line_no, "non-finite label");
     return ParseStatus::kError;
   }
+  // Labels are class ids: "2.0" is class 2, but "0.7" names no class, and
+  // converting a label beyond int32 would be undefined behaviour.
+  const auto bad_label = [&](const char* why) {
+    const std::string text(s, static_cast<std::size_t>(end - s));
+    *error = at_line(line_no, "label " + text + why);
+    return ParseStatus::kError;
+  };
+  if (label != std::trunc(label)) return bad_label(" is not an integer");
+  if (label < std::numeric_limits<std::int32_t>::min() ||
+      label > std::numeric_limits<std::int32_t>::max()) {
+    return bad_label(" is out of the int32 range");
+  }
+  out.label = static_cast<std::int32_t>(label);
   out.entries.clear();
   s = end;
   for (;;) {
@@ -127,9 +141,9 @@ std::optional<Dataset> build_dataset(std::istream& in,
 
   // Remap raw labels to contiguous ids. Sorted (std::map) so the mapping is
   // deterministic regardless of example order: -1 -> 0, +1 -> 1, etc.
-  std::map<long, std::int32_t> label_ids;
+  std::map<std::int32_t, std::int32_t> label_ids;
   for (const auto& ex : examples) {
-    label_ids.emplace(static_cast<long>(ex.label), 0);
+    label_ids.emplace(ex.label, 0);
   }
   std::int32_t next_id = 0;
   for (auto& [raw, id] : label_ids) {
@@ -145,8 +159,7 @@ std::optional<Dataset> build_dataset(std::istream& in,
     for (const auto& [idx, val] : ex.entries) {
       row[idx] = val;
     }
-    labels[static_cast<std::size_t>(r)] =
-        label_ids.at(static_cast<long>(ex.label));
+    labels[static_cast<std::size_t>(r)] = label_ids.at(ex.label);
   }
   std::string name =
       options.dataset_name.empty() ? default_name : options.dataset_name;

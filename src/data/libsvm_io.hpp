@@ -17,17 +17,18 @@ namespace hetsgd::data {
 struct LibsvmReadOptions {
   // Dimension override; 0 means infer from the max feature index seen.
   tensor::Index dim = 0;
-  // Labels in the file may be {-1, +1}, {1..K}, or {0..K-1}; they are
-  // remapped to contiguous [0, K) in order of first appearance unless the
-  // file already uses that encoding.
+  // Labels in the file are integers within int32, e.g. {-1, +1}, {1..K}
+  // or {0..K-1}; they are remapped to contiguous [0, K) in sorted order,
+  // which keeps {0..K-1} as it is.
   // Cap on examples read; 0 means all.
   tensor::Index max_examples = 0;
   std::string dataset_name;  // defaults to the file path
 };
 
-// Parses a LIBSVM file into a dense Dataset. On malformed input (truncated
-// pair, non-numeric index, index < 1, non-finite value, index beyond --dim)
-// returns nullopt and sets *error to a "path: line N: ..." diagnostic.
+// Parses a LIBSVM file into a dense Dataset. On malformed input (a label
+// that is not an integer within int32, truncated pair, non-numeric index,
+// index < 1, non-finite value, index beyond --dim) returns nullopt and sets
+// *error to a "path: line N: ..." diagnostic.
 std::optional<Dataset> try_read_libsvm(const std::string& path,
                                        const LibsvmReadOptions& options,
                                        std::string* error);

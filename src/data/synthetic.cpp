@@ -103,16 +103,6 @@ Dataset make_synthetic(const SyntheticSpec& spec) {
                  spec.classes);
 }
 
-const char* paper_dataset_name(PaperDataset d) {
-  switch (d) {
-    case PaperDataset::kCovtype:   return "covtype";
-    case PaperDataset::kW8a:       return "w8a";
-    case PaperDataset::kDelicious: return "delicious";
-    case PaperDataset::kRealSim:   return "real-sim";
-  }
-  return "?";
-}
-
 bool parse_paper_dataset(const std::string& name, PaperDataset& out) {
   if (name == "covtype")   { out = PaperDataset::kCovtype;   return true; }
   if (name == "w8a")       { out = PaperDataset::kW8a;       return true; }

@@ -61,7 +61,6 @@ Dataset make_synthetic(const SyntheticSpec& spec);
 // The paper's four evaluation datasets (Table II).
 enum class PaperDataset { kCovtype, kW8a, kDelicious, kRealSim };
 
-const char* paper_dataset_name(PaperDataset d);
 bool parse_paper_dataset(const std::string& name, PaperDataset& out);
 
 // Table II metadata plus the per-dataset DNN depth used in §VII-A

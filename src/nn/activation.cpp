@@ -1,7 +1,5 @@
 #include "nn/activation.hpp"
 
-#include <cmath>
-
 #include "common/macros.hpp"
 
 namespace hetsgd::nn {
@@ -34,16 +32,6 @@ tensor::Epilogue bias_act_epilogue(Activation a) {
   HETSGD_UNREACHABLE("unknown activation");
 }
 
-tensor::Scalar activation_apply(Activation a, tensor::Scalar x) {
-  switch (a) {
-    case Activation::kIdentity: return x;
-    case Activation::kSigmoid:  return tensor::Scalar{1} / (tensor::Scalar{1} + std::exp(-x));
-    case Activation::kTanh:     return std::tanh(x);
-    case Activation::kRelu:     return x > 0 ? x : tensor::Scalar{0};
-  }
-  HETSGD_UNREACHABLE("unknown activation");
-}
-
 tensor::Scalar activation_derivative_from_output(Activation a,
                                                  tensor::Scalar v) {
   switch (a) {
@@ -53,29 +41,6 @@ tensor::Scalar activation_derivative_from_output(Activation a,
     case Activation::kRelu:     return v > 0 ? tensor::Scalar{1} : tensor::Scalar{0};
   }
   HETSGD_UNREACHABLE("unknown activation");
-}
-
-void activation_forward(Activation a, tensor::MatrixView m) {
-  if (a == Activation::kIdentity) return;
-  tensor::Scalar* d = m.data();
-  const tensor::Index n = m.size();
-  switch (a) {
-    case Activation::kSigmoid:
-      for (tensor::Index i = 0; i < n; ++i) {
-        d[i] = tensor::Scalar{1} / (tensor::Scalar{1} + std::exp(-d[i]));
-      }
-      break;
-    case Activation::kTanh:
-      for (tensor::Index i = 0; i < n; ++i) d[i] = std::tanh(d[i]);
-      break;
-    case Activation::kRelu:
-      for (tensor::Index i = 0; i < n; ++i) {
-        if (d[i] < 0) d[i] = 0;
-      }
-      break;
-    case Activation::kIdentity:
-      break;
-  }
 }
 
 void activation_backward(Activation a, tensor::ConstMatrixView activated,

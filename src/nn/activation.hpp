@@ -22,12 +22,10 @@ enum class Activation {
 const char* activation_name(Activation a);
 bool parse_activation(const std::string& name, Activation& out);
 
-// Applies the activation element-wise in place.
-void activation_forward(Activation a, tensor::MatrixView m);
-
 // Fused-GEMM epilogue computing bias-add + this activation during the C
-// write-back (tensor::gemm_bias_act); equivalent to add_row_bias followed
-// by activation_forward up to FP-contraction rounding.
+// write-back (tensor::gemm_bias_act): the forward pass applies activations
+// only there. tensor::detail::epilogue_apply(bias_act_epilogue(a), z) is
+// the scalar form.
 tensor::Epilogue bias_act_epilogue(Activation a);
 
 // Multiplies `delta` in place by f'(z) expressed through the *activated*
@@ -36,8 +34,7 @@ tensor::Epilogue bias_act_epilogue(Activation a);
 void activation_backward(Activation a, tensor::ConstMatrixView activated,
                          tensor::MatrixView delta);
 
-// Scalar forms used by tests/gradient checks.
-tensor::Scalar activation_apply(Activation a, tensor::Scalar x);
+// Scalar form of the factor activation_backward applies.
 tensor::Scalar activation_derivative_from_output(Activation a,
                                                  tensor::Scalar activated);
 

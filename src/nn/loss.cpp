@@ -78,23 +78,4 @@ tensor::Scalar sigmoid_bce(tensor::ConstMatrixView logits,
   return total * inv_b;
 }
 
-double accuracy(tensor::ConstMatrixView logits,
-                std::span<const std::int32_t> labels) {
-  const Index b = logits.rows();
-  const Index c = logits.cols();
-  HETSGD_ASSERT(static_cast<Index>(labels.size()) == b,
-                "label count != batch size");
-  if (b == 0) return 0.0;
-  Index correct = 0;
-  for (Index r = 0; r < b; ++r) {
-    const Scalar* row = logits.row(r);
-    Index best = 0;
-    for (Index j = 1; j < c; ++j) {
-      if (row[j] > row[best]) best = j;
-    }
-    if (best == labels[static_cast<std::size_t>(r)]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(b);
-}
-
 }  // namespace hetsgd::nn

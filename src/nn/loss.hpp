@@ -19,16 +19,13 @@ tensor::Scalar softmax_cross_entropy(tensor::ConstMatrixView logits,
                                      std::span<const std::int32_t> labels,
                                      tensor::MatrixView* dlogits);
 
-// Mean element-wise sigmoid binary cross-entropy. `targets` is B x C of
-// {0,1}. If `dlogits` is non-null it receives
-// dLoss/dlogits = (sigmoid(logits) - targets) / (B*C)... normalized per
-// example (divided by B only) so magnitudes are comparable with softmax.
+// Sigmoid binary cross-entropy summed over the C classes of each example
+// and averaged over the B examples. `targets` is B x C of {0,1}. If
+// `dlogits` is non-null it receives
+// dLoss/dlogits = (sigmoid(logits) - targets) / B, divided by B only so
+// magnitudes are comparable with softmax.
 tensor::Scalar sigmoid_bce(tensor::ConstMatrixView logits,
                            tensor::ConstMatrixView targets,
                            tensor::MatrixView* dlogits);
-
-// Fraction of examples whose argmax(logits) equals the label.
-double accuracy(tensor::ConstMatrixView logits,
-                std::span<const std::int32_t> labels);
 
 }  // namespace hetsgd::nn

@@ -135,15 +135,6 @@ tensor::Scalar Model::max_abs_diff(const Model& other) const {
   return best;
 }
 
-tensor::Scalar Model::norm() const {
-  tensor::Scalar acc = 0;
-  for (const auto& l : layers_) {
-    acc += tensor::frobenius_norm_sq(l.weights.view());
-    acc += tensor::frobenius_norm_sq(l.bias.view());
-  }
-  return std::sqrt(acc);
-}
-
 bool Model::all_finite() const {
   for (const auto& l : layers_) {
     if (!tensor::all_finite(l.weights.view())) return false;

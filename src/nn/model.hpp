@@ -95,9 +95,6 @@ class Model {
   // Max |a - b| over all parameters (tests, staleness measurements).
   tensor::Scalar max_abs_diff(const Model& other) const;
 
-  // L2 norm over all parameters.
-  tensor::Scalar norm() const;
-
   // True if every parameter is finite.
   bool all_finite() const;
 

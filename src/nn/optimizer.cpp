@@ -161,15 +161,6 @@ bool Optimizer::deserialize(ByteReader& r, std::string* error) {
   return true;
 }
 
-const char* lr_schedule_name(LrSchedule s) {
-  switch (s) {
-    case LrSchedule::kConstant:    return "constant";
-    case LrSchedule::kStepDecay:   return "step";
-    case LrSchedule::kInverseTime: return "inverse-time";
-  }
-  return "?";
-}
-
 bool parse_lr_schedule(const std::string& name, LrSchedule& out) {
   if (name == "constant")     { out = LrSchedule::kConstant;    return true; }
   if (name == "step")         { out = LrSchedule::kStepDecay;   return true; }

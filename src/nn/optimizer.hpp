@@ -82,7 +82,6 @@ enum class LrSchedule {
   kInverseTime,   // 1 / (1 + decay * progress)
 };
 
-const char* lr_schedule_name(LrSchedule s);
 bool parse_lr_schedule(const std::string& name, LrSchedule& out);
 
 struct LrScheduleConfig {

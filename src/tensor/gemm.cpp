@@ -45,10 +45,6 @@ using detail::kMR;
 using detail::kNC;
 using detail::kNR;
 
-inline Scalar get(ConstMatrixView m, Trans t, Index r, Index c) {
-  return t == Trans::kNo ? m(r, c) : m(c, r);
-}
-
 }  // namespace
 
 GemmDims check_gemm_shapes(Trans ta, Trans tb, ConstMatrixView a,
@@ -60,20 +56,6 @@ GemmDims check_gemm_shapes(Trans ta, Trans tb, ConstMatrixView a,
   HETSGD_ASSERT(ka == kb, "gemm inner dimensions mismatch");
   HETSGD_ASSERT(c.rows() == m && c.cols() == n, "gemm output shape mismatch");
   return GemmDims{m, n, ka};
-}
-
-void gemm_naive(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
-                ConstMatrixView b, Scalar beta, MatrixView c) {
-  GemmDims d = check_gemm_shapes(ta, tb, a, b, c);
-  for (Index i = 0; i < d.m; ++i) {
-    for (Index j = 0; j < d.n; ++j) {
-      Scalar acc = 0;
-      for (Index k = 0; k < d.k; ++k) {
-        acc += get(a, ta, i, k) * get(b, tb, k, j);
-      }
-      c(i, j) = alpha * acc + beta * c(i, j);
-    }
-  }
 }
 
 namespace {
@@ -682,10 +664,6 @@ void gemm_bias_act(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
   } else if (!try_sparse_forward(g, d.m, d.n)) {
     run_packed(g, d.m, d.n);
   }
-}
-
-void matmul_nt(ConstMatrixView x, ConstMatrixView w, MatrixView out) {
-  gemm(Trans::kNo, Trans::kYes, Scalar{1}, x, w, Scalar{0}, out);
 }
 
 void matmul_tn(ConstMatrixView a, ConstMatrixView b, MatrixView out) {

@@ -9,8 +9,8 @@
 // and scheduled shape-aware — the parallel partition runs over rows when
 // the batch dimension m is large (GPU-style batches) and over columns
 // (layer width n) when m is small, the CPU Hogbatch-worker case that the
-// seed kernel left serial. `gemm_naive` is the O(n^3) reference oracle
-// used by the test suite.
+// seed kernel left serial. The test suite checks it against an O(n^3)
+// reference oracle (tests/reference_gemm.hpp).
 #pragma once
 
 #include "tensor/matrix.hpp"
@@ -30,10 +30,6 @@ struct GemmDims {
 // mismatch — shape errors are programming bugs, not runtime conditions.
 GemmDims check_gemm_shapes(Trans ta, Trans tb, ConstMatrixView a,
                            ConstMatrixView b, ConstMatrixView c);
-
-// Reference implementation (single-threaded, no blocking).
-void gemm_naive(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
-                ConstMatrixView b, Scalar beta, MatrixView c);
 
 // Production implementation: packed panels + register-blocked micro-kernel,
 // OpenMP-parallel with a shape-aware partition (rows when m is large,
@@ -55,20 +51,19 @@ void gemm(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
 // Fused forward-layer kernel: C = epilogue(alpha * op(A) * op(B) + bias),
 // with `bias` a 1 x n row vector broadcast over rows and the epilogue
 // (bias add + optional activation, see microkernel.hpp) applied during the
-// final C write-back while the tile is still in registers — replacing the
-// gemm -> add_row_bias -> activation_forward sequence and its two extra
-// full passes over C. Matches the unfused sequence to rounding (within
-// 1e-12 in the equivalence suite; FP contraction and the zero-skipping
-// path's summation order may differ by ulps). With ta == kNo, A is the
-// layer input x and takes the zero-skipping path under the same rule as
-// gemm's (B must then be free of NaN and Inf).
+// final C write-back while the tile is still in registers — saving the two
+// extra full passes over C that a bias pass and an activation pass after
+// gemm would make. Matches that unfused sequence to rounding (within 1e-12
+// in the equivalence suite; FP contraction and the zero-skipping path's
+// summation order may differ by ulps). With ta == kNo, A is the layer
+// input x and takes the zero-skipping path under the same rule as gemm's
+// (B must then be free of NaN and Inf).
 void gemm_bias_act(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
                    ConstMatrixView b, MatrixView c, ConstMatrixView bias,
                    Epilogue epilogue);
 
-// Convenience wrappers matching the three products in MLP training.
-// out(BxN) = x(BxK) * w(NxK)^T
-void matmul_nt(ConstMatrixView x, ConstMatrixView w, MatrixView out);
+// Convenience wrappers for the two backward products in MLP training (the
+// forward product is gemm_bias_act).
 // out(MxN) = a(KxM)^T * b(KxN)
 void matmul_tn(ConstMatrixView a, ConstMatrixView b, MatrixView out);
 // out(MxN) = a(MxK) * b(KxN)

@@ -21,36 +21,17 @@ void axpy(Scalar alpha, ConstMatrixView x, MatrixView y);
 // x *= alpha.
 void scale(Scalar alpha, MatrixView x);
 
-// out = a - b (same shape).
-void sub(ConstMatrixView a, ConstMatrixView b, MatrixView out);
-
-// y ⊙= x (element-wise multiply in place).
-void hadamard_inplace(ConstMatrixView x, MatrixView y);
-
-// Adds row-vector `bias` (1 x cols) to every row of m.
-void add_row_bias(ConstMatrixView bias, MatrixView m);
-
 // out(1 x cols) = column sums of m. Used for bias gradients.
 void col_sums(ConstMatrixView m, MatrixView out);
 
-// Frobenius norm and squared norm.
-Scalar frobenius_norm_sq(ConstMatrixView m);
-Scalar frobenius_norm(ConstMatrixView m);
-
 // Max |a - b| over all elements; shapes must match.
 Scalar max_abs_diff(ConstMatrixView a, ConstMatrixView b);
-
-// Sum of all elements.
-Scalar sum(ConstMatrixView m);
 
 // Fills with draws from N(mean, stddev).
 void fill_normal(MatrixView m, Rng& rng, Scalar mean, Scalar stddev);
 
 // Fills with draws from U[lo, hi).
 void fill_uniform(MatrixView m, Rng& rng, Scalar lo, Scalar hi);
-
-// In-place row-wise softmax with max-subtraction for stability.
-void softmax_rows(MatrixView m);
 
 // True if every element is finite.
 bool all_finite(ConstMatrixView m);

@@ -13,24 +13,30 @@ namespace {
 using tensor::Matrix;
 using tensor::Scalar;
 
+// The activation as the forward pass applies it: the scalar form of the
+// fused GEMM epilogue bias_act_epilogue picks.
+Scalar apply(Activation a, Scalar x) {
+  return tensor::detail::epilogue_apply(bias_act_epilogue(a), x);
+}
+
 TEST(Activation, SigmoidValues) {
-  EXPECT_NEAR(activation_apply(Activation::kSigmoid, 0.0), 0.5, 1e-12);
-  EXPECT_GT(activation_apply(Activation::kSigmoid, 10.0), 0.9999);
-  EXPECT_LT(activation_apply(Activation::kSigmoid, -10.0), 0.0001);
+  EXPECT_NEAR(apply(Activation::kSigmoid, 0.0), 0.5, 1e-12);
+  EXPECT_GT(apply(Activation::kSigmoid, 10.0), 0.9999);
+  EXPECT_LT(apply(Activation::kSigmoid, -10.0), 0.0001);
 }
 
 TEST(Activation, TanhValues) {
-  EXPECT_NEAR(activation_apply(Activation::kTanh, 0.0), 0.0, 1e-12);
-  EXPECT_NEAR(activation_apply(Activation::kTanh, 1.0), std::tanh(1.0), 1e-12);
+  EXPECT_NEAR(apply(Activation::kTanh, 0.0), 0.0, 1e-12);
+  EXPECT_NEAR(apply(Activation::kTanh, 1.0), std::tanh(1.0), 1e-12);
 }
 
 TEST(Activation, ReluValues) {
-  EXPECT_EQ(activation_apply(Activation::kRelu, -3.0), 0.0);
-  EXPECT_EQ(activation_apply(Activation::kRelu, 3.0), 3.0);
+  EXPECT_EQ(apply(Activation::kRelu, -3.0), 0.0);
+  EXPECT_EQ(apply(Activation::kRelu, 3.0), 3.0);
 }
 
 TEST(Activation, IdentityPassesThrough) {
-  EXPECT_EQ(activation_apply(Activation::kIdentity, -7.5), -7.5);
+  EXPECT_EQ(apply(Activation::kIdentity, -7.5), -7.5);
 }
 
 TEST(Activation, Names) {
@@ -50,10 +56,9 @@ TEST_P(ActivationDerivative, MatchesFiniteDifference) {
   const double eps = 1e-6;
   for (double x : {-2.0, -0.5, 0.3, 1.7}) {
     if (act == Activation::kRelu && std::abs(x) < eps) continue;
-    const double fx = activation_apply(act, x);
-    const double numeric = (activation_apply(act, x + eps) -
-                            activation_apply(act, x - eps)) /
-                           (2 * eps);
+    const double fx = apply(act, x);
+    const double numeric =
+        (apply(act, x + eps) - apply(act, x - eps)) / (2 * eps);
     const double analytic =
         activation_derivative_from_output(act, static_cast<Scalar>(fx));
     EXPECT_NEAR(analytic, numeric, 1e-6)
@@ -76,9 +81,14 @@ TEST_P(ActivationForwardBackward, MatrixFormMatchesScalarForm) {
   Matrix m(5, 7);
   tensor::fill_normal(m.view(), rng, 0, 2);
   Matrix orig = m;
-  activation_forward(act, m.view());
+  // The fused epilogue's row form, as the GEMM write-back runs it.
+  const Matrix zero_bias(1, m.cols());
+  for (tensor::Index r = 0; r < m.rows(); ++r) {
+    tensor::detail::epilogue_row(bias_act_epilogue(act), m.row(r),
+                                 zero_bias.data(), m.cols());
+  }
   for (tensor::Index i = 0; i < m.size(); ++i) {
-    EXPECT_NEAR(m.data()[i], activation_apply(act, orig.data()[i]), 1e-12);
+    EXPECT_NEAR(m.data()[i], apply(act, orig.data()[i]), 1e-12);
   }
   Matrix delta(5, 7);
   delta.fill(1.0);

@@ -180,6 +180,33 @@ TEST(Libsvm, TryReportsDimOverflowWithOffendingLine) {
   EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
 }
 
+// Labels are class ids: a fractional label names no class, and one beyond
+// int32 cannot be converted to one.
+TEST(Libsvm, TryReportsNonIntegerLabel) {
+  std::string error;
+  auto d = try_read_libsvm_string("0.2 1:1\n0.7 1:2\n", {}, &error);
+  EXPECT_FALSE(d.has_value());
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("not an integer"), std::string::npos) << error;
+}
+
+TEST(Libsvm, TryReportsLabelOutOfRange) {
+  for (const char* label : {"1e30", "-2147483649", "2147483648"}) {
+    const std::string content = std::string("1 1:1\n") + label + " 1:2\n";
+    std::string error;
+    auto d = try_read_libsvm_string(content, {}, &error);
+    EXPECT_FALSE(d.has_value()) << label;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+    EXPECT_NE(error.find("int32"), std::string::npos) << error;
+  }
+  // The int32 bounds themselves are labels.
+  std::string error;
+  auto d = try_read_libsvm_string("-2147483648 1:1\n2147483647 1:2\n", {},
+                                  &error);
+  ASSERT_TRUE(d.has_value()) << error;
+  EXPECT_EQ(d->num_classes(), 2);
+}
+
 TEST(Libsvm, TryMissingFileReturnsError) {
   std::string error;
   auto d = try_read_libsvm("/nonexistent/path.libsvm", {}, &error);

@@ -133,17 +133,5 @@ TEST(SigmoidBce, StableForLargeLogits) {
   EXPECT_NEAR(loss, 0.0, 1e-9);
 }
 
-TEST(Accuracy, CountsArgmaxMatches) {
-  Matrix logits{{2, 1, 0}, {0, 5, 1}, {1, 0, 3}, {9, 0, 0}};
-  std::vector<std::int32_t> labels{0, 1, 0, 1};
-  EXPECT_NEAR(accuracy(logits.view(), labels), 0.5, 1e-12);
-}
-
-TEST(Accuracy, EmptyBatchIsZero) {
-  Matrix logits(0, 3);
-  std::vector<std::int32_t> labels;
-  EXPECT_EQ(accuracy(logits.view(), labels), 0.0);
-}
-
 }  // namespace
 }  // namespace hetsgd::nn

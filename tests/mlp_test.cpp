@@ -11,9 +11,7 @@
 #include "backend/mlp_executor.hpp"
 #include "common/rng.hpp"
 #include "executor_modes.hpp"
-#include "nn/loss.hpp"
 #include "reference_mlp.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace hetsgd::backend {
@@ -350,31 +348,11 @@ TEST(Mlp, InputWidthMismatchDies) {
       "batch width mismatch");
 }
 
-// Unfused forward: the three-pass gemm -> add_row_bias ->
-// activation_forward sequence that the executor's fused gemm_bias_act
-// write-back replaced.
-Scalar unfused_forward_loss(const Model& model, tensor::ConstMatrixView x,
-                            std::span<const std::int32_t> labels) {
-  std::vector<Matrix> acts(model.layer_count());
-  tensor::ConstMatrixView input = x;
-  for (std::size_t l = 0; l < model.layer_count(); ++l) {
-    const nn::Layer& layer = model.layer(l);
-    acts[l].resize(x.rows(), layer.weights.rows());
-    auto out = acts[l].view();
-    tensor::matmul_nt(input, layer.weights.view(), out);
-    tensor::add_row_bias(layer.bias.view(), out);
-    if (l + 1 < model.layer_count()) {
-      activation_forward(model.config().hidden_activation, out);
-    }
-    input = acts[l].view();
-  }
-  return nn::softmax_cross_entropy(acts.back().view(), labels, nullptr);
-}
-
 // Acceptance check for the fused forward path: across several SGD steps
 // (i.e. on evolving trained parameters), the loss computed through the
-// fused gemm_bias_act forward matches the unfused three-pass sequence
-// within 1e-10 at every step, for every activation.
+// fused gemm_bias_act forward matches the reference's unfused loops
+// (product, then bias, then activation) within 1e-10 at every step, for
+// every activation.
 TEST(Mlp, FusedForwardMatchesUnfusedTrajectory) {
   for (Activation act : {Activation::kSigmoid, Activation::kTanh,
                          Activation::kRelu, Activation::kIdentity}) {
@@ -386,7 +364,7 @@ TEST(Mlp, FusedForwardMatchesUnfusedTrajectory) {
       for (int step = 0; step < 8; ++step) {
         const Scalar fused = run.gradient(start.x.view(), start.y);
         const Scalar unfused =
-            unfused_forward_loss(model, start.x.view(), start.y);
+            ref::softmax_xent(model, start.x.view(), start.y);
         EXPECT_NEAR(fused, unfused, 1e-10)
             << "activation=" << activation_name(act) << " step=" << step;
         run.sgd(0.1);
