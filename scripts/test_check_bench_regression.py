@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Tests the GEMM gate's distillation and thresholds on hand-written runs.
+
+  python3 scripts/test_check_bench_regression.py
+"""
+
+import os
+import sys
+import unittest
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import check_bench_regression as gate  # noqa: E402
+
+
+def rep(name, gflops=None, **variants):
+    """One repetition as google-benchmark writes it; a keyword argument
+    `dense=...` becomes the alternating counter `dense_GFLOP/s`."""
+    b = {"name": name, "run_type": "iteration"}
+    if gflops is not None:
+        b["GFLOP/s"] = gflops
+    for variant, value in variants.items():
+        b[f"{variant}_GFLOP/s"] = value
+    return b
+
+
+def aggregate(name, gflops):
+    return {"name": name + "_mean", "run_type": "aggregate",
+            "aggregate_name": "mean", "GFLOP/s": gflops}
+
+
+def shapes_of(*benchmarks):
+    return gate.parse_raw({"benchmarks": list(benchmarks)})
+
+
+class ParseRawTest(unittest.TestCase):
+    def test_speedup_is_the_ratio_of_medians(self):
+        new = "BM_GemmNT_MlpForwardShape/m:64/seed:0"
+        seed = "BM_GemmNT_MlpForwardShape/m:64/seed:1"
+        shapes = shapes_of(
+            rep(new, 10.0), rep(seed, 5.0), rep(new, 30.0), rep(seed, 1.0),
+            rep(new, 11.0), rep(seed, 5.5),
+            aggregate(new, 1000.0), aggregate(seed, 0.001))
+        # The pair flag leaves the key; aggregates are ignored.
+        self.assertEqual(shapes, {"BM_GemmNT_MlpForwardShape/m:64": {
+            "new_gflops": 11.0, "seed_gflops": 5.0, "speedup": 2.2}})
+
+    def test_fused_pair_divides_fused_by_unfused(self):
+        shapes = shapes_of(rep("BM_ForwardLayerFused/m:4/fused:0", 2.0),
+                           rep("BM_ForwardLayerFused/m:4/fused:1", 3.0))
+        self.assertEqual(shapes["BM_ForwardLayerFused/m:4"]["speedup"], 1.5)
+
+    def test_alternating_counters_form_a_pair(self):
+        name = ("BM_AutoInputForward/m:16/width:512/units:512/permille:1000"
+                "/min_time:1.000")
+        shapes = shapes_of(rep(name, dense=40.0, auto=36.0),
+                           rep(name, dense=50.0, auto=50.0),
+                           rep(name, dense=45.0, auto=45.0))
+        # A benchmark's own run length is not part of its key.
+        key = "BM_AutoInputForward/m:16/width:512/units:512/permille:1000"
+        self.assertEqual(shapes, {key: {
+            "dense_gflops": 45.0, "auto_gflops": 45.0, "speedup": 1.0}})
+
+
+class GateTest(unittest.TestCase):
+    BASE = {"shapes": {
+        "BM_GemmNN/n:64": {"speedup": 2.0},
+        "BM_SparseInputForward/m:512/width:500/units:48/permille:100":
+            {"speedup": 5.0},
+        "BM_AutoInputForward/m:16": {"speedup": 5.0},
+    }}
+
+    def run_gate(self, speedup):
+        current = {"shapes": {"BM_GemmNN/n:64": {"speedup": speedup}}}
+        return gate.gate(current, self.BASE, 0.20)
+
+    def test_floor_is_the_baseline_less_the_threshold(self):
+        self.assertEqual(self.run_gate(1.6), [])
+        failures = self.run_gate(1.599)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("BM_GemmNN/n:64: speedup 1.599 < 1.600", failures[0])
+
+    def test_missing_shape_fails(self):
+        failures = gate.gate({"shapes": {}}, self.BASE, 0.20)
+        self.assertEqual(failures, [
+            "BM_GemmNN/n:64: present in baseline but missing from run"])
+
+    def test_selection_rule_has_its_own_floor(self):
+        current = {"shapes": {
+            "BM_AutoInputForward/m:16": {"speedup": 0.899},
+            "BM_AutoInputGradient/m:16": {"speedup": gate.AUTO_FLOOR},
+            "BM_GemmNN/n:64": {"speedup": 0.5},
+        }}
+        failures = gate.gate_selection(current)
+        self.assertEqual(len(failures), 1)
+        self.assertTrue(failures[0].startswith("BM_AutoInputForward/m:16:"))
+
+
+class SparseCrossoverTest(unittest.TestCase):
+    def sweep(self, name, points):
+        return {f"{name}/permille:{p}": {"speedup": s} for p, s in points}
+
+    def test_interpolates_between_the_swept_densities(self):
+        shapes = self.sweep("BM_SparseInputForward/m:512",
+                            [(50, 3.0), (100, 1.5), (200, 0.5)])
+        shapes.update(self.sweep("BM_SparseInputGradient/m:512",
+                                 [(100, 2.0), (200, 1.1)]))
+        self.assertEqual(gate.sparse_crossovers(shapes), {
+            "BM_SparseInputForward/m:512": 0.15,
+            "BM_SparseInputGradient/m:512": None,
+        })
+
+
+if __name__ == "__main__":
+    unittest.main()

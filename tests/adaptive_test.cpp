@@ -186,5 +186,73 @@ TEST(Adaptive, ReactsToPersistentImbalance) {
   EXPECT_EQ(last_gpu_batch, 8192);
 }
 
+// Elastic membership: a retired worker keeps its batch and drops out of
+// the other workers' min/max comparison.
+TEST(Adaptive, RetiredWorkerKeepsItsBatch) {
+  auto c = two_workers();
+  c.on_request(1, 0);
+  c.retire_worker(0);
+  EXPECT_EQ(c.on_request(0, 1000), 56);  // far ahead, but retired
+  EXPECT_EQ(c.updates(0), 1000u);
+  // Worker 1 is now alone: nothing to balance against.
+  EXPECT_EQ(c.on_request(1, 1), 8192);
+  EXPECT_EQ(c.on_request(1, 2000), 8192);
+}
+
+TEST(Adaptive, RetiredWorkerLeavesTheComparison) {
+  const AdaptiveController::WorkerLimits limits{64, 16, 1024, 1};
+  AdaptiveController with_stalled(2.0);
+  AdaptiveController with_retired(2.0);
+  for (msg::WorkerId id = 0; id < 3; ++id) {
+    with_stalled.register_worker(id, limits);
+    with_retired.register_worker(id, limits);
+  }
+  // Worker 2 stalls at 0 updates; worker 0 (3 updates) trails worker 1 (5).
+  with_retired.retire_worker(2);
+  for (AdaptiveController* c : {&with_stalled, &with_retired}) {
+    c->on_request(1, 5);
+  }
+  // Counted, the stalled worker is the minimum, so worker 0 is neither the
+  // slowest nor the fastest; retired, it no longer hides worker 0's lag.
+  EXPECT_EQ(with_stalled.on_request(0, 3), 64);
+  EXPECT_EQ(with_retired.on_request(0, 3), 32);
+}
+
+TEST(Adaptive, JoinBaselineCreditsTheNewcomer) {
+  const AdaptiveController::WorkerLimits limits{64, 16, 1024, 1};
+  AdaptiveController credited(2.0);
+  AdaptiveController raw(2.0);
+  for (AdaptiveController* c : {&credited, &raw}) {
+    c->register_worker(0, limits);
+    c->on_request(0, 1000);
+  }
+  credited.register_worker(1, limits, /*baseline_updates=*/1000);
+  raw.register_worker(1, limits);
+  EXPECT_EQ(credited.updates(1), 1000u);
+  // Level with worker 0, the credited newcomer keeps its batch; on its raw
+  // count alone it would be the slowest and shrink.
+  EXPECT_EQ(credited.on_request(1, 0), 64);
+  EXPECT_EQ(raw.on_request(1, 0), 32);
+  // The credit also counts when worker 0 compares itself against it.
+  EXPECT_EQ(credited.on_request(1, 10), 128);  // 1010 > 1000: fastest
+  EXPECT_EQ(credited.on_request(0, 1005), 32);  // 1005 < 1010: slowest
+}
+
+TEST(Adaptive, RestoreClampsBatchAndClearsTheCredit) {
+  AdaptiveController c(2.0);
+  c.register_worker(0, {56, 56, 56 * 64, 56});
+  c.register_worker(1, {64, 64, 8192, 1}, /*baseline_updates=*/500);
+  c.restore_worker(0, 1000, 42);  // nearest multiple of 56
+  EXPECT_EQ(c.batch(0), 1008);
+  EXPECT_EQ(c.updates(0), 42u);
+  c.restore_worker(0, 1 << 20, 42);
+  EXPECT_EQ(c.batch(0), 56 * 64);  // clamped at max_b
+  // The restored count is the worker's whole count: the join credit goes.
+  c.restore_worker(1, 1, 7);
+  EXPECT_EQ(c.batch(1), 64);  // clamped at min_b
+  EXPECT_EQ(c.updates(1), 7u);
+  EXPECT_DEATH(c.on_request(1, 6), "monotone");
+}
+
 }  // namespace
 }  // namespace hetsgd::core

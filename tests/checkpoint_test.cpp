@@ -176,6 +176,90 @@ TEST(ByteIo, Crc32MatchesReferenceVector) {
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
 }
 
+// --- atomic file writes -----------------------------------------------------
+
+std::string read_text(const std::string& path) {
+  std::vector<std::uint8_t> bytes;
+  std::string error;
+  EXPECT_TRUE(read_file(path, &bytes, &error)) << error;
+  return std::string(bytes.begin(), bytes.end());
+}
+
+TEST(AtomicFile, WriteThenReadRoundTrips) {
+  const std::string dir = temp_dir("hetsgd_atomic_round_trip");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/blob.bin";
+  const std::string payload("ab\0cd\xff", 6);  // embedded NUL, high byte
+  std::string error;
+  ASSERT_TRUE(atomic_write_file(path, payload.data(), payload.size(), &error))
+      << error;
+  EXPECT_EQ(read_text(path), payload);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AtomicFile, ReplacesTheWholeFile) {
+  const std::string dir = temp_dir("hetsgd_atomic_replace");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/blob.bin";
+  const std::string longer(100, 'x');
+  std::string error;
+  ASSERT_TRUE(atomic_write_file(path, longer.data(), longer.size(), &error))
+      << error;
+  // A shorter payload leaves no tail of the file it replaces.
+  ASSERT_TRUE(atomic_write_file(path, "new", 3, &error)) << error;
+  EXPECT_EQ(read_text(path), "new");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AtomicFile, FailedOpenLeavesThePreviousFile) {
+  const std::string dir = temp_dir("hetsgd_atomic_failed_open");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/blob.bin";
+  std::string error;
+  ASSERT_TRUE(atomic_write_file(path, "old", 3, &error)) << error;
+  // A directory where the temp file goes: the temp file cannot be opened.
+  std::filesystem::create_directory(path + ".tmp");
+  EXPECT_FALSE(atomic_write_file(path, "new", 3, &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+  EXPECT_EQ(read_text(path), "old");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AtomicFile, FailedRenameRemovesTheTempFile) {
+  const std::string dir = temp_dir("hetsgd_atomic_failed_rename");
+  // The target is a non-empty directory, so renaming over it fails.
+  const std::string path = dir + "/target";
+  std::filesystem::create_directories(path + "/keep");
+  std::string error;
+  EXPECT_FALSE(atomic_write_file(path, "new", 3, &error));
+  EXPECT_NE(error.find("rename"), std::string::npos) << error;
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(path + "/keep"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReadFile, MissingFileReportsError) {
+  const std::string path =
+      temp_dir("hetsgd_read_missing") + "/no_such_file.bin";
+  std::vector<std::uint8_t> out;
+  std::string error;
+  EXPECT_FALSE(read_file(path, &out, &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+}
+
+TEST(ReadFile, EmptyFileReadsAsEmpty) {
+  const std::string dir = temp_dir("hetsgd_read_empty");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/empty.bin";
+  std::string error;
+  ASSERT_TRUE(atomic_write_file(path, "", 0, &error)) << error;
+  std::vector<std::uint8_t> out{1, 2, 3};
+  ASSERT_TRUE(read_file(path, &out, &error)) << error;
+  EXPECT_TRUE(out.empty());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Envelope, CorruptPayloadByteIsRejected) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "hetsgd_env_corrupt.bin")

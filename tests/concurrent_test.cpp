@@ -1,4 +1,5 @@
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -28,6 +29,44 @@ TEST(MpscQueue, CloseStopsProducersAfterDrain) {
   EXPECT_FALSE(q.push(8));
   EXPECT_EQ(q.pop().value(), 7);
   EXPECT_FALSE(q.pop().has_value());
+}
+
+TEST(MpscQueue, TryPopEmpty) {
+  MpscQueue<int> q;
+  EXPECT_FALSE(q.try_pop().has_value());  // only the stub node
+  q.push(4);
+  q.close();
+  // try_pop drains a closed queue too, and reports empty without waiting.
+  EXPECT_EQ(q.try_pop().value(), 4);
+  EXPECT_FALSE(q.try_pop().has_value());
+}
+
+// The coordinator's mailbox shape: the consumer blocks in pop() while a
+// producer thread delivers, and pop() ends once the queue is closed and
+// drained.
+TEST(MpscQueue, CrossThreadDelivery) {
+  MpscQueue<int> q;
+  std::thread producer([&] {
+    for (int i = 0; i < 1000; ++i) EXPECT_TRUE(q.push(i));
+    q.close();
+  });
+  int expected = 0;
+  while (auto v = q.pop()) {
+    EXPECT_EQ(*v, expected++);
+  }
+  EXPECT_EQ(expected, 1000);
+  producer.join();
+}
+
+TEST(MpscQueue, PopForTimesOutOnAnOpenQueue) {
+  MpscQueue<int> q;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(q.pop_for(std::chrono::milliseconds(5)).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(5));
+  EXPECT_FALSE(q.closed());  // a timeout, not the end of the stream
+  q.push(9);
+  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(5)).value(), 9);
 }
 
 TEST(MpscQueue, MultiProducerCountIntegrity) {
@@ -234,6 +273,25 @@ TEST(ThreadPool, SequentialJobsDoNotInterfere) {
     });
   }
   EXPECT_EQ(total.load(), 1000);
+}
+
+// run_on_all returns only once every lane has finished, so consecutive
+// jobs are phases: each sees all of the previous phase's writes.
+TEST(ThreadPool, SynchronizesPhases) {
+  constexpr std::size_t kLanes = 4;
+  ThreadPool pool(kLanes);
+  std::atomic<int> phase_counter{0};
+  std::atomic<bool> ok{true};
+  for (int phase = 0; phase < 50; ++phase) {
+    pool.run_on_all([&](std::size_t) {
+      if (phase_counter.load() < static_cast<int>(kLanes) * phase) {
+        ok = false;
+      }
+      phase_counter.fetch_add(1);
+    });
+    EXPECT_EQ(phase_counter.load(), static_cast<int>(kLanes) * (phase + 1));
+  }
+  EXPECT_TRUE(ok.load());
 }
 
 TEST(ThreadPool, SingleThreadPoolRunsInline) {

@@ -94,6 +94,58 @@ TEST(UpdateLedger, DenseRegistrationEnforced) {
                "densely");
 }
 
+// A late report's batch was reclaimed and re-dispatched: its updates and
+// clock count, its examples do not (dispatched == reported + reclaimed).
+TEST(UpdateLedger, LateReportAdvancesClockButNotExamples) {
+  UpdateLedger ledger;
+  ledger.register_worker(0, "gpu", gpusim::DeviceKind::kGpu, 64);
+  ledger.on_report(report(0, 1, 0.5, 0.5, 1.0, 64));
+  ledger.on_late_report(report(0, 2, 1.5, 1.5, 1.0, 64));
+  const WorkerStats s = ledger.stats(0);
+  EXPECT_EQ(s.updates, 2u);
+  EXPECT_DOUBLE_EQ(s.busy_vtime, 1.5);
+  EXPECT_DOUBLE_EQ(s.clock, 1.5);
+  EXPECT_EQ(s.examples, 64u);
+  EXPECT_EQ(s.batches, 1u);
+  EXPECT_EQ(ledger.total_updates(), 2u);
+  EXPECT_EQ(ledger.total_examples(), 64u);
+  EXPECT_DEATH(ledger.on_late_report(report(0, 1, 2.0, 2.0, 1.0, 64)),
+               "monotone");
+}
+
+TEST(UpdateLedger, RestoreStatsKeepsNameAndKind) {
+  UpdateLedger ledger;
+  ledger.register_worker(0, "cpu", gpusim::DeviceKind::kCpu, 56);
+  ledger.register_worker(1, "gpu-new", gpusim::DeviceKind::kGpu, 64);
+  WorkerStats saved;
+  saved.id = 1;
+  saved.name = "gpu-old";
+  saved.kind = gpusim::DeviceKind::kCpu;
+  saved.updates = 9;
+  saved.batches = 4;
+  saved.examples = 256;
+  saved.busy_vtime = 2.5;
+  saved.clock = 3.0;
+  saved.current_batch = 128;
+  saved.staleness_sum = 0.4;
+  saved.max_staleness = 0.25;
+  ledger.restore_stats(saved);
+  const WorkerStats s = ledger.stats(1);
+  EXPECT_EQ(s.name, "gpu-new");
+  EXPECT_EQ(s.kind, gpusim::DeviceKind::kGpu);
+  EXPECT_EQ(s.updates, 9u);
+  EXPECT_EQ(s.batches, 4u);
+  EXPECT_EQ(s.examples, 256u);
+  EXPECT_DOUBLE_EQ(s.busy_vtime, 2.5);
+  EXPECT_DOUBLE_EQ(s.clock, 3.0);
+  EXPECT_EQ(s.current_batch, 128);
+  EXPECT_DOUBLE_EQ(s.mean_staleness(), 0.1);
+  EXPECT_DOUBLE_EQ(s.max_staleness, 0.25);
+  // The restored counters are the floor for the next report.
+  EXPECT_EQ(ledger.stats(0).updates, 0u);
+  EXPECT_DEATH(ledger.on_report(report(1, 8, 3.0, 3.0, 1.0, 64)), "monotone");
+}
+
 TEST(UtilizationMonitor, RecordsSegments) {
   UtilizationMonitor monitor(2);
   monitor.record(0, 0.0, 1.0, 0.5);

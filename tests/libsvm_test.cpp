@@ -207,6 +207,26 @@ TEST(Libsvm, TryReportsLabelOutOfRange) {
   EXPECT_EQ(d->num_classes(), 2);
 }
 
+TEST(Libsvm, TryReportsNonFiniteLabel) {
+  for (const char* label : {"nan", "inf", "-inf"}) {
+    const std::string content = std::string("1 1:1\n") + label + " 1:2\n";
+    std::string error;
+    auto d = try_read_libsvm_string(content, {}, &error);
+    EXPECT_FALSE(d.has_value()) << label;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+    EXPECT_NE(error.find("non-finite label"), std::string::npos) << error;
+  }
+}
+
+TEST(Libsvm, IntegralLabelSpellingsShareAClass) {
+  // Every spelling of 2 names the same class.
+  Dataset d = read_libsvm_string(
+      "2 1:1\n2.0 1:1\n+2 1:1\n2e0 1:1\n20e-1 1:1\n-1 1:1\n", {});
+  EXPECT_EQ(d.num_classes(), 2);
+  for (std::size_t r = 0; r < 5; ++r) EXPECT_EQ(d.labels()[r], 1) << r;
+  EXPECT_EQ(d.labels()[5], 0);  // -1 sorts first
+}
+
 TEST(Libsvm, TryMissingFileReturnsError) {
   std::string error;
   auto d = try_read_libsvm("/nonexistent/path.libsvm", {}, &error);

@@ -95,6 +95,61 @@ TEST(SoftmaxXent, LabelOutOfRangeDies) {
                "label out of range");
 }
 
+// The softmax the loss is built on: dlogits = (softmax - onehot) / B, so
+// softmax = B * dlogits + onehot.
+Matrix softmax_of(const Matrix& logits,
+                  const std::vector<std::int32_t>& labels) {
+  Matrix p(logits.rows(), logits.cols());
+  auto pv = p.view();
+  softmax_cross_entropy(logits.view(), labels, &pv);
+  const auto batch = static_cast<Scalar>(logits.rows());
+  for (Index r = 0; r < p.rows(); ++r) {
+    for (Index c = 0; c < p.cols(); ++c) p(r, c) *= batch;
+    p(r, labels[static_cast<std::size_t>(r)]) += 1;
+  }
+  return p;
+}
+
+TEST(SoftmaxXent, SoftmaxRowsArePositiveAndSumToOne) {
+  Rng rng(9);
+  Matrix logits(20, 15);
+  tensor::fill_normal(logits.view(), rng, 0, 5);
+  std::vector<std::int32_t> labels(20);
+  for (std::size_t r = 0; r < labels.size(); ++r) {
+    labels[r] = static_cast<std::int32_t>(r % 15);
+  }
+  const Matrix p = softmax_of(logits, labels);
+  for (Index r = 0; r < p.rows(); ++r) {
+    Scalar total = 0;
+    for (Index c = 0; c < p.cols(); ++c) {
+      EXPECT_GT(p(r, c), 0) << r << "," << c;
+      EXPECT_LT(p(r, c), 1) << r << "," << c;
+      total += p(r, c);
+    }
+    EXPECT_NEAR(total, 1.0, 1e-12);
+  }
+}
+
+TEST(SoftmaxXent, GradientStableForHugeLogits) {
+  Matrix logits{{1000.0, 1001.0}};
+  std::vector<std::int32_t> labels{0};
+  Matrix grad(1, 2);
+  auto gv = grad.view();
+  softmax_cross_entropy(logits.view(), labels, &gv);
+  ASSERT_TRUE(tensor::all_finite(grad.view()));
+  // softmax(1000, 1001) = softmax(0, 1).
+  const double p1 = 1.0 / (1.0 + std::exp(-1.0));
+  EXPECT_NEAR(grad(0, 1), p1, 1e-12);
+  EXPECT_NEAR(grad(0, 0), (1.0 - p1) - 1.0, 1e-12);
+}
+
+TEST(SoftmaxXent, SoftmaxKeepsLogitOrder) {
+  Matrix logits{{1.0, 3.0, 2.0}};
+  const Matrix p = softmax_of(logits, {0});
+  EXPECT_GT(p(0, 1), p(0, 2));
+  EXPECT_GT(p(0, 2), p(0, 0));
+}
+
 TEST(SigmoidBce, KnownValues) {
   Matrix logits{{0, 0}};
   Matrix targets{{1, 0}};

@@ -64,6 +64,19 @@ TEST(CounterTest, ConcurrentIncrementsAreExact) {
   EXPECT_EQ(c.value(), kThreads * kIters);
 }
 
+TEST(CounterTest, IncAddsAmountsAcrossThreads) {
+  obs::Counter c;
+  EXPECT_EQ(c.value(), 0u);
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < 8; ++t) {
+    threads.emplace_back([&c, t] { c.inc(t + 1); });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(c.value(), 36u);  // 1 + 2 + ... + 8, whichever shards they hit
+  c.inc(0);
+  EXPECT_EQ(c.value(), 36u);
+}
+
 TEST(GaugeTest, SetAndAdd) {
   obs::Gauge g;
   g.set(2.5);

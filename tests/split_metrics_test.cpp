@@ -111,6 +111,96 @@ TEST(ConfusionMatrix, OutOfRangeDies) {
   EXPECT_DEATH(cm.add(2, 0), "out of range");
 }
 
+// Scores x's rows as their own logits, so a test writes the logits down as
+// the input.
+nn::ConfusionMatrix argmax_of_rows(std::int32_t classes,
+                                   const tensor::Matrix& logits,
+                                   const std::vector<std::int32_t>& labels) {
+  return nn::evaluate_classifier(
+      [](tensor::ConstMatrixView x) { return x; }, classes, logits.view(),
+      labels);
+}
+
+TEST(Accuracy, CountsArgmaxMatches) {
+  tensor::Matrix logits{{2, 1, 0}, {0, 5, 1}, {1, 0, 3}, {9, 0, 0}};
+  std::vector<std::int32_t> labels{0, 1, 0, 1};
+  const nn::ConfusionMatrix cm = argmax_of_rows(3, logits, labels);
+  EXPECT_NEAR(cm.accuracy(), 0.5, 1e-12);
+  EXPECT_EQ(cm.count(0, 2), 1u);  // row 2 predicts class 2
+  EXPECT_EQ(cm.count(1, 0), 1u);  // row 3 predicts class 0
+}
+
+TEST(Accuracy, EmptyBatchIsZero) {
+  tensor::Matrix logits(0, 3);
+  const nn::ConfusionMatrix cm = argmax_of_rows(3, logits, {});
+  EXPECT_EQ(cm.total(), 0u);
+  EXPECT_EQ(cm.accuracy(), 0.0);
+}
+
+TEST(EvaluateClassifier, TiesGoToTheLowestClass) {
+  tensor::Matrix logits{{1, 1, 0}, {0, 2, 2}, {3, 3, 3}};
+  const nn::ConfusionMatrix cm = argmax_of_rows(3, logits, {0, 1, 2});
+  EXPECT_EQ(cm.count(0, 0), 1u);
+  EXPECT_EQ(cm.count(1, 1), 1u);
+  EXPECT_EQ(cm.count(2, 0), 1u);
+}
+
+TEST(EvaluateClassifier, WalksTheInputInChunks) {
+  // Two full chunks and a 76-row tail: the scorer sees each row once, in
+  // order, never more than kEvalChunkRows at a time, and every row counts.
+  const tensor::Index n = 2 * nn::kEvalChunkRows + 76;
+  tensor::Matrix x(n, 2);
+  std::vector<std::int32_t> labels(static_cast<std::size_t>(n));
+  for (tensor::Index r = 0; r < n; ++r) {
+    x(r, 0) = static_cast<tensor::Scalar>(r);
+    x(r, 1) = (r % 3 == 0) ? 1.0 : 0.0;  // logits: class 1 on every 3rd row
+    labels[static_cast<std::size_t>(r)] = (r % 2 == 0) ? 1 : 0;
+  }
+  std::vector<tensor::Index> chunk_rows;
+  tensor::Index next_row = 0;
+  tensor::Matrix logits;
+  const nn::ConfusionMatrix cm = nn::evaluate_classifier(
+      [&](tensor::ConstMatrixView chunk) {
+        chunk_rows.push_back(chunk.rows());
+        EXPECT_EQ(chunk(0, 0), static_cast<tensor::Scalar>(next_row));
+        next_row += chunk.rows();
+        logits.resize(chunk.rows(), 2);
+        for (tensor::Index r = 0; r < chunk.rows(); ++r) {
+          logits(r, 0) = 0.5;
+          logits(r, 1) = chunk(r, 1);
+        }
+        return tensor::ConstMatrixView(logits.view());
+      },
+      2, x.view(), labels);
+  EXPECT_EQ(chunk_rows, (std::vector<tensor::Index>{nn::kEvalChunkRows,
+                                                    nn::kEvalChunkRows, 76}));
+  EXPECT_EQ(cm.total(), static_cast<std::uint64_t>(n));
+  std::uint64_t want_correct = 0;
+  for (tensor::Index r = 0; r < n; ++r) {
+    const int predicted = (r % 3 == 0) ? 1 : 0;
+    if (predicted == labels[static_cast<std::size_t>(r)]) ++want_correct;
+  }
+  EXPECT_DOUBLE_EQ(cm.accuracy(), static_cast<double>(want_correct) /
+                                      static_cast<double>(n));
+}
+
+TEST(EvaluateClassifier, LabelCountMismatchDies) {
+  tensor::Matrix logits{{1, 0}, {0, 1}};
+  EXPECT_DEATH(argmax_of_rows(2, logits, {0}), "label count");
+}
+
+TEST(EvaluateClassifier, LogitsShapeMismatchDies) {
+  tensor::Matrix x{{1, 0}, {0, 1}};
+  tensor::Matrix wide(2, 3);
+  const std::vector<std::int32_t> labels{0, 1};
+  EXPECT_DEATH(nn::evaluate_classifier(
+                   [&](tensor::ConstMatrixView) {
+                     return tensor::ConstMatrixView(wide.view());
+                   },
+                   2, x.view(), labels),
+               "logits shape");
+}
+
 TEST(EvaluateClassifier, TrainedModelBeatsChance) {
   Dataset d = small_dataset(3, 900);
   Rng rng(13);
