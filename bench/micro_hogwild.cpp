@@ -6,7 +6,7 @@
 // The update is the one a Hogwild lane runs (Worker::ensure_lane_capacity
 // and execute_hogwild): each lane owns a zero-copy CpuBackend whose
 // MlpExecutor is bound to the shared model and the lane's gradient, and
-// nn::Optimizer::step applies the gradient.
+// Model::axpy applies the plain SGD step.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -18,7 +18,7 @@
 #include "concurrent/thread_pool.hpp"
 #include "core/adaptive.hpp"
 #include "data/synthetic.hpp"
-#include "nn/optimizer.hpp"
+#include "nn/model.hpp"
 
 namespace {
 
@@ -33,13 +33,12 @@ nn::MlpConfig bench_mlp(tensor::Index dim, std::int32_t classes) {
   return c;
 }
 
-// One Hogwild lane: its backend, executor, gradient slab and optimizer.
+// One Hogwild lane: its backend, executor and gradient slab.
 struct Lane {
   Lane(nn::Model& shared, tensor::Index max_batch)
       : backend(gpusim::xeon56_spec(), backend::CpuBackend::Mode::kZeroCopy),
         grad(nn::make_zero_gradient(shared)),
-        exec(backend, shared.config(), max_batch),
-        optimizer(nn::OptimizerConfig{}, shared) {
+        exec(backend, shared.config(), max_batch) {
     exec.bind_shared_model(shared);
     exec.bind_host_gradient(grad);
   }
@@ -49,13 +48,12 @@ struct Lane {
   void step(const data::Dataset& d, tensor::Index row, nn::Model& shared) {
     exec.compute_gradient(d.batch_features(row, 1), d.batch_labels(row, 1),
                           0.0, nullptr);
-    optimizer.step(shared, grad, 1e-4);
+    shared.axpy(-1e-4, grad);
   }
 
   backend::CpuBackend backend;
   nn::Gradient grad;
   backend::MlpExecutor exec;
-  nn::Optimizer optimizer;
 };
 
 void BM_GradientSingleExample(benchmark::State& state) {

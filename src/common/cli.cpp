@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -98,12 +100,26 @@ bool CliParser::parse(int argc, char** argv) {
     }
     char* end = nullptr;
     switch (flag->kind) {
-      case Kind::kBool:
-        *static_cast<bool*>(flag->target) =
-            (value == "true" || value == "1" || value == "yes");
+      case Kind::kBool: {
+        const bool yes = value == "true" || value == "1" || value == "yes";
+        if (!yes && value != "false" && value != "0" && value != "no") {
+          std::fprintf(stderr,
+                       "flag --%s: invalid bool '%s' (true/false, 1/0, "
+                       "yes/no)\n",
+                       name.c_str(), value.c_str());
+          std::exit(2);
+        }
+        *static_cast<bool*>(flag->target) = yes;
         break;
+      }
       case Kind::kInt: {
+        errno = 0;
         long long v = std::strtoll(value.c_str(), &end, 10);
+        if (errno == ERANGE) {
+          std::fprintf(stderr, "flag --%s: integer '%s' out of range\n",
+                       name.c_str(), value.c_str());
+          std::exit(2);
+        }
         if (end == value.c_str() || *end != '\0') {
           std::fprintf(stderr, "flag --%s: invalid integer '%s'\n", name.c_str(),
                        value.c_str());
@@ -117,6 +133,11 @@ bool CliParser::parse(int argc, char** argv) {
         if (end == value.c_str() || *end != '\0') {
           std::fprintf(stderr, "flag --%s: invalid float '%s'\n", name.c_str(),
                        value.c_str());
+          std::exit(2);
+        }
+        if (!std::isfinite(v)) {
+          std::fprintf(stderr, "flag --%s: float '%s' is not finite\n",
+                       name.c_str(), value.c_str());
           std::exit(2);
         }
         *static_cast<double*>(flag->target) = v;

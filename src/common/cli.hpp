@@ -1,8 +1,10 @@
 // Tiny command-line flag parser for benches and examples.
 //
 // Supports --key value and --key=value forms plus boolean switches.
-// Unknown flags abort with a usage message listing registered flags — a
-// mistyped sweep parameter must not silently run the default experiment.
+// Unknown flags abort with a usage message listing registered flags, and
+// so do integers out of int64 range, non-finite floats and bool values
+// other than true/false, 1/0, yes/no — a mistyped sweep parameter must not
+// silently run the default experiment.
 #pragma once
 
 #include <cstdint>

@@ -104,20 +104,22 @@ std::uint64_t config_fingerprint(const TrainingConfig& config,
   h = mix_double(h, config.learning_rate);
   h = mix(h, config.scale_lr_with_batch ? 1 : 0);
   h = mix_double(h, config.max_effective_lr);
-  h = mix(h, static_cast<std::uint64_t>(config.optimizer.kind));
-  h = mix_double(h, config.optimizer.momentum);
-  h = mix_double(h, config.optimizer.beta1);
-  h = mix_double(h, config.optimizer.beta2);
-  h = mix_double(h, config.optimizer.epsilon);
-  h = mix_double(h, config.optimizer.weight_decay);
-  h = mix(h, static_cast<std::uint64_t>(config.lr_schedule.kind));
-  h = mix_double(h, config.lr_schedule.decay);
-  h = mix_double(h, config.lr_schedule.step_every);
+  // The retired optimizer and LR-schedule settings at the defaults every
+  // checkpoint was cut with (plain SGD, constant rate), so those still match.
+  h = mix(h, 0);             // optimizer kind: SGD
+  h = mix_double(h, 0.9);    // momentum
+  h = mix_double(h, 0.9);    // Adam beta1
+  h = mix_double(h, 0.999);  // Adam beta2
+  h = mix_double(h, 1e-8);   // Adam epsilon
+  h = mix_double(h, 0.0);    // weight decay
+  h = mix(h, 0);             // LR schedule: constant
+  h = mix_double(h, 0.1);    // schedule decay
+  h = mix_double(h, 1.0);    // schedule step_every
   h = mix_double(h, config.eval_interval_vseconds);
   h = mix(h, config.charge_loss_eval_to_gpu ? 1 : 0);
   h = mix_double(h, config.alpha);
   h = mix_double(h, config.beta);
-  h = mix_double(h, config.clock_window);
+  h = mix_double(h, 0.0);  // retired run-ahead window (0 = none)
   h = mix(h, static_cast<std::uint64_t>(config.cpu.sim_lanes));
   h = mix(h, static_cast<std::uint64_t>(config.cpu.examples_per_thread));
   h = mix(h, static_cast<std::uint64_t>(config.cpu.min_examples_per_thread));

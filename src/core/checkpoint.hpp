@@ -4,8 +4,8 @@
 // A model-only checkpoint (nn::save_model) restarts *a* run; resuming
 // *the same* run additionally needs the coordinator's RNG stream (dataset
 // permutation), the virtual clocks, the update ledger, the adaptive
-// batch-size controller, and each worker's private optimizer state —
-// ABS-SGD (arXiv:2308.15164) shows adaptive batch state must travel with
+// batch-size controller, and each worker's private clock and update
+// counter — ABS-SGD (arXiv:2308.15164) shows adaptive batch state must travel with
 // the model for recovery to preserve convergence behaviour. The
 // TrainingCheckpoint struct is that closure of state; CheckpointManager
 // owns a directory of CRC-checked, atomically-written checkpoint files
@@ -37,8 +37,8 @@
 namespace hetsgd::core {
 
 // Per-worker persisted state: ledger counters, adaptive controller entry,
-// and the worker's opaque private blob (virtual clock, update counter,
-// per-lane optimizer state) as produced by its StateReport.
+// and the worker's opaque private blob (virtual clock, busy time, update
+// counter) as produced by its StateReport.
 struct WorkerCheckpoint {
   msg::WorkerId id = 0;
   std::uint8_t kind = 0;  // gpusim::DeviceKind
@@ -81,8 +81,8 @@ struct TrainingCheckpoint {
 };
 
 // Hash of everything that shapes the training trajectory: algorithm,
-// seed, architecture, optimizer, batch thresholds, worker set, dataset
-// shape. Deliberately EXCLUDES the time budget and max_epochs (resuming
+// seed, architecture, learning rate, batch thresholds, worker set,
+// dataset shape and sampled content. Deliberately EXCLUDES the time budget and max_epochs (resuming
 // with a longer horizon is the point of resuming) and the fault plan
 // (the injections already fired died with the old process).
 std::uint64_t config_fingerprint(const TrainingConfig& config,

@@ -7,7 +7,6 @@
 #include "core/fault.hpp"
 #include "gpusim/perf_model.hpp"
 #include "nn/model.hpp"
-#include "nn/optimizer.hpp"
 #include "obs/exporter.hpp"
 #include "tensor/types.hpp"
 
@@ -71,10 +70,11 @@ struct TrainingConfig {
   // dataset by the Trainer.
   nn::MlpConfig mlp;
 
-  // Per-example learning rate. When scale_lr_with_batch is set (the
-  // paper's default, after Goyal et al. [7]), an update computed on a
-  // b-example (sub-)batch uses eta = learning_rate * b, so accurate
-  // large-batch gradients move the model proportionally further.
+  // Per-example learning rate. Every update is plain SGD, W -= eta * g
+  // (Eq. (3)). When scale_lr_with_batch is set (the paper's default, after
+  // Goyal et al. [7]), an update computed on a b-example (sub-)batch uses
+  // eta = learning_rate * b, so accurate large-batch gradients move the
+  // model proportionally further.
   double learning_rate = 1e-3;
   bool scale_lr_with_batch = true;
   // Upper bound on the effective eta to keep scaled rates stable — the
@@ -84,15 +84,6 @@ struct TrainingConfig {
   // few hundred capped GPU steps cannot fit what tens of thousands of
   // small CPU steps can (the real-sim crossover of Fig. 5d).
   double max_effective_lr = 1.5;
-
-  // Optimizer applied by the framework workers (each Hogwild lane and each
-  // GPU worker keeps private state shaped like the model). The TensorFlow
-  // reference always runs plain mini-batch SGD, as in the paper.
-  nn::OptimizerConfig optimizer;
-
-  // Learning-rate schedule: multiplies the effective rate by
-  // lr_multiplier(schedule, epochs_completed).
-  nn::LrScheduleConfig lr_schedule;
 
   // Stopping: virtual-time budget and/or epoch cap (0 = unlimited).
   double time_budget_vseconds = 5.0;
@@ -109,11 +100,6 @@ struct TrainingConfig {
   // (default 2: double/halve) and CPU update-survival fraction beta.
   double alpha = 2.0;
   double beta = 1.0;
-
-  // Virtual-time run-ahead window (seconds): a worker may be assigned new
-  // work while its clock is at most this far ahead of the earliest
-  // estimated completion among busy workers. 0 = choose automatically.
-  double clock_window = 0.0;
 
   // Real threads backing the CPU worker's Hogwild lanes (defaults to
   // hardware concurrency; the *simulated* lane count is cpu.sim_lanes).

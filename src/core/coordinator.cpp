@@ -351,17 +351,12 @@ void Coordinator::on_worker_fault(const msg::WorkerFault& fault) {
   try_dispatch_all();
 }
 
-double Coordinator::effective_window() const {
-  return config_.clock_window;  // 0 = strict virtual-time ordering
-}
-
 double Coordinator::estimate_cost(const WorkerRuntime& w,
                                   Index batch) const {
   if (w.kind == gpusim::DeviceKind::kCpu) {
-    const int lanes = config_.cpu.sim_lanes;
-    const Index sub = std::max<Index>(1, batch / lanes);
-    const int num_sub = static_cast<int>((batch + sub - 1) / sub);
-    return cpu_batch_seconds(cpu_perf_, config_.mlp, sub, num_sub);
+    const HogwildSplit split = hogwild_split(batch, config_.cpu.sim_lanes);
+    return cpu_batch_seconds(cpu_perf_, config_.mlp, split.sub_batch,
+                             static_cast<int>(split.count));
   }
   return gpu_batch_seconds(gpu_perf_, config_.mlp, batch,
                            config_.gpu.host_merge_bandwidth);
@@ -432,12 +427,11 @@ void Coordinator::try_dispatch_all() {
     if (shutting_down_) return;
 
     // Earliest estimated completion among busy workers: the virtual
-    // frontier idle workers may not overtake (plus the window).
+    // frontier idle workers may not overtake.
     double frontier = std::numeric_limits<double>::max();
     for (const auto& w : workers_) {
       if (w.busy) frontier = std::min(frontier, w.est_completion);
     }
-    frontier += effective_window();
 
     // Candidates: idle, unserved, unfinished, healthy — in clock order.
     std::vector<msg::WorkerId> idle;
@@ -468,7 +462,7 @@ void Coordinator::try_dispatch_all() {
         }
         dispatch_range(id, r_begin, piece, /*reclaimed=*/true);
         if (w.busy) {  // dispatch succeeded (send may fail on a dead box)
-          frontier = std::min(frontier, w.est_completion + effective_window());
+          frontier = std::min(frontier, w.est_completion);
         }
         progressed = true;
         continue;
@@ -491,7 +485,7 @@ void Coordinator::try_dispatch_all() {
       cursor_ += batch;
       // The newly-busy worker tightens the frontier for later candidates.
       if (w.busy) {
-        frontier = std::min(frontier, w.est_completion + effective_window());
+        frontier = std::min(frontier, w.est_completion);
       }
       progressed = true;
     }
@@ -516,8 +510,7 @@ void Coordinator::dispatch_range(msg::WorkerId id, Index begin, Index size,
   msg::ExecuteWork work;
   work.batch_begin = static_cast<std::uint64_t>(begin);
   work.batch_size = static_cast<std::uint64_t>(size);
-  work.learning_rate = config_.learning_rate * lr_scale_;
-  work.epoch = epoch_;
+  work.lr_scale = lr_scale_;
   work.not_before = epoch_start_vtime_;
   work.sequence = ++w.dispatch_seq;
 

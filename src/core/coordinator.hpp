@@ -76,7 +76,7 @@ class Coordinator final : public msg::Actor {
   // --- crash-consistent checkpointing ------------------------------------
   // Attaches the checkpoint sink. Call before start(); the manager must
   // outlive the coordinator. With a manager attached, a full training
-  // checkpoint (model + optimizer state + RNG + clocks + ledger) is cut at
+  // checkpoint (model + RNG + clocks + ledger + worker state) is cut at
   // the quiescent epoch barrier whenever fault.checkpoint_interval_vseconds
   // of virtual time have elapsed (0 = every epoch flip).
   void set_checkpoint_manager(CheckpointManager* manager) HETSGD_EXCLUDES(mu_);
@@ -86,8 +86,8 @@ class Coordinator final : public msg::Actor {
   // stream replayed over `ckpt.epoch - 1` dataset shuffles lands exactly
   // on the checkpointed state — a mismatch means the config/dataset differ
   // from the checkpointing run, and the restore is refused. Worker-local
-  // state (clocks, optimizer slots) is restored separately by the Trainer
-  // via each worker's restore_state().
+  // state (clocks, busy time, update counters) is restored separately by
+  // the Trainer via each worker's restore_state().
   bool restore(const TrainingCheckpoint& ckpt, std::string* error)
       HETSGD_EXCLUDES(mu_);
 
@@ -229,7 +229,6 @@ class Coordinator final : public msg::Actor {
   void begin_shutdown() HETSGD_REQUIRES(mu_);
   bool any_busy() const HETSGD_REQUIRES(mu_);
   bool all_finished() const HETSGD_REQUIRES(mu_);
-  double effective_window() const;
 
   // --- checkpoint + elastic helpers ---------------------------------------
   // True when a full checkpoint should be cut at the next epoch barrier.

@@ -15,6 +15,14 @@ std::uint64_t model_bytes(const nn::MlpConfig& mlp) {
   return mlp.parameter_count() * sizeof(tensor::Scalar);
 }
 
+HogwildSplit hogwild_split(Index batch, int lanes) {
+  HETSGD_ASSERT(batch >= 1 && lanes >= 1, "bad hogwild split parameters");
+  HogwildSplit split;
+  split.sub_batch = std::max<Index>(1, batch / lanes);
+  split.count = (batch + split.sub_batch - 1) / split.sub_batch;
+  return split;
+}
+
 double cpu_batch_seconds(const gpusim::PerfModel& perf,
                          const nn::MlpConfig& mlp, tensor::Index sub_batch,
                          int lanes) {

@@ -16,6 +16,18 @@ namespace hetsgd::core {
 // Bytes of one full model copy (all weights + biases).
 std::uint64_t model_bytes(const nn::MlpConfig& mlp);
 
+// How the Hogwild worker splits a `batch`-example batch over `lanes`
+// simulated threads (Algorithm 2, CPU worker handler): `count` sub-batches
+// of `sub_batch` = max(1, batch / lanes) examples, one model update each;
+// the last is shorter when sub_batch does not divide the batch. A batch
+// that is not a multiple of the lanes yields more sub-batches than lanes
+// (10 over 4: five of 2).
+struct HogwildSplit {
+  tensor::Index sub_batch = 1;
+  tensor::Index count = 1;
+};
+HogwildSplit hogwild_split(tensor::Index batch, int lanes);
+
 // Virtual seconds for one CPU-worker batch: `lanes` Hogwild threads each
 // process a `sub_batch`-example sub-batch (forward+backward at per-thread
 // throughput) and apply one full-model update at the contended

@@ -248,7 +248,7 @@ void register_fault_flags(CliParser& cli, FaultToleranceConfig* fault) {
                  "seconds (0 = every epoch flip)");
   cli.add_string("checkpoint-dir", &fault->checkpoint_dir,
                  "directory for full crash-consistent checkpoints "
-                 "(model+optimizer+RNG+ledger; empty = off)");
+                 "(model+RNG+ledger+worker clocks; empty = off)");
   cli.add_int("checkpoint-retain", &fault->checkpoint_retain,
               "checkpoint files kept in --checkpoint-dir (oldest pruned)");
   cli.add_string("resume", &fault->resume_dir,

@@ -240,8 +240,8 @@ TrainingResult Trainer::run_framework() {
     }
     for (const WorkerCheckpoint& wc : resume_ckpt->workers) {
       // An empty blob means the worker died before the cut collected its
-      // state; its optimizer slots restart cold (ledger counters were
-      // still restored above).
+      // state; its private clock and counter restart from zero (ledger
+      // counters were still restored above).
       if (wc.state.empty()) continue;
       bool ok = false;
       if (cpu_worker && wc.id == cpu_worker->id()) {

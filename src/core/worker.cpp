@@ -41,17 +41,14 @@ Worker::Worker(msg::WorkerId id, const TrainingConfig& config,
                int ordinal)
     : msg::Actor(worker_name(mode, ordinal)), id_(id), config_(config),
       dataset_(dataset), model_(global_model), coordinator_(coordinator),
-      mode_(mode), hogwild_perf_(config.cpu.spec),
-      optimizer_(config.optimizer, global_model) {
+      mode_(mode), hogwild_perf_(config.cpu.spec) {
   if (mode_ == ExecMode::kHogwild) {
     pool_ = std::make_unique<concurrent::ThreadPool>(
         static_cast<std::size_t>(std::max(real_threads, 1)));
     const std::size_t lanes = pool_->thread_count() + 1;
     gradients_.reserve(lanes);
-    optimizers_.reserve(lanes);
     for (std::size_t i = 0; i < lanes; ++i) {
       gradients_.push_back(nn::make_zero_gradient(model_));
-      optimizers_.emplace_back(config.optimizer, model_);
     }
     // Lanes start sized for the configured per-thread examples and grow on
     // demand (ensure_lane_capacity).
@@ -189,28 +186,18 @@ bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
     }
   }
 
-  const int t = config_.cpu.sim_lanes;
-  // Split B into t sub-batches of size B/t (Algorithm 2, CPU worker
-  // handler). Tail batches (epoch remainders) may produce fewer sub-batches.
-  const Index sub_batch = std::max<Index>(1, size / t);
-  const Index num_sub = (size + sub_batch - 1) / sub_batch;
+  // Split B into sim_lanes sub-batches (Algorithm 2, CPU worker handler).
+  const HogwildSplit split = hogwild_split(size, config_.cpu.sim_lanes);
+  const Index sub_batch = split.sub_batch;
+  const Index num_sub = split.count;
   ensure_lane_capacity(sub_batch);
-  // The dispatched rate tracks config_.learning_rate except after a
-  // divergence rollback, when the coordinator backs it off; honor the
-  // ratio so the backoff reaches the capped effective rate too.
-  const double lr_scale =
-      (config_.learning_rate > 0.0 && work.learning_rate > 0.0)
-          ? work.learning_rate / config_.learning_rate
-          : 1.0;
-  const double lr =
-      config_.effective_lr(sub_batch) *
-      nn::lr_multiplier(config_.lr_schedule,
-                        static_cast<double>(work.epoch)) *
-      lr_scale;
+  // The rollback scale reaches the capped effective rate too.
+  const auto lr = static_cast<tensor::Scalar>(
+      config_.effective_lr(sub_batch) * work.lr_scale);
 
   // Hogwild: every lane reads the shared model (through its zero-copy
-  // executor), computes its sub-batch gradient, and writes the update back
-  // with no synchronization.
+  // executor), computes its sub-batch gradient, and writes the plain SGD
+  // update W -= eta * g back with no synchronization.
   {
     HETSGD_TRACE_SCOPE("cpu-worker", "hogwild_parallel_for");
     pool_->parallel_for(
@@ -225,8 +212,7 @@ bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
           auto x = dataset_.batch_features(sb_begin, sb_size);
           auto y = dataset_.batch_labels(sb_begin, sb_size);
           exec.compute_gradient(x, y, clock_.now(), nullptr);
-          optimizers_[lane].step(model_, grad,
-                                 static_cast<tensor::Scalar>(lr));
+          model_.axpy(-lr, grad);
         }
       });
   }
@@ -242,7 +228,7 @@ bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
     if (grad.layer_count() > 0 && grad.layer(0).weights.size() > 0) {
       grad.layer(0).weights.data()[0] =
           std::numeric_limits<tensor::Scalar>::quiet_NaN();
-      optimizers_[0].step(model_, grad, static_cast<tensor::Scalar>(lr));
+      model_.axpy(-lr, grad);
     }
   }
 
@@ -382,19 +368,12 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
   // integration, applied asynchronously at the worker).
   const double staleness =
       static_cast<double>(model_.max_abs_diff(upload_snapshot_));
-  const double lr_scale =
-      (config_.learning_rate > 0.0 && work.learning_rate > 0.0)
-          ? work.learning_rate / config_.learning_rate
-          : 1.0;
-  const double lr =
-      config_.effective_lr(size) *
-      nn::lr_multiplier(config_.lr_schedule,
-                        static_cast<double>(work.epoch)) *
-      lr_scale;
+  const auto lr = static_cast<tensor::Scalar>(
+      config_.effective_lr(size) * work.lr_scale);
   {
     HETSGD_TRACE_SPAN(merge_span, "gpu-worker", "host_merge",
                       clock_.now(), flow);
-    optimizer_.step(model_, host_gradient_, static_cast<tensor::Scalar>(lr));
+    model_.axpy(-lr, host_gradient_);
     if (config_.gpu.host_merge_bandwidth > 0.0) {
       done += 2.0 * static_cast<double>(model_bytes(config_.mlp)) /
               config_.gpu.host_merge_bandwidth;
@@ -418,38 +397,36 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
 
 namespace {
 constexpr std::uint8_t kHogwildStateTag = 'C';
-constexpr std::uint32_t kHogwildStateVersion = 1;
 constexpr std::uint8_t kReplicaStateTag = 'G';
-constexpr std::uint32_t kReplicaStateVersion = 1;
+constexpr std::uint32_t kStateVersion = 2;
+// Version 1 blobs end in the retired optimizer's records: a u32 lane count
+// and one record per lane (Hogwild), or one record (replica). Each record
+// is a u64 step count and a u8 flag; plain SGD, the only optimizer any
+// checkpoint ran, wrote nothing else.
+constexpr std::uint32_t kStateVersionWithSgdRecords = 1;
 }  // namespace
 
 std::vector<std::uint8_t> Worker::serialize_state() const {
   ByteWriter w;
-  if (mode_ == ExecMode::kHogwild) {
-    w.write_u8(kHogwildStateTag);
-    w.write_u32(kHogwildStateVersion);
-    w.write_f64(clock_.now());
-    w.write_f64(busy_vtime_);
+  const bool hogwild = mode_ == ExecMode::kHogwild;
+  w.write_u8(hogwild ? kHogwildStateTag : kReplicaStateTag);
+  w.write_u32(kStateVersion);
+  w.write_f64(clock_.now());
+  w.write_f64(busy_vtime_);
+  if (hogwild) {
     // The raw beta-weighted accumulator, bit-exact: floor() loses the
     // fractional part that decides when the next report's count ticks over.
     w.write_f64(updates_scaled_);
-    w.write_u32(static_cast<std::uint32_t>(optimizers_.size()));
-    for (const nn::Optimizer& opt : optimizers_) {
-      opt.serialize(w);
-    }
-    return w.data();
+  } else {
+    w.write_u64(updates_);
   }
-  w.write_u8(kReplicaStateTag);
-  w.write_u32(kReplicaStateVersion);
-  w.write_f64(clock_.now());
-  w.write_f64(busy_vtime_);
-  w.write_u64(updates_);
-  optimizer_.serialize(w);
   return w.data();
 }
 
 bool Worker::restore_state(const std::vector<std::uint8_t>& bytes,
                            std::string* error) {
+  const bool hogwild = mode_ == ExecMode::kHogwild;
+  const std::string kind = hogwild ? "CPU" : "GPU";
   auto fail = [&](const std::string& msg) {
     if (error != nullptr) *error = msg;
     return false;
@@ -457,52 +434,39 @@ bool Worker::restore_state(const std::vector<std::uint8_t>& bytes,
   ByteReader r(bytes);
   std::uint8_t tag = 0;
   std::uint32_t version = 0;
+  if (!r.read_u8(&tag) ||
+      tag != (hogwild ? kHogwildStateTag : kReplicaStateTag)) {
+    return fail("not a " + kind + " worker state blob");
+  }
+  if (!r.read_u32(&version) ||
+      (version != kStateVersion &&
+       version != kStateVersionWithSgdRecords)) {
+    return fail("unsupported " + kind + " worker state version");
+  }
   double clock = 0.0;
-  if (mode_ == ExecMode::kHogwild) {
-    std::uint32_t lanes = 0;
-    if (!r.read_u8(&tag) || tag != kHogwildStateTag) {
-      return fail("not a CPU worker state blob");
+  double busy = 0.0;
+  double updates_scaled = 0.0;
+  std::uint64_t updates = 0;
+  bool ok = r.read_f64(&clock) && r.read_f64(&busy) &&
+            (hogwild ? r.read_f64(&updates_scaled) : r.read_u64(&updates));
+  if (ok && version == kStateVersionWithSgdRecords) {
+    std::uint32_t records = 1;
+    if (hogwild) ok = r.read_u32(&records);
+    for (std::uint32_t i = 0; ok && i < records; ++i) {
+      std::uint64_t steps = 0;
+      std::uint8_t flag = 0;
+      ok = r.read_u64(&steps) && r.read_u8(&flag);
     }
-    if (!r.read_u32(&version) || version != kHogwildStateVersion) {
-      return fail("unsupported CPU worker state version");
-    }
-    if (!r.read_f64(&clock) || !r.read_f64(&busy_vtime_) ||
-        !r.read_f64(&updates_scaled_) || !r.read_u32(&lanes)) {
-      return fail("truncated CPU worker state");
-    }
-    clock_.reset(clock);
-    if (static_cast<std::size_t>(lanes) != optimizers_.size()) {
-      // A different --threads count changes the lane set; optimizer slots
-      // cannot be mapped across it. Plain-SGD runs carry no slots, so this
-      // still restores exactly; momentum/Adam lanes restart cold.
-      HETSGD_LOG_WARN("cpu-worker",
-                      "checkpoint has %u optimizer lanes, this run has %zu; "
-                      "restoring common prefix",
-                      lanes, optimizers_.size());
-    }
-    for (std::uint32_t i = 0; i < lanes; ++i) {
-      if (static_cast<std::size_t>(i) < optimizers_.size()) {
-        if (!optimizers_[i].deserialize(r, error)) return false;
-      } else {
-        // Consume the extra lane's bytes to keep the stream aligned.
-        nn::Optimizer discard(config_.optimizer, model_);
-        if (!discard.deserialize(r, error)) return false;
-      }
-    }
-    return true;
   }
-  if (!r.read_u8(&tag) || tag != kReplicaStateTag) {
-    return fail("not a GPU worker state blob");
-  }
-  if (!r.read_u32(&version) || version != kReplicaStateVersion) {
-    return fail("unsupported GPU worker state version");
-  }
-  if (!r.read_f64(&clock) || !r.read_f64(&busy_vtime_) ||
-      !r.read_u64(&updates_)) {
-    return fail("truncated GPU worker state");
+  if (!ok) return fail("truncated " + kind + " worker state");
+  if (r.remaining() != 0) {
+    return fail("trailing bytes in " + kind + " worker state");
   }
   clock_.reset(clock);
-  return optimizer_.deserialize(r, error);
+  busy_vtime_ = busy;
+  updates_scaled_ = updates_scaled;
+  updates_ = updates;
+  return true;
 }
 
 void Worker::request_work(std::uint64_t examples, double intensity,

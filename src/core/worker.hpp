@@ -36,7 +36,6 @@
 #include "gpusim/virtual_clock.hpp"
 #include "msg/actor.hpp"
 #include "nn/model.hpp"
-#include "nn/optimizer.hpp"
 
 namespace hetsgd::core {
 
@@ -69,10 +68,11 @@ class Worker final : public msg::Actor {
   // start(); nullptr = no injections.
   void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
 
-  // Checkpointing: the worker's private state (virtual clock, update
-  // counters, optimizer slots) as an opaque blob, produced on the actor
-  // thread in response to StateRequest. restore_state() is the inverse;
-  // call it before start() only. Blobs keep the pre-seam 'C'/'G' tags.
+  // Checkpointing: the worker's private state (virtual clock, busy time,
+  // update counter) as an opaque version-2 blob, produced on the actor
+  // thread in response to StateRequest. restore_state() is the inverse and
+  // also reads version-1 blobs; call it before start() only. Blobs keep
+  // the pre-seam 'C'/'G' tags.
   std::vector<std::uint8_t> serialize_state() const;
   bool restore_state(const std::vector<std::uint8_t>& bytes,
                      std::string* error);
@@ -119,14 +119,12 @@ class Worker final : public msg::Actor {
   std::vector<std::unique_ptr<backend::MlpExecutor>> lane_executors_;
   tensor::Index lane_capacity_ = 0;
   std::vector<nn::Gradient> gradients_;
-  std::vector<nn::Optimizer> optimizers_;
 
   // --- kReplica state ----------------------------------------------------
   std::uint64_t updates_ = 0;
   std::unique_ptr<backend::Backend> backend_;
   std::unique_ptr<backend::MlpExecutor> executor_;
   nn::Gradient host_gradient_;
-  nn::Optimizer optimizer_;
   // Host-side snapshot of the model at upload time; compared against the
   // live model at merge time to measure replica staleness (§VI-B).
   nn::Model upload_snapshot_;

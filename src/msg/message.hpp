@@ -45,12 +45,14 @@ struct ScheduleWork {
 };
 
 // Coordinator -> worker: "process examples [batch_begin, batch_begin+batch_size)
-// of the current epoch's permutation with learning rate lr."
+// of the current epoch's permutation, with your effective learning rate
+// scaled by lr_scale."
 struct ExecuteWork {
   std::uint64_t batch_begin = 0;
   std::uint64_t batch_size = 0;
-  double learning_rate = 0.0;
-  std::uint64_t epoch = 0;
+  // 1 until a divergence rollback backs the rate off (fault.lr_backoff per
+  // rollback).
+  double lr_scale = 1.0;
   // Earliest virtual time the batch may start (epoch flips introduce real
   // idle time: a worker that waited for the epoch barrier resumes at the
   // barrier's virtual time, not at its own stale clock).
@@ -98,9 +100,9 @@ struct WorkerRetire {
 // reply captures a quiescent snapshot without perturbing the trajectory.
 struct StateRequest {};
 
-// Worker -> coordinator: the serialized private state (virtual clock,
-// update counters, per-lane optimizer state). Opaque bytes: only the
-// worker type that produced a blob can restore it.
+// Worker -> coordinator: the serialized private state (virtual clock, busy
+// time, update counter). Opaque bytes: only the worker type that produced
+// a blob can restore it.
 struct StateReport {
   WorkerId worker = 0;
   std::vector<std::uint8_t> state;

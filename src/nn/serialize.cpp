@@ -167,23 +167,6 @@ std::optional<Model> read_model(ByteReader& r, std::string* error) {
   return model;
 }
 
-void write_params(ByteWriter& w, const Model& model) {
-  for (std::size_t l = 0; l < model.layer_count(); ++l) {
-    write_matrix(w, model.layer(l).weights);
-    write_matrix(w, model.layer(l).bias);
-  }
-}
-
-bool read_params(ByteReader& r, Model& model, std::string* error) {
-  for (std::size_t l = 0; l < model.layer_count(); ++l) {
-    if (!read_matrix(r, model.layer(l).weights, error) ||
-        !read_matrix(r, model.layer(l).bias, error)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool try_save_model(const Model& model, const std::string& path,
                     std::string* error) {
   ByteWriter w;

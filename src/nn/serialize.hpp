@@ -53,14 +53,6 @@ void write_model(ByteWriter& w, const Model& model);
 // implausible header, or shape mismatch.
 std::optional<Model> read_model(ByteReader& r, std::string* error);
 
-// Appends just the raw parameters of `model` (no header). Used for
-// optimizer state buffers whose shape is already known.
-void write_params(ByteWriter& w, const Model& model);
-
-// Reads raw parameters into `model` (shape must already match what was
-// written). False + *error on truncation.
-bool read_params(ByteReader& r, Model& model, std::string* error);
-
 // ---- Whole-file model checkpoints ----------------------------------------
 
 // Atomically writes the model (architecture + parameters) to `path`.

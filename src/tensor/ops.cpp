@@ -26,15 +26,6 @@ void axpy(Scalar alpha, ConstMatrixView x, MatrixView y) {
   }
 }
 
-void scale(Scalar alpha, MatrixView x) {
-  Scalar* HETSGD_RESTRICT xs = x.data();
-  const Index n = x.size();
-#pragma omp simd
-  for (Index i = 0; i < n; ++i) {
-    xs[i] *= alpha;
-  }
-}
-
 void col_sums(ConstMatrixView m, MatrixView out) {
   HETSGD_ASSERT(out.rows() == 1 && out.cols() == m.cols(),
                 "col_sums output shape mismatch");

@@ -18,9 +18,6 @@ namespace hetsgd::tensor {
 // y += alpha * x (same shape).
 void axpy(Scalar alpha, ConstMatrixView x, MatrixView y);
 
-// x *= alpha.
-void scale(Scalar alpha, MatrixView x);
-
 // out(1 x cols) = column sums of m. Used for bias gradients.
 void col_sums(ConstMatrixView m, MatrixView out);
 

@@ -25,7 +25,6 @@
 #include "common/rng.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
-#include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
 
 namespace hetsgd::core {
@@ -278,39 +277,6 @@ TEST(Envelope, CorruptPayloadByteIsRejected) {
   EXPECT_FALSE(nn::read_envelope_file(path, &out, &error));
   EXPECT_NE(error.find("CRC"), std::string::npos) << error;
   std::remove(path.c_str());
-}
-
-// --- optimizer state ------------------------------------------------------
-
-TEST(OptimizerState, SerializeRoundTripIsBitExact) {
-  for (const nn::OptimizerKind kind :
-       {nn::OptimizerKind::kSgd, nn::OptimizerKind::kMomentum,
-        nn::OptimizerKind::kAdam}) {
-    nn::Model model = tiny_model();
-    nn::OptimizerConfig oc;
-    oc.kind = kind;
-    nn::Optimizer opt(oc, model);
-    // Take a few steps so the slots hold non-trivial state.
-    nn::Gradient grad = nn::make_zero_gradient(model);
-    for (int i = 0; i < 3; ++i) {
-      grad.layer(0).weights.data()[0] = static_cast<tensor::Scalar>(i + 1);
-      opt.step(model, grad, static_cast<tensor::Scalar>(1e-3));
-    }
-
-    ByteWriter w;
-    opt.serialize(w);
-    nn::Model shape = tiny_model();  // Optimizer keeps a pointer to it
-    nn::Optimizer restored(oc, shape);
-    std::string error;
-    ByteReader r(w.data());
-    ASSERT_TRUE(restored.deserialize(r, &error))
-        << nn::optimizer_name(kind) << ": " << error;
-
-    ByteWriter w2;
-    restored.serialize(w2);
-    EXPECT_EQ(w.data(), w2.data())
-        << nn::optimizer_name(kind) << " state not bit-exact";
-  }
 }
 
 // --- checkpoint payload ---------------------------------------------------

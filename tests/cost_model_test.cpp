@@ -1,5 +1,7 @@
 #include "core/cost_model.hpp"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "nn/model.hpp"
@@ -25,6 +27,47 @@ TEST(CostModel, ModelBytes) {
   c.hidden_units = 4;
   // params: 10*4+4 + 4*2+2 = 54 -> 54*8 bytes
   EXPECT_EQ(model_bytes(c), 54u * sizeof(tensor::Scalar));
+}
+
+TEST(HogwildSplit, BatchBelowLaneCountRunsOneExamplePerLane) {
+  // 3 examples over 4 lanes: three one-example sub-batches, one lane idle.
+  const HogwildSplit split = hogwild_split(3, 4);
+  EXPECT_EQ(split.sub_batch, 1);
+  EXPECT_EQ(split.count, 3);
+  const HogwildSplit single = hogwild_split(1, 56);
+  EXPECT_EQ(single.sub_batch, 1);
+  EXPECT_EQ(single.count, 1);
+}
+
+TEST(HogwildSplit, MultipleOfLaneCountFillsEveryLane) {
+  const HogwildSplit split = hogwild_split(8, 4);
+  EXPECT_EQ(split.sub_batch, 2);
+  EXPECT_EQ(split.count, 4);
+  // The paper's largest CPU batch: 64 examples on each of 56 threads.
+  const HogwildSplit paper = hogwild_split(56 * 64, 56);
+  EXPECT_EQ(paper.sub_batch, 64);
+  EXPECT_EQ(paper.count, 56);
+  // One lane takes the whole batch as one update.
+  const HogwildSplit one = hogwild_split(37, 1);
+  EXPECT_EQ(one.sub_batch, 37);
+  EXPECT_EQ(one.count, 1);
+}
+
+TEST(HogwildSplit, TailBatchGetsAShorterLastSubBatch) {
+  // 11 over 4 lanes: sub-batches of 2, the sixth holding the last example.
+  const HogwildSplit split = hogwild_split(11, 4);
+  EXPECT_EQ(split.sub_batch, 2);
+  EXPECT_EQ(split.count, 6);
+  // Every tail size covers the batch exactly: all but the last sub-batch
+  // are full, and the last is not empty.
+  for (tensor::Index batch = 1; batch <= 200; ++batch) {
+    for (const int lanes : {1, 3, 4, 56}) {
+      const HogwildSplit s = hogwild_split(batch, lanes);
+      EXPECT_EQ(s.sub_batch, std::max<tensor::Index>(1, batch / lanes));
+      EXPECT_LT((s.count - 1) * s.sub_batch, batch) << batch << "/" << lanes;
+      EXPECT_GE(s.count * s.sub_batch, batch) << batch << "/" << lanes;
+    }
+  }
 }
 
 TEST(CostModel, CpuBatchMonotoneInSubBatch) {

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,6 +129,64 @@ TEST_F(CliTest, BadIntegerDies) {
   auto argv = make_argv(args);
   EXPECT_EXIT(cli.parse(static_cast<int>(argv.size()), argv.data()),
               ::testing::ExitedWithCode(2), "invalid integer");
+}
+
+TEST_F(CliTest, OutOfRangeIntegerDies) {
+  std::int64_t count = 0;
+  CliParser cli("prog", "test");
+  cli.add_int("n", &count, "int");
+  // One past int64's range in either direction; strtoll would clamp both.
+  for (const char* v : {"99999999999999999999", "-9223372036854775809"}) {
+    std::vector<std::string> args{"--n", v};
+    auto argv = make_argv(args);
+    EXPECT_EXIT(cli.parse(static_cast<int>(argv.size()), argv.data()),
+                ::testing::ExitedWithCode(2), "out of range")
+        << v;
+  }
+}
+
+TEST_F(CliTest, NonFiniteDoubleDies) {
+  double rate = 0.5;
+  CliParser cli("prog", "test");
+  cli.add_double("d", &rate, "double");
+  // 1e999 overflows to inf; the others spell a non-finite value directly.
+  for (const char* v : {"1e999", "-1e999", "inf", "nan"}) {
+    std::vector<std::string> args{"--d", v};
+    auto argv = make_argv(args);
+    EXPECT_EXIT(cli.parse(static_cast<int>(argv.size()), argv.data()),
+                ::testing::ExitedWithCode(2), "not finite")
+        << v;
+  }
+}
+
+TEST_F(CliTest, MisspelledBoolDies) {
+  bool flag = false;
+  CliParser cli("prog", "test");
+  cli.add_flag("b", &flag, "flag");
+  for (const char* v : {"ture", "on", "TRUE", ""}) {
+    std::vector<std::string> args{std::string("--b=") + v};
+    auto argv = make_argv(args);
+    EXPECT_EXIT(cli.parse(static_cast<int>(argv.size()), argv.data()),
+                ::testing::ExitedWithCode(2), "invalid bool")
+        << v;
+  }
+}
+
+TEST_F(CliTest, ParsesEveryBoolSpelling) {
+  const std::pair<const char*, bool> spellings[] = {
+      {"true", true}, {"1", true}, {"yes", true},
+      {"false", false}, {"0", false}, {"no", false}};
+  for (const auto& [spelling, want] : spellings) {
+    for (const bool start : {false, true}) {
+      bool flag = start;
+      CliParser cli("prog", "test");
+      cli.add_flag("b", &flag, "flag");
+      std::vector<std::string> args{std::string("--b=") + spelling};
+      auto argv = make_argv(args);
+      EXPECT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+      EXPECT_EQ(flag, want) << spelling << " from " << start;
+    }
+  }
 }
 
 TEST(Logging, ParseLevels) {

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cli.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
 #include "nn/serialize.hpp"
@@ -75,6 +76,55 @@ void expect_ledger_invariant(const TrainingResult& r) {
 
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+// --- fault flags and names -----------------------------------------------
+
+TEST(FaultFlags, ParseIntoTheFaultConfig) {
+  FaultToleranceConfig fault;
+  CliParser cli("prog", "test");
+  register_fault_flags(cli, &fault);
+  std::vector<std::string> args{
+      "--fault-plan", "die:worker=1,atfrac=0.5",
+      "--fault-deadline-factor", "3.5",
+      "--fault-quarantine-after", "4",
+      "--fault-max-retries", "6",
+      "--fault-grace-ticks", "9",
+      "--fault-abort",
+      "--fault-lr-backoff=0.25",
+      "--checkpoint-interval", "0.125",
+      "--checkpoint-dir", "ckpts",
+      "--checkpoint-retain", "5",
+      "--resume", "old-ckpts"};
+  std::vector<char*> argv{const_cast<char*>("prog")};
+  for (std::string& a : args) argv.push_back(a.data());
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(fault.plan, "die:worker=1,atfrac=0.5");
+  EXPECT_EQ(fault.deadline_factor, 3.5);
+  EXPECT_EQ(fault.quarantine_after, 4);
+  EXPECT_EQ(fault.max_transfer_retries, 6);
+  EXPECT_EQ(fault.stall_grace_ticks, 9);
+  EXPECT_TRUE(fault.abort_on_divergence);
+  EXPECT_EQ(fault.lr_backoff, 0.25);
+  EXPECT_EQ(fault.checkpoint_interval_vseconds, 0.125);
+  EXPECT_EQ(fault.checkpoint_dir, "ckpts");
+  EXPECT_EQ(fault.checkpoint_retain, 5);
+  EXPECT_EQ(fault.resume_dir, "old-ckpts");
+}
+
+TEST(FaultKindName, NamesEveryKindDistinctly) {
+  // The names label ledger records, trace instants and CSV rows, so two
+  // kinds must never share one.
+  std::vector<std::string> names;
+  for (int k = 0; k <= static_cast<int>(FaultKind::kWorkerRetire); ++k) {
+    const std::string name = fault_kind_name(static_cast<FaultKind>(k));
+    EXPECT_NE(name, "?") << k;
+    EXPECT_FALSE(name.empty()) << k;
+    for (const std::string& seen : names) EXPECT_NE(name, seen) << k;
+    names.push_back(name);
+  }
+  EXPECT_STREQ(fault_kind_name(FaultKind::kDivergenceRollback),
+               "divergence-rollback");
 }
 
 // --- FaultPlan parsing ----------------------------------------------------

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cli.hpp"
 #include "core/update_ledger.hpp"
 #include "obs/clock.hpp"
 #include "obs/exporter.hpp"
@@ -40,6 +41,35 @@ std::string read_file(const std::string& path) {
 
 std::string temp_path(const char* name) {
   return testing::TempDir() + name;
+}
+
+TEST(ObsFlags, ParseIntoTheOptions) {
+  obs::ObsOptions options;
+  CliParser cli("prog", "test");
+  obs::register_obs_flags(cli, &options);
+  std::vector<std::string> args{"--trace-out", "run.json",
+                                "--metrics-out=run.jsonl",
+                                "--metrics-interval", "125",
+                                "--metrics-port", "0",
+                                "--trace-buffer", "4096"};
+  std::vector<char*> argv{const_cast<char*>("prog")};
+  for (std::string& a : args) argv.push_back(a.data());
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(options.trace_out, "run.json");
+  EXPECT_EQ(options.metrics_out, "run.jsonl");
+  EXPECT_EQ(options.metrics_interval_ms, 125.0);
+  EXPECT_EQ(options.metrics_port, 0);
+  EXPECT_EQ(options.trace_buffer, 4096);
+
+  // Absent flags keep the defaults: tracing, export and scraping off.
+  obs::ObsOptions defaults;
+  CliParser empty("prog", "test");
+  obs::register_obs_flags(empty, &defaults);
+  std::vector<char*> bare{const_cast<char*>("prog")};
+  ASSERT_TRUE(empty.parse(1, bare.data()));
+  EXPECT_TRUE(defaults.trace_out.empty());
+  EXPECT_TRUE(defaults.metrics_out.empty());
+  EXPECT_EQ(defaults.metrics_port, -1);
 }
 
 TEST(WallClockTest, Monotone) {

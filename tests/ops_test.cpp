@@ -22,13 +22,6 @@ TEST(Ops, AxpyShapeMismatchDies) {
   EXPECT_DEATH(axpy(1, x.view(), y.view()), "shape mismatch");
 }
 
-TEST(Ops, Scale) {
-  Matrix x{{2, 4}};
-  scale(0.5, x.view());
-  EXPECT_EQ(x(0, 0), 1);
-  EXPECT_EQ(x(0, 1), 2);
-}
-
 TEST(Ops, ColSums) {
   Matrix m{{1, 2}, {3, 4}, {5, 6}};
   Matrix out(1, 2);

@@ -274,26 +274,6 @@ TEST(Trainer, GpuWorkerReportsStalenessUnderConcurrency) {
   }
 }
 
-TEST(Trainer, OptimizerConfigIsHonored) {
-  // Momentum with a tiny rate should still reduce loss, exercising the
-  // optimizer plumbing through both worker types.
-  TrainingConfig config = small_config(Algorithm::kCpuGpuHogbatch);
-  config.optimizer.kind = nn::OptimizerKind::kMomentum;
-  config.optimizer.momentum = 0.5;
-  Trainer trainer(small_dataset(), config);
-  TrainingResult r = trainer.run();
-  EXPECT_LT(r.final_loss, r.initial_loss);
-}
-
-TEST(Trainer, LrScheduleIsHonored) {
-  TrainingConfig config = small_config(Algorithm::kMinibatchGpu);
-  config.lr_schedule.kind = nn::LrSchedule::kInverseTime;
-  config.lr_schedule.decay = 0.5;
-  Trainer trainer(small_dataset(), config);
-  TrainingResult r = trainer.run();
-  EXPECT_LT(r.final_loss, r.initial_loss);
-}
-
 TEST(Trainer, MultiGpuWorkersAllContribute) {
   // The paper's future-work extension: multiple GPU workers, one shared
   // model.

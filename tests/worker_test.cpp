@@ -2,6 +2,7 @@
 // modes) against a stub coordinator.
 #include "core/worker.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -11,9 +12,16 @@
 
 #include "data/synthetic.hpp"
 #include "nn/model.hpp"
+#include "reference_mlp.hpp"
 
 namespace hetsgd::core {
 namespace {
+
+using tensor::Index;
+
+// A few SGD steps against the reference MLP, which sums in other orders:
+// the two agree to rounding.
+constexpr double kRefTol = 1e-12;
 
 // Collects ScheduleWork reports; releases waiters as they arrive.
 class StubCoordinator final : public msg::Actor {
@@ -97,6 +105,36 @@ struct Rig {
     w.batch_size = size;
     return w;
   }
+
+  // Plain SGD on the reference MLP: `start` minus eta times the reference
+  // gradient of rows [begin, begin + size), one update per `sub_batch`
+  // rows in order.
+  nn::Model reference_sgd(nn::Model start, Index begin, Index size,
+                          Index sub_batch, double eta) const {
+    for (Index b = begin; b < begin + size; b += sub_batch) {
+      const Index rows = std::min(sub_batch, begin + size - b);
+      nn::Gradient grad = nn::make_zero_gradient(start);
+      ref::softmax_xent(start, dataset.batch_features(b, rows),
+                        dataset.batch_labels(b, rows), &grad);
+      ref::sgd(start, grad, eta);
+    }
+    return start;
+  }
+
+  // Runs one batch on a fresh worker and returns once the worker has
+  // exited, so the shared model is quiescent.
+  void run_one_batch(ExecMode mode, int real_threads,
+                     const msg::ExecuteWork& work) {
+    Worker worker(0, config, dataset, model, coordinator, mode,
+                  real_threads);
+    coordinator.start();
+    worker.start();
+    worker.send({msg::kCoordinator, work});
+    coordinator.wait_for_report(0);
+    worker.send({msg::kCoordinator, msg::Shutdown{}});
+    worker.join();
+    coordinator.join();
+  }
 };
 
 TEST(CpuWorkerProtocol, ExecuteProducesReportAndUpdatesModel) {
@@ -174,6 +212,32 @@ TEST(CpuWorkerProtocol, NotBeforeAdvancesClock) {
   rig.coordinator.join();
 }
 
+TEST(CpuWorkerProtocol, LaneUpdateIsPlainSgd) {
+  Rig rig;
+  const nn::Model start = rig.model;
+  // One real lane runs the four 2-example sub-batches in order, so the
+  // result is sequential SGD with no race.
+  rig.run_one_batch(ExecMode::kHogwild, 1, rig.work(0, 8));
+  const nn::Model want =
+      rig.reference_sgd(start, 0, 8, 2, rig.config.effective_lr(2));
+  EXPECT_GT(rig.model.max_abs_diff(start), 0.0);
+  EXPECT_LT(rig.model.max_abs_diff(want), kRefTol);
+}
+
+TEST(CpuWorkerProtocol, RollbackScaleReachesTheLaneRate) {
+  Rig rig;
+  // Cap the rate below learning_rate * sub_batch: the scale must apply to
+  // the capped rate, not to the per-example one.
+  rig.config.max_effective_lr = 1.5e-3;
+  ASSERT_EQ(rig.config.effective_lr(2), 1.5e-3);
+  const nn::Model start = rig.model;
+  msg::ExecuteWork w = rig.work(0, 8);
+  w.lr_scale = 0.25;
+  rig.run_one_batch(ExecMode::kHogwild, 1, w);
+  const nn::Model want = rig.reference_sgd(start, 0, 8, 2, 1.5e-3 * 0.25);
+  EXPECT_LT(rig.model.max_abs_diff(want), kRefTol);
+}
+
 TEST(GpuWorkerProtocol, ExecuteProducesReportAndMergesGradient) {
   Rig rig;
   nn::Model before = rig.model;
@@ -197,6 +261,28 @@ TEST(GpuWorkerProtocol, ExecuteProducesReportAndMergesGradient) {
   // dequeued, not merely sent.
   rig.coordinator.join();
   EXPECT_TRUE(rig.coordinator.acked());
+}
+
+TEST(GpuWorkerProtocol, MergeIsPlainSgd) {
+  Rig rig;
+  const nn::Model start = rig.model;
+  rig.run_one_batch(ExecMode::kReplica, 1, rig.work(0, 64));
+  const nn::Model want =
+      rig.reference_sgd(start, 0, 64, 64, rig.config.effective_lr(64));
+  EXPECT_GT(rig.model.max_abs_diff(start), 0.0);
+  EXPECT_LT(rig.model.max_abs_diff(want), kRefTol);
+}
+
+TEST(GpuWorkerProtocol, RollbackScaleReachesTheMergeRate) {
+  Rig rig;
+  rig.config.max_effective_lr = 0.04;  // below learning_rate * 64
+  ASSERT_EQ(rig.config.effective_lr(64), 0.04);
+  const nn::Model start = rig.model;
+  msg::ExecuteWork w = rig.work(0, 64);
+  w.lr_scale = 0.125;
+  rig.run_one_batch(ExecMode::kReplica, 1, w);
+  const nn::Model want = rig.reference_sgd(start, 0, 64, 64, 0.04 * 0.125);
+  EXPECT_LT(rig.model.max_abs_diff(want), kRefTol);
 }
 
 TEST(GpuWorkerProtocol, StalenessZeroWithoutConcurrentWriters) {
@@ -270,6 +356,139 @@ TEST(WorkerState, SerializeRestoreRoundTripsBothModes) {
                                             : ExecMode::kHogwild,
                  2);
     EXPECT_FALSE(other.restore_state(blob, &error));
+  }
+}
+
+// Version-1 blobs, byte for byte as the workers serialized them when each
+// Hogwild lane and each replica kept an optimizer (plain SGD): a 4-lane
+// Hogwild worker and a replica worker, after one batch each. Blobs hold
+// host-order values; these are little-endian.
+const std::vector<std::uint8_t> kHogwildV1 = {
+    'C', 0x01, 0x00, 0x00, 0x00,                      // tag, version 1
+    0x6c, 0x02, 0xa0, 0x08, 0xff, 0x1d, 0xf5, 0x3e,  // clock
+    0x6c, 0x02, 0xa0, 0x08, 0xff, 0x1d, 0xf5, 0x3e,  // busy time
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x40,  // updates_scaled 4.0
+    0x04, 0x00, 0x00, 0x00,                          // 4 lanes
+    // Per lane: a u64 step count of 1 and a u8 flag of 1.
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+};
+const std::vector<std::uint8_t> kReplicaV1 = {
+    'G', 0x01, 0x00, 0x00, 0x00,                      // tag, version 1
+    0x09, 0x4a, 0xe8, 0x80, 0xd5, 0x18, 0x23, 0x3f,  // clock
+    0x09, 0x4a, 0xe8, 0x80, 0xd5, 0x18, 0x23, 0x3f,  // busy time
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 1 update
+    // A u64 step count of 1 and a u8 flag of 1.
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+};
+
+// The version-2 blob holding the same state: tag, version 2, then the
+// clock, busy time and update counter, with no optimizer records.
+std::vector<std::uint8_t> as_version2(const std::vector<std::uint8_t>& v1) {
+  std::vector<std::uint8_t> v2(v1.begin(), v1.begin() + 29);
+  v2[1] = 0x02;
+  return v2;
+}
+
+TEST(WorkerState, RestoresVersion1Blobs) {
+  Rig rig;
+  for (const auto& [mode, blob] :
+       {std::pair{ExecMode::kHogwild, kHogwildV1},
+        std::pair{ExecMode::kReplica, kReplicaV1}}) {
+    Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
+                  mode, 4);
+    std::string error;
+    ASSERT_TRUE(worker.restore_state(blob, &error)) << error;
+    EXPECT_EQ(worker.serialize_state(), as_version2(blob));
+  }
+}
+
+TEST(WorkerState, RestoresAcrossLaneCounts) {
+  Rig rig;
+  const std::vector<std::uint8_t> v2 = as_version2(kHogwildV1);
+  for (const int lanes : {1, 2, 4}) {
+    for (const auto& blob : {kHogwildV1, v2}) {
+      Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
+                    ExecMode::kHogwild, lanes);
+      std::string error;
+      ASSERT_TRUE(worker.restore_state(blob, &error))
+          << lanes << " lanes: " << error;
+      EXPECT_EQ(worker.serialize_state(), v2) << lanes << " lanes";
+    }
+  }
+}
+
+TEST(WorkerState, RejectsTrailingBytes) {
+  Rig rig;
+  for (const auto& [mode, v1] :
+       {std::pair{ExecMode::kHogwild, kHogwildV1},
+        std::pair{ExecMode::kReplica, kReplicaV1}}) {
+    for (std::vector<std::uint8_t> blob : {v1, as_version2(v1)}) {
+      blob.push_back(0x00);
+      Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
+                    mode, 2);
+      std::string error;
+      EXPECT_FALSE(worker.restore_state(blob, &error));
+      EXPECT_NE(error.find("trailing bytes"), std::string::npos) << error;
+    }
+  }
+  // A version-1 Hogwild blob whose lane count undercounts its records
+  // leaves the last record over.
+  std::vector<std::uint8_t> undercounted = kHogwildV1;
+  undercounted[29] = 0x03;
+  Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
+                ExecMode::kHogwild, 2);
+  std::string error;
+  EXPECT_FALSE(worker.restore_state(undercounted, &error));
+  EXPECT_NE(error.find("trailing bytes"), std::string::npos) << error;
+  // Overcounting runs out of bytes instead.
+  std::vector<std::uint8_t> overcounted = kHogwildV1;
+  overcounted[29] = 0x05;
+  EXPECT_FALSE(worker.restore_state(overcounted, &error));
+  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+}
+
+TEST(WorkerState, RejectsTruncatedBlobs) {
+  Rig rig;
+  for (const auto& [mode, v1] :
+       {std::pair{ExecMode::kHogwild, kHogwildV1},
+        std::pair{ExecMode::kReplica, kReplicaV1}}) {
+    for (const auto& blob : {v1, as_version2(v1)}) {
+      Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
+                    mode, 2);
+      const std::vector<std::uint8_t> fresh = worker.serialize_state();
+      // Every proper prefix fails, and a failed restore leaves the
+      // worker's state as it was.
+      for (std::size_t n = 0; n < blob.size(); ++n) {
+        const std::vector<std::uint8_t> prefix(blob.begin(),
+                                               blob.begin() + n);
+        std::string error;
+        EXPECT_FALSE(worker.restore_state(prefix, &error)) << n;
+        if (n >= 5) {
+          EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+        }
+        EXPECT_EQ(worker.serialize_state(), fresh) << n;
+      }
+    }
+  }
+}
+
+TEST(WorkerState, RejectsUnknownVersion) {
+  Rig rig;
+  for (const auto& [mode, v1] :
+       {std::pair{ExecMode::kHogwild, kHogwildV1},
+        std::pair{ExecMode::kReplica, kReplicaV1}}) {
+    for (const std::uint8_t version : {0, 3, 0xff}) {
+      std::vector<std::uint8_t> blob = as_version2(v1);
+      blob[1] = version;
+      Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
+                    mode, 2);
+      std::string error;
+      EXPECT_FALSE(worker.restore_state(blob, &error));
+      EXPECT_NE(error.find("unsupported"), std::string::npos) << error;
+    }
   }
 }
 
