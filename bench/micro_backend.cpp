@@ -1,19 +1,18 @@
-// Microbenchmark + gate — dispatch overhead of the backend seam.
+// Microbenchmark + gate — per-call overhead of the backend.
 //
 // Runs one MLP-layer-shaped kernel sequence (fused forward GEMM, weight
 // gradient, bias reduction, delta back-propagation, activation backward,
 // SGD axpy — the exact six calls MlpExecutor issues per hidden layer)
 // twice over the same 96x96 operands:
 //
-//   direct   the tensor/nn kernels called straight, as the pre-seam host
-//            path (nn::Mlp free functions) did;
-//   backend  the same kernels through backend::Backend virtual calls on a
-//            zero-copy CpuBackend, i.e. what every Hogwild lane now pays:
-//            virtual dispatch + handle->slot lookup + liveness asserts +
-//            virtual-time charging.
+//   direct   the tensor/nn kernels called straight;
+//   backend  the same kernels through a zero-copy backend::Backend on
+//            views of the same matrices, i.e. what every Hogwild lane
+//            pays: an out-of-line call per kernel plus its virtual-time
+//            charge and device-counter check.
 //
-// The ratio of the two is the seam tax. The backend refactor budgets it
-// at <2% (DESIGN.md §13) and this binary enforces that budget; the JSON
+// The ratio of the two is the backend's tax. DESIGN.md §13 budgets it at
+// <2% and this binary enforces that budget; the JSON
 // it writes (bench_results/BENCH_backend.json via scripts/bench_smoke.sh)
 // records the measurement.
 //
@@ -31,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "backend/cpu_backend.hpp"
+#include "backend/backend.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
@@ -73,8 +72,7 @@ void fill(Rng& rng, Matrix& m) {
   }
 }
 
-// One hidden layer's forward + backward + update through the raw kernels —
-// the pre-seam host path.
+// One hidden layer's forward + backward + update through the raw kernels.
 void run_direct(Operands& o) {
   tensor::gemm_bias_act(Trans::kNo, Trans::kYes, Scalar{1}, o.x.view(),
                         o.w.view(), o.out.view(), o.bias.view(),
@@ -87,32 +85,16 @@ void run_direct(Operands& o) {
   tensor::axpy(Scalar{-1e-3}, o.grad_w.view(), o.w.view());
 }
 
-// The adopted-buffer handles a zero-copy lane executor holds over the same
-// storage.
-struct Handles {
-  backend::Buffer x, w, bias, out, delta, prev_delta, grad_w, grad_b;
-
-  Handles(backend::Backend& b, Operands& o)
-      : x(b.adopt(o.x.view())),
-        w(b.adopt(o.w.view())),
-        bias(b.adopt(o.bias.view())),
-        out(b.adopt(o.out.view())),
-        delta(b.adopt(o.delta.view())),
-        prev_delta(b.adopt(o.prev_delta.view())),
-        grad_w(b.adopt(o.grad_w.view())),
-        grad_b(b.adopt(o.grad_b.view())) {}
-};
-
-// The identical sequence through the seam. `b` is a Backend& on purpose:
-// every call is a real virtual dispatch, as in MlpExecutor.
-void run_backend(backend::Backend& b, Handles& h) {
-  b.gemm_bias_act(h.x, h.w, h.bias, h.out, kDim, tensor::Epilogue::kBiasTanh,
-                  0.0);
-  b.matmul_tn(h.delta, h.x, kDim, h.grad_w, 0.0);
-  b.col_sums(h.delta, kDim, h.grad_b, 0.0);
-  b.matmul_nn(h.delta, h.w, kDim, h.prev_delta, 0.0);
-  b.activation_backward(nn::Activation::kTanh, h.out, h.prev_delta, kDim, 0.0);
-  b.axpy(Scalar{-1e-3}, h.grad_w, h.w, 0.0);
+// The identical sequence through the backend, as MlpExecutor issues it.
+void run_backend(backend::Backend& b, Operands& o) {
+  b.gemm_bias_act(o.x.view(), o.w.view(), o.bias.view(), o.out.view(),
+                  tensor::Epilogue::kBiasTanh, 0.0);
+  b.matmul_tn(o.delta.view(), o.x.view(), o.grad_w.view(), 0.0);
+  b.col_sums(o.delta.view(), o.grad_b.view(), 0.0);
+  b.matmul_nn(o.delta.view(), o.w.view(), o.prev_delta.view(), 0.0);
+  b.activation_backward(nn::Activation::kTanh, o.out.view(),
+                        o.prev_delta.view(), 0.0);
+  b.axpy(Scalar{-1e-3}, o.grad_w.view(), o.w.view(), 0.0);
 }
 
 template <typename Fn>
@@ -144,19 +126,17 @@ int main(int argc, char** argv) {
   fill(rng, o.bias);
   fill(rng, o.delta);
 
-  backend::CpuBackend cpu(gpusim::xeon56_spec(),
-                          backend::CpuBackend::Mode::kZeroCopy);
-  backend::Backend& seam = cpu;
-  Handles h(seam, o);
+  backend::Backend cpu(gpusim::xeon56_spec(),
+                       backend::Backend::Mode::kZeroCopy);
 
   // Warm caches and the OpenMP pool before any timed phase.
   time_phase(std::min<std::int64_t>(iters, 200), [&] { run_direct(o); });
-  time_phase(std::min<std::int64_t>(iters, 200), [&] { run_backend(seam, h); });
+  time_phase(std::min<std::int64_t>(iters, 200), [&] { run_backend(cpu, o); });
 
   std::vector<double> direct_ns, backend_ns;
   for (std::int64_t r = 0; r < reps; ++r) {
     direct_ns.push_back(time_phase(iters, [&] { run_direct(o); }));
-    backend_ns.push_back(time_phase(iters, [&] { run_backend(seam, h); }));
+    backend_ns.push_back(time_phase(iters, [&] { run_backend(cpu, o); }));
   }
 
   std::sort(direct_ns.begin(), direct_ns.end());

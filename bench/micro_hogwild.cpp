@@ -4,7 +4,7 @@
 // §VI-C).
 //
 // The update is the one a Hogwild lane runs (Worker::ensure_lane_capacity
-// and execute_hogwild): each lane owns a zero-copy CpuBackend whose
+// and execute_hogwild): each lane owns a zero-copy Backend whose
 // MlpExecutor is bound to the shared model and the lane's gradient, and
 // Model::axpy applies the plain SGD step.
 #include <benchmark/benchmark.h>
@@ -12,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "backend/cpu_backend.hpp"
+#include "backend/backend.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/rng.hpp"
 #include "concurrent/thread_pool.hpp"
@@ -36,7 +36,7 @@ nn::MlpConfig bench_mlp(tensor::Index dim, std::int32_t classes) {
 // One Hogwild lane: its backend, executor and gradient slab.
 struct Lane {
   Lane(nn::Model& shared, tensor::Index max_batch)
-      : backend(gpusim::xeon56_spec(), backend::CpuBackend::Mode::kZeroCopy),
+      : backend(gpusim::xeon56_spec(), backend::Backend::Mode::kZeroCopy),
         grad(nn::make_zero_gradient(shared)),
         exec(backend, shared.config(), max_batch) {
     exec.bind_shared_model(shared);
@@ -51,7 +51,7 @@ struct Lane {
     shared.axpy(-1e-4, grad);
   }
 
-  backend::CpuBackend backend;
+  backend::Backend backend;
   nn::Gradient grad;
   backend::MlpExecutor exec;
 };

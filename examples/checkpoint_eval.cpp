@@ -9,7 +9,7 @@
 #include <optional>
 #include <string>
 
-#include "backend/cpu_backend.hpp"
+#include "backend/backend.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/cli.hpp"
 #include "core/trainer.hpp"
@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
   nn::Gradient grad = nn::make_zero_gradient(model);
   // Plain SGD on the host: a zero-copy executor trains the model it is
   // bound to in place.
-  backend::CpuBackend host(gpusim::xeon56_spec(),
-                           backend::CpuBackend::Mode::kZeroCopy);
+  backend::Backend host(gpusim::xeon56_spec(),
+                        backend::Backend::Mode::kZeroCopy);
   backend::MlpExecutor exec(host, mlp, nn::kEvalChunkRows);
   exec.bind_shared_model(model);
   exec.bind_host_gradient(grad);

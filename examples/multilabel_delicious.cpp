@@ -4,7 +4,7 @@
 // delicious is the paper's multi-label dataset (983 tags). This example
 // trains with the sigmoid+BCE loss — each example can carry several tags —
 // through a zero-copy executor on the host, and times the softmax
-// single-label formulation on the modeled V100 (a device-mode CpuBackend)
+// single-label formulation on the modeled V100 (a device-mode Backend)
 // side by side, reproducing in miniature the observation of §VII-B that
 // the many-label output layer is where TensorFlow's overhead lives. Exits
 // nonzero if the BCE loss does not fall.
@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "backend/cpu_backend.hpp"
+#include "backend/backend.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
   nn::Model model(mlp, rng);
   nn::Gradient grad = nn::make_zero_gradient(model);
   // Sized for the 256-row recall check below; training batches are 128.
-  backend::CpuBackend host(gpusim::xeon56_spec(),
-                           backend::CpuBackend::Mode::kZeroCopy);
+  backend::Backend host(gpusim::xeon56_spec(),
+                        backend::Backend::Mode::kZeroCopy);
   backend::MlpExecutor host_mlp(host, mlp, 256);
   host_mlp.bind_shared_model(model);
   host_mlp.bind_host_gradient(grad);
@@ -116,8 +116,8 @@ int main(int argc, char** argv) {
   // The same architecture through the modeled GPU: the 983-wide output
   // layer dominates the per-batch kernel cost — the seed of TensorFlow's
   // delicious slowdown in Fig. 5c.
-  backend::CpuBackend device(gpusim::v100_spec(),
-                             backend::CpuBackend::Mode::kDevice);
+  backend::Backend device(gpusim::v100_spec(),
+                          backend::Backend::Mode::kDevice);
   nn::MlpConfig wide = mlp;
   wide.num_classes = 983;
   backend::MlpExecutor device_mlp(device, wide, batch);

@@ -49,9 +49,9 @@ python3 scripts/check_bench_regression.py "$RAW_JSON" \
 cmake --build "$BUILD_DIR" --target micro_trace -j"$(nproc)"
 "$BUILD_DIR/bench/micro_trace" --out bench_results/BENCH_trace.json
 
-# Backend-seam dispatch gate (DESIGN.md §13): micro_backend times one
-# MLP-layer kernel sequence directly and through backend::Backend virtual
-# calls, and fails if the seam tax exceeds 2%. Self-gating like
-# micro_trace; BENCH_backend.json records the measurement.
+# Backend dispatch gate (DESIGN.md §13): micro_backend times one MLP-layer
+# kernel sequence directly and through backend::Backend's view-taking
+# kernels, and fails if the backend's per-call tax exceeds 2%. Self-gating
+# like micro_trace; BENCH_backend.json records the measurement.
 cmake --build "$BUILD_DIR" --target micro_backend -j"$(nproc)"
 "$BUILD_DIR/bench/micro_backend" --out bench_results/BENCH_backend.json

@@ -108,7 +108,8 @@ build/bench/micro_trace
 echo "gate 4b: PASS"
 
 # --- 4c. backend dispatch overhead ------------------------------------------
-# micro_backend gates the seam tax of backend::Backend virtual dispatch
+# micro_backend gates the per-call tax of backend::Backend (an out-of-line
+# call, the virtual-time charge and the device-counter check per kernel)
 # against the direct kernel path (<2%, DESIGN.md §13); bench_smoke.sh
 # re-runs it in the native build and records BENCH_backend.json.
 note "gate 4c: backend dispatch overhead (micro_backend)"

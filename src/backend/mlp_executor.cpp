@@ -16,135 +16,125 @@ MlpExecutor::MlpExecutor(Backend& backend, const nn::MlpConfig& config,
   config_.validate();
   HETSGD_ASSERT(max_batch > 0, "max_batch must be positive");
   const auto shapes = config_.layer_shapes();
+  // Activations and deltas in both modes; in device mode also the private
+  // replica, its gradient and the input staging rows. The bytes are
+  // reserved before anything is allocated, so an executor that does not
+  // fit aborts like a failed cudaMalloc.
+  const auto batch_rows = static_cast<std::uint64_t>(max_batch);
+  std::uint64_t scalars = 0;
+  for (const auto& s : shapes) {
+    scalars += 2 * batch_rows * static_cast<std::uint64_t>(s.out);
+  }
+  if (!backend_.zero_copy()) {
+    scalars += 2 * config_.parameter_count() +
+               batch_rows * static_cast<std::uint64_t>(config_.input_dim);
+  }
+  backend_.reserve(scalars * sizeof(Scalar));
+  device_bytes_ = scalars * sizeof(Scalar);
   acts_.reserve(shapes.size());
   deltas_.reserve(shapes.size());
-  if (backend_.zero_copy()) {
-    // The replica and gradient alias live host storage once bound; only
-    // scratch (activations/deltas) is allocated. The input handle starts
-    // unbound and is re-aliased onto each batch by stage_batch().
-    for (const auto& s : shapes) {
-      acts_.push_back(backend_.alloc(max_batch, s.out));
-      deltas_.push_back(backend_.alloc(max_batch, s.out));
-    }
-    input_ = backend_.adopt(
-        tensor::MatrixView(nullptr, 0, config_.input_dim));
-    return;
-  }
-  // Private replica: allocate in the order the DeviceMlp always has, so a
-  // capacity-exceeded abort fires on the same allocation.
-  replica_.reserve(shapes.size());
-  gradient_.reserve(shapes.size());
   for (const auto& s : shapes) {
-    replica_.push_back(
-        {backend_.alloc(s.out, s.in), backend_.alloc(1, s.out)});
-    gradient_.push_back(
-        {backend_.alloc(s.out, s.in), backend_.alloc(1, s.out)});
-    acts_.push_back(backend_.alloc(max_batch, s.out));
-    deltas_.push_back(backend_.alloc(max_batch, s.out));
+    acts_.emplace_back(max_batch, s.out);
+    deltas_.emplace_back(max_batch, s.out);
   }
-  input_ = backend_.alloc(max_batch, config_.input_dim);
+  if (backend_.zero_copy()) return;  // the replica is bound later
+  device_replica_ = nn::Model(config_);
+  device_gradient_ = nn::Model(config_);
+  replica_ = &device_replica_;
+  gradient_ = &device_gradient_;
+  input_ = tensor::Matrix(max_batch, config_.input_dim);
 }
 
-MlpExecutor::~MlpExecutor() {
-  if (!released_) release_buffers();
-}
+MlpExecutor::~MlpExecutor() { release_buffers(); }
 
 void MlpExecutor::bind_shared_model(nn::Model& model) {
   HETSGD_ASSERT(backend_.zero_copy(),
                 "bind_shared_model requires a zero-copy backend");
-  HETSGD_ASSERT(model.layer_count() == config_.layer_shapes().size(),
+  HETSGD_ASSERT(model.layer_count() == acts_.size(),
                 "model/config layer count mismatch");
-  replica_.clear();
-  for (std::size_t l = 0; l < model.layer_count(); ++l) {
-    replica_.push_back({backend_.adopt(model.layer(l).weights.view()),
-                        backend_.adopt(model.layer(l).bias.view())});
-  }
-  model_bound_ = true;
+  replica_ = &model;
 }
 
 void MlpExecutor::bind_host_gradient(nn::Gradient& grad) {
   HETSGD_ASSERT(backend_.zero_copy(),
                 "bind_host_gradient requires a zero-copy backend");
-  HETSGD_ASSERT(grad.layer_count() == config_.layer_shapes().size(),
+  HETSGD_ASSERT(grad.layer_count() == acts_.size(),
                 "gradient/config layer count mismatch");
-  gradient_.clear();
-  for (std::size_t l = 0; l < grad.layer_count(); ++l) {
-    gradient_.push_back({backend_.adopt(grad.layer(l).weights.view()),
-                         backend_.adopt(grad.layer(l).bias.view())});
-  }
-  gradient_bound_ = true;
-}
-
-std::uint64_t MlpExecutor::device_bytes() const {
-  std::uint64_t total = backend_.zero_copy() ? 0 : input_.bytes();
-  for (std::size_t l = 0; l < acts_.size(); ++l) {
-    if (!model_bound_ && l < replica_.size()) {
-      total += replica_[l].weights.bytes() + replica_[l].bias.bytes();
-    }
-    if (!gradient_bound_ && l < gradient_.size()) {
-      total += gradient_[l].weights.bytes() + gradient_[l].bias.bytes();
-    }
-    total += acts_[l].bytes() + deltas_[l].bytes();
-  }
-  return total;
+  gradient_ = &grad;
 }
 
 double MlpExecutor::upload_model(const nn::Model& model, double issue_time) {
-  if (model_bound_) return issue_time;  // the replica IS the model
-  HETSGD_ASSERT(model.layer_count() == replica_.size(),
+  if (backend_.zero_copy()) return issue_time;  // the replica IS the model
+  HETSGD_ASSERT(replica_ != nullptr &&
+                    model.layer_count() == replica_->layer_count(),
                 "model/replica layer count mismatch");
   double t = issue_time;
-  for (std::size_t l = 0; l < replica_.size(); ++l) {
-    t = backend_.upload(model.layer(l).weights.view(), replica_[l].weights,
+  for (std::size_t l = 0; l < model.layer_count(); ++l) {
+    nn::Layer& device = replica_->layer(l);
+    t = backend_.upload(model.layer(l).weights.view(), device.weights.view(),
                         issue_time);
-    t = backend_.upload(model.layer(l).bias.view(), replica_[l].bias,
+    t = backend_.upload(model.layer(l).bias.view(), device.bias.view(),
                         issue_time);
   }
   return t;
 }
 
-void MlpExecutor::run_forward(tensor::ConstMatrixView x,
-                              std::uint64_t target_bytes, double issue_time) {
+tensor::ConstMatrixView MlpExecutor::run_forward(tensor::ConstMatrixView x,
+                                                 std::uint64_t target_bytes,
+                                                 double issue_time) {
   const Index batch = x.rows();
   HETSGD_ASSERT(batch > 0 && batch <= max_batch_, "batch exceeds max_batch");
   HETSGD_ASSERT(x.cols() == config_.input_dim, "batch width mismatch");
-  HETSGD_ASSERT(!replica_.empty(),
+  HETSGD_ASSERT(replica_ != nullptr,
                 "executor not bound (zero-copy backends need bind_* first)");
 
   // H2D: the batch itself, the labels or targets riding along (charged
   // without a dedicated buffer — the loss kernel is the only consumer).
-  backend_.stage_batch(x, input_, target_bytes, issue_time);
+  // Zero-copy backends read the dataset rows in place.
+  tensor::ConstMatrixView input = x;
+  if (!backend_.zero_copy()) {
+    const tensor::MatrixView staged = input_.rows_view(0, batch);
+    backend_.stage_batch(x, staged, target_bytes, issue_time);
+    input = staged;
+  }
 
   // Forward: per layer one fused kernel out = act(A_prev * W^T + b); the
   // output layer keeps raw logits (bias only).
-  const std::size_t layers = replica_.size();
-  Buffer prev = input_;
+  const std::size_t layers = acts_.size();
+  tensor::ConstMatrixView prev = input;
   for (std::size_t l = 0; l < layers; ++l) {
     const tensor::Epilogue ep =
         l + 1 < layers ? nn::bias_act_epilogue(config_.hidden_activation)
                        : tensor::Epilogue::kBias;
-    backend_.gemm_bias_act(prev, replica_[l].weights, replica_[l].bias,
-                           acts_[l], batch, ep, issue_time);
-    prev = acts_[l];
+    const nn::Layer& layer = replica_->layer(l);
+    const tensor::MatrixView out = acts_[l].rows_view(0, batch);
+    backend_.gemm_bias_act(prev, layer.weights.view(), layer.bias.view(), out,
+                           ep, issue_time);
+    prev = out;
   }
+  return input;
 }
 
-void MlpExecutor::run_backward(Index batch, double issue_time,
-                               double* completion_time) {
-  HETSGD_ASSERT(!gradient_.empty(),
+void MlpExecutor::run_backward(tensor::ConstMatrixView input,
+                               double issue_time, double* completion_time) {
+  HETSGD_ASSERT(gradient_ != nullptr,
                 "executor not bound (zero-copy backends need bind_* first)");
-  for (std::size_t l = replica_.size(); l-- > 0;) {
-    const Buffer& prev_act = l == 0 ? input_ : acts_[l - 1];
+  const Index batch = input.rows();
+  for (std::size_t l = acts_.size(); l-- > 0;) {
+    const tensor::ConstMatrixView prev_act =
+        l == 0 ? input : acts_[l - 1].rows_view(0, batch);
+    const tensor::MatrixView delta = deltas_[l].rows_view(0, batch);
+    nn::Layer& grad = gradient_->layer(l);
     // dW = delta^T * prev_act; db = column sums of delta.
-    backend_.matmul_tn(deltas_[l], prev_act, batch, gradient_[l].weights,
-                       issue_time);
-    backend_.col_sums(deltas_[l], batch, gradient_[l].bias, issue_time);
+    backend_.matmul_tn(delta, prev_act, grad.weights.view(), issue_time);
+    backend_.col_sums(delta, grad.bias.view(), issue_time);
     if (l > 0) {
       // delta_{l-1} = (delta_l * W^l) ⊙ act'(a_{l-1})
-      backend_.matmul_nn(deltas_[l], replica_[l].weights, batch,
-                         deltas_[l - 1], issue_time);
-      backend_.activation_backward(config_.hidden_activation, acts_[l - 1],
-                                   deltas_[l - 1], batch, issue_time);
+      const tensor::MatrixView prev_delta = deltas_[l - 1].rows_view(0, batch);
+      backend_.matmul_nn(delta, replica_->layer(l).weights.view(), prev_delta,
+                         issue_time);
+      backend_.activation_backward(config_.hidden_activation, prev_act,
+                                   prev_delta, issue_time);
     }
   }
 
@@ -160,13 +150,15 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
   const Index batch = x.rows();
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == batch,
                 "label count mismatch");
-  run_forward(x, static_cast<std::uint64_t>(batch) * sizeof(std::int32_t),
-              issue_time);
+  const tensor::ConstMatrixView input = run_forward(
+      x, static_cast<std::uint64_t>(batch) * sizeof(std::int32_t),
+      issue_time);
   // Loss + dLoss/dlogits (fused softmax-xent kernel).
   Scalar loss = 0;
-  backend_.softmax_xent(acts_.back(), labels, deltas_.back(), batch, &loss,
-                        issue_time);
-  run_backward(batch, issue_time, completion_time);
+  tensor::MatrixView dlogits = deltas_.back().rows_view(0, batch);
+  backend_.softmax_xent(acts_.back().rows_view(0, batch), labels, &dlogits,
+                        &loss, issue_time);
+  run_backward(input, issue_time, completion_time);
   return loss;
 }
 
@@ -178,18 +170,19 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
   HETSGD_ASSERT(targets.rows() == batch &&
                     targets.cols() == config_.num_classes,
                 "targets shape mismatch");
-  run_forward(x, static_cast<std::uint64_t>(targets.size()) * sizeof(Scalar),
-              issue_time);
+  const tensor::ConstMatrixView input = run_forward(
+      x, static_cast<std::uint64_t>(targets.size()) * sizeof(Scalar),
+      issue_time);
   Scalar loss = 0;
-  backend_.sigmoid_bce(acts_.back(), targets, deltas_.back(), batch, &loss,
-                       issue_time);
-  run_backward(batch, issue_time, completion_time);
+  backend_.sigmoid_bce(acts_.back().rows_view(0, batch), targets,
+                       deltas_.back().rows_view(0, batch), &loss, issue_time);
+  run_backward(input, issue_time, completion_time);
   return loss;
 }
 
 tensor::ConstMatrixView MlpExecutor::forward(tensor::ConstMatrixView x) {
   run_forward(x, 0, 0.0);
-  return backend_.view(acts_.back()).rows_view(0, x.rows());
+  return acts_.back().rows_view(0, x.rows());
 }
 
 double MlpExecutor::mean_loss(tensor::ConstMatrixView x,
@@ -202,12 +195,12 @@ double MlpExecutor::mean_loss(tensor::ConstMatrixView x,
     const Index count = std::min(nn::kEvalChunkRows, n - begin);
     run_forward(x.rows_view(begin, count),
                 static_cast<std::uint64_t>(count) * sizeof(std::int32_t), 0.0);
-    // A null dlogits handle: the loss alone, no delta written.
+    // No dlogits: the loss alone, no delta written.
     Scalar loss = 0;
-    backend_.softmax_xent(acts_.back(),
+    backend_.softmax_xent(acts_.back().rows_view(0, count),
                           labels.subspan(static_cast<std::size_t>(begin),
                                          static_cast<std::size_t>(count)),
-                          Buffer{}, count, &loss, 0.0);
+                          nullptr, &loss, 0.0);
     total += static_cast<double>(loss) * static_cast<double>(count);
   }
   return total / static_cast<double>(n);
@@ -215,59 +208,58 @@ double MlpExecutor::mean_loss(tensor::ConstMatrixView x,
 
 double MlpExecutor::apply_gradient(Scalar eta, double issue_time) {
   double t = issue_time;
-  for (std::size_t l = 0; l < replica_.size(); ++l) {
-    t = backend_.axpy(-eta, gradient_[l].weights, replica_[l].weights,
+  for (std::size_t l = 0; l < acts_.size(); ++l) {
+    nn::Layer& layer = replica_->layer(l);
+    const nn::Layer& grad = gradient_->layer(l);
+    t = backend_.axpy(-eta, grad.weights.view(), layer.weights.view(),
                       issue_time);
-    t = backend_.axpy(-eta, gradient_[l].bias, replica_[l].bias, issue_time);
+    t = backend_.axpy(-eta, grad.bias.view(), layer.bias.view(), issue_time);
   }
   return t;
 }
 
 double MlpExecutor::download_gradient(nn::Gradient& grad, double issue_time) {
-  if (gradient_bound_) return issue_time;  // already in host storage
-  HETSGD_ASSERT(grad.layer_count() == gradient_.size(),
+  if (backend_.zero_copy()) return issue_time;  // already in host storage
+  HETSGD_ASSERT(gradient_ != nullptr &&
+                    grad.layer_count() == gradient_->layer_count(),
                 "gradient layer count mismatch");
   double t = issue_time;
-  for (std::size_t l = 0; l < gradient_.size(); ++l) {
-    t = backend_.download(gradient_[l].weights, grad.layer(l).weights.view(),
+  for (std::size_t l = 0; l < grad.layer_count(); ++l) {
+    const nn::Layer& device = gradient_->layer(l);
+    t = backend_.download(device.weights.view(), grad.layer(l).weights.view(),
                           issue_time);
-    t = backend_.download(gradient_[l].bias, grad.layer(l).bias.view(),
+    t = backend_.download(device.bias.view(), grad.layer(l).bias.view(),
                           issue_time);
   }
   return t;
 }
 
 double MlpExecutor::download_model(nn::Model& model, double issue_time) {
-  if (model_bound_) return issue_time;
-  HETSGD_ASSERT(model.layer_count() == replica_.size(),
+  if (backend_.zero_copy()) return issue_time;
+  HETSGD_ASSERT(replica_ != nullptr &&
+                    model.layer_count() == replica_->layer_count(),
                 "model layer count mismatch");
   double t = issue_time;
-  for (std::size_t l = 0; l < replica_.size(); ++l) {
-    t = backend_.download(replica_[l].weights, model.layer(l).weights.view(),
+  for (std::size_t l = 0; l < model.layer_count(); ++l) {
+    const nn::Layer& device = replica_->layer(l);
+    t = backend_.download(device.weights.view(), model.layer(l).weights.view(),
                           issue_time);
-    t = backend_.download(replica_[l].bias, model.layer(l).bias.view(),
+    t = backend_.download(device.bias.view(), model.layer(l).bias.view(),
                           issue_time);
   }
   return t;
 }
 
 void MlpExecutor::release_buffers() {
-  for (auto& l : replica_) {
-    backend_.free(l.weights);
-    backend_.free(l.bias);
-  }
-  for (auto& l : gradient_) {
-    backend_.free(l.weights);
-    backend_.free(l.bias);
-  }
-  for (auto& b : acts_) backend_.free(b);
-  for (auto& b : deltas_) backend_.free(b);
-  backend_.free(input_);
-  replica_.clear();
-  gradient_.clear();
+  backend_.release(device_bytes_);
+  device_bytes_ = 0;
+  device_replica_ = nn::Model();
+  device_gradient_ = nn::Gradient();
+  replica_ = nullptr;
+  gradient_ = nullptr;
   acts_.clear();
   deltas_.clear();
-  released_ = true;
+  input_ = tensor::Matrix();
 }
 
 }  // namespace hetsgd::backend

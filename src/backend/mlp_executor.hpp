@@ -13,19 +13,21 @@
 // writes no dLoss/dlogits (mean_loss) or nothing (forward, which hands
 // back the logits).
 //
-// Two buffer regimes, chosen by the backend's zero_copy() capability:
+// The executor owns its activation and delta matrices, sized for
+// max_batch rows, and hands the backend views of the first `batch` rows.
+// The replica and gradient are nn::Models, chosen by the backend's mode:
 //
-//  * Private replica (CpuBackend::kDevice): the constructor allocates
-//    replica, gradient, activation and staging buffers in device memory —
-//    in the same order the DeviceMlp did, so capacity-exceeded aborts fire
-//    identically — and upload_model / download_gradient / download_model
-//    really move bytes (and really hit fault injection).
+//  * Device (Backend::Mode::kDevice): the executor's own replica,
+//    gradient and input staging rows, reserved against the device's
+//    memory at construction; upload_model / download_gradient /
+//    download_model really move bytes (and really hit fault injection).
 //
-//  * Zero-copy (CpuBackend::kZeroCopy): bind_shared_model() /
-//    bind_host_gradient() adopt live host storage, so the "replica" IS the
-//    bound host model (Hogwild's reference replica — no copy), uploads
-//    and downloads are free no-ops, and stage_batch aliases the dataset
-//    rows in place. Evaluation needs only the model bound.
+//  * Zero-copy (Backend::Mode::kZeroCopy): bind_shared_model() /
+//    bind_host_gradient() make the replica the bound host model
+//    (Hogwild's reference replica — no copy) and the gradient the
+//    caller's host gradient, uploads and downloads are free no-ops, and
+//    the forward reads the batch rows in place. Evaluation needs only the
+//    model bound.
 //
 // Confinement follows the owning backend: one executor, one thread.
 #pragma once
@@ -42,7 +44,7 @@ namespace hetsgd::backend {
 
 class MlpExecutor {
  public:
-  // Sizes buffers for batches up to `max_batch`; allocates the private
+  // Sizes the matrices for batches up to `max_batch`; builds the private
   // replica unless the backend is zero-copy.
   MlpExecutor(Backend& backend, const nn::MlpConfig& config,
               tensor::Index max_batch);
@@ -51,20 +53,25 @@ class MlpExecutor {
   MlpExecutor(const MlpExecutor&) = delete;
   MlpExecutor& operator=(const MlpExecutor&) = delete;
 
-  Backend& backend() { return backend_; }
   const nn::MlpConfig& config() const { return config_; }
   tensor::Index max_batch() const { return max_batch_; }
 
-  // Zero-copy backends only: alias the replica onto a live host model (for
+  // Zero-copy backends only: the replica becomes a live host model (for
   // the Hogwild lanes the shared one: reads during compute_gradient race
-  // with concurrent lanes by design) and the gradient onto the caller's
-  // host gradient slab. The aliases stay valid across copy-assignments of
-  // a same-shape model, which reuse its storage.
+  // with concurrent lanes by design) and the gradient the caller's host
+  // gradient slab. Both must outlive the executor's use of them.
   void bind_shared_model(nn::Model& model);
   void bind_host_gradient(nn::Gradient& grad);
 
-  // Device-resident bytes held by this executor's buffers.
-  std::uint64_t device_bytes() const;
+  // Device-resident bytes held by this executor's matrices.
+  std::uint64_t device_bytes() const { return device_bytes_; }
+
+  // Layer `layer`'s delta matrix (max_batch rows): dLoss/d its
+  // pre-activation output, the first `batch` rows written by the last
+  // compute_gradient. Read-only.
+  const tensor::Matrix& delta(std::size_t layer) const {
+    return deltas_[layer];
+  }
 
   // Deep-copies the host model into the replica (no-op when the replica is
   // bound to it). Returns the virtual completion time.
@@ -72,7 +79,7 @@ class MlpExecutor {
 
   // Forward + backward over `x` (batch x input_dim). Returns the batch
   // loss; sets `*completion_time` (if non-null) to the synchronized queue
-  // time. The gradient lands in the gradient buffers (== the bound host
+  // time. The gradient lands in the executor's gradient (the bound host
   // gradient under zero-copy). One class label per row trains softmax
   // cross-entropy; a batch x num_classes matrix of 0/1 targets trains
   // sigmoid BCE. Either reaches the loss kernel from host memory.
@@ -102,35 +109,35 @@ class MlpExecutor {
   double download_gradient(nn::Gradient& grad, double issue_time);
   double download_model(nn::Model& model, double issue_time);
 
-  // Frees every buffer (worker retirement / epoch trim); the executor is
-  // unusable afterwards until rebuilt.
+  // Frees every matrix and returns its device bytes (worker retirement /
+  // epoch trim); the executor is unusable afterwards until rebuilt.
   void release_buffers();
 
  private:
-  struct LayerBuffers {
-    Buffer weights;
-    Buffer bias;
-  };
-
   // Stages `x` (`target_bytes` of labels or targets riding along) and runs
-  // the fused forward; the logits land in acts_.back().
-  void run_forward(tensor::ConstMatrixView x, std::uint64_t target_bytes,
-                   double issue_time);
+  // the fused forward; the logits land in acts_.back(). Returns the
+  // first layer's input: the staged rows, or `x` itself under zero-copy.
+  tensor::ConstMatrixView run_forward(tensor::ConstMatrixView x,
+                                      std::uint64_t target_bytes,
+                                      double issue_time);
   // Back-propagates deltas_.back() (dLoss/dlogits) into the gradient.
-  void run_backward(tensor::Index batch, double issue_time,
+  void run_backward(tensor::ConstMatrixView input, double issue_time,
                     double* completion_time);
 
   Backend& backend_;
   nn::MlpConfig config_;
   tensor::Index max_batch_;
-  std::vector<LayerBuffers> replica_;
-  std::vector<LayerBuffers> gradient_;
-  std::vector<Buffer> acts_;
-  std::vector<Buffer> deltas_;
-  Buffer input_;
-  bool model_bound_ = false;
-  bool gradient_bound_ = false;
-  bool released_ = false;
+  // Device mode: the private replica and its gradient.
+  nn::Model device_replica_;
+  nn::Gradient device_gradient_;
+  // The replica and gradient the kernels run on: the private ones above,
+  // or the bound host model and gradient (null until bound).
+  nn::Model* replica_ = nullptr;
+  nn::Gradient* gradient_ = nullptr;
+  std::vector<tensor::Matrix> acts_;
+  std::vector<tensor::Matrix> deltas_;
+  tensor::Matrix input_;  // device-mode staging rows
+  std::uint64_t device_bytes_ = 0;
 };
 
 }  // namespace hetsgd::backend

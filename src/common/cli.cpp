@@ -4,9 +4,72 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace hetsgd {
+
+const char* parse_int(const std::string& s, std::int64_t lo, std::int64_t hi,
+                      std::int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (end == s.c_str() || *end != '\0') return "invalid integer";
+  if (errno == ERANGE || v < lo || v > hi) return "integer out of range";
+  *out = v;
+  return nullptr;
+}
+
+const char* parse_finite(const std::string& s, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0') return "invalid float";
+  if (!std::isfinite(v)) return "float not finite";
+  if (errno == ERANGE) return "float out of range";
+  *out = v;
+  return nullptr;
+}
+
+namespace {
+
+std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> parts;
+  std::size_t begin = 0;
+  for (std::size_t end; (end = s.find(sep, begin)) != std::string::npos;
+       begin = end + 1) {
+    parts.push_back(s.substr(begin, end - begin));
+  }
+  parts.push_back(s.substr(begin));
+  return parts;
+}
+
+}  // namespace
+
+bool tokenize_spec(const std::string& spec, const std::string& what,
+                   std::vector<SpecEvent>* events, std::string* error) {
+  events->clear();
+  for (const std::string& item : split(spec, ';')) {
+    if (item.empty()) continue;
+    const std::size_t colon = item.find(':');
+    if (colon == std::string::npos) {
+      if (error != nullptr) *error = what + " event missing ':' — " + item;
+      return false;
+    }
+    SpecEvent ev{item, item.substr(0, colon), {}};
+    for (const std::string& kv : split(item.substr(colon + 1), ',')) {
+      if (kv.empty()) continue;
+      const std::size_t eq = kv.find('=');
+      if (eq == std::string::npos) {
+        if (error != nullptr) *error = what + " parameter missing '=' — " + kv;
+        return false;
+      }
+      ev.params.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
+    }
+    events->push_back(std::move(ev));
+  }
+  return true;
+}
 
 CliParser::CliParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {
@@ -98,7 +161,6 @@ bool CliParser::parse(int argc, char** argv) {
       }
       value = argv[++i];
     }
-    char* end = nullptr;
     switch (flag->kind) {
       case Kind::kBool: {
         const bool yes = value == "true" || value == "1" || value == "yes";
@@ -113,34 +175,23 @@ bool CliParser::parse(int argc, char** argv) {
         break;
       }
       case Kind::kInt: {
-        errno = 0;
-        long long v = std::strtoll(value.c_str(), &end, 10);
-        if (errno == ERANGE) {
-          std::fprintf(stderr, "flag --%s: integer '%s' out of range\n",
-                       name.c_str(), value.c_str());
-          std::exit(2);
-        }
-        if (end == value.c_str() || *end != '\0') {
-          std::fprintf(stderr, "flag --%s: invalid integer '%s'\n", name.c_str(),
+        auto* target = static_cast<std::int64_t*>(flag->target);
+        if (const char* why =
+                parse_int(value, std::numeric_limits<std::int64_t>::min(),
+                          std::numeric_limits<std::int64_t>::max(), target)) {
+          std::fprintf(stderr, "flag --%s: %s '%s'\n", name.c_str(), why,
                        value.c_str());
           std::exit(2);
         }
-        *static_cast<std::int64_t*>(flag->target) = v;
         break;
       }
       case Kind::kDouble: {
-        double v = std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0') {
-          std::fprintf(stderr, "flag --%s: invalid float '%s'\n", name.c_str(),
+        if (const char* why =
+                parse_finite(value, static_cast<double*>(flag->target))) {
+          std::fprintf(stderr, "flag --%s: %s '%s'\n", name.c_str(), why,
                        value.c_str());
           std::exit(2);
         }
-        if (!std::isfinite(v)) {
-          std::fprintf(stderr, "flag --%s: float '%s' is not finite\n",
-                       name.c_str(), value.c_str());
-          std::exit(2);
-        }
-        *static_cast<double*>(flag->target) = v;
         break;
       }
       case Kind::kString:

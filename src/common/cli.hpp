@@ -1,4 +1,6 @@
-// Tiny command-line flag parser for benches and examples.
+// Tiny command-line flag parser for benches and examples, and the strict
+// number parser and spec tokenizer it shares with the fault and elastic
+// plans.
 //
 // Supports --key value and --key=value forms plus boolean switches.
 // Unknown flags abort with a usage message listing registered flags, and
@@ -9,9 +11,33 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hetsgd {
+
+// Strict number parsing: all of `s` must be one base-10 number. Each
+// returns nullptr on success, or why `s` was rejected ("invalid integer",
+// "integer out of range", "invalid float", "float not finite", "float out
+// of range"), leaving *out unchanged. parse_int rejects values strtoll
+// cannot represent (ERANGE) and values outside [lo, hi]; parse_finite
+// rejects nan, inf, overflow and underflow.
+const char* parse_int(const std::string& s, std::int64_t lo, std::int64_t hi,
+                      std::int64_t* out);
+const char* parse_finite(const std::string& s, double* out);
+
+// One "kind:key=value,key=value" event of a plan spec.
+struct SpecEvent {
+  std::string text;  // the event as written
+  std::string kind;
+  std::vector<std::pair<std::string, std::string>> params;
+};
+
+// Splits a plan spec "event;event;..." into its events, skipping empty
+// events and parameters. On a missing ':' or '=' returns false with an
+// error naming the plan (`what`: "fault", "elastic").
+bool tokenize_spec(const std::string& spec, const std::string& what,
+                   std::vector<SpecEvent>* events, std::string* error);
 
 class CliParser {
  public:

@@ -56,25 +56,19 @@ Coordinator::Coordinator(data::Dataset& dataset, nn::Model& model,
       fingerprint_(config_fingerprint(config, dataset)),
       adaptive_(config.alpha), cpu_perf_(config.cpu.spec),
       gpu_perf_(config.gpu.spec), eval_snapshot_(model),
-      eval_backend_(config.cpu.spec, backend::CpuBackend::Mode::kZeroCopy),
+      eval_backend_(config.cpu.spec, backend::Backend::Mode::kZeroCopy),
       eval_exec_(eval_backend_, config.mlp, nn::kEvalChunkRows),
       rng_(config.seed ^ 0xc0ffee), last_good_model_(model) {
   eval_exec_.bind_shared_model(eval_snapshot_);
   // Copy out the loss-evaluation sample before any shuffling.
   const Index n = dataset_.example_count();
-  Index sample = eval_sample > 0 ? std::min(eval_sample, n) : n;
+  const Index sample = eval_sample > 0 ? std::min(eval_sample, n) : n;
   std::vector<std::size_t> idx(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   rng_.shuffle(idx);
-  eval_x_.resize(sample, dataset_.dim());
-  eval_y_.resize(static_cast<std::size_t>(sample));
-  for (Index i = 0; i < sample; ++i) {
-    const Index src = static_cast<Index>(idx[static_cast<std::size_t>(i)]);
-    const tensor::Scalar* from = dataset_.features().row(src);
-    std::copy(from, from + dataset_.dim(), eval_x_.row(i));
-    eval_y_[static_cast<std::size_t>(i)] =
-        dataset_.labels()[static_cast<std::size_t>(src)];
-  }
+  eval_sample_ = data::gather(
+      dataset_, std::span(idx).first(static_cast<std::size_t>(sample)),
+      dataset_.name() + "-eval");
 }
 
 void Coordinator::add_worker(msg::Actor& actor, gpusim::DeviceKind kind,
@@ -665,7 +659,8 @@ void Coordinator::evaluate_loss(double vtime) {
   // lanes' unsynchronized writes (nn::Model::operator= in tsan.supp);
   // evaluating the snapshot keeps the measurement internally consistent.
   eval_snapshot_ = model_;
-  const double loss = eval_exec_.mean_loss(eval_x_.view(), eval_y_);
+  const double loss = eval_exec_.mean_loss(eval_sample_.features().view(),
+                                           eval_sample_.labels());
   if (!std::isfinite(loss)) {
     handle_divergence(vtime, loss);
     return;

@@ -44,7 +44,7 @@
 #include <utility>
 #include <vector>
 
-#include "backend/cpu_backend.hpp"
+#include "backend/backend.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/thread_annotations.hpp"
 #include "core/adaptive.hpp"
@@ -279,7 +279,7 @@ class Coordinator final : public msg::Actor {
 
   // One lock per mailbox message; guards everything below that is mutable
   // after start(). ledger_ is internally synchronized; the perf models and
-  // the eval sample (eval_x_/eval_y_) are immutable after construction;
+  // the eval sample (eval_sample_) is immutable after construction;
   // rng_ is coordinator-thread-confined (seeded in the constructor).
   mutable AnnotatedMutex mu_;
 
@@ -297,14 +297,12 @@ class Coordinator final : public msg::Actor {
   double next_eval_vtime_ HETSGD_GUARDED_BY(mu_) = 0.0;
 
   // Loss evaluation sample (copied rows, immune to dataset shuffles).
-  tensor::Matrix eval_x_;             // immutable after construction
-  std::vector<std::int32_t> eval_y_;  // immutable after construction
+  data::Dataset eval_sample_;  // immutable after construction
   nn::Model eval_snapshot_ HETSGD_GUARDED_BY(mu_);
   // The evaluation engine: a zero-copy executor sized for one
-  // nn::kEvalChunkRows chunk and bound once to eval_snapshot_. The binding
-  // outlives every snapshot copy, which reuses the same-shape storage.
-  // Zero-copy mode charges no virtual time and ticks no device counter.
-  backend::CpuBackend eval_backend_ HETSGD_GUARDED_BY(mu_);
+  // nn::kEvalChunkRows chunk and bound once to eval_snapshot_. Zero-copy
+  // mode charges no virtual time and ticks no device counter.
+  backend::Backend eval_backend_ HETSGD_GUARDED_BY(mu_);
   backend::MlpExecutor eval_exec_ HETSGD_GUARDED_BY(mu_);
 
   std::vector<LossPoint> curve_ HETSGD_GUARDED_BY(mu_);

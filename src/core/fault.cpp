@@ -1,7 +1,7 @@
 #include "core/fault.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 
 #include "common/cli.hpp"
 #include "common/rng.hpp"
@@ -40,32 +40,9 @@ bool parse_kind(const std::string& name, FaultKind& out) {
   return false;
 }
 
-bool parse_double(const std::string& s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != s.c_str();
-}
-
-bool parse_int(const std::string& s, std::int64_t& out) {
-  char* end = nullptr;
-  out = std::strtoll(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && end != s.c_str();
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= s.size()) {
-    const std::size_t end = s.find(sep, begin);
-    if (end == std::string::npos) {
-      parts.push_back(s.substr(begin));
-      break;
-    }
-    parts.push_back(s.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return parts;
-}
+constexpr std::int64_t kMaxWorkerId =
+    std::numeric_limits<msg::WorkerId>::max();
+constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
@@ -79,56 +56,47 @@ bool FaultPlan::parse(const std::string& spec, std::uint64_t seed,
   out->events_.clear();
   out->fired_.clear();
   out->seed_ = seed;
-  for (const std::string& item : split(spec, ';')) {
-    if (item.empty()) continue;
-    const std::size_t colon = item.find(':');
-    if (colon == std::string::npos) {
-      return fail("fault event missing ':' — " + item);
-    }
+  std::vector<SpecEvent> items;
+  if (!tokenize_spec(spec, "fault", &items, error)) return false;
+  for (const SpecEvent& item : items) {
     FaultEvent ev;
-    if (!parse_kind(item.substr(0, colon), ev.kind)) {
-      return fail("unknown fault kind '" + item.substr(0, colon) +
+    if (!parse_kind(item.kind, ev.kind)) {
+      return fail("unknown fault kind '" + item.kind +
                   "' (stall|die|transfer|nan|crash)");
     }
     bool have_worker = false;
-    for (const std::string& kv : split(item.substr(colon + 1), ',')) {
-      if (kv.empty()) continue;
-      const std::size_t eq = kv.find('=');
-      if (eq == std::string::npos) {
-        return fail("fault parameter missing '=' — " + kv);
-      }
-      const std::string key = kv.substr(0, eq);
-      const std::string value = kv.substr(eq + 1);
+    for (const auto& [key, value] : item.params) {
+      const std::string kv = key + "=" + value;
       std::int64_t iv = 0;
       double dv = 0.0;
       if (key == "worker") {
-        if (!parse_int(value, iv) || iv < 0) {
+        if (parse_int(value, 0, kMaxWorkerId, &iv) != nullptr) {
           return fail("bad worker id — " + kv);
         }
         ev.worker = static_cast<msg::WorkerId>(iv);
         have_worker = true;
       } else if (key == "at") {
-        if (!parse_double(value, dv) || dv < 0.0) {
+        if (parse_finite(value, &dv) != nullptr || dv < 0.0) {
           return fail("bad trigger time — " + kv);
         }
         ev.at_vtime = dv;
       } else if (key == "atfrac") {
-        if (!parse_double(value, dv) || dv < 0.0) {
+        if (parse_finite(value, &dv) != nullptr || dv < 0.0) {
           return fail("bad trigger fraction — " + kv);
         }
         ev.at_fraction = dv;
       } else if (key == "factor") {
-        if (!parse_double(value, dv) || dv <= 0.0) {
+        if (parse_finite(value, &dv) != nullptr || dv <= 0.0) {
           return fail("bad stall factor — " + kv);
         }
         ev.factor = dv;
       } else if (key == "sleep") {
-        if (!parse_int(value, iv) || iv < 0) {
+        if (parse_int(value, 0, kMaxInt, &iv) != nullptr) {
           return fail("bad sleep ms — " + kv);
         }
         ev.sleep_ms = iv;
       } else if (key == "count") {
-        if (!parse_int(value, iv) || iv <= 0) {
+        if (parse_int(value, 1, kMaxInt, &iv) != nullptr) {
           return fail("bad failure count — " + kv);
         }
         ev.count = iv;
@@ -137,7 +105,7 @@ bool FaultPlan::parse(const std::string& spec, std::uint64_t seed,
       }
     }
     if (!have_worker) {
-      return fail("fault event missing worker= — " + item);
+      return fail("fault event missing worker= — " + item.text);
     }
     out->events_.push_back(ev);
   }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "backend/cpu_backend.hpp"
+#include "backend/backend.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/macros.hpp"
 
@@ -20,7 +20,7 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
 
   Rng rng(cfg.seed);
   nn::Model model(cfg.mlp, rng);
-  backend::CpuBackend dev(cfg.gpu.spec, backend::CpuBackend::Mode::kDevice);
+  backend::Backend dev(cfg.gpu.spec, backend::Backend::Mode::kDevice);
   backend::MlpExecutor mlp(dev, cfg.mlp, cfg.gpu.batch);
 
   // Loss-evaluation sample (fixed rows copied out before shuffling).
@@ -28,21 +28,12 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
   const Index sample = options.eval_sample > 0
                            ? std::min(options.eval_sample, n)
                            : n;
-  tensor::Matrix eval_x(sample, dataset.dim());
-  std::vector<std::int32_t> eval_y(static_cast<std::size_t>(sample));
-  {
-    std::vector<std::size_t> idx(static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    Rng srng = rng.fork(7);
-    srng.shuffle(idx);
-    for (Index i = 0; i < sample; ++i) {
-      const Index src = static_cast<Index>(idx[static_cast<std::size_t>(i)]);
-      const tensor::Scalar* from = dataset.features().row(src);
-      std::copy(from, from + dataset.dim(), eval_x.row(i));
-      eval_y[static_cast<std::size_t>(i)] =
-          dataset.labels()[static_cast<std::size_t>(src)];
-    }
-  }
+  std::vector<std::size_t> idx(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  rng.fork(7).shuffle(idx);
+  const data::Dataset eval = data::gather(
+      dataset, std::span(idx).first(static_cast<std::size_t>(sample)),
+      dataset.name() + "-eval");
   // TF-style: model uploaded once and kept resident across steps.
   double clock = mlp.upload_model(model, 0.0);
 
@@ -58,15 +49,15 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
   // The loss is evaluated on a host snapshot through a zero-copy executor
   // bound to it once; downloads overwrite the snapshot in place.
   nn::Model snapshot = model;
-  backend::CpuBackend eval_backend(cfg.cpu.spec,
-                                   backend::CpuBackend::Mode::kZeroCopy);
+  backend::Backend eval_backend(cfg.cpu.spec,
+                                backend::Backend::Mode::kZeroCopy);
   backend::MlpExecutor eval_mlp(eval_backend, cfg.mlp, nn::kEvalChunkRows);
   eval_mlp.bind_shared_model(snapshot);
   auto record = [&](double vtime) {
     mlp.download_model(snapshot, clock);  // D2H copy, cost excluded (§VII-A)
     result.curve.push_back(
         {vtime, static_cast<double>(examples_total) / static_cast<double>(n),
-         eval_mlp.mean_loss(eval_x.view(), eval_y)});
+         eval_mlp.mean_loss(eval.features().view(), eval.labels())});
   };
   record(0.0);
   double next_eval = options.eval_interval_vseconds;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
-#include "backend/cpu_backend.hpp"
+#include "backend/backend.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/macros.hpp"
 #include "core/cost_model.hpp"
@@ -32,17 +33,15 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
   const Index batch = std::min(options.batch, n);
   const Index full_chunk = std::min<Index>(n, 8192);
 
-  // One zero-copy executor per model, bound once: `snapshot = w` below
-  // reuses the same-shape storage, so the bindings stay valid. The
-  // iterate's also evaluates the loss.
-  backend::CpuBackend w_backend(cfg.cpu.spec,
-                                backend::CpuBackend::Mode::kZeroCopy);
+  // One zero-copy executor per model, bound once; the iterate's also
+  // evaluates the loss.
+  backend::Backend w_backend(cfg.cpu.spec, backend::Backend::Mode::kZeroCopy);
   backend::MlpExecutor w_exec(w_backend, cfg.mlp,
                               std::max(batch, nn::kEvalChunkRows));
   w_exec.bind_shared_model(w);
   w_exec.bind_host_gradient(g_cur);
-  backend::CpuBackend snap_backend(cfg.cpu.spec,
-                                   backend::CpuBackend::Mode::kZeroCopy);
+  backend::Backend snap_backend(cfg.cpu.spec,
+                                backend::Backend::Mode::kZeroCopy);
   backend::MlpExecutor snap_exec(snap_backend, cfg.mlp,
                                  std::max(batch, full_chunk));
   snap_exec.bind_shared_model(snapshot);
@@ -63,21 +62,18 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
   // Loss evaluation sample.
   const Index sample =
       options.eval_sample > 0 ? std::min(options.eval_sample, n) : n;
-  tensor::Matrix eval_x(sample, dataset.dim());
-  std::vector<std::int32_t> eval_y(static_cast<std::size_t>(sample));
-  for (Index i = 0; i < sample; ++i) {
-    const Scalar* from = dataset.features().row(i);
-    std::copy(from, from + dataset.dim(), eval_x.row(i));
-    eval_y[static_cast<std::size_t>(i)] =
-        dataset.labels()[static_cast<std::size_t>(i)];
-  }
+  std::vector<std::size_t> rows(static_cast<std::size_t>(sample));
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  const data::Dataset eval =
+      data::gather(dataset, rows, dataset.name() + "-eval");
 
   SvrgResult result;
   double clock = 0.0;
   double examples_done = 0.0;
   auto record = [&] {
     result.curve.push_back({clock, examples_done / static_cast<double>(n),
-                            w_exec.mean_loss(eval_x.view(), eval_y)});
+                            w_exec.mean_loss(eval.features().view(),
+                                             eval.labels())});
   };
   record();
   double next_eval = options.eval_interval_vseconds;

@@ -10,7 +10,6 @@
 #include "common/atomic_file.hpp"
 #include "common/logging.hpp"
 #include "common/macros.hpp"
-#include "backend/cpu_backend.hpp"
 #include "core/cost_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -18,12 +17,6 @@
 namespace hetsgd::core {
 
 using tensor::Index;
-
-std::unique_ptr<backend::Backend> make_device_backend(
-    const TrainingConfig& config) {
-  return std::make_unique<backend::CpuBackend>(
-      config.gpu.spec, backend::CpuBackend::Mode::kDevice);
-}
 
 namespace {
 
@@ -55,7 +48,8 @@ Worker::Worker(msg::WorkerId id, const TrainingConfig& config,
     ensure_lane_capacity(std::max<Index>(1, config_.cpu.examples_per_thread));
     return;
   }
-  backend_ = make_device_backend(config);
+  backend_ = std::make_unique<backend::Backend>(
+      config.gpu.spec, backend::Backend::Mode::kDevice);
   executor_ = std::make_unique<backend::MlpExecutor>(*backend_, config.mlp,
                                                      config.gpu.max_batch);
   host_gradient_ = nn::make_zero_gradient(global_model);
@@ -69,15 +63,15 @@ const gpusim::PerfModel& Worker::perf() const {
 void Worker::ensure_lane_capacity(Index sub_batch) {
   if (sub_batch <= lane_capacity_ && !lane_executors_.empty()) return;
   const std::size_t lanes = gradients_.size();
-  // Executors free their buffers through their Backend on destruction, so
-  // they must go before the backends they reference.
+  // Executors return their bytes to their Backend on destruction, so they
+  // must go before the backends they reference.
   lane_executors_.clear();
   lane_backends_.clear();
   lane_backends_.reserve(lanes);
   lane_executors_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
-    auto b = std::make_unique<backend::CpuBackend>(
-        config_.cpu.spec, backend::CpuBackend::Mode::kZeroCopy);
+    auto b = std::make_unique<backend::Backend>(
+        config_.cpu.spec, backend::Backend::Mode::kZeroCopy);
     auto e = std::make_unique<backend::MlpExecutor>(*b, config_.mlp,
                                                     sub_batch);
     // The executor's "replica" is the live shared model: Hogwild's
@@ -147,44 +141,48 @@ bool Worker::execute(const msg::ExecuteWork& work) {
                                      : execute_replica(work);
 }
 
-bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
+bool Worker::begin_batch(const msg::ExecuteWork& work,
+                         FaultPlan::StallState* stall) {
   const Index begin = static_cast<Index>(work.batch_begin);
   const Index size = static_cast<Index>(work.batch_size);
   HETSGD_ASSERT(size > 0, "empty batch assigned");
   HETSGD_ASSERT(begin + size <= dataset_.example_count(),
                 "batch out of dataset range");
-
-  const std::uint64_t flow = obs::batch_flow_id(id_, work.sequence);
-  HETSGD_TRACE_SPAN(exec_span, "cpu-worker", "execute", clock_.now(), flow);
-  obs::trace_flow_step("batch", flow, clock_.now());
-
   // Epoch-boundary waits (not_before) appear as idle virtual time; faults
   // trigger on the clock the batch actually starts at.
   clock_.advance_to(work.not_before);
-  FaultPlan::StallState stall;
-  if (fault_plan_ != nullptr) {
-    if (fault_plan_->crash_due(id_, clock_.now())) {
-      // Simulated power loss: take the whole process down with no
-      // destructors, no flushes, no goodbye — the crash-consistency of the
-      // checkpoint files is exactly what this exercises.
-      HETSGD_LOG_WARN("cpu-worker", "injected crash (SIGKILL) at vtime %.6f",
-                      clock_.now());
-      std::raise(SIGKILL);
-    }
-    if (fault_plan_->death_due(id_, clock_.now())) {
-      HETSGD_LOG_WARN("cpu-worker", "injected death at vtime %.6f",
-                      clock_.now());
-      return false;  // stop reporting — the actor is dead
-    }
-    stall = fault_plan_->stall(id_, clock_.now());
-    if (stall.sleep_ms > 0) {
-      // Real stall: visible to the coordinator's real-time grace fallback.
-      // hetsgd-analyze: allow(wall-clock-core) same sanction as below.
-      // hetsgd-lint: allow(wall-clock) injected stalls must consume real
-      // time, not virtual time, to exercise real-time silence detection.
-      std::this_thread::sleep_for(std::chrono::milliseconds(stall.sleep_ms));
-    }
+  if (fault_plan_ == nullptr) return true;
+  if (fault_plan_->crash_due(id_, clock_.now())) {
+    // Simulated power loss: take the whole process down with no
+    // destructors, no flushes, no goodbye — the crash-consistency of the
+    // checkpoint files is exactly what this exercises.
+    HETSGD_LOG_WARN(log_tag(), "injected crash (SIGKILL) at vtime %.6f",
+                    clock_.now());
+    std::raise(SIGKILL);
   }
+  if (fault_plan_->death_due(id_, clock_.now())) {
+    HETSGD_LOG_WARN(log_tag(), "injected death at vtime %.6f", clock_.now());
+    return false;  // stop reporting — the actor is dead
+  }
+  *stall = fault_plan_->stall(id_, clock_.now());
+  if (stall->sleep_ms > 0) {
+    // Real stall: visible to the coordinator's real-time grace fallback.
+    // hetsgd-analyze: allow(wall-clock-core) same sanction as below.
+    // hetsgd-lint: allow(wall-clock) injected stalls must consume real
+    // time, not virtual time, to exercise real-time silence detection.
+    std::this_thread::sleep_for(std::chrono::milliseconds(stall->sleep_ms));
+  }
+  return true;
+}
+
+bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
+  const Index begin = static_cast<Index>(work.batch_begin);
+  const Index size = static_cast<Index>(work.batch_size);
+  const std::uint64_t flow = obs::batch_flow_id(id_, work.sequence);
+  HETSGD_TRACE_SPAN(exec_span, "cpu-worker", "execute", clock_.now(), flow);
+  obs::trace_flow_step("batch", flow, clock_.now());
+  FaultPlan::StallState stall;
+  if (!begin_batch(work, &stall)) return false;
 
   // Split B into sim_lanes sub-batches (Algorithm 2, CPU worker handler).
   const HogwildSplit split = hogwild_split(size, config_.cpu.sim_lanes);
@@ -254,38 +252,13 @@ bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
 bool Worker::execute_replica(const msg::ExecuteWork& work) {
   const Index begin = static_cast<Index>(work.batch_begin);
   const Index size = static_cast<Index>(work.batch_size);
-  HETSGD_ASSERT(size > 0, "empty batch assigned");
-  HETSGD_ASSERT(begin + size <= dataset_.example_count(),
-                "batch out of dataset range");
   HETSGD_ASSERT(size <= config_.gpu.max_batch, "batch exceeds device buffers");
-
   const std::uint64_t flow = obs::batch_flow_id(id_, work.sequence);
   HETSGD_TRACE_SPAN(exec_span, "gpu-worker", "execute", clock_.now(), flow);
   obs::trace_flow_step("batch", flow, clock_.now());
-
-  clock_.advance_to(work.not_before);
   FaultPlan::StallState stall;
+  if (!begin_batch(work, &stall)) return false;
   if (fault_plan_ != nullptr) {
-    if (fault_plan_->crash_due(id_, clock_.now())) {
-      // Simulated power loss: take the whole process down with no
-      // destructors, no flushes, no goodbye — the crash-consistency of the
-      // checkpoint files is exactly what this exercises.
-      HETSGD_LOG_WARN("gpu-worker", "injected crash (SIGKILL) at vtime %.6f",
-                      clock_.now());
-      std::raise(SIGKILL);
-    }
-    if (fault_plan_->death_due(id_, clock_.now())) {
-      HETSGD_LOG_WARN("gpu-worker", "injected death at vtime %.6f",
-                      clock_.now());
-      return false;  // stop reporting — the actor is dead
-    }
-    stall = fault_plan_->stall(id_, clock_.now());
-    if (stall.sleep_ms > 0) {
-      // hetsgd-analyze: allow(wall-clock-core) same sanction as below.
-      // hetsgd-lint: allow(wall-clock) injected stalls must consume real
-      // time, not virtual time, to exercise real-time silence detection.
-      std::this_thread::sleep_for(std::chrono::milliseconds(stall.sleep_ms));
-    }
     const std::int64_t transfer_faults =
         fault_plan_->transfer_failures_due(id_, clock_.now());
     if (transfer_faults > 0) {

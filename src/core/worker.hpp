@@ -1,18 +1,18 @@
-// The backend-generic training worker (Algorithm 2's worker handlers).
+// The training worker (Algorithm 2's worker handlers).
 //
 // One actor class replaces the former CpuWorker/GpuWorker pair; what used
-// to be two code paths is now one message protocol over two execution
-// modes of the Backend seam:
+// to be two code paths is now one message protocol over the two modes of
+// backend::Backend:
 //
 //  * kHogwild — nested Hogbatch over the *shared* global model (§V-A, the
 //    CPU worker handler). The batch splits into sim_lanes sub-batches;
-//    each real lane owns a zero-copy CpuBackend whose executor aliases the
+//    each real lane owns a zero-copy Backend whose executor runs on the
 //    shared model, so gradients are computed against live (racing) weights
 //    and applied immediately with no synchronization. Virtual time is
 //    charged analytically per batch through the cost model.
 //
 //  * kReplica — mini-batch SGD against a private device replica (§V-A,
-//    the GPU worker handler). One device-mode CpuBackend modeling
+//    the GPU worker handler). One device-mode Backend modeling
 //    config.gpu.spec holds the replica; every batch uploads the model,
 //    runs the kernel sequence, downloads the gradient, and merges on the
 //    host. Transfer faults are retried with capped exponential
@@ -42,11 +42,6 @@ namespace hetsgd::core {
 // How a worker executes its batches; maps 1:1 onto the coordinator's
 // DeviceKind (kHogwild <-> kCpu, kReplica <-> kGpu).
 enum class ExecMode { kHogwild, kReplica };
-
-// Builds the replica workers' device: a device-mode CpuBackend modeling
-// config.gpu.spec.
-std::unique_ptr<backend::Backend> make_device_backend(
-    const TrainingConfig& config);
 
 class Worker final : public msg::Actor {
  public:
@@ -87,6 +82,11 @@ class Worker final : public msg::Actor {
   bool execute(const msg::ExecuteWork& work);
   bool execute_hogwild(const msg::ExecuteWork& work);
   bool execute_replica(const msg::ExecuteWork& work);
+  // The start of every batch: checks its range, advances the clock to
+  // work.not_before, and fires any injected crash, death or stall due then
+  // (*stall gets the stall's factor and sleep). Returns false on an
+  // injected death.
+  bool begin_batch(const msg::ExecuteWork& work, FaultPlan::StallState* stall);
   // Grows the per-lane executors to hold `sub_batch` rows; growth is
   // one-way until release_scratch().
   void ensure_lane_capacity(tensor::Index sub_batch);

@@ -112,4 +112,17 @@ std::vector<std::uint64_t> Dataset::class_histogram() const {
   return hist;
 }
 
+Dataset gather(const Dataset& source, std::span<const std::size_t> rows,
+               std::string name) {
+  tensor::Matrix features(static_cast<Index>(rows.size()), source.dim());
+  std::vector<std::int32_t> labels(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Scalar* from = source.features().row(static_cast<Index>(rows[i]));
+    std::copy(from, from + source.dim(), features.row(static_cast<Index>(i)));
+    labels[i] = source.labels()[rows[i]];
+  }
+  return Dataset(std::move(name), std::move(features), std::move(labels),
+                 source.num_classes());
+}
+
 }  // namespace hetsgd::data

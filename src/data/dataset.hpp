@@ -60,4 +60,10 @@ class Dataset {
   std::int32_t num_classes_ = 0;
 };
 
+// A dataset of `source`'s examples at `rows`, in that order, named `name`:
+// the train/test splits and the loss-evaluation samples are copied out
+// this way.
+Dataset gather(const Dataset& source, std::span<const std::size_t> rows,
+               std::string name);
+
 }  // namespace hetsgd::data

@@ -9,24 +9,6 @@ namespace hetsgd::data {
 
 using tensor::Index;
 
-namespace {
-
-Dataset gather(const Dataset& source, const std::vector<Index>& rows,
-               const std::string& suffix) {
-  tensor::Matrix features(static_cast<Index>(rows.size()), source.dim());
-  std::vector<std::int32_t> labels(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const tensor::Scalar* from = source.features().row(rows[i]);
-    std::copy(from, from + source.dim(),
-              features.row(static_cast<Index>(i)));
-    labels[i] = source.labels()[static_cast<std::size_t>(rows[i])];
-  }
-  return Dataset(source.name() + suffix, std::move(features),
-                 std::move(labels), source.num_classes());
-}
-
-}  // namespace
-
 SplitResult train_test_split(const Dataset& dataset, double test_fraction,
                              Rng& rng, bool stratified) {
   HETSGD_ASSERT(test_fraction > 0.0 && test_fraction < 1.0,
@@ -34,17 +16,15 @@ SplitResult train_test_split(const Dataset& dataset, double test_fraction,
   const Index n = dataset.example_count();
   HETSGD_ASSERT(n >= 2, "need at least two examples to split");
 
-  std::vector<Index> test_rows;
-  std::vector<Index> train_rows;
+  std::vector<std::size_t> test_rows;
+  std::vector<std::size_t> train_rows;
 
   if (stratified) {
     // Group rows by class, split each group.
-    std::vector<std::vector<Index>> by_class(
+    std::vector<std::vector<std::size_t>> by_class(
         static_cast<std::size_t>(dataset.num_classes()));
-    for (Index i = 0; i < n; ++i) {
-      by_class[static_cast<std::size_t>(
-                   dataset.labels()[static_cast<std::size_t>(i)])]
-          .push_back(i);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+      by_class[static_cast<std::size_t>(dataset.labels()[i])].push_back(i);
     }
     for (auto& group : by_class) {
       if (group.empty()) continue;
@@ -69,16 +49,15 @@ SplitResult train_test_split(const Dataset& dataset, double test_fraction,
                                  0.5),
         1, static_cast<std::size_t>(n) - 1);
     for (std::size_t i = 0; i < order.size(); ++i) {
-      (i < test_count ? test_rows : train_rows)
-          .push_back(static_cast<Index>(order[i]));
+      (i < test_count ? test_rows : train_rows).push_back(order[i]);
     }
   }
 
   // Degenerate stratified splits can leave a side empty; rebalance.
   HETSGD_ASSERT(!train_rows.empty() && !test_rows.empty(),
                 "split produced an empty side");
-  return SplitResult{gather(dataset, train_rows, "-train"),
-                     gather(dataset, test_rows, "-test")};
+  return SplitResult{gather(dataset, train_rows, dataset.name() + "-train"),
+                     gather(dataset, test_rows, dataset.name() + "-test")};
 }
 
 }  // namespace hetsgd::data

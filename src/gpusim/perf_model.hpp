@@ -61,7 +61,7 @@ struct DeviceSpec {
   // (device-local updates run at full memory bandwidth instead).
   double update_bandwidth = 0.0;
 
-  // Device memory capacity in bytes (enforced by CpuBackend::alloc).
+  // Device memory capacity in bytes (enforced by Backend::reserve).
   std::uint64_t memory_capacity = 16ULL << 30;
 
   // Number of concurrent hardware lanes (worker threads on CPU; informative

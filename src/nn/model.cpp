@@ -77,7 +77,7 @@ void init_layer(Layer& layer, InitScheme scheme, Rng& rng) {
 
 }  // namespace
 
-Model::Model(const MlpConfig& config, Rng& rng) : config_(config) {
+Model::Model(const MlpConfig& config) : config_(config) {
   config_.validate();
   for (const auto& s : config_.layer_shapes()) {
     Layer layer;
@@ -85,6 +85,9 @@ Model::Model(const MlpConfig& config, Rng& rng) : config_(config) {
     layer.bias = tensor::Matrix(1, s.out);
     layers_.push_back(std::move(layer));
   }
+}
+
+Model::Model(const MlpConfig& config, Rng& rng) : Model(config) {
   initialize(rng);
 }
 
@@ -153,9 +156,7 @@ bool Model::same_shape(const Model& other) const {
 }
 
 Gradient make_zero_gradient(const Model& model) {
-  Gradient g = model;
-  g.set_zero();
-  return g;
+  return Gradient(model.config());
 }
 
 }  // namespace hetsgd::nn

@@ -71,6 +71,9 @@ struct Layer {
 class Model {
  public:
   Model() = default;
+  // Builds a zero model from a config (a gradient container, a device
+  // replica awaiting its first upload).
+  explicit Model(const MlpConfig& config);
   // Builds and initializes from a config.
   Model(const MlpConfig& config, Rng& rng);
 

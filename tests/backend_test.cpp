@@ -1,17 +1,19 @@
-// The replica workers' engine — CpuBackend in device mode — checked bit for
+// The replica workers' engine — Backend in device mode — checked bit for
 // bit against zero-copy mode (the Hogwild lanes' host path) and, in both
 // modes, against the independent reference MLP (reference_mlp.hpp), plus
 // the contract a worker relies on: the FIFO virtual-time queue, pinned
-// completion times, the transfer fault surface, buffer ownership, and the
-// device signals (trace spans and counters) the benchmarks read. Buffers,
-// transfers and each kernel are also checked in both modes.
-#include "backend/cpu_backend.hpp"
+// completion times, the transfer fault surface, device-memory accounting,
+// and the device signals (trace spans and counters) the benchmarks read.
+// Transfers and each kernel are also checked in both modes, per op,
+// against references that share no code with them.
+#include "backend/backend.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -23,9 +25,9 @@
 #include "common/rng.hpp"
 #include "executor_modes.hpp"
 #include "nn/activation.hpp"
-#include "nn/loss.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "reference_gemm.hpp"
 #include "reference_mlp.hpp"
 #include "tensor/ops.hpp"
 
@@ -109,7 +111,7 @@ struct ModeGradient {
   nn::Gradient grad;
 };
 
-ModeGradient mode_gradient(const Fixture& f, CpuBackend::Mode mode,
+ModeGradient mode_gradient(const Fixture& f, Backend::Mode mode,
                            Index max_batch) {
   nn::Model model = f.model;
   ModeRunner run(mode, model, max_batch);
@@ -121,9 +123,9 @@ ModeGradient mode_gradient(const Fixture& f, CpuBackend::Mode mode,
 // kRefTol of the reference.
 void expect_gradients_match(const Fixture& f, Index max_batch) {
   const ModeGradient device =
-      mode_gradient(f, CpuBackend::Mode::kDevice, max_batch);
+      mode_gradient(f, Backend::Mode::kDevice, max_batch);
   const ModeGradient host =
-      mode_gradient(f, CpuBackend::Mode::kZeroCopy, max_batch);
+      mode_gradient(f, Backend::Mode::kZeroCopy, max_batch);
   EXPECT_EQ(device.loss, host.loss);
   EXPECT_EQ(device.grad.max_abs_diff(host.grad), 0.0);
   double want_loss = 0.0;
@@ -136,8 +138,8 @@ std::uint64_t counter(const char* name) {
   return obs::MetricsRegistry::instance().counter(name).value();
 }
 
-CpuBackend device(const gpusim::DeviceSpec& spec = gpusim::v100_spec()) {
-  return CpuBackend(spec, CpuBackend::Mode::kDevice);
+Backend device(const gpusim::DeviceSpec& spec = gpusim::v100_spec()) {
+  return Backend(spec, Backend::Mode::kDevice);
 }
 
 TEST(DeviceBackend, GradientMatchesHostExactly) {
@@ -160,7 +162,7 @@ TEST(DeviceBackend, SmallerBatchThanMaxWorks) {
 
 // One SGD step on the executor's side of the seam (ModeRunner::sgd: the
 // device-side axpy, or the zero-copy update of the model in place).
-nn::Model mode_sgd_step(const Fixture& f, CpuBackend::Mode mode, double eta) {
+nn::Model mode_sgd_step(const Fixture& f, Backend::Mode mode, double eta) {
   nn::Model model = f.model;
   ModeRunner run(mode, model, f.x.rows());
   run.gradient(f.x.view(), f.y);
@@ -172,9 +174,9 @@ nn::Model mode_sgd_step(const Fixture& f, CpuBackend::Mode mode, double eta) {
 // reference step.
 void expect_sgd_steps_match(const Fixture& f, double eta) {
   const nn::Model device_model =
-      mode_sgd_step(f, CpuBackend::Mode::kDevice, eta);
+      mode_sgd_step(f, Backend::Mode::kDevice, eta);
   const nn::Model host_model =
-      mode_sgd_step(f, CpuBackend::Mode::kZeroCopy, eta);
+      mode_sgd_step(f, Backend::Mode::kZeroCopy, eta);
   EXPECT_EQ(device_model.max_abs_diff(host_model), 0.0);
   nn::Model expected = f.model;
   ref::sgd(expected, f.reference_gradient(), eta);
@@ -190,7 +192,7 @@ TEST(DeviceBackend, ApplyGradientMatchesHostSgd) {
 
 TEST(DeviceBackend, UploadDownloadRoundTrip) {
   Fixture f(4);
-  CpuBackend b = device();
+  Backend b = device();
   MlpExecutor mlp(b, f.config, 4);
   mlp.upload_model(f.model, 0.0);
   nn::Model back(f.config, f.rng);  // different values
@@ -200,7 +202,7 @@ TEST(DeviceBackend, UploadDownloadRoundTrip) {
 
 TEST(DeviceBackend, VirtualTimeAdvances) {
   Fixture f(8);
-  CpuBackend b = device();
+  Backend b = device();
   MlpExecutor mlp(b, f.config, 8);
   const double t0 = mlp.upload_model(f.model, 0.0);
   EXPECT_GT(t0, 0.0);
@@ -230,7 +232,7 @@ TEST(DeviceBackend, PinnedVirtualTimeAndHostMath) {
   };
   for (const auto& [f, want] : cases) {
     SCOPED_TRACE(f.config.input_dim);
-    CpuBackend b = device();
+    Backend b = device();
     MlpExecutor mlp(b, f.config, 16);
     nn::Gradient grad = nn::make_zero_gradient(f.model);
     nn::Model model_after = f.model;
@@ -246,12 +248,12 @@ TEST(DeviceBackend, PinnedVirtualTimeAndHostMath) {
     EXPECT_EQ(t_apply, want.t_apply);
 
     EXPECT_EQ(
-        grad.max_abs_diff(mode_gradient(f, CpuBackend::Mode::kZeroCopy, 16)
+        grad.max_abs_diff(mode_gradient(f, Backend::Mode::kZeroCopy, 16)
                               .grad),
         0.0);
     EXPECT_LT(grad.max_abs_diff(f.reference_gradient()), kRefTol);
     EXPECT_EQ(model_after.max_abs_diff(
-                  mode_sgd_step(f, CpuBackend::Mode::kZeroCopy, 0.2)),
+                  mode_sgd_step(f, Backend::Mode::kZeroCopy, 0.2)),
               0.0);
     nn::Model expected = f.model;
     ref::sgd(expected, f.reference_gradient(), 0.2);
@@ -260,56 +262,54 @@ TEST(DeviceBackend, PinnedVirtualTimeAndHostMath) {
 }
 
 TEST(DeviceBackend, QueueIsFifoInVirtualTime) {
-  CpuBackend b = device();
-  const Buffer buf = b.alloc(16, 16);
+  Backend b = device();
+  Matrix buf(16, 16);
   Matrix host(16, 16);
-  const double cost = b.perf().transfer_seconds(buf.bytes());
+  const double cost =
+      b.perf().transfer_seconds(16 * 16 * sizeof(tensor::Scalar));
   // Two ops issued at t=0: the second queues behind the first.
-  const double t1 = b.upload(host.view(), buf, 0.0);
-  const double t2 = b.upload(host.view(), buf, 0.0);
+  const double t1 = b.upload(host.view(), buf.view(), 0.0);
+  const double t2 = b.upload(host.view(), buf.view(), 0.0);
   EXPECT_DOUBLE_EQ(t1, cost);
   EXPECT_DOUBLE_EQ(t2, t1 + cost);
   // An op issued after the queue drains starts at its issue time.
-  const double t3 = b.upload(host.view(), buf, 10.0);
+  const double t3 = b.upload(host.view(), buf.view(), 10.0);
   EXPECT_DOUBLE_EQ(t3, 10.0 + cost);
 }
 
 TEST(DeviceBackend, SynchronizeReturnsMaxOfIssueAndQueue) {
-  CpuBackend b = device();
+  Backend b = device();
   EXPECT_DOUBLE_EQ(b.synchronize(5.0), 5.0);
-  const Buffer x = b.alloc(4, 4);
-  const Buffer y = b.alloc(4, 4);
-  const double done = b.axpy(2, x, y, 10.0);
+  const Matrix x(4, 4);
+  Matrix y(4, 4);
+  const double done = b.axpy(2, x.view(), y.view(), 10.0);
   EXPECT_GT(done, 10.0);
   EXPECT_DOUBLE_EQ(b.synchronize(5.0), done);
   EXPECT_DOUBLE_EQ(b.synchronize(done + 1.0), done + 1.0);
 }
 
 TEST(DeviceBackend, CopyShapeMismatchDies) {
-  CpuBackend b = device();
-  const Buffer buf = b.alloc(3, 2);
+  Backend b = device();
+  Matrix buf(3, 2);
   Matrix host(2, 3);
-  EXPECT_DEATH(b.upload(host.view(), buf, 0.0), "H2D copy shape mismatch");
-  EXPECT_DEATH(b.download(buf, host.view(), 0.0), "D2H copy shape mismatch");
-}
-
-TEST(DeviceBackend, FreedHandleCopiesDie) {
-  CpuBackend b = device();
-  Buffer buf = b.alloc(2, 2);
-  Buffer copy = buf;  // handles are values; the backend owns the storage
-  b.free(buf);
-  EXPECT_FALSE(buf.valid());
-  EXPECT_EQ(b.bytes_in_use(), 0u);
-  EXPECT_DEATH(b.free(copy), "used after free");
-  EXPECT_DEATH(b.view(copy), "used after free");
+  EXPECT_DEATH(b.upload(host.view(), buf.view(), 0.0),
+               "H2D copy shape mismatch");
+  EXPECT_DEATH(b.download(buf.view(), host.view(), 0.0),
+               "D2H copy shape mismatch");
 }
 
 TEST(DeviceBackend, DeviceBytesAccounted) {
   Fixture f(4);
-  CpuBackend b = device();
+  Backend b = device();
   EXPECT_FALSE(b.zero_copy());
   const std::uint64_t before = b.bytes_in_use();
   auto mlp = std::make_unique<MlpExecutor>(b, f.config, 64);
+  // The replica, its gradient, the activations, the deltas and the input
+  // staging rows.
+  const std::uint64_t widths = 6 + 6 + 4;  // the layers' output widths
+  EXPECT_EQ(mlp->device_bytes(),
+            (2 * f.config.parameter_count() + 2 * 64 * widths + 64 * 8) *
+                sizeof(tensor::Scalar));
   EXPECT_EQ(b.bytes_in_use() - before, mlp->device_bytes());
   mlp.reset();
   EXPECT_EQ(b.bytes_in_use(), before);
@@ -322,7 +322,7 @@ TEST(DeviceBackend, OversizedModelTriggersOom) {
   big.hidden_units = 256;
   EXPECT_DEATH(
       {
-        CpuBackend b = device(tiny);
+        Backend b = device(tiny);
         MlpExecutor mlp(b, big, 1024);
       },
       "out of");
@@ -330,7 +330,7 @@ TEST(DeviceBackend, OversizedModelTriggersOom) {
 
 TEST(DeviceBackend, BatchBeyondMaxDies) {
   Fixture f(16);
-  CpuBackend b = device();
+  Backend b = device();
   MlpExecutor mlp(b, f.config, 8);
   mlp.upload_model(f.model, 0.0);
   double done = 0.0;
@@ -342,7 +342,7 @@ TEST(DeviceBackend, TrainingConvergesLikeHost) {
     SCOPED_TRACE(f.config.input_dim);
     // The replica stays resident for all 20 steps, as in
     // run_minibatch_reference.
-    CpuBackend b = device();
+    Backend b = device();
     MlpExecutor mlp(b, f.config, 32);
     double clock = mlp.upload_model(f.model, 0.0);
     for (int step = 0; step < 20; ++step) {
@@ -354,7 +354,7 @@ TEST(DeviceBackend, TrainingConvergesLikeHost) {
     mlp.download_model(final_device, clock);
 
     nn::Model host_model = f.model;
-    ModeRunner host(CpuBackend::Mode::kZeroCopy, host_model, 32);
+    ModeRunner host(Backend::Mode::kZeroCopy, host_model, 32);
     nn::Model ref_model = f.model;
     nn::Gradient ref_grad = nn::make_zero_gradient(ref_model);
     for (int step = 0; step < 20; ++step) {
@@ -371,7 +371,7 @@ TEST(DeviceBackend, TrainingConvergesLikeHost) {
 TEST(DeviceBackend, NanPoisonedInputPropagatesToGradient) {
   Fixture f(8);
   f.x(0, 0) = std::numeric_limits<tensor::Scalar>::quiet_NaN();
-  CpuBackend b = device();
+  Backend b = device();
   MlpExecutor mlp(b, f.config, 8);
   mlp.upload_model(f.model, 0.0);
   double done = 0.0;
@@ -387,7 +387,7 @@ TEST(DeviceBackend, NanPoisonedInputPropagatesToGradient) {
 
 TEST(DeviceBackend, InjectedTransferFaultThrowsOnceAndCounts) {
   Fixture f(4);
-  CpuBackend b = device();
+  Backend b = device();
   MlpExecutor mlp(b, f.config, 4);
   b.inject_transfer_faults(1);
   EXPECT_THROW(mlp.upload_model(f.model, 0.0), TransferError);
@@ -398,7 +398,7 @@ TEST(DeviceBackend, InjectedTransferFaultThrowsOnceAndCounts) {
 
 TEST(DeviceBackend, BatchStagingIsNotAFaultSurface) {
   Fixture f(4);
-  CpuBackend b = device();
+  Backend b = device();
   MlpExecutor mlp(b, f.config, 4);
   mlp.upload_model(f.model, 0.0);
   // Input staging is deliberately outside the injection surface (the model
@@ -422,7 +422,7 @@ std::uint64_t kernels_per_gradient(const nn::MlpConfig& config) {
 
 TEST(DeviceBackend, CountsKernelsAndTransfers) {
   Fixture f(16);
-  CpuBackend b = device();
+  Backend b = device();
   MlpExecutor mlp(b, f.config, 16);
   const std::uint64_t kernels = counter("hetsgd_gpu_kernels_total");
   const std::uint64_t transfers = counter("hetsgd_gpu_transfers_total");
@@ -441,27 +441,9 @@ TEST(DeviceBackend, CountsKernelsAndTransfers) {
   EXPECT_EQ(b.transfer_count(), 4 * f.config.layer_shapes().size());
 }
 
-// A device-mode executor's delta buffers, copied out. The executor
-// allocates, per layer, the replica's weights and bias, the gradient's,
-// then the activation and the delta — the DeviceMlp's order, which
-// capacity aborts rely on — so layer l's delta is buffer 6l + 6.
-std::vector<Matrix> device_deltas(CpuBackend& b, const nn::MlpConfig& config,
-                                  Index max_batch) {
-  std::vector<Matrix> deltas;
-  const auto shapes = config.layer_shapes();
-  for (std::size_t l = 0; l < shapes.size(); ++l) {
-    const Buffer delta{6 * l + 6, max_batch, shapes[l].out};
-    const tensor::MatrixView v = b.view(delta);
-    Matrix m(v.rows(), v.cols());
-    std::copy_n(v.data(), v.size(), m.data());
-    deltas.push_back(std::move(m));
-  }
-  return deltas;
-}
-
 // The loss-only entry: compute_gradient's loss on the same batch, in both
-// modes alike, the forward and one loss kernel per evaluation chunk, and no
-// delta or gradient buffer written.
+// modes alike, the forward and one loss kernel per evaluation chunk, and
+// the gradient left in place.
 TEST(MlpExecutorEval, MeanLossMatchesComputeGradientAndWritesNoDelta) {
   for (const Fixture& f : {Fixture(16), sparse_fixture()}) {
     SCOPED_TRACE(f.config.input_dim);
@@ -470,32 +452,33 @@ TEST(MlpExecutorEval, MeanLossMatchesComputeGradientAndWritesNoDelta) {
     for (Index i = 0; i < other_x.size(); ++i) other_x.data()[i] *= -2.0;
     std::vector<std::int32_t> other_y = f.y;
     for (auto& label : other_y) label = (label + 1) % 4;
-    CpuBackend b = device();
+    Backend b = device();
     MlpExecutor mlp(b, f.config, 16);
     double t = mlp.upload_model(f.model, 0.0);
     const double loss = mlp.compute_gradient(f.x.view(), f.y, t, &t);
     nn::Gradient grad = nn::make_zero_gradient(f.model);
     mlp.download_gradient(grad, t);
-    const std::vector<Matrix> deltas = device_deltas(b, f.config, 16);
+    const std::size_t layers = f.config.layer_shapes().size();
+    std::vector<Matrix> deltas;
+    for (std::size_t l = 0; l < layers; ++l) deltas.push_back(mlp.delta(l));
 
     const std::uint64_t kernels = counter("hetsgd_gpu_kernels_total");
     // Evaluating another batch must leave the first one's deltas and
-    // gradient in place.
+    // gradient in place (the loss kernel gets no dlogits to write).
     mlp.mean_loss(other_x.view(), other_y);
-    EXPECT_EQ(mlp.mean_loss(f.x.view(), f.y), loss);
-    EXPECT_EQ(counter("hetsgd_gpu_kernels_total") - kernels,
-              2 * (f.config.layer_shapes().size() + 1));
-    const std::vector<Matrix> after = device_deltas(b, f.config, 16);
-    for (std::size_t l = 0; l < deltas.size(); ++l) {
-      EXPECT_EQ(tensor::max_abs_diff(after[l].view(), deltas[l].view()), 0.0)
+    for (std::size_t l = 0; l < layers; ++l) {
+      EXPECT_EQ(tensor::max_abs_diff(mlp.delta(l).view(), deltas[l].view()),
+                0.0)
           << "delta " << l;
     }
+    EXPECT_EQ(mlp.mean_loss(f.x.view(), f.y), loss);
+    EXPECT_EQ(counter("hetsgd_gpu_kernels_total") - kernels, 2 * (layers + 1));
     nn::Gradient grad_after = nn::make_zero_gradient(f.model);
     mlp.download_gradient(grad_after, t);
     EXPECT_EQ(grad_after.max_abs_diff(grad), 0.0);
 
     nn::Model model = f.model;
-    ModeRunner host(CpuBackend::Mode::kZeroCopy, model, 16);
+    ModeRunner host(Backend::Mode::kZeroCopy, model, 16);
     EXPECT_EQ(host.mean_loss(f.x.view(), f.y), loss);
     EXPECT_NEAR(loss, ref::softmax_xent(f.model, f.x.view(), f.y), kRefTol);
   }
@@ -527,8 +510,8 @@ TEST(MlpExecutorEval, MeanLossWeightsChunksByRows) {
 TEST(ZeroCopyBackend, CountsNoDeviceKernelsOrTransfers) {
   Fixture f(16);
   const nn::Gradient device_grad =
-      mode_gradient(f, CpuBackend::Mode::kDevice, 16).grad;
-  CpuBackend b(gpusim::xeon56_spec(), CpuBackend::Mode::kZeroCopy);
+      mode_gradient(f, Backend::Mode::kDevice, 16).grad;
+  Backend b(gpusim::xeon56_spec(), Backend::Mode::kZeroCopy);
   MlpExecutor mlp(b, f.config, 16);
   nn::Gradient grad = nn::make_zero_gradient(f.model);
   mlp.bind_shared_model(f.model);
@@ -545,14 +528,91 @@ TEST(ZeroCopyBackend, CountsNoDeviceKernelsOrTransfers) {
   mlp.forward(f.x.view());
   EXPECT_EQ(counter("hetsgd_gpu_kernels_total"), kernels);
   EXPECT_EQ(counter("hetsgd_gpu_transfers_total"), transfers);
+  // Only the activations and deltas are the executor's own.
+  EXPECT_EQ(b.bytes_in_use(), mlp.device_bytes());
+  EXPECT_EQ(mlp.device_bytes(), 2 * 16 * (6 + 6 + 4) * sizeof(tensor::Scalar));
 }
 
-// --- Buffers, transfers and kernels in both modes --------------------------
+// --- Per-op checks in both modes -------------------------------------------
 // The replica workers run kDevice and the Hogwild lanes kZeroCopy; both run
-// the same tensor:: kernels. Each kernel is checked against the host call it
-// wraps, on the first `batch` rows of larger buffers, and against its
-// virtual-time charge: its PerfModel cost on the queue in device mode,
-// nothing in zero-copy mode (the worker charges whole batches there).
+// the same tensor:: kernels. Each kernel runs through the backend on views
+// of the first `m` rows of larger matrices and is checked against a
+// reference that shares no code with it — ref::gemm_naive, ref::activate and
+// ref::activate_slope, and plain loops accumulating in double for the
+// losses, col_sums and axpy — within a tolerance per op. Rows past the
+// batch must stay untouched, and the charge must be the op's PerfModel cost
+// on the queue in device mode and nothing in zero-copy mode (the worker
+// charges whole batches there).
+//
+// The operands come from seeded random shapes plus the ones the kernels
+// have separate paths for: k = 1, m < 8 (the GEMMs' skinny path), a sparse
+// input of at least 8 rows and 64 columns (the zero-skipping path), and
+// inputs holding NaN and Inf.
+
+using Rows = ref::Rows;
+
+// Per-op tolerances, relative to max(1, |want|).
+constexpr double kGemmTol = 1e-12;
+constexpr double kLossTol = 1e-13;
+constexpr double kElementwiseTol = 1e-15;
+
+// got == want entry by entry: NaN where want is NaN, the same infinity
+// where want is infinite, and within `tol` elsewhere.
+void expect_close(tensor::ConstMatrixView got, const Rows& want, double tol) {
+  ASSERT_EQ(got.rows(), static_cast<Index>(want.size()));
+  for (Index r = 0; r < got.rows(); ++r) {
+    for (Index c = 0; c < got.cols(); ++c) {
+      const double g = got(r, c);
+      const double w = want[r][c];
+      SCOPED_TRACE(testing::Message() << "entry (" << r << ", " << c << ")");
+      if (std::isnan(w)) {
+        EXPECT_TRUE(std::isnan(g)) << g;
+      } else if (std::isinf(w)) {
+        EXPECT_EQ(g, w);
+      } else {
+        EXPECT_NEAR(g, w, tol * std::max(1.0, std::abs(w)));
+      }
+    }
+  }
+}
+
+// m batch rows, inner width k, outer width n; `density` < 1 zeroes input
+// entries at random, and `non_finite` plants a NaN and an Inf in it.
+struct OpShape {
+  Index m, k, n;
+  double density = 1.0;
+  bool non_finite = false;
+};
+
+std::ostream& operator<<(std::ostream& os, const OpShape& s) {
+  return os << s.m << "x" << s.k << "x" << s.n << " density " << s.density
+            << (s.non_finite ? " with NaN/Inf" : "");
+}
+
+std::vector<OpShape> op_shapes() {
+  std::vector<OpShape> shapes = {
+      {1, 1, 1},                   // k = 1, a single row
+      {6, 1, 5},                   // k = 1
+      {3, 7, 4},                   // m < 8: the skinny path
+      {7, 12, 9},                  // m < 8
+      {16, 128, 6, 0.05},          // sparse: the zero-skipping path
+      {5, 6, 4, 1.0, true},        // NaN/Inf on the skinny path
+      {12, 96, 5, 0.05, true},     // NaN/Inf in a sparse input
+      {9, 10, 11, 1.0, true},      // NaN/Inf on the packed path
+  };
+  Rng rng(2024);  // seeded random shapes
+  for (int i = 0; i < 4; ++i) {
+    shapes.push_back({1 + static_cast<Index>(rng.next_below(40)),
+                      1 + static_cast<Index>(rng.next_below(40)),
+                      1 + static_cast<Index>(rng.next_below(24))});
+  }
+  return shapes;
+}
+
+// Sparse shapes large enough for the zero-skipping path (tensor/gemm.cpp).
+bool takes_sparse_path(const OpShape& s) {
+  return s.m >= 8 && s.k >= 64 && s.density <= 0.14;
+}
 
 Matrix random_matrix(Index rows, Index cols, Rng& rng) {
   Matrix m(rows, cols);
@@ -560,13 +620,37 @@ Matrix random_matrix(Index rows, Index cols, Rng& rng) {
   return m;
 }
 
-class BothModes : public testing::TestWithParam<CpuBackend::Mode> {
+// The input operand of `s`: `rows` x `cols` with the shape's density and,
+// when asked, a NaN in its first row and an Inf in its second (both inside
+// every batch that plants them).
+Matrix input_matrix(const OpShape& s, Index rows, Index cols, Rng& rng) {
+  Matrix m = random_matrix(rows, cols, rng);
+  for (Index i = 0; i < m.size(); ++i) {
+    if (!rng.bernoulli(s.density)) m.data()[i] = 0;
+  }
+  if (s.non_finite) {
+    m(0, cols - 1) = std::numeric_limits<tensor::Scalar>::quiet_NaN();
+    m(1, 0) = std::numeric_limits<tensor::Scalar>::infinity();
+  }
+  return m;
+}
+
+// C = op(a) * op(b) through ref::gemm_naive, as rows of doubles.
+Rows naive_product(tensor::Trans ta, tensor::Trans tb,
+                   tensor::ConstMatrixView a, tensor::ConstMatrixView b,
+                   Index rows, Index cols) {
+  Matrix c(rows, cols);
+  ref::gemm_naive(ta, tb, 1, a, b, 0, c.view());
+  return ref::to_rows(c.view());
+}
+
+class BothModes : public testing::TestWithParam<Backend::Mode> {
  protected:
   BothModes()
       : b_(spec_for(GetParam()), GetParam()),
         kernels_before_(counter("hetsgd_gpu_kernels_total")) {}
 
-  bool device_mode() const { return GetParam() == CpuBackend::Mode::kDevice; }
+  bool device_mode() const { return GetParam() == Backend::Mode::kDevice; }
 
   // Completion time of one op of `cost` issued at `issue` on an idle queue.
   double done_after(double issue, double cost) const {
@@ -578,367 +662,448 @@ class BothModes : public testing::TestWithParam<CpuBackend::Mode> {
     return counter("hetsgd_gpu_kernels_total") - kernels_before_;
   }
 
-  // A buffer holding `host`, written through view(): no transfer, no time.
-  Buffer put(const Matrix& host) {
-    const Buffer buf = b_.alloc(host.rows(), host.cols());
-    std::copy_n(host.data(), host.size(), b_.view(buf).data());
-    return buf;
-  }
+  // Issue times far apart, so every op starts on an idle queue.
+  double next_issue() { return issue_ += 1.0; }
 
-  Matrix get(const Buffer& buf) {
-    Matrix m(buf.rows, buf.cols);
-    std::copy_n(b_.view(buf).data(), m.size(), m.data());
-    return m;
-  }
-
-  CpuBackend b_;
+  Backend b_;
   std::uint64_t kernels_before_;
+  double issue_ = 0.0;
 };
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, BothModes,
-    testing::Values(CpuBackend::Mode::kDevice, CpuBackend::Mode::kZeroCopy),
-    [](const testing::TestParamInfo<CpuBackend::Mode>& mode) {
-      return mode.param == CpuBackend::Mode::kDevice ? "device" : "zero_copy";
+    testing::Values(Backend::Mode::kDevice, Backend::Mode::kZeroCopy),
+    [](const testing::TestParamInfo<Backend::Mode>& mode) {
+      return mode.param == Backend::Mode::kDevice ? "device" : "zero_copy";
     });
 
-TEST_P(BothModes, GemmBiasActMatchesHost) {
-  Rng rng(5);
-  // Buffers hold 7 rows; the kernel runs on the first 5.
-  const Matrix x = random_matrix(7, 6, rng);
-  const Matrix w = random_matrix(4, 6, rng);
-  const Matrix bias = random_matrix(1, 4, rng);
-  const Buffer out = b_.alloc(7, 4);
-  const double done = b_.gemm_bias_act(put(x), put(w), put(bias), out, 5,
-                                       tensor::Epilogue::kBiasTanh, 1.0);
-  Matrix want(5, 4);
-  tensor::gemm_bias_act(tensor::Trans::kNo, tensor::Trans::kYes, 1,
-                        x.rows_view(0, 5), w.view(), want.view(), bias.view(),
-                        tensor::Epilogue::kBiasTanh);
-  const Matrix got = get(out);
-  EXPECT_EQ(tensor::max_abs_diff(got.rows_view(0, 5), want.view()), 0.0);
-  EXPECT_TRUE(all_zero(got.rows_view(5, 2)));
-  EXPECT_DOUBLE_EQ(done, done_after(1.0, b_.perf().gemm_seconds(5, 4, 6)));
-  EXPECT_EQ(kernels_counted(), device_mode() ? 1u : 0u);
-}
-
-TEST_P(BothModes, SoftmaxXentMatchesHost) {
-  Rng rng(6);
-  const Matrix logits = random_matrix(4, 3, rng);
-  const std::vector<std::int32_t> labels = {2, 0, 1};
-  const Buffer dlogits = b_.alloc(4, 3);
-  tensor::Scalar loss = 0;
-  const double done =
-      b_.softmax_xent(put(logits), labels, dlogits, 3, &loss, 1.0);
-  Matrix want(3, 3);
-  tensor::MatrixView want_view = want.view();
-  const tensor::Scalar want_loss =
-      nn::softmax_cross_entropy(logits.rows_view(0, 3), labels, &want_view);
-  EXPECT_EQ(loss, want_loss);
-  const Matrix got = get(dlogits);
-  EXPECT_EQ(tensor::max_abs_diff(got.rows_view(0, 3), want.view()), 0.0);
-  EXPECT_TRUE(all_zero(got.rows_view(3, 1)));
-  // The kernel, then the one-scalar D2H return of the loss.
-  const double kernel = b_.perf().elementwise_seconds(3 * 3 * 6);
-  const double loss_copy = b_.perf().transfer_seconds(sizeof(tensor::Scalar));
-  EXPECT_DOUBLE_EQ(done, device_mode() ? 1.0 + kernel + loss_copy : 1.0);
-  EXPECT_EQ(kernels_counted(), device_mode() ? 1u : 0u);
-}
-
-TEST_P(BothModes, SigmoidBceMatchesHost) {
-  Rng rng(16);
-  const Matrix logits = random_matrix(4, 3, rng);
-  Matrix targets(3, 3);
-  for (Index i = 0; i < targets.size(); ++i) {
-    targets.data()[i] = rng.bernoulli(0.4) ? 1.0 : 0.0;
-  }
-  const Buffer dlogits = b_.alloc(4, 3);
-  tensor::Scalar loss = 0;
-  const double done =
-      b_.sigmoid_bce(put(logits), targets.view(), dlogits, 3, &loss, 1.0);
-  Matrix want(3, 3);
-  tensor::MatrixView want_view = want.view();
-  const tensor::Scalar want_loss =
-      nn::sigmoid_bce(logits.rows_view(0, 3), targets.view(), &want_view);
-  EXPECT_EQ(loss, want_loss);
-  const Matrix got = get(dlogits);
-  EXPECT_EQ(tensor::max_abs_diff(got.rows_view(0, 3), want.view()), 0.0);
-  EXPECT_TRUE(all_zero(got.rows_view(3, 1)));
-  // Charged like softmax-xent: the kernel, then the loss value's return.
-  const double kernel = b_.perf().elementwise_seconds(3 * 3 * 6);
-  const double loss_copy = b_.perf().transfer_seconds(sizeof(tensor::Scalar));
-  EXPECT_DOUBLE_EQ(done, device_mode() ? 1.0 + kernel + loss_copy : 1.0);
-  EXPECT_EQ(kernels_counted(), device_mode() ? 1u : 0u);
-}
-
-// A null dlogits handle runs softmax-xent alone: the same loss and charge
-// as with the gradient, and no buffer written.
-TEST_P(BothModes, LossOnlySoftmaxXentMatchesTheFullKernel) {
-  Rng rng(17);
-  const Matrix logits = random_matrix(3, 3, rng);
-  const Buffer logits_buf = put(logits);
-  const std::vector<std::int32_t> labels = {2, 0, 1};
-  const Buffer dlogits = b_.alloc(3, 3);
-  tensor::Scalar full = 0;
-  tensor::Scalar alone = 0;
-  const double full_done =
-      b_.softmax_xent(logits_buf, labels, dlogits, 3, &full, 10.0);
-  const double alone_done =
-      b_.softmax_xent(logits_buf, labels, Buffer{}, 3, &alone, 20.0);
-  EXPECT_EQ(alone, full);
-  EXPECT_DOUBLE_EQ(alone_done - 20.0, full_done - 10.0);
-  EXPECT_EQ(tensor::max_abs_diff(get(logits_buf).view(), logits.view()), 0.0);
-  EXPECT_EQ(kernels_counted(), device_mode() ? 2u : 0u);
-}
-
-TEST_P(BothModes, MatmulTnMatchesHost) {
-  Rng rng(7);
-  const Matrix delta = random_matrix(7, 4, rng);
-  const Matrix prev = random_matrix(7, 6, rng);
-  const Buffer grad_w = b_.alloc(4, 6);
-  const double done = b_.matmul_tn(put(delta), put(prev), 5, grad_w, 1.0);
-  Matrix want(4, 6);
-  tensor::matmul_tn(delta.rows_view(0, 5), prev.rows_view(0, 5), want.view());
-  EXPECT_EQ(tensor::max_abs_diff(get(grad_w).view(), want.view()), 0.0);
-  EXPECT_DOUBLE_EQ(done, done_after(1.0, b_.perf().gemm_seconds(4, 6, 5)));
-  EXPECT_EQ(kernels_counted(), device_mode() ? 1u : 0u);
-}
-
-TEST_P(BothModes, ColSumsMatchesHost) {
-  Rng rng(8);
-  const Matrix m = random_matrix(7, 4, rng);
-  const Buffer out = b_.alloc(1, 4);
-  const double done = b_.col_sums(put(m), 5, out, 1.0);
-  Matrix want(1, 4);
-  tensor::col_sums(m.rows_view(0, 5), want.view());
-  EXPECT_EQ(tensor::max_abs_diff(get(out).view(), want.view()), 0.0);
-  EXPECT_DOUBLE_EQ(done, done_after(1.0, b_.perf().elementwise_seconds(20)));
-  EXPECT_EQ(kernels_counted(), device_mode() ? 1u : 0u);
-}
-
-TEST_P(BothModes, MatmulNnMatchesHost) {
-  Rng rng(9);
-  const Matrix delta = random_matrix(7, 4, rng);
-  const Matrix w = random_matrix(4, 6, rng);
-  const Buffer out = b_.alloc(7, 6);
-  const double done = b_.matmul_nn(put(delta), put(w), 5, out, 1.0);
-  Matrix want(5, 6);
-  tensor::matmul_nn(delta.rows_view(0, 5), w.view(), want.view());
-  const Matrix got = get(out);
-  EXPECT_EQ(tensor::max_abs_diff(got.rows_view(0, 5), want.view()), 0.0);
-  EXPECT_TRUE(all_zero(got.rows_view(5, 2)));
-  EXPECT_DOUBLE_EQ(done, done_after(1.0, b_.perf().gemm_seconds(5, 6, 4)));
-  EXPECT_EQ(kernels_counted(), device_mode() ? 1u : 0u);
-}
-
-TEST_P(BothModes, ActivationBackwardMatchesHost) {
-  Rng rng(10);
+TEST_P(BothModes, GemmBiasActMatchesReference) {
+  const tensor::Epilogue epilogues[] = {
+      tensor::Epilogue::kBias, tensor::Epilogue::kBiasSigmoid,
+      tensor::Epilogue::kBiasTanh, tensor::Epilogue::kBiasRelu};
   const nn::Activation acts[] = {nn::Activation::kIdentity,
                                  nn::Activation::kSigmoid,
                                  nn::Activation::kTanh, nn::Activation::kRelu};
-  double issue = 1.0;
-  for (const nn::Activation act : acts) {
-    SCOPED_TRACE(static_cast<int>(act));
-    Matrix activated(7, 4);
-    tensor::fill_uniform(activated.view(), rng, -1, 1);
-    const Matrix delta = random_matrix(7, 4, rng);
-    const Buffer d = put(delta);
-    const double done =
-        b_.activation_backward(act, put(activated), d, 5, issue);
-    Matrix want = delta;
-    nn::activation_backward(act, activated.rows_view(0, 5),
-                            want.rows_view(0, 5));
-    // Rows past the batch keep their incoming delta.
-    EXPECT_EQ(tensor::max_abs_diff(get(d).view(), want.view()), 0.0);
-    EXPECT_DOUBLE_EQ(done,
-                     done_after(issue, b_.perf().elementwise_seconds(20)));
-    issue += 1.0;
+  Rng rng(5);
+  std::uint64_t launches = 0;
+  for (const OpShape& s : op_shapes()) {
+    SCOPED_TRACE(testing::Message() << s);
+    // x holds two rows past the batch; the kernel runs on the first m.
+    const Matrix x = input_matrix(s, s.m + 2, s.k, rng);
+    const Matrix w = random_matrix(s.n, s.k, rng);
+    const Matrix bias = random_matrix(1, s.n, rng);
+    const Rows product = naive_product(tensor::Trans::kNo, tensor::Trans::kYes,
+                                       x.rows_view(0, s.m), w.view(), s.m, s.n);
+    for (int e = 0; e < 4; ++e) {
+      SCOPED_TRACE(e);
+      Matrix out(s.m + 2, s.n);
+      const std::uint64_t sparse_before = counter("hetsgd_sparse_gemms_total");
+      const double issue = next_issue();
+      const double done =
+          b_.gemm_bias_act(x.rows_view(0, s.m), w.view(), bias.view(),
+                           out.rows_view(0, s.m), epilogues[e], issue);
+      ++launches;
+      Rows want = product;
+      for (auto& row : want) {
+        for (Index j = 0; j < s.n; ++j) {
+          row[j] = ref::activate(acts[e], row[j] + bias(0, j));
+        }
+      }
+      expect_close(out.rows_view(0, s.m), want, kGemmTol);
+      EXPECT_TRUE(all_zero(out.rows_view(s.m, 2)));
+      EXPECT_EQ(counter("hetsgd_sparse_gemms_total") > sparse_before,
+                takes_sparse_path(s));
+      EXPECT_DOUBLE_EQ(done,
+                       done_after(issue, b_.perf().gemm_seconds(s.m, s.n, s.k)));
+    }
   }
-  EXPECT_EQ(kernels_counted(), device_mode() ? 4u : 0u);
+  EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
 }
 
-TEST_P(BothModes, AxpyMatchesHost) {
-  const Buffer x = put(Matrix{{1, 2, 3}, {4, 5, 6}});
-  const Buffer y = put(Matrix{{10, 10, 10}, {10, 10, 10}});
-  const double done = b_.axpy(2, x, y, 1.0);
-  const Matrix got = get(y);
-  EXPECT_DOUBLE_EQ(got(0, 0), 12.0);  // 10 + 2*1
-  EXPECT_DOUBLE_EQ(got(1, 2), 22.0);  // 10 + 2*6
-  EXPECT_DOUBLE_EQ(done, done_after(1.0, b_.perf().elementwise_seconds(6)));
-  EXPECT_EQ(kernels_counted(), device_mode() ? 1u : 0u);
+TEST_P(BothModes, MatmulTnMatchesReference) {
+  Rng rng(7);
+  std::uint64_t launches = 0;
+  for (const OpShape& s : op_shapes()) {
+    SCOPED_TRACE(testing::Message() << s);
+    // grad_w (n x k) = delta^T (n x m) * prev (m x k): the weight gradient,
+    // whose sparse operand is the layer input prev.
+    const Matrix delta = random_matrix(s.m + 2, s.n, rng);
+    const Matrix prev = input_matrix(s, s.m + 2, s.k, rng);
+    Matrix grad_w(s.n, s.k);
+    const std::uint64_t sparse_before = counter("hetsgd_sparse_gemms_total");
+    const double issue = next_issue();
+    const double done = b_.matmul_tn(delta.rows_view(0, s.m),
+                                     prev.rows_view(0, s.m), grad_w.view(),
+                                     issue);
+    ++launches;
+    expect_close(grad_w.view(),
+                 naive_product(tensor::Trans::kYes, tensor::Trans::kNo,
+                               delta.rows_view(0, s.m),
+                               prev.rows_view(0, s.m), s.n, s.k),
+                 kGemmTol);
+    EXPECT_EQ(counter("hetsgd_sparse_gemms_total") > sparse_before,
+              takes_sparse_path(s));
+    EXPECT_DOUBLE_EQ(done,
+                     done_after(issue, b_.perf().gemm_seconds(s.n, s.k, s.m)));
+  }
+  EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
 }
 
-TEST_P(BothModes, AllocIsZeroedAndAccounted) {
-  const Buffer a = b_.alloc(3, 5);
-  Buffer c = b_.alloc(2, 2);
-  EXPECT_EQ(a.bytes(), 15 * sizeof(tensor::Scalar));
-  EXPECT_EQ(b_.bytes_in_use(), a.bytes() + c.bytes());
-  EXPECT_TRUE(all_zero(b_.view(a)));
-  b_.free(c);
-  EXPECT_FALSE(c.valid());
-  EXPECT_EQ(b_.bytes_in_use(), a.bytes());
-  b_.free(c);  // freeing a null handle is a no-op
-  EXPECT_EQ(b_.bytes_in_use(), a.bytes());
+TEST_P(BothModes, MatmulNnMatchesReference) {
+  Rng rng(9);
+  std::uint64_t launches = 0;
+  for (const OpShape& s : op_shapes()) {
+    SCOPED_TRACE(testing::Message() << s);
+    // out (m x k) = delta (m x n) * w (n x k): the delta back-propagation.
+    const Matrix delta = input_matrix(s, s.m + 2, s.n, rng);
+    const Matrix w = random_matrix(s.n, s.k, rng);
+    Matrix out(s.m + 2, s.k);
+    const double issue = next_issue();
+    const double done = b_.matmul_nn(delta.rows_view(0, s.m), w.view(),
+                                     out.rows_view(0, s.m), issue);
+    ++launches;
+    expect_close(out.rows_view(0, s.m),
+                 naive_product(tensor::Trans::kNo, tensor::Trans::kNo,
+                               delta.rows_view(0, s.m), w.view(), s.m, s.k),
+                 kGemmTol);
+    EXPECT_TRUE(all_zero(out.rows_view(s.m, 2)));
+    EXPECT_DOUBLE_EQ(done,
+                     done_after(issue, b_.perf().gemm_seconds(s.m, s.k, s.n)));
+  }
+  EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
 }
 
-TEST_P(BothModes, AllocFillsCapacityExactly) {
+TEST_P(BothModes, ColSumsMatchesReference) {
+  Rng rng(8);
+  std::uint64_t launches = 0;
+  for (const OpShape& s : op_shapes()) {
+    SCOPED_TRACE(testing::Message() << s);
+    const Matrix m = input_matrix(s, s.m + 2, s.k, rng);
+    Matrix out(1, s.k);
+    const double issue = next_issue();
+    const double done =
+        b_.col_sums(m.rows_view(0, s.m), out.view(), issue);
+    ++launches;
+    Rows want(1, std::vector<double>(static_cast<std::size_t>(s.k), 0.0));
+    for (Index r = 0; r < s.m; ++r) {
+      for (Index c = 0; c < s.k; ++c) want[0][c] += m(r, c);
+    }
+    expect_close(out.view(), want, kGemmTol);
+    EXPECT_DOUBLE_EQ(
+        done, done_after(issue, b_.perf().elementwise_seconds(
+                                    static_cast<std::uint64_t>(s.m * s.k))));
+  }
+  EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
+}
+
+TEST_P(BothModes, ActivationBackwardMatchesReference) {
+  const nn::Activation acts[] = {nn::Activation::kIdentity,
+                                 nn::Activation::kSigmoid,
+                                 nn::Activation::kTanh, nn::Activation::kRelu};
+  Rng rng(10);
+  std::uint64_t launches = 0;
+  for (const OpShape& s : op_shapes()) {
+    for (const nn::Activation act : acts) {
+      SCOPED_TRACE(testing::Message() << s << " activation "
+                                      << static_cast<int>(act));
+      // The activated values a hidden layer produces, and a delta holding
+      // the shape's NaN/Inf entries.
+      Matrix activated = random_matrix(s.m + 2, s.n, rng);
+      for (Index i = 0; i < activated.size(); ++i) {
+        activated.data()[i] = ref::activate(act, activated.data()[i]);
+      }
+      const Matrix delta_in = input_matrix(s, s.m + 2, s.n, rng);
+      Matrix delta = delta_in;
+      const double issue = next_issue();
+      const double done =
+          b_.activation_backward(act, activated.rows_view(0, s.m),
+                                 delta.rows_view(0, s.m), issue);
+      ++launches;
+      // The output y stands in for the pre-activation z: only relu's slope
+      // reads z, and relu's y > 0 exactly where z > 0.
+      Rows want = ref::to_rows(delta_in.view());
+      for (Index r = 0; r < s.m; ++r) {
+        for (Index c = 0; c < s.n; ++c) {
+          const double y = activated(r, c);
+          want[r][c] *= ref::activate_slope(act, y, y);
+        }
+      }
+      // Rows past the batch keep their incoming delta.
+      expect_close(delta.view(), want, kElementwiseTol);
+      EXPECT_DOUBLE_EQ(
+          done, done_after(issue, b_.perf().elementwise_seconds(
+                                      static_cast<std::uint64_t>(s.m * s.n))));
+    }
+  }
+  EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
+}
+
+TEST_P(BothModes, AxpyMatchesReference) {
+  Rng rng(11);
+  std::uint64_t launches = 0;
+  for (const OpShape& s : op_shapes()) {
+    SCOPED_TRACE(testing::Message() << s);
+    const Matrix x = input_matrix(s, s.m, s.n, rng);
+    Matrix y = random_matrix(s.m, s.n, rng);
+    Rows want = ref::to_rows(y.view());
+    const double alpha = -0.75;
+    for (Index r = 0; r < s.m; ++r) {
+      for (Index c = 0; c < s.n; ++c) want[r][c] += alpha * x(r, c);
+    }
+    const double issue = next_issue();
+    const double done = b_.axpy(alpha, x.view(), y.view(), issue);
+    ++launches;
+    expect_close(y.view(), want, kElementwiseTol);
+    EXPECT_DOUBLE_EQ(
+        done, done_after(issue, b_.perf().elementwise_seconds(
+                                    static_cast<std::uint64_t>(s.m * s.n))));
+  }
+  EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
+}
+
+// The loss kernels' charge: the kernel, then the one-scalar D2H return of
+// the loss value.
+double loss_cost(const gpusim::PerfModel& perf, Index elements) {
+  return perf.elementwise_seconds(static_cast<std::uint64_t>(elements) * 6) +
+         perf.transfer_seconds(sizeof(tensor::Scalar));
+}
+
+// Labels for `rows` examples of `classes` classes.
+std::vector<std::int32_t> random_labels(Index rows, Index classes, Rng& rng) {
+  std::vector<std::int32_t> labels(static_cast<std::size_t>(rows));
+  for (auto& label : labels) {
+    label = static_cast<std::int32_t>(
+        rng.next_below(static_cast<std::uint64_t>(classes)));
+  }
+  return labels;
+}
+
+TEST_P(BothModes, SoftmaxXentMatchesReference) {
+  Rng rng(6);
+  std::uint64_t launches = 0;
+  for (const OpShape& s : op_shapes()) {
+    if (s.n < 2) continue;  // a classifier has at least two classes
+    SCOPED_TRACE(testing::Message() << s);
+    const Matrix logits = input_matrix(s, s.m + 1, s.n, rng);
+    const std::vector<std::int32_t> labels = random_labels(s.m, s.n, rng);
+    Matrix dlogits(s.m + 1, s.n);
+    tensor::MatrixView dv = dlogits.rows_view(0, s.m);
+    tensor::Scalar loss = 0;
+    const double issue = next_issue();
+    const double done = b_.softmax_xent(logits.rows_view(0, s.m), labels, &dv,
+                                        &loss, issue);
+    ++launches;
+    // Mean -log softmax(z)[y] and (softmax(z) - onehot(y)) / m, with the
+    // row maximum subtracted.
+    double want_loss = 0.0;
+    Rows want(static_cast<std::size_t>(s.m),
+              std::vector<double>(static_cast<std::size_t>(s.n)));
+    for (Index r = 0; r < s.m; ++r) {
+      double mx = logits(r, 0);
+      for (Index c = 1; c < s.n; ++c) mx = std::max(mx, logits(r, c));
+      double sum = 0.0;
+      for (Index c = 0; c < s.n; ++c) sum += std::exp(logits(r, c) - mx);
+      const Index y = labels[static_cast<std::size_t>(r)];
+      want_loss += mx + std::log(sum) - logits(r, y);
+      for (Index c = 0; c < s.n; ++c) {
+        want[r][c] = (std::exp(logits(r, c) - mx) / sum - (c == y ? 1.0 : 0.0)) /
+                     static_cast<double>(s.m);
+      }
+    }
+    want_loss /= static_cast<double>(s.m);
+    expect_close(Matrix{{loss}}.view(), {{want_loss}}, kLossTol);
+    expect_close(dv, want, kLossTol);
+    EXPECT_TRUE(all_zero(dlogits.rows_view(s.m, 1)));
+    EXPECT_DOUBLE_EQ(done,
+                     done_after(issue, loss_cost(b_.perf(), s.m * s.n)));
+  }
+  EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
+}
+
+TEST_P(BothModes, SigmoidBceMatchesReference) {
+  Rng rng(16);
+  std::uint64_t launches = 0;
+  for (const OpShape& s : op_shapes()) {
+    SCOPED_TRACE(testing::Message() << s);
+    const Matrix logits = input_matrix(s, s.m + 1, s.n, rng);
+    Matrix targets(s.m, s.n);
+    for (Index i = 0; i < targets.size(); ++i) {
+      targets.data()[i] = rng.bernoulli(0.4) ? 1.0 : 0.0;
+    }
+    Matrix dlogits(s.m + 1, s.n);
+    tensor::Scalar loss = 0;
+    const double issue = next_issue();
+    const double done =
+        b_.sigmoid_bce(logits.rows_view(0, s.m), targets.view(),
+                       dlogits.rows_view(0, s.m), &loss, issue);
+    ++launches;
+    // Mean over examples of the summed -[t log p + (1-t) log(1-p)], in its
+    // overflow-free form max(z,0) - z*t + log(1 + exp(-|z|)), and
+    // (p - t) / m.
+    double want_loss = 0.0;
+    Rows want(static_cast<std::size_t>(s.m),
+              std::vector<double>(static_cast<std::size_t>(s.n)));
+    for (Index r = 0; r < s.m; ++r) {
+      for (Index c = 0; c < s.n; ++c) {
+        const double z = logits(r, c);
+        const double t = targets(r, c);
+        want_loss += (z > 0.0 ? z : 0.0) - z * t +
+                     std::log(1.0 + std::exp(-std::abs(z)));
+        want[r][c] = (1.0 / (1.0 + std::exp(-z)) - t) /
+                     static_cast<double>(s.m);
+      }
+    }
+    want_loss /= static_cast<double>(s.m);
+    expect_close(Matrix{{loss}}.view(), {{want_loss}}, kLossTol);
+    expect_close(dlogits.rows_view(0, s.m), want, kLossTol);
+    EXPECT_TRUE(all_zero(dlogits.rows_view(s.m, 1)));
+    EXPECT_DOUBLE_EQ(done,
+                     done_after(issue, loss_cost(b_.perf(), s.m * s.n)));
+  }
+  EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
+}
+
+// A null dlogits runs softmax-xent alone: the same loss and charge as with
+// the gradient, and the logits untouched.
+TEST_P(BothModes, LossOnlySoftmaxXentMatchesTheFullKernel) {
+  Rng rng(17);
+  const Matrix logits = random_matrix(3, 3, rng);
+  const Matrix before = logits;
+  const std::vector<std::int32_t> labels = {2, 0, 1};
+  Matrix dlogits(3, 3);
+  tensor::MatrixView dv = dlogits.view();
+  tensor::Scalar full = 0;
+  tensor::Scalar alone = 0;
+  const double full_done =
+      b_.softmax_xent(logits.view(), labels, &dv, &full, 10.0);
+  const double alone_done =
+      b_.softmax_xent(logits.view(), labels, nullptr, &alone, 20.0);
+  EXPECT_EQ(alone, full);
+  EXPECT_DOUBLE_EQ(alone_done - 20.0, full_done - 10.0);
+  EXPECT_EQ(tensor::max_abs_diff(logits.view(), before.view()), 0.0);
+  EXPECT_EQ(kernels_counted(), device_mode() ? 2u : 0u);
+}
+
+TEST_P(BothModes, ReserveIsAccounted) {
+  EXPECT_EQ(b_.bytes_in_use(), 0u);
+  b_.reserve(120);
+  b_.reserve(32);
+  EXPECT_EQ(b_.bytes_in_use(), 152u);
+  b_.release(32);
+  EXPECT_EQ(b_.bytes_in_use(), 120u);
+  b_.release(0);  // releasing nothing is a no-op
+  EXPECT_EQ(b_.bytes_in_use(), 120u);
+  EXPECT_DEATH(b_.release(121), "released more than reserved");
+}
+
+TEST_P(BothModes, ReserveFillsCapacityExactly) {
   gpusim::DeviceSpec spec = spec_for(GetParam());
   spec.memory_capacity = 100 * sizeof(tensor::Scalar);
-  CpuBackend small(spec, GetParam());
-  Buffer first = small.alloc(6, 10);
-  small.alloc(4, 10);  // the last 40 elements fit exactly
+  Backend small(spec, GetParam());
+  small.reserve(60 * sizeof(tensor::Scalar));
+  small.reserve(40 * sizeof(tensor::Scalar));  // the last 40 fit exactly
   EXPECT_EQ(small.bytes_in_use(), spec.memory_capacity);
-  EXPECT_DEATH(small.alloc(1, 1), "out of modeled memory");
-  // Freed capacity is available again.
-  small.free(first);
-  EXPECT_TRUE(small.alloc(6, 10).valid());
+  EXPECT_DEATH(small.reserve(sizeof(tensor::Scalar)), "out of modeled memory");
+  // Released capacity is available again.
+  small.release(60 * sizeof(tensor::Scalar));
+  small.reserve(60 * sizeof(tensor::Scalar));
   EXPECT_EQ(small.bytes_in_use(), spec.memory_capacity);
 }
 
-TEST_P(BothModes, BufferRoundTripCountsTransfers) {
+TEST_P(BothModes, RoundTripCountsTransfers) {
   Rng rng(3);
   const Matrix host = random_matrix(13, 7, rng);
-  const Buffer d = b_.alloc(13, 7);
-  const double t = b_.upload(host.view(), d, 1.0);
-  EXPECT_DOUBLE_EQ(t, done_after(1.0, b_.perf().transfer_seconds(d.bytes())));
+  const std::uint64_t bytes = 13 * 7 * sizeof(tensor::Scalar);
+  Matrix d(13, 7);
+  const double t = b_.upload(host.view(), d.view(), 1.0);
+  EXPECT_DOUBLE_EQ(t, done_after(1.0, b_.perf().transfer_seconds(bytes)));
   Matrix back(13, 7);
-  b_.download(d, back.view(), t);
+  b_.download(d.view(), back.view(), t);
   EXPECT_EQ(tensor::max_abs_diff(host.view(), back.view()), 0.0);
   EXPECT_EQ(b_.transfer_count(), 2u);
-  EXPECT_EQ(b_.bytes_transferred(), 2 * d.bytes());
+  EXPECT_EQ(b_.bytes_transferred(), 2 * bytes);
 }
 
 TEST_P(BothModes, FailedTransferMovesNothing) {
   const Matrix host{{1, 2}, {3, 4}};
-  const Buffer d = b_.alloc(2, 2);
+  Matrix d(2, 2);
   Matrix back{{9, 9}, {9, 9}};
   b_.inject_transfer_faults(2);
-  EXPECT_THROW(b_.upload(host.view(), d, 1.0), TransferError);
-  EXPECT_THROW(b_.download(d, back.view(), 1.0), TransferError);
+  EXPECT_THROW(b_.upload(host.view(), d.view(), 1.0), TransferError);
+  EXPECT_THROW(b_.download(d.view(), back.view(), 1.0), TransferError);
   EXPECT_EQ(b_.failed_transfers(), 2u);
-  EXPECT_TRUE(all_zero(b_.view(d)));
+  EXPECT_TRUE(all_zero(d.view()));
   EXPECT_DOUBLE_EQ(back(1, 1), 9.0);
   EXPECT_EQ(b_.transfer_count(), 0u);
   EXPECT_EQ(b_.bytes_transferred(), 0u);
   EXPECT_DOUBLE_EQ(b_.synchronize(1.0), 1.0);  // nothing was queued
   // Both injections are consumed.
-  EXPECT_NO_THROW(b_.upload(host.view(), d, 1.0));
+  EXPECT_NO_THROW(b_.upload(host.view(), d.view(), 1.0));
   EXPECT_EQ(b_.failed_transfers(), 2u);
 }
 
-TEST(DeviceBackend, AdoptNeedsZeroCopyMode) {
-  CpuBackend b = device();
-  Matrix host(2, 2);
-  EXPECT_DEATH(b.adopt(host.view()), "requires a zero-copy backend");
-}
-
-TEST(DeviceBackend, InvalidHandleDies) {
-  CpuBackend b = device();
-  EXPECT_DEATH(b.view(Buffer{}), "invalid buffer handle");
-  const Buffer foreign{7, 2, 2};  // an id this backend never issued
-  EXPECT_DEATH(b.view(foreign), "invalid buffer handle");
-}
-
 TEST(DeviceBackend, UploadCopiesIntoPrivateMemory) {
-  CpuBackend b = device();
+  Backend b = device();
   Matrix host{{1, 2}, {3, 4}};
-  const Buffer d = b.alloc(2, 2);
-  b.upload(host.view(), d, 0.0);
-  EXPECT_NE(b.view(d).data(), host.data());
+  Matrix d(2, 2);
+  b.upload(host.view(), d.view(), 0.0);
   host(0, 0) = 100;  // a later host write does not reach the device copy
   Matrix back(2, 2);
-  b.download(d, back.view(), 0.0);
+  b.download(d.view(), back.view(), 0.0);
   EXPECT_DOUBLE_EQ(back(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(back(1, 1), 4.0);
 }
 
 TEST(DeviceBackend, StageBatchCopiesRowsAndChargesLabels) {
-  CpuBackend b = device();
-  Buffer in = b.alloc(8, 3);
+  Backend b = device();
+  Matrix in(8, 3);
   Rng rng(11);
   const Matrix x = random_matrix(5, 3, rng);
   const std::uint64_t label_bytes = 5 * sizeof(std::int32_t);
-  const double done = b.stage_batch(x.view(), in, label_bytes, 1.0);
+  const double done =
+      b.stage_batch(x.view(), in.rows_view(0, 5), label_bytes, 1.0);
   const std::uint64_t x_bytes =
       static_cast<std::uint64_t>(x.size()) * sizeof(tensor::Scalar);
   EXPECT_DOUBLE_EQ(done,
                    1.0 + b.perf().transfer_seconds(x_bytes + label_bytes));
-  // The handle keeps its max-batch shape; only the batch rows are written.
-  EXPECT_EQ(in.rows, 8);
-  const tensor::MatrixView v = b.view(in);
-  EXPECT_EQ(tensor::max_abs_diff(tensor::ConstMatrixView(v.data(), 5, 3),
-                                 x.view()),
-            0.0);
-  EXPECT_TRUE(all_zero(tensor::ConstMatrixView(v.data() + 5 * 3, 3, 3)));
+  // Only the batch rows are written, and staging is no counted transfer.
+  EXPECT_EQ(tensor::max_abs_diff(in.rows_view(0, 5), x.view()), 0.0);
+  EXPECT_TRUE(all_zero(in.rows_view(5, 3)));
+  EXPECT_EQ(b.transfer_count(), 0u);
 }
 
-TEST(DeviceBackend, StageBatchBeyondBufferDies) {
-  CpuBackend b = device();
-  Buffer in = b.alloc(4, 3);
+TEST(DeviceBackend, StageBatchShapeMismatchDies) {
+  Backend b = device();
+  Matrix in(4, 3);
   Matrix too_many(5, 3);
   Matrix too_wide(4, 4);
-  EXPECT_DEATH(b.stage_batch(too_many.view(), in, 0, 0.0),
-               "staged batch exceeds input buffer");
-  EXPECT_DEATH(b.stage_batch(too_wide.view(), in, 0, 0.0),
-               "staged batch exceeds input buffer");
+  EXPECT_DEATH(b.stage_batch(too_many.view(), in.view(), 0, 0.0),
+               "staged batch shape mismatch");
+  EXPECT_DEATH(b.stage_batch(too_wide.view(), in.view(), 0, 0.0),
+               "staged batch shape mismatch");
 }
 
 TEST(DeviceBackend, BackendsHaveIndependentQueues) {
-  CpuBackend busy = device();
-  CpuBackend idle = device();
-  const double t = busy.axpy(1, busy.alloc(64, 64), busy.alloc(64, 64), 0.0);
+  Backend busy = device();
+  Backend idle = device();
+  const Matrix x(64, 64);
+  Matrix y(64, 64);
+  const double t = busy.axpy(1, x.view(), y.view(), 0.0);
   EXPECT_GT(t, 0.0);
   // One replica's queued work never delays another's.
   EXPECT_DOUBLE_EQ(idle.synchronize(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(idle.axpy(1, idle.alloc(64, 64), idle.alloc(64, 64), 0.0),
-                   t);
+  EXPECT_DOUBLE_EQ(idle.axpy(1, x.view(), y.view(), 0.0), t);
 }
 
-CpuBackend zero_copy() {
-  return CpuBackend(gpusim::xeon56_spec(), CpuBackend::Mode::kZeroCopy);
-}
-
-TEST(ZeroCopyBackend, AdoptAliasesHostStorage) {
-  CpuBackend b = zero_copy();
-  Matrix x{{1, 2, 3}, {4, 5, 6}};
-  Matrix y{{10, 10, 10}, {10, 10, 10}};
-  const Buffer dx = b.adopt(x.view());
-  Buffer dy = b.adopt(y.view());
-  EXPECT_EQ(b.view(dx).data(), x.data());
-  EXPECT_EQ(b.bytes_in_use(), 0u);  // adopted storage is not an allocation
-  b.axpy(2, dx, dy, 0.0);
-  EXPECT_DOUBLE_EQ(y(0, 0), 12.0);  // the kernel wrote the host storage
-  b.free(dy);
-  EXPECT_FALSE(dy.valid());
-  EXPECT_DOUBLE_EQ(y(1, 2), 22.0);  // freeing an adoption keeps the storage
-  EXPECT_EQ(b.bytes_in_use(), 0u);
-}
-
-TEST(ZeroCopyBackend, StageBatchAliasesTheInputRows) {
-  CpuBackend b = zero_copy();
-  Matrix placeholder(1, 3);
-  Buffer in = b.adopt(placeholder.view());
-  Rng rng(12);
-  const Matrix x = random_matrix(5, 3, rng);
-  EXPECT_DOUBLE_EQ(b.stage_batch(x.view(), in, 20, 1.0), 1.0);
-  EXPECT_EQ(in.rows, 5);
-  EXPECT_EQ(in.cols, 3);
-  EXPECT_EQ(b.view(in).data(), x.data());
-}
-
-TEST(ZeroCopyBackend, StageBatchNeedsAnAdoptedBuffer) {
-  CpuBackend b = zero_copy();
-  Buffer in = b.alloc(5, 3);
-  Matrix x(5, 3);
-  EXPECT_DEATH(b.stage_batch(x.view(), in, 0, 0.0),
-               "zero-copy staging needs an adopted buffer");
+Backend zero_copy() {
+  return Backend(gpusim::xeon56_spec(), Backend::Mode::kZeroCopy);
 }
 
 TEST(ZeroCopyBackend, SynchronizeReturnsIssue) {
-  CpuBackend b = zero_copy();
-  const Buffer x = b.alloc(64, 64);
-  const Buffer y = b.alloc(64, 64);
-  EXPECT_DOUBLE_EQ(b.axpy(1, x, y, 10.0), 10.0);
+  Backend b = zero_copy();
+  const Matrix x(64, 64);
+  Matrix y(64, 64);
+  EXPECT_DOUBLE_EQ(b.axpy(1, x.view(), y.view(), 10.0), 10.0);
   // No queue: the host never waits on kernels it already ran.
   EXPECT_DOUBLE_EQ(b.synchronize(5.0), 5.0);
 }
@@ -946,7 +1111,7 @@ TEST(ZeroCopyBackend, SynchronizeReturnsIssue) {
 TEST(ZeroCopyBackend, ApplyGradientUpdatesTheSharedModel) {
   for (const Fixture& f : {Fixture(8), sparse_fixture(8)}) {
     SCOPED_TRACE(f.config.input_dim);
-    CpuBackend b = zero_copy();
+    Backend b = zero_copy();
     MlpExecutor mlp(b, f.config, 8);
     nn::Model shared = f.model;
     nn::Gradient grad = nn::make_zero_gradient(f.model);
@@ -958,7 +1123,7 @@ TEST(ZeroCopyBackend, ApplyGradientUpdatesTheSharedModel) {
     // The replica is the shared model: the update lands there, no
     // download — the same model the device replica's round trip produces.
     EXPECT_EQ(
-        shared.max_abs_diff(mode_sgd_step(f, CpuBackend::Mode::kDevice, 0.1)),
+        shared.max_abs_diff(mode_sgd_step(f, Backend::Mode::kDevice, 0.1)),
         0.0);
     nn::Model expected = f.model;
     ref::sgd(expected, f.reference_gradient(), 0.1);
@@ -971,11 +1136,11 @@ TEST(DeviceBackend, TransfersEmitDeviceCopySpans) {
   auto& tracer = obs::Tracer::instance();
   tracer.start(1 << 10);
   {
-    CpuBackend b = device();
-    const Buffer buf = b.alloc(4, 4);
+    Backend b = device();
+    Matrix buf(4, 4);
     Matrix host(4, 4);
-    const double t = b.upload(host.view(), buf, 0.0);
-    b.download(buf, host.view(), t);
+    const double t = b.upload(host.view(), buf.view(), 0.0);
+    b.download(buf.view(), host.view(), t);
   }
   const std::string path = testing::TempDir() + "backend_test_trace.json";
   std::string error;

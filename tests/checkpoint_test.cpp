@@ -640,6 +640,39 @@ TEST(Elastic, PlanParsesAndRejects) {
   EXPECT_FALSE(error.empty());
 }
 
+// A worker id past int32 must not narrow onto another worker
+// (4294967297 -> 1), and a NaN time must not resolve to an event that
+// fires at once or sorts out of order.
+TEST(Elastic, PlanRejectsOutOfRangeIdsAndNonFiniteTimes) {
+  for (const char* spec :
+       {"retire:worker=4294967297,at=0.1", "retire:worker=2147483648,at=0.1",
+        "join:kind=gpu,at=nan", "join:kind=cpu,atfrac=nan",
+        "retire:worker=1,at=inf",
+        "join:kind=gpu,atfrac=0.5;retire:worker=1,atfrac=nan;"
+        "join:kind=cpu,atfrac=0.2"}) {
+    ElasticPlan plan;
+    std::string error;
+    EXPECT_FALSE(ElasticPlan::parse(spec, &plan, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+}
+
+TEST(Elastic, PlanResolvesInTriggerOrder) {
+  ElasticPlan plan;
+  std::string error;
+  ASSERT_TRUE(ElasticPlan::parse(
+      "join:kind=gpu,atfrac=0.5;retire:worker=2147483647,atfrac=0.9;"
+      "join:kind=cpu,at=0.05",
+      &plan, &error))
+      << error;
+  plan.resolve_times(1.0);
+  ASSERT_EQ(plan.events.size(), 3u);
+  EXPECT_DOUBLE_EQ(plan.events[0].at_vtime, 0.05);
+  EXPECT_DOUBLE_EQ(plan.events[1].at_vtime, 0.5);
+  EXPECT_DOUBLE_EQ(plan.events[2].at_vtime, 0.9);
+  EXPECT_EQ(plan.events[2].worker, 2147483647);
+}
+
 TEST(Elastic, MidRunJoinContributesUpdates) {
   TrainingConfig config = small_config();
   config.time_budget_vseconds = 0.02;

@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -187,6 +188,68 @@ TEST_F(CliTest, ParsesEveryBoolSpelling) {
       EXPECT_EQ(flag, want) << spelling << " from " << start;
     }
   }
+}
+
+TEST(NumberParser, AcceptsWholeNumbersInRange) {
+  std::int64_t i = 0;
+  double d = 0.0;
+  EXPECT_EQ(parse_int("-42", -100, 100, &i), nullptr);
+  EXPECT_EQ(i, -42);
+  EXPECT_EQ(parse_int("2147483647", 0, 2147483647, &i), nullptr);
+  EXPECT_EQ(i, 2147483647);
+  EXPECT_EQ(parse_finite("2.5e-3", &d), nullptr);
+  EXPECT_DOUBLE_EQ(d, 2.5e-3);
+}
+
+TEST(NumberParser, RejectsWhatCannotBeRepresented) {
+  std::int64_t i = 7;
+  double d = 7.0;
+  EXPECT_STREQ(parse_int("12abc", 0, 100, &i), "invalid integer");
+  EXPECT_STREQ(parse_int("", 0, 100, &i), "invalid integer");
+  EXPECT_STREQ(parse_int("101", 0, 100, &i), "integer out of range");
+  EXPECT_STREQ(parse_int("4294967296", 0, 2147483647, &i),
+               "integer out of range");
+  EXPECT_STREQ(parse_int("99999999999999999999", INT64_MIN, INT64_MAX, &i),
+               "integer out of range");
+  EXPECT_STREQ(parse_finite("0.5x", &d), "invalid float");
+  EXPECT_STREQ(parse_finite("nan", &d), "float not finite");
+  EXPECT_STREQ(parse_finite("-inf", &d), "float not finite");
+  EXPECT_STREQ(parse_finite("1e999", &d), "float not finite");
+  EXPECT_STREQ(parse_finite("1e-400", &d), "float out of range");
+  // A rejected value leaves the output alone.
+  EXPECT_EQ(i, 7);
+  EXPECT_EQ(d, 7.0);
+}
+
+TEST(SpecTokenizer, SplitsEventsAndParameters) {
+  std::vector<SpecEvent> events;
+  std::string error;
+  ASSERT_TRUE(tokenize_spec("die:worker=1,,at=0.5;;join:;stall:factor=",
+                            "fault", &events, &error))
+      << error;
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].text, "die:worker=1,,at=0.5");
+  EXPECT_EQ(events[0].kind, "die");
+  ASSERT_EQ(events[0].params.size(), 2u);
+  EXPECT_EQ(events[0].params[0],
+            std::make_pair(std::string("worker"), std::string("1")));
+  EXPECT_EQ(events[0].params[1],
+            std::make_pair(std::string("at"), std::string("0.5")));
+  EXPECT_EQ(events[1].kind, "join");
+  EXPECT_TRUE(events[1].params.empty());
+  ASSERT_EQ(events[2].params.size(), 1u);
+  EXPECT_EQ(events[2].params[0].second, "");
+  EXPECT_TRUE(tokenize_spec("", "fault", &events, &error));
+  EXPECT_TRUE(events.empty());
+}
+
+TEST(SpecTokenizer, RejectsMissingSeparators) {
+  std::vector<SpecEvent> events;
+  std::string error;
+  EXPECT_FALSE(tokenize_spec("die", "fault", &events, &error));
+  EXPECT_EQ(error, "fault event missing ':' — die");
+  EXPECT_FALSE(tokenize_spec("join:kind=gpu,at", "elastic", &events, &error));
+  EXPECT_EQ(error, "elastic parameter missing '=' — at");
 }
 
 TEST(Logging, ParseLevels) {

@@ -55,6 +55,24 @@ TEST(Dataset, LabelCountMismatchDies) {
   EXPECT_DEATH(Dataset("bad", std::move(f), {0}, 2), "label count");
 }
 
+TEST(Dataset, GatherCopiesRowsInOrder) {
+  const Dataset d = make_tiny();
+  const std::vector<std::size_t> rows = {3, 0, 3};
+  const Dataset g = gather(d, rows, "picked");
+  EXPECT_EQ(g.name(), "picked");
+  EXPECT_EQ(g.num_classes(), 2);
+  ASSERT_EQ(g.example_count(), 3);
+  EXPECT_EQ(g.features()(0, 0), 4);
+  EXPECT_EQ(g.features()(0, 1), 40);
+  EXPECT_EQ(g.features()(1, 1), 10);
+  EXPECT_EQ(g.features()(2, 0), 4);
+  EXPECT_EQ(std::vector<std::int32_t>(g.labels().begin(), g.labels().end()),
+            (std::vector<std::int32_t>{1, 0, 1}));
+  // The copy is independent of its source.
+  EXPECT_NE(g.features().data(), d.features().data());
+  EXPECT_EQ(gather(d, {}, "none").example_count(), 0);
+}
+
 TEST(Dataset, ShufflePreservesExampleLabelPairs) {
   // Feature value encodes the label (row i has feature 100*label + i), so
   // pairing survives any permutation check.

@@ -1,4 +1,4 @@
-// Drives an MlpExecutor over a host model in either CpuBackend mode, so one
+// Drives an MlpExecutor over a host model in either Backend mode, so one
 // test body checks the replica workers' path (kDevice: upload, kernels,
 // download) and the Hogwild lanes' path (kZeroCopy: the executor bound to
 // the model in place) alike. The host model and gradient hold the current
@@ -8,7 +8,7 @@
 #include <ostream>
 #include <span>
 
-#include "backend/cpu_backend.hpp"
+#include "backend/backend.hpp"
 #include "backend/mlp_executor.hpp"
 #include "nn/model.hpp"
 
@@ -16,21 +16,21 @@ namespace hetsgd::backend {
 
 // Names the mode in test output. gtest finds PrintTo by argument-dependent
 // lookup, so it lives in the mode's namespace.
-inline void PrintTo(CpuBackend::Mode mode, std::ostream* os) {
-  *os << (mode == CpuBackend::Mode::kDevice ? "kDevice" : "kZeroCopy");
+inline void PrintTo(Backend::Mode mode, std::ostream* os) {
+  *os << (mode == Backend::Mode::kDevice ? "kDevice" : "kZeroCopy");
 }
 
-inline gpusim::DeviceSpec spec_for(CpuBackend::Mode mode) {
-  return mode == CpuBackend::Mode::kDevice ? gpusim::v100_spec()
+inline gpusim::DeviceSpec spec_for(Backend::Mode mode) {
+  return mode == Backend::Mode::kDevice ? gpusim::v100_spec()
                                            : gpusim::xeon56_spec();
 }
 
-inline constexpr CpuBackend::Mode kBothModes[] = {CpuBackend::Mode::kDevice,
-                                                  CpuBackend::Mode::kZeroCopy};
+inline constexpr Backend::Mode kBothModes[] = {Backend::Mode::kDevice,
+                                               Backend::Mode::kZeroCopy};
 
 class ModeRunner {
  public:
-  ModeRunner(CpuBackend::Mode mode, nn::Model& model, tensor::Index max_batch)
+  ModeRunner(Backend::Mode mode, nn::Model& model, tensor::Index max_batch)
       : backend_(spec_for(mode), mode),
         model_(model),
         grad_(nn::make_zero_gradient(model)),
@@ -71,7 +71,7 @@ class ModeRunner {
   const nn::Gradient& grad() const { return grad_; }
 
  private:
-  CpuBackend backend_;
+  Backend backend_;
   nn::Model& model_;
   nn::Gradient grad_;
   MlpExecutor exec_;

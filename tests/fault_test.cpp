@@ -158,6 +158,42 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_FALSE(error.empty());
 }
 
+// Numbers a plan cannot hold are rejected, not narrowed or clamped: a
+// worker id past int32 would alias another worker (4294967296 -> 0), and
+// a count past int64 would inject INT64_MAX faults.
+TEST(FaultPlan, RejectsWorkerIdsAndCountsOutOfRange) {
+  for (const char* spec :
+       {"die:worker=4294967296,at=0.1", "die:worker=2147483648,at=0.1",
+        "die:worker=-1,at=0.1",
+        "transfer:worker=0,at=0.1,count=99999999999999999999",
+        "stall:worker=0,at=0.1,sleep=99999999999999999999"}) {
+    FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(FaultPlan::parse(spec, 7, &plan, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+  FaultPlan plan;
+  std::string error;
+  EXPECT_TRUE(FaultPlan::parse("die:worker=2147483647,at=0.1", 7, &plan,
+                               &error))
+      << error;
+}
+
+// NaN compares false against every bound check, so it used to slip
+// through as a trigger time that never (or always) fires.
+TEST(FaultPlan, RejectsNonFiniteNumbers) {
+  for (const char* spec :
+       {"die:worker=0,at=nan", "die:worker=0,atfrac=nan",
+        "die:worker=0,at=inf", "die:worker=0,at=1e999",
+        "stall:worker=0,at=0.1,factor=inf",
+        "stall:worker=0,at=0.1,factor=nan"}) {
+    FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(FaultPlan::parse(spec, 7, &plan, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+}
+
 TEST(FaultPlan, StallsArePersistentAndCumulative) {
   FaultPlan plan;
   std::string error;

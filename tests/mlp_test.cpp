@@ -1,5 +1,5 @@
 // The MLP the executor runs — forward, loss kinds, back-propagation and the
-// SGD step — in both CpuBackend modes: device mode (the replica workers)
+// SGD step — in both Backend modes: device mode (the replica workers)
 // bit for bit against zero-copy mode (the Hogwild lanes), both against
 // finite differences of their own loss and against the independent
 // reference in reference_mlp.hpp.
@@ -62,8 +62,8 @@ Problem make_problem(const MlpConfig& c, Index batch, std::uint64_t seed) {
 // can be required to match it bit for bit.
 class SameInBothModes {
  public:
-  void check(CpuBackend::Mode mode, const Model& result) {
-    if (mode == CpuBackend::Mode::kDevice) {
+  void check(Backend::Mode mode, const Model& result) {
+    if (mode == Backend::Mode::kDevice) {
       device_ = result;
     } else {
       EXPECT_EQ(result.max_abs_diff(device_), 0.0);
@@ -123,7 +123,7 @@ TEST(Forward, MatchesReferenceLogits) {
           EXPECT_NEAR(got(r, c), want[r][c], kRefTol);
         }
       }
-      if (mode == CpuBackend::Mode::kDevice) {
+      if (mode == Backend::Mode::kDevice) {
         device_logits = got;
       } else {
         EXPECT_EQ(tensor::max_abs_diff(got.view(), device_logits.view()), 0.0);
@@ -342,7 +342,7 @@ TEST(Mlp, InputWidthMismatchDies) {
   Matrix bad(2, c.input_dim + 1);
   EXPECT_DEATH(
       {
-        ModeRunner run(CpuBackend::Mode::kZeroCopy, p.model, 2);
+        ModeRunner run(Backend::Mode::kZeroCopy, p.model, 2);
         run.forward(bad.view());
       },
       "batch width mismatch");

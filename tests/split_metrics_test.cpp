@@ -236,7 +236,7 @@ TEST(EvaluateClassifier, TrainedModelBeatsChance) {
                               split.test.example_count()));
     EXPECT_GT(cm.accuracy(), 0.6);  // chance = 0.33
     EXPECT_GT(cm.macro_f1(), 0.5);
-    if (mode == backend::CpuBackend::Mode::kDevice) {
+    if (mode == backend::Backend::Mode::kDevice) {
       device_model = model;
       device_cm = cm;
     } else {
