@@ -1,9 +1,11 @@
 // Ablation — the CPU update-survival fraction beta (Algorithm 2).
 //
 // Beta discounts how many of the CPU worker's t concurrent Hogwild updates
-// the coordinator counts (conflicting lock-free updates may partially
-// overwrite each other). The paper determines beta = 1 empirically; this
-// sweep shows the effect of discounting on the adaptive balance.
+// Algorithm 2 counts (conflicting lock-free updates may partially
+// overwrite each other): the adaptive controller compares floor(beta * u)
+// for the CPU worker. The paper determines beta = 1 empirically; this
+// sweep shows the effect of discounting on the adaptive balance. The
+// ledger, and so cpu_share below, counts the updates actually applied.
 #include <cstdio>
 
 #include "common/cli.hpp"

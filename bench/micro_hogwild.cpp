@@ -110,8 +110,9 @@ BENCHMARK(BM_HogwildLanes)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_AdaptiveControllerRequest(benchmark::State& state) {
   core::AdaptiveController controller(2.0);
-  controller.register_worker(0, {56, 56, 56 * 64, 56});
-  controller.register_worker(1, {8192, 64, 8192, 1});
+  controller.register_worker(0, gpusim::DeviceKind::kCpu,
+                             {56, 56, 56 * 64, 56});
+  controller.register_worker(1, gpusim::DeviceKind::kGpu, {8192, 64, 8192, 1});
   std::uint64_t u0 = 0, u1 = 0;
   int flip = 0;
   for (auto _ : state) {

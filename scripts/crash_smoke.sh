@@ -15,7 +15,10 @@
 #
 # The crash fraction sweeps the whole run and alternates the crashing
 # worker, so cuts are interrupted at every phase: before the first epoch
-# barrier, mid state-collection, mid rename, after the last cut.
+# barrier, mid write, mid rename, after the last cut. In every other
+# iteration the other worker is killed first (a `die` fault at half the
+# crash fraction), so the restart resumes from cuts holding a dead worker,
+# which the resumed run revives from its checkpointed ledger stats.
 #
 # Observability artifacts ride along: the killed run streams metrics
 # JSONL (validated torn-tail-tolerant — SIGKILL may clip the final line,
@@ -44,15 +47,20 @@ for ((i = 0; i < ITERATIONS; ++i)); do
   frac=$(awk -v i="$i" -v n="$ITERATIONS" \
     'BEGIN { printf "%.3f", 0.10 + 0.80 * i / (n - 1) }')
   worker=$((i % 2))
+  plan="crash:worker=$worker,atfrac=$frac"
+  if ((i % 2 == 0)); then
+    die_frac=$(awk -v f="$frac" 'BEGIN { printf "%.3f", f / 2 }')
+    plan="die:worker=$((1 - worker)),atfrac=$die_frac;$plan"
+  fi
   rm -rf "$CKPT_DIR"
-  echo "=== iteration $i: crash worker=$worker atfrac=$frac ==="
+  echo "=== iteration $i: $plan ==="
 
   crash_log="$BUILD_DIR/crash_smoke_$i.log"
   crash_metrics="$BUILD_DIR/crash_smoke_${i}_metrics.jsonl"
   set +e
   timeout "$RUN_TIMEOUT" "$ADAPTIVE" "${COMMON_ARGS[@]}" \
     --checkpoint-dir "$CKPT_DIR" \
-    --fault-plan "crash:worker=$worker,atfrac=$frac" \
+    --fault-plan "$plan" \
     --metrics-out "$crash_metrics" --metrics-interval 50 \
     >"$crash_log" 2>&1
   status=$?

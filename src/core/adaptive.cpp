@@ -10,11 +10,13 @@ namespace hetsgd::core {
 
 using tensor::Index;
 
-AdaptiveController::AdaptiveController(double alpha) : alpha_(alpha) {
+AdaptiveController::AdaptiveController(double alpha, double beta)
+    : alpha_(alpha), beta_(beta) {
   HETSGD_ASSERT(alpha > 1.0, "alpha must exceed 1 (default 2)");
 }
 
 void AdaptiveController::register_worker(msg::WorkerId id,
+                                         gpusim::DeviceKind kind,
                                          const WorkerLimits& limits,
                                          std::uint64_t baseline_updates) {
   HETSGD_ASSERT(id == static_cast<msg::WorkerId>(workers_.size()),
@@ -26,6 +28,7 @@ void AdaptiveController::register_worker(msg::WorkerId id,
                 "initial batch outside thresholds");
   State s;
   s.limits = limits;
+  s.discounted = kind == gpusim::DeviceKind::kCpu;
   s.batch = clamp_to_quantum(limits.initial, limits);
   s.offset = baseline_updates;
   workers_.push_back(s);
@@ -56,8 +59,13 @@ Index AdaptiveController::batch(msg::WorkerId id) const {
 std::uint64_t AdaptiveController::updates(msg::WorkerId id) const {
   HETSGD_ASSERT(id >= 0 && static_cast<std::size_t>(id) < workers_.size(),
                 "unknown worker");
-  const State& s = workers_[static_cast<std::size_t>(id)];
-  return s.offset + s.updates;
+  return compared(workers_[static_cast<std::size_t>(id)]);
+}
+
+std::uint64_t AdaptiveController::compared(const State& s) const {
+  if (!s.discounted) return s.offset + s.updates;
+  return s.offset + static_cast<std::uint64_t>(
+                        std::floor(beta_ * static_cast<double>(s.updates)));
 }
 
 Index AdaptiveController::clamp_to_quantum(Index b,
@@ -77,13 +85,13 @@ Index AdaptiveController::on_request(msg::WorkerId id, std::uint64_t updates) {
   e.updates = updates;
   if (e.retired) return e.batch;
 
-  // min_u / max_u over the other (non-retired) workers, offset-credited.
+  // min_u / max_u over the other (non-retired) workers' compared counts.
   std::uint64_t min_u = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t max_u = 0;
   bool any_other = false;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     if (static_cast<msg::WorkerId>(i) == id || workers_[i].retired) continue;
-    const std::uint64_t u = workers_[i].offset + workers_[i].updates;
+    const std::uint64_t u = compared(workers_[i]);
     min_u = std::min(min_u, u);
     max_u = std::max(max_u, u);
     any_other = true;
@@ -92,12 +100,13 @@ Index AdaptiveController::on_request(msg::WorkerId id, std::uint64_t updates) {
     return e.batch;  // single worker: nothing to balance against
   }
 
-  if (e.offset + e.updates < min_u) {
+  const std::uint64_t u_e = compared(e);
+  if (u_e < min_u) {
     // Slowest worker: shrink the batch to produce updates faster.
     const Index shrunk = static_cast<Index>(
         std::floor(static_cast<double>(e.batch) / alpha_));
     e.batch = clamp_to_quantum(std::max(shrunk, e.limits.min), e.limits);
-  } else if (e.offset + e.updates > max_u) {
+  } else if (u_e > max_u) {
     // Fastest worker: grow the batch to slow its update rate.
     const Index grown = static_cast<Index>(
         std::ceil(static_cast<double>(e.batch) * alpha_));

@@ -13,11 +13,18 @@
 // ~100% at the upper); alpha defaults to 2 (double/halve). Batch sizes are
 // kept multiples of each worker's quantum (the CPU worker's lane count, so
 // sub-batches stay whole).
+//
+// A CPU worker's count enters the comparison discounted by beta, the
+// fraction of Hogwild updates taken to survive the lanes' overwrites
+// (default 1): Algorithm 2 compares floor(beta * u^E) for CPU workers and
+// u^E for GPU workers. Workers report their exact counts; the discount is
+// applied here only.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "gpusim/perf_model.hpp"
 #include "msg/message.hpp"
 #include "tensor/types.hpp"
 
@@ -25,7 +32,7 @@ namespace hetsgd::core {
 
 class AdaptiveController {
  public:
-  explicit AdaptiveController(double alpha);
+  explicit AdaptiveController(double alpha, double beta = 1.0);
 
   struct WorkerLimits {
     tensor::Index initial = 0;
@@ -34,13 +41,15 @@ class AdaptiveController {
     tensor::Index quantum = 1;
   };
 
-  // Registers worker `id` (dense from 0) with its batch thresholds.
-  // `baseline_updates` credits a worker that joins an in-progress run
-  // (elastic membership): the newcomer's raw counter starts at zero, so
-  // without the credit Algorithm 2 would see it as "slowest" and shrink
-  // its batch to the minimum until it caught up on absolute count. The
-  // offset is applied in comparisons only — reported counters stay raw.
-  void register_worker(msg::WorkerId id, const WorkerLimits& limits,
+  // Registers worker `id` (dense from 0) of device `kind` with its batch
+  // thresholds. `baseline_updates` credits a worker that joins an
+  // in-progress run (elastic membership): the newcomer's raw counter starts
+  // at zero, so without the credit Algorithm 2 would see it as "slowest"
+  // and shrink its batch to the minimum until it caught up on absolute
+  // count. The credit is in compared (discounted) units and is applied in
+  // comparisons only — reported counters stay raw.
+  void register_worker(msg::WorkerId id, gpusim::DeviceKind kind,
+                       const WorkerLimits& limits,
                        std::uint64_t baseline_updates = 0);
 
   // Marks a worker as retired: it no longer participates in the min/max
@@ -48,18 +57,18 @@ class AdaptiveController {
   void retire_worker(msg::WorkerId id);
 
   // Checkpoint restore: overwrite a worker's batch (clamped to its
-  // thresholds) and cumulative update count.
+  // thresholds) and raw cumulative update count; any join credit goes.
   void restore_worker(msg::WorkerId id, tensor::Index batch,
                       std::uint64_t updates);
 
   std::size_t worker_count() const { return workers_.size(); }
   tensor::Index batch(msg::WorkerId id) const;
-  // Cumulative updates credited to `id`: raw reported count plus any
-  // join-time baseline offset.
+  // The count Algorithm 2 compares for `id`: floor(beta * u) for a CPU
+  // worker, u for a GPU worker, plus any join-time credit.
   std::uint64_t updates(msg::WorkerId id) const;
 
-  // Algorithm 2 lines 1-5: records u^E and returns the (possibly resized)
-  // batch for worker E's next ExecuteWork.
+  // Algorithm 2 lines 1-5: records worker E's raw count u^E and returns the
+  // (possibly resized) batch for its next ExecuteWork.
   tensor::Index on_request(msg::WorkerId id, std::uint64_t updates);
 
   double alpha() const { return alpha_; }
@@ -67,16 +76,19 @@ class AdaptiveController {
  private:
   struct State {
     WorkerLimits limits;
+    bool discounted = false;  // a CPU worker: its count is scaled by beta
     tensor::Index batch = 0;
-    std::uint64_t updates = 0;
-    std::uint64_t offset = 0;  // join-time baseline credit
+    std::uint64_t updates = 0;  // raw, as reported
+    std::uint64_t offset = 0;   // join-time baseline credit
     bool retired = false;
   };
 
   tensor::Index clamp_to_quantum(tensor::Index b,
                                  const WorkerLimits& limits) const;
+  std::uint64_t compared(const State& s) const;
 
   double alpha_;
+  double beta_;
   std::vector<State> workers_;
 };
 

@@ -194,8 +194,7 @@ void write_training_checkpoint(ByteWriter& w, const TrainingCheckpoint& c) {
     w.write_f64(wc.stats.max_staleness);
     w.write_i64(wc.adaptive_batch);
     w.write_u64(wc.adaptive_updates);
-    w.write_u64(static_cast<std::uint64_t>(wc.state.size()));
-    w.write_bytes(wc.state.data(), wc.state.size());
+    w.write_u64(0);  // the retired worker-state blob slot, empty
   }
 }
 
@@ -254,12 +253,14 @@ bool read_training_checkpoint(ByteReader& r, TrainingCheckpoint* c,
     }
     wc.id = static_cast<msg::WorkerId>(id);
     wc.stats.id = wc.id;
+    // Skip the blob slot: older checkpoints kept a copy of the stats'
+    // clock, busy time and update count there.
     std::uint64_t blob = 0;
     if (!r.read_u64(&blob) || blob > r.remaining()) {
       return fail("checkpoint truncated (worker state)");
     }
-    wc.state.resize(static_cast<std::size_t>(blob));
-    if (blob > 0 && !r.read_bytes(wc.state.data(), wc.state.size())) {
+    std::vector<std::uint8_t> skipped(static_cast<std::size_t>(blob));
+    if (blob > 0 && !r.read_bytes(skipped.data(), skipped.size())) {
       return fail("checkpoint truncated (worker state)");
     }
   }

@@ -3,10 +3,12 @@
 //
 // A model-only checkpoint (nn::save_model) restarts *a* run; resuming
 // *the same* run additionally needs the coordinator's RNG stream (dataset
-// permutation), the virtual clocks, the update ledger, the adaptive
-// batch-size controller, and each worker's private clock and update
-// counter — ABS-SGD (arXiv:2308.15164) shows adaptive batch state must travel with
-// the model for recovery to preserve convergence behaviour. The
+// permutation), the virtual clocks, the update ledger, and the adaptive
+// batch-size controller — ABS-SGD (arXiv:2308.15164) shows adaptive batch
+// state must travel with the model for recovery to preserve convergence
+// behaviour. Each worker's own progress (clock, busy time, update count)
+// is the ledger's copy: workers report it with every batch, and a resumed
+// worker continues from the ledger stats it was cut with. The
 // TrainingCheckpoint struct is that closure of state; CheckpointManager
 // owns a directory of CRC-checked, atomically-written checkpoint files
 // plus a human-readable MANIFEST, prunes old files per the retention
@@ -36,16 +38,20 @@
 
 namespace hetsgd::core {
 
-// Per-worker persisted state: ledger counters, adaptive controller entry,
-// and the worker's opaque private blob (virtual clock, busy time, update
-// counter) as produced by its StateReport.
+// Per-worker persisted state: ledger counters (which the resumed worker
+// also continues its clock, busy time and update count from) and the
+// adaptive controller entry. On disk each record ends in a length-prefixed
+// blob slot: checkpoints cut before the ledger became the only copy of a
+// worker's progress kept a private worker-state blob there; the writer
+// now puts a zero length and the reader skips whatever the slot holds.
 struct WorkerCheckpoint {
   msg::WorkerId id = 0;
   std::uint8_t kind = 0;  // gpusim::DeviceKind
   WorkerStats stats;
   tensor::Index adaptive_batch = 0;
+  // The count Algorithm 2 compared at the cut (AdaptiveController::
+  // updates); the resumed controller restarts from stats.updates.
   std::uint64_t adaptive_updates = 0;
-  std::vector<std::uint8_t> state;
 };
 
 // The complete resumable state of a run, cut at an epoch barrier.

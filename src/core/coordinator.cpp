@@ -54,7 +54,7 @@ Coordinator::Coordinator(data::Dataset& dataset, nn::Model& model,
       config_(config),
       adaptive_enabled_(config.algorithm == Algorithm::kAdaptiveHogbatch),
       fingerprint_(config_fingerprint(config, dataset)),
-      adaptive_(config.alpha), cpu_perf_(config.cpu.spec),
+      adaptive_(config.alpha, config.beta), cpu_perf_(config.cpu.spec),
       gpu_perf_(config.gpu.spec), eval_snapshot_(model),
       eval_backend_(config.cpu.spec, backend::Backend::Mode::kZeroCopy),
       eval_exec_(eval_backend_, config.mlp, nn::kEvalChunkRows),
@@ -82,7 +82,7 @@ void Coordinator::add_worker(msg::Actor& actor, gpusim::DeviceKind kind,
   w.waiting = true;  // every worker starts idle and ready for work
   workers_.push_back(w);
   ledger_.register_worker(id, actor.name(), kind, limits.initial);
-  adaptive_.register_worker(id, limits);
+  adaptive_.register_worker(id, kind, limits);
 }
 
 double Coordinator::epochs_completed() const {
@@ -113,9 +113,8 @@ void Coordinator::on_start() {
       config_.fault.checkpoint_interval_vseconds > 0.0) {
     next_full_ckpt_vtime_ = config_.fault.checkpoint_interval_vseconds;
   }
-  if (fault_layer_enabled() || ckpt_mgr_ != nullptr) {
-    // Real-time fallback heartbeat: all-workers-silent detection, and the
-    // state-collection timeout of a pending checkpoint cut.
+  if (fault_layer_enabled()) {
+    // Real-time fallback heartbeat: all-workers-silent detection.
     set_idle_interval(std::chrono::milliseconds(20));
   }
   // A resumed run restored its loss curve (including the point the
@@ -128,8 +127,8 @@ void Coordinator::on_start() {
 bool Coordinator::handle(msg::Envelope envelope) {
   MutexLock lock(mu_);
   idle_ticks_ = 0;  // any message is a sign of life; restart the silence window
-  // hetsgd-analyze: dispatch ignores(ExecuteWork, Shutdown, StateRequest) —
-  // worker-bound messages the coordinator only ever sends, never receives.
+  // hetsgd-analyze: dispatch ignores(ExecuteWork, Shutdown) — worker-bound
+  // messages the coordinator only ever sends, never receives.
   if (std::holds_alternative<msg::ScheduleWork>(envelope.message)) {
     on_schedule(std::get<msg::ScheduleWork>(envelope.message));
   } else if (std::holds_alternative<msg::WorkerFault>(envelope.message)) {
@@ -142,8 +141,6 @@ bool Coordinator::handle(msg::Envelope envelope) {
       ++shutdown_acks_;
       if (shutdown_acks_ >= expected_acks_) loop_done_ = true;
     }
-  } else if (std::holds_alternative<msg::StateReport>(envelope.message)) {
-    on_state_report(std::get<msg::StateReport>(envelope.message));
   } else if (std::holds_alternative<msg::WorkerJoin>(envelope.message)) {
     on_worker_join(std::get<msg::WorkerJoin>(envelope.message).worker);
   } else if (std::holds_alternative<msg::WorkerRetire>(envelope.message)) {
@@ -157,26 +154,7 @@ bool Coordinator::handle(msg::Envelope envelope) {
 
 bool Coordinator::on_idle() {
   MutexLock lock(mu_);
-  if (shutting_down_) return !loop_done_;
-  if (ckpt_pending_) {
-    // A checkpoint cut is collecting worker state. A live worker answers a
-    // StateRequest promptly (it is idle at the epoch barrier), so extended
-    // silence means the laggards are dead: stop waiting, cut with what
-    // arrived, and let the run proceed.
-    const std::int64_t grace =
-        std::max<std::int64_t>(1, config_.fault.stall_grace_ticks);
-    if (++ckpt_ticks_ >= 4 * grace) {
-      HETSGD_LOG_WARN("coordinator",
-                      "checkpoint cut timed out waiting on %zu worker(s); "
-                      "writing partial worker state",
-                      ckpt_waiting_.size());
-      ckpt_waiting_.clear();
-      maybe_complete_checkpoint();
-      try_dispatch_all();
-    }
-    return !loop_done_;
-  }
-  if (!fault_layer_enabled()) return !loop_done_;
+  if (shutting_down_ || !fault_layer_enabled()) return !loop_done_;
   if (!any_busy()) {
     idle_ticks_ = 0;
     return true;
@@ -339,9 +317,6 @@ void Coordinator::on_worker_fault(const msg::WorkerFault& fault) {
     ledger_.record_fault(
         {fault.vtime, id, FaultKind::kQuarantine, 0, "fatal worker fault"});
   }
-  // A dead worker will never answer a pending StateRequest.
-  drop_ckpt_peer(id);
-  maybe_complete_checkpoint();
   try_dispatch_all();
 }
 
@@ -395,10 +370,7 @@ void Coordinator::note_fault(msg::WorkerId id, double vtime) {
 }
 
 void Coordinator::try_dispatch_all() {
-  // No dispatch while a checkpoint cut is collecting worker state: the cut
-  // must capture a quiescent barrier, and the deferred epoch restart has
-  // not happened yet (cursor_ still points past the old permutation).
-  if (shutting_down_ || ckpt_pending_) return;
+  if (shutting_down_) return;
 
   // Retire workers that reached the time budget first: a stale
   // not-yet-finished flag would otherwise hold the epoch barrier open for
@@ -640,15 +612,7 @@ void Coordinator::maybe_flip_epoch() {
   // is what makes resume deterministic: at a cut with epoch_ == k exactly
   // k-1 dataset shuffles have consumed the coordinator RNG, so restore()
   // can replay them, verify the stream, and perform shuffle #k itself.
-  if (full_checkpoint_due()) {
-    begin_full_checkpoint();
-    if (ckpt_pending_) {
-      // Epoch restart (shuffle + cursor) deferred until every StateReport
-      // arrives; maybe_complete_checkpoint() finishes the flip.
-      return;
-    }
-    write_full_checkpoint();  // nobody to ask: cut synchronously
-  }
+  if (full_checkpoint_due()) write_full_checkpoint();
   dataset_.shuffle(rng_);
   cursor_ = 0;
 }
@@ -721,11 +685,6 @@ void Coordinator::maybe_eval_checkpoints() {
 void Coordinator::begin_shutdown() {
   if (shutting_down_) return;
   shutting_down_ = true;
-  // Abandon any in-flight checkpoint cut: a divergence abort can land
-  // between StateRequest and the replies, and a half-collected cut must
-  // not be written.
-  ckpt_pending_ = false;
-  ckpt_waiting_.clear();
   // Account for any still-in-flight dispatches (divergence aborts can stop
   // the run mid-batch): their ranges are reclaimed-but-never-re-dispatched
   // so the ledger invariant holds at exit, and eventual reports fold in as
@@ -815,7 +774,10 @@ bool Coordinator::restore(const TrainingCheckpoint& ckpt, std::string* error) {
                   " device kind differs from the checkpointing run");
     }
     ledger_.restore_stats(wc.stats);
-    adaptive_.restore_worker(wc.id, wc.adaptive_batch, wc.adaptive_updates);
+    // The controller counts the worker's raw updates, which the ledger
+    // holds; adaptive_updates is the compared count, with no join credit
+    // in any checkpoint a resume accepts (membership must match).
+    adaptive_.restore_worker(wc.id, wc.adaptive_batch, wc.stats.updates);
   }
   resumed_ = true;
   return true;
@@ -828,59 +790,18 @@ bool Coordinator::full_checkpoint_due() const {
   return ledger_.max_clock() >= next_full_ckpt_vtime_;
 }
 
-void Coordinator::begin_full_checkpoint() {
-  ckpt_waiting_.clear();
-  ckpt_blobs_.clear();
-  ckpt_ticks_ = 0;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    WorkerRuntime& w = workers_[i];
-    if (w.failed || w.quarantined || w.retired) continue;
-    const auto id = static_cast<msg::WorkerId>(i);
-    if (w.actor->send({msg::kCoordinator, msg::StateRequest{}})) {
-      ckpt_waiting_.push_back(id);
-    }
-  }
-  ckpt_pending_ = !ckpt_waiting_.empty();
-}
-
-void Coordinator::on_state_report(const msg::StateReport& report) {
-  if (!ckpt_pending_) {
-    // A reply that arrived after the cut timed out (or was abandoned at
-    // shutdown); the checkpoint already went out without it.
-    return;
-  }
-  ckpt_blobs_.push_back({report.worker, report.state});
-  drop_ckpt_peer(report.worker);
-  maybe_complete_checkpoint();
-  try_dispatch_all();
-}
-
-void Coordinator::drop_ckpt_peer(msg::WorkerId id) {
-  ckpt_waiting_.erase(
-      std::remove(ckpt_waiting_.begin(), ckpt_waiting_.end(), id),
-      ckpt_waiting_.end());
-}
-
-void Coordinator::maybe_complete_checkpoint() {
-  if (!ckpt_pending_ || !ckpt_waiting_.empty()) return;
-  ckpt_pending_ = false;
-  write_full_checkpoint();
-  // Perform the epoch restart the cut deferred (see maybe_flip_epoch).
-  dataset_.shuffle(rng_);
-  cursor_ = 0;
-}
-
 void Coordinator::write_full_checkpoint() {
   HETSGD_ASSERT(ckpt_mgr_ != nullptr, "checkpoint write without a manager");
   HETSGD_TRACE_SCOPE("coordinator", "checkpoint_write");
   TrainingCheckpoint ckpt;
   ckpt.fingerprint = fingerprint_;
   ckpt.seed = config_.seed;
-  // hetsgd-racy: quiescent at the epoch barrier — every worker is idle, so
-  // this read of the shared model does not race (nn::Model copy is also in
-  // tsan.supp for the mid-run divergence path).
+  // hetsgd-racy: at the epoch barrier no dispatched batch is in flight, but
+  // a worker whose batch was reclaimed may still be running it and writing
+  // the shared model, the race the eval snapshot and the epoch reshuffle
+  // share (nn::Model copy is in tsan.supp).
   ckpt.model = model_;
-  // Captured BEFORE the deferred shuffle: restore() replays epoch-1
+  // Captured BEFORE the epoch's shuffle: restore() replays epoch-1
   // shuffles, checks this state, then shuffles once itself.
   ckpt.rng = rng_.state();
   ckpt.epoch = epoch_;
@@ -914,15 +835,8 @@ void Coordinator::write_full_checkpoint() {
     wc.stats = ledger_.stats(id);
     wc.adaptive_batch = adaptive_.batch(id);
     wc.adaptive_updates = adaptive_.updates(id);
-    for (const auto& [bid, blob] : ckpt_blobs_) {
-      if (bid == id) {
-        wc.state = blob;
-        break;
-      }
-    }
     ckpt.workers.push_back(std::move(wc));
   }
-  ckpt_blobs_.clear();
 
   std::string error;
   if (ckpt_mgr_->save(ckpt, &error)) {
@@ -971,7 +885,7 @@ msg::WorkerId Coordinator::join_worker(
     AdaptiveController::WorkerLimits seeded_limits = limits;
     seeded_limits.initial = seeded;
     ledger_.register_worker(id, actor.name(), kind, seeded);
-    adaptive_.register_worker(id, seeded_limits, baseline);
+    adaptive_.register_worker(id, kind, seeded_limits, baseline);
     if (monitor_ != nullptr) monitor_->add_worker();
     ++joins_;
     ledger_.record_fault({ledger_.max_clock(), id, FaultKind::kWorkerJoin,
@@ -1022,9 +936,6 @@ void Coordinator::on_worker_retire(msg::WorkerId id) {
   if (!w.failed && !w.actor->send({msg::kCoordinator, msg::Shutdown{}})) {
     w.failed = true;  // mailbox already closed; nothing to wind down
   }
-  // It will not answer a pending StateRequest anymore.
-  drop_ckpt_peer(id);
-  maybe_complete_checkpoint();
   try_dispatch_all();
 }
 

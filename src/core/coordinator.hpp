@@ -76,7 +76,7 @@ class Coordinator final : public msg::Actor {
   // --- crash-consistent checkpointing ------------------------------------
   // Attaches the checkpoint sink. Call before start(); the manager must
   // outlive the coordinator. With a manager attached, a full training
-  // checkpoint (model + RNG + clocks + ledger + worker state) is cut at
+  // checkpoint (model + RNG + clocks + ledger + controller) is cut at
   // the quiescent epoch barrier whenever fault.checkpoint_interval_vseconds
   // of virtual time have elapsed (0 = every epoch flip).
   void set_checkpoint_manager(CheckpointManager* manager) HETSGD_EXCLUDES(mu_);
@@ -85,9 +85,10 @@ class Coordinator final : public msg::Actor {
   // workers are registered and before start(). Verifies that the RNG
   // stream replayed over `ckpt.epoch - 1` dataset shuffles lands exactly
   // on the checkpointed state — a mismatch means the config/dataset differ
-  // from the checkpointing run, and the restore is refused. Worker-local
-  // state (clocks, busy time, update counters) is restored separately by
-  // the Trainer via each worker's restore_state().
+  // from the checkpointing run, and the restore is refused. The workers'
+  // own clocks, busy times and update counters are restored separately by
+  // the Trainer, from the same per-worker ledger stats
+  // (Worker::restore_progress).
   bool restore(const TrainingCheckpoint& ckpt, std::string* error)
       HETSGD_EXCLUDES(mu_);
 
@@ -233,17 +234,9 @@ class Coordinator final : public msg::Actor {
   // --- checkpoint + elastic helpers ---------------------------------------
   // True when a full checkpoint should be cut at the next epoch barrier.
   bool full_checkpoint_due() const HETSGD_REQUIRES(mu_);
-  // Sends StateRequest to every live worker and suppresses dispatch until
-  // all replies (or peer losses) arrive. Completes synchronously when
-  // there is no one to ask.
-  void begin_full_checkpoint() HETSGD_REQUIRES(mu_);
-  void on_state_report(const msg::StateReport& report) HETSGD_REQUIRES(mu_);
-  // Removes `id` from the outstanding StateRequest set (worker faulted or
-  // retired mid-collection) so the checkpoint cut cannot wedge on it.
-  void drop_ckpt_peer(msg::WorkerId id) HETSGD_REQUIRES(mu_);
-  // If a cut is pending and every reply is in, assembles + persists the
-  // checkpoint and performs the deferred epoch restart (shuffle + cursor).
-  void maybe_complete_checkpoint() HETSGD_REQUIRES(mu_);
+  // Cuts and persists a checkpoint from the ledger, the controller and the
+  // coordinator's own state; called at the epoch barrier, before the
+  // epoch's reshuffle.
   void write_full_checkpoint() HETSGD_REQUIRES(mu_);
   void on_worker_join(msg::WorkerId id) HETSGD_REQUIRES(mu_);
   void on_worker_retire(msg::WorkerId id) HETSGD_REQUIRES(mu_);
@@ -332,14 +325,6 @@ class Coordinator final : public msg::Actor {
 
   // --- full-checkpoint state ----------------------------------------------
   CheckpointManager* ckpt_mgr_ HETSGD_GUARDED_BY(mu_) = nullptr;
-  // A cut is in flight: StateRequests are out, dispatch is suppressed, and
-  // the epoch restart (shuffle + cursor reset) is deferred until every
-  // worker in ckpt_waiting_ replies or is dropped.
-  bool ckpt_pending_ HETSGD_GUARDED_BY(mu_) = false;
-  std::vector<msg::WorkerId> ckpt_waiting_ HETSGD_GUARDED_BY(mu_);
-  std::vector<std::pair<msg::WorkerId, std::vector<std::uint8_t>>> ckpt_blobs_
-      HETSGD_GUARDED_BY(mu_);
-  std::int64_t ckpt_ticks_ HETSGD_GUARDED_BY(mu_) = 0;
   double next_full_ckpt_vtime_ HETSGD_GUARDED_BY(mu_) = 0.0;
   bool resumed_ HETSGD_GUARDED_BY(mu_) = false;
 

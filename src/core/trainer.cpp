@@ -169,10 +169,6 @@ TrainingResult Trainer::run_framework() {
 
   Coordinator coordinator(working, model, config_, options_.eval_sample);
 
-  std::unique_ptr<Worker> cpu_worker;
-  std::vector<std::unique_ptr<Worker>> gpu_workers;
-  msg::WorkerId next_id = 0;
-
   const auto cpu_limits = [this] {
     const Index lanes = config_.cpu.sim_lanes;
     AdaptiveController::WorkerLimits limits;
@@ -197,31 +193,36 @@ TrainingResult Trainer::run_framework() {
                                       config_.gpu.max_batch);
     return limits;
   };
+  const auto limits_for = [&](gpusim::DeviceKind kind) {
+    return kind == gpusim::DeviceKind::kCpu ? cpu_limits() : gpu_limits();
+  };
 
+  // Every worker of the run, indexed by id: the initial set, then elastic
+  // joins in join order. Joins are appended by the elastic controller
+  // thread below while this thread waits in coordinator.join().
+  std::vector<std::unique_ptr<Worker>> workers;
+  // Builds the next worker. `ordinal` names a GPU worker's device.
+  const auto make_worker = [&](gpusim::DeviceKind kind, int ordinal) {
+    auto w = std::make_unique<Worker>(
+        static_cast<msg::WorkerId>(workers.size()), config_, working, model,
+        coordinator, kind,
+        kind == gpusim::DeviceKind::kCpu ? config_.real_threads : 1, ordinal);
+    if (!fault_plan.empty()) w->set_fault_plan(&fault_plan);
+    return w;
+  };
   if (algorithm_uses_cpu(config_.algorithm)) {
-    cpu_worker = std::make_unique<Worker>(next_id, config_, working, model,
-                                          coordinator, ExecMode::kHogwild,
-                                          config_.real_threads);
-    if (!fault_plan.empty()) cpu_worker->set_fault_plan(&fault_plan);
-    coordinator.add_worker(*cpu_worker, gpusim::DeviceKind::kCpu,
-                           cpu_limits());
-    ++next_id;
+    workers.push_back(make_worker(gpusim::DeviceKind::kCpu, 0));
   }
   if (algorithm_uses_gpu(config_.algorithm)) {
     const int gpus = std::max(config_.gpu.worker_count, 1);
     for (int g = 0; g < gpus; ++g) {
-      gpu_workers.push_back(std::make_unique<Worker>(
-          next_id, config_, working, model, coordinator, ExecMode::kReplica,
-          /*real_threads=*/1, g));
-      if (!fault_plan.empty()) {
-        gpu_workers.back()->set_fault_plan(&fault_plan);
-      }
-      coordinator.add_worker(*gpu_workers.back(), gpusim::DeviceKind::kGpu,
-                             gpu_limits());
-      ++next_id;
+      workers.push_back(make_worker(gpusim::DeviceKind::kGpu, g));
     }
   }
-  HETSGD_ASSERT(next_id > 0, "algorithm selected no workers");
+  HETSGD_ASSERT(!workers.empty(), "algorithm selected no workers");
+  for (const auto& w : workers) {
+    coordinator.add_worker(*w, w->kind(), limits_for(w->kind()));
+  }
 
   // Checkpoint sink + restore, after every worker is registered and before
   // any actor starts.
@@ -238,27 +239,10 @@ TrainingResult Trainer::run_framework() {
                        error.c_str());
       HETSGD_ASSERT(false, "checkpoint restore refused");
     }
+    // Each worker continues from the ledger stats it was cut with, dead or
+    // quarantined at the cut or not (restore() validated the ids).
     for (const WorkerCheckpoint& wc : resume_ckpt->workers) {
-      // An empty blob means the worker died before the cut collected its
-      // state; its private clock and counter restart from zero (ledger
-      // counters were still restored above).
-      if (wc.state.empty()) continue;
-      bool ok = false;
-      if (cpu_worker && wc.id == cpu_worker->id()) {
-        ok = cpu_worker->restore_state(wc.state, &error);
-      } else {
-        for (auto& g : gpu_workers) {
-          if (g->id() == wc.id) {
-            ok = g->restore_state(wc.state, &error);
-            break;
-          }
-        }
-      }
-      if (!ok) {
-        HETSGD_LOG_ERROR("trainer", "worker %d state restore failed: %s",
-                         wc.id, error.c_str());
-        HETSGD_ASSERT(false, "worker checkpoint state restore failed");
-      }
+      workers[static_cast<std::size_t>(wc.id)]->restore_progress(wc.stats);
     }
   }
 
@@ -312,16 +296,13 @@ TrainingResult Trainer::run_framework() {
     }
   }
 
-  if (cpu_worker) cpu_worker->start();
-  for (auto& g : gpu_workers) g->start();
+  for (const auto& w : workers) w->start();
   coordinator.start();
 
   // Elastic controller: watches the virtual frontier and fires the planned
-  // join/retire events. Joined workers are owned here; the coordinator
-  // winds them down (retire or final shutdown) and we join their threads
-  // after the run.
-  std::vector<std::unique_ptr<Worker>> joined_cpu;
-  std::vector<std::unique_ptr<Worker>> joined_gpu;
+  // join/retire events. Joined workers are owned by `workers`; the
+  // coordinator winds them down (retire or final shutdown) and we join
+  // their threads after the run.
   std::atomic<bool> elastic_stop{false};
   std::thread elastic_thread;
   if (!elastic.empty()) {
@@ -345,30 +326,13 @@ TrainingResult Trainer::run_framework() {
             HETSGD_LOG_WARN("trainer", "elastic retire of worker %d refused",
                             ev.worker);
           }
-        } else if (ev.device == gpusim::DeviceKind::kCpu) {
-          const auto id =
-              static_cast<msg::WorkerId>(coordinator.worker_count());
-          auto w = std::make_unique<Worker>(id, config_, working, model,
-                                            coordinator, ExecMode::kHogwild,
-                                            config_.real_threads);
-          if (!fault_plan.empty()) w->set_fault_plan(&fault_plan);
-          if (coordinator.join_worker(*w, gpusim::DeviceKind::kCpu,
-                                      cpu_limits()) >= 0) {
-            w->start();
-            joined_cpu.push_back(std::move(w));
-          }
         } else {
-          const auto id =
-              static_cast<msg::WorkerId>(coordinator.worker_count());
-          auto w = std::make_unique<Worker>(id, config_, working, model,
-                                            coordinator, ExecMode::kReplica,
-                                            /*real_threads=*/1,
-                                            static_cast<int>(id));
-          if (!fault_plan.empty()) w->set_fault_plan(&fault_plan);
-          if (coordinator.join_worker(*w, gpusim::DeviceKind::kGpu,
-                                      gpu_limits()) >= 0) {
+          // A joined GPU worker is named by its id.
+          auto w = make_worker(ev.device, static_cast<int>(workers.size()));
+          if (coordinator.join_worker(*w, ev.device,
+                                      limits_for(ev.device)) >= 0) {
             w->start();
-            joined_gpu.push_back(std::move(w));
+            workers.push_back(std::move(w));
           }
         }
         ++next;
@@ -379,10 +343,7 @@ TrainingResult Trainer::run_framework() {
   coordinator.join();
   elastic_stop.store(true, std::memory_order_release);
   if (elastic_thread.joinable()) elastic_thread.join();
-  if (cpu_worker) cpu_worker->join();
-  for (auto& g : gpu_workers) g->join();
-  for (auto& w : joined_cpu) w->join();
-  for (auto& g : joined_gpu) g->join();
+  for (const auto& w : workers) w->join();
   // Final snapshot at the quiescent point; must precede the coordinator
   // leaving scope since the collect hook reads through it.
   exporter.stop();

@@ -1,7 +1,6 @@
 #include "core/update_ledger.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/macros.hpp"
@@ -151,28 +150,6 @@ std::uint64_t UpdateLedger::updates_by_kind(gpusim::DeviceKind kind) const {
     if (w.kind == kind) total += w.updates;
   }
   return total;
-}
-
-bool UpdateLedger::other_update_range(msg::WorkerId id, std::uint64_t& min_u,
-                                      std::uint64_t& max_u) const {
-  MutexLock lock(mu_);
-  bool any = false;
-  min_u = std::numeric_limits<std::uint64_t>::max();
-  max_u = 0;
-  for (const auto& w : workers_) {
-    if (w.id == id) continue;
-    min_u = std::min(min_u, w.updates);
-    max_u = std::max(max_u, w.updates);
-    any = true;
-  }
-  return any;
-}
-
-double UpdateLedger::min_clock() const {
-  MutexLock lock(mu_);
-  double t = std::numeric_limits<double>::max();
-  for (const auto& w : workers_) t = std::min(t, w.clock);
-  return workers_.empty() ? 0.0 : t;
 }
 
 double UpdateLedger::max_clock() const {

@@ -1,8 +1,9 @@
 // Per-worker bookkeeping of model updates, batches, and virtual time.
 //
 // The coordinator maintains this from ScheduleWork messages; it is the
-// data behind Fig. 8 (update distribution) and the adaptive controller's
-// inputs.
+// data behind Fig. 8 (update distribution), and the one record of each
+// worker's progress (clock, busy time, update count) that checkpoints
+// persist and resumed workers continue from.
 //
 // Concurrency contract: internally synchronized. Every field is guarded by
 // `mu_` and annotated (-Wthread-safety rejects unlocked access); accessors
@@ -107,14 +108,7 @@ class UpdateLedger {
   std::uint64_t updates_by_kind(gpusim::DeviceKind kind) const
       HETSGD_EXCLUDES(mu_);
 
-  // Smallest/largest update count among workers *other than* `id` —
-  // Algorithm 2's min_u / max_u inputs. Returns false if there are no
-  // other workers.
-  bool other_update_range(msg::WorkerId id, std::uint64_t& min_u,
-                          std::uint64_t& max_u) const HETSGD_EXCLUDES(mu_);
-
-  // Smallest clock among all workers (progress of the virtual frontier).
-  double min_clock() const HETSGD_EXCLUDES(mu_);
+  // Largest clock among all workers: the virtual frontier.
   double max_clock() const HETSGD_EXCLUDES(mu_);
 
  private:

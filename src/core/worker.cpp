@@ -7,7 +7,6 @@
 #include <limits>
 #include <thread>
 
-#include "common/atomic_file.hpp"
 #include "common/logging.hpp"
 #include "common/macros.hpp"
 #include "core/cost_model.hpp"
@@ -20,8 +19,8 @@ using tensor::Index;
 
 namespace {
 
-std::string worker_name(ExecMode mode, int ordinal) {
-  return mode == ExecMode::kHogwild
+std::string worker_name(gpusim::DeviceKind kind, int ordinal) {
+  return kind == gpusim::DeviceKind::kCpu
              ? std::string("cpu-worker")
              : "gpu-worker-" + std::to_string(ordinal);
 }
@@ -30,12 +29,12 @@ std::string worker_name(ExecMode mode, int ordinal) {
 
 Worker::Worker(msg::WorkerId id, const TrainingConfig& config,
                const data::Dataset& dataset, nn::Model& global_model,
-               msg::Actor& coordinator, ExecMode mode, int real_threads,
-               int ordinal)
-    : msg::Actor(worker_name(mode, ordinal)), id_(id), config_(config),
+               msg::Actor& coordinator, gpusim::DeviceKind kind,
+               int real_threads, int ordinal)
+    : msg::Actor(worker_name(kind, ordinal)), id_(id), config_(config),
       dataset_(dataset), model_(global_model), coordinator_(coordinator),
-      mode_(mode), hogwild_perf_(config.cpu.spec) {
-  if (mode_ == ExecMode::kHogwild) {
+      kind_(kind), hogwild_perf_(config.cpu.spec) {
+  if (kind_ == gpusim::DeviceKind::kCpu) {
     pool_ = std::make_unique<concurrent::ThreadPool>(
         static_cast<std::size_t>(std::max(real_threads, 1)));
     const std::size_t lanes = pool_->thread_count() + 1;
@@ -57,7 +56,13 @@ Worker::Worker(msg::WorkerId id, const TrainingConfig& config,
 }
 
 const gpusim::PerfModel& Worker::perf() const {
-  return mode_ == ExecMode::kHogwild ? hogwild_perf_ : backend_->perf();
+  return kind_ == gpusim::DeviceKind::kCpu ? hogwild_perf_ : backend_->perf();
+}
+
+void Worker::restore_progress(const WorkerStats& stats) {
+  clock_.reset(stats.clock);
+  busy_vtime_ = stats.busy_vtime;
+  updates_ = stats.updates;
 }
 
 void Worker::ensure_lane_capacity(Index sub_batch) {
@@ -93,19 +98,10 @@ void Worker::release_scratch() {
 
 bool Worker::handle(msg::Envelope envelope) {
   // hetsgd-analyze: dispatch ignores(ScheduleWork, WorkerFault, ShutdownAck,
-  // WorkerJoin, WorkerRetire, StateReport) — coordinator-bound messages; a
-  // worker mailbox only ever receives work, state probes, and shutdown.
+  // WorkerJoin, WorkerRetire) — coordinator-bound messages; a worker
+  // mailbox only ever receives work and shutdown.
   if (std::holds_alternative<msg::ExecuteWork>(envelope.message)) {
     return execute(std::get<msg::ExecuteWork>(envelope.message));
-  }
-  if (std::holds_alternative<msg::StateRequest>(envelope.message)) {
-    msg::StateReport report;
-    report.worker = id_;
-    report.state = serialize_state();
-    if (!coordinator_.send({id_, std::move(report)})) {
-      HETSGD_LOG_WARN(log_tag(), "state report dropped: mailbox closed");
-    }
-    return true;
   }
   if (std::holds_alternative<msg::Shutdown>(envelope.message)) {
     // Worker retirement: return the scratch and replica buffers before the
@@ -137,8 +133,8 @@ bool Worker::on_handle_exception(const std::string& what) {
 }
 
 bool Worker::execute(const msg::ExecuteWork& work) {
-  return mode_ == ExecMode::kHogwild ? execute_hogwild(work)
-                                     : execute_replica(work);
+  return kind_ == gpusim::DeviceKind::kCpu ? execute_hogwild(work)
+                                           : execute_replica(work);
 }
 
 bool Worker::begin_batch(const msg::ExecuteWork& work,
@@ -238,7 +234,7 @@ bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
                       stall.factor;
   clock_.advance(cost);
   busy_vtime_ += cost;
-  updates_scaled_ += static_cast<double>(num_sub) * config_.beta;
+  updates_ += static_cast<std::uint64_t>(num_sub);
   exec_span.set_end_vt(clock_.now());
 
   const double intensity = cpu_batch_intensity(
@@ -368,87 +364,11 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
   return true;
 }
 
-namespace {
-constexpr std::uint8_t kHogwildStateTag = 'C';
-constexpr std::uint8_t kReplicaStateTag = 'G';
-constexpr std::uint32_t kStateVersion = 2;
-// Version 1 blobs end in the retired optimizer's records: a u32 lane count
-// and one record per lane (Hogwild), or one record (replica). Each record
-// is a u64 step count and a u8 flag; plain SGD, the only optimizer any
-// checkpoint ran, wrote nothing else.
-constexpr std::uint32_t kStateVersionWithSgdRecords = 1;
-}  // namespace
-
-std::vector<std::uint8_t> Worker::serialize_state() const {
-  ByteWriter w;
-  const bool hogwild = mode_ == ExecMode::kHogwild;
-  w.write_u8(hogwild ? kHogwildStateTag : kReplicaStateTag);
-  w.write_u32(kStateVersion);
-  w.write_f64(clock_.now());
-  w.write_f64(busy_vtime_);
-  if (hogwild) {
-    // The raw beta-weighted accumulator, bit-exact: floor() loses the
-    // fractional part that decides when the next report's count ticks over.
-    w.write_f64(updates_scaled_);
-  } else {
-    w.write_u64(updates_);
-  }
-  return w.data();
-}
-
-bool Worker::restore_state(const std::vector<std::uint8_t>& bytes,
-                           std::string* error) {
-  const bool hogwild = mode_ == ExecMode::kHogwild;
-  const std::string kind = hogwild ? "CPU" : "GPU";
-  auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return false;
-  };
-  ByteReader r(bytes);
-  std::uint8_t tag = 0;
-  std::uint32_t version = 0;
-  if (!r.read_u8(&tag) ||
-      tag != (hogwild ? kHogwildStateTag : kReplicaStateTag)) {
-    return fail("not a " + kind + " worker state blob");
-  }
-  if (!r.read_u32(&version) ||
-      (version != kStateVersion &&
-       version != kStateVersionWithSgdRecords)) {
-    return fail("unsupported " + kind + " worker state version");
-  }
-  double clock = 0.0;
-  double busy = 0.0;
-  double updates_scaled = 0.0;
-  std::uint64_t updates = 0;
-  bool ok = r.read_f64(&clock) && r.read_f64(&busy) &&
-            (hogwild ? r.read_f64(&updates_scaled) : r.read_u64(&updates));
-  if (ok && version == kStateVersionWithSgdRecords) {
-    std::uint32_t records = 1;
-    if (hogwild) ok = r.read_u32(&records);
-    for (std::uint32_t i = 0; ok && i < records; ++i) {
-      std::uint64_t steps = 0;
-      std::uint8_t flag = 0;
-      ok = r.read_u64(&steps) && r.read_u8(&flag);
-    }
-  }
-  if (!ok) return fail("truncated " + kind + " worker state");
-  if (r.remaining() != 0) {
-    return fail("trailing bytes in " + kind + " worker state");
-  }
-  clock_.reset(clock);
-  busy_vtime_ = busy;
-  updates_scaled_ = updates_scaled;
-  updates_ = updates;
-  return true;
-}
-
 void Worker::request_work(std::uint64_t examples, double intensity,
                           std::uint64_t sequence, double staleness) {
   msg::ScheduleWork req;
   req.worker = id_;
-  req.updates = mode_ == ExecMode::kHogwild
-                    ? static_cast<std::uint64_t>(updates_scaled_)
-                    : updates_;
+  req.updates = updates_;
   req.busy_vtime = busy_vtime_;
   req.clock_vtime = clock_.now();
   req.intensity = intensity;

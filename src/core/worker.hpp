@@ -2,24 +2,26 @@
 //
 // One actor class replaces the former CpuWorker/GpuWorker pair; what used
 // to be two code paths is now one message protocol over the two modes of
-// backend::Backend:
+// backend::Backend, chosen by the worker's gpusim::DeviceKind:
 //
-//  * kHogwild — nested Hogbatch over the *shared* global model (§V-A, the
+//  * kCpu — nested Hogbatch over the *shared* global model (§V-A, the
 //    CPU worker handler). The batch splits into sim_lanes sub-batches;
 //    each real lane owns a zero-copy Backend whose executor runs on the
 //    shared model, so gradients are computed against live (racing) weights
 //    and applied immediately with no synchronization. Virtual time is
 //    charged analytically per batch through the cost model.
 //
-//  * kReplica — mini-batch SGD against a private device replica (§V-A,
+//  * kGpu — mini-batch SGD against a private device replica (§V-A,
 //    the GPU worker handler). One device-mode Backend modeling
 //    config.gpu.spec holds the replica; every batch uploads the model,
 //    runs the kernel sequence, downloads the gradient, and merges on the
 //    host. Transfer faults are retried with capped exponential
 //    virtual-time backoff before escalating to the coordinator.
 //
-// Wire behavior (message protocol, trace spans, checkpoint state tags
-// 'C'/'G', fault semantics) is bit-compatible with the pre-seam workers.
+// Both modes count the updates they applied in one exact counter and
+// report it with their clock and busy time in every ScheduleWork; the
+// coordinator's UpdateLedger keeps those values, and checkpoints persist
+// them from there (Algorithm 2's beta discount is the controller's).
 #pragma once
 
 #include <cstdint>
@@ -32,6 +34,7 @@
 #include "concurrent/thread_pool.hpp"
 #include "core/config.hpp"
 #include "core/fault.hpp"
+#include "core/update_ledger.hpp"
 #include "data/dataset.hpp"
 #include "gpusim/virtual_clock.hpp"
 #include "msg/actor.hpp"
@@ -39,38 +42,29 @@
 
 namespace hetsgd::core {
 
-// How a worker executes its batches; maps 1:1 onto the coordinator's
-// DeviceKind (kHogwild <-> kCpu, kReplica <-> kGpu).
-enum class ExecMode { kHogwild, kReplica };
-
 class Worker final : public msg::Actor {
  public:
-  // `ordinal` distinguishes multiple replica workers (device index);
-  // `real_threads` sizes the Hogwild lane pool (ignored by kReplica).
+  // `ordinal` distinguishes multiple GPU workers (device index);
+  // `real_threads` sizes the Hogwild lane pool (ignored by kGpu).
   Worker(msg::WorkerId id, const TrainingConfig& config,
          const data::Dataset& dataset, nn::Model& global_model,
-         msg::Actor& coordinator, ExecMode mode, int real_threads = 1,
-         int ordinal = 0);
+         msg::Actor& coordinator, gpusim::DeviceKind kind,
+         int real_threads = 1, int ordinal = 0);
 
   msg::WorkerId id() const { return id_; }
-  ExecMode mode() const { return mode_; }
+  gpusim::DeviceKind kind() const { return kind_; }
   // The perf model this worker charges virtual time with.
   const gpusim::PerfModel& perf() const;
-  // Replica mode only: the backend holding the device replica.
+  // GPU workers only: the backend holding the device replica.
   const backend::Backend& device_backend() const { return *backend_; }
 
   // Attaches a fault-injection plan (shared, thread-safe). Call before
   // start(); nullptr = no injections.
   void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
 
-  // Checkpointing: the worker's private state (virtual clock, busy time,
-  // update counter) as an opaque version-2 blob, produced on the actor
-  // thread in response to StateRequest. restore_state() is the inverse and
-  // also reads version-1 blobs; call it before start() only. Blobs keep
-  // the pre-seam 'C'/'G' tags.
-  std::vector<std::uint8_t> serialize_state() const;
-  bool restore_state(const std::vector<std::uint8_t>& bytes,
-                     std::string* error);
+  // Checkpoint resume: continues from the clock, busy time and update
+  // count the ledger held for this worker at the cut. Call before start().
+  void restore_progress(const WorkerStats& stats);
 
  protected:
   bool handle(msg::Envelope envelope) override;
@@ -94,7 +88,7 @@ class Worker final : public msg::Actor {
   void request_work(std::uint64_t examples, double intensity,
                     std::uint64_t sequence, double staleness = 0.0);
   const char* log_tag() const {
-    return mode_ == ExecMode::kHogwild ? "cpu-worker" : "gpu-worker";
+    return kind_ == gpusim::DeviceKind::kCpu ? "cpu-worker" : "gpu-worker";
   }
 
   msg::WorkerId id_;
@@ -102,15 +96,14 @@ class Worker final : public msg::Actor {
   const data::Dataset& dataset_;
   nn::Model& model_;  // the shared global model (reference replica)
   msg::Actor& coordinator_;
-  ExecMode mode_;
+  gpusim::DeviceKind kind_;
   gpusim::PerfModel hogwild_perf_;
   FaultPlan* fault_plan_ = nullptr;
   gpusim::VirtualClock clock_;
   double busy_vtime_ = 0.0;
+  std::uint64_t updates_ = 0;  // model updates applied, both modes
 
-  // --- kHogwild state ----------------------------------------------------
-  // beta-weighted update count; reported to the coordinator as floor().
-  double updates_scaled_ = 0.0;
+  // --- kCpu (Hogwild) state ----------------------------------------------
   std::unique_ptr<concurrent::ThreadPool> pool_;
   // Per physical lane (lanes process multiple logical sub-batches): a
   // zero-copy backend + executor bound to the shared model and the lane's
@@ -120,8 +113,7 @@ class Worker final : public msg::Actor {
   tensor::Index lane_capacity_ = 0;
   std::vector<nn::Gradient> gradients_;
 
-  // --- kReplica state ----------------------------------------------------
-  std::uint64_t updates_ = 0;
+  // --- kGpu (replica) state ----------------------------------------------
   std::unique_ptr<backend::Backend> backend_;
   std::unique_ptr<backend::MlpExecutor> executor_;
   nn::Gradient host_gradient_;

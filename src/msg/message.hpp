@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <string>
 #include <variant>
-#include <vector>
 
 namespace hetsgd::msg {
 
@@ -95,22 +94,8 @@ struct WorkerRetire {
   WorkerId worker = 0;
 };
 
-// Coordinator -> worker: "serialize your private training state." Sent at
-// a checkpoint cut, when every worker is idle at the epoch barrier, so the
-// reply captures a quiescent snapshot without perturbing the trajectory.
-struct StateRequest {};
-
-// Worker -> coordinator: the serialized private state (virtual clock, busy
-// time, update counter). Opaque bytes: only the worker type that produced
-// a blob can restore it.
-struct StateReport {
-  WorkerId worker = 0;
-  std::vector<std::uint8_t> state;
-};
-
-using Message =
-    std::variant<ScheduleWork, ExecuteWork, Shutdown, ShutdownAck, WorkerFault,
-                 WorkerJoin, WorkerRetire, StateRequest, StateReport>;
+using Message = std::variant<ScheduleWork, ExecuteWork, Shutdown, ShutdownAck,
+                             WorkerFault, WorkerJoin, WorkerRetire>;
 
 // A message plus its sender.
 struct Envelope {

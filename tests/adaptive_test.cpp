@@ -8,14 +8,16 @@ namespace hetsgd::core {
 namespace {
 
 using tensor::Index;
+constexpr auto kCpu = gpusim::DeviceKind::kCpu;
+constexpr auto kGpu = gpusim::DeviceKind::kGpu;
 
 AdaptiveController two_workers(double alpha = 2.0) {
   AdaptiveController c(alpha);
   // Worker 0: CPU — quantum 56 (one sub-batch per simulated thread),
   // thresholds 1-64 examples per thread, starts at the lower threshold.
-  c.register_worker(0, {56, 56, 56 * 64, 56});
+  c.register_worker(0, kCpu, {56, 56, 56 * 64, 56});
   // Worker 1: GPU — thresholds 64-8192, starts at the upper threshold.
-  c.register_worker(1, {8192, 64, 8192, 1});
+  c.register_worker(1, kGpu, {8192, 64, 8192, 1});
   return c;
 }
 
@@ -27,7 +29,7 @@ TEST(Adaptive, InitialBatches) {
 
 TEST(Adaptive, SingleWorkerNeverChanges) {
   AdaptiveController c(2.0);
-  c.register_worker(0, {128, 64, 256, 1});
+  c.register_worker(0, kGpu, {128, 64, 256, 1});
   for (std::uint64_t u : {0ULL, 10ULL, 100ULL, 1000ULL}) {
     EXPECT_EQ(c.on_request(0, u), 128);
   }
@@ -81,8 +83,8 @@ TEST(Adaptive, EqualUpdatesKeepBatch) {
 
 TEST(Adaptive, QuantumRounding) {
   AdaptiveController c(2.0);
-  c.register_worker(0, {56, 56, 56 * 64, 56});
-  c.register_worker(1, {1000, 1, 100000, 1});
+  c.register_worker(0, kCpu, {56, 56, 56 * 64, 56});
+  c.register_worker(1, kGpu, {1000, 1, 100000, 1});
   // Make worker 0 the fastest repeatedly; batches must stay multiples of 56.
   std::uint64_t updates = 100;
   for (int i = 0; i < 10; ++i) {
@@ -94,8 +96,8 @@ TEST(Adaptive, QuantumRounding) {
 
 TEST(Adaptive, CustomAlpha) {
   AdaptiveController c(4.0);
-  c.register_worker(0, {64, 16, 1024, 1});
-  c.register_worker(1, {64, 16, 1024, 1});
+  c.register_worker(0, kGpu, {64, 16, 1024, 1});
+  c.register_worker(1, kGpu, {64, 16, 1024, 1});
   c.on_request(1, 10);                    // ahead of worker 0: 64*4 = 256
   EXPECT_EQ(c.batch(1), 256);
   EXPECT_EQ(c.on_request(0, 100), 256);   // now worker 0 is ahead: 64*4
@@ -116,9 +118,10 @@ TEST(Adaptive, MonotoneUpdatesEnforced) {
 
 TEST(Adaptive, InvalidLimitsDie) {
   AdaptiveController c(2.0);
-  EXPECT_DEATH(c.register_worker(0, {10, 20, 5, 1}), "min batch exceeds max");
+  EXPECT_DEATH(c.register_worker(0, kGpu, {10, 20, 5, 1}),
+               "min batch exceeds max");
   AdaptiveController c2(2.0);
-  EXPECT_DEATH(c2.register_worker(0, {500, 64, 256, 1}),
+  EXPECT_DEATH(c2.register_worker(0, kGpu, {500, 64, 256, 1}),
                "initial batch outside");
 }
 
@@ -137,8 +140,8 @@ class AdaptiveProperty : public ::testing::TestWithParam<AdaptiveSweepCase> {};
 TEST_P(AdaptiveProperty, BatchAlwaysWithinLimitsAndQuantized) {
   const auto& p = GetParam();
   AdaptiveController c(p.alpha);
-  c.register_worker(0, {p.min, p.min, p.max, p.quantum});
-  c.register_worker(1, {p.max, p.min, p.max, p.quantum});
+  c.register_worker(0, kCpu, {p.min, p.min, p.max, p.quantum});
+  c.register_worker(1, kGpu, {p.max, p.min, p.max, p.quantum});
   hetsgd::Rng rng(p.seed);
   std::uint64_t u0 = 0, u1 = 0;
   for (int step = 0; step < 500; ++step) {
@@ -204,8 +207,8 @@ TEST(Adaptive, RetiredWorkerLeavesTheComparison) {
   AdaptiveController with_stalled(2.0);
   AdaptiveController with_retired(2.0);
   for (msg::WorkerId id = 0; id < 3; ++id) {
-    with_stalled.register_worker(id, limits);
-    with_retired.register_worker(id, limits);
+    with_stalled.register_worker(id, kGpu, limits);
+    with_retired.register_worker(id, kGpu, limits);
   }
   // Worker 2 stalls at 0 updates; worker 0 (3 updates) trails worker 1 (5).
   with_retired.retire_worker(2);
@@ -223,11 +226,11 @@ TEST(Adaptive, JoinBaselineCreditsTheNewcomer) {
   AdaptiveController credited(2.0);
   AdaptiveController raw(2.0);
   for (AdaptiveController* c : {&credited, &raw}) {
-    c->register_worker(0, limits);
+    c->register_worker(0, kGpu, limits);
     c->on_request(0, 1000);
   }
-  credited.register_worker(1, limits, /*baseline_updates=*/1000);
-  raw.register_worker(1, limits);
+  credited.register_worker(1, kGpu, limits, /*baseline_updates=*/1000);
+  raw.register_worker(1, kGpu, limits);
   EXPECT_EQ(credited.updates(1), 1000u);
   // Level with worker 0, the credited newcomer keeps its batch; on its raw
   // count alone it would be the slowest and shrink.
@@ -240,8 +243,8 @@ TEST(Adaptive, JoinBaselineCreditsTheNewcomer) {
 
 TEST(Adaptive, RestoreClampsBatchAndClearsTheCredit) {
   AdaptiveController c(2.0);
-  c.register_worker(0, {56, 56, 56 * 64, 56});
-  c.register_worker(1, {64, 64, 8192, 1}, /*baseline_updates=*/500);
+  c.register_worker(0, kCpu, {56, 56, 56 * 64, 56});
+  c.register_worker(1, kGpu, {64, 64, 8192, 1}, /*baseline_updates=*/500);
   c.restore_worker(0, 1000, 42);  // nearest multiple of 56
   EXPECT_EQ(c.batch(0), 1008);
   EXPECT_EQ(c.updates(0), 42u);
@@ -252,6 +255,62 @@ TEST(Adaptive, RestoreClampsBatchAndClearsTheCredit) {
   EXPECT_EQ(c.batch(1), 64);  // clamped at min_b
   EXPECT_EQ(c.updates(1), 7u);
   EXPECT_DEATH(c.on_request(1, 6), "monotone");
+}
+
+// Beta: Algorithm 2 compares floor(beta * u) for CPU workers, which report
+// the updates they applied.
+TEST(Adaptive, BetaDiscountsCpuCounts) {
+  const AdaptiveController::WorkerLimits cpu{112, 56, 56 * 64, 56};
+  const AdaptiveController::WorkerLimits gpu{8192, 64, 8192, 1};
+  AdaptiveController exact(2.0);
+  AdaptiveController discounted(2.0, 0.5);
+  for (AdaptiveController* c : {&exact, &discounted}) {
+    c->register_worker(0, kCpu, cpu);
+    c->register_worker(1, kGpu, gpu);
+    c->on_request(1, 3);
+  }
+  // The CPU worker reports 4 updates. Counted whole, 4 > 3 makes it the
+  // fastest; at beta 0.5 it counts 2 < 3 and is the slowest.
+  EXPECT_EQ(exact.on_request(0, 4), 224);
+  EXPECT_EQ(discounted.on_request(0, 4), 56);
+  EXPECT_EQ(exact.updates(0), 4u);
+  EXPECT_EQ(discounted.updates(0), 2u);
+  // GPU counts are never discounted.
+  EXPECT_EQ(discounted.updates(1), 3u);
+}
+
+TEST(Adaptive, BetaUsesTheExactProduct) {
+  // Adding 0.1 per update falls short of the product: 1160 additions sum
+  // to 115.99999999999768, whose floor would be 115.
+  AdaptiveController c(2.0, 0.1);
+  c.register_worker(0, kCpu, {56, 56, 56 * 64, 56});
+  c.on_request(0, 1160);
+  EXPECT_EQ(c.updates(0), 116u);
+  c.on_request(0, 1169);
+  EXPECT_EQ(c.updates(0), 116u);
+  c.on_request(0, 1170);
+  EXPECT_EQ(c.updates(0), 117u);
+}
+
+TEST(Adaptive, JoinBaselineUsesDiscountedCounts) {
+  // The coordinator credits a newcomer with the smallest peer count that
+  // updates() returns: the discounted count the newcomer is compared with.
+  const AdaptiveController::WorkerLimits cpu{56, 56, 56 * 64, 56};
+  const AdaptiveController::WorkerLimits gpu{64, 16, 1024, 1};
+  AdaptiveController c(2.0, 0.1);
+  c.register_worker(0, kCpu, cpu);
+  c.on_request(0, 1000);
+  ASSERT_EQ(c.updates(0), 100u);
+  c.register_worker(1, kGpu, gpu, /*baseline_updates=*/c.updates(0));
+  EXPECT_EQ(c.updates(1), 100u);
+  EXPECT_EQ(c.on_request(1, 0), 64);   // level with the CPU: keeps its batch
+  EXPECT_EQ(c.on_request(1, 1), 128);  // 101 > 100: the fastest
+  // Credited with the CPU's raw 1000, it would start far ahead and grow.
+  AdaptiveController raw(2.0, 0.1);
+  raw.register_worker(0, kCpu, cpu);
+  raw.on_request(0, 1000);
+  raw.register_worker(1, kGpu, gpu, /*baseline_updates=*/1000);
+  EXPECT_EQ(raw.on_request(1, 0), 128);
 }
 
 }  // namespace

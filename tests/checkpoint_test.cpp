@@ -309,7 +309,6 @@ TrainingCheckpoint sample_checkpoint() {
   wc.stats.updates = 11;
   wc.adaptive_batch = 256;
   wc.adaptive_updates = 11;
-  wc.state = {1, 2, 3, 4, 5};
   ckpt.workers.push_back(wc);
   return ckpt;
 }
@@ -347,7 +346,129 @@ TEST(CheckpointPayload, RoundTripRestoresEveryField) {
   EXPECT_EQ(out.workers[0].kind, ckpt.workers[0].kind);
   EXPECT_EQ(out.workers[0].stats.updates, ckpt.workers[0].stats.updates);
   EXPECT_EQ(out.workers[0].adaptive_batch, ckpt.workers[0].adaptive_batch);
-  EXPECT_EQ(out.workers[0].state, ckpt.workers[0].state);
+  EXPECT_EQ(out.workers[0].adaptive_updates,
+            ckpt.workers[0].adaptive_updates);
+}
+
+// Worker-state blobs as workers serialized them before checkpoints took
+// worker progress from the ledger: a 4-lane Hogwild worker and a replica
+// worker after one batch each, in version 1 (which ended in plain SGD's
+// per-lane step records) and version 2. Blobs hold host-order values;
+// these are little-endian.
+const std::vector<std::uint8_t> kHogwildBlobV1 = {
+    'C', 0x01, 0x00, 0x00, 0x00,                      // tag, version 1
+    0x6c, 0x02, 0xa0, 0x08, 0xff, 0x1d, 0xf5, 0x3e,  // clock
+    0x6c, 0x02, 0xa0, 0x08, 0xff, 0x1d, 0xf5, 0x3e,  // busy time
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x40,  // updates_scaled 4.0
+    0x04, 0x00, 0x00, 0x00,                          // 4 lanes
+    // Per lane: a u64 step count of 1 and a u8 flag of 1.
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+};
+const std::vector<std::uint8_t> kReplicaBlobV1 = {
+    'G', 0x01, 0x00, 0x00, 0x00,                      // tag, version 1
+    0x09, 0x4a, 0xe8, 0x80, 0xd5, 0x18, 0x23, 0x3f,  // clock
+    0x09, 0x4a, 0xe8, 0x80, 0xd5, 0x18, 0x23, 0x3f,  // busy time
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 1 update
+    // A u64 step count of 1 and a u8 flag of 1.
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+};
+
+// The version-2 blob of the same state: the version-1 blob without its
+// step records.
+std::vector<std::uint8_t> blob_as_version2(
+    const std::vector<std::uint8_t>& v1) {
+  std::vector<std::uint8_t> v2(v1.begin(), v1.begin() + 29);
+  v2[1] = 0x02;
+  return v2;
+}
+
+TEST(CheckpointPayload, SkipsWorkerBlobsCutBeforeTheChange) {
+  TrainingCheckpoint ckpt = sample_checkpoint();
+  ckpt.workers.clear();
+  const std::vector<std::vector<std::uint8_t>> blobs = {
+      kHogwildBlobV1, blob_as_version2(kHogwildBlobV1), kReplicaBlobV1,
+      blob_as_version2(kReplicaBlobV1), {}};
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    WorkerCheckpoint wc;
+    wc.id = static_cast<msg::WorkerId>(i);
+    wc.kind = blobs[i].empty() || blobs[i][0] == 'G' ? 1 : 0;
+    wc.stats.id = wc.id;
+    wc.stats.name = "worker-" + std::to_string(i);
+    wc.stats.updates = 100 + i;
+    wc.stats.batches = 10 + i;
+    wc.stats.examples = 1000 + i;
+    wc.stats.busy_vtime = 0.5 + static_cast<double>(i);
+    wc.stats.clock = 1.5 + static_cast<double>(i);
+    wc.stats.current_batch = static_cast<tensor::Index>(56 * (i + 1));
+    wc.stats.staleness_sum = 0.25 * static_cast<double>(i);
+    wc.stats.max_staleness = 0.125 * static_cast<double>(i);
+    wc.adaptive_batch = static_cast<tensor::Index>(64 * (i + 1));
+    wc.adaptive_updates = 100 + i;
+    ckpt.workers.push_back(wc);
+  }
+  // The payload as the blob-carrying writer laid it out: this writer's run
+  // header, model and curve, then each worker record with its blob.
+  TrainingCheckpoint header = ckpt;
+  header.workers.clear();
+  ByteWriter head;
+  write_training_checkpoint(head, header);
+  ByteWriter w;
+  w.write_bytes(head.data().data(), head.size() - 4);  // drop the count
+  w.write_u32(static_cast<std::uint32_t>(ckpt.workers.size()));
+  for (std::size_t i = 0; i < ckpt.workers.size(); ++i) {
+    const WorkerCheckpoint& wc = ckpt.workers[i];
+    w.write_u32(static_cast<std::uint32_t>(wc.id));
+    w.write_u8(wc.kind);
+    w.write_string(wc.stats.name);
+    w.write_u64(wc.stats.updates);
+    w.write_u64(wc.stats.batches);
+    w.write_u64(wc.stats.examples);
+    w.write_f64(wc.stats.busy_vtime);
+    w.write_f64(wc.stats.clock);
+    w.write_i64(wc.stats.current_batch);
+    w.write_f64(wc.stats.staleness_sum);
+    w.write_f64(wc.stats.max_staleness);
+    w.write_i64(wc.adaptive_batch);
+    w.write_u64(wc.adaptive_updates);
+    w.write_u64(static_cast<std::uint64_t>(blobs[i].size()));
+    w.write_bytes(blobs[i].data(), blobs[i].size());
+  }
+
+  TrainingCheckpoint out;
+  std::string error;
+  ByteReader r(w.data());
+  ASSERT_TRUE(read_training_checkpoint(r, &out, &error)) << error;
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(out.epoch, ckpt.epoch);
+  EXPECT_EQ(out.curve.size(), ckpt.curve.size());
+  ASSERT_EQ(out.workers.size(), ckpt.workers.size());
+  for (std::size_t i = 0; i < ckpt.workers.size(); ++i) {
+    const WorkerCheckpoint& want = ckpt.workers[i];
+    const WorkerCheckpoint& got = out.workers[i];
+    EXPECT_EQ(got.id, want.id) << i;
+    EXPECT_EQ(got.kind, want.kind) << i;
+    EXPECT_EQ(got.stats.id, want.stats.id) << i;
+    EXPECT_EQ(got.stats.name, want.stats.name) << i;
+    EXPECT_EQ(got.stats.updates, want.stats.updates) << i;
+    EXPECT_EQ(got.stats.batches, want.stats.batches) << i;
+    EXPECT_EQ(got.stats.examples, want.stats.examples) << i;
+    EXPECT_EQ(got.stats.busy_vtime, want.stats.busy_vtime) << i;
+    EXPECT_EQ(got.stats.clock, want.stats.clock) << i;
+    EXPECT_EQ(got.stats.current_batch, want.stats.current_batch) << i;
+    EXPECT_EQ(got.stats.staleness_sum, want.stats.staleness_sum) << i;
+    EXPECT_EQ(got.stats.max_staleness, want.stats.max_staleness) << i;
+    EXPECT_EQ(got.adaptive_batch, want.adaptive_batch) << i;
+    EXPECT_EQ(got.adaptive_updates, want.adaptive_updates) << i;
+  }
+  // A blob length past the end of the payload is still a truncation.
+  std::vector<std::uint8_t> cut = w.data();
+  cut.resize(cut.size() - 1);
+  ByteReader short_reader(cut);
+  EXPECT_FALSE(read_training_checkpoint(short_reader, &out, &error));
+  EXPECT_NE(error.find("worker state"), std::string::npos) << error;
 }
 
 TEST(CheckpointPayload, TruncatedPayloadFailsSoft) {
@@ -602,8 +723,8 @@ TEST(Resume, FingerprintMismatchRefusesToResume) {
 }
 
 TEST(Resume, CheckpointsAreCutUnderFaultyRunsToo) {
-  // The manager keeps cutting through worker deaths: the surviving
-  // membership is persisted (the dead worker's blob may be empty).
+  // The manager keeps cutting through worker deaths: every worker's
+  // record is persisted, the dead one's from its last ledger stats.
   const std::string dir = temp_dir("hetsgd_resume_faulty");
   TrainingConfig config = small_config();
   config.fault.checkpoint_dir = dir;
@@ -620,6 +741,64 @@ TEST(Resume, CheckpointsAreCutUnderFaultyRunsToo) {
   ASSERT_TRUE(latest.has_value()) << error;
   EXPECT_TRUE(latest->model.all_finite());
   expect_ledger_invariant(r);
+  std::filesystem::remove_all(dir);
+}
+
+// Resumes a run cut in `dir` under `config` and checks that worker `id`,
+// quarantined or dead at the cut, works again: its reports continue from
+// the ledger stats it was cut with, so its count grows past them.
+void expect_worker_revives_on_resume(const std::string& dir,
+                                     const TrainingConfig& config,
+                                     msg::WorkerId id) {
+  std::string error;
+  const auto latest = CheckpointManager::load_latest(dir, &error);
+  ASSERT_TRUE(latest.has_value()) << error;
+  ASSERT_LT(static_cast<std::size_t>(id), latest->workers.size());
+  const std::uint64_t restored =
+      latest->workers[static_cast<std::size_t>(id)].stats.updates;
+  Trainer resumed(small_dataset(), config);
+  const TrainingResult r = resumed.run();
+  EXPECT_TRUE(r.resumed);
+  EXPECT_TRUE(std::isfinite(r.final_loss));
+  expect_ledger_invariant(r);
+  ASSERT_LT(static_cast<std::size_t>(id), r.workers.size());
+  EXPECT_GT(r.workers[static_cast<std::size_t>(id)].updates, restored);
+}
+
+TEST(Resume, QuarantinedStallerResumesUnderTheSameFlags) {
+  const std::string dir = temp_dir("hetsgd_resume_quarantined");
+  TrainingConfig config = small_config();
+  config.fault.checkpoint_dir = dir;  // a cut at every epoch barrier
+  config.fault.resume_dir = dir;
+  config.fault.plan = "stall:worker=0,atfrac=0.3,factor=4,sleep=80";
+  config.fault.deadline_factor = 1.5;
+  config.fault.quarantine_after = 1;
+  config.fault.stall_grace_ticks = 3;
+  Trainer first(small_dataset(), config);
+  const TrainingResult cut = first.run();
+  ASSERT_FALSE(cut.resumed);
+  ASSERT_GE(cut.quarantined_workers, 1u);
+  ASSERT_GE(cut.checkpoints_written, 1u);
+  expect_worker_revives_on_resume(dir, config, 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Resume, DeadWorkerRejoinsWhenThePlanIsDropped) {
+  const std::string dir = temp_dir("hetsgd_resume_dead");
+  TrainingConfig config = small_config();
+  config.fault.checkpoint_dir = dir;
+  config.fault.plan = "die:worker=1,atfrac=0.3";
+  config.fault.deadline_factor = 2.0;
+  config.fault.quarantine_after = 1;
+  config.fault.stall_grace_ticks = 3;
+  Trainer first(small_dataset(), config);
+  const TrainingResult cut = first.run();
+  ASSERT_GE(cut.quarantined_workers, 1u);
+  ASSERT_GE(cut.checkpoints_written, 1u);
+  TrainingConfig again = config;
+  again.fault.plan.clear();
+  again.fault.resume_dir = dir;
+  expect_worker_revives_on_resume(dir, again, 1);
   std::filesystem::remove_all(dir);
 }
 

@@ -46,37 +46,12 @@ TEST(UpdateLedger, InitialRequestDoesNotCountBatch) {
   EXPECT_EQ(ledger.stats(0).batches, 0u);
 }
 
-TEST(UpdateLedger, OtherUpdateRange) {
-  UpdateLedger ledger;
-  ledger.register_worker(0, "a", gpusim::DeviceKind::kCpu, 1);
-  ledger.register_worker(1, "b", gpusim::DeviceKind::kGpu, 1);
-  ledger.register_worker(2, "c", gpusim::DeviceKind::kGpu, 1);
-  ledger.on_report(report(0, 10, 0, 0, 0, 1));
-  ledger.on_report(report(1, 20, 0, 0, 0, 1));
-  ledger.on_report(report(2, 30, 0, 0, 0, 1));
-  std::uint64_t lo = 0, hi = 0;
-  ASSERT_TRUE(ledger.other_update_range(0, lo, hi));
-  EXPECT_EQ(lo, 20u);
-  EXPECT_EQ(hi, 30u);
-  ASSERT_TRUE(ledger.other_update_range(2, lo, hi));
-  EXPECT_EQ(lo, 10u);
-  EXPECT_EQ(hi, 20u);
-}
-
-TEST(UpdateLedger, OtherUpdateRangeSingleWorker) {
-  UpdateLedger ledger;
-  ledger.register_worker(0, "solo", gpusim::DeviceKind::kCpu, 1);
-  std::uint64_t lo, hi;
-  EXPECT_FALSE(ledger.other_update_range(0, lo, hi));
-}
-
 TEST(UpdateLedger, ClockRange) {
   UpdateLedger ledger;
   ledger.register_worker(0, "a", gpusim::DeviceKind::kCpu, 1);
   ledger.register_worker(1, "b", gpusim::DeviceKind::kGpu, 1);
   ledger.on_report(report(0, 1, 0.5, 0.5, 0, 1));
   ledger.on_report(report(1, 1, 2.0, 2.0, 0, 1));
-  EXPECT_DOUBLE_EQ(ledger.min_clock(), 0.5);
   EXPECT_DOUBLE_EQ(ledger.max_clock(), 2.0);
 }
 

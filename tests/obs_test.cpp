@@ -453,7 +453,7 @@ TEST(UpdateLedgerScrapeTest, ConcurrentScrapeWhileReporting) {
         std::max(observed_faults, ledger.fault_records().size());
     (void)ledger.stats(0);
     (void)ledger.total_updates();
-    (void)ledger.min_clock();
+    (void)ledger.max_clock();
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();

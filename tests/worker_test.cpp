@@ -123,9 +123,9 @@ struct Rig {
 
   // Runs one batch on a fresh worker and returns once the worker has
   // exited, so the shared model is quiescent.
-  void run_one_batch(ExecMode mode, int real_threads,
+  void run_one_batch(gpusim::DeviceKind kind, int real_threads,
                      const msg::ExecuteWork& work) {
-    Worker worker(0, config, dataset, model, coordinator, mode,
+    Worker worker(0, config, dataset, model, coordinator, kind,
                   real_threads);
     coordinator.start();
     worker.start();
@@ -141,7 +141,7 @@ TEST(CpuWorkerProtocol, ExecuteProducesReportAndUpdatesModel) {
   Rig rig;
   nn::Model before = rig.model;
   Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                ExecMode::kHogwild, 2);
+                gpusim::DeviceKind::kCpu, 2);
   rig.coordinator.start();
   worker.start();
 
@@ -167,7 +167,7 @@ TEST(CpuWorkerProtocol, ExecuteProducesReportAndUpdatesModel) {
 TEST(CpuWorkerProtocol, UpdatesAccumulateAcrossBatches) {
   Rig rig;
   Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                ExecMode::kHogwild, 2);
+                gpusim::DeviceKind::kCpu, 2);
   rig.coordinator.start();
   worker.start();
   worker.send({msg::kCoordinator, rig.work(0, 8)});
@@ -181,16 +181,18 @@ TEST(CpuWorkerProtocol, UpdatesAccumulateAcrossBatches) {
   rig.coordinator.join();
 }
 
-TEST(CpuWorkerProtocol, BetaScalesReportedUpdates) {
+TEST(CpuWorkerProtocol, ReportsRealUpdatesUnderBeta) {
   Rig rig;
   rig.config.beta = 0.5;
   Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                ExecMode::kHogwild, 2);
+                gpusim::DeviceKind::kCpu, 2);
   rig.coordinator.start();
   worker.start();
   worker.send({msg::kCoordinator, rig.work(0, 8)});
   msg::ScheduleWork report = rig.coordinator.wait_for_report(0);
-  EXPECT_EQ(report.updates, 2u);  // 4 sub-batches * beta 0.5
+  // 4 sub-batches, 4 updates: beta discounts them in Algorithm 2's
+  // comparison only (Adaptive.BetaDiscountsCpuCounts).
+  EXPECT_EQ(report.updates, 4u);
   worker.send({msg::kCoordinator, msg::Shutdown{}});
   worker.join();
   rig.coordinator.join();
@@ -199,7 +201,7 @@ TEST(CpuWorkerProtocol, BetaScalesReportedUpdates) {
 TEST(CpuWorkerProtocol, NotBeforeAdvancesClock) {
   Rig rig;
   Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                ExecMode::kHogwild, 2);
+                gpusim::DeviceKind::kCpu, 2);
   rig.coordinator.start();
   worker.start();
   msg::ExecuteWork w = rig.work(0, 8);
@@ -217,7 +219,7 @@ TEST(CpuWorkerProtocol, LaneUpdateIsPlainSgd) {
   const nn::Model start = rig.model;
   // One real lane runs the four 2-example sub-batches in order, so the
   // result is sequential SGD with no race.
-  rig.run_one_batch(ExecMode::kHogwild, 1, rig.work(0, 8));
+  rig.run_one_batch(gpusim::DeviceKind::kCpu, 1, rig.work(0, 8));
   const nn::Model want =
       rig.reference_sgd(start, 0, 8, 2, rig.config.effective_lr(2));
   EXPECT_GT(rig.model.max_abs_diff(start), 0.0);
@@ -233,7 +235,7 @@ TEST(CpuWorkerProtocol, RollbackScaleReachesTheLaneRate) {
   const nn::Model start = rig.model;
   msg::ExecuteWork w = rig.work(0, 8);
   w.lr_scale = 0.25;
-  rig.run_one_batch(ExecMode::kHogwild, 1, w);
+  rig.run_one_batch(gpusim::DeviceKind::kCpu, 1, w);
   const nn::Model want = rig.reference_sgd(start, 0, 8, 2, 1.5e-3 * 0.25);
   EXPECT_LT(rig.model.max_abs_diff(want), kRefTol);
 }
@@ -242,7 +244,7 @@ TEST(GpuWorkerProtocol, ExecuteProducesReportAndMergesGradient) {
   Rig rig;
   nn::Model before = rig.model;
   Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                ExecMode::kReplica);
+                gpusim::DeviceKind::kGpu);
   rig.coordinator.start();
   worker.start();
 
@@ -266,7 +268,7 @@ TEST(GpuWorkerProtocol, ExecuteProducesReportAndMergesGradient) {
 TEST(GpuWorkerProtocol, MergeIsPlainSgd) {
   Rig rig;
   const nn::Model start = rig.model;
-  rig.run_one_batch(ExecMode::kReplica, 1, rig.work(0, 64));
+  rig.run_one_batch(gpusim::DeviceKind::kGpu, 1, rig.work(0, 64));
   const nn::Model want =
       rig.reference_sgd(start, 0, 64, 64, rig.config.effective_lr(64));
   EXPECT_GT(rig.model.max_abs_diff(start), 0.0);
@@ -280,7 +282,7 @@ TEST(GpuWorkerProtocol, RollbackScaleReachesTheMergeRate) {
   const nn::Model start = rig.model;
   msg::ExecuteWork w = rig.work(0, 64);
   w.lr_scale = 0.125;
-  rig.run_one_batch(ExecMode::kReplica, 1, w);
+  rig.run_one_batch(gpusim::DeviceKind::kGpu, 1, w);
   const nn::Model want = rig.reference_sgd(start, 0, 64, 64, 0.04 * 0.125);
   EXPECT_LT(rig.model.max_abs_diff(want), kRefTol);
 }
@@ -288,7 +290,7 @@ TEST(GpuWorkerProtocol, RollbackScaleReachesTheMergeRate) {
 TEST(GpuWorkerProtocol, StalenessZeroWithoutConcurrentWriters) {
   Rig rig;
   Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                ExecMode::kReplica);
+                gpusim::DeviceKind::kGpu);
   rig.coordinator.start();
   worker.start();
   worker.send({msg::kCoordinator, rig.work(0, 64)});
@@ -303,7 +305,7 @@ TEST(GpuWorkerProtocol, StalenessZeroWithoutConcurrentWriters) {
 TEST(GpuWorkerProtocol, GpuClockIncludesTransfersAndKernels) {
   Rig rig;
   Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                ExecMode::kReplica);
+                gpusim::DeviceKind::kGpu);
   rig.coordinator.start();
   worker.start();
   worker.send({msg::kCoordinator, rig.work(0, 128)});
@@ -322,7 +324,7 @@ TEST(GpuWorkerProtocol, GpuClockIncludesTransfersAndKernels) {
 TEST(GpuWorkerProtocol, ShutdownReleasesDeviceBuffers) {
   Rig rig;
   Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                ExecMode::kReplica);
+                gpusim::DeviceKind::kGpu);
   EXPECT_GT(worker.device_backend().bytes_in_use(), 0u);
   rig.coordinator.start();
   worker.start();
@@ -336,160 +338,49 @@ TEST(GpuWorkerProtocol, ShutdownReleasesDeviceBuffers) {
   EXPECT_EQ(worker.device_backend().bytes_in_use(), 0u);
 }
 
-TEST(WorkerState, SerializeRestoreRoundTripsBothModes) {
+// Runs one batch of `size` examples on a worker of `kind`, first restored
+// to `from` unless it is null, and returns its report.
+msg::ScheduleWork report_after_restore(gpusim::DeviceKind kind,
+                                       std::uint64_t size,
+                                       const WorkerStats* from) {
   Rig rig;
-  for (ExecMode mode : {ExecMode::kHogwild, ExecMode::kReplica}) {
-    Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                  mode, 2);
-    const std::vector<std::uint8_t> blob = worker.serialize_state();
-    ASSERT_FALSE(blob.empty());
-    // The pre-seam on-disk tags survive the unification: checkpoints cut
-    // by the old CpuWorker/GpuWorker restore into the unified Worker.
-    EXPECT_EQ(blob[0], mode == ExecMode::kHogwild ? 'C' : 'G');
-    Worker twin(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                mode, 2);
-    std::string error;
-    EXPECT_TRUE(twin.restore_state(blob, &error)) << error;
-    // Cross-mode restore must be refused, not misparsed.
-    Worker other(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                 mode == ExecMode::kHogwild ? ExecMode::kReplica
-                                            : ExecMode::kHogwild,
-                 2);
-    EXPECT_FALSE(other.restore_state(blob, &error));
-  }
+  Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator, kind,
+                2);
+  if (from != nullptr) worker.restore_progress(*from);
+  rig.coordinator.start();
+  worker.start();
+  worker.send({msg::kCoordinator, rig.work(0, size)});
+  const msg::ScheduleWork report = rig.coordinator.wait_for_report(0);
+  worker.send({msg::kCoordinator, msg::Shutdown{}});
+  worker.join();
+  rig.coordinator.join();
+  return report;
 }
 
-// Version-1 blobs, byte for byte as the workers serialized them when each
-// Hogwild lane and each replica kept an optimizer (plain SGD): a 4-lane
-// Hogwild worker and a replica worker, after one batch each. Blobs hold
-// host-order values; these are little-endian.
-const std::vector<std::uint8_t> kHogwildV1 = {
-    'C', 0x01, 0x00, 0x00, 0x00,                      // tag, version 1
-    0x6c, 0x02, 0xa0, 0x08, 0xff, 0x1d, 0xf5, 0x3e,  // clock
-    0x6c, 0x02, 0xa0, 0x08, 0xff, 0x1d, 0xf5, 0x3e,  // busy time
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x40,  // updates_scaled 4.0
-    0x04, 0x00, 0x00, 0x00,                          // 4 lanes
-    // Per lane: a u64 step count of 1 and a u8 flag of 1.
-    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
-    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
-    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
-    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
-};
-const std::vector<std::uint8_t> kReplicaV1 = {
-    'G', 0x01, 0x00, 0x00, 0x00,                      // tag, version 1
-    0x09, 0x4a, 0xe8, 0x80, 0xd5, 0x18, 0x23, 0x3f,  // clock
-    0x09, 0x4a, 0xe8, 0x80, 0xd5, 0x18, 0x23, 0x3f,  // busy time
-    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 1 update
-    // A u64 step count of 1 and a u8 flag of 1.
-    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
-};
-
-// The version-2 blob holding the same state: tag, version 2, then the
-// clock, busy time and update counter, with no optimizer records.
-std::vector<std::uint8_t> as_version2(const std::vector<std::uint8_t>& v1) {
-  std::vector<std::uint8_t> v2(v1.begin(), v1.begin() + 29);
-  v2[1] = 0x02;
-  return v2;
+// A resumed worker continues from the ledger stats it was cut with: its
+// next report adds one batch to the restored clock, busy time and count,
+// so the coordinator's monotonicity checks hold across the resume.
+void expect_restore_reaches_the_next_report(gpusim::DeviceKind kind,
+                                            std::uint64_t size) {
+  WorkerStats stats;
+  stats.clock = 2.5;
+  stats.busy_vtime = 1.25;
+  stats.updates = 40;
+  const msg::ScheduleWork fresh = report_after_restore(kind, size, nullptr);
+  const msg::ScheduleWork next = report_after_restore(kind, size, &stats);
+  EXPECT_EQ(next.updates, stats.updates + fresh.updates);
+  EXPECT_GT(fresh.updates, 0u);
+  EXPECT_NEAR(next.clock_vtime - stats.clock, fresh.clock_vtime, 1e-12);
+  EXPECT_NEAR(next.busy_vtime - stats.busy_vtime, fresh.busy_vtime, 1e-12);
+  EXPECT_GT(fresh.busy_vtime, 0.0);
 }
 
-TEST(WorkerState, RestoresVersion1Blobs) {
-  Rig rig;
-  for (const auto& [mode, blob] :
-       {std::pair{ExecMode::kHogwild, kHogwildV1},
-        std::pair{ExecMode::kReplica, kReplicaV1}}) {
-    Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                  mode, 4);
-    std::string error;
-    ASSERT_TRUE(worker.restore_state(blob, &error)) << error;
-    EXPECT_EQ(worker.serialize_state(), as_version2(blob));
-  }
+TEST(WorkerProgress, HogwildRestoreReachesTheNextReport) {
+  expect_restore_reaches_the_next_report(gpusim::DeviceKind::kCpu, 8);
 }
 
-TEST(WorkerState, RestoresAcrossLaneCounts) {
-  Rig rig;
-  const std::vector<std::uint8_t> v2 = as_version2(kHogwildV1);
-  for (const int lanes : {1, 2, 4}) {
-    for (const auto& blob : {kHogwildV1, v2}) {
-      Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                    ExecMode::kHogwild, lanes);
-      std::string error;
-      ASSERT_TRUE(worker.restore_state(blob, &error))
-          << lanes << " lanes: " << error;
-      EXPECT_EQ(worker.serialize_state(), v2) << lanes << " lanes";
-    }
-  }
-}
-
-TEST(WorkerState, RejectsTrailingBytes) {
-  Rig rig;
-  for (const auto& [mode, v1] :
-       {std::pair{ExecMode::kHogwild, kHogwildV1},
-        std::pair{ExecMode::kReplica, kReplicaV1}}) {
-    for (std::vector<std::uint8_t> blob : {v1, as_version2(v1)}) {
-      blob.push_back(0x00);
-      Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                    mode, 2);
-      std::string error;
-      EXPECT_FALSE(worker.restore_state(blob, &error));
-      EXPECT_NE(error.find("trailing bytes"), std::string::npos) << error;
-    }
-  }
-  // A version-1 Hogwild blob whose lane count undercounts its records
-  // leaves the last record over.
-  std::vector<std::uint8_t> undercounted = kHogwildV1;
-  undercounted[29] = 0x03;
-  Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                ExecMode::kHogwild, 2);
-  std::string error;
-  EXPECT_FALSE(worker.restore_state(undercounted, &error));
-  EXPECT_NE(error.find("trailing bytes"), std::string::npos) << error;
-  // Overcounting runs out of bytes instead.
-  std::vector<std::uint8_t> overcounted = kHogwildV1;
-  overcounted[29] = 0x05;
-  EXPECT_FALSE(worker.restore_state(overcounted, &error));
-  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
-}
-
-TEST(WorkerState, RejectsTruncatedBlobs) {
-  Rig rig;
-  for (const auto& [mode, v1] :
-       {std::pair{ExecMode::kHogwild, kHogwildV1},
-        std::pair{ExecMode::kReplica, kReplicaV1}}) {
-    for (const auto& blob : {v1, as_version2(v1)}) {
-      Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                    mode, 2);
-      const std::vector<std::uint8_t> fresh = worker.serialize_state();
-      // Every proper prefix fails, and a failed restore leaves the
-      // worker's state as it was.
-      for (std::size_t n = 0; n < blob.size(); ++n) {
-        const std::vector<std::uint8_t> prefix(blob.begin(),
-                                               blob.begin() + n);
-        std::string error;
-        EXPECT_FALSE(worker.restore_state(prefix, &error)) << n;
-        if (n >= 5) {
-          EXPECT_NE(error.find("truncated"), std::string::npos) << error;
-        }
-        EXPECT_EQ(worker.serialize_state(), fresh) << n;
-      }
-    }
-  }
-}
-
-TEST(WorkerState, RejectsUnknownVersion) {
-  Rig rig;
-  for (const auto& [mode, v1] :
-       {std::pair{ExecMode::kHogwild, kHogwildV1},
-        std::pair{ExecMode::kReplica, kReplicaV1}}) {
-    for (const std::uint8_t version : {0, 3, 0xff}) {
-      std::vector<std::uint8_t> blob = as_version2(v1);
-      blob[1] = version;
-      Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
-                    mode, 2);
-      std::string error;
-      EXPECT_FALSE(worker.restore_state(blob, &error));
-      EXPECT_NE(error.find("unsupported"), std::string::npos) << error;
-    }
-  }
+TEST(WorkerProgress, ReplicaRestoreReachesTheNextReport) {
+  expect_restore_reaches_the_next_report(gpusim::DeviceKind::kGpu, 64);
 }
 
 }  // namespace
