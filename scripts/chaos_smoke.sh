@@ -7,15 +7,17 @@
 #   stall     virtual slowdown + real sleep    -> deadline miss + quarantine
 #   transfer  transient device-copy failures   -> worker-local retry
 #   nan       gradient corruption              -> divergence rollback
+#   elastic   a GPU worker joins, worker 1 retires (--elastic-plan, no
+#             fault plan)                      -> reclamation + joiner
 #
 # covtype_adaptive exits non-zero when the final loss is non-finite, so a
 # failed recovery fails the script; `timeout` converts a hung coordinator
 # (shutdown waiting on a dead actor) into a failure instead of a wedge.
 #
-# The stall and combined runs also emit --trace-out / --metrics-out
-# artifacts, validated with scripts/validate_trace.py: the trace must show
-# the reclaim/redispatch/rollback story and a batch flow crossing threads,
-# not merely parse.
+# Most classes also emit --trace-out / --metrics-out artifacts, validated
+# with scripts/validate_trace.py: the trace must show the
+# reclaim/redispatch/rollback/membership story and a batch flow crossing
+# threads, not merely parse.
 #
 # With --tsan, additionally builds with -fsanitize=thread and runs the
 # concurrency/actor/fault test suites under it (slow; needs libtsan).
@@ -65,16 +67,23 @@ run_class nan      "nan:worker=0,atfrac=0.3" \
 run_class combined "stall:worker=0,atfrac=0.2,factor=20,sleep=100;transfer:worker=1,atfrac=0.3,count=2;nan:worker=1,atfrac=0.5;die:worker=0,atfrac=0.7" \
                    --fault-quarantine-after 2 \
                    --trace-out "$BUILD_DIR/chaos_combined_trace.json"
+run_class elastic  "" \
+                   --elastic-plan "join:kind=gpu,atfrac=0.3;retire:worker=1,atfrac=0.6" \
+                   --trace-out "$BUILD_DIR/chaos_elastic_trace.json" \
+                   --metrics-out "$BUILD_DIR/chaos_elastic_metrics.jsonl" \
+                   --metrics-interval 100
 
 echo "=== all fault classes recovered ==="
 
 # The traces must tell the recovery story, not merely exist. Each class
 # pins the outcome it produces deterministically: a dead worker's batch is
 # reclaimed and re-dispatched, a straggler is quarantined after its
-# deadline miss, a NaN gradient triggers the divergence rollback. Every
-# trace must show at least one batch whose flow events cross threads
-# (dispatch on the coordinator, execution on a worker); the combined run's
-# fault interleaving is timing-dependent, so only its structure is checked.
+# deadline miss, a NaN gradient triggers the divergence rollback, and the
+# elastic run records both membership changes and publishes the joiner's
+# (worker 2's) gauges. Every trace must show at least one batch whose flow
+# events cross threads (dispatch on the coordinator, execution on a
+# worker); the combined run's fault interleaving is timing-dependent, so
+# only its structure is checked.
 echo "=== validating trace/metrics artifacts ==="
 python3 scripts/validate_trace.py \
   --trace "$BUILD_DIR/chaos_die_trace.json" \
@@ -95,6 +104,12 @@ python3 scripts/validate_trace.py \
   --require-metric hetsgd_fault_records
 python3 scripts/validate_trace.py \
   --trace "$BUILD_DIR/chaos_combined_trace.json" --require-flow
+python3 scripts/validate_trace.py \
+  --trace "$BUILD_DIR/chaos_elastic_trace.json" \
+  --require-instant worker-join --require-instant worker-retire \
+  --require-flow \
+  --metrics "$BUILD_DIR/chaos_elastic_metrics.jsonl" \
+  --require-metric hetsgd_worker2_updates
 echo "=== observability artifacts valid ==="
 
 if [[ $WITH_TSAN -eq 1 ]]; then

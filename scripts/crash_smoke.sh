@@ -7,11 +7,15 @@
 #      injection (std::raise(SIGKILL) inside a worker: no destructors, no
 #      flushes — simulated power loss). Expected exit: 137 (killed), or 0
 #      when the run finished before the crash point.
-#   2. restarts with --resume pointing at the same directory. The restart
-#      must exit 0; when the killed run managed to cut at least one
-#      checkpoint, the restart must report "resumed from checkpoint" —
-#      a torn or corrupt file that load_latest cannot fall back from
-#      fails the iteration.
+#   2. when the crash leg was killed as planned, resumes a copy of the
+#      directory under the same --fault-plan. The plan's record beside the
+#      checkpoints keeps every entry that already fired (the crash
+#      included) from firing again, so this leg must finish.
+#   3. restarts with --resume pointing at the same directory and no plan.
+#      The restart must exit 0; when the killed run managed to cut at
+#      least one checkpoint, the restart must report "resumed from
+#      checkpoint" — a torn or corrupt file that load_latest cannot fall
+#      back from fails the iteration.
 #
 # The crash fraction sweeps the whole run and alternates the crashing
 # worker, so cuts are interrupted at every phase: before the first epoch
@@ -40,6 +44,7 @@ cmake --build "$BUILD_DIR" --target covtype_adaptive -j"$(nproc)" >/dev/null
 
 ADAPTIVE="$BUILD_DIR/examples/covtype_adaptive"
 CKPT_DIR="$BUILD_DIR/crash_smoke_ckpt"
+KEPT_DIR="$BUILD_DIR/crash_smoke_kept_ckpt"
 COMMON_ARGS=(--scale 0.005 --budget 4)
 
 for ((i = 0; i < ITERATIONS; ++i)); do
@@ -82,6 +87,21 @@ for ((i = 0; i < ITERATIONS; ++i)); do
 
   had_checkpoint=0
   compgen -G "$CKPT_DIR/ckpt-*.hetsgd" >/dev/null && had_checkpoint=1
+
+  if [[ $status -eq 137 ]]; then
+    rm -rf "$KEPT_DIR"
+    cp -r "$CKPT_DIR" "$KEPT_DIR"
+    kept_log="$BUILD_DIR/crash_smoke_${i}_kept.log"
+    if ! timeout "$RUN_TIMEOUT" "$ADAPTIVE" "${COMMON_ARGS[@]}" \
+        --checkpoint-dir "$KEPT_DIR" --resume "$KEPT_DIR" \
+        --fault-plan "$plan" >"$kept_log" 2>&1 \
+        || ! grep -q "final loss" "$kept_log"; then
+      echo "FAIL: resume under the same fault plan did not finish"
+      tail -25 "$kept_log"
+      exit 1
+    fi
+    echo "  resumed under the same plan: finished"
+  fi
 
   resume_log="$BUILD_DIR/crash_smoke_${i}_resume.log"
   resume_trace="$BUILD_DIR/crash_smoke_${i}_trace.json"

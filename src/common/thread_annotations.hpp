@@ -3,14 +3,14 @@
 // for clang builds; `-DHETSGD_WERROR=ON` promotes violations to errors).
 //
 // The framework's whole point is *deliberately* racy Hogwild updates next
-// to carefully locked coordination state, so the line between "algorithm"
-// and "bug" must live in the source: every mutex-protected field is
-// declared `HETSGD_GUARDED_BY(mu_)`, every helper that assumes the lock is
-// `HETSGD_REQUIRES(mu_)`, and the three sanctioned race sites carry a
-// `// hetsgd-racy:` waiver (cross-checked against scripts/tsan.supp by
-// tools/lint/hetsgd_lint.py). Unannotated sharing is then a compile error
-// under clang instead of a reviewer judgment call. See DESIGN.md §10 for
-// the capability map.
+// to coordination state that is locked or confined to one thread, so the
+// line between "algorithm" and "bug" must live in the source: every
+// mutex-protected field is declared `HETSGD_GUARDED_BY(mu_)`, every helper
+// that assumes the lock is `HETSGD_REQUIRES(mu_)`, and the three
+// sanctioned race sites carry a `// hetsgd-racy:` waiver (cross-checked
+// against scripts/tsan.supp by tools/lint/hetsgd_lint.py). Unannotated
+// sharing is then a compile error under clang instead of a judgment call
+// in code review. See DESIGN.md §10 for the capability map.
 //
 // Under gcc (which has no thread-safety analysis) every macro expands to
 // nothing and AnnotatedMutex degrades to a plain std::mutex wrapper.
@@ -34,10 +34,6 @@
 // Data members readable/writable only while the capability is held.
 #define HETSGD_GUARDED_BY(x) HETSGD_TS_ATTR(guarded_by(x))
 
-// Pointer members whose *pointee* is protected by the capability (the
-// pointer itself may additionally be GUARDED_BY).
-#define HETSGD_PT_GUARDED_BY(x) HETSGD_TS_ATTR(pt_guarded_by(x))
-
 // Functions callable only while holding the capability (and that do not
 // release it).
 #define HETSGD_REQUIRES(...) \
@@ -55,17 +51,6 @@
 // acquire it themselves; calling with it held would self-deadlock on the
 // non-recursive std::mutex underneath).
 #define HETSGD_EXCLUDES(...) HETSGD_TS_ATTR(locks_excluded(__VA_ARGS__))
-
-// Escape hatch: disables the analysis for one function. Reserved for the
-// documented post-join accessors — results read by the main thread after
-// Actor::join(), where the happens-before edge is the thread join itself,
-// not a lock. Never use it to silence a warning on a hot path; add the
-// lock or restructure instead.
-#define HETSGD_NO_THREAD_SAFETY_ANALYSIS \
-  HETSGD_TS_ATTR(no_thread_safety_analysis)
-
-// Self-documenting alias for the post-join contract (see above).
-#define HETSGD_POST_JOIN_ACCESS HETSGD_NO_THREAD_SAFETY_ANALYSIS
 
 namespace hetsgd {
 

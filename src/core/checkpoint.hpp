@@ -90,7 +90,9 @@ struct TrainingCheckpoint {
 // seed, architecture, learning rate, batch thresholds, worker set,
 // dataset shape and sampled content. Deliberately EXCLUDES the time budget and max_epochs (resuming
 // with a longer horizon is the point of resuming) and the fault plan
-// (the injections already fired died with the old process).
+// (the entries a plan already fired are recorded beside the checkpoints,
+// keyed to those entries, and a resume does not fire them again; see
+// FaultPlan::load_record).
 std::uint64_t config_fingerprint(const TrainingConfig& config,
                                  const data::Dataset& dataset);
 
@@ -102,9 +104,9 @@ bool read_training_checkpoint(ByteReader& r, TrainingCheckpoint* ckpt,
 
 // Owns a checkpoint directory: numbered `ckpt-<seq>.hetsgd` files, a
 // MANIFEST, and a retention policy. Not internally synchronized — the
-// coordinator thread is the only writer after start() (the same
-// confinement as the coordinator's own state, which holds `mu_` across
-// save()); load_latest is static and runs before any actor starts.
+// coordinator thread is the only writer after start(), the same
+// confinement as the coordinator's own state; load_latest is static and
+// runs before any actor starts.
 class CheckpointManager {
  public:
   // Creates `dir` if needed and continues sequence numbering after any

@@ -33,6 +33,8 @@ struct CoordMetrics {
   obs::Gauge& loss = reg.gauge("hetsgd_loss");
   obs::Gauge& lr_scale = reg.gauge("hetsgd_lr_scale");
   obs::Gauge& vtime = reg.gauge("hetsgd_vtime_frontier_vseconds");
+  obs::Gauge& loss_points = reg.gauge("hetsgd_loss_points");
+  obs::Gauge& loss_latest = reg.gauge("hetsgd_loss_latest");
   obs::Histogram& batch_cost = reg.histogram("hetsgd_batch_cost_vseconds");
 
   CoordMetrics() { lr_scale.set(1.0); }  // no rollback yet = full rate
@@ -43,6 +45,32 @@ CoordMetrics& metrics() {
   // outlive static destruction of every instrumented thread
   static CoordMetrics* m = new CoordMetrics();
   return *m;
+}
+
+// A worker's batch thresholds, from the config and its device kind.
+AdaptiveController::WorkerLimits worker_limits(const TrainingConfig& config,
+                                               gpusim::DeviceKind kind) {
+  AdaptiveController::WorkerLimits limits;
+  if (kind == gpusim::DeviceKind::kCpu) {
+    const Index lanes = config.cpu.sim_lanes;
+    limits.quantum = lanes;
+    limits.min = lanes * config.cpu.min_examples_per_thread;
+    limits.max = lanes * config.cpu.max_examples_per_thread;
+    // "The CPU worker starts with a batch size of 1 example per thread —
+    // it performs Hogwild" (§VII-A).
+    limits.initial = lanes * config.cpu.examples_per_thread;
+    return limits;
+  }
+  limits.quantum = 1;
+  limits.min = config.gpu.min_batch;
+  limits.max = config.gpu.max_batch;
+  // "The initial batch size is set to the upper threshold on the GPU
+  // workers" (§VII-A) — for the static algorithms, gpu.batch applies.
+  limits.initial = config.algorithm == Algorithm::kAdaptiveHogbatch
+                       ? config.gpu.max_batch
+                       : std::clamp(config.gpu.batch, config.gpu.min_batch,
+                                    config.gpu.max_batch);
+  return limits;
 }
 
 }  // namespace
@@ -69,20 +97,48 @@ Coordinator::Coordinator(data::Dataset& dataset, nn::Model& model,
   eval_sample_ = data::gather(
       dataset_, std::span(idx).first(static_cast<std::size_t>(sample)),
       dataset_.name() + "-eval");
+  if (!config_.elastic_plan.empty()) {
+    std::string error;
+    const bool ok = ElasticPlan::parse(config_.elastic_plan, &elastic_, &error);
+    HETSGD_ASSERT(ok, "invalid --elastic-plan spec");
+    elastic_.resolve_times(config_.time_budget_vseconds);
+  }
 }
 
-void Coordinator::add_worker(msg::Actor& actor, gpusim::DeviceKind kind,
-                             const AdaptiveController::WorkerLimits& limits) {
-  MutexLock lock(mu_);
+void Coordinator::add_worker(msg::Actor& actor, gpusim::DeviceKind kind) {
+  register_worker(actor, kind, /*joining=*/false);
+}
+
+void Coordinator::register_worker(msg::Actor& actor, gpusim::DeviceKind kind,
+                                  bool joining) {
+  AdaptiveController::WorkerLimits limits = worker_limits(config_, kind);
+  std::uint64_t baseline = 0;
+  if (joining) {
+    // Seed the newcomer's batch from the cost model so its first dispatch
+    // is cost-matched to its peers, and credit it with the minimum peer
+    // update count so Algorithm 2 treats it as a peer rather than an
+    // all-time straggler.
+    limits.initial = seed_batch_from_cost_model(kind, limits);
+    bool have_baseline = false;
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+      const WorkerRuntime& peer = workers_[i];
+      if (peer.failed || peer.quarantined || peer.retired) continue;
+      const std::uint64_t u = adaptive_.updates(static_cast<msg::WorkerId>(i));
+      if (!have_baseline || u < baseline) {
+        baseline = u;
+        have_baseline = true;
+      }
+    }
+  }
   const auto id = static_cast<msg::WorkerId>(workers_.size());
   WorkerRuntime w;
   w.actor = &actor;
   w.kind = kind;
-  w.limits = limits;
   w.waiting = true;  // every worker starts idle and ready for work
   workers_.push_back(w);
   ledger_.register_worker(id, actor.name(), kind, limits.initial);
-  adaptive_.register_worker(id, kind, limits);
+  adaptive_.register_worker(id, kind, limits, baseline);
+  monitor_.add_worker();
 }
 
 double Coordinator::epochs_completed() const {
@@ -91,7 +147,6 @@ double Coordinator::epochs_completed() const {
 }
 
 std::uint64_t Coordinator::quarantined_workers() const {
-  MutexLock lock(mu_);
   std::uint64_t n = 0;
   for (const auto& w : workers_) {
     if (w.quarantined || w.failed) ++n;
@@ -100,9 +155,7 @@ std::uint64_t Coordinator::quarantined_workers() const {
 }
 
 void Coordinator::on_start() {
-  MutexLock lock(mu_);
   HETSGD_ASSERT(!workers_.empty(), "coordinator needs at least one worker");
-  monitor_ = std::make_unique<UtilizationMonitor>(workers_.size());
   // A resumed run already restored its eval/checkpoint cadence cursors;
   // re-seeding them at the first grid point would replay every eval the
   // original run performed before the cut.
@@ -117,6 +170,9 @@ void Coordinator::on_start() {
     // Real-time fallback heartbeat: all-workers-silent detection.
     set_idle_interval(std::chrono::milliseconds(20));
   }
+  // Triggers the frontier already reached (at 0, or below a resumed run's
+  // restored clocks) fire before the first evaluation and dispatch.
+  fire_elastic_events();
   // A resumed run restored its loss curve (including the point the
   // original run evaluated at vtime 0); re-evaluating here would insert a
   // duplicate and desync the curve from the uninterrupted trajectory.
@@ -125,7 +181,6 @@ void Coordinator::on_start() {
 }
 
 bool Coordinator::handle(msg::Envelope envelope) {
-  MutexLock lock(mu_);
   idle_ticks_ = 0;  // any message is a sign of life; restart the silence window
   // hetsgd-analyze: dispatch ignores(ExecuteWork, Shutdown) — worker-bound
   // messages the coordinator only ever sends, never receives.
@@ -141,10 +196,6 @@ bool Coordinator::handle(msg::Envelope envelope) {
       ++shutdown_acks_;
       if (shutdown_acks_ >= expected_acks_) loop_done_ = true;
     }
-  } else if (std::holds_alternative<msg::WorkerJoin>(envelope.message)) {
-    on_worker_join(std::get<msg::WorkerJoin>(envelope.message).worker);
-  } else if (std::holds_alternative<msg::WorkerRetire>(envelope.message)) {
-    on_worker_retire(std::get<msg::WorkerRetire>(envelope.message).worker);
   } else {
     HETSGD_LOG_WARN("coordinator", "unexpected message variant %zu",
                     envelope.message.index());
@@ -153,7 +204,6 @@ bool Coordinator::handle(msg::Envelope envelope) {
 }
 
 bool Coordinator::on_idle() {
-  MutexLock lock(mu_);
   if (shutting_down_ || !fault_layer_enabled()) return !loop_done_;
   if (!any_busy()) {
     idle_ticks_ = 0;
@@ -241,11 +291,11 @@ void Coordinator::on_schedule(const msg::ScheduleWork& report) {
 
   if (report.examples > 0) {
     // Busy segment: [clock_after - batch_busy, clock_after].
-    const double prev_busy = ledger_.busy_vtime(id);
+    const double prev_busy = ledger_.stats(id).busy_vtime;
     const double seg_len = report.busy_vtime - prev_busy;
     HETSGD_ASSERT(seg_len >= 0.0, "busy time went backwards");
-    monitor_->record(id, report.clock_vtime - seg_len, report.clock_vtime,
-                     std::clamp(report.intensity, 0.0, 1.0));
+    monitor_.record(id, report.clock_vtime - seg_len, report.clock_vtime,
+                    std::clamp(report.intensity, 0.0, 1.0));
   }
   if (late) {
     // The batch was reclaimed after a deadline miss and its range
@@ -293,6 +343,7 @@ void Coordinator::on_schedule(const msg::ScheduleWork& report) {
     ledger_.set_current_batch(id, next);
   }
 
+  fire_elastic_events();
   maybe_eval_checkpoints();
   try_dispatch_all();
 }
@@ -320,9 +371,9 @@ void Coordinator::on_worker_fault(const msg::WorkerFault& fault) {
   try_dispatch_all();
 }
 
-double Coordinator::estimate_cost(const WorkerRuntime& w,
+double Coordinator::estimate_cost(gpusim::DeviceKind kind,
                                   Index batch) const {
-  if (w.kind == gpusim::DeviceKind::kCpu) {
+  if (kind == gpusim::DeviceKind::kCpu) {
     const HogwildSplit split = hogwild_split(batch, config_.cpu.sim_lanes);
     return cpu_batch_seconds(cpu_perf_, config_.mlp, split.sub_batch,
                              static_cast<int>(split.count));
@@ -379,7 +430,7 @@ void Coordinator::try_dispatch_all() {
     WorkerRuntime& w = workers_[i];
     if (w.failed || w.quarantined) continue;
     if (!w.finished && !w.busy &&
-        ledger_.clock(static_cast<msg::WorkerId>(i)) >=
+        ledger_.stats(static_cast<msg::WorkerId>(i)).clock >=
             config_.time_budget_vseconds) {
       w.finished = true;
       w.waiting = false;
@@ -408,12 +459,12 @@ void Coordinator::try_dispatch_all() {
       idle.push_back(id);
     }
     std::sort(idle.begin(), idle.end(), [&](msg::WorkerId a, msg::WorkerId b) {
-      return ledger_.clock(a) < ledger_.clock(b);
+      return ledger_.stats(a).clock < ledger_.stats(b).clock;
     });
 
     for (msg::WorkerId id : idle) {
       WorkerRuntime& w = workers_[static_cast<std::size_t>(id)];
-      const double clock = ledger_.clock(id);
+      const double clock = ledger_.stats(id).clock;
       if (clock > frontier) continue;  // would run ahead of the frontier
 
       // Reclaimed ranges first: they are this epoch's lost work and must
@@ -464,7 +515,7 @@ void Coordinator::try_dispatch_all() {
 
 tensor::Index Coordinator::batch_for(msg::WorkerId id) const {
   // A configured batch larger than the dataset degrades to one full pass.
-  return std::min<Index>(ledger_.current_batch(id),
+  return std::min<Index>(ledger_.stats(id).current_batch,
                          dataset_.example_count());
 }
 
@@ -480,9 +531,8 @@ void Coordinator::dispatch_range(msg::WorkerId id, Index begin, Index size,
   work.not_before = epoch_start_vtime_;
   work.sequence = ++w.dispatch_seq;
 
-  const double start =
-      std::max(ledger_.clock(id), epoch_start_vtime_);
-  const double cost = estimate_cost(w, size);
+  const double start = std::max(ledger_.stats(id).clock, epoch_start_vtime_);
+  const double cost = estimate_cost(w.kind, size);
   w.est_completion = start + cost;
   w.deadline_vtime = fault_layer_enabled()
                          ? start + config_.fault.deadline_factor * cost
@@ -589,8 +639,8 @@ void Coordinator::maybe_flip_epoch() {
         (gpu_perf_.spec().peak_flops * gpu_perf_.spec().max_efficiency);
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       if (workers_[i].kind == gpusim::DeviceKind::kGpu) {
-        monitor_->record(static_cast<msg::WorkerId>(i), boundary,
-                         boundary + eval_cost, 1.0);
+        monitor_.record(static_cast<msg::WorkerId>(i), boundary,
+                        boundary + eval_cost, 1.0);
       }
     }
     boundary += eval_cost;
@@ -636,7 +686,17 @@ void Coordinator::evaluate_loss(double vtime) {
   has_last_good_ = true;
   metrics().loss.set(loss);
   HETSGD_TRACE_COUNTER("loss", loss);
+  append_loss_point(vtime, loss);
+}
+
+void Coordinator::append_loss_point(double vtime, double loss) {
   curve_.push_back({vtime, epochs_completed(), loss});
+  publish_curve();
+}
+
+void Coordinator::publish_curve() {
+  metrics().loss_points.set(static_cast<double>(curve_.size()));
+  if (!curve_.empty()) metrics().loss_latest.set(curve_.back().loss);
 }
 
 void Coordinator::handle_divergence(double vtime, double loss) {
@@ -648,7 +708,7 @@ void Coordinator::handle_divergence(double vtime, double loss) {
                           "non-finite evaluated loss"});
     HETSGD_TRACE_INSTANT("coordinator", "divergence_abort", vtime);
     diverged_ = true;
-    curve_.push_back({vtime, epochs_completed(), loss});
+    append_loss_point(vtime, loss);
     begin_shutdown();
     return;
   }
@@ -669,7 +729,7 @@ void Coordinator::handle_divergence(double vtime, double loss) {
   ledger_.record_fault({vtime, msg::kCoordinator,
                         FaultKind::kDivergenceRollback, 0,
                         "restored last-good model, lr backed off"});
-  curve_.push_back({vtime, epochs_completed(), last_good_loss_});
+  append_loss_point(vtime, last_good_loss_);
 }
 
 void Coordinator::maybe_eval_checkpoints() {
@@ -709,13 +769,7 @@ void Coordinator::begin_shutdown() {
   if (shutdown_acks_ >= expected_acks_) loop_done_ = true;
 }
 
-void Coordinator::set_checkpoint_manager(CheckpointManager* manager) {
-  MutexLock lock(mu_);
-  ckpt_mgr_ = manager;
-}
-
 bool Coordinator::restore(const TrainingCheckpoint& ckpt, std::string* error) {
-  MutexLock lock(mu_);
   auto fail = [&](const std::string& msg) {
     if (error != nullptr) *error = msg;
     return false;
@@ -763,6 +817,7 @@ bool Coordinator::restore(const TrainingCheckpoint& ckpt, std::string* error) {
   late_examples_ = ckpt.late_examples;
   checkpoints_written_ = ckpt.checkpoints_written;
   curve_ = ckpt.curve;
+  publish_curve();
 
   for (const WorkerCheckpoint& wc : ckpt.workers) {
     if (wc.id < 0 || static_cast<std::size_t>(wc.id) >= workers_.size()) {
@@ -850,76 +905,39 @@ void Coordinator::write_full_checkpoint() {
   }
 }
 
-msg::WorkerId Coordinator::join_worker(
-    msg::Actor& actor, gpusim::DeviceKind kind,
-    const AdaptiveController::WorkerLimits& limits) {
-  msg::WorkerId id = -1;
-  {
-    MutexLock lock(mu_);
-    if (shutting_down_) return -1;
-    id = static_cast<msg::WorkerId>(workers_.size());
-    WorkerRuntime w;
-    w.actor = &actor;
-    w.kind = kind;
-    w.limits = limits;
-    w.waiting = true;
-    workers_.push_back(w);
-
-    // Seed the newcomer's batch from the cost model so its first dispatch
-    // is cost-matched to its peers, and credit it with the minimum peer
-    // update count so Algorithm 2 treats it as a peer rather than an
-    // all-time straggler.
-    const Index seeded = seed_batch_from_cost_model(workers_.back(), limits);
-    std::uint64_t baseline = 0;
-    bool have_baseline = false;
-    for (std::size_t i = 0; i + 1 < workers_.size(); ++i) {
-      const WorkerRuntime& peer = workers_[i];
-      if (peer.failed || peer.quarantined || peer.retired) continue;
-      const auto pid = static_cast<msg::WorkerId>(i);
-      const std::uint64_t u = adaptive_.updates(pid);
-      if (!have_baseline || u < baseline) {
-        baseline = u;
-        have_baseline = true;
-      }
+void Coordinator::fire_elastic_events() {
+  const double frontier = ledger_.max_clock();
+  while (!shutting_down_ && next_elastic_ < elastic_.events.size() &&
+         elastic_.events[next_elastic_].at_vtime <= frontier) {
+    const ElasticEvent& ev = elastic_.events[next_elastic_++];
+    if (ev.kind == ElasticEvent::Kind::kJoin) {
+      join_worker(ev.device);
+    } else {
+      retire_worker(ev.worker);
     }
-    AdaptiveController::WorkerLimits seeded_limits = limits;
-    seeded_limits.initial = seeded;
-    ledger_.register_worker(id, actor.name(), kind, seeded);
-    adaptive_.register_worker(id, kind, seeded_limits, baseline);
-    if (monitor_ != nullptr) monitor_->add_worker();
-    ++joins_;
-    ledger_.record_fault({ledger_.max_clock(), id, FaultKind::kWorkerJoin,
-                          0, "worker joined (batch seeded from cost model)"});
   }
-  // Nudge the scheduling loop on its own thread; if the loop already
-  // exited the newcomer simply never receives work.
-  send({msg::kCoordinator, msg::WorkerJoin{id}});
-  return id;
 }
 
-bool Coordinator::retire_worker(msg::WorkerId id) {
-  {
-    MutexLock lock(mu_);
-    if (shutting_down_) return false;
-    if (id < 0 || static_cast<std::size_t>(id) >= workers_.size()) {
-      return false;
-    }
-    if (workers_[static_cast<std::size_t>(id)].retired) return false;
-  }
-  // The actual retirement runs on the coordinator loop, serialized with
-  // scheduling decisions.
-  return send({msg::kCoordinator, msg::WorkerRetire{id}});
-}
-
-void Coordinator::on_worker_join(msg::WorkerId id) {
+void Coordinator::join_worker(gpusim::DeviceKind kind) {
+  HETSGD_ASSERT(make_worker_ != nullptr,
+                "elastic join without a worker factory");
+  const auto id = static_cast<msg::WorkerId>(workers_.size());
+  msg::Actor& actor = make_worker_(id, kind);
+  register_worker(actor, kind, /*joining=*/true);
+  ++joins_;
+  ledger_.record_fault({ledger_.max_clock(), id, FaultKind::kWorkerJoin, 0,
+                        "worker joined (batch seeded from cost model)"});
   HETSGD_LOG_INFO("coordinator", "worker %d joined the run", id);
-  try_dispatch_all();
+  actor.start();
 }
 
-void Coordinator::on_worker_retire(msg::WorkerId id) {
-  if (id < 0 || static_cast<std::size_t>(id) >= workers_.size()) return;
+void Coordinator::retire_worker(msg::WorkerId id) {
+  if (id < 0 || static_cast<std::size_t>(id) >= workers_.size() ||
+      workers_[static_cast<std::size_t>(id)].retired) {
+    HETSGD_LOG_WARN("coordinator", "elastic retire of worker %d refused", id);
+    return;
+  }
   WorkerRuntime& w = workers_[static_cast<std::size_t>(id)];
-  if (w.retired || shutting_down_) return;
   const double vtime = ledger_.max_clock();
   w.retired = true;
   ++retires_;
@@ -936,23 +954,21 @@ void Coordinator::on_worker_retire(msg::WorkerId id) {
   if (!w.failed && !w.actor->send({msg::kCoordinator, msg::Shutdown{}})) {
     w.failed = true;  // mailbox already closed; nothing to wind down
   }
-  try_dispatch_all();
 }
 
 tensor::Index Coordinator::seed_batch_from_cost_model(
-    const WorkerRuntime& w,
+    gpusim::DeviceKind kind,
     const AdaptiveController::WorkerLimits& limits) const {
   // Mean estimated batch cost over the active peers.
   double total_cost = 0.0;
   int peers = 0;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     const WorkerRuntime& peer = workers_[i];
-    if (&peer == &w) continue;
     if (peer.failed || peer.quarantined || peer.retired || peer.finished) {
       continue;
     }
     const auto pid = static_cast<msg::WorkerId>(i);
-    total_cost += estimate_cost(peer, ledger_.current_batch(pid));
+    total_cost += estimate_cost(peer.kind, ledger_.stats(pid).current_batch);
     ++peers;
   }
   const Index quantum = std::max<Index>(1, limits.quantum);
@@ -966,7 +982,7 @@ tensor::Index Coordinator::seed_batch_from_cost_model(
   Index khi = std::max<Index>(klo, limits.max / quantum);
   while (klo < khi) {
     const Index kmid = klo + (khi - klo) / 2;
-    if (estimate_cost(w, kmid * quantum) < target) {
+    if (estimate_cost(kind, kmid * quantum) < target) {
       klo = kmid + 1;
     } else {
       khi = kmid;
@@ -975,8 +991,8 @@ tensor::Index Coordinator::seed_batch_from_cost_model(
   Index best = klo * quantum;
   if (klo > 1) {
     const Index below = (klo - 1) * quantum;
-    if (std::abs(estimate_cost(w, below) - target) <
-        std::abs(estimate_cost(w, best) - target)) {
+    if (std::abs(estimate_cost(kind, below) - target) <
+        std::abs(estimate_cost(kind, best) - target)) {
       best = below;
     }
   }

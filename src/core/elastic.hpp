@@ -7,9 +7,10 @@
 // batch must be reclaimed (preserving dispatched == reported + reclaimed)
 // and a joining worker must be seeded with a cost-model-matched batch and
 // an update-count baseline so Algorithm 2 treats it as a peer, not a
-// straggler. The Trainer drives the plan from a small controller thread
-// that watches the virtual frontier and calls Coordinator::join_worker /
-// retire_worker at the scheduled times.
+// straggler. Membership change is a scheduling decision: the Coordinator
+// holds the plan and fires each event on its own thread when the virtual
+// frontier reaches the event's trigger, building a joiner through a
+// factory the Trainer supplies.
 #pragma once
 
 #include <string>
@@ -38,8 +39,9 @@ struct ElasticEvent {
   double at_fraction = -1.0;
 };
 
-// A parsed --elastic-plan. Plain data, owned and driven by the Trainer;
-// not internally synchronized (read-only after resolve_times).
+// A parsed --elastic-plan. Plain data, owned and driven by the
+// Coordinator; not internally synchronized (read-only after
+// resolve_times).
 struct ElasticPlan {
   // Parses a ';'-separated event list:
   //   join:kind=gpu,atfrac=0.3
@@ -52,8 +54,6 @@ struct ElasticPlan {
   // Resolves fraction triggers against the run's virtual-time budget and
   // sorts events by trigger time. Call once before the run starts.
   void resolve_times(double budget_vseconds);
-
-  bool empty() const { return events.empty(); }
 
   std::vector<ElasticEvent> events;
 };

@@ -1,9 +1,13 @@
 #include "core/fault.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 
+#include "common/atomic_file.hpp"
 #include "common/cli.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 
 namespace hetsgd::core {
@@ -43,6 +47,10 @@ bool parse_kind(const std::string& name, FaultKind& out) {
 constexpr std::int64_t kMaxWorkerId =
     std::numeric_limits<msg::WorkerId>::max();
 constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+
+// The fired-entry record's file name inside the checkpoint directory.
+constexpr const char* kRecordFile = "/FAULTS";
+constexpr const char* kRecordHeader = "# hetsgd fault-plan entries fired\n";
 
 }  // namespace
 
@@ -144,14 +152,11 @@ bool FaultPlan::contains(FaultKind kind) const {
 FaultPlan::StallState FaultPlan::stall(msg::WorkerId w, double vtime) {
   MutexLock lock(mutex_);
   StallState state;
-  for (FaultEvent& ev : events_) {
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const FaultEvent& ev = events_[i];
     if (ev.kind != FaultKind::kStall || ev.worker != w) continue;
     if (ev.at_vtime < 0.0 || vtime < ev.at_vtime) continue;
-    if (!ev.fired) {
-      ev.fired = true;
-      fired_.push_back({vtime, w, ev.kind, 0,
-                        "factor=" + std::to_string(ev.factor)});
-    }
+    if (!ev.fired) fire(i, w, vtime, "factor=" + std::to_string(ev.factor));
     state.factor *= ev.factor;
     state.sleep_ms += ev.sleep_ms;
   }
@@ -161,15 +166,67 @@ FaultPlan::StallState FaultPlan::stall(msg::WorkerId w, double vtime) {
 bool FaultPlan::consume(FaultKind kind, msg::WorkerId w, double vtime,
                         FaultEvent* out) {
   MutexLock lock(mutex_);
-  for (FaultEvent& ev : events_) {
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const FaultEvent& ev = events_[i];
     if (ev.kind != kind || ev.worker != w || ev.fired) continue;
     if (ev.at_vtime < 0.0 || vtime < ev.at_vtime) continue;
-    ev.fired = true;
-    fired_.push_back({vtime, w, kind, 0, ""});
+    fire(i, w, vtime, "");
     if (out != nullptr) *out = ev;
     return true;
   }
   return false;
+}
+
+void FaultPlan::fire(std::size_t i, msg::WorkerId w, double vtime,
+                     std::string detail) {
+  FaultEvent& ev = events_[i];
+  ev.fired = true;
+  fired_.push_back({vtime, w, ev.kind, 0, std::move(detail)});
+  if (record_path_.empty()) return;
+  recorded_.push_back(key(i));
+  write_record();
+}
+
+std::string FaultPlan::key(std::size_t i) const {
+  const FaultEvent& ev = events_[i];
+  char buf[224];
+  std::snprintf(buf, sizeof(buf),
+                "%zu %s worker=%d at=%.17g factor=%.17g sleep=%lld count=%lld",
+                i, fault_kind_name(ev.kind), ev.worker, ev.at_vtime, ev.factor,
+                static_cast<long long>(ev.sleep_ms),
+                static_cast<long long>(ev.count));
+  return buf;
+}
+
+void FaultPlan::write_record() {
+  std::string text = kRecordHeader;
+  for (const std::string& k : recorded_) text += k + "\n";
+  std::string error;
+  if (!atomic_write_file(record_path_, text.data(), text.size(), &error)) {
+    // Like a failed checkpoint save: the run goes on, and a resume may
+    // fire this entry again.
+    HETSGD_LOG_WARN("fault", "fault record write failed: %s", error.c_str());
+  }
+}
+
+void FaultPlan::load_record(const std::string& dir) {
+  std::ifstream in(dir + kRecordFile);  // a missing record reads as empty
+  MutexLock lock(mutex_);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line.front() != '#') recorded_.push_back(line);
+  }
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    if (std::find(recorded_.begin(), recorded_.end(), key(i)) !=
+        recorded_.end()) {
+      events_[i].fired = true;
+    }
+  }
+}
+
+void FaultPlan::record_in(const std::string& dir) {
+  MutexLock lock(mutex_);
+  record_path_ = dir + kRecordFile;
+  write_record();
 }
 
 bool FaultPlan::death_due(msg::WorkerId w, double vtime) {

@@ -80,6 +80,11 @@ struct FaultRecord {
 // exactly once, so a plan replayed with the same seed and schedule yields
 // the same run.
 //
+// Once per run across restarts (DESIGN.md §11): record_in() keeps a record
+// of the fired entries beside the checkpoints, rewritten before each
+// injection takes effect (a crash's before the SIGKILL), and a resume's
+// load_record() marks the entries it lists fired.
+//
 // Concurrency contract: every field is guarded by `mutex_` and annotated;
 // all public methods are self-locking (-Wthread-safety proves no access
 // escapes the lock).
@@ -122,7 +127,7 @@ class FaultPlan {
   bool corruption_due(msg::WorkerId w, double vtime) HETSGD_EXCLUDES(mutex_);
   // True when a whole-process crash (SIGKILL, simulating power loss) is
   // scheduled at/after `vtime` for worker `w`'s execute path. The caller
-  // raises the signal; by nature the "fired" record never survives.
+  // raises the signal; only the record written beforehand survives it.
   bool crash_due(msg::WorkerId w, double vtime) HETSGD_EXCLUDES(mutex_);
 
   // Number of consecutive transfer failures to inject (0 = none); the
@@ -130,17 +135,32 @@ class FaultPlan {
   std::int64_t transfer_failures_due(msg::WorkerId w, double vtime)
       HETSGD_EXCLUDES(mutex_);
 
-  // Injections that actually fired, in firing order.
+  // Injections that actually fired in this process, in firing order.
   std::vector<FaultRecord> fired() const HETSGD_EXCLUDES(mutex_);
+
+  // The fired-entry record; call after resolve_times, before any worker
+  // starts. load_record marks fired the entries `dir`'s record lists (a
+  // missing record lists none) and keeps its lines; record_in writes the
+  // record to the existing directory `dir` now and whenever an entry fires.
+  void load_record(const std::string& dir) HETSGD_EXCLUDES(mutex_);
+  void record_in(const std::string& dir) HETSGD_EXCLUDES(mutex_);
 
  private:
   bool consume(FaultKind kind, msg::WorkerId w, double vtime,
                FaultEvent* out) HETSGD_EXCLUDES(mutex_);
+  // Marks events_[i] fired in this process and persists the record.
+  void fire(std::size_t i, msg::WorkerId w, double vtime, std::string detail)
+      HETSGD_REQUIRES(mutex_);
+  // events_[i]'s line in the record, doubles printed exactly.
+  std::string key(std::size_t i) const HETSGD_REQUIRES(mutex_);
+  void write_record() HETSGD_REQUIRES(mutex_);
 
   mutable AnnotatedMutex mutex_;
   std::vector<FaultEvent> events_ HETSGD_GUARDED_BY(mutex_);
   std::vector<FaultRecord> fired_ HETSGD_GUARDED_BY(mutex_);
   std::uint64_t seed_ HETSGD_GUARDED_BY(mutex_) = 0;
+  std::string record_path_ HETSGD_GUARDED_BY(mutex_);  // empty = unrecorded
+  std::vector<std::string> recorded_ HETSGD_GUARDED_BY(mutex_);  // keys
 };
 
 // Fault-tolerance knobs (TrainingConfig::fault). Everything defaults off /

@@ -1,8 +1,6 @@
 #include "core/trainer.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <limits>
 #include <optional>
 #include <string>
@@ -11,13 +9,11 @@
 #include "common/csv_writer.hpp"
 #include "common/logging.hpp"
 #include "common/macros.hpp"
-#include "core/elastic.hpp"
 #include "core/worker.hpp"
 #include "core/minibatch_reference.hpp"
 #include "nn/serialize.hpp"
 #include "obs/clock.hpp"
 #include "obs/exporter.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace hetsgd::core {
@@ -135,6 +131,11 @@ TrainingResult Trainer::run_framework() {
       config_.fault.deadline_factor = 3.0;
     }
   }
+  // Entries an earlier process of this run fired stay fired, even when no
+  // checkpoint loads below: the crash may have come before the first cut.
+  if (!config_.fault.resume_dir.empty()) {
+    fault_plan.load_record(config_.fault.resume_dir);
+  }
 
   // Resume: load the newest valid checkpoint before any actor starts. A
   // missing/unusable directory degrades to a fresh start (the crash may
@@ -169,60 +170,37 @@ TrainingResult Trainer::run_framework() {
 
   Coordinator coordinator(working, model, config_, options_.eval_sample);
 
-  const auto cpu_limits = [this] {
-    const Index lanes = config_.cpu.sim_lanes;
-    AdaptiveController::WorkerLimits limits;
-    limits.quantum = lanes;
-    limits.min = lanes * config_.cpu.min_examples_per_thread;
-    limits.max = lanes * config_.cpu.max_examples_per_thread;
-    // "The CPU worker starts with a batch size of 1 example per thread —
-    // it performs Hogwild" (§VII-A).
-    limits.initial = lanes * config_.cpu.examples_per_thread;
-    return limits;
-  };
-  const auto gpu_limits = [this] {
-    AdaptiveController::WorkerLimits limits;
-    limits.quantum = 1;
-    limits.min = config_.gpu.min_batch;
-    limits.max = config_.gpu.max_batch;
-    // "The initial batch size is set to the upper threshold on the GPU
-    // workers" (§VII-A) — for the static algorithms, gpu.batch applies.
-    limits.initial = config_.algorithm == Algorithm::kAdaptiveHogbatch
-                         ? config_.gpu.max_batch
-                         : std::clamp(config_.gpu.batch, config_.gpu.min_batch,
-                                      config_.gpu.max_batch);
-    return limits;
-  };
-  const auto limits_for = [&](gpusim::DeviceKind kind) {
-    return kind == gpusim::DeviceKind::kCpu ? cpu_limits() : gpu_limits();
-  };
-
   // Every worker of the run, indexed by id: the initial set, then elastic
-  // joins in join order. Joins are appended by the elastic controller
-  // thread below while this thread waits in coordinator.join().
+  // joins in join order, which the coordinator thread appends through the
+  // factory below while this thread waits in coordinator.join().
   std::vector<std::unique_ptr<Worker>> workers;
   // Builds the next worker. `ordinal` names a GPU worker's device.
-  const auto make_worker = [&](gpusim::DeviceKind kind, int ordinal) {
-    auto w = std::make_unique<Worker>(
+  const auto make_worker = [&](gpusim::DeviceKind kind,
+                               int ordinal) -> Worker& {
+    workers.push_back(std::make_unique<Worker>(
         static_cast<msg::WorkerId>(workers.size()), config_, working, model,
         coordinator, kind,
-        kind == gpusim::DeviceKind::kCpu ? config_.real_threads : 1, ordinal);
-    if (!fault_plan.empty()) w->set_fault_plan(&fault_plan);
-    return w;
+        kind == gpusim::DeviceKind::kCpu ? config_.real_threads : 1, ordinal));
+    if (!fault_plan.empty()) workers.back()->set_fault_plan(&fault_plan);
+    return *workers.back();
   };
   if (algorithm_uses_cpu(config_.algorithm)) {
-    workers.push_back(make_worker(gpusim::DeviceKind::kCpu, 0));
+    coordinator.add_worker(make_worker(gpusim::DeviceKind::kCpu, 0),
+                           gpusim::DeviceKind::kCpu);
   }
   if (algorithm_uses_gpu(config_.algorithm)) {
     const int gpus = std::max(config_.gpu.worker_count, 1);
     for (int g = 0; g < gpus; ++g) {
-      workers.push_back(make_worker(gpusim::DeviceKind::kGpu, g));
+      coordinator.add_worker(make_worker(gpusim::DeviceKind::kGpu, g),
+                             gpusim::DeviceKind::kGpu);
     }
   }
   HETSGD_ASSERT(!workers.empty(), "algorithm selected no workers");
-  for (const auto& w : workers) {
-    coordinator.add_worker(*w, w->kind(), limits_for(w->kind()));
-  }
+  // A joined GPU worker is named by its id.
+  coordinator.set_worker_factory(
+      [&](msg::WorkerId id, gpusim::DeviceKind kind) -> msg::Actor& {
+        return make_worker(kind, static_cast<int>(id));
+      });
 
   // Checkpoint sink + restore, after every worker is registered and before
   // any actor starts.
@@ -231,6 +209,7 @@ TrainingResult Trainer::run_framework() {
     ckpt_mgr = std::make_unique<CheckpointManager>(
         config_.fault.checkpoint_dir, config_.fault.checkpoint_retain);
     coordinator.set_checkpoint_manager(ckpt_mgr.get());
+    fault_plan.record_in(ckpt_mgr->dir());
   }
   if (resume_ckpt) {
     std::string error;
@@ -246,46 +225,14 @@ TrainingResult Trainer::run_framework() {
     }
   }
 
-  // Elastic membership plan, driven by a controller thread below.
-  ElasticPlan elastic;
-  if (!config_.elastic_plan.empty()) {
-    std::string error;
-    const bool ok = ElasticPlan::parse(config_.elastic_plan, &elastic, &error);
-    HETSGD_ASSERT(ok, "invalid --elastic-plan spec");
-    elastic.resolve_times(config_.time_budget_vseconds);
-  }
-
-  // Live metrics export (src/obs). The collect hook runs on the exporter
-  // thread mid-run and scrapes the UpdateLedger / loss curve through
-  // their locked snapshot accessors — this is the concurrent observer the
-  // ledger's thread-safety contract promises to support.
+  // Live metrics export (src/obs): the exporter thread snapshots the
+  // registry, whose gauges the ledger and the coordinator keep current.
   obs::MetricsExporter::Options obs_opts;
   obs_opts.jsonl_path = config_.obs.metrics_out;
   obs_opts.interval_ms = config_.obs.metrics_interval_ms;
   obs_opts.port = static_cast<int>(config_.obs.metrics_port);
   obs::MetricsExporter exporter(obs_opts);
-  const bool export_metrics =
-      !config_.obs.metrics_out.empty() || config_.obs.metrics_port >= 0;
-  if (export_metrics) {
-    exporter.set_collect_hook([&coordinator] {
-      auto& reg = obs::MetricsRegistry::instance();
-      for (const WorkerStats& s : coordinator.ledger().all()) {
-        const std::string p = "hetsgd_worker" + std::to_string(s.id) + "_";
-        reg.gauge(p + "updates").set(static_cast<double>(s.updates));
-        reg.gauge(p + "examples").set(static_cast<double>(s.examples));
-        reg.gauge(p + "busy_vseconds").set(s.busy_vtime);
-        reg.gauge(p + "clock_vseconds").set(s.clock);
-        reg.gauge(p + "batch").set(static_cast<double>(s.current_batch));
-        reg.gauge(p + "max_staleness").set(s.max_staleness);
-      }
-      reg.gauge("hetsgd_fault_records").set(static_cast<double>(
-          coordinator.ledger().fault_records().size()));
-      const auto curve = coordinator.loss_curve_snapshot();
-      reg.gauge("hetsgd_loss_points").set(static_cast<double>(curve.size()));
-      if (!curve.empty()) {
-        reg.gauge("hetsgd_loss_latest").set(curve.back().loss);
-      }
-    });
+  if (!config_.obs.metrics_out.empty() || config_.obs.metrics_port >= 0) {
     std::string error;
     if (!exporter.start(&error)) {
       HETSGD_LOG_WARN("trainer", "metrics exporter disabled: %s",
@@ -298,55 +245,11 @@ TrainingResult Trainer::run_framework() {
 
   for (const auto& w : workers) w->start();
   coordinator.start();
-
-  // Elastic controller: watches the virtual frontier and fires the planned
-  // join/retire events. Joined workers are owned by `workers`; the
-  // coordinator winds them down (retire or final shutdown) and we join
-  // their threads after the run.
-  std::atomic<bool> elastic_stop{false};
-  std::thread elastic_thread;
-  if (!elastic.empty()) {
-    elastic_thread = std::thread([&] {
-      std::size_t next = 0;
-      // Acquire pairs with the release store below: when the controller
-      // thread sees the stop flag it also sees the coordinator's final
-      // state, not a stale view from before join() returned.
-      while (next < elastic.events.size() &&
-             !elastic_stop.load(std::memory_order_acquire)) {
-        const ElasticEvent& ev = elastic.events[next];
-        if (coordinator.final_vtime() < ev.at_vtime) {
-          // hetsgd-analyze: allow(wall-clock-core) same sanction as below.
-          // hetsgd-lint: allow(wall-clock) the controller models an
-          // operator outside the virtual-time system; it polls in real time.
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          continue;
-        }
-        if (ev.kind == ElasticEvent::Kind::kRetire) {
-          if (!coordinator.retire_worker(ev.worker)) {
-            HETSGD_LOG_WARN("trainer", "elastic retire of worker %d refused",
-                            ev.worker);
-          }
-        } else {
-          // A joined GPU worker is named by its id.
-          auto w = make_worker(ev.device, static_cast<int>(workers.size()));
-          if (coordinator.join_worker(*w, ev.device,
-                                      limits_for(ev.device)) >= 0) {
-            w->start();
-            workers.push_back(std::move(w));
-          }
-        }
-        ++next;
-      }
-    });
-  }
-
   coordinator.join();
-  elastic_stop.store(true, std::memory_order_release);
-  if (elastic_thread.joinable()) elastic_thread.join();
+  // The coordinator started any joined workers and sent every worker its
+  // Shutdown; its join() orders their appends to `workers` before this.
   for (const auto& w : workers) w->join();
-  // Final snapshot at the quiescent point; must precede the coordinator
-  // leaving scope since the collect hook reads through it.
-  exporter.stop();
+  exporter.stop();  // final snapshot at the quiescent point
 
   TrainingResult result;
   result.algorithm = config_.algorithm;

@@ -5,24 +5,28 @@
 // worker's progress (clock, busy time, update count) that checkpoints
 // persist and resumed workers continue from.
 //
-// Concurrency contract: internally synchronized. Every field is guarded by
-// `mu_` and annotated (-Wthread-safety rejects unlocked access); accessors
-// return snapshots by value, never references into guarded state. During
-// training only the coordinator thread calls in, so the uncontended lock
-// costs ~20 ns per call; the locking exists so live-monitoring threads
-// (metrics endpoints, the planned serving layer) can read a consistent
-// ledger mid-run without a contract change.
+// Each mutating method also publishes what it changed to the metrics
+// registry: the hetsgd_worker<id>_{updates,examples,busy_vseconds,
+// clock_vseconds,batch,max_staleness} gauges and hetsgd_fault_records.
+// Exporter threads read those gauges, never the ledger.
+//
+// Concurrency contract (DESIGN.md §10, regime 2): not synchronized. After
+// the coordinator starts, only its actor thread touches its ledger; the
+// Trainer reads it after Actor::join(), the happens-before edge.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "core/fault.hpp"
 #include "gpusim/perf_model.hpp"
 #include "msg/message.hpp"
 #include "tensor/types.hpp"
+
+namespace hetsgd::obs {
+class Gauge;
+}  // namespace hetsgd::obs
 
 namespace hetsgd::core {
 
@@ -61,63 +65,68 @@ struct WorkerStats {
 
 class UpdateLedger {
  public:
+  // Zeroes hetsgd_fault_records: the gauge is process-global.
+  UpdateLedger();
+
   // Registers a worker; ids must be dense [0, n).
   void register_worker(msg::WorkerId id, std::string name,
-                       gpusim::DeviceKind kind, tensor::Index initial_batch)
-      HETSGD_EXCLUDES(mu_);
+                       gpusim::DeviceKind kind, tensor::Index initial_batch);
 
-  // Snapshot of one worker's stats (copy, safe to hold across updates).
-  WorkerStats stats(msg::WorkerId id) const HETSGD_EXCLUDES(mu_);
-  // Snapshot of all workers' stats.
-  std::vector<WorkerStats> all() const HETSGD_EXCLUDES(mu_);
+  const WorkerStats& stats(msg::WorkerId id) const;
+  const std::vector<WorkerStats>& all() const { return workers_; }
+  std::size_t worker_count() const { return workers_.size(); }
 
-  std::size_t worker_count() const HETSGD_EXCLUDES(mu_);
-
-  // Hot-path scalar reads (coordinator scheduling loop).
-  double clock(msg::WorkerId id) const HETSGD_EXCLUDES(mu_);
-  double busy_vtime(msg::WorkerId id) const HETSGD_EXCLUDES(mu_);
-  tensor::Index current_batch(msg::WorkerId id) const HETSGD_EXCLUDES(mu_);
   // Records the batch size the adaptive controller just assigned.
-  void set_current_batch(msg::WorkerId id, tensor::Index batch)
-      HETSGD_EXCLUDES(mu_);
+  void set_current_batch(msg::WorkerId id, tensor::Index batch);
 
   // Folds a completed-batch report into the ledger.
-  void on_report(const msg::ScheduleWork& report) HETSGD_EXCLUDES(mu_);
+  void on_report(const msg::ScheduleWork& report);
 
   // Folds a *late* report — one whose batch was already reclaimed after a
   // deadline miss. Clocks, update counts, and utilization advance (the
   // Hogwild updates really happened), but examples/batches do NOT: the
   // reclaimed range was re-dispatched elsewhere and counting it twice
   // would break `dispatched == reported + reclaimed`.
-  void on_late_report(const msg::ScheduleWork& report) HETSGD_EXCLUDES(mu_);
+  void on_late_report(const msg::ScheduleWork& report);
 
   // Checkpoint restore: overwrites the counters of an already-registered
   // worker (matched by stats.id) with the persisted values. Name and kind
   // keep the freshly-registered values — they describe this process's
   // workers, not the dead one's.
-  void restore_stats(const WorkerStats& stats) HETSGD_EXCLUDES(mu_);
+  void restore_stats(const WorkerStats& stats);
 
   // --- fault / recovery event log ---------------------------------------
   // Coordinator-side detections and recovery actions, in detection order;
   // injections recorded by the FaultPlan are merged in by the Trainer.
-  void record_fault(FaultRecord record) HETSGD_EXCLUDES(mu_);
-  std::vector<FaultRecord> fault_records() const HETSGD_EXCLUDES(mu_);
+  void record_fault(FaultRecord record);
+  const std::vector<FaultRecord>& fault_records() const { return faults_; }
 
-  std::uint64_t total_updates() const HETSGD_EXCLUDES(mu_);
-  std::uint64_t total_examples() const HETSGD_EXCLUDES(mu_);
-  std::uint64_t updates_by_kind(gpusim::DeviceKind kind) const
-      HETSGD_EXCLUDES(mu_);
+  std::uint64_t total_updates() const;
+  std::uint64_t total_examples() const;
+  std::uint64_t updates_by_kind(gpusim::DeviceKind kind) const;
 
   // Largest clock among all workers: the virtual frontier.
-  double max_clock() const HETSGD_EXCLUDES(mu_);
+  double max_clock() const;
 
  private:
-  WorkerStats& stats_locked(msg::WorkerId id) HETSGD_REQUIRES(mu_);
-  const WorkerStats& stats_locked(msg::WorkerId id) const HETSGD_REQUIRES(mu_);
+  // One worker's gauges, resolved at registration.
+  struct Gauges {
+    obs::Gauge* updates = nullptr;
+    obs::Gauge* examples = nullptr;
+    obs::Gauge* busy = nullptr;
+    obs::Gauge* clock = nullptr;
+    obs::Gauge* batch = nullptr;
+    obs::Gauge* max_staleness = nullptr;
+  };
 
-  mutable AnnotatedMutex mu_;
-  std::vector<WorkerStats> workers_ HETSGD_GUARDED_BY(mu_);
-  std::vector<FaultRecord> faults_ HETSGD_GUARDED_BY(mu_);
+  WorkerStats& at(msg::WorkerId id);
+  // Sets worker `s.id`'s gauges from its stats.
+  void publish(const WorkerStats& s) const;
+
+  std::vector<WorkerStats> workers_;
+  std::vector<Gauges> gauges_;  // parallel to workers_
+  std::vector<FaultRecord> faults_;
+  obs::Gauge* fault_records_;  // hetsgd_fault_records
 };
 
 }  // namespace hetsgd::core

@@ -24,8 +24,8 @@ class UtilizationMonitor {
  public:
   explicit UtilizationMonitor(std::size_t workers);
 
-  // Grows the monitor by one worker (elastic join). New workers get the
-  // next dense id; their pre-join history is empty idle time.
+  // Grows the monitor by one worker, with the next dense id. A worker that
+  // joins mid-run has an empty (idle) history before its join.
   void add_worker();
 
   void record(msg::WorkerId worker, double t0, double t1, double intensity);

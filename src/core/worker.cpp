@@ -97,9 +97,9 @@ void Worker::release_scratch() {
 }
 
 bool Worker::handle(msg::Envelope envelope) {
-  // hetsgd-analyze: dispatch ignores(ScheduleWork, WorkerFault, ShutdownAck,
-  // WorkerJoin, WorkerRetire) — coordinator-bound messages; a worker
-  // mailbox only ever receives work and shutdown.
+  // hetsgd-analyze: dispatch ignores(ScheduleWork, WorkerFault, ShutdownAck)
+  // — coordinator-bound messages; a worker mailbox only ever receives work
+  // and shutdown.
   if (std::holds_alternative<msg::ExecuteWork>(envelope.message)) {
     return execute(std::get<msg::ExecuteWork>(envelope.message));
   }

@@ -11,11 +11,14 @@
 //   - send() is the ONLY member safe to call from any thread; it delegates
 //     to the internally-synchronized MpscQueue mailbox.
 //   - start()/join() and the fields started_, thread_, idle_interval_ are
-//     OWNER-THREAD-CONFINED: touched by the thread that constructed the
-//     actor, before start() or after join().
+//     OWNER-THREAD-CONFINED: touched by the thread that constructed and
+//     started the actor, and after that only by a thread ordered after it
+//     by a join(). A worker an elastic join adds is built and started on
+//     the coordinator's actor thread; the Trainer joins it after
+//     coordinator.join(), which orders the start before the join.
 //   - handle()/on_start()/on_stop()/on_idle()/on_handle_exception() run on
 //     the actor thread only; subclass state they touch is actor-thread-
-//     confined unless the subclass locks it (see core::Coordinator).
+//     confined unless the subclass locks it.
 #pragma once
 
 #include <chrono>

@@ -6,6 +6,8 @@
 // an index range into the shared training data, never a copy), and
 // Shutdown tears the loop down. Data always travels by reference through
 // shared memory; only these small structs flow through the queues.
+// Elastic membership changes are not messages: the coordinator fires them
+// on its own thread when the virtual frontier reaches their triggers.
 #pragma once
 
 #include <cstdint>
@@ -81,21 +83,8 @@ struct ShutdownAck {
   WorkerId worker = 0;
 };
 
-// Elastic membership (coordinator self-notifications). join_worker /
-// retire_worker register the change under the coordinator's lock from the
-// calling thread, then post these so the follow-up scheduling work
-// (dispatching to the newcomer, reclaiming the retiree's in-flight batch)
-// runs on the coordinator's own message loop like every other transition.
-struct WorkerJoin {
-  WorkerId worker = 0;
-};
-
-struct WorkerRetire {
-  WorkerId worker = 0;
-};
-
 using Message = std::variant<ScheduleWork, ExecuteWork, Shutdown, ShutdownAck,
-                             WorkerFault, WorkerJoin, WorkerRetire>;
+                             WorkerFault>;
 
 // A message plus its sender.
 struct Envelope {

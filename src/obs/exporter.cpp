@@ -36,10 +36,6 @@ MetricsExporter::MetricsExporter(Options options)
 
 MetricsExporter::~MetricsExporter() { stop(); }
 
-void MetricsExporter::set_collect_hook(std::function<void()> hook) {
-  collect_hook_ = std::move(hook);
-}
-
 bool MetricsExporter::start(std::string* error) {
   if (running_.load(std::memory_order_relaxed)) return true;
   if (!options_.jsonl_path.empty()) {
@@ -120,7 +116,6 @@ void MetricsExporter::stop() {
 }
 
 void MetricsExporter::write_snapshot() {
-  if (collect_hook_) collect_hook_();
   const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
   if (jsonl_ != nullptr) {
     const std::string line = MetricsRegistry::jsonl_line(snap);
@@ -162,7 +157,6 @@ void MetricsExporter::scrape_main() {
     // Drain (and ignore) whatever request line the client sent.
     char discard[512];
     (void)::recv(client, discard, sizeof(discard), MSG_DONTWAIT);
-    if (collect_hook_) collect_hook_();
     const std::string text = MetricsRegistry::prometheus_text(
         MetricsRegistry::instance().snapshot());
     std::string response =

@@ -2,18 +2,19 @@
 // endpoint, plus the observability CLI surface (ObsOptions /
 // register_obs_flags) shared by every binary.
 //
-// The exporter thread wakes every interval, runs the collect hook (the
-// trainer installs a scraper there that reads the live UpdateLedger),
-// snapshots the registry and appends one JSONL line. With port >= 0 a
-// second thread serves the current snapshot as Prometheus text
-// (text/plain; version=0.0.4) on 127.0.0.1.
+// The exporter thread wakes every interval, snapshots the registry and
+// appends one JSONL line. With port >= 0 a second thread serves the
+// current snapshot as Prometheus text (text/plain; version=0.0.4) on
+// 127.0.0.1. Both read only the registry's atomics: the code that owns a
+// value keeps its metric current (the UpdateLedger its per-worker gauges,
+// the coordinator its loss-curve gauges), so no exporter thread reads
+// training state.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <thread>
 
@@ -53,10 +54,6 @@ class MetricsExporter {
   MetricsExporter(const MetricsExporter&) = delete;
   MetricsExporter& operator=(const MetricsExporter&) = delete;
 
-  // Runs on the exporter thread immediately before each snapshot; must
-  // be installed before start().
-  void set_collect_hook(std::function<void()> hook);
-
   // Returns false (with *error) if the output file or socket cannot be
   // set up. Idempotent while running.
   bool start(std::string* error);
@@ -74,7 +71,6 @@ class MetricsExporter {
   void write_snapshot();
 
   Options options_;
-  std::function<void()> collect_hook_;
   std::atomic<bool> running_{false};
   std::atomic<int> scrape_port_{-1};
   std::atomic<std::uint64_t> snapshots_{0};

@@ -11,6 +11,7 @@
 
 #include "core/elastic.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -111,6 +112,14 @@ void expect_same_trajectory(const TrainingResult& a, const TrainingResult& b) {
   }
   EXPECT_EQ(a.final_model_bytes, b.final_model_bytes)
       << "final model parameters differ bitwise";
+}
+
+// The first record of `kind` in the run's fault log, or nullptr.
+const FaultRecord* find_record(const TrainingResult& r, FaultKind kind) {
+  for (const FaultRecord& e : r.fault_events) {
+    if (e.kind == kind) return &e;
+  }
+  return nullptr;
 }
 
 // --- byte I/O -------------------------------------------------------------
@@ -802,6 +811,72 @@ TEST(Resume, DeadWorkerRejoinsWhenThePlanIsDropped) {
   std::filesystem::remove_all(dir);
 }
 
+// One run of `config` uninterrupted, one to half its budget with a cut at
+// every epoch barrier in `dir`, and one resumed from those cuts to the
+// full budget under the same flags.
+struct CutAndResume {
+  TrainingResult full;
+  TrainingResult first_leg;
+  TrainingResult second_leg;
+};
+
+CutAndResume run_cut_and_resume(const TrainingConfig& config,
+                                const std::string& dir) {
+  CutAndResume out;
+  out.full = Trainer(small_dataset(), config).run();
+  TrainingConfig half = config;
+  half.time_budget_vseconds = config.time_budget_vseconds / 2.0;
+  half.fault.checkpoint_dir = dir;
+  out.first_leg = Trainer(small_dataset(), half).run();
+  TrainingConfig resumed = config;
+  resumed.fault.checkpoint_dir = dir;
+  resumed.fault.resume_dir = dir;
+  out.second_leg = Trainer(small_dataset(), resumed).run();
+  return out;
+}
+
+TEST(Resume, FiredInjectionDoesNotFireAgainUnderTheSamePlan) {
+  const std::string dir = temp_dir("hetsgd_resume_nan");
+  TrainingConfig config = deterministic_config();
+  // An absolute trigger: `atfrac` would resolve against each leg's budget.
+  config.fault.plan = "nan:worker=0,at=0.004";
+  const CutAndResume r = run_cut_and_resume(config, dir);
+  ASSERT_EQ(r.full.rollbacks, 1u);
+  // The first leg fired the injection and rolled back before its last cut.
+  ASSERT_EQ(r.first_leg.rollbacks, 1u);
+  std::string error;
+  const auto latest = CheckpointManager::load_latest(dir, &error);
+  ASSERT_TRUE(latest.has_value()) << error;
+  ASSERT_EQ(latest->rollbacks, 1u) << "no cut after the rollback";
+
+  // Resumed under the same plan, the run neither re-fires the injection
+  // nor rolls back again: it continues the uninterrupted trajectory.
+  EXPECT_TRUE(r.second_leg.resumed);
+  EXPECT_EQ(find_record(r.second_leg, FaultKind::kGradientCorruption),
+            nullptr);
+  EXPECT_EQ(r.second_leg.rollbacks, r.full.rollbacks);
+  EXPECT_EQ(r.second_leg.final_lr_scale, r.full.final_lr_scale);
+  expect_same_trajectory(r.full, r.second_leg);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Resume, MaturedStallKeepsSlowingWithoutASecondRecord) {
+  const std::string dir = temp_dir("hetsgd_resume_stall");
+  TrainingConfig config = deterministic_config();
+  const TrainingResult unstalled = Trainer(small_dataset(), config).run();
+  config.fault.plan = "stall:worker=0,at=0.004,factor=2";
+  const CutAndResume r = run_cut_and_resume(config, dir);
+  ASSERT_LT(r.full.epochs, unstalled.epochs) << "the stall slowed nothing";
+  ASSERT_NE(find_record(r.first_leg, FaultKind::kStall), nullptr);
+  // Stalls persist within a run: the resumed worker stays slowed, so the
+  // trajectory is the uninterrupted one, and the stall is not recorded as
+  // firing a second time.
+  EXPECT_TRUE(r.second_leg.resumed);
+  EXPECT_EQ(find_record(r.second_leg, FaultKind::kStall), nullptr);
+  expect_same_trajectory(r.full, r.second_leg);
+  std::filesystem::remove_all(dir);
+}
+
 // --- elastic membership ---------------------------------------------------
 
 TEST(Elastic, PlanParsesAndRejects) {
@@ -895,6 +970,73 @@ TEST(Elastic, JoinThenRetireKeepsTraining) {
   EXPECT_TRUE(std::isfinite(r.final_loss));
   EXPECT_EQ(r.workers_joined, 1u);
   EXPECT_EQ(r.workers_retired, 1u);
+  expect_ledger_invariant(r);
+}
+
+double longest_busy_segment(const TrainingResult& r) {
+  double longest = 0.0;
+  for (const WorkerSummary& w : r.workers) {
+    for (const BusySegment& s : w.segments) {
+      longest = std::max(longest, s.t1 - s.t0);
+    }
+  }
+  return longest;
+}
+
+// An elastic event fires in the handler of the first report that carries
+// the virtual frontier to its trigger T. That report's batch started
+// before T, so the event's record, stamped with the frontier, lies in
+// [T, T + the batch's busy segment).
+void expect_fired_at_frontier(const TrainingResult& r, FaultKind kind,
+                              double trigger) {
+  const FaultRecord* e = find_record(r, kind);
+  ASSERT_NE(e, nullptr) << fault_kind_name(kind);
+  EXPECT_GE(e->vtime, trigger) << fault_kind_name(kind);
+  EXPECT_LT(e->vtime, trigger + longest_busy_segment(r))
+      << fault_kind_name(kind);
+}
+
+TEST(Elastic, JoinFiresAtTheVirtualFrontier) {
+  TrainingConfig config = small_config();
+  config.time_budget_vseconds = 0.02;
+  config.elastic_plan = "join:kind=gpu,atfrac=0.25";
+  Trainer t(small_dataset(), config);
+  const TrainingResult r = t.run();
+  EXPECT_EQ(r.workers_joined, 1u);
+  expect_fired_at_frontier(r, FaultKind::kWorkerJoin, 0.005);
+}
+
+TEST(Elastic, RetireFiresAtTheVirtualFrontier) {
+  TrainingConfig config = small_config();
+  config.time_budget_vseconds = 0.02;
+  config.elastic_plan = "retire:worker=1,atfrac=0.4";
+  Trainer t(small_dataset(), config);
+  const TrainingResult r = t.run();
+  EXPECT_EQ(r.workers_retired, 1u);
+  expect_fired_at_frontier(r, FaultKind::kWorkerRetire, 0.008);
+}
+
+TEST(Elastic, EventsAtZeroFireBeforeTheFirstDispatch) {
+  TrainingConfig config = small_config();
+  config.elastic_plan = "retire:worker=1,at=0;join:kind=gpu,at=0";
+  Trainer t(small_dataset(), config);
+  const TrainingResult r = t.run();
+  ASSERT_EQ(r.workers.size(), 3u);
+  const FaultRecord* retire = find_record(r, FaultKind::kWorkerRetire);
+  const FaultRecord* join = find_record(r, FaultKind::kWorkerJoin);
+  ASSERT_NE(retire, nullptr);
+  ASSERT_NE(join, nullptr);
+  EXPECT_EQ(retire->vtime, 0.0);
+  EXPECT_EQ(join->vtime, 0.0);
+  // The retiree never received a batch, so nothing was reclaimed from it.
+  EXPECT_EQ(r.workers[1].updates, 0u);
+  EXPECT_EQ(r.workers[1].batches, 0u);
+  EXPECT_EQ(r.examples_reclaimed, 0u);
+  EXPECT_EQ(find_record(r, FaultKind::kReclaim), nullptr);
+  // The joiner took its first batch at the start of the run.
+  ASSERT_FALSE(r.workers[2].segments.empty());
+  EXPECT_EQ(r.workers[2].segments.front().t0, 0.0);
+  EXPECT_GT(r.workers[2].updates, 0u);
   expect_ledger_invariant(r);
 }
 

@@ -2,7 +2,12 @@
 // algorithm on a small synthetic problem.
 #include "core/trainer.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -355,6 +360,69 @@ TEST(Trainer, HeterogeneousBeatsGpuOnlyInTimeToLoss) {
   const double gpu_rate =
       static_cast<double>(gpu_r.gpu_updates) / gpu_r.total_vtime;
   EXPECT_GT(het_rate, 2.0 * gpu_rate);
+}
+
+// The value of metric `name` in one metrics JSONL line (NaN if absent).
+double jsonl_metric(const std::string& line, const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = line.find(key);
+  if (at == std::string::npos) return std::nan("");
+  return std::strtod(line.c_str() + at + key.size(), nullptr);
+}
+
+// The ledger and the coordinator publish their gauges where the values
+// change, so the exporter's final snapshot ends on the run's results.
+TEST(Trainer, MetricsJsonlEndsOnTheResultsStats) {
+  TrainingConfig config = small_config(Algorithm::kAdaptiveHogbatch);
+  config.obs.metrics_out =
+      (std::filesystem::temp_directory_path() / "trainer_test_metrics.jsonl")
+          .string();
+  config.obs.metrics_interval_ms = 5.0;
+  // A joiner's gauges, plus injected (plan) and detected (ledger) records.
+  config.elastic_plan = "join:kind=gpu,atfrac=0.2";
+  config.fault.plan = "nan:worker=1,atfrac=0.3";
+  Trainer trainer(small_dataset(), config);
+  const TrainingResult r = trainer.run();
+
+  std::ifstream in(config.obs.metrics_out);
+  std::string line;
+  std::string last;
+  while (std::getline(in, line)) last = line;
+  ASSERT_FALSE(last.empty());
+
+  ASSERT_EQ(r.workers.size(), 3u);
+  for (std::size_t i = 0; i < r.workers.size(); ++i) {
+    const WorkerSummary& w = r.workers[i];
+    const std::string p = "hetsgd_worker" + std::to_string(i) + "_";
+    // JSONL prints 10 significant digits.
+    const auto near = [](double v) { return 1e-9 * std::max(1.0, v); };
+    EXPECT_EQ(jsonl_metric(last, p + "updates"),
+              static_cast<double>(w.updates)) << p;
+    EXPECT_EQ(jsonl_metric(last, p + "examples"),
+              static_cast<double>(w.examples)) << p;
+    EXPECT_EQ(jsonl_metric(last, p + "batch"),
+              static_cast<double>(w.final_batch)) << p;
+    EXPECT_NEAR(jsonl_metric(last, p + "busy_vseconds"), w.busy_vtime,
+                near(w.busy_vtime)) << p;
+    EXPECT_NEAR(jsonl_metric(last, p + "clock_vseconds"), w.final_clock,
+                near(w.final_clock)) << p;
+    EXPECT_NEAR(jsonl_metric(last, p + "max_staleness"), w.max_staleness,
+                near(w.max_staleness)) << p;
+  }
+  std::size_t detected = 0;
+  for (const FaultRecord& e : r.fault_events) {
+    if (e.kind > FaultKind::kCrash) ++detected;  // not an injection
+  }
+  EXPECT_GT(detected, 0u);
+  EXPECT_LT(detected, r.fault_events.size());
+  EXPECT_EQ(jsonl_metric(last, "hetsgd_fault_records"),
+            static_cast<double>(detected));
+  ASSERT_FALSE(r.loss_curve.empty());
+  EXPECT_EQ(jsonl_metric(last, "hetsgd_loss_points"),
+            static_cast<double>(r.loss_curve.size()));
+  EXPECT_NEAR(jsonl_metric(last, "hetsgd_loss_latest"),
+              r.loss_curve.back().loss, 1e-9);
+  std::filesystem::remove(config.obs.metrics_out);
 }
 
 }  // namespace

@@ -12,9 +12,9 @@ Rules (each a short, greppable id):
   wall-clock        Wall-clock constructs (`steady_clock::now`,
                     `system_clock::now`, `time(`, `sleep_for`,
                     `sleep_until`) inside src/core/. Core scheduling runs
-                    on virtual time; real time is allowed only in the
-                    designated shims (actor idle ticks, injected stalls)
-                    which carry waivers.
+                    on virtual time; the one sanctioned real-time shim is
+                    the injected stall's sleep, which carries a waiver
+                    (elastic events fire at the virtual frontier).
 
   naked-new         `new` / `delete` expressions outside the lock-free
                     queue node internals. Everything else owns memory via
