@@ -89,7 +89,8 @@ void run_direct(Operands& o) {
 void run_backend(backend::Backend& b, Operands& o) {
   b.gemm_bias_act(o.x.view(), o.w.view(), o.bias.view(), o.out.view(),
                   tensor::Epilogue::kBiasTanh, 0.0);
-  b.matmul_tn(o.delta.view(), o.x.view(), o.grad_w.view(), 0.0);
+  b.matmul_tn(Scalar{1}, o.delta.view(), o.x.view(), Scalar{0},
+              o.grad_w.view(), 0.0);
   b.col_sums(o.delta.view(), o.grad_b.view(), 0.0);
   b.matmul_nn(o.delta.view(), o.w.view(), o.prev_delta.view(), 0.0);
   b.activation_backward(nn::Activation::kTanh, o.out.view(),

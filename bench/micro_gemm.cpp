@@ -5,14 +5,15 @@
 // with, compiled with identical flags in this binary so the comparison
 // isolates kernel structure. Shapes follow the paper's training hot path:
 // skinny batches m ∈ {1, 4, 16} are what the CPU Hogbatch workers run,
-// wide batches m ∈ {256, 1024} are GPU-style minibatches. Input-density
+// wide batches m ∈ {256, 1024} are GPU-style minibatches, and the k = 1
+// products are the Hogwild lanes' 1-row weight updates. Input-density
 // benchmarks on first-layer and hidden-layer shapes time the dense kernel
 // against the zero-skipping path for sparse inputs and its selection rule.
 //
 // scripts/bench_smoke.sh runs this binary (in a -DHETSGD_NATIVE=ON build)
 // and distills the GFLOP/s counters into BENCH_gemm.json;
 // scripts/check_bench_regression.py gates changes against the checked-in
-// baseline.
+// baseline on each variant's best repetition.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -39,7 +40,8 @@ using tensor::Trans;
 // ---------------------------------------------------------------------------
 // Frozen seed kernel (pre-PR `tensor::gemm`): per-element MatrixView block
 // kernels, OpenMP gate `m >= 2 * kBlockM` (never parallel for skinny m).
-// Kept verbatim as the benchmark baseline; do not optimize.
+// Kept verbatim as the benchmark baseline; do not optimize. block_tn was
+// added for the k = 1 weight-update points, in block_nn's style.
 namespace seed {
 
 constexpr Index kBlockM = 64;
@@ -77,6 +79,20 @@ void block_nt(Scalar alpha, ConstMatrixView a, ConstMatrixView b, MatrixView c,
   }
 }
 
+void block_tn(Scalar alpha, ConstMatrixView a, ConstMatrixView b, MatrixView c,
+              Index i0, Index i1, Index j0, Index j1, Index k0, Index k1) {
+  for (Index i = i0; i < i1; ++i) {
+    Scalar* crow = c.row(i);
+    for (Index k = k0; k < k1; ++k) {
+      const Scalar aki = alpha * a(k, i);
+      const Scalar* brow = b.row(k);
+      for (Index j = j0; j < j1; ++j) {
+        crow[j] += aki * brow[j];
+      }
+    }
+  }
+}
+
 void seed_gemm(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
                ConstMatrixView b, Scalar beta, MatrixView c) {
   tensor::GemmDims d = tensor::check_gemm_shapes(ta, tb, a, b, c);
@@ -101,8 +117,10 @@ void seed_gemm(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
           block_nn(alpha, a, b, c, i0, i1, j0, j1, k0, k1);
         } else if (ta == Trans::kNo && tb == Trans::kYes) {
           block_nt(alpha, a, b, c, i0, i1, j0, j1, k0, k1);
+        } else if (ta == Trans::kYes && tb == Trans::kNo) {
+          block_tn(alpha, a, b, c, i0, i1, j0, j1, k0, k1);
         }
-        // (TN/TT omitted: the bench shapes below only exercise NN/NT.)
+        // (TT omitted: the bench shapes below never transpose both.)
       }
     }
   }
@@ -166,6 +184,34 @@ void BM_GemmNT_MlpForwardShape(benchmark::State& state) {
 BENCHMARK(BM_GemmNT_MlpForwardShape)
     ->ArgsProduct({{1, 4, 16, 64, 256, 1024}, {0, 1}})
     ->ArgNames({"m", "seed"});
+
+// The Hogwild lanes' k = 1 products: a 1-row batch's weight update
+// W += -eta * delta^T * h (out x in, A transposed) on the delicious bench
+// MLP's output (805 x 48), first (48 x 500) and hidden (48 x 48) layers.
+void BM_GemmTN_Rank1(benchmark::State& state) {
+  const Index m = state.range(0), n = state.range(1);
+  const bool use_seed = state.range(2) != 0;
+  Rng rng(3);
+  Matrix delta(1, m), h(1, n), w(m, n);
+  tensor::fill_normal(delta.view(), rng, 0, 1);
+  tensor::fill_normal(h.view(), rng, 0, 1);
+  tensor::fill_normal(w.view(), rng, 0, 1);
+  for (auto _ : state) {
+    if (use_seed) {
+      seed::seed_gemm(Trans::kYes, Trans::kNo, -1e-4, delta.view(), h.view(),
+                      1.0, w.view());
+    } else {
+      tensor::gemm(Trans::kYes, Trans::kNo, -1e-4, delta.view(), h.view(),
+                   1.0, w.view());
+    }
+    benchmark::DoNotOptimize(w.data());
+  }
+  set_gflops(state, m, n, 1);
+}
+BENCHMARK(BM_GemmTN_Rank1)
+    ->ArgsProduct({{805}, {48}, {0, 1}})
+    ->ArgsProduct({{48}, {500, 48}, {0, 1}})
+    ->ArgNames({"m", "n", "seed"});
 
 // The three passes gemm_bias_act fuses: out = tanh(x * W^T + bias) as the
 // product, then a pass adding the bias, then a pass applying tanh.

@@ -5,8 +5,14 @@
 //
 // The update is the one a Hogwild lane runs (Worker::ensure_lane_capacity
 // and execute_hogwild): each lane owns a zero-copy Backend whose
-// MlpExecutor is bound to the shared model and the lane's gradient, and
-// Model::axpy applies the plain SGD step.
+// MlpExecutor is bound to the shared model and takes the plain SGD step in
+// place (MlpExecutor::sgd_step), with no gradient of its own.
+//
+// Two model shapes: a small one (54 inputs, two 32-unit layers, 2
+// classes) and delicious at bench scale (500 inputs at 12% nonzero, 8 tanh
+// layers of 48 units, 805 classes), whose single-example updates are
+// dominated by the k = 1 weight-update products. scripts/bench_smoke.sh
+// records the lane points in bench_results/BENCH_hogwild.json, ungated.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -19,6 +25,7 @@
 #include "core/adaptive.hpp"
 #include "data/synthetic.hpp"
 #include "nn/model.hpp"
+#include "obs/clock.hpp"
 
 namespace {
 
@@ -33,28 +40,85 @@ nn::MlpConfig bench_mlp(tensor::Index dim, std::int32_t classes) {
   return c;
 }
 
-// One Hogwild lane: its backend, executor and gradient slab.
+// The small shape's 1024 examples.
+data::Dataset small_dataset() {
+  data::SyntheticSpec spec;
+  spec.examples = 1024;
+  spec.dim = 54;
+  spec.classes = 2;
+  return data::make_synthetic(spec);
+}
+
+// delicious at bench scale: e2ebench's delicious-hogwild model.
+nn::MlpConfig delicious_mlp() {
+  nn::MlpConfig c;
+  c.input_dim = 500;
+  c.num_classes = 805;
+  c.hidden_layers = 8;
+  c.hidden_units = 48;
+  c.hidden_activation = nn::Activation::kTanh;
+  return c;
+}
+
+data::Dataset delicious_dataset() {
+  data::SyntheticSpec spec;
+  spec.examples = 1024;
+  spec.dim = 500;
+  spec.classes = 805;
+  spec.density = 0.12;
+  return data::make_synthetic(spec);
+}
+
+// One Hogwild lane: its backend and executor.
 struct Lane {
   Lane(nn::Model& shared, tensor::Index max_batch)
       : backend(gpusim::xeon56_spec(), backend::Backend::Mode::kZeroCopy),
-        grad(nn::make_zero_gradient(shared)),
         exec(backend, shared.config(), max_batch) {
     exec.bind_shared_model(shared);
-    exec.bind_host_gradient(grad);
   }
 
-  // One example's gradient against the live shared model, applied to it
-  // with no synchronization.
-  void step(const data::Dataset& d, tensor::Index row, nn::Model& shared) {
-    exec.compute_gradient(d.batch_features(row, 1), d.batch_labels(row, 1),
-                          0.0, nullptr);
-    shared.axpy(-1e-4, grad);
+  // One example's SGD step, taken in place on the live shared model with
+  // no synchronization.
+  void step(const data::Dataset& d, tensor::Index row) {
+    exec.sgd_step(d.batch_features(row, 1), d.batch_labels(row, 1), 1e-4);
   }
 
   backend::Backend backend;
-  nn::Gradient grad;
   backend::MlpExecutor exec;
 };
+
+// Racy concurrent updates to one shared model from state.range(0) lanes,
+// each taking 16 single-example steps per iteration.
+void run_lanes(benchmark::State& state, const data::Dataset& d,
+               const nn::MlpConfig& c) {
+  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+  Rng rng(2);
+  nn::Model model(c, rng);
+  concurrent::ThreadPool pool(lanes);
+  std::vector<std::unique_ptr<Lane>> lane_state;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    lane_state.push_back(std::make_unique<Lane>(model, 1));
+  }
+  const std::size_t kPerLane = 16;
+  const auto rows = static_cast<std::size_t>(d.example_count());
+  const std::uint64_t start_ns = obs::wall_now_ns();
+  for (auto _ : state) {
+    pool.run_on_all([&](std::size_t lane) {
+      for (std::size_t k = 0; k < kPerLane; ++k) {
+        lane_state[lane]->step(
+            d, static_cast<tensor::Index>((lane * kPerLane + k) % rows));
+      }
+    });
+  }
+  const double elapsed_ns = static_cast<double>(obs::wall_now_ns() - start_ns);
+  const double updates =
+      static_cast<double>(state.iterations() * lanes * kPerLane);
+  state.counters["updates/s"] =
+      benchmark::Counter(updates, benchmark::Counter::kIsRate);
+  // Wall time per update across all lanes, as e2ebench's
+  // concurrent.hogwild_us_per_update reads it.
+  state.counters["us/update"] = elapsed_ns / 1e3 / updates;
+}
 
 void BM_GradientSingleExample(benchmark::State& state) {
   data::SyntheticSpec spec;
@@ -68,7 +132,7 @@ void BM_GradientSingleExample(benchmark::State& state) {
   Lane lane(model, 1);
   tensor::Index i = 0;
   for (auto _ : state) {
-    lane.step(d, i % 256, model);
+    lane.step(d, i % 256);
     ++i;
   }
   state.counters["updates/s"] = benchmark::Counter(
@@ -77,36 +141,15 @@ void BM_GradientSingleExample(benchmark::State& state) {
 BENCHMARK(BM_GradientSingleExample);
 
 void BM_HogwildLanes(benchmark::State& state) {
-  // Racy concurrent updates to one shared model from N lanes.
-  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
-  data::SyntheticSpec spec;
-  spec.examples = 1024;
-  spec.dim = 54;
-  spec.classes = 2;
-  data::Dataset d = data::make_synthetic(spec);
-  nn::MlpConfig c = bench_mlp(d.dim(), d.num_classes());
-  Rng rng(2);
-  nn::Model model(c, rng);
-  concurrent::ThreadPool pool(lanes);
-  std::vector<std::unique_ptr<Lane>> lane_state;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    lane_state.push_back(std::make_unique<Lane>(model, 1));
-  }
-  const std::size_t kPerLane = 16;
-  for (auto _ : state) {
-    pool.run_on_all([&](std::size_t lane) {
-      for (std::size_t k = 0; k < kPerLane; ++k) {
-        const tensor::Index row =
-            static_cast<tensor::Index>((lane * kPerLane + k) % 1024);
-        lane_state[lane]->step(d, row, model);
-      }
-    });
-  }
-  state.counters["updates/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * lanes * kPerLane),
-      benchmark::Counter::kIsRate);
+  const data::Dataset d = small_dataset();
+  run_lanes(state, d, bench_mlp(d.dim(), d.num_classes()));
 }
 BENCHMARK(BM_HogwildLanes)->Arg(1)->Arg(2)->Arg(4);
+
+void BM_HogwildLanesDelicious(benchmark::State& state) {
+  run_lanes(state, delicious_dataset(), delicious_mlp());
+}
+BENCHMARK(BM_HogwildLanesDelicious)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_AdaptiveControllerRequest(benchmark::State& state) {
   core::AdaptiveController controller(2.0);

@@ -3,12 +3,14 @@
 # tracing overhead.
 #
 # Builds bench/micro_gemm in a HETSGD_NATIVE=ON build (the packed kernel's
-# tuned configuration), runs the skinny/dense shape sweep against the frozen
-# seed kernel compiled into the same binary, distills the GFLOP/s counters
-# into bench_results/BENCH_gemm.json, and fails if any shape regressed more
-# than 20% against the checked-in baseline
-# (bench_results/BENCH_gemm_baseline.json). Every benchmark runs 5 times in
-# random order; the gate compares each variant's median.
+# tuned configuration), runs the skinny/dense and k = 1 shape sweeps against
+# the frozen seed kernel compiled into the same binary, distills the GFLOP/s
+# counters into bench_results/BENCH_gemm.json, and fails if any shape
+# regressed more than 20% against the checked-in baseline
+# (bench_results/BENCH_gemm_baseline.json). Every benchmark runs 9 times in
+# random order; the gate compares each variant's best repetition. Then
+# records (ungated) bench/micro_hogwild's lane throughput in
+# bench_results/BENCH_hogwild.json.
 #
 # Usage:
 #   scripts/bench_smoke.sh                    # run + gate
@@ -32,7 +34,7 @@ cmake --build "$BUILD_DIR" --target micro_gemm -j"$(nproc)"
 
 "$BUILD_DIR/bench/micro_gemm" \
   --benchmark_min_time=0.3 \
-  --benchmark_repetitions=5 \
+  --benchmark_repetitions=9 \
   --benchmark_enable_random_interleaving=true \
   --benchmark_out="$RAW_JSON" \
   --benchmark_out_format=json
@@ -41,6 +43,20 @@ python3 scripts/check_bench_regression.py "$RAW_JSON" \
   --out bench_results/BENCH_gemm.json \
   --baseline bench_results/BENCH_gemm_baseline.json \
   "$@"
+
+# Hogwild lane throughput (DESIGN.md §10): single-example in-place SGD
+# steps from 1..4 lanes on one shared model, on a small MLP and on
+# delicious at bench scale. Recorded, not gated: lane timings follow the
+# host's load far more than any kernel ratio.
+cmake --build "$BUILD_DIR" --target micro_hogwild -j"$(nproc)"
+"$BUILD_DIR/bench/micro_hogwild" \
+  --benchmark_filter=BM_HogwildLanes \
+  --benchmark_min_time=0.3 \
+  --benchmark_repetitions=5 \
+  --benchmark_enable_random_interleaving=true \
+  --benchmark_report_aggregates_only=true \
+  --benchmark_out=bench_results/BENCH_hogwild.json \
+  --benchmark_out_format=json
 
 # Tracing-overhead gate (DESIGN.md §12): micro_trace times the same
 # batch-shaped workload with the tracer off and on, and fails if the

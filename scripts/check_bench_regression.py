@@ -5,9 +5,16 @@ Reads the google-benchmark JSON produced by scripts/bench_smoke.sh, writes
 a compact BENCH_gemm.json mapping each shape to its packed-kernel and
 frozen-seed-kernel GFLOP/s (and their ratio), then compares against the
 checked-in baseline: the run fails if any shape's new/seed speedup dropped
-more than the threshold (default 20%) below the baseline's. With
---benchmark_repetitions, each variant's figure is its median over the
-repetitions, and a speedup is the ratio of two medians.
+more than the threshold (default 20%) below the baseline's.
+
+The estimator is the best of at least MIN_REPETITIONS interleaved
+repetitions per arm: each variant's figure is its highest GFLOP/s over the
+repetitions, and a speedup is the ratio of two bests. Other load on the
+host only ever slows a repetition, and it slows the two arms of a pair
+unequally (the packed kernel streams a 2 MB operand through the shared L2
+at m = 1, the seed kernel is compute-bound there), so a ratio of medians
+moved with the host's load; each arm's least-disturbed repetition does
+not. A run with fewer repetitions fails the gate.
 
 The density sweep (BM_SparseInput*, dense vs zero-skipping path on the
 same operands) is recorded per density, plus each product's crossover
@@ -26,7 +33,6 @@ less so.
 import argparse
 import json
 import os
-import statistics
 import sys
 from pathlib import Path
 
@@ -45,8 +51,12 @@ PAIR_FLAGS = {
 }
 
 
+# Fewest repetitions per arm the best-of estimator is trusted on.
+MIN_REPETITIONS = 9
+
+
 def parse_raw(raw):
-    """Group benchmark repetitions into per-shape entries of medians."""
+    """Group benchmark repetitions into per-shape entries of bests."""
     samples = {}  # shape -> field -> one value per repetition
     flags = {}    # shape -> its PAIR_FLAGS entry
     for b in raw.get("benchmarks", []):
@@ -88,15 +98,15 @@ def parse_raw(raw):
                               if set(names[:2]) == set(variants))
     shapes = {}
     for key, fields in sorted(samples.items()):
-        medians = {f: statistics.median(v) for f, v in fields.items()}
-        entry = shapes[key] = {f: round(v, 3) for f, v in medians.items()}
+        bests = {f: max(v) for f, v in fields.items()}
+        entry = shapes[key] = {f: round(v, 3) for f, v in bests.items()}
         flag = flags.get(key)
         if flag is None:
             continue
         zero_name, one_name, num_name = PAIR_FLAGS[flag]
         den_name = one_name if num_name == zero_name else zero_name
-        num = medians.get(f"{num_name}_gflops")
-        den = medians.get(f"{den_name}_gflops")
+        num = bests.get(f"{num_name}_gflops")
+        den = bests.get(f"{den_name}_gflops")
         if num is not None and den:
             entry["speedup"] = round(num / den, 3)
     return shapes
@@ -143,6 +153,15 @@ def gate_selection(current):
 # Pairs the baseline records but gate() leaves alone: the density sweep is
 # not gated, and the selection rule has its own floor (gate_selection).
 UNGATED = ("BM_SparseInput", "BM_AutoInput")
+
+
+def gate_repetitions(current):
+    """Return a failure when the run is too short for the estimator."""
+    reps = current.get("repetitions", 0)
+    if reps < MIN_REPETITIONS:
+        return [f"run has {reps} repetitions per benchmark; the best-of "
+                f"estimator needs at least {MIN_REPETITIONS}"]
+    return []
 
 
 def gate(current, baseline, threshold):
@@ -205,7 +224,9 @@ def main():
         return 1
     with open(base_path) as f:
         baseline = json.load(f)
-    failures = gate(current, baseline, opts.threshold) + gate_selection(current)
+    failures = (gate_repetitions(current) +
+                gate(current, baseline, opts.threshold) +
+                gate_selection(current))
     if failures:
         print("GEMM benchmark regression detected:", file=sys.stderr)
         for line in failures:

@@ -34,16 +34,30 @@ def shapes_of(*benchmarks):
 
 
 class ParseRawTest(unittest.TestCase):
-    def test_speedup_is_the_ratio_of_medians(self):
+    def test_speedup_is_the_ratio_of_bests(self):
         new = "BM_GemmNT_MlpForwardShape/m:64/seed:0"
         seed = "BM_GemmNT_MlpForwardShape/m:64/seed:1"
         shapes = shapes_of(
             rep(new, 10.0), rep(seed, 5.0), rep(new, 30.0), rep(seed, 1.0),
-            rep(new, 11.0), rep(seed, 5.5),
+            rep(new, 11.0), rep(seed, 6.0),
             aggregate(new, 1000.0), aggregate(seed, 0.001))
         # The pair flag leaves the key; aggregates are ignored.
         self.assertEqual(shapes, {"BM_GemmNT_MlpForwardShape/m:64": {
-            "new_gflops": 11.0, "seed_gflops": 5.0, "speedup": 2.2}})
+            "new_gflops": 30.0, "seed_gflops": 6.0, "speedup": 5.0}})
+
+    def test_load_on_one_arm_leaves_the_speedup(self):
+        # Contention slows most of the packed arm's repetitions to half
+        # speed and leaves the seed arm alone: the ratio of medians would
+        # halve, the ratio of bests does not move.
+        new = "BM_GemmNT_MlpForwardShape/m:1/seed:0"
+        seed = "BM_GemmNT_MlpForwardShape/m:1/seed:1"
+        quiet = [20.0, 19.5, 20.2]
+        loaded = [10.0, 9.8, 10.4, 9.5, 10.1, 9.9]
+        runs = [rep(new, g) for g in loaded + quiet]
+        runs += [rep(seed, g) for g in [2.0, 1.98, 2.02] * 3]
+        shapes = shapes_of(*runs)
+        self.assertEqual(shapes["BM_GemmNT_MlpForwardShape/m:1"]["speedup"],
+                         10.0)
 
     def test_fused_pair_divides_fused_by_unfused(self):
         shapes = shapes_of(rep("BM_ForwardLayerFused/m:4/fused:0", 2.0),
@@ -54,12 +68,12 @@ class ParseRawTest(unittest.TestCase):
         name = ("BM_AutoInputForward/m:16/width:512/units:512/permille:1000"
                 "/min_time:1.000")
         shapes = shapes_of(rep(name, dense=40.0, auto=36.0),
-                           rep(name, dense=50.0, auto=50.0),
+                           rep(name, dense=50.0, auto=40.0),
                            rep(name, dense=45.0, auto=45.0))
         # A benchmark's own run length is not part of its key.
         key = "BM_AutoInputForward/m:16/width:512/units:512/permille:1000"
         self.assertEqual(shapes, {key: {
-            "dense_gflops": 45.0, "auto_gflops": 45.0, "speedup": 1.0}})
+            "dense_gflops": 50.0, "auto_gflops": 45.0, "speedup": 0.9}})
 
 
 class GateTest(unittest.TestCase):
@@ -79,6 +93,27 @@ class GateTest(unittest.TestCase):
         failures = self.run_gate(1.599)
         self.assertEqual(len(failures), 1)
         self.assertIn("BM_GemmNN/n:64: speedup 1.599 < 1.600", failures[0])
+
+    def test_a_kernel_25_percent_slower_fails(self):
+        # Every repetition of the packed arm 25% slower, the seed arm as
+        # before: the best-of speedup falls 25%, past the 20% floor.
+        def run(scale):
+            new = "BM_GemmNN/n:64/seed:0"
+            seed = "BM_GemmNN/n:64/seed:1"
+            reps = [rep(new, scale * g) for g in [24.0, 23.0, 22.5] * 3]
+            reps += [rep(seed, g) for g in [12.0, 11.8, 11.9] * 3]
+            return {"shapes": shapes_of(*reps)}
+        self.assertEqual(gate.gate(run(1.0), self.BASE, 0.20), [])
+        failures = gate.gate(run(0.75), self.BASE, 0.20)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("BM_GemmNN/n:64: speedup 1.500 < 1.600", failures[0])
+
+    def test_too_few_repetitions_fail(self):
+        self.assertEqual(gate.gate_repetitions(
+            {"repetitions": gate.MIN_REPETITIONS}), [])
+        failures = gate.gate_repetitions({"repetitions": 5})
+        self.assertEqual(len(failures), 1)
+        self.assertIn("5 repetitions", failures[0])
 
     def test_missing_shape_fails(self):
         failures = gate.gate({"shapes": {}}, self.BASE, 0.20)

@@ -155,11 +155,12 @@ double Backend::sigmoid_bce(tensor::ConstMatrixView logits,
   return charge_loss(static_cast<std::uint64_t>(logits.size()), issue);
 }
 
-double Backend::matmul_tn(tensor::ConstMatrixView delta,
-                          tensor::ConstMatrixView prev,
-                          tensor::MatrixView grad_w, double issue) {
-  tensor::matmul_tn(delta, prev, grad_w);
-  return launch(perf_.gemm_seconds(grad_w.rows(), grad_w.cols(), delta.rows()),
+double Backend::matmul_tn(Scalar alpha, tensor::ConstMatrixView delta,
+                          tensor::ConstMatrixView prev, Scalar beta,
+                          tensor::MatrixView out, double issue) {
+  tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, alpha, delta, prev,
+               beta, out);
+  return launch(perf_.gemm_seconds(out.rows(), out.cols(), delta.rows()),
                 issue);
 }
 

@@ -10,12 +10,12 @@
 // sequenced on a FIFO queue in virtual time.
 //
 //  * kZeroCopy — the Hogwild configuration. The caller's matrices are the
-//    live host storage (the shared model, a lane's gradient slab, the
-//    dataset rows), and no virtual time is charged per kernel: the owning
-//    worker charges whole batches analytically through the cost model,
-//    exactly as the CPU worker always has. Kernels reduce to direct
-//    tensor:: calls, so this mode's arithmetic — and its data races on
-//    shared storage — are bit-for-bit the host path.
+//    live host storage (the shared model, which a lane's in-place step
+//    writes, and the dataset rows), and no virtual time is charged per
+//    kernel: the owning worker charges whole batches analytically through
+//    the cost model, exactly as the CPU worker always has. Kernels reduce
+//    to direct tensor:: calls, so this mode's arithmetic — and its data
+//    races on shared storage — are bit-for-bit the host path.
 //
 //  * kDevice — the replica configuration, modeling the paper's GPU worker
 //    (§V-A): a discrete device that happens to be the host. The caller
@@ -114,9 +114,12 @@ class Backend {
                      tensor::ConstMatrixView targets,
                      tensor::MatrixView dlogits, tensor::Scalar* loss,
                      double issue);
-  // grad_w = delta^T * prev (full out x in result).
-  double matmul_tn(tensor::ConstMatrixView delta, tensor::ConstMatrixView prev,
-                   tensor::MatrixView grad_w, double issue);
+  // out = alpha * delta^T * prev + beta * out (out x in): the weight
+  // gradient at alpha = 1, beta = 0, and at alpha = -eta, beta = 1 the
+  // in-place SGD step W -= eta * delta^T * prev.
+  double matmul_tn(tensor::Scalar alpha, tensor::ConstMatrixView delta,
+                   tensor::ConstMatrixView prev, tensor::Scalar beta,
+                   tensor::MatrixView out, double issue);
   // out(1 x cols) = column sums of m.
   double col_sums(tensor::ConstMatrixView m, tensor::MatrixView out,
                   double issue);
@@ -127,7 +130,8 @@ class Backend {
   double activation_backward(nn::Activation act,
                              tensor::ConstMatrixView activated,
                              tensor::MatrixView delta, double issue);
-  // y += alpha * x (the device-side SGD update).
+  // y += alpha * x (the device-side SGD update, and the in-place step's
+  // bias update).
   double axpy(tensor::Scalar alpha, tensor::ConstMatrixView x,
               tensor::MatrixView y, double issue);
 

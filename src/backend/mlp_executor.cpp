@@ -37,7 +37,11 @@ MlpExecutor::MlpExecutor(Backend& backend, const nn::MlpConfig& config,
     acts_.emplace_back(max_batch, s.out);
     deltas_.emplace_back(max_batch, s.out);
   }
-  if (backend_.zero_copy()) return;  // the replica is bound later
+  if (backend_.zero_copy()) {  // the replica is bound later
+    bias_steps_.reserve(shapes.size());
+    for (const auto& s : shapes) bias_steps_.emplace_back(1, s.out);
+    return;
+  }
   device_replica_ = nn::Model(config_);
   device_gradient_ = nn::Model(config_);
   replica_ = &device_replica_;
@@ -116,26 +120,33 @@ tensor::ConstMatrixView MlpExecutor::run_forward(tensor::ConstMatrixView x,
 }
 
 void MlpExecutor::run_backward(tensor::ConstMatrixView input,
-                               double issue_time, double* completion_time) {
-  HETSGD_ASSERT(gradient_ != nullptr,
+                               const Scalar* step_eta, double issue_time,
+                               double* completion_time) {
+  const bool in_place = step_eta != nullptr;
+  HETSGD_ASSERT(in_place || gradient_ != nullptr,
                 "executor not bound (zero-copy backends need bind_* first)");
   const Index batch = input.rows();
   for (std::size_t l = acts_.size(); l-- > 0;) {
     const tensor::ConstMatrixView prev_act =
         l == 0 ? input : acts_[l - 1].rows_view(0, batch);
     const tensor::MatrixView delta = deltas_[l].rows_view(0, batch);
-    nn::Layer& grad = gradient_->layer(l);
-    // dW = delta^T * prev_act; db = column sums of delta.
-    backend_.matmul_tn(delta, prev_act, grad.weights.view(), issue_time);
-    backend_.col_sums(delta, grad.bias.view(), issue_time);
+    if (!in_place) {
+      // dW = delta^T * prev_act; db = column sums of delta.
+      nn::Layer& grad = gradient_->layer(l);
+      backend_.matmul_tn(Scalar{1}, delta, prev_act, Scalar{0},
+                         grad.weights.view(), issue_time);
+      backend_.col_sums(delta, grad.bias.view(), issue_time);
+    }
     if (l > 0) {
-      // delta_{l-1} = (delta_l * W^l) ⊙ act'(a_{l-1})
+      // delta_{l-1} = (delta_l * W^l) ⊙ act'(a_{l-1}), read from W^l
+      // before the in-place step writes it.
       const tensor::MatrixView prev_delta = deltas_[l - 1].rows_view(0, batch);
       backend_.matmul_nn(delta, replica_->layer(l).weights.view(), prev_delta,
                          issue_time);
       backend_.activation_backward(config_.hidden_activation, prev_act,
                                    prev_delta, issue_time);
     }
+    if (in_place) step_layer(l, *step_eta, delta, prev_act);
   }
 
   if (completion_time != nullptr) {
@@ -147,6 +158,21 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
                                      std::span<const std::int32_t> labels,
                                      double issue_time,
                                      double* completion_time) {
+  return train_softmax(x, labels, nullptr, issue_time, completion_time);
+}
+
+Scalar MlpExecutor::sgd_step(tensor::ConstMatrixView x,
+                             std::span<const std::int32_t> labels,
+                             Scalar eta) {
+  HETSGD_ASSERT(backend_.zero_copy(),
+                "sgd_step requires a zero-copy backend");
+  return train_softmax(x, labels, &eta, 0.0, nullptr);
+}
+
+Scalar MlpExecutor::train_softmax(tensor::ConstMatrixView x,
+                                  std::span<const std::int32_t> labels,
+                                  const Scalar* step_eta, double issue_time,
+                                  double* completion_time) {
   const Index batch = x.rows();
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == batch,
                 "label count mismatch");
@@ -158,7 +184,7 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
   tensor::MatrixView dlogits = deltas_.back().rows_view(0, batch);
   backend_.softmax_xent(acts_.back().rows_view(0, batch), labels, &dlogits,
                         &loss, issue_time);
-  run_backward(input, issue_time, completion_time);
+  run_backward(input, step_eta, issue_time, completion_time);
   return loss;
 }
 
@@ -176,8 +202,25 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
   Scalar loss = 0;
   backend_.sigmoid_bce(acts_.back().rows_view(0, batch), targets,
                        deltas_.back().rows_view(0, batch), &loss, issue_time);
-  run_backward(input, issue_time, completion_time);
+  run_backward(input, nullptr, issue_time, completion_time);
   return loss;
+}
+
+// hetsgd-racy: on a Hogwild lane the replica is the shared global model,
+// so these writes are the paper's unsynchronized per-coordinate update:
+// other lanes read W and b mid-forward and the GPU worker and the
+// coordinator snapshot them (race:hetsgd::backend::MlpExecutor::step_layer
+// in scripts/tsan.supp). The race IS the algorithm; do not add locking
+// here. Out of line so the suppression always finds this frame.
+HETSGD_NOINLINE void MlpExecutor::step_layer(std::size_t l, Scalar eta,
+                                             tensor::ConstMatrixView delta,
+                                             tensor::ConstMatrixView prev_act) {
+  nn::Layer& layer = replica_->layer(l);
+  backend_.matmul_tn(-eta, delta, prev_act, Scalar{1}, layer.weights.view(),
+                     0.0);
+  const tensor::MatrixView db = bias_steps_[l].view();
+  backend_.col_sums(delta, db, 0.0);
+  backend_.axpy(-eta, db, layer.bias.view(), 0.0);
 }
 
 tensor::ConstMatrixView MlpExecutor::forward(tensor::ConstMatrixView x) {
@@ -259,6 +302,7 @@ void MlpExecutor::release_buffers() {
   gradient_ = nullptr;
   acts_.clear();
   deltas_.clear();
+  bias_steps_.clear();
   input_ = tensor::Matrix();
 }
 

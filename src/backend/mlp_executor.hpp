@@ -9,6 +9,11 @@
 //   per-layer dW = delta^T*prev, db = colsum(delta),
 //             delta' = (delta*W) ⊙ act'  -> (optional) on-device axpy
 //
+// A Hogwild lane instead takes one in-place SGD step (sgd_step): the same
+// forward and loss, then per layer from the top delta' from W first, and
+// only then W += -eta * delta^T*prev and b += -eta * colsum(delta),
+// written straight into the bound shared model. No gradient is built.
+//
 // Evaluation runs the same forward, then either a loss-only kernel that
 // writes no dLoss/dlogits (mean_loss) or nothing (forward, which hands
 // back the logits).
@@ -26,8 +31,8 @@
 //    bind_host_gradient() make the replica the bound host model
 //    (Hogwild's reference replica — no copy) and the gradient the
 //    caller's host gradient, uploads and downloads are free no-ops, and
-//    the forward reads the batch rows in place. Evaluation needs only the
-//    model bound.
+//    the forward reads the batch rows in place. Evaluation and sgd_step
+//    need only the model bound.
 //
 // Confinement follows the owning backend: one executor, one thread.
 #pragma once
@@ -57,9 +62,10 @@ class MlpExecutor {
   tensor::Index max_batch() const { return max_batch_; }
 
   // Zero-copy backends only: the replica becomes a live host model (for
-  // the Hogwild lanes the shared one: reads during compute_gradient race
-  // with concurrent lanes by design) and the gradient the caller's host
-  // gradient slab. Both must outlive the executor's use of them.
+  // the Hogwild lanes the shared one: sgd_step's reads and writes race with
+  // concurrent lanes by design) and the gradient the caller's host
+  // gradient (compute_gradient callers; sgd_step needs none). Both must
+  // outlive the executor's use of them.
   void bind_shared_model(nn::Model& model);
   void bind_host_gradient(nn::Gradient& grad);
 
@@ -68,7 +74,7 @@ class MlpExecutor {
 
   // Layer `layer`'s delta matrix (max_batch rows): dLoss/d its
   // pre-activation output, the first `batch` rows written by the last
-  // compute_gradient. Read-only.
+  // compute_gradient or sgd_step. Read-only.
   const tensor::Matrix& delta(std::size_t layer) const {
     return deltas_[layer];
   }
@@ -89,6 +95,20 @@ class MlpExecutor {
   tensor::Scalar compute_gradient(tensor::ConstMatrixView x,
                                   tensor::ConstMatrixView targets,
                                   double issue_time, double* completion_time);
+
+  // Zero-copy replica bound with bind_shared_model only: one plain SGD step
+  // on (x, labels), written in place. Runs compute_gradient's forward and
+  // softmax-xent, then for each layer from the top computes delta_{l-1}
+  // from W_l before writing W_l += -eta * delta_l^T h_{l-1} and
+  // b_l += -eta * colsum(delta_l). Each parameter gets the value
+  // compute_gradient followed by Model::axpy(-eta, g) gives it, for
+  // batches of at most kKC = 256 rows (tensor/microkernel.hpp): past that
+  // the packed engine adds each k-block's share into W separately, so the
+  // step matches the two-pass update only to rounding. Returns the batch
+  // loss; charges no virtual time.
+  tensor::Scalar sgd_step(tensor::ConstMatrixView x,
+                          std::span<const std::int32_t> labels,
+                          tensor::Scalar eta);
 
   // Forward only over `x` (at most max_batch rows): the host-visible logits
   // (batch x num_classes), valid until the next call on this executor.
@@ -120,9 +140,23 @@ class MlpExecutor {
   tensor::ConstMatrixView run_forward(tensor::ConstMatrixView x,
                                       std::uint64_t target_bytes,
                                       double issue_time);
-  // Back-propagates deltas_.back() (dLoss/dlogits) into the gradient.
-  void run_backward(tensor::ConstMatrixView input, double issue_time,
+  // compute_gradient's softmax-xent body, shared with sgd_step: forward,
+  // loss, then run_backward with `step_eta`.
+  tensor::Scalar train_softmax(tensor::ConstMatrixView x,
+                               std::span<const std::int32_t> labels,
+                               const tensor::Scalar* step_eta,
+                               double issue_time, double* completion_time);
+  // Back-propagates deltas_.back() (dLoss/dlogits). With `step_eta` null
+  // the gradient lands in the executor's gradient; otherwise each layer
+  // takes the in-place step (sgd_step) with rate *step_eta.
+  void run_backward(tensor::ConstMatrixView input,
+                    const tensor::Scalar* step_eta, double issue_time,
                     double* completion_time);
+  // Layer `l`'s share of sgd_step: W += -eta * delta^T * prev_act and
+  // b += -eta * colsum(delta), into the bound model.
+  void step_layer(std::size_t l, tensor::Scalar eta,
+                  tensor::ConstMatrixView delta,
+                  tensor::ConstMatrixView prev_act);
 
   Backend& backend_;
   nn::MlpConfig config_;
@@ -136,6 +170,9 @@ class MlpExecutor {
   nn::Gradient* gradient_ = nullptr;
   std::vector<tensor::Matrix> acts_;
   std::vector<tensor::Matrix> deltas_;
+  // Zero-copy mode: sgd_step's per-layer colsum(delta) rows (1 x out),
+  // host scratch outside device_bytes().
+  std::vector<tensor::Matrix> bias_steps_;
   tensor::Matrix input_;  // device-mode staging rows
   std::uint64_t device_bytes_ = 0;
 };

@@ -6,8 +6,8 @@
 // to coordination state that is locked or confined to one thread, so the
 // line between "algorithm" and "bug" must live in the source: every
 // mutex-protected field is declared `HETSGD_GUARDED_BY(mu_)`, every helper
-// that assumes the lock is `HETSGD_REQUIRES(mu_)`, and the three
-// sanctioned race sites carry a `// hetsgd-racy:` waiver (cross-checked
+// that assumes the lock is `HETSGD_REQUIRES(mu_)`, and the sanctioned
+// race sites carry a `// hetsgd-racy:` waiver (cross-checked
 // against scripts/tsan.supp by tools/lint/hetsgd_lint.py). Unannotated
 // sharing is then a compile error under clang instead of a judgment call
 // in code review. See DESIGN.md §10 for the capability map.

@@ -61,7 +61,6 @@ class AdaptiveController {
   void restore_worker(msg::WorkerId id, tensor::Index batch,
                       std::uint64_t updates);
 
-  std::size_t worker_count() const { return workers_.size(); }
   tensor::Index batch(msg::WorkerId id) const;
   // The count Algorithm 2 compares for `id`: floor(beta * u) for a CPU
   // worker, u for a GPU worker, plus any join-time credit.

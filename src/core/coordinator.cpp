@@ -847,6 +847,17 @@ bool Coordinator::full_checkpoint_due() const {
 
 void Coordinator::write_full_checkpoint() {
   HETSGD_ASSERT(ckpt_mgr_ != nullptr, "checkpoint write without a manager");
+  // A model poisoned since the last evaluation (a diverged update or an
+  // injected nan) must not be cut: restore() would make it the resumed
+  // run's last-good model. Skip the cut and leave it due, so the next
+  // barrier cuts after the evaluation that rolls the model back. The scan
+  // reads the model at the quiescent barrier, one pass per cut.
+  if (!model_.all_finite()) {
+    HETSGD_LOG_WARN("coordinator",
+                    "non-finite model at epoch %llu; checkpoint deferred",
+                    static_cast<unsigned long long>(epoch_));
+    return;
+  }
   HETSGD_TRACE_SCOPE("coordinator", "checkpoint_write");
   TrainingCheckpoint ckpt;
   ckpt.fingerprint = fingerprint_;

@@ -136,11 +136,6 @@ bool FaultPlan::empty() const {
   return events_.empty();
 }
 
-std::size_t FaultPlan::event_count() const {
-  MutexLock lock(mutex_);
-  return events_.size();
-}
-
 bool FaultPlan::contains(FaultKind kind) const {
   MutexLock lock(mutex_);
   for (const FaultEvent& e : events_) {

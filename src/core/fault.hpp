@@ -108,7 +108,6 @@ class FaultPlan {
   void resolve_times(double budget_vseconds) HETSGD_EXCLUDES(mutex_);
 
   bool empty() const HETSGD_EXCLUDES(mutex_);
-  std::size_t event_count() const HETSGD_EXCLUDES(mutex_);
   // True if the plan schedules at least one injection of `kind`.
   bool contains(FaultKind kind) const HETSGD_EXCLUDES(mutex_);
 

@@ -118,12 +118,6 @@ void UpdateLedger::record_fault(FaultRecord record) {
   fault_records_->set(static_cast<double>(faults_.size()));
 }
 
-std::uint64_t UpdateLedger::total_updates() const {
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w.updates;
-  return total;
-}
-
 std::uint64_t UpdateLedger::total_examples() const {
   std::uint64_t total = 0;
   for (const auto& w : workers_) total += w.examples;

@@ -74,7 +74,6 @@ class UpdateLedger {
 
   const WorkerStats& stats(msg::WorkerId id) const;
   const std::vector<WorkerStats>& all() const { return workers_; }
-  std::size_t worker_count() const { return workers_.size(); }
 
   // Records the batch size the adaptive controller just assigned.
   void set_current_batch(msg::WorkerId id, tensor::Index batch);
@@ -101,7 +100,6 @@ class UpdateLedger {
   void record_fault(FaultRecord record);
   const std::vector<FaultRecord>& fault_records() const { return faults_; }
 
-  std::uint64_t total_updates() const;
   std::uint64_t total_examples() const;
   std::uint64_t updates_by_kind(gpusim::DeviceKind kind) const;
 

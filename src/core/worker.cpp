@@ -37,11 +37,6 @@ Worker::Worker(msg::WorkerId id, const TrainingConfig& config,
   if (kind_ == gpusim::DeviceKind::kCpu) {
     pool_ = std::make_unique<concurrent::ThreadPool>(
         static_cast<std::size_t>(std::max(real_threads, 1)));
-    const std::size_t lanes = pool_->thread_count() + 1;
-    gradients_.reserve(lanes);
-    for (std::size_t i = 0; i < lanes; ++i) {
-      gradients_.push_back(nn::make_zero_gradient(model_));
-    }
     // Lanes start sized for the configured per-thread examples and grow on
     // demand (ensure_lane_capacity).
     ensure_lane_capacity(std::max<Index>(1, config_.cpu.examples_per_thread));
@@ -67,7 +62,8 @@ void Worker::restore_progress(const WorkerStats& stats) {
 
 void Worker::ensure_lane_capacity(Index sub_batch) {
   if (sub_batch <= lane_capacity_ && !lane_executors_.empty()) return;
-  const std::size_t lanes = gradients_.size();
+  // One lane per pool thread plus the calling thread (parallel_for's).
+  const std::size_t lanes = pool_->thread_count() + 1;
   // Executors return their bytes to their Backend on destruction, so they
   // must go before the backends they reference.
   lane_executors_.clear();
@@ -80,9 +76,9 @@ void Worker::ensure_lane_capacity(Index sub_batch) {
     auto e = std::make_unique<backend::MlpExecutor>(*b, config_.mlp,
                                                     sub_batch);
     // The executor's "replica" is the live shared model: Hogwild's
-    // reference replica, raced against every other lane by design.
+    // reference replica, read and written in place by every lane's step,
+    // raced against every other lane by design.
     e->bind_shared_model(model_);
-    e->bind_host_gradient(gradients_[i]);
     lane_backends_.push_back(std::move(b));
     lane_executors_.push_back(std::move(e));
   }
@@ -189,40 +185,37 @@ bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
   const auto lr = static_cast<tensor::Scalar>(
       config_.effective_lr(sub_batch) * work.lr_scale);
 
-  // Hogwild: every lane reads the shared model (through its zero-copy
-  // executor), computes its sub-batch gradient, and writes the plain SGD
-  // update W -= eta * g back with no synchronization.
+  // Hogwild: every lane takes its sub-batch's plain SGD step
+  // W -= eta * g in place on the shared model (through its zero-copy
+  // executor), with no synchronization and no gradient slab.
   {
     HETSGD_TRACE_SCOPE("cpu-worker", "hogwild_parallel_for");
     pool_->parallel_for(
       static_cast<std::size_t>(num_sub),
       [&](std::size_t first, std::size_t last, std::size_t lane) {
         backend::MlpExecutor& exec = *lane_executors_[lane];
-        nn::Gradient& grad = gradients_[lane];
         for (std::size_t i = first; i < last; ++i) {
           const Index sb_begin = begin + static_cast<Index>(i) * sub_batch;
           const Index sb_size =
               std::min(sub_batch, begin + size - sb_begin);
-          auto x = dataset_.batch_features(sb_begin, sb_size);
-          auto y = dataset_.batch_labels(sb_begin, sb_size);
-          exec.compute_gradient(x, y, clock_.now(), nullptr);
-          model_.axpy(-lr, grad);
+          exec.sgd_step(dataset_.batch_features(sb_begin, sb_size),
+                        dataset_.batch_labels(sb_begin, sb_size), lr);
         }
       });
   }
 
   if (fault_plan_ != nullptr &&
       fault_plan_->corruption_due(id_, clock_.now())) {
-    // Poison one lane's gradient with a NaN and apply it: the shared model
-    // goes non-finite exactly as a real numerically-diverged update would,
-    // exercising the coordinator's divergence rollback.
+    // Poison the shared model's first weight: it goes non-finite exactly as
+    // after a numerically-diverged lane step, exercising the coordinator's
+    // divergence rollback. Like a lane step, the write races the GPU
+    // worker's and the coordinator's model snapshots.
     HETSGD_LOG_WARN("cpu-worker", "injected gradient corruption at vtime %.6f",
                     clock_.now());
-    nn::Gradient& grad = gradients_[0];
-    if (grad.layer_count() > 0 && grad.layer(0).weights.size() > 0) {
-      grad.layer(0).weights.data()[0] =
+    nn::Layer& first = model_.layer(0);
+    if (first.weights.size() > 0) {
+      first.weights.data()[0] =
           std::numeric_limits<tensor::Scalar>::quiet_NaN();
-      model_.axpy(-lr, grad);
     }
   }
 

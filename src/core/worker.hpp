@@ -6,10 +6,12 @@
 //
 //  * kCpu — nested Hogbatch over the *shared* global model (§V-A, the
 //    CPU worker handler). The batch splits into sim_lanes sub-batches;
-//    each real lane owns a zero-copy Backend whose executor runs on the
-//    shared model, so gradients are computed against live (racing) weights
-//    and applied immediately with no synchronization. Virtual time is
-//    charged analytically per batch through the cost model.
+//    each real lane owns a zero-copy Backend whose executor is bound to the
+//    shared model and takes each sub-batch's SGD step in place
+//    (MlpExecutor::sgd_step): deltas come from live (racing) weights and
+//    each layer's update is written straight into them with no
+//    synchronization and no per-lane gradient. Virtual time is charged
+//    analytically per batch through the cost model.
 //
 //  * kGpu — mini-batch SGD against a private device replica (§V-A,
 //    the GPU worker handler). One device-mode Backend modeling
@@ -106,12 +108,10 @@ class Worker final : public msg::Actor {
   // --- kCpu (Hogwild) state ----------------------------------------------
   std::unique_ptr<concurrent::ThreadPool> pool_;
   // Per physical lane (lanes process multiple logical sub-batches): a
-  // zero-copy backend + executor bound to the shared model and the lane's
-  // gradient slab.
+  // zero-copy backend + executor bound to the shared model.
   std::vector<std::unique_ptr<backend::Backend>> lane_backends_;
   std::vector<std::unique_ptr<backend::MlpExecutor>> lane_executors_;
   tensor::Index lane_capacity_ = 0;
-  std::vector<nn::Gradient> gradients_;
 
   // --- kGpu (replica) state ----------------------------------------------
   std::unique_ptr<backend::Backend> backend_;

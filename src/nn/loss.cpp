@@ -31,15 +31,21 @@ tensor::Scalar softmax_cross_entropy(tensor::ConstMatrixView logits,
     Scalar mx = row[0];
     for (Index j = 1; j < c; ++j) mx = std::max(mx, row[j]);
     Scalar sum_exp = 0;
-    for (Index j = 0; j < c; ++j) sum_exp += std::exp(row[j] - mx);
+    Scalar* g = dlogits != nullptr ? dlogits->row(r) : nullptr;
+    if (g == nullptr) {
+      for (Index j = 0; j < c; ++j) sum_exp += std::exp(row[j] - mx);
+    } else {
+      // Each class's exp(z - max) is kept in dlogits for the scaling below.
+      for (Index j = 0; j < c; ++j) {
+        g[j] = std::exp(row[j] - mx);
+        sum_exp += g[j];
+      }
+    }
     const Scalar log_z = mx + std::log(sum_exp);
     total_loss += log_z - row[y];
-    if (dlogits != nullptr) {
-      Scalar* g = dlogits->row(r);
+    if (g != nullptr) {
       const Scalar inv_z = Scalar{1} / sum_exp;
-      for (Index j = 0; j < c; ++j) {
-        g[j] = std::exp(row[j] - mx) * inv_z * inv_b;
-      }
+      for (Index j = 0; j < c; ++j) g[j] = g[j] * inv_z * inv_b;
       g[y] -= inv_b;
     }
   }

@@ -14,7 +14,8 @@ namespace hetsgd::nn {
 
 // Mean softmax cross-entropy over the batch. `logits` is B x C, `labels`
 // holds B class indices in [0, C). If `dlogits` is non-null it receives
-// dLoss/dlogits = (softmax(logits) - onehot) / B.
+// dLoss/dlogits = (softmax(logits) - onehot) / B; it must not overlap
+// `logits`.
 tensor::Scalar softmax_cross_entropy(tensor::ConstMatrixView logits,
                                      std::span<const std::int32_t> labels,
                                      tensor::MatrixView* dlogits);

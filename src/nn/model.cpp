@@ -113,9 +113,9 @@ void Model::set_zero() {
 }
 
 // hetsgd-racy: when `this` is the shared global model, the tensor::axpy
-// calls below are the paper's unsynchronized Hogwild update — every CPU
-// lane writes the shared parameters while other lanes read them mid-forward
-// and the GPU worker snapshots them (race:hetsgd::tensor::axpy in
+// calls below are the GPU worker's unsynchronized host merge, which writes
+// the shared parameters while the Hogwild lanes read and write them in
+// place and other workers snapshot them (race:hetsgd::tensor::axpy in
 // scripts/tsan.supp). The race IS the algorithm; do not add locking here.
 void Model::axpy(tensor::Scalar alpha, const Model& other) {
   HETSGD_ASSERT(same_shape(other), "Model::axpy shape mismatch");

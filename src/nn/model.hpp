@@ -91,8 +91,9 @@ class Model {
   void set_zero();
 
   // this += alpha * other, layer by layer. This is the SGD update when
-  // `other` is a gradient and alpha = -eta; it is intentionally free of any
-  // synchronization so Hogwild semantics apply when the model is shared.
+  // `other` is a gradient and alpha = -eta (the replica workers' host
+  // merge); it is intentionally free of any synchronization so Hogwild
+  // semantics apply when the model is shared.
   void axpy(tensor::Scalar alpha, const Model& other);
 
   // Max |a - b| over all parameters (tests, staleness measurements).

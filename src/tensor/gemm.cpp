@@ -180,6 +180,36 @@ void skinny_nn_range(const PackedGemm& g, Index m, Index j0, Index j1) {
   }
 }
 
+// Rank-1 path for k == 1: C[i][j] += alpha * (a_i * b_j) over C rows
+// [i0, i1), C already scaled by beta. This is every 1-row batch's weight
+// gradient delta^T * h, which the packed engine would reach only after
+// packing both operands to form one outer product. It rounds as that
+// engine does: the micro-kernel's accumulator starts at +0, so the product
+// is taken as 0 + a_i * b_j (a zero product keeps the sign the packed path
+// gives it), then added into C as store_tile adds its tile. Skinny-m
+// shapes (ta == kNo, m < kSkinnyM) keep their kernels: skinny NN rounds
+// (alpha * a) * b, so routing them here would change bits.
+void rank1_rows(const PackedGemm& g, Index i0, Index i1, Index n) {
+  const Scalar alpha = g.alpha;
+  const Index a_step = g.ta ? 1 : g.lda;  // op(A) is m x 1
+  const Index b_step = g.tb ? g.ldb : 1;  // op(B) is 1 x n
+  const Scalar* HETSGD_RESTRICT b = g.b;
+  for (Index i = i0; i < i1; ++i) {
+    const Scalar ai = g.a[i * a_step];
+    Scalar* HETSGD_RESTRICT crow = g.c + i * g.ldc;
+    if (b_step == 1) {
+#pragma omp simd
+      for (Index j = 0; j < n; ++j) {
+        crow[j] += alpha * (Scalar{0} + ai * b[j]);
+      }
+    } else {
+      for (Index j = 0; j < n; ++j) {
+        crow[j] += alpha * (Scalar{0} + ai * b[j * b_step]);
+      }
+    }
+  }
+}
+
 // Threads worth waking for `flops` of work split into at most `parts`
 // pieces: each thread must be worth its fork/join (and, for the packed
 // engine, its redundant packing of the unsplit operand), ~256 kflop each.
@@ -264,6 +294,14 @@ void run_skinny(const PackedGemm& g, bool nt, Index m, Index n) {
       skinny_nn_range(g, m, j0, j1);
     }
   });
+}
+
+// Runs the rank-1 path, partitioning rows across threads. Elements are
+// computed independently, so the result is bit-identical for any thread
+// count.
+void run_rank1(const PackedGemm& g, Index m, Index n) {
+  parallel_ranges(worth_threads(gemm_flops(m, n, 1), m), m, 1,
+                  [&](Index i0, Index i1) { rank1_rows(g, i0, i1, n); });
 }
 
 // Runs the packed engine over the whole of C with the planned partition.
@@ -631,6 +669,8 @@ void gemm(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
                         : nullptr);
   if (ta == Trans::kNo && d.m < kSkinnyM) {
     run_skinny(g, tb == Trans::kYes, d.m, d.n);
+  } else if (d.k == 1) {
+    run_rank1(g, d.m, d.n);
   } else if (!try_sparse_gradient(g, d.m, d.n)) {
     run_packed(g, d.m, d.n);
   }

@@ -45,6 +45,11 @@ GemmDims check_gemm_shapes(Trans ta, Trans tb, ConstMatrixView a,
 // result matches the dense kernel to rounding, keeps NaN/Inf where the
 // dense kernel has them, and stays bit-identical for any thread count
 // (DESIGN.md §8).
+//
+// Rank-1 products: a product with k == 1 that would reach the packed
+// engine (every 1-row batch's weight gradient delta^T * h) runs as a plain
+// rank-1 loop, C = beta * C, then C[i][j] += alpha * (a_i * b_j), rounded
+// as the packed engine rounds it. The m < 8 skinny path keeps its kernels.
 void gemm(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
           ConstMatrixView b, Scalar beta, MatrixView c);
 

@@ -732,9 +732,10 @@ TEST_P(BothModes, MatmulTnMatchesReference) {
     Matrix grad_w(s.n, s.k);
     const std::uint64_t sparse_before = counter("hetsgd_sparse_gemms_total");
     const double issue = next_issue();
-    const double done = b_.matmul_tn(delta.rows_view(0, s.m),
-                                     prev.rows_view(0, s.m), grad_w.view(),
-                                     issue);
+    const double done =
+        b_.matmul_tn(tensor::Scalar{1}, delta.rows_view(0, s.m),
+                     prev.rows_view(0, s.m), tensor::Scalar{0}, grad_w.view(),
+                     issue);
     ++launches;
     expect_close(grad_w.view(),
                  naive_product(tensor::Trans::kYes, tensor::Trans::kNo,
@@ -745,6 +746,30 @@ TEST_P(BothModes, MatmulTnMatchesReference) {
               takes_sparse_path(s));
     EXPECT_DOUBLE_EQ(done,
                      done_after(issue, b_.perf().gemm_seconds(s.n, s.k, s.m)));
+
+    // The in-place SGD step's form, alpha = -eta and beta = 1:
+    // w += -0.5 * delta^T * prev, at the same charge.
+    const Matrix w0 = random_matrix(s.n, s.k, rng);
+    Matrix w = w0;
+    const double step_issue = next_issue();
+    const double step_done =
+        b_.matmul_tn(tensor::Scalar{-0.5}, delta.rows_view(0, s.m),
+                     prev.rows_view(0, s.m), tensor::Scalar{1}, w.view(),
+                     step_issue);
+    ++launches;
+    Rows want = naive_product(tensor::Trans::kYes, tensor::Trans::kNo,
+                              delta.rows_view(0, s.m), prev.rows_view(0, s.m),
+                              s.n, s.k);
+    for (Index i = 0; i < s.n; ++i) {
+      for (Index j = 0; j < s.k; ++j) {
+        want[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
+            w0(i, j) -
+            0.5 * want[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
+      }
+    }
+    expect_close(w.view(), want, kGemmTol);
+    EXPECT_DOUBLE_EQ(step_done, done_after(step_issue, b_.perf().gemm_seconds(
+                                                           s.n, s.k, s.m)));
   }
   EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
 }

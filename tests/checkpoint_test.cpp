@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <utility>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -660,6 +661,51 @@ TEST(Determinism, SameSeedSameTrajectoryHogwildSingleLane) {
   expect_same_trajectory(ra, rb);
 }
 
+// FNV-1a over a serialized model.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// One real lane makes Hogwild deterministic, so its final model is pinned:
+// these hashes were recorded while each lane still built its sub-batch
+// gradient and applied it with Model::axpy, and the in-place SGD step must
+// reproduce those bytes exactly, on 1-row sub-batches (whose weight updates
+// are rank-1 products) and on 16-row ones. A 1-row forward runs the skinny
+// NT kernel, whose `omp simd` reduction sums in an order that depends on
+// how the compiler vectorizes it; the sanitizer builds compile it
+// differently, so they have their own 1-row value, recorded the same way.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr std::uint64_t kOneRowModelHash = 0x3fad6b8649f3dda1ull;
+#else
+constexpr std::uint64_t kOneRowModelHash = 0x506765cbba3d1941ull;
+#endif
+
+TEST(Determinism, PinnedHogwildSingleLaneModelBytes) {
+  const std::pair<tensor::Index, std::uint64_t> pins[] = {
+      {1, kOneRowModelHash},
+      {16, 0xf1e24d5cb70fb524ull},
+  };
+  for (const auto& [rows, want] : pins) {
+    TrainingConfig config = small_config();
+    config.algorithm = Algorithm::kHogwildCpu;
+    config.mlp.hidden_layers = 2;
+    config.cpu.examples_per_thread = rows;
+    config.real_threads = 1;
+    const TrainingResult r = Trainer(small_dataset(), config).run();
+    ASSERT_EQ(r.workers.size(), 1u);
+    ASSERT_GT(r.workers[0].updates, 2000u);  // 2688 and 2480 lane steps
+    ASSERT_FALSE(r.final_model_bytes.empty());
+    EXPECT_EQ(fnv1a(r.final_model_bytes), want)
+        << rows << "-row sub-batches: 0x" << std::hex
+        << fnv1a(r.final_model_bytes);
+  }
+}
+
 TEST(Determinism, DifferentSeedDifferentModel) {
   TrainingConfig config = deterministic_config();
   Trainer a(small_dataset(), config);
@@ -857,6 +903,34 @@ TEST(Resume, FiredInjectionDoesNotFireAgainUnderTheSamePlan) {
   EXPECT_EQ(r.second_leg.rollbacks, r.full.rollbacks);
   EXPECT_EQ(r.second_leg.final_lr_scale, r.full.final_lr_scale);
   expect_same_trajectory(r.full, r.second_leg);
+  std::filesystem::remove_all(dir);
+}
+
+// A nan injection that lands after an epoch's last evaluation point
+// poisons the model before the barrier's cut. That cut must not persist
+// it: a resumed run would restore the poisoned model as its last-good
+// one and roll back onto it again and again.
+TEST(Resume, NoCutPersistsAPoisonedModel) {
+  const std::string dir = temp_dir("hetsgd_resume_poisoned");
+  TrainingConfig config = deterministic_config();
+  config.fault.plan = "nan:worker=0,at=0.008";
+  const CutAndResume r = run_cut_and_resume(config, dir);
+  ASSERT_EQ(r.full.rollbacks, 1u);
+  ASSERT_NE(find_record(r.first_leg, FaultKind::kGradientCorruption),
+            nullptr);
+  ASSERT_GE(r.first_leg.checkpoints_written, 1u);
+  std::string error;
+  const auto latest = CheckpointManager::load_latest(dir, &error);
+  ASSERT_TRUE(latest.has_value()) << error;
+  EXPECT_TRUE(latest->model.all_finite());
+
+  EXPECT_TRUE(r.second_leg.resumed);
+  EXPECT_LE(r.second_leg.rollbacks, r.full.rollbacks);
+  EXPECT_TRUE(std::isfinite(r.second_leg.final_loss));
+  ByteReader reader(r.second_leg.final_model_bytes);
+  const auto final_model = nn::read_model(reader, &error);
+  ASSERT_TRUE(final_model.has_value()) << error;
+  EXPECT_TRUE(final_model->all_finite());
   std::filesystem::remove_all(dir);
 }
 

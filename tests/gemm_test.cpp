@@ -158,6 +158,22 @@ std::vector<GemmCase> gemm_cases() {
       }
     }
   }
+  // k = 1, the rank-1 path (and, for m < 8 with ta == kNo, the skinny
+  // path): alpha in {1, -0.5}, beta in {0, 0.5, 1}, ragged m and n up to
+  // the bench MLPs' 805 x 48 and 48 x 500 weight gradients.
+  const std::tuple<Index, Index> rank1_shapes[] = {
+      {3, 7}, {9, 33}, {130, 17}, {48, 500}, {805, 48}};
+  for (auto [m, n] : rank1_shapes) {
+    for (Trans ta : kT) {
+      for (Trans tb : kT) {
+        for (Scalar alpha : {Scalar{1}, Scalar{-0.5}}) {
+          for (Scalar beta : {Scalar{0}, Scalar{0.5}, Scalar{1}}) {
+            cases.push_back({m, n, 1, ta, tb, alpha, beta});
+          }
+        }
+      }
+    }
+  }
   // Off-grid alpha/beta variants on one mid-size shape.
   cases.push_back({70, 40, 90, Trans::kNo, Trans::kNo, Scalar{2.5},
                    Scalar{-0.5}});
@@ -478,7 +494,75 @@ TEST(SparseInput, NonFiniteOperandsPoisonLikeTheDenseKernel) {
   EXPECT_TRUE(same_nonfinite_positions(grad_fast, grad_dense));
 }
 
+// A NaN or Inf in either operand of a k = 1 product poisons C as the
+// dense kernel does: a NaN its whole row or column, an Inf every output
+// but those it meets a zero in, which go NaN.
+TEST(Gemm, RankOnePoisonsLikeTheDenseKernel) {
+  const Scalar kNaN = std::numeric_limits<Scalar>::quiet_NaN();
+  const Scalar kInf = std::numeric_limits<Scalar>::infinity();
+  const Trans kT[] = {Trans::kNo, Trans::kYes};
+  const Index m = 19, n = 37;
+  Rng rng(64);
+  for (Trans ta : kT) {
+    for (Trans tb : kT) {
+      Matrix a = ta == Trans::kNo ? random_matrix(m, 1, rng)
+                                  : random_matrix(1, m, rng);
+      Matrix b = tb == Trans::kNo ? random_matrix(1, n, rng)
+                                  : random_matrix(n, 1, rng);
+      a.data()[2] = kNaN;
+      a.data()[11] = kInf;
+      b.data()[5] = 0;
+      b.data()[9] = -kInf;
+      b.data()[30] = kNaN;
+      for (Scalar beta : {Scalar{0}, Scalar{1}}) {
+        Matrix want = random_matrix(m, n, rng);
+        Matrix got = want;
+        gemm_naive(ta, tb, Scalar{-0.5}, a.view(), b.view(), beta,
+                   want.view());
+        gemm(ta, tb, Scalar{-0.5}, a.view(), b.view(), beta, got.view());
+        EXPECT_TRUE(std::isnan(got(2, 0)));
+        EXPECT_TRUE(std::isnan(got(11, 5)));   // Inf * 0
+        EXPECT_TRUE(std::isinf(got(11, 9)));   // Inf * -Inf
+        EXPECT_TRUE(std::isnan(got(0, 30)));
+        for (Index i = 0; i < m; ++i) {
+          for (Index j = 0; j < n; ++j) {
+            ASSERT_EQ(std::isnan(got(i, j)), std::isnan(want(i, j)))
+                << "(" << i << ", " << j << ") ta=" << (ta == Trans::kYes)
+                << " tb=" << (tb == Trans::kYes) << " beta=" << beta;
+            if (!std::isnan(want(i, j))) {
+              EXPECT_DOUBLE_EQ(got(i, j), want(i, j));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 #ifdef _OPENMP
+// A rank-1 product large enough to fork a team splits C by rows, each
+// element computed once: 1 thread and N threads agree bit for bit.
+TEST(Gemm, RankOneBitIdenticalForAnyThreadCount) {
+  Rng rng(65);
+  const Index m = 1500, n = 900;
+  Matrix a = random_matrix(1, m, rng);
+  Matrix b = random_matrix(1, n, rng);
+  Matrix start = random_matrix(m, n, rng);
+  const auto run = [&](int threads) {
+    const int previous = omp_get_max_threads();
+    omp_set_num_threads(threads);
+    Matrix c = start;
+    gemm(Trans::kYes, Trans::kNo, Scalar{-0.25}, a.view(), b.view(),
+         Scalar{1}, c.view());
+    omp_set_num_threads(previous);
+    return c;
+  };
+  const Matrix one = run(1);
+  for (int threads : {2, 3, std::max(4, omp_get_num_procs())}) {
+    EXPECT_TRUE(bitwise_equal(run(threads), one)) << threads << " threads";
+  }
+}
+
 // The zero-skipping path splits x among threads by C rows (forward) and C
 // column ranges (gradient); either way each output is summed by one thread
 // in a fixed order, so 1 thread and N threads agree bit for bit. The shape

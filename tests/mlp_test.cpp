@@ -1,9 +1,12 @@
 // The MLP the executor runs — forward, loss kinds, back-propagation and the
 // SGD step — in both Backend modes: device mode (the replica workers)
-// bit for bit against zero-copy mode (the Hogwild lanes), both against
-// finite differences of their own loss and against the independent
-// reference in reference_mlp.hpp.
+// bit for bit against zero-copy mode, both against finite differences of
+// their own loss and against the independent reference in
+// reference_mlp.hpp; and the Hogwild lanes' in-place step bit for bit
+// against the gradient-then-axpy update it replaces.
 #include <cmath>
+#include <cstring>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +14,7 @@
 #include "backend/mlp_executor.hpp"
 #include "common/rng.hpp"
 #include "executor_modes.hpp"
+#include "obs/metrics.hpp"
 #include "reference_mlp.hpp"
 #include "tensor/ops.hpp"
 
@@ -210,6 +214,114 @@ INSTANTIATE_TEST_SUITE_P(Activations, GradientCheck,
                                            Activation::kTanh,
                                            Activation::kRelu,
                                            Activation::kIdentity));
+
+// The in-place step (sgd_step) against the two passes it replaces on a
+// Hogwild lane: compute_gradient, then Model::axpy(-eta, g). Every
+// parameter must come out the same bit for bit, over several steps on the
+// evolving model: on 1-row batches, whose weight updates are rank-1
+// products, and 16-row ones; on a dense input and on a 96-wide input at
+// 8% nonzero, which takes the zero-skipping gradient path at beta = 1.
+struct StepCase {
+  Activation act;
+  Index batch;
+  bool sparse_input;
+};
+
+void PrintTo(const StepCase& c, std::ostream* os) {
+  *os << activation_name(c.act) << "/batch " << c.batch
+      << (c.sparse_input ? "/sparse" : "/dense");
+}
+
+bool same_bytes(const Model& a, const Model& b) {
+  const auto same = [](const Matrix& x, const Matrix& y) {
+    return x.same_shape(y) &&
+           std::memcmp(x.data(), y.data(),
+                       static_cast<std::size_t>(x.size()) * sizeof(Scalar)) ==
+               0;
+  };
+  if (a.layer_count() != b.layer_count()) return false;
+  for (std::size_t l = 0; l < a.layer_count(); ++l) {
+    if (!same(a.layer(l).weights, b.layer(l).weights) ||
+        !same(a.layer(l).bias, b.layer(l).bias)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::uint64_t sparse_gemms() {
+  return obs::MetricsRegistry::instance()
+      .counter("hetsgd_sparse_gemms_total")
+      .value();
+}
+
+class InPlaceStep : public ::testing::TestWithParam<StepCase> {};
+
+TEST_P(InPlaceStep, MatchesGradientThenAxpyBitForBit) {
+  const StepCase& c = GetParam();
+  MlpConfig config = tiny_config(c.act);
+  if (c.sparse_input) config.input_dim = 96;
+  Problem p = make_problem(config, c.batch, 23);
+  if (c.sparse_input) {
+    Rng rng(29);
+    for (Index i = 0; i < p.x.size(); ++i) {
+      if (!rng.bernoulli(0.08)) p.x.data()[i] = 0;
+    }
+  }
+  Model two_pass = p.model;
+  Model in_place = p.model;
+  Gradient g = nn::make_zero_gradient(two_pass);
+  Backend grad_backend(gpusim::xeon56_spec(), Backend::Mode::kZeroCopy);
+  MlpExecutor grad_exec(grad_backend, config, c.batch);
+  grad_exec.bind_shared_model(two_pass);
+  grad_exec.bind_host_gradient(g);
+  Backend step_backend(gpusim::xeon56_spec(), Backend::Mode::kZeroCopy);
+  MlpExecutor step_exec(step_backend, config, c.batch);
+  step_exec.bind_shared_model(in_place);
+
+  const Scalar eta = 0.3;
+  for (int step = 0; step < 4; ++step) {
+    const std::uint64_t before = sparse_gemms();
+    const Scalar want_loss =
+        grad_exec.compute_gradient(p.x.view(), p.y, 0.0, nullptr);
+    two_pass.axpy(-eta, g);
+    const std::uint64_t between = sparse_gemms();
+    const Scalar loss = step_exec.sgd_step(p.x.view(), p.y, eta);
+    EXPECT_EQ(loss, want_loss) << "step " << step;
+    ASSERT_TRUE(same_bytes(in_place, two_pass)) << "step " << step;
+    // Both passes ran the same kernels: with 16 sparse rows, the first
+    // layer's forward and weight products both skip zeros.
+    EXPECT_EQ(sparse_gemms() - between, between - before);
+    EXPECT_EQ(sparse_gemms() - between,
+              c.sparse_input && c.batch >= 8 ? 2u : 0u);
+  }
+  EXPECT_GT(in_place.max_abs_diff(p.model), 0.0);
+}
+
+std::vector<StepCase> step_cases() {
+  std::vector<StepCase> cases;
+  for (Activation act : {Activation::kSigmoid, Activation::kTanh,
+                         Activation::kRelu, Activation::kIdentity}) {
+    for (Index batch : {1, 16}) {
+      for (bool sparse_input : {false, true}) {
+        cases.push_back({act, batch, sparse_input});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, InPlaceStep,
+                         ::testing::ValuesIn(step_cases()));
+
+// sgd_step writes a zero-copy executor's bound model; a device replica
+// has no host model to step.
+TEST(InPlaceStepDeath, RequiresAZeroCopyBackend) {
+  Problem p = make_problem(tiny_config(), 2, 31);
+  Backend device(gpusim::v100_spec(), Backend::Mode::kDevice);
+  MlpExecutor exec(device, p.model.config(), 2);
+  EXPECT_DEATH(exec.sgd_step(p.x.view(), p.y, 0.1), "zero-copy");
+}
 
 // Sigmoid BCE over 0/1 targets: same checks as GradientCheck.
 TEST(GradientBce, MatchesFiniteDifferences) {

@@ -112,9 +112,9 @@ MSG_VARIANT_NAME = "Message"
 # (root-relative path, atomic field name). This is the atomic counterpart
 # of scripts/tsan.supp: queue/ring internals whose ordering is carried
 # by the surrounding acquire/release edges, and obs/log counters where a
-# stale read only skews a statistic. The three sanctioned Hogwild races
-# (tensor::axpy, nn::Model::operator=, the dataset shuffle helpers) are
-# deliberately NOT here — they are plain non-atomic races suppressed in
+# stale read only skews a statistic. The sanctioned Hogwild races
+# (backend::MlpExecutor::step_layer, tensor::axpy, nn::Model::operator=,
+# the dataset shuffle helpers) are deliberately NOT here — they are plain non-atomic races suppressed in
 # tsan.supp; turning them into relaxed atomics would hide them from TSan
 # without making them more correct.
 ALLOWED_RELAXED = {
