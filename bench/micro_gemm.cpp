@@ -9,9 +9,12 @@
 // products are the Hogwild lanes' 1-row weight updates. Input-density
 // benchmarks on first-layer and hidden-layer shapes time the dense kernel
 // against the zero-skipping path for sparse inputs and its selection rule.
+// BM_EpilogueTanh times the fused epilogue's tanh pass against the
+// std::tanh row loop it replaced.
 //
 // scripts/bench_smoke.sh runs this binary (in a -DHETSGD_NATIVE=ON build)
-// and distills the GFLOP/s counters into BENCH_gemm.json;
+// and distills the GFLOP/s (and tanh Gelem/s) counters into
+// BENCH_gemm.json;
 // scripts/check_bench_regression.py gates changes against the checked-in
 // baseline on each variant's best repetition.
 #include <benchmark/benchmark.h>
@@ -19,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 
 #include "common/macros.hpp"
@@ -126,6 +130,16 @@ void seed_gemm(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
   }
 }
 
+// The tanh epilogue row pass before the vectorized kernel: one glibc
+// std::tanh call per element.
+void tanh_row(Scalar* HETSGD_RESTRICT c, const Scalar* HETSGD_RESTRICT bias,
+              Index n) {
+  for (Index j = 0; j < n; ++j) {
+    const Scalar z = c[j] + bias[j];
+    c[j] = std::tanh(z);
+  }
+}
+
 }  // namespace seed
 // ---------------------------------------------------------------------------
 
@@ -212,6 +226,50 @@ BENCHMARK(BM_GemmTN_Rank1)
     ->ArgsProduct({{805}, {48}, {0, 1}})
     ->ArgsProduct({{48}, {500, 48}, {0, 1}})
     ->ArgNames({"m", "n", "seed"});
+
+// The tanh epilogue pass alone, c = tanh(c + bias), as gemm_bias_act runs
+// it on each row of a finished product: the bench MLPs' 48-unit hidden
+// rows and the paper's 512. The new arm is the fused epilogue's row pass
+// (tensor::detail::epilogue_row), the seed arm the std::tanh loop it
+// replaced. Pre-activations are N(0, 0.7^2), about as spread as covtype's
+// (63% below 0.625). Each iteration copies the next 16 rows of a 512 KB
+// pool into place first, in both arms: a training pass never sees the
+// same values twice, and on a short repeating input the branch predictor
+// learns glibc tanh's branches.
+// Counts tanh evaluations per second (Gelem/s).
+void BM_EpilogueTanh(benchmark::State& state) {
+  const Index n = state.range(0);
+  const bool use_seed = state.range(1) != 0;
+  const Index rows = 16;
+  const Index pool_rows = (Index{1} << 16) / n;
+  Rng rng(8);
+  Matrix pool(pool_rows, n), c(rows, n), bias(1, n);
+  tensor::fill_normal(pool.view(), rng, 0, 0.7);
+  tensor::fill_normal(bias.view(), rng, 0, 0.1);
+  Index next = 0;
+  for (auto _ : state) {
+    std::memcpy(c.data(), pool.row(next),
+                static_cast<std::size_t>(c.size()) * sizeof(Scalar));
+    next = next + 2 * rows <= pool_rows ? next + rows : 0;
+    for (Index r = 0; r < rows; ++r) {
+      if (use_seed) {
+        seed::tanh_row(c.row(r), bias.data(), n);
+      } else {
+        tensor::detail::epilogue_row(tensor::Epilogue::kBiasTanh, c.row(r),
+                                     bias.data(), n);
+      }
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["Gelem/s"] = benchmark::Counter(
+      static_cast<double>(rows * n) * static_cast<double>(state.iterations()) /
+          1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EpilogueTanh)
+    ->ArgsProduct({{48, 512}, {0, 1}})
+    ->ArgNames({"n", "seed"});
 
 // The three passes gemm_bias_act fuses: out = tanh(x * W^T + bias) as the
 // product, then a pass adding the bias, then a pass applying tanh.

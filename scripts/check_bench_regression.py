@@ -5,7 +5,9 @@ Reads the google-benchmark JSON produced by scripts/bench_smoke.sh, writes
 a compact BENCH_gemm.json mapping each shape to its packed-kernel and
 frozen-seed-kernel GFLOP/s (and their ratio), then compares against the
 checked-in baseline: the run fails if any shape's new/seed speedup dropped
-more than the threshold (default 20%) below the baseline's.
+more than the threshold (default 20%) below the baseline's. The tanh
+epilogue pair (BM_EpilogueTanh) counts tanh evaluations per second
+(Gelem/s) instead and is gated the same way.
 
 The estimator is the best of at least MIN_REPETITIONS interleaved
 repetitions per arm: each variant's figure is its highest GFLOP/s over the
@@ -54,6 +56,17 @@ PAIR_FLAGS = {
 # Fewest repetitions per arm the best-of estimator is trusted on.
 MIN_REPETITIONS = 9
 
+# Rate counters a benchmark may report, and the field suffix each is
+# recorded under: GEMMs count floating-point operations, BM_EpilogueTanh
+# counts tanh evaluations.
+RATES = {"GFLOP/s": "gflops", "Gelem/s": "gelems"}
+
+
+def best_rate(bests, variant):
+    """A variant's best rate, under whichever counter it reported."""
+    return next((bests[f"{variant}_{suffix}"] for suffix in RATES.values()
+                 if f"{variant}_{suffix}" in bests), None)
+
 
 def parse_raw(raw):
     """Group benchmark repetitions into per-shape entries of bests."""
@@ -76,14 +89,15 @@ def parse_raw(raw):
         key_args = [f"{k}:{v}" for k, v in args.items() if k not in PAIR_FLAGS]
         key = "/".join([parts[0]] + key_args + plain)
         entry = samples.setdefault(key, {})
-        gflops = b.get("GFLOP/s")
-        if flag is not None and gflops is not None:
+        counter = next((c for c in RATES if c in b), None)
+        if flag is not None and counter is not None:
             zero_name, one_name, _ = PAIR_FLAGS[flag]
             variant = one_name if args[flag] != "0" else zero_name
-            entry.setdefault(f"{variant}_gflops", []).append(gflops)
+            entry.setdefault(f"{variant}_{RATES[counter]}", []).append(
+                b[counter])
             flags[key] = flag
-        elif gflops is not None:
-            entry.setdefault("gflops", []).append(gflops)
+        elif counter is not None:
+            entry.setdefault(RATES[counter], []).append(b[counter])
         elif "bytes_per_second" in b:
             entry.setdefault("gbytes_per_second", []).append(
                 b["bytes_per_second"] / 1e9)
@@ -105,8 +119,8 @@ def parse_raw(raw):
             continue
         zero_name, one_name, num_name = PAIR_FLAGS[flag]
         den_name = one_name if num_name == zero_name else zero_name
-        num = bests.get(f"{num_name}_gflops")
-        den = bests.get(f"{den_name}_gflops")
+        num = best_rate(bests, num_name)
+        den = best_rate(bests, den_name)
         if num is not None and den:
             entry["speedup"] = round(num / den, 3)
     return shapes

@@ -64,6 +64,16 @@ class ParseRawTest(unittest.TestCase):
                            rep("BM_ForwardLayerFused/m:4/fused:1", 3.0))
         self.assertEqual(shapes["BM_ForwardLayerFused/m:4"]["speedup"], 1.5)
 
+    def test_element_rates_form_a_pair(self):
+        new = "BM_EpilogueTanh/n:48/seed:0"
+        seed = "BM_EpilogueTanh/n:48/seed:1"
+        shapes = shapes_of({"name": new, "Gelem/s": 0.3},
+                           {"name": seed, "Gelem/s": 0.1},
+                           {"name": new, "Gelem/s": 0.4},
+                           {"name": seed, "Gelem/s": 0.16})
+        self.assertEqual(shapes, {"BM_EpilogueTanh/n:48": {
+            "new_gelems": 0.4, "seed_gelems": 0.16, "speedup": 2.5}})
+
     def test_alternating_counters_form_a_pair(self):
         name = ("BM_AutoInputForward/m:16/width:512/units:512/permille:1000"
                 "/min_time:1.000")

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/macros.hpp"
@@ -679,9 +680,11 @@ void Coordinator::evaluate_loss(double vtime) {
     handle_divergence(vtime, loss);
     return;
   }
-  // Divergence insurance: remember the last model snapshot that evaluated
-  // to a finite loss.
-  last_good_model_ = eval_snapshot_;
+  // Divergence insurance: the snapshot that evaluated to a finite loss
+  // becomes the last good model. A swap, not a second copy: the next
+  // evaluation overwrites eval_snapshot_ in place, and the executor stays
+  // bound to that object.
+  std::swap(eval_snapshot_, last_good_model_);
   last_good_loss_ = loss;
   has_last_good_ = true;
   metrics().loss.set(loss);

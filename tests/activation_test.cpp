@@ -1,6 +1,11 @@
 #include "nn/activation.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +15,7 @@
 namespace hetsgd::nn {
 namespace {
 
+using tensor::Index;
 using tensor::Matrix;
 using tensor::Scalar;
 
@@ -104,6 +110,161 @@ INSTANTIATE_TEST_SUITE_P(AllActivations, ActivationForwardBackward,
                                            Activation::kSigmoid,
                                            Activation::kTanh,
                                            Activation::kRelu));
+
+// --- tanh: the fused epilogue's vectorized kernel (tensor/microkernel.hpp) -
+
+// The scalar form, as the forward pass applies it.
+Scalar tanh_fwd(Scalar x) { return apply(Activation::kTanh, x); }
+
+bool same_bits(Scalar a, Scalar b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// |got - want| in units in the last place of a double of want's size.
+long double ulps(Scalar got, long double want) {
+  int exp = 0;
+  std::frexp(std::fabs(want), &exp);  // |want| in [2^(exp-1), 2^exp)
+  const long double ulp = std::ldexp(1.0L, std::max(exp - 53, -1074));
+  return std::fabs(static_cast<long double>(got) - want) / ulp;
+}
+
+// Largest error against tanhl seen so far, of the kernel and of glibc's
+// std::tanh on the same inputs.
+struct TanhErrors {
+  long double kernel = 0;
+  long double libm = 0;
+  Scalar worst_input = 0;
+  Scalar max_magnitude = 0;
+
+  void add(Scalar x) {
+    const long double want = std::tanh(static_cast<long double>(x));
+    const Scalar got = tanh_fwd(x);
+    max_magnitude = std::max(max_magnitude, std::fabs(got));
+    const long double err = ulps(got, want);
+    if (err > kernel) {
+      kernel = err;
+      worst_input = x;
+    }
+    libm = std::max(libm, ulps(std::tanh(x), want));
+  }
+};
+
+// 10^7 random inputs (uniform over both forms and saturation, uniform
+// around the switch between the forms at 0.625, and log-uniform
+// magnitudes from 1e-10) plus a log sweep from 1e-320 to 25 of either
+// sign: the kernel's largest error against tanhl is no larger than
+// std::tanh's on the same inputs.
+TEST(TanhKernel, NoLessAccurateThanLibm) {
+  TanhErrors errors;
+  Rng rng(23);
+  const double log_lo = std::log(1e-10);
+  const double log_hi = std::log(25.0);
+  for (int i = 0; i < 10'000'000; ++i) {
+    switch (i % 3) {
+      case 0:
+        errors.add(rng.uniform(-25.0, 25.0));
+        break;
+      case 1:
+        errors.add(rng.uniform(-1.5, 1.5));
+        break;
+      default: {
+        const Scalar mag = std::exp(rng.uniform(log_lo, log_hi));
+        errors.add(rng.bernoulli(0.5) ? mag : -mag);
+      }
+    }
+  }
+  const double sweep_lo = std::log(1e-320);
+  const int kSweep = 2'000'000;
+  for (int i = 0; i <= kSweep; ++i) {
+    const Scalar x = std::exp(sweep_lo + (log_hi - sweep_lo) * i / kSweep);
+    errors.add(x);
+    errors.add(-x);
+  }
+  EXPECT_LE(errors.max_magnitude, 1.0);
+  EXPECT_LE(errors.kernel, errors.libm)
+      << "kernel " << static_cast<double>(errors.kernel) << " ulp at x = "
+      << errors.worst_input << ", std::tanh "
+      << static_cast<double>(errors.libm) << " ulp";
+  RecordProperty("kernel_max_ulp", std::to_string(errors.kernel));
+  RecordProperty("libm_max_ulp", std::to_string(errors.libm));
+}
+
+// +-0 keep their sign, +-inf give +-1, and NaN stays NaN: a tanh that
+// turned NaN into 1 would hide a diverged model from the divergence guard.
+TEST(TanhKernel, SpecialValues) {
+  const Scalar inf = std::numeric_limits<Scalar>::infinity();
+  const Scalar nan = std::numeric_limits<Scalar>::quiet_NaN();
+  EXPECT_TRUE(same_bits(tanh_fwd(0.0), 0.0));
+  EXPECT_TRUE(same_bits(tanh_fwd(-0.0), -0.0));
+  EXPECT_EQ(tanh_fwd(inf), 1.0);
+  EXPECT_EQ(tanh_fwd(-inf), -1.0);
+  EXPECT_TRUE(std::isnan(tanh_fwd(nan)));
+  EXPECT_TRUE(std::isnan(tanh_fwd(-nan)));
+}
+
+// Below about 2^-27, tanh(x) rounds to x; subnormals must come back
+// unchanged, not flushed to zero.
+TEST(TanhKernel, TinyInputsReturnTheirArgument) {
+  const Scalar denorm_min = std::numeric_limits<Scalar>::denorm_min();
+  const Scalar norm_min = std::numeric_limits<Scalar>::min();
+  for (Scalar x : {denorm_min, 3 * denorm_min, 1e-320, 1e-310,
+                   norm_min / 2, std::nextafter(norm_min, 0.0), norm_min,
+                   1e-300, 1e-150, 1e-20, 1e-9}) {
+    EXPECT_TRUE(same_bits(tanh_fwd(x), x)) << x;
+    EXPECT_TRUE(same_bits(tanh_fwd(-x), -x)) << -x;
+  }
+}
+
+// Where tanh rounds to 1 the kernel gives exactly +-1, never a value past
+// it, up to the largest double.
+TEST(TanhKernel, SaturatesToExactlyOne) {
+  for (Scalar x : {19.5, 20.0, 21.9, 22.0, 25.0, 44.0, 1e3, 1e10, 1e300,
+                   std::numeric_limits<Scalar>::max()}) {
+    EXPECT_EQ(tanh_fwd(x), 1.0) << x;
+    EXPECT_EQ(tanh_fwd(-x), -1.0) << -x;
+  }
+}
+
+// The row pass (two lanes at a time, the odd last element through the
+// scalar form) equals the scalar form bit for bit: at every row length
+// from 1 to 17, at odd start offsets, on special values as well.
+TEST(TanhKernel, RowPassMatchesScalarFormBitForBit) {
+  const Scalar specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<Scalar>::infinity(),
+                             -std::numeric_limits<Scalar>::infinity(),
+                             std::numeric_limits<Scalar>::quiet_NaN(),
+                             std::numeric_limits<Scalar>::denorm_min(),
+                             0.625,
+                             -30.0};
+  Rng rng(29);
+  for (Index offset : {0, 1, 3}) {
+    for (Index n = 1; n <= 17; ++n) {
+      for (int round = 0; round < 50; ++round) {
+        std::vector<Scalar> c(static_cast<std::size_t>(offset + n));
+        std::vector<Scalar> bias(c.size());
+        for (std::size_t j = 0; j < c.size(); ++j) {
+          c[j] = rng.bernoulli(0.2) ? specials[rng.next_below(8)]
+                                    : rng.normal(0.0, 3.0);
+          bias[j] = rng.bernoulli(0.2) ? -0.0 : rng.normal(0.0, 0.5);
+        }
+        std::vector<Scalar> want(c.size());
+        for (std::size_t j = 0; j < c.size(); ++j) {
+          want[j] = tanh_fwd(c[j] + bias[j]);
+        }
+        tensor::detail::epilogue_row(tensor::Epilogue::kBiasTanh,
+                                     c.data() + offset, bias.data() + offset,
+                                     n);
+        for (Index j = 0; j < n; ++j) {
+          const auto at = static_cast<std::size_t>(offset + j);
+          ASSERT_TRUE(same_bits(c[at], want[at]))
+              << "n=" << n << " offset=" << offset << " j=" << j << ": "
+              << c[at] << " vs " << want[at];
+        }
+      }
+    }
+  }
+}
 
 TEST(Activation, BackwardShapeMismatchDies) {
   Matrix a(2, 2), d(2, 3);

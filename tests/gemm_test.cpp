@@ -333,6 +333,63 @@ TEST(GemmBiasAct, RespectsAlpha) {
   }
 }
 
+// A NaN weight poisons the tanh forward on every engine that runs it: the
+// packed kernel, both skinny kernels and, for a sparse input, the dense
+// fallback the NaN weight forces on the zero-skipping path (a NaN input
+// takes the path and poisons its row). Every output the NaN reaches stays
+// NaN through tanh, and the rest stay finite: a tanh that turned NaN into
+// +-1 would hide a diverged model from the divergence guard.
+TEST(GemmBiasAct, NaNWeightPoisonsTanhOnEveryEngine) {
+  const Scalar kNaN = std::numeric_limits<Scalar>::quiet_NaN();
+  struct Engine {
+    const char* name;
+    Index m, k;
+    Trans tb;
+    double density;
+  };
+  const Engine engines[] = {
+      {"packed NT", 16, 40, Trans::kYes, 1.0},
+      {"packed NN", 16, 40, Trans::kNo, 1.0},
+      {"skinny NT", 3, 40, Trans::kYes, 1.0},
+      {"skinny NN", 3, 40, Trans::kNo, 1.0},
+      {"sparse input, dense fallback", 64, 300, Trans::kYes, 0.01},
+  };
+  const Index n = 24, unit = 5, input = 7;
+  Rng rng(66);
+  for (const Engine& e : engines) {
+    SCOPED_TRACE(e.name);
+    Matrix x = sparse_matrix(e.m, e.k, e.density, rng);
+    Matrix w = e.tb == Trans::kYes ? random_matrix(n, e.k, rng)
+                                   : random_matrix(e.k, n, rng);
+    (e.tb == Trans::kYes ? w(unit, input) : w(input, unit)) = kNaN;
+    Matrix bias = random_matrix(1, n, rng);
+    Matrix out(e.m, n);
+    gemm_bias_act(Trans::kNo, e.tb, Scalar{1}, x.view(), w.view(),
+                  out.view(), bias.view(), Epilogue::kBiasTanh);
+    for (Index i = 0; i < e.m; ++i) {
+      for (Index j = 0; j < n; ++j) {
+        ASSERT_EQ(std::isnan(out(i, j)), j == unit)
+            << "(" << i << ", " << j << ") = " << out(i, j);
+      }
+    }
+  }
+  // The zero-skipping path itself, poisoned through its input.
+  Matrix x = sparse_matrix(64, 300, 0.01, rng);
+  x(9, 40) = kNaN;
+  Matrix w = random_matrix(n, 300, rng);
+  Matrix bias = random_matrix(1, n, rng);
+  Matrix out(64, n);
+  const std::uint64_t before = sparse_gemms();
+  gemm_bias_act(Trans::kNo, Trans::kYes, Scalar{1}, x.view(), w.view(),
+                out.view(), bias.view(), Epilogue::kBiasTanh);
+  EXPECT_EQ(sparse_gemms() - before, 1u);
+  for (Index i = 0; i < 64; ++i) {
+    for (Index j = 0; j < n; ++j) {
+      ASSERT_EQ(std::isnan(out(i, j)), i == 9) << "(" << i << ", " << j << ")";
+    }
+  }
+}
+
 TEST(Gemm, MatmulWrappers) {
   Rng rng(77);
   const Index b = 13, in = 9, out = 11;
