@@ -7,8 +7,8 @@
 // skinny batches m ∈ {1, 4, 16} are what the CPU Hogbatch workers run,
 // wide batches m ∈ {256, 1024} are GPU-style minibatches, and the k = 1
 // products are the Hogwild lanes' 1-row weight updates. Input-density
-// benchmarks on first-layer and hidden-layer shapes time the dense kernel
-// against the zero-skipping path for sparse inputs and its selection rule.
+// benchmarks on first-layer shapes time the dense kernels against the CSR
+// kernel pair on the same operands, and check the dataset's storage rule.
 // BM_EpilogueTanh times the fused epilogue's tanh pass against the
 // std::tanh row loop it replaced.
 //
@@ -27,7 +27,9 @@
 
 #include "common/macros.hpp"
 #include "common/rng.hpp"
+#include "data/dataset.hpp"
 #include "obs/clock.hpp"
+#include "tensor/csr.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
@@ -314,28 +316,31 @@ BENCHMARK(BM_ForwardLayerFused)
     ->ArgsProduct({{4, 256}, {0, 1}})
     ->ArgNames({"m", "fused"});
 
-// Input-density benchmarks for the zero-skipping path (tensor/gemm.cpp) on
+// Input-density benchmarks for the CSR kernel pair (tensor/gemm.hpp) on
 // the two products that take the layer input x as an operand: the forward
-// act(x * W^T + b) and the weight gradient delta^T * x, for an m-row batch
+// act(x * W^T + b) and the weight product delta^T * x, for an m-row batch
 // of width-wide inputs into `units` units, entries nonzero with probability
-// permille / 1000. Every iteration runs the product once on the dense packed
-// kernel and once on a second path (tensor::detail::set_sparse_path), in
+// permille / 1000. A one-row batch runs the product as a Hogwild lane's
+// in-place step does (W += -1e-4 * delta^T * x); larger ones as the
+// replica's gradient (beta = 0). Every iteration runs the dense kernel on
+// x stored dense and the CSR kernel on the same x stored CSR, in
 // alternating order, timing each, so host drift hits both alike. Both
 // GFLOP/s counters count the dense flops, so their ratio is the time ratio.
 //
-// BM_SparseInput*: dense kernel vs zero-skipping path (sparse_GFLOP/s),
+// BM_CsrInput*: dense kernel (dense_GFLOP/s) vs CSR kernel (csr_GFLOP/s),
 // swept over density on the first layers of real-sim (2963 inputs) and
-// delicious (500 inputs) at bench scale: 512 rows, the eval chunk and the
-// GPU batch, into 48 units. The lowest density where the ratio crosses 1 is
-// the selection constant in tensor/gemm.cpp.
+// delicious (500 inputs) at bench scale into 48 units: at m = 1 (a lane
+// step) and m = 512 (the eval chunk and the GPU batch). The lowest density
+// where the ratio crosses 1 is data::kCsrMaxDensity.
 //
-// BM_AutoInput*: dense kernel vs the selection rule itself (auto_GFLOP/s)
-// on inputs on either side of it: a dense hidden layer at the paper's 512
-// units, at m = 16 and 512, and w8a's 300-wide 15%-dense first layer, which
-// keep the dense kernel, so the ratio is what the density check costs them;
-// and delicious's 12%-dense first layer, which takes the path.
-using tensor::detail::SparsePath;
-
+// BM_StoredInput*: the kernel the storage rule selects for x
+// (data::stores_csr; stored_GFLOP/s) vs the other one (other_GFLOP/s), on
+// inputs on either side of the rule at m = 1 and 512: the first layers of
+// real-sim (1%), delicious (12%) and w8a (300 wide, 15%), stored CSR, and
+// 50%-dense inputs, stored dense. Between the weight product's crossover
+// (the rule's threshold) and the forward's, the rule keeps dense rows
+// though the forward alone would run faster on CSR; no dataset here
+// falls there.
 Matrix sparse_input(Index rows, Index cols, double density, Rng& rng) {
   Matrix x(rows, cols);
   for (Index i = 0; i < rows; ++i) {
@@ -346,102 +351,142 @@ Matrix sparse_input(Index rows, Index cols, double density, Rng& rng) {
   return x;
 }
 
-template <typename Product>
-void time_against_dense(benchmark::State& state, SparsePath other,
-                        const char* other_counter, double flops,
-                        const Product& product) {
+// Times `dense` and `csr` alternately, reporting each as GFLOP/s of `flops`
+// under the counter names given.
+template <typename Dense, typename Csr>
+void time_both(benchmark::State& state, double flops, const char* dense_name,
+               const char* csr_name, const Dense& dense, const Csr& csr) {
   std::uint64_t dense_ns = 0;
-  std::uint64_t other_ns = 0;
-  const SparsePath previous = tensor::detail::set_sparse_path(other);
-  SparsePath order[] = {SparsePath::kDense, other};
+  std::uint64_t csr_ns = 0;
+  bool dense_first = true;
   for (auto _ : state) {
-    for (SparsePath path : order) {
-      tensor::detail::set_sparse_path(path);
+    for (int arm = 0; arm < 2; ++arm) {
+      const bool run_dense = (arm == 0) == dense_first;
       const std::uint64_t t0 = obs::wall_now_ns();
-      product();
-      (path == SparsePath::kDense ? dense_ns : other_ns) +=
-          obs::wall_now_ns() - t0;
+      if (run_dense) {
+        dense();
+      } else {
+        csr();
+      }
+      (run_dense ? dense_ns : csr_ns) += obs::wall_now_ns() - t0;
     }
-    std::swap(order[0], order[1]);  // neither path always runs warm
+    dense_first = !dense_first;  // neither kernel always runs warm
   }
-  tensor::detail::set_sparse_path(previous);
   const double total = flops * static_cast<double>(state.iterations());
-  state.counters["dense_GFLOP/s"] = total / static_cast<double>(dense_ns);
-  state.counters[other_counter] = total / static_cast<double>(other_ns);
+  state.counters[dense_name] = total / static_cast<double>(dense_ns);
+  state.counters[csr_name] = total / static_cast<double>(csr_ns);
+}
+
+// Counter names for the dense and CSR arms of an input with these Args:
+// the kernels', or, with `stored`, which of the two the storage rule picks
+// for a dataset of that density.
+std::pair<const char*, const char*> arm_names(const benchmark::State& state,
+                                              bool stored) {
+  if (!stored) return {"dense_GFLOP/s", "csr_GFLOP/s"};
+  const Index m = state.range(0), width = state.range(1);
+  const auto nonzeros = static_cast<Index>(
+      static_cast<double>(state.range(3)) / 1000.0 * static_cast<double>(m) *
+      static_cast<double>(width));
+  if (data::stores_csr(m, width, nonzeros)) {
+    return {"other_GFLOP/s", "stored_GFLOP/s"};
+  }
+  return {"stored_GFLOP/s", "other_GFLOP/s"};
 }
 
 // Args: m, width, units, permille.
-void input_forward(benchmark::State& state, SparsePath other,
-                   const char* other_counter) {
+void input_forward(benchmark::State& state, bool stored) {
   const Index m = state.range(0), width = state.range(1),
               units = state.range(2);
   Rng rng(6);
-  Matrix x = sparse_input(m, width,
-                          static_cast<double>(state.range(3)) / 1000.0, rng);
+  const Matrix x = sparse_input(
+      m, width, static_cast<double>(state.range(3)) / 1000.0, rng);
+  const tensor::CsrMatrix x_csr = tensor::CsrMatrix::from_dense(x.view());
   Matrix w(units, width), bias(1, units), out(m, units);
   tensor::fill_normal(w.view(), rng, 0, 1);
   tensor::fill_normal(bias.view(), rng, 0, 1);
-  time_against_dense(state, other, other_counter,
-                     tensor::gemm_flops(m, units, width), [&] {
-                       tensor::gemm_bias_act(Trans::kNo, Trans::kYes, 1.0,
-                                             x.view(), w.view(), out.view(),
-                                             bias.view(),
-                                             tensor::Epilogue::kBiasTanh);
-                       benchmark::DoNotOptimize(out.data());
-                     });
+  const auto [dense_name, csr_name] = arm_names(state, stored);
+  time_both(
+      state, tensor::gemm_flops(m, units, width), dense_name, csr_name,
+      [&] {
+        tensor::gemm_bias_act(Trans::kNo, Trans::kYes, 1.0, x.view(), w.view(),
+                              out.view(), bias.view(),
+                              tensor::Epilogue::kBiasTanh);
+        benchmark::DoNotOptimize(out.data());
+      },
+      [&] {
+        tensor::csr_bias_act(x_csr.view(), w.view(), out.view(), bias.view(),
+                             tensor::Epilogue::kBiasTanh);
+        benchmark::DoNotOptimize(out.data());
+      });
 }
 
-void input_gradient(benchmark::State& state, SparsePath other,
-                    const char* other_counter) {
+void input_gradient(benchmark::State& state, bool stored) {
   const Index m = state.range(0), width = state.range(1),
               units = state.range(2);
   Rng rng(7);
-  Matrix x = sparse_input(m, width,
-                          static_cast<double>(state.range(3)) / 1000.0, rng);
+  const Matrix x = sparse_input(
+      m, width, static_cast<double>(state.range(3)) / 1000.0, rng);
+  const tensor::CsrMatrix x_csr = tensor::CsrMatrix::from_dense(x.view());
   Matrix delta(m, units), grad(units, width);
   tensor::fill_normal(delta.view(), rng, 0, 1);
-  time_against_dense(state, other, other_counter,
-                     tensor::gemm_flops(units, width, m), [&] {
-                       tensor::matmul_tn(delta.view(), x.view(), grad.view());
-                       benchmark::DoNotOptimize(grad.data());
-                     });
+  // A lane's one-row in-place step, or the replica's gradient.
+  const Scalar alpha = m == 1 ? -1e-4 : 1.0;
+  const Scalar beta = m == 1 ? 1.0 : 0.0;
+  const auto [dense_name, csr_name] = arm_names(state, stored);
+  time_both(
+      state, tensor::gemm_flops(units, width, m), dense_name, csr_name,
+      [&] {
+        tensor::gemm(Trans::kYes, Trans::kNo, alpha, delta.view(), x.view(),
+                     beta, grad.view());
+        benchmark::DoNotOptimize(grad.data());
+      },
+      [&] {
+        tensor::csr_gemm_tn(alpha, delta.view(), x_csr.view(), beta,
+                            grad.view());
+        benchmark::DoNotOptimize(grad.data());
+      });
 }
 
-void BM_SparseInputForward(benchmark::State& state) {
-  input_forward(state, SparsePath::kSparse, "sparse_GFLOP/s");
+void BM_CsrInputForward(benchmark::State& state) {
+  input_forward(state, false);
 }
-void BM_SparseInputGradient(benchmark::State& state) {
-  input_gradient(state, SparsePath::kSparse, "sparse_GFLOP/s");
+void BM_CsrInputGradient(benchmark::State& state) {
+  input_gradient(state, false);
 }
-void BM_AutoInputForward(benchmark::State& state) {
-  input_forward(state, SparsePath::kAuto, "auto_GFLOP/s");
+void BM_StoredInputForward(benchmark::State& state) {
+  input_forward(state, true);
 }
-void BM_AutoInputGradient(benchmark::State& state) {
-  input_gradient(state, SparsePath::kAuto, "auto_GFLOP/s");
+void BM_StoredInputGradient(benchmark::State& state) {
+  input_gradient(state, true);
 }
 
 void sweep_densities(benchmark::internal::Benchmark* b) {
-  for (int width : {2963, 500}) {
-    for (int permille :
-         {0, 10, 50, 100, 120, 150, 200, 300, 500, 750, 1000}) {
-      b->Args({512, width, 48, permille});
+  for (int m : {1, 512}) {
+    for (int width : {2963, 500}) {
+      for (int permille :
+           {0, 10, 50, 100, 120, 150, 200, 300, 500, 750, 1000}) {
+        b->Args({m, width, 48, permille});
+      }
     }
   }
   b->ArgNames({"m", "width", "units", "permille"});
 }
-BENCHMARK(BM_SparseInputForward)->Apply(sweep_densities);
-BENCHMARK(BM_SparseInputGradient)->Apply(sweep_densities);
+BENCHMARK(BM_CsrInputForward)->Apply(sweep_densities);
+BENCHMARK(BM_CsrInputGradient)->Apply(sweep_densities);
 
 void selection_inputs(benchmark::internal::Benchmark* b) {
-  b->Args({16, 512, 512, 1000});
-  b->Args({512, 512, 512, 1000});
-  b->Args({512, 300, 48, 150});
-  b->Args({512, 500, 48, 120});
+  for (int m : {1, 512}) {
+    b->Args({m, 2963, 48, 10});   // real-sim: CSR
+    b->Args({m, 500, 48, 120});   // delicious: CSR
+    b->Args({m, 300, 48, 150});   // w8a: CSR
+    b->Args({m, 300, 48, 500});   // past both crossovers: dense
+    b->Args({m, 2963, 48, 500});  // dense
+  }
   b->ArgNames({"m", "width", "units", "permille"});
   b->MinTime(1.0);  // gated by check_bench_regression.py: average out jitter
 }
-BENCHMARK(BM_AutoInputForward)->Apply(selection_inputs);
-BENCHMARK(BM_AutoInputGradient)->Apply(selection_inputs);
+BENCHMARK(BM_StoredInputForward)->Apply(selection_inputs);
+BENCHMARK(BM_StoredInputGradient)->Apply(selection_inputs);
 
 void BM_Axpy(benchmark::State& state) {
   const Index n = state.range(0);

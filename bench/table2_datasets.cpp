@@ -31,19 +31,14 @@ int main(int argc, char** argv) {
     const auto info = data::paper_dataset_info(b.id);
     data::Dataset d = bench::build_dataset(b, 1);
 
-    // Measure density of the generated set.
-    std::uint64_t nonzero = 0;
-    for (tensor::Index r = 0; r < d.example_count(); ++r) {
-      const tensor::Scalar* row = d.features().row(r);
-      for (tensor::Index c = 0; c < d.dim(); ++c) {
-        if (row[c] != 0.0) ++nonzero;
-      }
-    }
+    // Density of the generated set, and its size in the paper's dense
+    // format (whatever the form it is stored in).
     const double density =
-        100.0 * static_cast<double>(nonzero) /
+        100.0 * static_cast<double>(d.nonzero_count()) /
         static_cast<double>(d.example_count() * d.dim());
     const double mbytes =
-        static_cast<double>(d.feature_bytes()) / (1 << 20);
+        static_cast<double>(d.example_count() * d.dim()) *
+        sizeof(tensor::Scalar) / (1 << 20);
 
     std::printf("%-11s | %9lld %7lld %8d %7d | %9lld %7lld %8d %8.1f%% %8.1f\n",
                 info.name, static_cast<long long>(info.examples),

@@ -116,8 +116,8 @@ int main(int argc, char** argv) {
 
   // Held-out evaluation.
   nn::ConfusionMatrix cm = nn::evaluate_classifier(
-      [&](tensor::ConstMatrixView x) { return exec.forward(x); },
-      static_cast<std::int32_t>(mlp.num_classes), split.test.features().view(),
+      [&](tensor::BatchView x) { return exec.forward(x); },
+      static_cast<std::int32_t>(mlp.num_classes), split.test.features(),
       split.test.labels());
   std::printf("\nheld-out evaluation (%llu examples):\n",
               static_cast<unsigned long long>(cm.total()));

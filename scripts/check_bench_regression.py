@@ -18,14 +18,15 @@ at m = 1, the seed kernel is compute-bound there), so a ratio of medians
 moved with the host's load; each arm's least-disturbed repetition does
 not. A run with fewer repetitions fails the gate.
 
-The density sweep (BM_SparseInput*, dense vs zero-skipping path on the
-same operands) is recorded per density, plus each product's crossover
-under "sparse_crossover": the density at which the zero-skipping path
+The density sweep (BM_CsrInput*, the dense kernels vs the CSR kernel pair
+on the same operands) is recorded per density, plus each product's
+crossover under "sparse_crossover": the density at which the CSR kernel
 stops being faster, interpolated between the two swept densities around
-it; the sweep is not gated. BM_AutoInput* times the dense kernel against
-the selection rule itself on inputs on either side of it, dense hidden
-layers included: the rule fails the gate where it runs more than 10%
-slower than the dense kernel.
+it; the sweep is not gated, and its lowest crossover sets the dataset's
+storage threshold (data::kCsrMaxDensity). BM_StoredInput* times the kernel
+the storage rule selects against the other one on inputs on either side
+of the rule: the rule fails the gate where its pick runs more than 10%
+slower than the other kernel.
 
 Speedup ratios, not absolute GFLOP/s, are gated: absolute throughput varies
 across hosts, the ratio of two kernels compiled into the same binary much
@@ -40,16 +41,16 @@ from pathlib import Path
 
 # Benchmarks compare pairs selected by a 0/1 arg: `seed` (production kernel
 # vs frozen seed kernel) and `fused` (unfused sequence vs fused epilogue).
-# The `sparse` (dense kernel vs zero-skipping path) and `auto` (dense kernel
-# vs selection rule) pairs run in one benchmark that reports
+# The `csr` (dense kernel vs CSR kernel) and `stored` (the storage rule's
+# pick vs the other kernel) pairs run in one benchmark that reports
 # <variant>_GFLOP/s for both variants. Maps pair name -> (name of the
 # 0-variant, name of the 1-variant, the variant whose GFLOP/s is the
 # speedup's numerator).
 PAIR_FLAGS = {
-    "seed": ("new", "seed", "new"),          # speedup = new / seed
-    "fused": ("unfused", "fused", "fused"),  # speedup = fused / unfused
-    "sparse": ("dense", "sparse", "sparse"),  # speedup = sparse / dense
-    "auto": ("dense", "auto", "auto"),       # speedup = auto / dense
+    "seed": ("new", "seed", "new"),            # speedup = new / seed
+    "fused": ("unfused", "fused", "fused"),    # speedup = fused / unfused
+    "csr": ("dense", "csr", "csr"),            # speedup = csr / dense
+    "stored": ("other", "stored", "stored"),   # speedup = stored / other
 }
 
 
@@ -127,16 +128,16 @@ def parse_raw(raw):
 
 
 def sparse_crossovers(shapes):
-    """Per swept product, the density where sparse/dense speedup falls to 1.
+    """Per swept product, the density where csr/dense speedup falls to 1.
 
-    Linear interpolation between the last density at which the zero-skipping
-    path is faster and the first at which it is not; null when it is faster
-    (or slower) at every swept density.
+    Linear interpolation between the last density at which the CSR kernel
+    is faster and the first at which it is not; null when it is faster (or
+    slower) at every swept density.
     """
     sweeps = {}
     for key, entry in shapes.items():
         name, _, arg = key.partition("/permille:")
-        if name.startswith("BM_SparseInput") and arg and "speedup" in entry:
+        if name.startswith("BM_CsrInput") and arg and "speedup" in entry:
             sweeps.setdefault(name, []).append((int(arg), entry["speedup"]))
     out = {}
     for name, points in sorted(sweeps.items()):
@@ -150,23 +151,23 @@ def sparse_crossovers(shapes):
     return out
 
 
-# Slowest the selection rule may run, as a fraction of the dense kernel's
-# speed, on any BM_AutoInput* input.
+# Slowest the kernel the storage rule selects may run, as a fraction of
+# the other kernel's speed, on any BM_StoredInput* input.
 AUTO_FLOOR = 0.9
 
 
 def gate_selection(current):
-    """Return a failure for each input the selection rule slows down."""
-    return [f"{key}: selection rule at {entry['speedup']:.3f}x the dense "
-            f"kernel (< {AUTO_FLOOR})"
+    """Return a failure for each input the storage rule slows down."""
+    return [f"{key}: the storage rule's kernel at {entry['speedup']:.3f}x "
+            f"the other kernel (< {AUTO_FLOOR})"
             for key, entry in sorted(current["shapes"].items())
-            if key.startswith("BM_AutoInput")
+            if key.startswith("BM_StoredInput")
             and entry.get("speedup", 1.0) < AUTO_FLOOR]
 
 
 # Pairs the baseline records but gate() leaves alone: the density sweep is
-# not gated, and the selection rule has its own floor (gate_selection).
-UNGATED = ("BM_SparseInput", "BM_AutoInput")
+# not gated, and the storage rule has its own floor (gate_selection).
+UNGATED = ("BM_CsrInput", "BM_StoredInput")
 
 
 def gate_repetitions(current):

@@ -75,23 +75,30 @@ class ParseRawTest(unittest.TestCase):
             "new_gelems": 0.4, "seed_gelems": 0.16, "speedup": 2.5}})
 
     def test_alternating_counters_form_a_pair(self):
-        name = ("BM_AutoInputForward/m:16/width:512/units:512/permille:1000"
+        name = ("BM_StoredInputForward/m:512/width:300/units:48/permille:150"
                 "/min_time:1.000")
-        shapes = shapes_of(rep(name, dense=40.0, auto=36.0),
-                           rep(name, dense=50.0, auto=40.0),
-                           rep(name, dense=45.0, auto=45.0))
+        shapes = shapes_of(rep(name, other=40.0, stored=36.0),
+                           rep(name, other=50.0, stored=40.0),
+                           rep(name, other=45.0, stored=45.0))
         # A benchmark's own run length is not part of its key.
-        key = "BM_AutoInputForward/m:16/width:512/units:512/permille:1000"
+        key = "BM_StoredInputForward/m:512/width:300/units:48/permille:150"
         self.assertEqual(shapes, {key: {
-            "dense_gflops": 50.0, "auto_gflops": 45.0, "speedup": 0.9}})
+            "other_gflops": 50.0, "stored_gflops": 45.0, "speedup": 0.9}})
+
+    def test_csr_sweep_divides_csr_by_dense(self):
+        name = "BM_CsrInputGradient/m:1/width:500/units:48/permille:120"
+        shapes = shapes_of(rep(name, dense=2.0, csr=7.0),
+                           rep(name, dense=2.5, csr=6.0))
+        self.assertEqual(shapes, {name: {
+            "dense_gflops": 2.5, "csr_gflops": 7.0, "speedup": 2.8}})
 
 
 class GateTest(unittest.TestCase):
     BASE = {"shapes": {
         "BM_GemmNN/n:64": {"speedup": 2.0},
-        "BM_SparseInputForward/m:512/width:500/units:48/permille:100":
+        "BM_CsrInputForward/m:512/width:500/units:48/permille:100":
             {"speedup": 5.0},
-        "BM_AutoInputForward/m:16": {"speedup": 5.0},
+        "BM_StoredInputForward/m:512": {"speedup": 5.0},
     }}
 
     def run_gate(self, speedup):
@@ -130,15 +137,15 @@ class GateTest(unittest.TestCase):
         self.assertEqual(failures, [
             "BM_GemmNN/n:64: present in baseline but missing from run"])
 
-    def test_selection_rule_has_its_own_floor(self):
+    def test_storage_rule_has_its_own_floor(self):
         current = {"shapes": {
-            "BM_AutoInputForward/m:16": {"speedup": 0.899},
-            "BM_AutoInputGradient/m:16": {"speedup": gate.AUTO_FLOOR},
+            "BM_StoredInputForward/m:512": {"speedup": 0.899},
+            "BM_StoredInputGradient/m:512": {"speedup": gate.AUTO_FLOOR},
             "BM_GemmNN/n:64": {"speedup": 0.5},
         }}
         failures = gate.gate_selection(current)
         self.assertEqual(len(failures), 1)
-        self.assertTrue(failures[0].startswith("BM_AutoInputForward/m:16:"))
+        self.assertTrue(failures[0].startswith("BM_StoredInputForward/m:512:"))
 
 
 class SparseCrossoverTest(unittest.TestCase):
@@ -146,13 +153,13 @@ class SparseCrossoverTest(unittest.TestCase):
         return {f"{name}/permille:{p}": {"speedup": s} for p, s in points}
 
     def test_interpolates_between_the_swept_densities(self):
-        shapes = self.sweep("BM_SparseInputForward/m:512",
+        shapes = self.sweep("BM_CsrInputForward/m:512",
                             [(50, 3.0), (100, 1.5), (200, 0.5)])
-        shapes.update(self.sweep("BM_SparseInputGradient/m:512",
+        shapes.update(self.sweep("BM_CsrInputGradient/m:512",
                                  [(100, 2.0), (200, 1.1)]))
         self.assertEqual(gate.sparse_crossovers(shapes), {
-            "BM_SparseInputForward/m:512": 0.15,
-            "BM_SparseInputGradient/m:512": None,
+            "BM_CsrInputForward/m:512": 0.15,
+            "BM_CsrInputGradient/m:512": None,
         })
 
 

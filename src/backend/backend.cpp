@@ -121,6 +121,18 @@ double Backend::stage_batch(tensor::ConstMatrixView x,
   return charge(perf_.transfer_seconds(bytes_of(x) + extra_bytes), issue);
 }
 
+double Backend::stage_batch(const tensor::CsrView& x,
+                            tensor::CsrMatrix& device,
+                            std::uint64_t extra_bytes, double issue) {
+  HETSGD_ASSERT(x.cols() == device.cols(), "staged batch width mismatch");
+  device.clear_rows();
+  for (tensor::Index r = 0; r < x.rows(); ++r) device.append_row(x, r);
+  const auto dense_bytes = static_cast<std::uint64_t>(x.rows()) *
+                           static_cast<std::uint64_t>(x.cols()) *
+                           sizeof(Scalar);
+  return charge(perf_.transfer_seconds(dense_bytes + extra_bytes), issue);
+}
+
 double Backend::gemm_bias_act(tensor::ConstMatrixView x,
                               tensor::ConstMatrixView w,
                               tensor::ConstMatrixView bias,
@@ -128,6 +140,15 @@ double Backend::gemm_bias_act(tensor::ConstMatrixView x,
                               tensor::Epilogue epilogue, double issue) {
   tensor::gemm_bias_act(tensor::Trans::kNo, tensor::Trans::kYes, Scalar{1}, x,
                         w, out, bias, epilogue);
+  return launch(perf_.gemm_seconds(x.rows(), w.rows(), w.cols()), issue);
+}
+
+double Backend::gemm_bias_act(const tensor::CsrView& x,
+                              tensor::ConstMatrixView w,
+                              tensor::ConstMatrixView bias,
+                              tensor::MatrixView out,
+                              tensor::Epilogue epilogue, double issue) {
+  tensor::csr_bias_act(x, w, out, bias, epilogue);
   return launch(perf_.gemm_seconds(x.rows(), w.rows(), w.cols()), issue);
 }
 
@@ -160,6 +181,14 @@ double Backend::matmul_tn(Scalar alpha, tensor::ConstMatrixView delta,
                           tensor::MatrixView out, double issue) {
   tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, alpha, delta, prev,
                beta, out);
+  return launch(perf_.gemm_seconds(out.rows(), out.cols(), delta.rows()),
+                issue);
+}
+
+double Backend::matmul_tn(Scalar alpha, tensor::ConstMatrixView delta,
+                          const tensor::CsrView& prev, Scalar beta,
+                          tensor::MatrixView out, double issue) {
+  tensor::csr_gemm_tn(alpha, delta, prev, beta, out);
   return launch(perf_.gemm_seconds(out.rows(), out.cols(), delta.rows()),
                 issue);
 }

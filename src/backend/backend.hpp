@@ -40,6 +40,7 @@
 
 #include "gpusim/perf_model.hpp"
 #include "nn/activation.hpp"
+#include "tensor/csr.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
 
@@ -90,13 +91,23 @@ class Backend {
   // injection points.
   double stage_batch(tensor::ConstMatrixView x, tensor::MatrixView device,
                      std::uint64_t extra_bytes, double issue);
+  // The CSR form: copies only x's rows into `device` (its capacity kept
+  // across batches) but charges the dense batch's bytes, the paper's
+  // format, so virtual time does not depend on the storage form.
+  double stage_batch(const tensor::CsrView& x, tensor::CsrMatrix& device,
+                     std::uint64_t extra_bytes, double issue);
 
   // --- kernels -----------------------------------------------------------
   // Shapes follow the MLP layer convention: w is out x in, x/out
-  // activations are batch x width, bias is 1 x out.
+  // activations are batch x width, bias is 1 x out. The first layer's two
+  // products also take CSR input rows (tensor::csr_bias_act and
+  // csr_gemm_tn); those charge the PerfModel cost of the dense shapes.
 
   // out = epilogue(x * w^T + bias): the fused forward layer.
   double gemm_bias_act(tensor::ConstMatrixView x, tensor::ConstMatrixView w,
+                       tensor::ConstMatrixView bias, tensor::MatrixView out,
+                       tensor::Epilogue epilogue, double issue);
+  double gemm_bias_act(const tensor::CsrView& x, tensor::ConstMatrixView w,
                        tensor::ConstMatrixView bias, tensor::MatrixView out,
                        tensor::Epilogue epilogue, double issue);
   // Fused softmax + cross-entropy: writes dLoss/dlogits into *dlogits,
@@ -119,6 +130,9 @@ class Backend {
   // in-place SGD step W -= eta * delta^T * prev.
   double matmul_tn(tensor::Scalar alpha, tensor::ConstMatrixView delta,
                    tensor::ConstMatrixView prev, tensor::Scalar beta,
+                   tensor::MatrixView out, double issue);
+  double matmul_tn(tensor::Scalar alpha, tensor::ConstMatrixView delta,
+                   const tensor::CsrView& prev, tensor::Scalar beta,
                    tensor::MatrixView out, double issue);
   // out(1 x cols) = column sums of m.
   double col_sums(tensor::ConstMatrixView m, tensor::MatrixView out,

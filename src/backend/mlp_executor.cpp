@@ -46,7 +46,7 @@ MlpExecutor::MlpExecutor(Backend& backend, const nn::MlpConfig& config,
   device_gradient_ = nn::Model(config_);
   replica_ = &device_replica_;
   gradient_ = &device_gradient_;
-  input_ = tensor::Matrix(max_batch, config_.input_dim);
+  input_csr_ = tensor::CsrMatrix(config_.input_dim);
 }
 
 MlpExecutor::~MlpExecutor() { release_buffers(); }
@@ -83,9 +83,9 @@ double MlpExecutor::upload_model(const nn::Model& model, double issue_time) {
   return t;
 }
 
-tensor::ConstMatrixView MlpExecutor::run_forward(tensor::ConstMatrixView x,
-                                                 std::uint64_t target_bytes,
-                                                 double issue_time) {
+tensor::BatchView MlpExecutor::run_forward(tensor::BatchView x,
+                                           std::uint64_t target_bytes,
+                                           double issue_time) {
   const Index batch = x.rows();
   HETSGD_ASSERT(batch > 0 && batch <= max_batch_, "batch exceeds max_batch");
   HETSGD_ASSERT(x.cols() == config_.input_dim, "batch width mismatch");
@@ -95,46 +95,65 @@ tensor::ConstMatrixView MlpExecutor::run_forward(tensor::ConstMatrixView x,
   // H2D: the batch itself, the labels or targets riding along (charged
   // without a dedicated buffer — the loss kernel is the only consumer).
   // Zero-copy backends read the dataset rows in place.
-  tensor::ConstMatrixView input = x;
-  if (!backend_.zero_copy()) {
+  tensor::BatchView input = x;
+  if (!backend_.zero_copy() && x.is_csr()) {
+    backend_.stage_batch(x.csr(), input_csr_, target_bytes, issue_time);
+    input = input_csr_.view();
+  } else if (!backend_.zero_copy()) {
+    if (input_.empty()) input_ = tensor::Matrix(max_batch_, config_.input_dim);
     const tensor::MatrixView staged = input_.rows_view(0, batch);
-    backend_.stage_batch(x, staged, target_bytes, issue_time);
+    backend_.stage_batch(x.dense(), staged, target_bytes, issue_time);
     input = staged;
   }
 
   // Forward: per layer one fused kernel out = act(A_prev * W^T + b); the
   // output layer keeps raw logits (bias only).
   const std::size_t layers = acts_.size();
-  tensor::ConstMatrixView prev = input;
   for (std::size_t l = 0; l < layers; ++l) {
     const tensor::Epilogue ep =
         l + 1 < layers ? nn::bias_act_epilogue(config_.hidden_activation)
                        : tensor::Epilogue::kBias;
     const nn::Layer& layer = replica_->layer(l);
     const tensor::MatrixView out = acts_[l].rows_view(0, batch);
-    backend_.gemm_bias_act(prev, layer.weights.view(), layer.bias.view(), out,
-                           ep, issue_time);
-    prev = out;
+    if (l == 0 && input.is_csr()) {
+      backend_.gemm_bias_act(input.csr(), layer.weights.view(),
+                             layer.bias.view(), out, ep, issue_time);
+    } else {
+      const tensor::ConstMatrixView prev =
+          l == 0 ? input.dense() : acts_[l - 1].rows_view(0, batch);
+      backend_.gemm_bias_act(prev, layer.weights.view(), layer.bias.view(),
+                             out, ep, issue_time);
+    }
   }
   return input;
 }
 
-void MlpExecutor::run_backward(tensor::ConstMatrixView input,
-                               const Scalar* step_eta, double issue_time,
-                               double* completion_time) {
+void MlpExecutor::weight_product(std::size_t l, tensor::BatchView input,
+                                 Scalar alpha, tensor::ConstMatrixView delta,
+                                 Scalar beta, tensor::MatrixView out,
+                                 double issue_time) {
+  if (l == 0 && input.is_csr()) {
+    backend_.matmul_tn(alpha, delta, input.csr(), beta, out, issue_time);
+    return;
+  }
+  const tensor::ConstMatrixView prev_act =
+      l == 0 ? input.dense() : acts_[l - 1].rows_view(0, input.rows());
+  backend_.matmul_tn(alpha, delta, prev_act, beta, out, issue_time);
+}
+
+void MlpExecutor::run_backward(tensor::BatchView input, const Scalar* step_eta,
+                               double issue_time, double* completion_time) {
   const bool in_place = step_eta != nullptr;
   HETSGD_ASSERT(in_place || gradient_ != nullptr,
                 "executor not bound (zero-copy backends need bind_* first)");
   const Index batch = input.rows();
   for (std::size_t l = acts_.size(); l-- > 0;) {
-    const tensor::ConstMatrixView prev_act =
-        l == 0 ? input : acts_[l - 1].rows_view(0, batch);
     const tensor::MatrixView delta = deltas_[l].rows_view(0, batch);
     if (!in_place) {
       // dW = delta^T * prev_act; db = column sums of delta.
       nn::Layer& grad = gradient_->layer(l);
-      backend_.matmul_tn(Scalar{1}, delta, prev_act, Scalar{0},
-                         grad.weights.view(), issue_time);
+      weight_product(l, input, Scalar{1}, delta, Scalar{0},
+                     grad.weights.view(), issue_time);
       backend_.col_sums(delta, grad.bias.view(), issue_time);
     }
     if (l > 0) {
@@ -143,10 +162,11 @@ void MlpExecutor::run_backward(tensor::ConstMatrixView input,
       const tensor::MatrixView prev_delta = deltas_[l - 1].rows_view(0, batch);
       backend_.matmul_nn(delta, replica_->layer(l).weights.view(), prev_delta,
                          issue_time);
-      backend_.activation_backward(config_.hidden_activation, prev_act,
+      backend_.activation_backward(config_.hidden_activation,
+                                   acts_[l - 1].rows_view(0, batch),
                                    prev_delta, issue_time);
     }
-    if (in_place) step_layer(l, *step_eta, delta, prev_act);
+    if (in_place) step_layer(l, *step_eta, delta, input);
   }
 
   if (completion_time != nullptr) {
@@ -154,14 +174,14 @@ void MlpExecutor::run_backward(tensor::ConstMatrixView input,
   }
 }
 
-Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
+Scalar MlpExecutor::compute_gradient(tensor::BatchView x,
                                      std::span<const std::int32_t> labels,
                                      double issue_time,
                                      double* completion_time) {
   return train_softmax(x, labels, nullptr, issue_time, completion_time);
 }
 
-Scalar MlpExecutor::sgd_step(tensor::ConstMatrixView x,
+Scalar MlpExecutor::sgd_step(tensor::BatchView x,
                              std::span<const std::int32_t> labels,
                              Scalar eta) {
   HETSGD_ASSERT(backend_.zero_copy(),
@@ -169,14 +189,14 @@ Scalar MlpExecutor::sgd_step(tensor::ConstMatrixView x,
   return train_softmax(x, labels, &eta, 0.0, nullptr);
 }
 
-Scalar MlpExecutor::train_softmax(tensor::ConstMatrixView x,
+Scalar MlpExecutor::train_softmax(tensor::BatchView x,
                                   std::span<const std::int32_t> labels,
                                   const Scalar* step_eta, double issue_time,
                                   double* completion_time) {
   const Index batch = x.rows();
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == batch,
                 "label count mismatch");
-  const tensor::ConstMatrixView input = run_forward(
+  const tensor::BatchView input = run_forward(
       x, static_cast<std::uint64_t>(batch) * sizeof(std::int32_t),
       issue_time);
   // Loss + dLoss/dlogits (fused softmax-xent kernel).
@@ -188,7 +208,7 @@ Scalar MlpExecutor::train_softmax(tensor::ConstMatrixView x,
   return loss;
 }
 
-Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
+Scalar MlpExecutor::compute_gradient(tensor::BatchView x,
                                      tensor::ConstMatrixView targets,
                                      double issue_time,
                                      double* completion_time) {
@@ -196,7 +216,7 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
   HETSGD_ASSERT(targets.rows() == batch &&
                     targets.cols() == config_.num_classes,
                 "targets shape mismatch");
-  const tensor::ConstMatrixView input = run_forward(
+  const tensor::BatchView input = run_forward(
       x, static_cast<std::uint64_t>(targets.size()) * sizeof(Scalar),
       issue_time);
   Scalar loss = 0;
@@ -214,21 +234,20 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
 // here. Out of line so the suppression always finds this frame.
 HETSGD_NOINLINE void MlpExecutor::step_layer(std::size_t l, Scalar eta,
                                              tensor::ConstMatrixView delta,
-                                             tensor::ConstMatrixView prev_act) {
+                                             tensor::BatchView input) {
   nn::Layer& layer = replica_->layer(l);
-  backend_.matmul_tn(-eta, delta, prev_act, Scalar{1}, layer.weights.view(),
-                     0.0);
+  weight_product(l, input, -eta, delta, Scalar{1}, layer.weights.view(), 0.0);
   const tensor::MatrixView db = bias_steps_[l].view();
   backend_.col_sums(delta, db, 0.0);
   backend_.axpy(-eta, db, layer.bias.view(), 0.0);
 }
 
-tensor::ConstMatrixView MlpExecutor::forward(tensor::ConstMatrixView x) {
+tensor::ConstMatrixView MlpExecutor::forward(tensor::BatchView x) {
   run_forward(x, 0, 0.0);
   return acts_.back().rows_view(0, x.rows());
 }
 
-double MlpExecutor::mean_loss(tensor::ConstMatrixView x,
+double MlpExecutor::mean_loss(tensor::BatchView x,
                               std::span<const std::int32_t> labels) {
   const Index n = x.rows();
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == n,
@@ -304,6 +323,7 @@ void MlpExecutor::release_buffers() {
   deltas_.clear();
   bias_steps_.clear();
   input_ = tensor::Matrix();
+  input_csr_ = tensor::CsrMatrix();
 }
 
 }  // namespace hetsgd::backend

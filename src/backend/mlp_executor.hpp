@@ -18,13 +18,18 @@
 // writes no dLoss/dlogits (mean_loss) or nothing (forward, which hands
 // back the logits).
 //
+// A batch arrives as the dataset stores it (tensor::BatchView): dense rows,
+// or CSR rows, whose first layer then runs the backend's CSR kernel pair
+// (forward and weight product). Every other layer is the same either way.
+//
 // The executor owns its activation and delta matrices, sized for
 // max_batch rows, and hands the backend views of the first `batch` rows.
 // The replica and gradient are nn::Models, chosen by the backend's mode:
 //
 //  * Device (Backend::Mode::kDevice): the executor's own replica,
 //    gradient and input staging rows, reserved against the device's
-//    memory at construction; upload_model / download_gradient /
+//    memory at construction (the staging rows at their dense size, also
+//    when CSR rows are staged); upload_model / download_gradient /
 //    download_model really move bytes (and really hit fault injection).
 //
 //  * Zero-copy (Backend::Mode::kZeroCopy): bind_shared_model() /
@@ -89,10 +94,10 @@ class MlpExecutor {
   // gradient under zero-copy). One class label per row trains softmax
   // cross-entropy; a batch x num_classes matrix of 0/1 targets trains
   // sigmoid BCE. Either reaches the loss kernel from host memory.
-  tensor::Scalar compute_gradient(tensor::ConstMatrixView x,
+  tensor::Scalar compute_gradient(tensor::BatchView x,
                                   std::span<const std::int32_t> labels,
                                   double issue_time, double* completion_time);
-  tensor::Scalar compute_gradient(tensor::ConstMatrixView x,
+  tensor::Scalar compute_gradient(tensor::BatchView x,
                                   tensor::ConstMatrixView targets,
                                   double issue_time, double* completion_time);
 
@@ -106,20 +111,20 @@ class MlpExecutor {
   // the packed engine adds each k-block's share into W separately, so the
   // step matches the two-pass update only to rounding. Returns the batch
   // loss; charges no virtual time.
-  tensor::Scalar sgd_step(tensor::ConstMatrixView x,
+  tensor::Scalar sgd_step(tensor::BatchView x,
                           std::span<const std::int32_t> labels,
                           tensor::Scalar eta);
 
   // Forward only over `x` (at most max_batch rows): the host-visible logits
   // (batch x num_classes), valid until the next call on this executor.
-  tensor::ConstMatrixView forward(tensor::ConstMatrixView x);
+  tensor::ConstMatrixView forward(tensor::BatchView x);
 
   // Mean softmax cross-entropy over (x, labels), any number of rows: the
   // forward and a loss-only kernel per nn::kEvalChunkRows-row chunk, each
   // chunk's loss weighted by its rows and accumulated in double. Writes
   // neither deltas nor gradient. Issues at virtual time 0 and reports no
   // completion: evaluation runs on zero-copy backends, which charge none.
-  double mean_loss(tensor::ConstMatrixView x,
+  double mean_loss(tensor::BatchView x,
                    std::span<const std::int32_t> labels);
 
   // replica <- replica - eta * gradient, entirely backend-side.
@@ -137,26 +142,29 @@ class MlpExecutor {
   // Stages `x` (`target_bytes` of labels or targets riding along) and runs
   // the fused forward; the logits land in acts_.back(). Returns the
   // first layer's input: the staged rows, or `x` itself under zero-copy.
-  tensor::ConstMatrixView run_forward(tensor::ConstMatrixView x,
-                                      std::uint64_t target_bytes,
-                                      double issue_time);
+  tensor::BatchView run_forward(tensor::BatchView x,
+                                std::uint64_t target_bytes, double issue_time);
   // compute_gradient's softmax-xent body, shared with sgd_step: forward,
   // loss, then run_backward with `step_eta`.
-  tensor::Scalar train_softmax(tensor::ConstMatrixView x,
+  tensor::Scalar train_softmax(tensor::BatchView x,
                                std::span<const std::int32_t> labels,
                                const tensor::Scalar* step_eta,
                                double issue_time, double* completion_time);
   // Back-propagates deltas_.back() (dLoss/dlogits). With `step_eta` null
   // the gradient lands in the executor's gradient; otherwise each layer
   // takes the in-place step (sgd_step) with rate *step_eta.
-  void run_backward(tensor::ConstMatrixView input,
-                    const tensor::Scalar* step_eta, double issue_time,
-                    double* completion_time);
+  void run_backward(tensor::BatchView input, const tensor::Scalar* step_eta,
+                    double issue_time, double* completion_time);
+  // out = alpha * delta^T * (layer l's input) + beta * out: the layer's
+  // weight product, on the CSR kernel when l == 0 and `input` is CSR.
+  void weight_product(std::size_t l, tensor::BatchView input,
+                      tensor::Scalar alpha, tensor::ConstMatrixView delta,
+                      tensor::Scalar beta, tensor::MatrixView out,
+                      double issue_time);
   // Layer `l`'s share of sgd_step: W += -eta * delta^T * prev_act and
   // b += -eta * colsum(delta), into the bound model.
   void step_layer(std::size_t l, tensor::Scalar eta,
-                  tensor::ConstMatrixView delta,
-                  tensor::ConstMatrixView prev_act);
+                  tensor::ConstMatrixView delta, tensor::BatchView input);
 
   Backend& backend_;
   nn::MlpConfig config_;
@@ -173,7 +181,10 @@ class MlpExecutor {
   // Zero-copy mode: sgd_step's per-layer colsum(delta) rows (1 x out),
   // host scratch outside device_bytes().
   std::vector<tensor::Matrix> bias_steps_;
-  tensor::Matrix input_;  // device-mode staging rows
+  // Device-mode staging rows: dense (allocated by the first dense batch),
+  // or CSR (grown to the largest batch staged).
+  tensor::Matrix input_;
+  tensor::CsrMatrix input_csr_;
   std::uint64_t device_bytes_ = 0;
 };
 

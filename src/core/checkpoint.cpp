@@ -140,13 +140,15 @@ std::uint64_t config_fingerprint(const TrainingConfig& config,
   // (another synthetic seed, a re-downloaded file) must refuse to resume.
   // A strided sample of feature values + labels keeps this O(1)-ish while
   // still catching any global regeneration of the data.
+  // Values are read as stored (dense or CSR), so the hash does not depend
+  // on the storage form.
   const tensor::Index n = dataset.example_count();
   const tensor::Index d = dataset.dim();
   const tensor::Index stride = std::max<tensor::Index>(1, n / 257);
+  const tensor::BatchView rows = dataset.features();
   for (tensor::Index r = 0; r < n; r += stride) {
-    const tensor::Scalar* row = dataset.features().row(r);
-    h = mix_double(h, static_cast<double>(row[0]));
-    h = mix_double(h, static_cast<double>(row[d - 1]));
+    h = mix_double(h, static_cast<double>(rows.at(r, 0)));
+    h = mix_double(h, static_cast<double>(rows.at(r, d - 1)));
     h = mix(h, static_cast<std::uint64_t>(
                    dataset.labels()[static_cast<std::size_t>(r)]));
   }

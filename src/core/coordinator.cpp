@@ -674,8 +674,14 @@ void Coordinator::evaluate_loss(double vtime) {
   // lanes' unsynchronized writes (nn::Model::operator= in tsan.supp);
   // evaluating the snapshot keeps the measurement internally consistent.
   eval_snapshot_ = model_;
-  const double loss = eval_exec_.mean_loss(eval_sample_.features().view(),
-                                           eval_sample_.labels());
+  // A non-finite parameter is a diverged model even when no evaluated
+  // example reaches it: the first layer's CSR products skip the inputs'
+  // zeros, so a NaN weight in a column the sample never stores would not
+  // propagate to the loss.
+  const double loss =
+      eval_snapshot_.all_finite()
+          ? eval_exec_.mean_loss(eval_sample_.features(), eval_sample_.labels())
+          : std::numeric_limits<double>::quiet_NaN();
   if (!std::isfinite(loss)) {
     handle_divergence(vtime, loss);
     return;

@@ -57,7 +57,7 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
     mlp.download_model(snapshot, clock);  // D2H copy, cost excluded (§VII-A)
     result.curve.push_back(
         {vtime, static_cast<double>(examples_total) / static_cast<double>(n),
-         eval_mlp.mean_loss(eval.features().view(), eval.labels())});
+         eval_mlp.mean_loss(eval.features(), eval.labels())});
   };
   record(0.0);
   double next_eval = options.eval_interval_vseconds;

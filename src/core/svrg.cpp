@@ -72,7 +72,7 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
   double examples_done = 0.0;
   auto record = [&] {
     result.curve.push_back({clock, examples_done / static_cast<double>(n),
-                            w_exec.mean_loss(eval.features().view(),
+                            w_exec.mean_loss(eval.features(),
                                              eval.labels())});
   };
   record();

@@ -95,18 +95,41 @@ ParseStatus parse_line(const std::string& line, std::size_t line_no,
   return ParseStatus::kOk;
 }
 
+// Appends `entries` to the CSR arrays as one row, in ascending index order
+// with the last value of a repeated index winning and zeros dropped: the
+// row a densifying reader would hold.
+void append_row(std::vector<std::pair<Index, Scalar>>& entries,
+                std::vector<Index>& row_ptr, std::vector<Index>& cols,
+                std::vector<Scalar>& vals) {
+  std::stable_sort(
+      entries.begin(), entries.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const auto& [idx, val] = entries[i];
+    const bool repeated =
+        i + 1 < entries.size() && entries[i + 1].first == idx;
+    if (repeated || val == Scalar{0}) continue;
+    cols.push_back(idx);
+    vals.push_back(val);
+  }
+  row_ptr.push_back(static_cast<Index>(vals.size()));
+}
+
 std::optional<Dataset> build_dataset(std::istream& in,
                                      const LibsvmReadOptions& options,
                                      const std::string& default_name,
                                      std::string* error) {
-  std::vector<SparseExample> examples;
+  std::vector<std::int32_t> raw_labels;
+  std::vector<Index> row_ptr{0};
+  std::vector<Index> cols;
+  std::vector<Scalar> vals;
+  SparseExample ex;
   std::string line;
   std::size_t line_no = 0;
   std::size_t max_index_line = 0;
   Index max_index = -1;
   while (std::getline(in, line)) {
     ++line_no;
-    SparseExample ex;
     const ParseStatus status = parse_line(line, line_no, ex, error);
     if (status == ParseStatus::kError) return std::nullopt;
     if (status == ParseStatus::kSkip) continue;
@@ -116,13 +139,14 @@ std::optional<Dataset> build_dataset(std::istream& in,
         max_index_line = line_no;
       }
     }
-    examples.push_back(std::move(ex));
+    raw_labels.push_back(ex.label);
+    append_row(ex.entries, row_ptr, cols, vals);
     if (options.max_examples > 0 &&
-        static_cast<Index>(examples.size()) >= options.max_examples) {
+        static_cast<Index>(raw_labels.size()) >= options.max_examples) {
       break;
     }
   }
-  if (examples.empty()) {
+  if (raw_labels.empty()) {
     *error = "no examples found";
     return std::nullopt;
   }
@@ -142,29 +166,23 @@ std::optional<Dataset> build_dataset(std::istream& in,
   // Remap raw labels to contiguous ids. Sorted (std::map) so the mapping is
   // deterministic regardless of example order: -1 -> 0, +1 -> 1, etc.
   std::map<std::int32_t, std::int32_t> label_ids;
-  for (const auto& ex : examples) {
-    label_ids.emplace(ex.label, 0);
+  for (const std::int32_t raw : raw_labels) {
+    label_ids.emplace(raw, 0);
   }
   std::int32_t next_id = 0;
   for (auto& [raw, id] : label_ids) {
     id = next_id++;
   }
-
-  const Index n = static_cast<Index>(examples.size());
-  tensor::Matrix features(n, dim);
-  std::vector<std::int32_t> labels(static_cast<std::size_t>(n));
-  for (Index r = 0; r < n; ++r) {
-    const auto& ex = examples[static_cast<std::size_t>(r)];
-    Scalar* row = features.row(r);
-    for (const auto& [idx, val] : ex.entries) {
-      row[idx] = val;
-    }
-    labels[static_cast<std::size_t>(r)] = label_ids.at(ex.label);
+  std::vector<std::int32_t> labels(raw_labels.size());
+  for (std::size_t r = 0; r < raw_labels.size(); ++r) {
+    labels[r] = label_ids.at(raw_labels[r]);
   }
   std::string name =
       options.dataset_name.empty() ? default_name : options.dataset_name;
-  return Dataset(std::move(name), std::move(features), std::move(labels),
-                 next_id < 2 ? 2 : next_id);
+  return Dataset(std::move(name),
+                 tensor::CsrMatrix(dim, std::move(row_ptr), std::move(cols),
+                                   std::move(vals)),
+                 std::move(labels), next_id < 2 ? 2 : next_id);
 }
 
 }  // namespace
@@ -200,26 +218,24 @@ Dataset read_libsvm(const std::string& path, const LibsvmReadOptions& options) {
   return std::move(*dataset);
 }
 
-Dataset read_libsvm_string(const std::string& content,
-                           const LibsvmReadOptions& options) {
-  std::string error;
-  auto dataset = try_read_libsvm_string(content, options, &error);
-  HETSGD_ASSERT(dataset.has_value(), ("libsvm: " + error).c_str());
-  return std::move(*dataset);
-}
-
 void write_libsvm(const Dataset& dataset, const std::string& path) {
   std::ofstream out(path);
   HETSGD_ASSERT(out.good(), "libsvm: cannot open output file");
   const Index n = dataset.example_count();
-  const Index d = dataset.dim();
+  const tensor::BatchView rows = dataset.features();
   for (Index r = 0; r < n; ++r) {
     out << dataset.labels()[static_cast<std::size_t>(r)];
-    const Scalar* row = dataset.features().row(r);
-    for (Index c = 0; c < d; ++c) {
-      if (row[c] != Scalar{0}) {
-        out << ' ' << (c + 1) << ':' << row[c];
+    const auto write = [&out](Index c, Scalar v) {
+      if (v != Scalar{0}) out << ' ' << (c + 1) << ':' << v;
+    };
+    if (rows.is_csr()) {
+      const tensor::CsrView& csr = rows.csr();
+      for (Index q = csr.row_ptr()[r]; q < csr.row_ptr()[r + 1]; ++q) {
+        write(csr.col()[q], csr.val()[q]);
       }
+    } else {
+      const Scalar* row = rows.dense().row(r);
+      for (Index c = 0; c < dataset.dim(); ++c) write(c, row[c]);
     }
     out << '\n';
   }

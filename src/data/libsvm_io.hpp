@@ -1,10 +1,11 @@
 // LIBSVM-format reader/writer.
 //
 // The paper's four datasets (covtype, w8a, delicious, real-sim) ship in
-// LIBSVM sparse text format; this reader densifies them the way the paper
-// does ("we process all the datasets in dense format"). When the real files
-// are present they can be loaded directly; the synthetic generators stand
-// in when they are not.
+// LIBSVM sparse text format. The paper densifies them ("we process all the
+// datasets in dense format"); this reader writes CSR rows, and the Dataset
+// keeps them CSR or densifies them by its storage rule (dataset.hpp). When
+// the real files are present they can be loaded directly; the synthetic
+// generators stand in when they are not.
 #pragma once
 
 #include <optional>
@@ -25,7 +26,8 @@ struct LibsvmReadOptions {
   std::string dataset_name;  // defaults to the file path
 };
 
-// Parses a LIBSVM file into a dense Dataset. On malformed input (a label
+// Parses a LIBSVM file into a Dataset. A repeated feature index keeps its
+// last value, and zero values are not stored. On malformed input (a label
 // that is not an integer within int32, truncated pair, non-numeric index,
 // index < 1, non-finite value, index beyond --dim) returns nullopt and sets
 // *error to a "path: line N: ..." diagnostic.
@@ -39,11 +41,9 @@ std::optional<Dataset> try_read_libsvm_string(const std::string& content,
                                               const LibsvmReadOptions& options,
                                               std::string* error);
 
-// Aborting wrappers over the try_* readers for tools that have no recovery
+// Aborting wrapper over try_read_libsvm for tools that have no recovery
 // path: the parse diagnostic becomes the abort message.
 Dataset read_libsvm(const std::string& path, const LibsvmReadOptions& options);
-Dataset read_libsvm_string(const std::string& content,
-                           const LibsvmReadOptions& options);
 
 // Writes a dataset in LIBSVM format (omitting zeros). Round-trips with
 // read_libsvm for finite data.

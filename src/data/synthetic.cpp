@@ -58,8 +58,12 @@ Dataset make_synthetic(const SyntheticSpec& spec) {
                                          spec.distinct_fraction))
                 : spec.examples;
 
-  // Base rows: distinct draws from the class/cluster mixture.
-  tensor::Matrix pool(pool_size, spec.dim);
+  // Base rows: distinct draws from the class/cluster mixture, written as
+  // CSR rows when the spec is sparse, so a sparse set is never held dense
+  // (the Dataset then stores the form its storage rule picks).
+  const bool sparse = spec.density < 1.0;
+  tensor::Matrix pool_dense(sparse ? 0 : pool_size, spec.dim);
+  tensor::CsrMatrix pool_csr(spec.dim);
   std::vector<std::int32_t> pool_class(static_cast<std::size_t>(pool_size));
   for (Index i = 0; i < pool_size; ++i) {
     const std::int32_t k = static_cast<std::int32_t>(
@@ -67,30 +71,43 @@ Dataset make_synthetic(const SyntheticSpec& spec) {
     const Index cluster = static_cast<Index>(
         rng.next_below(static_cast<std::uint64_t>(clusters)));
     pool_class[static_cast<std::size_t>(i)] = k;
-    Scalar* row = pool.row(i);
+    Scalar* row = sparse ? nullptr : pool_dense.row(i);
     const Scalar* centroid = centroids.row(k * clusters + cluster);
     for (Index c = 0; c < spec.dim; ++c) {
-      if (spec.density < 1.0 && !rng.bernoulli(spec.density)) {
+      if (sparse && !rng.bernoulli(spec.density)) {
         continue;  // stays zero: sparse bag-of-words-style row
       }
-      row[c] = (centroid[c] +
-                static_cast<Scalar>(rng.normal(0.0, spec.feature_noise))) *
-               feature_scale[static_cast<std::size_t>(c)];
+      const Scalar v =
+          (centroid[c] +
+           static_cast<Scalar>(rng.normal(0.0, spec.feature_noise))) *
+          feature_scale[static_cast<std::size_t>(c)];
+      if (sparse) {
+        pool_csr.append(c, v);
+      } else {
+        row[c] = v;
+      }
     }
+    if (sparse) pool_csr.end_row();
   }
 
   // Examples: the pool itself (distinct case) or draws from it with fresh
   // label noise per occurrence (duplicate rows carrying conflicting labels
   // set an honest loss floor that cannot be memorized away).
-  tensor::Matrix features(spec.examples, spec.dim);
+  tensor::Matrix features_dense(sparse || !redundant ? 0 : spec.examples,
+                                spec.dim);
+  tensor::CsrMatrix features_csr(spec.dim);
   std::vector<std::int32_t> labels(static_cast<std::size_t>(spec.examples));
   for (Index i = 0; i < spec.examples; ++i) {
     const Index src =
         redundant ? static_cast<Index>(rng.next_below(
                         static_cast<std::uint64_t>(pool_size)))
                   : i;
-    const Scalar* from = pool.row(src);
-    std::copy(from, from + spec.dim, features.row(i));
+    if (redundant && sparse) {
+      features_csr.append_row(pool_csr.view(), src);
+    } else if (redundant) {
+      const Scalar* from = pool_dense.row(src);
+      std::copy(from, from + spec.dim, features_dense.row(i));
+    }
     std::int32_t observed = pool_class[static_cast<std::size_t>(src)];
     if (spec.label_noise > 0.0 && rng.bernoulli(spec.label_noise)) {
       observed = static_cast<std::int32_t>(
@@ -99,19 +116,14 @@ Dataset make_synthetic(const SyntheticSpec& spec) {
     labels[static_cast<std::size_t>(i)] = observed;
   }
 
-  return Dataset(spec.name, std::move(features), std::move(labels),
-                 spec.classes);
-}
-
-bool parse_paper_dataset(const std::string& name, PaperDataset& out) {
-  if (name == "covtype")   { out = PaperDataset::kCovtype;   return true; }
-  if (name == "w8a")       { out = PaperDataset::kW8a;       return true; }
-  if (name == "delicious") { out = PaperDataset::kDelicious; return true; }
-  if (name == "real-sim" || name == "realsim") {
-    out = PaperDataset::kRealSim;
-    return true;
+  if (sparse) {
+    return Dataset(spec.name, redundant ? std::move(features_csr)
+                                        : std::move(pool_csr),
+                   std::move(labels), spec.classes);
   }
-  return false;
+  return Dataset(spec.name, redundant ? std::move(features_dense)
+                                      : std::move(pool_dense),
+                 std::move(labels), spec.classes);
 }
 
 PaperDatasetInfo paper_dataset_info(PaperDataset d) {

@@ -61,8 +61,6 @@ Dataset make_synthetic(const SyntheticSpec& spec);
 // The paper's four evaluation datasets (Table II).
 enum class PaperDataset { kCovtype, kW8a, kDelicious, kRealSim };
 
-bool parse_paper_dataset(const std::string& name, PaperDataset& out);
-
 // Table II metadata plus the per-dataset DNN depth used in §VII-A
 // ("the number of hidden layers is set inversely proportional to the
 // dataset size, to 4 (real-sim), 6 (covtype), and 8 (w8a and delicious)").

@@ -75,7 +75,7 @@ double ConfusionMatrix::macro_f1() const {
 
 ConfusionMatrix evaluate_classifier(const LogitsFn& logits_of,
                                     std::int32_t classes,
-                                    tensor::ConstMatrixView x,
+                                    tensor::BatchView x,
                                     std::span<const std::int32_t> labels) {
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == x.rows(),
                 "label count != example count");

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "tensor/csr.hpp"
 #include "tensor/matrix.hpp"
 
 namespace hetsgd::nn {
@@ -44,14 +45,13 @@ inline constexpr tensor::Index kEvalChunkRows = 512;
 // Maps a chunk of at most kEvalChunkRows rows of x to its logits
 // (rows x classes). The view must stay valid until the next call;
 // backend::MlpExecutor's forward() is one.
-using LogitsFn =
-    std::function<tensor::ConstMatrixView(tensor::ConstMatrixView x)>;
+using LogitsFn = std::function<tensor::ConstMatrixView(tensor::BatchView x)>;
 
 // Runs `logits_of` over x in kEvalChunkRows-row chunks and fills a
 // confusion matrix of each row's argmax against its label.
 ConfusionMatrix evaluate_classifier(const LogitsFn& logits_of,
                                     std::int32_t classes,
-                                    tensor::ConstMatrixView x,
+                                    tensor::BatchView x,
                                     std::span<const std::int32_t> labels);
 
 }  // namespace hetsgd::nn

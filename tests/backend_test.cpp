@@ -64,6 +64,15 @@ struct Fixture {
   nn::Model model;
   Matrix x;
   std::vector<std::int32_t> y;
+  // x as CSR rows, for a fixture whose batches are stored CSR.
+  tensor::CsrMatrix x_csr;
+  bool stored_csr = false;
+
+  // The batch the executor gets: x, dense or as its CSR rows.
+  tensor::BatchView batch() const {
+    if (stored_csr) return x_csr.view();
+    return x.view();
+  }
 
   // `density` < 1 zeroes input entries at random, as in a sparse dataset
   // stored dense (real-sim is ~1% nonzero).
@@ -94,10 +103,17 @@ struct Fixture {
   }
 };
 
-// A 128-feature, ~1% nonzero input: wide and sparse enough that the first
-// layer's forward and weight-gradient products take the zero-skipping GEMM
-// path (tensor/gemm.cpp).
+// A 128-feature, ~1% nonzero input held dense.
 Fixture sparse_fixture(Index batch = 16) { return Fixture(batch, 128, 0.01); }
+
+// The same input stored as CSR rows, as data::Dataset stores it: the first
+// layer's forward and weight-gradient products run the CSR kernel pair.
+Fixture csr_fixture(Index batch = 16) {
+  Fixture f = sparse_fixture(batch);
+  f.x_csr = tensor::CsrMatrix::from_dense(f.x.view());
+  f.stored_csr = true;
+  return f;
+}
 
 // Executor results against the reference MLP, which sums in other orders:
 // one gradient agrees to rounding, a 20-step trajectory a little looser.
@@ -115,7 +131,7 @@ ModeGradient mode_gradient(const Fixture& f, Backend::Mode mode,
                            Index max_batch) {
   nn::Model model = f.model;
   ModeRunner run(mode, model, max_batch);
-  const double loss = run.gradient(f.x.view(), f.y);
+  const double loss = run.gradient(f.batch(), f.y);
   return {loss, run.grad()};
 }
 
@@ -143,18 +159,18 @@ Backend device(const gpusim::DeviceSpec& spec = gpusim::v100_spec()) {
 }
 
 TEST(DeviceBackend, GradientMatchesHostExactly) {
-  for (const Fixture& f : {Fixture(16), sparse_fixture()}) {
+  for (const Fixture& f : {Fixture(16), sparse_fixture(), csr_fixture()}) {
     SCOPED_TRACE(f.config.input_dim);
     const std::uint64_t sparse_before = counter("hetsgd_sparse_gemms_total");
     expect_gradients_match(f, 16);
-    // The sparse input's first layer runs the zero-skipping path.
+    // Only CSR rows run the CSR kernel pair.
     EXPECT_EQ(counter("hetsgd_sparse_gemms_total") > sparse_before,
-              f.config.input_dim == 128);
+              f.stored_csr);
   }
 }
 
 TEST(DeviceBackend, SmallerBatchThanMaxWorks) {
-  for (const Fixture& f : {Fixture(5), sparse_fixture(5)}) {
+  for (const Fixture& f : {Fixture(5), csr_fixture(5)}) {
     SCOPED_TRACE(f.config.input_dim);
     expect_gradients_match(f, 32);
   }
@@ -165,7 +181,7 @@ TEST(DeviceBackend, SmallerBatchThanMaxWorks) {
 nn::Model mode_sgd_step(const Fixture& f, Backend::Mode mode, double eta) {
   nn::Model model = f.model;
   ModeRunner run(mode, model, f.x.rows());
-  run.gradient(f.x.view(), f.y);
+  run.gradient(f.batch(), f.y);
   run.sgd(eta);
   return model;
 }
@@ -184,7 +200,7 @@ void expect_sgd_steps_match(const Fixture& f, double eta) {
 }
 
 TEST(DeviceBackend, ApplyGradientMatchesHostSgd) {
-  for (const Fixture& f : {Fixture(8), sparse_fixture(8)}) {
+  for (const Fixture& f : {Fixture(8), csr_fixture(8)}) {
     SCOPED_TRACE(f.config.input_dim);
     expect_sgd_steps_match(f, 0.1);
   }
@@ -259,6 +275,44 @@ TEST(DeviceBackend, PinnedVirtualTimeAndHostMath) {
     ref::sgd(expected, f.reference_gradient(), 0.2);
     EXPECT_LT(model_after.max_abs_diff(expected), kRefTol);
   }
+}
+
+// The pinned sparse input above is held dense, so it now runs the dense
+// kernels. Its CSR form: staging copies only its rows but charges and
+// reserves the dense batch's bytes, and the CSR kernel pair charges the
+// dense shapes, so every completion time is the dense-stored input's, bit
+// for bit. Math is checked against zero-copy mode and the reference.
+TEST(DeviceBackend, CsrBatchKeepsThePinnedVirtualTime) {
+  struct Run {
+    double t_upload = 0.0, t_done = 0.0, t_apply = 0.0;
+    std::uint64_t reserved = 0;
+    nn::Gradient grad;
+  };
+  const auto run = [](const Fixture& f) {
+    Run r;
+    Backend b = device();
+    MlpExecutor mlp(b, f.config, 16);
+    r.reserved = b.bytes_in_use();
+    r.grad = nn::make_zero_gradient(f.model);
+    nn::Model model_after = f.model;
+    r.t_upload = mlp.upload_model(f.model, 0.0);
+    mlp.compute_gradient(f.batch(), f.y, r.t_upload, &r.t_done);
+    mlp.download_gradient(r.grad, r.t_done);
+    r.t_apply = mlp.apply_gradient(0.2, r.t_done);
+    mlp.download_model(model_after, r.t_apply);
+    return r;
+  };
+  const Fixture csr = csr_fixture();
+  const Run want = run(sparse_fixture());
+  const Run got = run(csr);
+  EXPECT_EQ(got.t_upload, want.t_upload);
+  EXPECT_EQ(got.t_done, want.t_done);
+  EXPECT_EQ(got.t_apply, want.t_apply);
+  EXPECT_EQ(got.reserved, want.reserved);
+  EXPECT_EQ(got.grad.max_abs_diff(
+                mode_gradient(csr, Backend::Mode::kZeroCopy, 16).grad),
+            0.0);
+  EXPECT_LT(got.grad.max_abs_diff(csr.reference_gradient()), kRefTol);
 }
 
 TEST(DeviceBackend, QueueIsFifoInVirtualTime) {
@@ -338,7 +392,7 @@ TEST(DeviceBackend, BatchBeyondMaxDies) {
 }
 
 TEST(DeviceBackend, TrainingConvergesLikeHost) {
-  for (const Fixture& f : {Fixture(32), sparse_fixture(32)}) {
+  for (const Fixture& f : {Fixture(32), csr_fixture(32)}) {
     SCOPED_TRACE(f.config.input_dim);
     // The replica stays resident for all 20 steps, as in
     // run_minibatch_reference.
@@ -347,7 +401,7 @@ TEST(DeviceBackend, TrainingConvergesLikeHost) {
     double clock = mlp.upload_model(f.model, 0.0);
     for (int step = 0; step < 20; ++step) {
       double done = clock;
-      mlp.compute_gradient(f.x.view(), f.y, clock, &done);
+      mlp.compute_gradient(f.batch(), f.y, clock, &done);
       clock = mlp.apply_gradient(0.3, done);
     }
     nn::Model final_device = f.model;
@@ -358,7 +412,7 @@ TEST(DeviceBackend, TrainingConvergesLikeHost) {
     nn::Model ref_model = f.model;
     nn::Gradient ref_grad = nn::make_zero_gradient(ref_model);
     for (int step = 0; step < 20; ++step) {
-      host.gradient(f.x.view(), f.y);
+      host.gradient(f.batch(), f.y);
       host.sgd(0.3);
       ref::softmax_xent(ref_model, f.x.view(), f.y, &ref_grad);
       ref::sgd(ref_model, ref_grad, 0.3);
@@ -445,17 +499,22 @@ TEST(DeviceBackend, CountsKernelsAndTransfers) {
 // modes alike, the forward and one loss kernel per evaluation chunk, and
 // the gradient left in place.
 TEST(MlpExecutorEval, MeanLossMatchesComputeGradientAndWritesNoDelta) {
-  for (const Fixture& f : {Fixture(16), sparse_fixture()}) {
+  for (const Fixture& f : {Fixture(16), csr_fixture()}) {
     SCOPED_TRACE(f.config.input_dim);
     // Another batch: negated, doubled inputs and shifted labels.
     Matrix other_x = f.x;
     for (Index i = 0; i < other_x.size(); ++i) other_x.data()[i] *= -2.0;
+    const tensor::CsrMatrix other_csr =
+        tensor::CsrMatrix::from_dense(other_x.view());
+    const tensor::BatchView other =
+        f.stored_csr ? tensor::BatchView(other_csr.view())
+                     : tensor::BatchView(other_x.view());
     std::vector<std::int32_t> other_y = f.y;
     for (auto& label : other_y) label = (label + 1) % 4;
     Backend b = device();
     MlpExecutor mlp(b, f.config, 16);
     double t = mlp.upload_model(f.model, 0.0);
-    const double loss = mlp.compute_gradient(f.x.view(), f.y, t, &t);
+    const double loss = mlp.compute_gradient(f.batch(), f.y, t, &t);
     nn::Gradient grad = nn::make_zero_gradient(f.model);
     mlp.download_gradient(grad, t);
     const std::size_t layers = f.config.layer_shapes().size();
@@ -465,13 +524,13 @@ TEST(MlpExecutorEval, MeanLossMatchesComputeGradientAndWritesNoDelta) {
     const std::uint64_t kernels = counter("hetsgd_gpu_kernels_total");
     // Evaluating another batch must leave the first one's deltas and
     // gradient in place (the loss kernel gets no dlogits to write).
-    mlp.mean_loss(other_x.view(), other_y);
+    mlp.mean_loss(other, other_y);
     for (std::size_t l = 0; l < layers; ++l) {
       EXPECT_EQ(tensor::max_abs_diff(mlp.delta(l).view(), deltas[l].view()),
                 0.0)
           << "delta " << l;
     }
-    EXPECT_EQ(mlp.mean_loss(f.x.view(), f.y), loss);
+    EXPECT_EQ(mlp.mean_loss(f.batch(), f.y), loss);
     EXPECT_EQ(counter("hetsgd_gpu_kernels_total") - kernels, 2 * (layers + 1));
     nn::Gradient grad_after = nn::make_zero_gradient(f.model);
     mlp.download_gradient(grad_after, t);
@@ -479,7 +538,7 @@ TEST(MlpExecutorEval, MeanLossMatchesComputeGradientAndWritesNoDelta) {
 
     nn::Model model = f.model;
     ModeRunner host(Backend::Mode::kZeroCopy, model, 16);
-    EXPECT_EQ(host.mean_loss(f.x.view(), f.y), loss);
+    EXPECT_EQ(host.mean_loss(f.batch(), f.y), loss);
     EXPECT_NEAR(loss, ref::softmax_xent(f.model, f.x.view(), f.y), kRefTol);
   }
 }
@@ -545,9 +604,11 @@ TEST(ZeroCopyBackend, CountsNoDeviceKernelsOrTransfers) {
 // charges whole batches there).
 //
 // The operands come from seeded random shapes plus the ones the kernels
-// have separate paths for: k = 1, m < 8 (the GEMMs' skinny path), a sparse
-// input of at least 8 rows and 64 columns (the zero-skipping path), and
-// inputs holding NaN and Inf.
+// have separate paths for: k = 1, m < 8 (the GEMMs' skinny path), CSR
+// input rows (the first layer's kernel pair, against ref::gemm_naive on the
+// densified rows: ragged and empty rows, one row and many, NaN and Inf in
+// x, and a NaN weight in a column x stores), and inputs holding NaN and
+// Inf.
 
 using Rows = ref::Rows;
 
@@ -577,16 +638,19 @@ void expect_close(tensor::ConstMatrixView got, const Rows& want, double tol) {
 }
 
 // m batch rows, inner width k, outer width n; `density` < 1 zeroes input
-// entries at random, and `non_finite` plants a NaN and an Inf in it.
+// entries at random, `non_finite` plants a NaN and an Inf in it, and
+// `csr` hands the input to the CSR kernels as CSR rows (the last batch row
+// then stores nothing).
 struct OpShape {
   Index m, k, n;
   double density = 1.0;
   bool non_finite = false;
+  bool csr = false;
 };
 
 std::ostream& operator<<(std::ostream& os, const OpShape& s) {
   return os << s.m << "x" << s.k << "x" << s.n << " density " << s.density
-            << (s.non_finite ? " with NaN/Inf" : "");
+            << (s.non_finite ? " with NaN/Inf" : "") << (s.csr ? " CSR" : "");
 }
 
 std::vector<OpShape> op_shapes() {
@@ -595,10 +659,15 @@ std::vector<OpShape> op_shapes() {
       {6, 1, 5},                   // k = 1
       {3, 7, 4},                   // m < 8: the skinny path
       {7, 12, 9},                  // m < 8
-      {16, 128, 6, 0.05},          // sparse: the zero-skipping path
+      {16, 128, 6, 0.05},          // sparse input stored dense
       {5, 6, 4, 1.0, true},        // NaN/Inf on the skinny path
-      {12, 96, 5, 0.05, true},     // NaN/Inf in a sparse input
+      {12, 96, 5, 0.05, true},     // NaN/Inf in a sparse input stored dense
       {9, 10, 11, 1.0, true},      // NaN/Inf on the packed path
+      {16, 128, 6, 0.05, false, true},  // CSR, ragged rows
+      {16, 64, 6, 0.3, false, true},    // CSR, enough entries to transpose W
+      {1, 96, 5, 0.1, false, true},     // CSR, one row: k = 1 steps
+      {3, 70, 4, 0.1, false, true},     // CSR, m < 8
+      {12, 96, 5, 0.05, true, true},    // CSR with NaN/Inf in x
   };
   Rng rng(2024);  // seeded random shapes
   for (int i = 0; i < 4; ++i) {
@@ -607,11 +676,6 @@ std::vector<OpShape> op_shapes() {
                       1 + static_cast<Index>(rng.next_below(24))});
   }
   return shapes;
-}
-
-// Sparse shapes large enough for the zero-skipping path (tensor/gemm.cpp).
-bool takes_sparse_path(const OpShape& s) {
-  return s.m >= 8 && s.k >= 64 && s.density <= 0.14;
 }
 
 Matrix random_matrix(Index rows, Index cols, Rng& rng) {
@@ -628,6 +692,7 @@ Matrix input_matrix(const OpShape& s, Index rows, Index cols, Rng& rng) {
   for (Index i = 0; i < m.size(); ++i) {
     if (!rng.bernoulli(s.density)) m.data()[i] = 0;
   }
+  if (s.csr && s.m > 1) std::fill(m.row(s.m - 1), m.row(s.m), 0.0);
   if (s.non_finite) {
     m(0, cols - 1) = std::numeric_limits<tensor::Scalar>::quiet_NaN();
     m(1, 0) = std::numeric_limits<tensor::Scalar>::infinity();
@@ -690,18 +755,36 @@ TEST_P(BothModes, GemmBiasActMatchesReference) {
     SCOPED_TRACE(testing::Message() << s);
     // x holds two rows past the batch; the kernel runs on the first m.
     const Matrix x = input_matrix(s, s.m + 2, s.k, rng);
-    const Matrix w = random_matrix(s.n, s.k, rng);
+    const tensor::CsrMatrix x_csr = tensor::CsrMatrix::from_dense(x.view());
+    Matrix w = random_matrix(s.n, s.k, rng);
     const Matrix bias = random_matrix(1, s.n, rng);
-    const Rows product = naive_product(tensor::Trans::kNo, tensor::Trans::kYes,
-                                       x.rows_view(0, s.m), w.view(), s.m, s.n);
+    Rows product = naive_product(tensor::Trans::kNo, tensor::Trans::kYes,
+                                 x.rows_view(0, s.m), w.view(), s.m, s.n);
+    if (s.csr && !s.non_finite) {
+      // A NaN weight in a column the first row stores reaches the rows
+      // storing that column and no other (CSR products skip x's zeros).
+      Index p = 0;
+      while (p < s.k && x(0, p) == 0) ++p;
+      ASSERT_LT(p, s.k);
+      w(0, p) = std::numeric_limits<tensor::Scalar>::quiet_NaN();
+      for (Index i = 0; i < s.m; ++i) {
+        if (x(i, p) != 0) {
+          product[static_cast<std::size_t>(i)][0] =
+              std::numeric_limits<double>::quiet_NaN();
+        }
+      }
+    }
     for (int e = 0; e < 4; ++e) {
       SCOPED_TRACE(e);
       Matrix out(s.m + 2, s.n);
       const std::uint64_t sparse_before = counter("hetsgd_sparse_gemms_total");
       const double issue = next_issue();
       const double done =
-          b_.gemm_bias_act(x.rows_view(0, s.m), w.view(), bias.view(),
-                           out.rows_view(0, s.m), epilogues[e], issue);
+          s.csr ? b_.gemm_bias_act(x_csr.rows_view(0, s.m), w.view(),
+                                   bias.view(), out.rows_view(0, s.m),
+                                   epilogues[e], issue)
+                : b_.gemm_bias_act(x.rows_view(0, s.m), w.view(), bias.view(),
+                                   out.rows_view(0, s.m), epilogues[e], issue);
       ++launches;
       Rows want = product;
       for (auto& row : want) {
@@ -711,8 +794,7 @@ TEST_P(BothModes, GemmBiasActMatchesReference) {
       }
       expect_close(out.rows_view(0, s.m), want, kGemmTol);
       EXPECT_TRUE(all_zero(out.rows_view(s.m, 2)));
-      EXPECT_EQ(counter("hetsgd_sparse_gemms_total") > sparse_before,
-                takes_sparse_path(s));
+      EXPECT_EQ(counter("hetsgd_sparse_gemms_total") > sparse_before, s.csr);
       EXPECT_DOUBLE_EQ(done,
                        done_after(issue, b_.perf().gemm_seconds(s.m, s.n, s.k)));
     }
@@ -729,21 +811,27 @@ TEST_P(BothModes, MatmulTnMatchesReference) {
     // whose sparse operand is the layer input prev.
     const Matrix delta = random_matrix(s.m + 2, s.n, rng);
     const Matrix prev = input_matrix(s, s.m + 2, s.k, rng);
+    const tensor::CsrMatrix prev_csr =
+        tensor::CsrMatrix::from_dense(prev.view());
+    const auto product = [&](tensor::Scalar alpha, tensor::Scalar beta,
+                             tensor::MatrixView out, double at) {
+      return s.csr ? b_.matmul_tn(alpha, delta.rows_view(0, s.m),
+                                  prev_csr.rows_view(0, s.m), beta, out, at)
+                   : b_.matmul_tn(alpha, delta.rows_view(0, s.m),
+                                  prev.rows_view(0, s.m), beta, out, at);
+    };
     Matrix grad_w(s.n, s.k);
     const std::uint64_t sparse_before = counter("hetsgd_sparse_gemms_total");
     const double issue = next_issue();
     const double done =
-        b_.matmul_tn(tensor::Scalar{1}, delta.rows_view(0, s.m),
-                     prev.rows_view(0, s.m), tensor::Scalar{0}, grad_w.view(),
-                     issue);
+        product(tensor::Scalar{1}, tensor::Scalar{0}, grad_w.view(), issue);
     ++launches;
     expect_close(grad_w.view(),
                  naive_product(tensor::Trans::kYes, tensor::Trans::kNo,
                                delta.rows_view(0, s.m),
                                prev.rows_view(0, s.m), s.n, s.k),
                  kGemmTol);
-    EXPECT_EQ(counter("hetsgd_sparse_gemms_total") > sparse_before,
-              takes_sparse_path(s));
+    EXPECT_EQ(counter("hetsgd_sparse_gemms_total") > sparse_before, s.csr);
     EXPECT_DOUBLE_EQ(done,
                      done_after(issue, b_.perf().gemm_seconds(s.n, s.k, s.m)));
 
@@ -753,9 +841,7 @@ TEST_P(BothModes, MatmulTnMatchesReference) {
     Matrix w = w0;
     const double step_issue = next_issue();
     const double step_done =
-        b_.matmul_tn(tensor::Scalar{-0.5}, delta.rows_view(0, s.m),
-                     prev.rows_view(0, s.m), tensor::Scalar{1}, w.view(),
-                     step_issue);
+        product(tensor::Scalar{-0.5}, tensor::Scalar{1}, w.view(), step_issue);
     ++launches;
     Rows want = naive_product(tensor::Trans::kYes, tensor::Trans::kNo,
                               delta.rows_view(0, s.m), prev.rows_view(0, s.m),
@@ -1134,7 +1220,7 @@ TEST(ZeroCopyBackend, SynchronizeReturnsIssue) {
 }
 
 TEST(ZeroCopyBackend, ApplyGradientUpdatesTheSharedModel) {
-  for (const Fixture& f : {Fixture(8), sparse_fixture(8)}) {
+  for (const Fixture& f : {Fixture(8), csr_fixture(8)}) {
     SCOPED_TRACE(f.config.input_dim);
     Backend b = zero_copy();
     MlpExecutor mlp(b, f.config, 8);
@@ -1143,7 +1229,7 @@ TEST(ZeroCopyBackend, ApplyGradientUpdatesTheSharedModel) {
     mlp.bind_shared_model(shared);
     mlp.bind_host_gradient(grad);
     double done = 0.0;
-    mlp.compute_gradient(f.x.view(), f.y, 0.0, &done);
+    mlp.compute_gradient(f.batch(), f.y, 0.0, &done);
     mlp.apply_gradient(0.1, done);
     // The replica is the shared model: the update lands there, no
     // download — the same model the device replica's round trip produces.

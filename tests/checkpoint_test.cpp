@@ -545,6 +545,21 @@ TEST(Fingerprint, MatchesCheckpointsCutBeforeTheBackendFlagWasRetired) {
   EXPECT_EQ(config_fingerprint(small_config(), d), 0x1853304e5aa2fe7fULL);
 }
 
+// Pinned to the values computed when every dataset was held dense: the
+// fingerprint reads row[0] and row[d-1] of sampled rows as stored, so
+// checkpoints of sparse runs cut before the CSR storage keep resuming.
+TEST(Fingerprint, MatchesCheckpointsOfSparseRunsCutWhenStoredDense) {
+  const data::Dataset realsim =
+      data::make_paper_dataset(data::PaperDataset::kRealSim, 0.002, 1);
+  const data::Dataset delicious =
+      data::make_paper_dataset(data::PaperDataset::kDelicious, 0.002, 1);
+  ASSERT_TRUE(realsim.csr());
+  EXPECT_EQ(config_fingerprint(small_config(), realsim),
+            0x18f922ee40be0da0ULL);
+  EXPECT_EQ(config_fingerprint(small_config(), delicious),
+            0x38b11a5d4664c632ULL);
+}
+
 // --- checkpoint manager ---------------------------------------------------
 
 TEST(CheckpointManagerTest, SaveAssignsSequenceAndWritesManifest) {

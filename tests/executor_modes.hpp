@@ -44,7 +44,7 @@ class ModeRunner {
   // The model's loss on the batch (class labels: softmax cross-entropy;
   // a 0/1 target matrix: sigmoid BCE); its gradient lands in grad().
   template <typename Targets>
-  double gradient(tensor::ConstMatrixView x, const Targets& targets) {
+  double gradient(tensor::BatchView x, const Targets& targets) {
     double t = exec_.upload_model(model_, 0.0);
     const double loss = exec_.compute_gradient(x, targets, t, &t);
     exec_.download_gradient(grad_, t);
@@ -57,12 +57,12 @@ class ModeRunner {
     exec_.download_model(model_, exec_.apply_gradient(eta, t));
   }
 
-  tensor::ConstMatrixView forward(tensor::ConstMatrixView x) {
+  tensor::ConstMatrixView forward(tensor::BatchView x) {
     exec_.upload_model(model_, 0.0);
     return exec_.forward(x);
   }
 
-  double mean_loss(tensor::ConstMatrixView x,
+  double mean_loss(tensor::BatchView x,
                    std::span<const std::int32_t> labels) {
     exec_.upload_model(model_, 0.0);
     return exec_.mean_loss(x, labels);

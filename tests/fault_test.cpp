@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -303,6 +305,41 @@ TEST(FaultRecovery, InjectedNanRollsBackToFiniteLoss) {
   EXPECT_GE(r.rollbacks, 1u);
   EXPECT_LE(r.final_lr_scale, 0.5);  // at least one halving
   EXPECT_GE(count_kind(r, FaultKind::kGradientCorruption), 1u);
+  EXPECT_GE(count_kind(r, FaultKind::kDivergenceRollback), 1u);
+  for (const auto& p : r.loss_curve) EXPECT_TRUE(std::isfinite(p.loss));
+  expect_ledger_invariant(r);
+}
+
+// The divergence guard reads the model, not only the loss. On a dataset
+// stored CSR the first layer's products skip the inputs' zeros, so a NaN
+// first-layer weight in a column that no example stores never reaches a
+// loss; the injection poisons exactly such a weight here (W[0][0], and
+// column 0 is zero in every row), and the run must still roll back.
+TEST(FaultRecovery, NanWeightNoExampleReachesRollsBack) {
+  data::SyntheticSpec spec;
+  spec.name = "sparse-fault";
+  spec.examples = 1024;
+  spec.dim = 96;
+  spec.classes = 3;
+  spec.density = 0.05;
+  spec.seed = 11;
+  tensor::Matrix x = tensor::to_dense(data::make_synthetic(spec).features());
+  for (tensor::Index r = 0; r < x.rows(); ++r) x(r, 0) = 0;
+  const data::Dataset generated = data::make_synthetic(spec);
+  data::Dataset dataset(
+      "sparse-fault", std::move(x),
+      std::vector<std::int32_t>(generated.labels().begin(),
+                                generated.labels().end()),
+      spec.classes);
+  ASSERT_TRUE(dataset.csr());
+  TrainingConfig config = small_config();
+  config.fault.plan = "nan:worker=0,atfrac=0.3";
+  Trainer trainer(std::move(dataset), config);
+  TrainingResult r = trainer.run();
+  EXPECT_TRUE(std::isfinite(r.final_loss));
+  EXPECT_FALSE(r.diverged);
+  EXPECT_GE(count_kind(r, FaultKind::kGradientCorruption), 1u);
+  EXPECT_GE(r.rollbacks, 1u);
   EXPECT_GE(count_kind(r, FaultKind::kDivergenceRollback), 1u);
   for (const auto& p : r.loss_curve) EXPECT_TRUE(std::isfinite(p.loss));
   expect_ledger_invariant(r);

@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "reference_gemm.hpp"
+#include "tensor/csr.hpp"
 #include "tensor/ops.hpp"
 
 namespace hetsgd::tensor {
@@ -44,7 +45,7 @@ Matrix sparse_matrix(Index rows, Index cols, double density, Rng& rng) {
   return m;
 }
 
-// Products that took the zero-skipping path so far (process-wide).
+// CSR input products run so far (process-wide).
 std::uint64_t sparse_gemms() {
   return obs::MetricsRegistry::instance()
       .counter("hetsgd_sparse_gemms_total")
@@ -55,14 +56,6 @@ bool bitwise_equal(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data(), b.data(),
                      static_cast<std::size_t>(a.size()) * sizeof(Scalar)) == 0;
-}
-
-// Runs `fn` with the density rule of the zero-skipping path overridden.
-template <typename Fn>
-void with_sparse_path(detail::SparsePath path, const Fn& fn) {
-  const detail::SparsePath previous = detail::set_sparse_path(path);
-  fn();
-  detail::set_sparse_path(previous);
 }
 
 TEST(GemmNaive, TinyKnownProduct) {
@@ -98,9 +91,8 @@ struct GemmCase {
   Index m, n, k;
   Trans ta, tb;
   Scalar alpha, beta;
-  // Fraction of nonzero entries in both operands (see sparse_matrix). In
-  // the weight-gradient product d^T * x (ta == kYes, tb == kNo) B is the
-  // input x, whose sparsity selects the zero-skipping path.
+  // Fraction of nonzero entries in both operands (see sparse_matrix): the
+  // dense kernels on a sparse input stored dense.
   double density = 1.0;
 };
 
@@ -181,10 +173,8 @@ std::vector<GemmCase> gemm_cases() {
                    Scalar{1}});
   cases.push_back({70, 40, 90, Trans::kNo, Trans::kYes, Scalar{0.1},
                    Scalar{3}});
-  // Input-density sweep from all zeros to dense. Shapes straddle the
-  // zero-skipping path's shape rule for the weight-gradient product: x
-  // width n (= 63 / 64 columns) and x batch k (= 7 / 8 rows), plus wider
-  // multi-range shapes; all four Trans combinations run on each.
+  // Input-density sweep from all zeros to dense, on narrow and wide,
+  // short and tall shapes; all four Trans combinations run on each.
   const double kDensities[] = {0.0, 0.005, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0};
   const std::tuple<Index, Index, Index> sparse_shapes[] = {
       {16, 63, 40}, {16, 64, 40}, {12, 100, 7},
@@ -199,7 +189,7 @@ std::vector<GemmCase> gemm_cases() {
       }
     }
   }
-  // The alpha/beta grid through the zero-skipping path.
+  // The alpha/beta grid on a sparse input.
   for (Scalar alpha : kAlphaBeta) {
     for (Scalar beta : kAlphaBeta) {
       for (double density : {0.02, 1.0}) {
@@ -242,11 +232,9 @@ const char* epilogue_name(Epilogue e) {
 
 // gemm_bias_act must equal the unfused gemm -> bias add -> activation
 // sequence within 1e-12 (they share the arithmetic; only FP contraction in
-// the fused write-back and the zero-skipping path's summation order may
-// differ) across epilogues, Trans combinations, input densities, and
-// shapes hitting the skinny fast path, exact register tiles, ragged
-// multi-block edges, and both sides of the zero-skipping path's shape
-// rule (x at least 8 rows by 64 columns).
+// the fused write-back may differ) across epilogues, Trans combinations,
+// input densities, and shapes hitting the skinny fast path, exact register
+// tiles and ragged multi-block edges.
 TEST(GemmBiasAct, MatchesUnfusedSequence) {
   const Trans kT[] = {Trans::kNo, Trans::kYes};
   const Epilogue kEps[] = {Epilogue::kBias, Epilogue::kBiasSigmoid,
@@ -308,8 +296,8 @@ TEST(GemmBiasAct, AlphaZeroAppliesEpilogueToBias) {
   }
 }
 
-// The scaled fused product: C = act(alpha * A * B^T + bias), on the packed
-// kernel (17 dense inputs) and on the zero-skipping path (200 sparse ones).
+// The scaled fused product: C = act(alpha * A * B^T + bias), on 17 dense
+// inputs and 200 sparse ones.
 TEST(GemmBiasAct, RespectsAlpha) {
   const Index m = 9, n = 33;
   const Scalar alpha = -0.5;
@@ -334,11 +322,11 @@ TEST(GemmBiasAct, RespectsAlpha) {
 }
 
 // A NaN weight poisons the tanh forward on every engine that runs it: the
-// packed kernel, both skinny kernels and, for a sparse input, the dense
-// fallback the NaN weight forces on the zero-skipping path (a NaN input
-// takes the path and poisons its row). Every output the NaN reaches stays
-// NaN through tanh, and the rest stay finite: a tanh that turned NaN into
-// +-1 would hide a diverged model from the divergence guard.
+// packed kernel, both skinny kernels and the CSR forward (whose NaN reaches
+// the rows storing its column; a NaN input poisons its row). Every output
+// the NaN reaches stays NaN through tanh, and the rest stay finite: a tanh
+// that turned NaN into +-1 would hide a diverged model from the divergence
+// guard.
 TEST(GemmBiasAct, NaNWeightPoisonsTanhOnEveryEngine) {
   const Scalar kNaN = std::numeric_limits<Scalar>::quiet_NaN();
   struct Engine {
@@ -352,7 +340,6 @@ TEST(GemmBiasAct, NaNWeightPoisonsTanhOnEveryEngine) {
       {"packed NN", 16, 40, Trans::kNo, 1.0},
       {"skinny NT", 3, 40, Trans::kYes, 1.0},
       {"skinny NN", 3, 40, Trans::kNo, 1.0},
-      {"sparse input, dense fallback", 64, 300, Trans::kYes, 0.01},
   };
   const Index n = 24, unit = 5, input = 7;
   Rng rng(66);
@@ -373,20 +360,251 @@ TEST(GemmBiasAct, NaNWeightPoisonsTanhOnEveryEngine) {
       }
     }
   }
-  // The zero-skipping path itself, poisoned through its input.
+  // The CSR forward, poisoned through its input and through a weight in a
+  // column that rows 3 and 50 store.
   Matrix x = sparse_matrix(64, 300, 0.01, rng);
   x(9, 40) = kNaN;
+  for (Index i = 0; i < 64; ++i) x(i, input) = 0;
+  x(3, input) = 0.5;
+  x(50, input) = -2.0;
+  const CsrMatrix csr = CsrMatrix::from_dense(x.view());
   Matrix w = random_matrix(n, 300, rng);
+  w(unit, input) = kNaN;
   Matrix bias = random_matrix(1, n, rng);
   Matrix out(64, n);
   const std::uint64_t before = sparse_gemms();
-  gemm_bias_act(Trans::kNo, Trans::kYes, Scalar{1}, x.view(), w.view(),
-                out.view(), bias.view(), Epilogue::kBiasTanh);
+  csr_bias_act(csr.view(), w.view(), out.view(), bias.view(),
+               Epilogue::kBiasTanh);
   EXPECT_EQ(sparse_gemms() - before, 1u);
   for (Index i = 0; i < 64; ++i) {
     for (Index j = 0; j < n; ++j) {
-      ASSERT_EQ(std::isnan(out(i, j)), i == 9) << "(" << i << ", " << j << ")";
+      const bool reached = i == 9 || (j == unit && (i == 3 || i == 50));
+      ASSERT_EQ(std::isnan(out(i, j)), reached)
+          << "(" << i << ", " << j << ")";
     }
+  }
+}
+
+// --- CSR input products ------------------------------------------------------
+
+// The forward's documented sum, written out: each output from +0 over the
+// row's stored entries in ascending column order, then the fused epilogue.
+Matrix csr_forward_reference(const CsrMatrix& x, const Matrix& w,
+                             const Matrix& bias, Epilogue e) {
+  const CsrView v = x.view();
+  Matrix out(v.rows(), w.rows());
+  for (Index i = 0; i < v.rows(); ++i) {
+    for (Index j = 0; j < w.rows(); ++j) {
+      Scalar acc = 0;
+      for (Index q = v.row_ptr()[i]; q < v.row_ptr()[i + 1]; ++q) {
+        acc += v.val()[q] * w(j, v.col()[q]);
+      }
+      out(i, j) = acc;
+    }
+    detail::epilogue_row(e, out.row(i), bias.data(), w.rows());
+  }
+  return out;
+}
+
+// The gradient's documented sum: C = beta * C, then each C[i][p] plus
+// alpha times the sum from +0 over the rows storing column p, ascending.
+Matrix csr_gradient_reference(Scalar alpha, const Matrix& d,
+                              const CsrMatrix& x, Scalar beta, Matrix c) {
+  const CsrView v = x.view();
+  for (Index i = 0; i < c.rows(); ++i) {
+    for (Index p = 0; p < c.cols(); ++p) {
+      if (beta == Scalar{0}) {
+        c(i, p) = 0;
+      } else if (beta != Scalar{1}) {
+        c(i, p) *= beta;
+      }
+      Scalar acc = 0;
+      bool stored = false;
+      for (Index r = 0; r < v.rows(); ++r) {
+        for (Index q = v.row_ptr()[r]; q < v.row_ptr()[r + 1]; ++q) {
+          if (v.col()[q] != p) continue;
+          acc += v.val()[q] * d(r, i);
+          stored = true;
+        }
+      }
+      if (stored) c(i, p) += alpha * acc;
+    }
+  }
+  return c;
+}
+
+// got == the documented sum written out here, bit for bit. Built with FMA
+// (the -DHETSGD_NATIVE=ON build), the compiler may contract a * b + c into
+// one rounding in the kernel and not here, or the other way round, so
+// there the two agree to rounding instead.
+bool matches_documented_sum(const Matrix& got, const Matrix& want) {
+#ifdef __FMA__
+  return max_abs_diff(got.view(), want.view()) < 1e-12;
+#else
+  return bitwise_equal(got, want);
+#endif
+}
+
+// Both CSR products against their documented sums bit for bit, and against
+// ref::gemm_naive on the densified input to rounding: 1 to 70 rows (row 0
+// dense, row 1 empty, the rest ragged), inputs 64 and 300 wide, densities
+// 0 to 0.3, and both gradient forms (alpha = 1, beta = 0; alpha = -0.5,
+// beta = 1).
+TEST(CsrInput, ProductsMatchTheirDocumentedSums) {
+  Rng rng(71);
+  const Epilogue kEps[] = {Epilogue::kBias, Epilogue::kBiasTanh,
+                           Epilogue::kBiasRelu};
+  for (Index m : {1, 2, 7, 8, 70}) {
+    for (Index k : {64, 300}) {
+      for (double density : {0.0, 0.01, 0.1, 0.3}) {
+        SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << k
+                                        << " density=" << density);
+        const Matrix dense = sparse_matrix(m, k, density, rng);
+        const CsrMatrix x = CsrMatrix::from_dense(dense.view());
+        const Index n = 13;
+        const Matrix w = random_matrix(n, k, rng);
+        const Matrix bias = random_matrix(1, n, rng);
+        for (Epilogue e : kEps) {
+          Matrix out = random_matrix(m, n, rng);  // overwritten
+          csr_bias_act(x.view(), w.view(), out.view(), bias.view(), e);
+          EXPECT_TRUE(matches_documented_sum(
+              out, csr_forward_reference(x, w, bias, e)));
+        }
+        Matrix product(m, n);
+        gemm_naive(Trans::kNo, Trans::kYes, 1, dense.view(), w.view(), 0,
+                   product.view());
+        Matrix out(m, n);
+        csr_bias_act(x.view(), w.view(), out.view(), bias.view(),
+                     Epilogue::kBias);
+        for (Index i = 0; i < m; ++i) {
+          for (Index j = 0; j < n; ++j) product(i, j) += bias(0, j);
+        }
+        EXPECT_LT(max_abs_diff(out.view(), product.view()), 1e-12);
+
+        const Matrix d = random_matrix(m, n, rng);
+        for (auto [alpha, beta] : {std::pair<Scalar, Scalar>{1, 0},
+                                   {Scalar{-0.5}, Scalar{1}}}) {
+          const Matrix start = random_matrix(n, k, rng);
+          Matrix grad = start;
+          csr_gemm_tn(alpha, d.view(), x.view(), beta, grad.view());
+          EXPECT_TRUE(matches_documented_sum(
+              grad, csr_gradient_reference(alpha, d, x, beta, start)));
+          Matrix want = start;
+          gemm_naive(Trans::kYes, Trans::kNo, alpha, d.view(), dense.view(),
+                     beta, want.view());
+          EXPECT_LT(max_abs_diff(grad.view(), want.view()), 1e-12);
+        }
+      }
+    }
+  }
+}
+
+// A one-row batch (a Hogwild lane's step) rounds as the dense kernels'
+// k = 1 path does: the same bits as gemm on the densified row.
+TEST(CsrInput, OneRowGradientMatchesTheDenseRankOne) {
+  Rng rng(72);
+  for (double density : {0.02, 0.12, 0.5}) {
+    const Matrix dense = sparse_matrix(1, 500, density, rng);
+    const CsrMatrix x = CsrMatrix::from_dense(dense.view());
+    const Matrix d = random_matrix(1, 48, rng);
+    for (auto [alpha, beta] : {std::pair<Scalar, Scalar>{1, 0},
+                               {Scalar{-1e-3}, Scalar{1}}}) {
+      const Matrix start = random_matrix(48, 500, rng);
+      Matrix got = start;
+      Matrix want = start;
+      csr_gemm_tn(alpha, d.view(), x.view(), beta, got.view());
+      gemm(Trans::kYes, Trans::kNo, alpha, d.view(), dense.view(), beta,
+           want.view());
+      EXPECT_TRUE(bitwise_equal(got, want)) << density;
+    }
+  }
+}
+
+// The forward's one-row form (a lane's step, which reads W's columns with
+// stride) and its batch form (about 6 entries per column: W transposed)
+// agree bit for bit, row by row.
+TEST(CsrInput, ForwardRowByRowMatchesTheBatch) {
+  Rng rng(73);
+  for (Index k : {500, 2963}) {
+    const Index m = 64, n = 48;
+    const CsrMatrix x =
+        CsrMatrix::from_dense(sparse_matrix(m, k, 0.1, rng).view());
+    const Matrix w = random_matrix(n, k, rng);
+    const Matrix bias = random_matrix(1, n, rng);
+    Matrix batch(m, n);
+    csr_bias_act(x.view(), w.view(), batch.view(), bias.view(),
+                 Epilogue::kBiasTanh);
+    for (Index i = 0; i < m; ++i) {
+      Matrix row(1, n);
+      csr_bias_act(x.rows_view(i, 1), w.view(), row.view(), bias.view(),
+                   Epilogue::kBiasTanh);
+      ASSERT_EQ(std::memcmp(row.data(), batch.row(i), n * sizeof(Scalar)), 0)
+          << "k=" << k << " row " << i;
+    }
+  }
+}
+
+// The contract of skipping x's zeros: a NaN or Inf in W (forward) or in
+// the delta (gradient) reaches only outputs that a stored entry of x
+// touches, and a NaN or Inf in x poisons its row (forward) or column
+// (gradient).
+TEST(CsrInput, NonFiniteValuesPropagateFromTouchedEntriesOnly) {
+  const Scalar kNaN = std::numeric_limits<Scalar>::quiet_NaN();
+  const Scalar kInf = std::numeric_limits<Scalar>::infinity();
+  Rng rng(74);
+  const Index rows = 40, width = 300, units = 24;
+  Matrix dense = sparse_matrix(rows, width, 0.01, rng);
+  for (Index i = 0; i < rows; ++i) {
+    dense(i, 7) = 0;   // column 7: stored by no row
+    dense(i, 11) = 0;  // column 11: stored by row 5 only
+  }
+  dense(5, 11) = 1.5;
+  const CsrMatrix x = CsrMatrix::from_dense(dense.view());
+  const Matrix bias = random_matrix(1, units, rng);
+  for (Scalar poison : {kNaN, kInf}) {
+    SCOPED_TRACE(poison);
+    Matrix w = random_matrix(units, width, rng);
+    w(3, 7) = poison;
+    Matrix out(rows, units);
+    csr_bias_act(x.view(), w.view(), out.view(), bias.view(), Epilogue::kBias);
+    for (Index i = 0; i < rows; ++i) {
+      for (Index j = 0; j < units; ++j) ASSERT_TRUE(std::isfinite(out(i, j)));
+    }
+    w(4, 11) = poison;
+    csr_bias_act(x.view(), w.view(), out.view(), bias.view(), Epilogue::kBias);
+    for (Index i = 0; i < rows; ++i) {
+      for (Index j = 0; j < units; ++j) {
+        ASSERT_EQ(std::isfinite(out(i, j)), !(i == 5 && j == 4))
+            << "(" << i << ", " << j << ")";
+      }
+    }
+
+    Matrix d = random_matrix(rows, units, rng);
+    d(5, 2) = poison;  // row 5 stores its random columns and column 11
+    Matrix grad(units, width);
+    csr_gemm_tn(Scalar{1}, d.view(), x.view(), Scalar{0}, grad.view());
+    for (Index i = 0; i < units; ++i) {
+      for (Index p = 0; p < width; ++p) {
+        ASSERT_EQ(std::isfinite(grad(i, p)), !(i == 2 && dense(5, p) != 0))
+            << "(" << i << ", " << p << ")";
+      }
+    }
+  }
+  // NaN in x: its row of the forward and its column of the gradient.
+  dense(9, 40) = kNaN;
+  const CsrMatrix poisoned = CsrMatrix::from_dense(dense.view());
+  const Matrix w = random_matrix(units, width, rng);
+  Matrix out(rows, units);
+  csr_bias_act(poisoned.view(), w.view(), out.view(), bias.view(),
+               Epilogue::kBias);
+  const Matrix d = random_matrix(rows, units, rng);
+  Matrix grad(units, width);
+  csr_gemm_tn(Scalar{1}, d.view(), poisoned.view(), Scalar{0}, grad.view());
+  for (Index j = 0; j < units; ++j) {
+    EXPECT_TRUE(std::isnan(out(9, j)));
+    EXPECT_TRUE(std::isfinite(out(8, j)));
+    EXPECT_TRUE(std::isnan(grad(j, 40)));
+    EXPECT_TRUE(std::isfinite(grad(j, 41)));
   }
 }
 
@@ -422,133 +640,6 @@ TEST(Gemm, ShapeMismatchDies) {
 TEST(Gemm, FlopsFormula) {
   EXPECT_DOUBLE_EQ(gemm_flops(2, 3, 4), 48.0);
   EXPECT_DOUBLE_EQ(gemm_flops(1, 1, 1), 2.0);
-}
-
-// The zero-skipping path engages exactly when the rule in gemm.cpp says:
-// x at least 8 rows by 64 columns and sparse, in a sample of its rows and
-// overall. Each shape bound is probed from both sides with a sparse x; a
-// dense x never takes the path.
-TEST(SparseInput, PathFollowsShapeAndDensity) {
-  Rng rng(61);
-  const auto forward_takes_path = [&](const Matrix& x) {
-    Matrix w = random_matrix(16, x.cols(), rng);
-    Matrix bias = random_matrix(1, 16, rng);
-    Matrix out(x.rows(), 16);
-    const std::uint64_t before = sparse_gemms();
-    gemm_bias_act(Trans::kNo, Trans::kYes, Scalar{1}, x.view(), w.view(),
-                  out.view(), bias.view(), Epilogue::kBiasRelu);
-    return sparse_gemms() - before;
-  };
-  const auto gradient_takes_path = [&](const Matrix& x) {
-    Matrix d = random_matrix(x.rows(), 16, rng);
-    Matrix grad(16, x.cols());
-    const std::uint64_t before = sparse_gemms();
-    matmul_tn(d.view(), x.view(), grad.view());
-    return sparse_gemms() - before;
-  };
-  const auto check_bounds = [&](const auto& takes_path) {
-    EXPECT_EQ(takes_path(sparse_matrix(200, 64, 0.01, rng)), 1u);
-    EXPECT_EQ(takes_path(sparse_matrix(200, 63, 0.01, rng)), 0u);
-    Matrix rows8(8, 640), rows7(7, 640);  // one nonzero each
-    rows8(3, 5) = 1;
-    rows7(3, 5) = 1;
-    EXPECT_EQ(takes_path(rows8), 1u);
-    EXPECT_EQ(takes_path(rows7), 0u);  // forward: the skinny kernel
-    EXPECT_EQ(takes_path(random_matrix(200, 640, rng)), 0u);
-    // Both stages of the density rule: the 16 sampled rows (every 16th of
-    // 256) and the whole of x must each be sparse enough.
-    Matrix sampled_dense(256, 640);
-    Matrix sampled_empty = random_matrix(256, 640, rng);
-    for (Index i = 0; i < 256; i += 16) {
-      for (Index j = 0; j < 640; ++j) {
-        sampled_dense(i, j) = 1;  // x is 1/16 dense
-        sampled_empty(i, j) = 0;  // x is 15/16 dense
-      }
-    }
-    EXPECT_EQ(takes_path(sampled_dense), 0u);
-    EXPECT_EQ(takes_path(sampled_empty), 0u);
-  };
-  check_bounds(forward_takes_path);
-  check_bounds(gradient_takes_path);
-  // The matrix-matrix products that do not take x as an operand keep the
-  // packed kernel whatever the density.
-  Matrix a = sparse_matrix(200, 640, 0.01, rng);
-  Matrix b = random_matrix(640, 32, rng);
-  Matrix c(200, 32);
-  const std::uint64_t before = sparse_gemms();
-  matmul_nn(a.view(), b.view(), c.view());
-  EXPECT_EQ(sparse_gemms() - before, 0u);
-}
-
-bool same_nonfinite_positions(const Matrix& a, const Matrix& b) {
-  for (Index i = 0; i < a.rows(); ++i) {
-    for (Index j = 0; j < a.cols(); ++j) {
-      if (std::isfinite(a(i, j)) != std::isfinite(b(i, j))) return false;
-    }
-  }
-  return true;
-}
-
-// A NaN or Inf in W (forward) or delta (gradient) must poison the same
-// outputs as on the dense kernel, which multiplies it by x's zeros too:
-// the call keeps the dense kernel, and the divergence guard sees the NaN.
-// A NaN in x itself is a nonzero, so the path keeps it.
-TEST(SparseInput, NonFiniteOperandsPoisonLikeTheDenseKernel) {
-  const Scalar kNaN = std::numeric_limits<Scalar>::quiet_NaN();
-  const Scalar kInf = std::numeric_limits<Scalar>::infinity();
-  Rng rng(62);
-  const Index rows = 64, width = 300, units = 24;
-  Matrix x = sparse_matrix(rows, width, 0.01, rng);  // row 1 is empty
-  Matrix bias = random_matrix(1, units, rng);
-  for (Scalar poison : {kNaN, kInf}) {
-    SCOPED_TRACE(poison);
-    Matrix w = random_matrix(units, width, rng);
-    w(3, 7) = poison;
-    Matrix fast(rows, units), dense(rows, units);
-    const std::uint64_t before = sparse_gemms();
-    gemm_bias_act(Trans::kNo, Trans::kYes, Scalar{1}, x.view(), w.view(),
-                  fast.view(), bias.view(), Epilogue::kBias);
-    EXPECT_EQ(sparse_gemms() - before, 0u);
-    with_sparse_path(detail::SparsePath::kDense, [&] {
-      gemm_bias_act(Trans::kNo, Trans::kYes, Scalar{1}, x.view(), w.view(),
-                    dense.view(), bias.view(), Epilogue::kBias);
-    });
-    EXPECT_FALSE(std::isfinite(fast(1, 3)));  // 0 * poison, kept
-    EXPECT_TRUE(same_nonfinite_positions(fast, dense));
-
-    Matrix d = random_matrix(rows, units, rng);
-    d(5, 2) = poison;
-    Matrix grad_fast(units, width), grad_dense(units, width);
-    matmul_tn(d.view(), x.view(), grad_fast.view());
-    with_sparse_path(detail::SparsePath::kDense, [&] {
-      matmul_tn(d.view(), x.view(), grad_dense.view());
-    });
-    EXPECT_FALSE(std::isfinite(grad_fast(2, 0)));
-    EXPECT_TRUE(same_nonfinite_positions(grad_fast, grad_dense));
-  }
-  // NaN in x: the path still runs and poisons that row (forward) and the
-  // NaN's column (gradient), as the dense kernel does.
-  x(9, 40) = kNaN;
-  Matrix w = random_matrix(units, width, rng);
-  Matrix fast(rows, units), dense(rows, units);
-  const std::uint64_t before = sparse_gemms();
-  gemm_bias_act(Trans::kNo, Trans::kYes, Scalar{1}, x.view(), w.view(),
-                fast.view(), bias.view(), Epilogue::kBias);
-  EXPECT_EQ(sparse_gemms() - before, 1u);
-  with_sparse_path(detail::SparsePath::kDense, [&] {
-    gemm_bias_act(Trans::kNo, Trans::kYes, Scalar{1}, x.view(), w.view(),
-                  dense.view(), bias.view(), Epilogue::kBias);
-  });
-  EXPECT_TRUE(std::isnan(fast(9, 0)));
-  EXPECT_TRUE(same_nonfinite_positions(fast, dense));
-  Matrix d = random_matrix(rows, units, rng);
-  Matrix grad_fast(units, width), grad_dense(units, width);
-  matmul_tn(d.view(), x.view(), grad_fast.view());
-  with_sparse_path(detail::SparsePath::kDense, [&] {
-    matmul_tn(d.view(), x.view(), grad_dense.view());
-  });
-  EXPECT_TRUE(std::isnan(grad_fast(0, 40)));
-  EXPECT_TRUE(same_nonfinite_positions(grad_fast, grad_dense));
 }
 
 // A NaN or Inf in either operand of a k = 1 product poisons C as the
@@ -620,14 +711,15 @@ TEST(Gemm, RankOneBitIdenticalForAnyThreadCount) {
   }
 }
 
-// The zero-skipping path splits x among threads by C rows (forward) and C
-// column ranges (gradient); either way each output is summed by one thread
-// in a fixed order, so 1 thread and N threads agree bit for bit. The shape
-// is large enough for every thread the host offers.
-TEST(SparseInput, BitIdenticalForAnyThreadCount) {
+// The CSR kernels split x among threads by C rows (forward) and C column
+// ranges (gradient); either way each output is summed by one thread in a
+// fixed order, so 1 thread and N threads agree bit for bit. The shape is
+// large enough for every thread the host offers.
+TEST(CsrInput, BitIdenticalForAnyThreadCount) {
   Rng rng(63);
   const Index rows = 512, width = 2100, units = 48;
-  Matrix x = sparse_matrix(rows, width, 0.01, rng);
+  const CsrMatrix x =
+      CsrMatrix::from_dense(sparse_matrix(rows, width, 0.01, rng).view());
   Matrix w = random_matrix(units, width, rng);
   Matrix bias = random_matrix(1, units, rng);
   Matrix d = random_matrix(rows, units, rng);
@@ -635,9 +727,9 @@ TEST(SparseInput, BitIdenticalForAnyThreadCount) {
     const int previous = omp_get_max_threads();
     omp_set_num_threads(threads);
     const std::uint64_t before = sparse_gemms();
-    gemm_bias_act(Trans::kNo, Trans::kYes, Scalar{1}, x.view(), w.view(),
-                  out.view(), bias.view(), Epilogue::kBiasTanh);
-    matmul_tn(d.view(), x.view(), grad.view());
+    csr_bias_act(x.view(), w.view(), out.view(), bias.view(),
+                 Epilogue::kBiasTanh);
+    csr_gemm_tn(Scalar{1}, d.view(), x.view(), Scalar{0}, grad.view());
     EXPECT_EQ(sparse_gemms() - before, 2u);
     omp_set_num_threads(previous);
   };

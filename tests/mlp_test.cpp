@@ -220,7 +220,8 @@ INSTANTIATE_TEST_SUITE_P(Activations, GradientCheck,
 // parameter must come out the same bit for bit, over several steps on the
 // evolving model: on 1-row batches, whose weight updates are rank-1
 // products, and 16-row ones; on a dense input and on a 96-wide input at
-// 8% nonzero, which takes the zero-skipping gradient path at beta = 1.
+// 8% nonzero stored as CSR rows, whose first layer runs the CSR kernel pair
+// (the weight product at beta = 1).
 struct StepCase {
   Activation act;
   Index batch;
@@ -268,6 +269,9 @@ TEST_P(InPlaceStep, MatchesGradientThenAxpyBitForBit) {
       if (!rng.bernoulli(0.08)) p.x.data()[i] = 0;
     }
   }
+  const tensor::CsrMatrix x_csr = tensor::CsrMatrix::from_dense(p.x.view());
+  const tensor::BatchView x = c.sparse_input ? tensor::BatchView(x_csr.view())
+                                             : tensor::BatchView(p.x.view());
   Model two_pass = p.model;
   Model in_place = p.model;
   Gradient g = nn::make_zero_gradient(two_pass);
@@ -282,18 +286,16 @@ TEST_P(InPlaceStep, MatchesGradientThenAxpyBitForBit) {
   const Scalar eta = 0.3;
   for (int step = 0; step < 4; ++step) {
     const std::uint64_t before = sparse_gemms();
-    const Scalar want_loss =
-        grad_exec.compute_gradient(p.x.view(), p.y, 0.0, nullptr);
+    const Scalar want_loss = grad_exec.compute_gradient(x, p.y, 0.0, nullptr);
     two_pass.axpy(-eta, g);
     const std::uint64_t between = sparse_gemms();
-    const Scalar loss = step_exec.sgd_step(p.x.view(), p.y, eta);
+    const Scalar loss = step_exec.sgd_step(x, p.y, eta);
     EXPECT_EQ(loss, want_loss) << "step " << step;
     ASSERT_TRUE(same_bytes(in_place, two_pass)) << "step " << step;
-    // Both passes ran the same kernels: with 16 sparse rows, the first
-    // layer's forward and weight products both skip zeros.
+    // Both passes ran the same kernels: on CSR rows, the first layer's
+    // forward and weight products both skip zeros.
     EXPECT_EQ(sparse_gemms() - between, between - before);
-    EXPECT_EQ(sparse_gemms() - between,
-              c.sparse_input && c.batch >= 8 ? 2u : 0u);
+    EXPECT_EQ(sparse_gemms() - between, c.sparse_input ? 2u : 0u);
   }
   EXPECT_GT(in_place.max_abs_diff(p.model), 0.0);
 }

@@ -1,8 +1,8 @@
 // The reference GEMM for the tests: C = alpha * op(A) * op(B) + beta * C as
 // three plain loops, single-threaded and unblocked, with op ∈ {identity,
 // transpose}. It shares no code with tensor::gemm's packing, micro-kernel
-// or zero-skipping paths; only the shape check is the library's, so a
-// shape error fails here as it would there.
+// or rank-1 paths, nor with the CSR kernels; only the shape check is the
+// library's, so a shape error fails here as it would there.
 #pragma once
 
 #include "tensor/gemm.hpp"

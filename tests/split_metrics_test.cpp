@@ -117,7 +117,7 @@ nn::ConfusionMatrix argmax_of_rows(std::int32_t classes,
                                    const tensor::Matrix& logits,
                                    const std::vector<std::int32_t>& labels) {
   return nn::evaluate_classifier(
-      [](tensor::ConstMatrixView x) { return x; }, classes, logits.view(),
+      [](tensor::BatchView x) { return x.dense(); }, classes, logits.view(),
       labels);
 }
 
@@ -160,7 +160,8 @@ TEST(EvaluateClassifier, WalksTheInputInChunks) {
   tensor::Index next_row = 0;
   tensor::Matrix logits;
   const nn::ConfusionMatrix cm = nn::evaluate_classifier(
-      [&](tensor::ConstMatrixView chunk) {
+      [&](tensor::BatchView rows) {
+        const tensor::ConstMatrixView chunk = rows.dense();
         chunk_rows.push_back(chunk.rows());
         EXPECT_EQ(chunk(0, 0), static_cast<tensor::Scalar>(next_row));
         next_row += chunk.rows();
@@ -194,7 +195,7 @@ TEST(EvaluateClassifier, LogitsShapeMismatchDies) {
   tensor::Matrix wide(2, 3);
   const std::vector<std::int32_t> labels{0, 1};
   EXPECT_DEATH(nn::evaluate_classifier(
-                   [&](tensor::ConstMatrixView) {
+                   [&](tensor::BatchView) {
                      return tensor::ConstMatrixView(wide.view());
                    },
                    2, x.view(), labels),
@@ -213,8 +214,8 @@ TEST(EvaluateClassifier, TrainedModelBeatsChance) {
   config.hidden_units = 16;
   config.hidden_activation = nn::Activation::kTanh;
   const nn::Model start(config, rng);
-  const tensor::ConstMatrixView train_x = split.train.features().view();
-  const tensor::ConstMatrixView test_x = split.test.features().view();
+  const tensor::ConstMatrixView train_x = split.train.features().dense();
+  const tensor::ConstMatrixView test_x = split.test.features().dense();
   const auto classes = static_cast<std::int32_t>(config.num_classes);
 
   // Full-batch gradient descent and held-out evaluation through the
@@ -230,7 +231,7 @@ TEST(EvaluateClassifier, TrainedModelBeatsChance) {
       run.sgd(0.5);
     }
     nn::ConfusionMatrix cm = nn::evaluate_classifier(
-        [&](tensor::ConstMatrixView x) { return run.forward(x); }, classes,
+        [&](tensor::BatchView x) { return run.forward(x); }, classes,
         test_x, split.test.labels());
     EXPECT_EQ(cm.total(), static_cast<std::uint64_t>(
                               split.test.example_count()));
@@ -260,8 +261,8 @@ TEST(EvaluateClassifier, TrainedModelBeatsChance) {
   EXPECT_LT(device_model.max_abs_diff(want), 1e-9);
   tensor::Matrix logits;
   nn::ConfusionMatrix want_cm = nn::evaluate_classifier(
-      [&](tensor::ConstMatrixView x) {
-        const ref::Rows rows = ref::logits(want, x);
+      [&](tensor::BatchView x) {
+        const ref::Rows rows = ref::logits(want, x.dense());
         logits.resize(x.rows(), classes);
         for (tensor::Index r = 0; r < x.rows(); ++r) {
           for (tensor::Index c = 0; c < classes; ++c) logits(r, c) = rows[r][c];

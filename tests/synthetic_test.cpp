@@ -32,7 +32,8 @@ TEST(Synthetic, DeterministicForSeed) {
   spec.seed = 77;
   Dataset a = make_synthetic(spec);
   Dataset b = make_synthetic(spec);
-  EXPECT_EQ(tensor::max_abs_diff(a.features().view(), b.features().view()),
+  EXPECT_EQ(tensor::max_abs_diff(tensor::to_dense(a.features()).view(),
+                                 tensor::to_dense(b.features()).view()),
             0.0);
   for (std::size_t i = 0; i < 100; ++i) {
     EXPECT_EQ(a.labels()[i], b.labels()[i]);
@@ -47,7 +48,8 @@ TEST(Synthetic, DifferentSeedsDiffer) {
   Dataset a = make_synthetic(spec);
   spec.seed = 2;
   Dataset b = make_synthetic(spec);
-  EXPECT_GT(tensor::max_abs_diff(a.features().view(), b.features().view()),
+  EXPECT_GT(tensor::max_abs_diff(tensor::to_dense(a.features()).view(),
+                                 tensor::to_dense(b.features()).view()),
             0.1);
 }
 
@@ -73,7 +75,7 @@ TEST(Synthetic, DensityControlsSparsity) {
   Index nonzero = 0;
   for (Index r = 0; r < d.example_count(); ++r) {
     for (Index c = 0; c < d.dim(); ++c) {
-      if (d.features()(r, c) != 0.0) ++nonzero;
+      if (d.features().at(r, c) != 0.0) ++nonzero;
     }
   }
   const double density = static_cast<double>(nonzero) /
@@ -98,7 +100,7 @@ TEST(Synthetic, SignalIsLearnable) {
     const auto y = d.labels()[static_cast<std::size_t>(r)];
     ++counts[static_cast<std::size_t>(y)];
     for (Index c = 0; c < 16; ++c) {
-      means(y, c) += d.features()(r, c);
+      means(y, c) += d.features().at(r, c);
     }
   }
   for (Index k = 0; k < 2; ++k) {
@@ -146,7 +148,7 @@ TEST(Synthetic, MultiClusterSpreadsClassExamples) {
       }
       double dist = 0;
       for (tensor::Index c = 0; c < 16; ++c) {
-        const double diff = d.features()(i, c) - d.features()(i + 1, c);
+        const double diff = d.features().at(i, c) - d.features().at(i + 1, c);
         dist += diff * diff;
       }
       total += dist;
@@ -167,7 +169,8 @@ TEST(Synthetic, DistinctFractionCreatesDuplicateRows) {
   Dataset d = make_synthetic(spec);
   std::set<std::vector<double>> unique_rows;
   for (tensor::Index r = 0; r < d.example_count(); ++r) {
-    std::vector<double> row(d.features().row(r), d.features().row(r) + 6);
+    std::vector<double> row;
+    for (tensor::Index c = 0; c < 6; ++c) row.push_back(d.features().at(r, c));
     unique_rows.insert(row);
   }
   EXPECT_LE(unique_rows.size(), 50u);
@@ -184,7 +187,8 @@ TEST(Synthetic, FullDistinctFractionKeepsRowsUnique) {
   Dataset d = make_synthetic(spec);
   std::set<std::vector<double>> unique_rows;
   for (tensor::Index r = 0; r < d.example_count(); ++r) {
-    std::vector<double> row(d.features().row(r), d.features().row(r) + 8);
+    std::vector<double> row;
+    for (tensor::Index c = 0; c < 8; ++c) row.push_back(d.features().at(r, c));
     unique_rows.insert(row);
   }
   EXPECT_EQ(unique_rows.size(), 300u);
@@ -203,7 +207,7 @@ TEST(Synthetic, FeatureScaleSigmaCreatesHeavyTails) {
   for (tensor::Index c = 0; c < d.dim(); ++c) {
     double sq = 0;
     for (tensor::Index r = 0; r < d.example_count(); ++r) {
-      sq += d.features()(r, c) * d.features()(r, c);
+      sq += d.features().at(r, c) * d.features().at(r, c);
     }
     const double rms = std::sqrt(sq / d.example_count());
     min_rms = std::min(min_rms, rms);
@@ -228,16 +232,6 @@ TEST(PaperDatasets, TableTwoMetadata) {
   const auto& w8a = paper_dataset_info(PaperDataset::kW8a);
   EXPECT_EQ(w8a.examples, 49749);
   EXPECT_EQ(w8a.hidden_layers, 8);
-}
-
-TEST(PaperDatasets, ParseNames) {
-  PaperDataset d;
-  EXPECT_TRUE(parse_paper_dataset("covtype", d));
-  EXPECT_EQ(d, PaperDataset::kCovtype);
-  EXPECT_TRUE(parse_paper_dataset("real-sim", d));
-  EXPECT_EQ(d, PaperDataset::kRealSim);
-  EXPECT_TRUE(parse_paper_dataset("realsim", d));
-  EXPECT_FALSE(parse_paper_dataset("mnist", d));
 }
 
 TEST(PaperDatasets, ScaleShrinksExamples) {

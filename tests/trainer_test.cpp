@@ -113,10 +113,9 @@ TEST(Trainer, MaxEpochsStopsTraining) {
   EXPECT_NEAR(r.epochs, 3.0, 0.01);
 }
 
-// The zero-skipping GEMM path (tensor/gemm.cpp) engages by itself where
-// the first layer's input is sparse: a run on real-sim's shape (937 inputs
-// at this scale, ~1% nonzero) takes it, one on covtype's (54 dense inputs)
-// never does.
+// The CSR kernel pair (tensor/csr.hpp) runs where the dataset stores its
+// inputs as CSR rows: a run on real-sim's shape (937 inputs at this scale,
+// ~1% nonzero) takes it, one on covtype's (54 dense inputs) never does.
 TEST(Trainer, SparseGemmPathFollowsTheDataset) {
   obs::Counter& sparse_gemms =
       obs::MetricsRegistry::instance().counter("hetsgd_sparse_gemms_total");

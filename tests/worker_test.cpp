@@ -114,8 +114,9 @@ struct Rig {
     for (Index b = begin; b < begin + size; b += sub_batch) {
       const Index rows = std::min(sub_batch, begin + size - b);
       nn::Gradient grad = nn::make_zero_gradient(start);
-      ref::softmax_xent(start, dataset.batch_features(b, rows),
-                        dataset.batch_labels(b, rows), &grad);
+      const tensor::Matrix x =
+          tensor::to_dense(dataset.batch_features(b, rows));
+      ref::softmax_xent(start, x.view(), dataset.batch_labels(b, rows), &grad);
       ref::sgd(start, grad, eta);
     }
     return start;
