@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "concurrent/mpsc_queue.hpp"
-#include "concurrent/spsc_ring.hpp"
 #include "msg/message.hpp"
 
 namespace {
@@ -19,15 +18,6 @@ void BM_MpscPushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpscPushPop);
-
-void BM_SpscPushPop(benchmark::State& state) {
-  concurrent::SpscRing<int> ring(1024);
-  for (auto _ : state) {
-    ring.try_push(1);
-    benchmark::DoNotOptimize(ring.try_pop());
-  }
-}
-BENCHMARK(BM_SpscPushPop);
 
 void BM_MpscEnvelopeRoundtrip(benchmark::State& state) {
   // The framework's actual message type across a producer thread — the

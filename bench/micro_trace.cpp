@@ -11,13 +11,9 @@
 // Tracer::enabled() — so the measured delta is exactly what a production
 // run pays when --trace-out is set. Measurement alternates many short
 // chunks of each mode and compares low percentiles (see the comment at
-// the measurement loop for why that survives noisy shared hosts).
-//
-// Under -DHETSGD_TRACE=OFF the macros compile to empty inlines; the
-// static_asserts below pin that claim at compile time and the measured
-// overhead degenerates to timing noise around zero. The JSON it writes
-// (bench_results/BENCH_trace.json via scripts/bench_smoke.sh) records
-// which configuration was measured.
+// the measurement loop for why that survives noisy shared hosts). The
+// JSON it writes goes to bench_results/BENCH_trace.json via
+// scripts/bench_smoke.sh.
 //
 //   ./micro_trace [--iters N] [--reps R] [--max-overhead F] [--out PATH]
 //
@@ -44,16 +40,6 @@ using tensor::Index;
 using tensor::Matrix;
 using tensor::Scalar;
 using tensor::Trans;
-
-#if defined(HETSGD_TRACE_DISABLED)
-// The compile-out contract: with tracing off, a span carries no state and
-// the probe functions are empty inlines the optimizer erases entirely.
-static_assert(sizeof(obs::TraceSpan) == 1,
-              "disabled TraceSpan must be an empty class");
-constexpr bool kTraceCompiled = false;
-#else
-constexpr bool kTraceCompiled = true;
-#endif
 
 // 2*96^3 = 1.77M flops per iteration — still an order of magnitude less
 // compute per span than a real Hogbatch/GPU batch, so the measured
@@ -109,14 +95,11 @@ double time_phase(std::int64_t iters, const Matrix& a, const Matrix& b,
 int main(int argc, char** argv) {
   std::int64_t iters = 20;
   std::int64_t reps = 100;
-  std::int64_t trace_buffer = std::int64_t{1} << 15;
   double max_overhead = 0.03;
   std::string out;
   CliParser cli("micro_trace", "tracing overhead benchmark + budget gate");
   cli.add_int("iters", &iters, "workload iterations per chunk");
   cli.add_int("reps", &reps, "untraced/traced chunk pairs");
-  cli.add_int("trace-buffer", &trace_buffer,
-              "per-thread ring capacity (events), as in --trace-buffer");
   cli.add_double("max-overhead", &max_overhead,
                  "allowed fractional overhead of tracing-on vs off");
   cli.add_string("out", &out, "write BENCH_trace.json here (empty = skip)");
@@ -150,14 +133,14 @@ int main(int argc, char** argv) {
   // (Long paired phases flake here: a 100ms phase almost always eats
   // several preemptions and the noise swamps a ~1% signal.)
   //
-  // After each start() the first event re-registers the thread and
-  // allocates its ring (~2.6MB at the default capacity); one untimed
-  // warmup batch absorbs that so chunks time steady-state recording.
+  // After each start() the first event allocates the thread's first
+  // buffer chunk; one untimed warmup batch absorbs that so chunks time
+  // steady-state recording.
   std::vector<double> off_ns, on_ns;
   for (std::int64_t r = 0; r < reps; ++r) {
     run_batch(a, b, c, batches, latency, 0);
     off_ns.push_back(time_phase(iters, a, b, c, batches, latency));
-    obs::Tracer::instance().start(static_cast<std::size_t>(trace_buffer));
+    obs::Tracer::instance().start();
     run_batch(a, b, c, batches, latency, 0);
     on_ns.push_back(time_phase(iters, a, b, c, batches, latency));
     std::string error;
@@ -176,9 +159,9 @@ int main(int argc, char** argv) {
   const double untraced_ns = off_ns[p10];
   const double traced_ns = on_ns[p10];
   const double overhead = traced_ns / untraced_ns - 1.0;
-  std::printf("micro_trace: trace_compiled=%s untraced=%.0f ns/iter "
+  std::printf("micro_trace: untraced=%.0f ns/iter "
               "traced=%.0f ns/iter overhead=%.2f%% (budget %.2f%%)\n",
-              kTraceCompiled ? "yes" : "no", untraced_ns, traced_ns,
+              untraced_ns, traced_ns,
               overhead * 100.0, max_overhead * 100.0);
 
   const bool pass = overhead <= max_overhead;
@@ -191,7 +174,6 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n"
                  "  \"benchmark\": \"bench/micro_trace\",\n"
-                 "  \"trace_compiled\": %s,\n"
                  "  \"iters\": %lld,\n"
                  "  \"reps\": %lld,\n"
                  "  \"events_per_iter\": 11,\n"
@@ -201,7 +183,6 @@ int main(int argc, char** argv) {
                  "  \"max_overhead\": %.5f,\n"
                  "  \"pass\": %s\n"
                  "}\n",
-                 kTraceCompiled ? "true" : "false",
                  static_cast<long long>(iters), static_cast<long long>(reps),
                  untraced_ns, traced_ns, overhead, max_overhead,
                  pass ? "true" : "false");

@@ -11,6 +11,8 @@ Trace checks (always, when --trace is given):
   * file parses as JSON with a `traceEvents` list
   * every event has a name and a known phase; 'X' events have dur >= 0
   * no events were dropped (otherData.dropped == 0)
+  * otherData.collected, when present, equals the number of events other
+    than metadata ('M') records
   * at least one thread_name metadata record
 
 Optional:
@@ -53,10 +55,14 @@ def check_trace(opts):
     if len(events) < opts.min_events:
         return fail(f"{opts.trace}: {len(events)} events < --min-events "
                     f"{opts.min_events}")
-    dropped = doc.get("otherData", {}).get("dropped", 0)
-    if dropped:
-        return fail(f"{opts.trace}: {dropped} events dropped (ring too "
-                    f"small for this run — raise --trace-buffer)")
+    other = doc.get("otherData", {})
+    if other.get("dropped", 0):
+        return fail(f"{opts.trace}: {other['dropped']} events dropped")
+    recorded = sum(1 for e in events if e.get("ph") != "M")
+    if "collected" in other and other["collected"] != recorded:
+        return fail(f"{opts.trace}: otherData.collected is "
+                    f"{other['collected']} but the trace holds {recorded} "
+                    f"events")
 
     spans, instants, threads = set(), set(), set()
     flows = {}  # id -> set of tids

@@ -36,16 +36,6 @@ LogLevel log_level() {
   return static_cast<LogLevel>(g_level.load(std::memory_order_acquire));
 }
 
-bool parse_log_level(const std::string& name, LogLevel& out) {
-  if (name == "trace") { out = LogLevel::kTrace; return true; }
-  if (name == "debug") { out = LogLevel::kDebug; return true; }
-  if (name == "info")  { out = LogLevel::kInfo;  return true; }
-  if (name == "warn")  { out = LogLevel::kWarn;  return true; }
-  if (name == "error") { out = LogLevel::kError; return true; }
-  if (name == "off")   { out = LogLevel::kOff;   return true; }
-  return false;
-}
-
 void log_message(LogLevel level, const char* tag, const char* fmt, ...) {
   if (static_cast<int>(level) < g_level.load(std::memory_order_acquire)) {
     return;

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdarg>
-#include <string>
 
 namespace hetsgd {
 
@@ -21,10 +20,6 @@ enum class LogLevel : int {
 // Global threshold; messages below it are dropped. Defaults to kInfo.
 void set_log_level(LogLevel level);
 LogLevel log_level();
-
-// Parses "trace"/"debug"/"info"/"warn"/"error"/"off"; returns false on an
-// unknown name (level unchanged).
-bool parse_log_level(const std::string& name, LogLevel& out);
 
 // printf-style logging. `tag` identifies the subsystem ("coord", "cpu0", ...).
 void log_message(LogLevel level, const char* tag, const char* fmt, ...)

@@ -120,8 +120,8 @@ struct TrainingConfig {
   // membership for the whole run.
   std::string elastic_plan;
 
-  // Observability (src/obs): span-trace output, metrics exporter and
-  // scrape endpoint. Deliberately excluded from config_fingerprint —
+  // Observability (src/obs): span-trace and metrics JSONL outputs.
+  // Deliberately excluded from config_fingerprint —
   // turning tracing on must not invalidate checkpoints.
   obs::ObsOptions obs;
 

@@ -182,9 +182,9 @@ struct FaultToleranceConfig {
   std::int64_t quarantine_after = 3;
 
   // Worker-local retries for transient device-transfer failures before the
-  // fault escalates to the coordinator; backoff doubles per attempt.
+  // fault escalates to the coordinator (Worker::execute_replica's backoff
+  // starts at 1e-4 virtual seconds and doubles per attempt).
   std::int64_t max_transfer_retries = 4;
-  double transfer_backoff_vseconds = 1e-4;
 
   // Real-time grace for reclamation: when every busy worker has been
   // silent for this many coordinator idle ticks (~20 ms each), the most

@@ -65,13 +65,8 @@ Trainer::Trainer(data::Dataset dataset, TrainingConfig config,
 
 TrainingResult Trainer::run() {
   // Tracing brackets the whole run so actor startup/shutdown is visible.
-  // stop_and_write is safe (and writes a valid empty trace) when tracing
-  // was compiled out with HETSGD_TRACE=OFF.
   const bool tracing = !config_.obs.trace_out.empty();
-  if (tracing) {
-    obs::Tracer::instance().start(static_cast<std::size_t>(
-        std::max<std::int64_t>(config_.obs.trace_buffer, 1024)));
-  }
+  if (tracing) obs::Tracer::instance().start();
   TrainingResult result = config_.algorithm == Algorithm::kTensorFlow
                               ? run_reference()
                               : run_framework();
@@ -230,16 +225,12 @@ TrainingResult Trainer::run_framework() {
   obs::MetricsExporter::Options obs_opts;
   obs_opts.jsonl_path = config_.obs.metrics_out;
   obs_opts.interval_ms = config_.obs.metrics_interval_ms;
-  obs_opts.port = static_cast<int>(config_.obs.metrics_port);
   obs::MetricsExporter exporter(obs_opts);
-  if (!config_.obs.metrics_out.empty() || config_.obs.metrics_port >= 0) {
+  if (!config_.obs.metrics_out.empty()) {
     std::string error;
     if (!exporter.start(&error)) {
       HETSGD_LOG_WARN("trainer", "metrics exporter disabled: %s",
                       error.c_str());
-    } else if (exporter.scrape_port() >= 0) {
-      HETSGD_LOG_INFO("trainer", "metrics scrape endpoint on 127.0.0.1:%d",
-                      exporter.scrape_port());
     }
   }
 

@@ -267,6 +267,7 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
   // virtual time (the modeled driver re-issuing the copy). Past
   // max_transfer_retries the error escapes handle(): the actor framework
   // turns it into a WorkerFault report via on_handle_exception.
+  constexpr double kTransferBackoffVseconds = 1e-4;  // doubles per attempt
   const std::int64_t max_retries =
       std::max<std::int64_t>(0, config_.fault.max_transfer_retries);
   for (std::int64_t attempt = 0;; ++attempt) {
@@ -303,7 +304,7 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
       retry_counter.inc();
       HETSGD_TRACE_INSTANT("fault", "transfer_retry", clock_.now(), flow);
       const int shift = static_cast<int>(std::min<std::int64_t>(attempt, 10));
-      const double backoff = config_.fault.transfer_backoff_vseconds *
+      const double backoff = kTransferBackoffVseconds *
                              static_cast<double>(std::int64_t{1} << shift);
       HETSGD_LOG_WARN("gpu-worker",
                       "transfer failed (%s); retry %lld/%lld after %.2e vs",

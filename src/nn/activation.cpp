@@ -4,24 +4,6 @@
 
 namespace hetsgd::nn {
 
-const char* activation_name(Activation a) {
-  switch (a) {
-    case Activation::kIdentity: return "identity";
-    case Activation::kSigmoid:  return "sigmoid";
-    case Activation::kTanh:     return "tanh";
-    case Activation::kRelu:     return "relu";
-  }
-  return "?";
-}
-
-bool parse_activation(const std::string& name, Activation& out) {
-  if (name == "identity") { out = Activation::kIdentity; return true; }
-  if (name == "sigmoid")  { out = Activation::kSigmoid;  return true; }
-  if (name == "tanh")     { out = Activation::kTanh;     return true; }
-  if (name == "relu")     { out = Activation::kRelu;     return true; }
-  return false;
-}
-
 tensor::Epilogue bias_act_epilogue(Activation a) {
   switch (a) {
     case Activation::kIdentity: return tensor::Epilogue::kBias;

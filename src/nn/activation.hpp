@@ -5,8 +5,6 @@
 // role as a general testbed.
 #pragma once
 
-#include <string>
-
 #include "tensor/matrix.hpp"
 #include "tensor/microkernel.hpp"
 
@@ -18,9 +16,6 @@ enum class Activation {
   kTanh,
   kRelu,
 };
-
-const char* activation_name(Activation a);
-bool parse_activation(const std::string& name, Activation& out);
 
 // Fused-GEMM epilogue computing bias-add + this activation during the C
 // write-back (tensor::gemm_bias_act): the forward pass applies activations

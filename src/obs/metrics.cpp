@@ -29,23 +29,6 @@ void append_json_key(std::string* out, const std::string& name) {
   *out += "\":";
 }
 
-// Prometheus metric name: the part before any embedded {label} block.
-std::string bare_name(const std::string& name) {
-  const std::size_t brace = name.find('{');
-  return brace == std::string::npos ? name : name.substr(0, brace);
-}
-
-// Inner text of an embedded {label} block ("" when the name has none),
-// so histogram series can splice their _bucket/_sum/_count suffix before
-// the labels instead of dropping them.
-std::string label_text(const std::string& name) {
-  const std::size_t brace = name.find('{');
-  if (brace == std::string::npos) return "";
-  const std::size_t close = name.rfind('}');
-  if (close == std::string::npos || close <= brace) return "";
-  return name.substr(brace + 1, close - brace - 1);
-}
-
 }  // namespace
 
 int Counter::shard_index() {
@@ -161,60 +144,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-std::string MetricsRegistry::prometheus_text(const MetricsSnapshot& snap) {
-  std::string out;
-  char buf[128];
-  for (const MetricSample& s : snap.samples) {
-    const std::string base = bare_name(s.name);
-    switch (s.kind) {
-      case 'c':
-        out += "# TYPE " + base + " counter\n";
-        out += s.name + ' ';
-        std::snprintf(buf, sizeof(buf), "%llu\n",
-                      static_cast<unsigned long long>(s.value));
-        out += buf;
-        break;
-      case 'g':
-        out += "# TYPE " + base + " gauge\n";
-        out += s.name + ' ';
-        append_double(&out, s.value);
-        out += '\n';
-        break;
-      case 'h': {
-        // Labels from the registered name survive on every series; le is
-        // merged into the existing label block on _bucket lines.
-        const std::string labels = label_text(s.name);
-        const std::string plain = labels.empty() ? "" : "{" + labels + "}";
-        const std::string bucket_open =
-            "_bucket{" + (labels.empty() ? "" : labels + ",");
-        out += "# TYPE " + base + " histogram\n";
-        std::uint64_t cumulative = 0;
-        for (int i = 0; i < Histogram::kBuckets; ++i) {
-          if (s.hist.counts[i] == 0) continue;
-          cumulative += s.hist.counts[i];
-          std::snprintf(buf, sizeof(buf), "le=\"%.9g\"} %llu\n",
-                        Histogram::bucket_upper(i),
-                        static_cast<unsigned long long>(cumulative));
-          out += base + bucket_open + buf;
-        }
-        std::snprintf(buf, sizeof(buf), "le=\"+Inf\"} %llu\n",
-                      static_cast<unsigned long long>(s.hist.count));
-        out += base + bucket_open + buf;
-        out += base + "_sum" + plain + ' ';
-        append_double(&out, s.hist.sum);
-        out += '\n';
-        std::snprintf(buf, sizeof(buf), " %llu\n",
-                      static_cast<unsigned long long>(s.hist.count));
-        out += base + "_count" + plain + buf;
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return out;
-}
-
 std::string MetricsRegistry::jsonl_line(const MetricsSnapshot& snap) {
   std::string out = "{\"ts_ns\":";
   char buf[64];
@@ -234,7 +163,20 @@ std::string MetricsRegistry::jsonl_line(const MetricsSnapshot& snap) {
       out += buf;
       out += ",\"sum\":";
       append_double(&out, s.hist.sum);
-      out += '}';
+      // [upper edge, count] per non-empty bucket, not cumulative.
+      out += ",\"buckets\":[";
+      const char* sep = "";
+      for (int i = 0; i < Histogram::kBuckets; ++i) {
+        if (s.hist.counts[i] == 0) continue;
+        out += sep;
+        sep = ",";
+        out += '[';
+        append_double(&out, Histogram::bucket_upper(i));
+        std::snprintf(buf, sizeof(buf), ",%llu]",
+                      static_cast<unsigned long long>(s.hist.counts[i]));
+        out += buf;
+      }
+      out += "]}";
     } else {
       append_double(&out, s.value);
     }

@@ -1,5 +1,5 @@
 // Process-global metrics registry: lock-free counters/gauges/histograms
-// with periodic snapshots (JSONL) and Prometheus text exposition.
+// with periodic snapshots, exported as JSONL.
 //
 // Concurrency contract (PR 3 annotations apply):
 //  - Counter::inc is wait-free: each thread round-robins onto one of 16
@@ -114,9 +114,10 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const HETSGD_EXCLUDES(mu_);
 
-  // Prometheus text exposition (text/plain; version=0.0.4).
-  static std::string prometheus_text(const MetricsSnapshot& snap);
-  // One JSON object per line: {"ts_ns":...,"metrics":{...}}.
+  // One JSON object per line: {"ts_ns":...,"metrics":{...}}. Counters
+  // and gauges map to a number (null when not finite), a histogram to
+  // {"count":n,"sum":s,"buckets":[[upper edge, count], ...]} over its
+  // non-empty buckets.
   static std::string jsonl_line(const MetricsSnapshot& snap);
 
  private:

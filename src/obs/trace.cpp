@@ -1,131 +1,79 @@
 #include "obs/trace.hpp"
 
-#if !defined(HETSGD_TRACE_DISABLED)
-
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "common/thread_annotations.hpp"
-#include "concurrent/spsc_ring.hpp"
 #include "obs/clock.hpp"
 
 namespace hetsgd::obs {
 namespace {
 
+struct TraceEvent {
+  const char* name = nullptr;  // static-lifetime strings only
+  const char* cat = nullptr;
+  std::uint64_t ts_ns = 0;   // wall, obs::wall_now_ns() epoch
+  std::uint64_t dur_ns = 0;  // 'X' spans only
+  double vt0 = kNoVt;        // virtual time at begin (kNoVt = unset)
+  double vt1 = kNoVt;        // virtual time at end
+  std::uint64_t flow = 0;    // batch flow id, 0 = none
+  double value = 0.0;        // 'C' counter samples
+  char phase = 'i';          // 'X','i','s','t','f','C'
+};
+
+// Events per chunk. A chunk is reserved whole and never grows past it, so
+// an append never moves an event already recorded.
+constexpr std::size_t kChunkEvents = 1024;
+
+// One thread's events and track name. The owning thread appends under
+// `mu`; start() and stop_and_write() take it once per session each.
 struct ThreadBuffer {
-  explicit ThreadBuffer(std::size_t capacity) : ring(capacity) {}
-  concurrent::SpscRing<TraceEvent> ring;  // producer: owning thread;
-                                          // consumer: flusher (then the
-                                          // stopping thread after join)
-  std::atomic<std::uint64_t> dropped{0};
-  int tid = 0;          // dense track id, assigned at registration
-  std::string name;     // guarded by State::mu
-};
-
-struct State {
-  std::atomic<bool> enabled{false};
-  std::atomic<std::uint64_t> epoch{0};  // bumped by start(); TLS slots
-                                        // from older epochs re-register
-  std::atomic<std::uint64_t> collected{0};
-
   AnnotatedMutex mu;
+  std::vector<std::vector<TraceEvent>> chunks HETSGD_GUARDED_BY(mu);
+  std::string name HETSGD_GUARDED_BY(mu);
+};
+
+struct Registry {
+  AnnotatedMutex mu;
+  // Every thread that ever recorded or named itself, in registration
+  // order. Never freed: a thread's pointer to its buffer stays valid for
+  // the life of the process, whatever sessions start and stop around it.
   std::vector<std::unique_ptr<ThreadBuffer>> buffers HETSGD_GUARDED_BY(mu);
-  // Buffers from earlier sessions. They are retired here instead of freed
-  // because a producer that loaded enabled==true before stop() may still
-  // be inside record() with a pointer to its old ring; pushing into a
-  // retired (but live) ring is a harmless lost event, pushing into a
-  // freed one is a use-after-free. Bounded by restarts x threads, and
-  // restarts are rare (tests, multiple Trainer::run in one process).
-  std::vector<std::unique_ptr<ThreadBuffer>> graveyard HETSGD_GUARDED_BY(mu);
-  std::size_t capacity HETSGD_GUARDED_BY(mu) = std::size_t{1} << 15;
   std::uint64_t base_ns HETSGD_GUARDED_BY(mu) = 0;
-
-  // Flusher lifecycle (guarded by mu / cv).
-  std::thread flusher;
-  std::mutex cv_mu;
-  std::condition_variable cv;
-  bool flusher_stop = false;  // guarded by cv_mu
-
-  // Drained events. Written only by the flusher while it runs and by
-  // the stopping thread after join(); the join is the sync point.
-  std::vector<TraceEvent> sink;
 };
 
-State& state() {
+Registry& registry() {
   // hetsgd-lint: allow(naked-new) leaked singleton: outlives all threads
-  static State* s = new State();
-  return *s;
+  static Registry* r = new Registry();
+  return *r;
 }
 
-struct TlsSlot {
-  ThreadBuffer* buf = nullptr;
-  std::uint64_t epoch = ~std::uint64_t{0};
-  std::string pending_name;  // name set before the tracer started
-};
+// The probes' fast-path flag. Constant-initialized, so reading it is the
+// one atomic load an idle probe costs.
+constinit std::atomic<bool> g_enabled{false};
 
-thread_local TlsSlot tls_slot;
+thread_local ThreadBuffer* tls_buffer = nullptr;
 
-ThreadBuffer* register_thread() {
-  State& s = state();
-  MutexLock lock(s.mu);
-  s.buffers.push_back(std::make_unique<ThreadBuffer>(s.capacity));
-  ThreadBuffer* buf = s.buffers.back().get();
-  buf->tid = static_cast<int>(s.buffers.size());
-  buf->name = tls_slot.pending_name;
-  return buf;
-}
-
-ThreadBuffer* this_thread_buffer() {
-  State& s = state();
-  const std::uint64_t epoch = s.epoch.load(std::memory_order_acquire);
-  if (tls_slot.epoch != epoch) {
-    tls_slot.buf = register_thread();
-    tls_slot.epoch = epoch;
+ThreadBuffer& this_thread_buffer() {
+  if (tls_buffer == nullptr) {
+    Registry& r = registry();
+    MutexLock lock(r.mu);
+    r.buffers.push_back(std::make_unique<ThreadBuffer>());
+    tls_buffer = r.buffers.back().get();
   }
-  return tls_slot.buf;
+  return *tls_buffer;
 }
 
-void drain_all_locked_snapshot(std::vector<ThreadBuffer*> const& bufs) {
-  State& s = state();
-  for (ThreadBuffer* b : bufs) {
-    while (auto ev = b->ring.try_pop()) {
-      s.sink.push_back(*ev);
-    }
+void record(const TraceEvent& event) {
+  ThreadBuffer& buf = this_thread_buffer();
+  MutexLock lock(buf.mu);
+  if (buf.chunks.empty() || buf.chunks.back().size() == kChunkEvents) {
+    buf.chunks.emplace_back().reserve(kChunkEvents);
   }
-  s.collected.store(s.sink.size(), std::memory_order_relaxed);
-}
-
-std::vector<ThreadBuffer*> snapshot_buffers() {
-  State& s = state();
-  MutexLock lock(s.mu);
-  std::vector<ThreadBuffer*> out;
-  out.reserve(s.buffers.size());
-  for (auto& b : s.buffers) out.push_back(b.get());
-  return out;
-}
-
-void flusher_main() {
-  State& s = state();
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(s.cv_mu);
-      // 50ms cadence: the default 32k-event rings absorb far more than
-      // any observed production rate over that window, and each wake
-      // costs real time on a loaded host (context switch + the cache
-      // lines the drain touches) — waking often is pure overhead.
-      s.cv.wait_for(lk, std::chrono::milliseconds(50),
-                    [&] { return s.flusher_stop; });
-      if (s.flusher_stop) return;
-    }
-    drain_all_locked_snapshot(snapshot_buffers());
-  }
+  buf.chunks.back().push_back(event);
 }
 
 void json_escape(std::string* out, const char* str) {
@@ -195,94 +143,71 @@ Tracer& Tracer::instance() {
   return tracer;
 }
 
-bool Tracer::enabled() {
-  // Acquire pairs with the release store in start(): a producer that
-  // observes enabled==true must also observe the epoch bump, or it could
-  // keep using a stale tls_slot from the previous session on
-  // weakly-ordered CPUs. (On x86 the acquire is free.)
-  return state().enabled.load(std::memory_order_acquire);
-}
+bool Tracer::enabled() { return g_enabled.load(std::memory_order_acquire); }
 
-void Tracer::start(std::size_t per_thread_capacity) {
-  State& s = state();
-  if (s.enabled.load(std::memory_order_relaxed)) return;
+void Tracer::start() {
+  if (enabled()) return;
+  Registry& r = registry();
   {
-    MutexLock lock(s.mu);
-    // Retire, never free: stale producers may still hold pointers into
-    // the old rings (see State::graveyard).
-    for (auto& b : s.buffers) s.graveyard.push_back(std::move(b));
-    s.buffers.clear();
-    s.capacity = per_thread_capacity;
-    s.base_ns = wall_now_ns();
-  }
-  s.sink.clear();
-  s.collected.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(s.cv_mu);
-    s.flusher_stop = false;
-  }
-  // Publish the new epoch before enabling so producers re-register into
-  // fresh buffers, never into freed ones.
-  s.epoch.fetch_add(1, std::memory_order_release);
-  s.flusher = std::thread(flusher_main);
-  s.enabled.store(true, std::memory_order_release);
-}
-
-void Tracer::stop() {
-  State& s = state();
-  s.enabled.store(false, std::memory_order_release);
-  if (s.flusher.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(s.cv_mu);
-      s.flusher_stop = true;
+    MutexLock lock(r.mu);
+    for (const auto& buf : r.buffers) {
+      MutexLock buf_lock(buf->mu);
+      buf->chunks.clear();
     }
-    s.cv.notify_all();
-    s.flusher.join();
+    r.base_ns = wall_now_ns();
   }
-  drain_all_locked_snapshot(snapshot_buffers());
+  g_enabled.store(true, std::memory_order_release);
 }
+
+void Tracer::stop() { g_enabled.store(false, std::memory_order_release); }
 
 bool Tracer::stop_and_write(const std::string& path, std::string* error) {
-  State& s = state();
   stop();
-  std::uint64_t base_ns = 0;
-  std::uint64_t dropped_total = 0;
+  struct Placed {
+    const TraceEvent* event;
+    int tid;
+  };
+  std::vector<Placed> events;
   std::string body;
   {
-    MutexLock lock(s.mu);
-    base_ns = s.base_ns;
-    // Thread-name metadata tracks.
-    for (auto& b : s.buffers) {
-      dropped_total += b->dropped.load(std::memory_order_relaxed);
+    // Held throughout, so no start() frees the events read below. A
+    // producer still appending after stop() only adds to its own chunks.
+    Registry& r = registry();
+    MutexLock lock(r.mu);
+    int tid = 0;
+    for (const auto& buf : r.buffers) {
+      MutexLock buf_lock(buf->mu);
+      if (buf->chunks.empty()) continue;
+      ++tid;
       // The fixed prefix alone is 62 chars; leave generous room for the
       // tid digits so multi-digit track ids never truncate the JSON.
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
+      char meta[128];
+      std::snprintf(meta, sizeof(meta),
                     "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
                     "\"tid\":%d,\"args\":{\"name\":\"",
-                    b->tid);
-      body += buf;
-      json_escape(&body, b->name.empty() ? "thread" : b->name.c_str());
-      body += "\"}}";
+                    tid);
+      body += meta;
+      json_escape(&body, buf->name.empty() ? "thread" : buf->name.c_str());
+      body += "\"}},\n";
+      for (const auto& chunk : buf->chunks) {
+        for (const TraceEvent& e : chunk) events.push_back({&e, tid});
+      }
+    }
+    // Stable timeline order helps diffing and downstream tooling.
+    std::stable_sort(events.begin(), events.end(),
+                     [](const Placed& a, const Placed& b) {
+                       return a.event->ts_ns < b.event->ts_ns;
+                     });
+    for (const Placed& p : events) {
+      append_event_json(&body, *p.event, p.tid, r.base_ns);
       body += ",\n";
     }
   }
-  // Stable timeline order helps diffing and downstream tooling.
-  std::stable_sort(s.sink.begin(), s.sink.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.ts_ns < b.ts_ns;
-                   });
-  for (const TraceEvent& e : s.sink) {
-    append_event_json(&body, e, e.tid, base_ns);
-    body += ",\n";
-  }
   if (!body.empty()) body.resize(body.size() - 2);  // trailing ",\n"
   std::string out = "{\"displayTimeUnit\":\"ms\",\"otherData\":{";
-  char hdr[128];
-  std::snprintf(hdr, sizeof(hdr),
-                "\"dropped\":%llu,\"collected\":%llu},\n\"traceEvents\":[\n",
-                static_cast<unsigned long long>(dropped_total),
-                static_cast<unsigned long long>(s.sink.size()));
+  char hdr[96];
+  std::snprintf(hdr, sizeof(hdr), "\"collected\":%zu},\n\"traceEvents\":[\n",
+                events.size());
   out += hdr;
   out += body;
   out += "\n]}\n";
@@ -298,37 +223,10 @@ bool Tracer::stop_and_write(const std::string& path, std::string* error) {
   return ok;
 }
 
-void Tracer::record(const TraceEvent& event) {
-  if (!enabled()) return;
-  ThreadBuffer* buf = this_thread_buffer();
-  if (buf == nullptr) return;
-  TraceEvent copy = event;
-  copy.tid = buf->tid;
-  if (!buf->ring.try_push(copy)) {
-    buf->dropped.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void Tracer::set_thread_name(const std::string& name) {
-  tls_slot.pending_name = name;
-  if (!enabled()) return;
-  ThreadBuffer* buf = this_thread_buffer();
-  if (buf == nullptr) return;
-  State& s = state();
-  MutexLock lock(s.mu);
-  buf->name = name;
-}
-
-std::uint64_t Tracer::dropped() const {
-  std::uint64_t total = 0;
-  for (ThreadBuffer* b : snapshot_buffers()) {
-    total += b->dropped.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t Tracer::collected() const {
-  return state().collected.load(std::memory_order_relaxed);
+  ThreadBuffer& buf = this_thread_buffer();
+  MutexLock lock(buf.mu);
+  buf.name = name;
 }
 
 TraceSpan::TraceSpan(const char* cat, const char* name, double vt,
@@ -352,7 +250,7 @@ TraceSpan::~TraceSpan() {
   e.vt0 = vt0_;
   e.vt1 = vt1_;
   e.flow = flow_;
-  Tracer::record(e);
+  record(e);
 }
 
 void trace_instant(const char* cat, const char* name, double vt,
@@ -365,7 +263,7 @@ void trace_instant(const char* cat, const char* name, double vt,
   e.ts_ns = wall_now_ns();
   e.vt0 = vt;
   e.flow = flow;
-  Tracer::record(e);
+  record(e);
 }
 
 namespace {
@@ -378,7 +276,7 @@ void trace_flow(char phase, const char* name, std::uint64_t id, double vt) {
   e.ts_ns = wall_now_ns();
   e.vt0 = vt;
   e.flow = id;
-  Tracer::record(e);
+  record(e);
 }
 }  // namespace
 
@@ -400,27 +298,7 @@ void trace_counter(const char* name, double value) {
   e.phase = 'C';
   e.ts_ns = wall_now_ns();
   e.value = value;
-  Tracer::record(e);
+  record(e);
 }
 
 }  // namespace hetsgd::obs
-
-#else  // HETSGD_TRACE_DISABLED
-
-namespace hetsgd::obs {
-bool Tracer::stop_and_write(const std::string& path, std::string* error) {
-  // Still emit a valid (empty) trace so tooling does not special-case
-  // HETSGD_TRACE=OFF builds.
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open trace output: " + path;
-    return false;
-  }
-  const char* empty = "{\"traceEvents\":[]}\n";
-  std::fwrite(empty, 1, std::char_traits<char>::length(empty), f);
-  std::fclose(f);
-  return true;
-}
-}  // namespace hetsgd::obs
-
-#endif  // HETSGD_TRACE_DISABLED

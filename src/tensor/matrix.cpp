@@ -1,7 +1,6 @@
 #include "tensor/matrix.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace hetsgd::tensor {
 
@@ -85,12 +84,6 @@ ConstMatrixView ConstMatrixView::rows_view(Index first, Index count) const {
   HETSGD_ASSERT(first >= 0 && count >= 0 && first + count <= rows_,
                 "rows_view out of range");
   return ConstMatrixView(data_ + first * cols_, count, cols_);
-}
-
-std::string Matrix::shape_str() const {
-  std::ostringstream os;
-  os << rows_ << "x" << cols_;
-  return os.str();
 }
 
 }  // namespace hetsgd::tensor

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <initializer_list>
-#include <string>
 
 #include "tensor/buffer.hpp"
 #include "tensor/types.hpp"
@@ -56,8 +55,6 @@ class Matrix {
   bool same_shape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
-
-  std::string shape_str() const;
 
  private:
   Index rows_ = 0;

@@ -45,14 +45,19 @@ TEST(Activation, IdentityPassesThrough) {
   EXPECT_EQ(apply(Activation::kIdentity, -7.5), -7.5);
 }
 
-TEST(Activation, Names) {
-  EXPECT_STREQ(activation_name(Activation::kSigmoid), "sigmoid");
-  Activation a;
-  EXPECT_TRUE(parse_activation("relu", a));
-  EXPECT_EQ(a, Activation::kRelu);
-  EXPECT_TRUE(parse_activation("tanh", a));
-  EXPECT_EQ(a, Activation::kTanh);
-  EXPECT_FALSE(parse_activation("swish", a));
+// The fused epilogue adds each column's bias before it activates.
+TEST(Activation, EpilogueAddsBiasBeforeActivating) {
+  for (Activation act : {Activation::kIdentity, Activation::kSigmoid,
+                         Activation::kTanh, Activation::kRelu}) {
+    Scalar row[4] = {-1.0, -0.25, 0.5, 2.0};
+    const Scalar bias[4] = {0.5, 0.25, -1.0, 3.0};
+    const Scalar sum[4] = {-0.5, 0.0, -0.5, 5.0};
+    tensor::detail::epilogue_row(bias_act_epilogue(act), row, bias, 4);
+    for (int j = 0; j < 4; ++j) {
+      EXPECT_NEAR(row[j], apply(act, sum[j]), 1e-12)
+          << "activation " << static_cast<int>(act) << " column " << j;
+    }
+  }
 }
 
 class ActivationDerivative : public ::testing::TestWithParam<Activation> {};
@@ -68,7 +73,7 @@ TEST_P(ActivationDerivative, MatchesFiniteDifference) {
     const double analytic =
         activation_derivative_from_output(act, static_cast<Scalar>(fx));
     EXPECT_NEAR(analytic, numeric, 1e-6)
-        << activation_name(act) << " at x=" << x;
+        << "activation " << static_cast<int>(act) << " at x=" << x;
   }
 }
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "concurrent/mpsc_queue.hpp"
-#include "concurrent/spsc_ring.hpp"
 #include "concurrent/thread_pool.hpp"
 
 namespace hetsgd::concurrent {
@@ -171,77 +170,6 @@ TEST(MpscQueue, ClosePopForInterleavingStress) {
     consumer.join();
     EXPECT_EQ(popped, pushed.load()) << "round " << round;
   }
-}
-
-TEST(SpscRing, PushPop) {
-  SpscRing<int> ring(4);
-  EXPECT_TRUE(ring.try_push(1));
-  EXPECT_TRUE(ring.try_push(2));
-  EXPECT_EQ(ring.try_pop().value(), 1);
-  EXPECT_EQ(ring.try_pop().value(), 2);
-  EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(SpscRing, FullRejects) {
-  SpscRing<int> ring(2);
-  EXPECT_EQ(ring.capacity(), 2u);
-  EXPECT_TRUE(ring.try_push(1));
-  EXPECT_TRUE(ring.try_push(2));
-  EXPECT_FALSE(ring.try_push(3));
-  ring.try_pop();
-  EXPECT_TRUE(ring.try_push(3));
-}
-
-TEST(SpscRing, CapacityRoundsToPowerOfTwo) {
-  SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRing, CrossThreadStream) {
-  SpscRing<int> ring(64);
-  constexpr int kCount = 100000;
-  std::thread producer([&] {
-    for (int i = 0; i < kCount;) {
-      if (ring.try_push(i)) ++i;
-    }
-  });
-  int expected = 0;
-  while (expected < kCount) {
-    if (auto v = ring.try_pop()) {
-      ASSERT_EQ(*v, expected++);
-    }
-  }
-  producer.join();
-}
-
-// Index wraparound: with a tiny ring and far more pushes than capacity,
-// the monotonically increasing head/tail counters lap the buffer many
-// times; masking must keep slots disjoint and FIFO intact. Values carry a
-// payload distinct from their index so a masking bug shows up as a value
-// mismatch, not just a reorder.
-TEST(SpscRing, WraparoundPreservesFifoAcrossManyLaps) {
-  SpscRing<std::pair<int, int>> ring(4);  // capacity 4 -> thousands of laps
-  constexpr int kCount = 20000;
-  std::thread producer([&] {
-    for (int i = 0; i < kCount;) {
-      if (ring.try_push({i, i * 31 + 7})) {
-        ++i;
-      } else {
-        std::this_thread::yield();  // full: let the consumer drain
-      }
-    }
-  });
-  for (int expected = 0; expected < kCount;) {
-    if (auto v = ring.try_pop()) {
-      ASSERT_EQ(v->first, expected);
-      ASSERT_EQ(v->second, expected * 31 + 7);
-      ++expected;
-    } else {
-      std::this_thread::yield();  // empty: let the producer refill
-    }
-  }
-  EXPECT_FALSE(ring.try_pop().has_value());
-  producer.join();
 }
 
 TEST(ThreadPool, ParallelForCoversRange) {

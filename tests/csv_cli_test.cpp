@@ -252,16 +252,6 @@ TEST(SpecTokenizer, RejectsMissingSeparators) {
   EXPECT_EQ(error, "elastic parameter missing '=' — at");
 }
 
-TEST(Logging, ParseLevels) {
-  LogLevel level = LogLevel::kInfo;
-  EXPECT_TRUE(parse_log_level("debug", level));
-  EXPECT_EQ(level, LogLevel::kDebug);
-  EXPECT_TRUE(parse_log_level("error", level));
-  EXPECT_EQ(level, LogLevel::kError);
-  EXPECT_FALSE(parse_log_level("bogus", level));
-  EXPECT_EQ(level, LogLevel::kError);  // unchanged on failure
-}
-
 TEST(Logging, SetAndGet) {
   LogLevel old = log_level();
   set_log_level(LogLevel::kWarn);

@@ -1,7 +1,7 @@
 // Tests for the leveled logger (src/common/logging) and edge cases of
 // CsvWriter beyond the basics covered in csv_cli_test: the logger is the
-// one channel every thread's diagnostics funnel through, so its parsing,
-// filtering, and line-atomicity guarantees each get a pin here.
+// one channel every thread's diagnostics funnel through, so its filtering,
+// labels and line-atomicity guarantees each get a pin here.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -32,28 +32,6 @@ class LogLevelGuard {
  private:
   LogLevel saved_;
 };
-
-TEST(ParseLogLevelTest, AcceptsEveryKnownName) {
-  const std::pair<const char*, LogLevel> cases[] = {
-      {"trace", LogLevel::kTrace}, {"debug", LogLevel::kDebug},
-      {"info", LogLevel::kInfo},   {"warn", LogLevel::kWarn},
-      {"error", LogLevel::kError}, {"off", LogLevel::kOff},
-  };
-  for (const auto& [name, expected] : cases) {
-    LogLevel out = LogLevel::kOff;
-    EXPECT_TRUE(parse_log_level(name, out)) << name;
-    EXPECT_EQ(out, expected) << name;
-  }
-}
-
-TEST(ParseLogLevelTest, RejectsUnknownNamesAndLeavesOutputUntouched) {
-  for (const char* bad : {"", "INFO", "warning", "verbose", "3", "inf",
-                          "info ", " info", "débug"}) {
-    LogLevel out = LogLevel::kWarn;
-    EXPECT_FALSE(parse_log_level(bad, out)) << "'" << bad << "'";
-    EXPECT_EQ(out, LogLevel::kWarn) << "'" << bad << "'";
-  }
-}
 
 TEST(LogLevelTest, SetAndGetRoundTrip) {
   LogLevelGuard guard;
@@ -112,6 +90,34 @@ TEST(LogMessageTest, ThresholdFiltersLowerLevels) {
   EXPECT_NE(out.find("kept warn 3"), std::string::npos);
   EXPECT_NE(out.find("kept error 4"), std::string::npos);
   EXPECT_NE(out.find("[WARN ][test]"), std::string::npos);
+}
+
+TEST(LogMessageTest, EveryLevelCarriesItsLabel) {
+  LogLevelGuard guard;
+  set_log_level(LogLevel::kTrace);
+  StderrCapture capture(testing::TempDir() + "logging_labels.txt");
+  HETSGD_LOG_TRACE("lbl", "t");
+  HETSGD_LOG_DEBUG("lbl", "d");
+  HETSGD_LOG_INFO("lbl", "i");
+  HETSGD_LOG_WARN("lbl", "w");
+  HETSGD_LOG_ERROR("lbl", "e");
+  EXPECT_EQ(capture.take(),
+            "[TRACE][lbl] t\n[DEBUG][lbl] d\n[INFO ][lbl] i\n"
+            "[WARN ][lbl] w\n[ERROR][lbl] e\n");
+}
+
+// A message longer than the logger's buffer is cut, not split: it still
+// ends in exactly one newline.
+TEST(LogMessageTest, LongMessageStaysOneLine) {
+  LogLevelGuard guard;
+  set_log_level(LogLevel::kInfo);
+  StderrCapture capture(testing::TempDir() + "logging_long.txt");
+  const std::string body(5000, 'x');
+  HETSGD_LOG_INFO("long", "%s", body.c_str());
+  const std::string out = capture.take();
+  EXPECT_EQ(out.rfind("[INFO ][long] xxx", 0), 0u);
+  EXPECT_EQ(out.find('\n'), out.size() - 1);
+  EXPECT_LT(out.size(), body.size());
 }
 
 TEST(LogMessageTest, OffSilencesEverything) {

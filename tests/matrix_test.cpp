@@ -130,9 +130,16 @@ TEST(Matrix, SameShape) {
   EXPECT_FALSE(a.same_shape(c));
 }
 
-TEST(Matrix, ShapeStr) {
-  Matrix m(5, 7);
-  EXPECT_EQ(m.shape_str(), "5x7");
+TEST(Matrix, CopyIsDeep) {
+  Matrix a{{1, 2}, {3, 4}};
+  Matrix b = a;
+  b(0, 1) = 20;
+  EXPECT_EQ(a(0, 1), 2);
+  EXPECT_NE(a.data(), b.data());
+  a = b;
+  b(1, 0) = 30;
+  EXPECT_EQ(a(0, 1), 20);
+  EXPECT_EQ(a(1, 0), 3);
 }
 
 TEST(Matrix, AtBoundsChecked) {

@@ -229,7 +229,7 @@ struct StepCase {
 };
 
 void PrintTo(const StepCase& c, std::ostream* os) {
-  *os << activation_name(c.act) << "/batch " << c.batch
+  *os << "activation " << static_cast<int>(c.act) << "/batch " << c.batch
       << (c.sparse_input ? "/sparse" : "/dense");
 }
 
@@ -480,7 +480,7 @@ TEST(Mlp, FusedForwardMatchesUnfusedTrajectory) {
         const Scalar unfused =
             ref::softmax_xent(model, start.x.view(), start.y);
         EXPECT_NEAR(fused, unfused, 1e-10)
-            << "activation=" << activation_name(act) << " step=" << step;
+            << "activation=" << static_cast<int>(act) << " step=" << step;
         run.sgd(0.1);
       }
       same.check(mode, model);

@@ -40,7 +40,7 @@ atomic call expressions. It parses the tree into a small syntactic index
 
   atomic-discipline     Every memory_order_relaxed operation must sit on
                         an allowlisted atomic field (the lock-free queue
-                        and ring internals and the obs counters, listed in
+                        internals and the obs counters, listed in
                         ALLOWED_RELAXED below). Everything else must use
                         acquire/release or stronger — benign *non-atomic*
                         races belong in scripts/tsan.supp (the single
@@ -110,7 +110,7 @@ MSG_VARIANT_NAME = "Message"
 
 # atomic-discipline: the sanctioned memory_order_relaxed sites, keyed by
 # (root-relative path, atomic field name). This is the atomic counterpart
-# of scripts/tsan.supp: queue/ring internals whose ordering is carried
+# of scripts/tsan.supp: queue internals whose ordering is carried
 # by the surrounding acquire/release edges, and obs/log counters where a
 # stale read only skews a statistic. The sanctioned Hogwild races
 # (backend::MlpExecutor::step_layer, tensor::axpy, nn::Model::operator=,
@@ -118,9 +118,6 @@ MSG_VARIANT_NAME = "Message"
 # tsan.supp; turning them into relaxed atomics would hide them from TSan
 # without making them more correct.
 ALLOWED_RELAXED = {
-    # SPSC ring: own-side index loads (the owning thread wrote them last).
-    ("src/concurrent/spsc_ring.hpp", "head_"),
-    ("src/concurrent/spsc_ring.hpp", "tail_"),
     # MPSC queue: stub init before publication + consumer-side next load
     # (ordering carried by the producer's exchange/store pair).
     ("src/concurrent/mpsc_queue.hpp", "head_"),
@@ -133,14 +130,7 @@ ALLOWED_RELAXED = {
     ("src/obs/metrics.cpp", "counts_"),
     ("src/obs/metrics.cpp", "count_"),
     ("src/obs/metrics.cpp", "sum_"),
-    # tracer: drop counters and the enabled fast-path flag (the slow path
-    # re-checks under s.mu).
-    ("src/obs/trace.cpp", "collected"),
-    ("src/obs/trace.cpp", "enabled"),
-    ("src/obs/trace.cpp", "dropped"),
-    # exporter: running_ fast-path check (start/stop synchronize via the
-    # thread join) and the snapshot statistic.
-    ("src/obs/exporter.cpp", "running_"),
+    # exporter: the snapshot statistic.
     ("src/obs/exporter.cpp", "snapshots_"),
     # --self-test vectors (root = tools/analyze/fixtures/<case>).
     ("src/obs/clean.cpp", "hits_"),

@@ -203,8 +203,7 @@ def in_ckpt_scope(root: str, path: str) -> bool:
 
 def allow_naked_new(root: str, path: str) -> bool:
     """Queue node internals are the one sanctioned home of new/delete."""
-    rel = os.path.relpath(path, root)
-    return os.path.basename(rel) in ("mpsc_queue.hpp", "spsc_ring.hpp")
+    return os.path.basename(path) == "mpsc_queue.hpp"
 
 
 def lint_file(root: str, path: str, findings: list[Finding]) -> None:
