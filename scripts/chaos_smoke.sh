@@ -114,21 +114,21 @@ echo "=== observability artifacts valid ==="
 
 if [[ $WITH_TSAN -eq 1 ]]; then
   TSAN_DIR=${TSAN_DIR:-build-tsan}
-  echo "=== TSan pass: concurrency + actor + fault + checkpoint + worker + obs + dataset ==="
+  echo "=== TSan pass: concurrency + actor + mailbox + fault + checkpoint + worker + obs + dataset ==="
   cmake -B "$TSAN_DIR" -S . \
     -DHETSGD_SANITIZE=thread \
     -DHETSGD_BUILD_BENCH=OFF \
     -DHETSGD_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "$TSAN_DIR" \
-    --target concurrent_test actor_test fault_test checkpoint_test \
-             worker_test \
+    --target concurrent_test actor_test mailbox_test fault_test \
+             checkpoint_test worker_test \
              obs_test dataset_test \
     -j"$(nproc)" >/dev/null
   # Hogwild's unsynchronized model writes are by design; tsan.supp masks
   # exactly that path, so any report that survives is a real race and fails.
   export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp exitcode=66"
-  for t in concurrent_test actor_test fault_test checkpoint_test worker_test \
-           obs_test dataset_test; do
+  for t in concurrent_test actor_test mailbox_test fault_test \
+           checkpoint_test worker_test obs_test dataset_test; do
     echo "--- $t (TSan) ---"
     timeout $((RUN_TIMEOUT * 5)) "$TSAN_DIR/tests/$t" \
       --gtest_brief=1 2>&1 | tee "$TSAN_DIR/$t.log" | tail -3

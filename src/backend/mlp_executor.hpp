@@ -77,6 +77,10 @@ class MlpExecutor {
   // Device-resident bytes held by this executor's matrices.
   std::uint64_t device_bytes() const { return device_bytes_; }
 
+  // The replica the kernels run on (the bound model under zero-copy).
+  // Reading it charges no transfer: download_model is the charged copy.
+  const nn::Model& replica() const { return *replica_; }
+
   // Layer `layer`'s delta matrix (max_batch rows): dLoss/d its
   // pre-activation output, the first `batch` rows written by the last
   // compute_gradient or sgd_step. Read-only.

@@ -3,8 +3,8 @@
 // The paper's CPU worker runs t OpenMP threads, each computing a gradient
 // on its own sub-batch and applying it Hogwild-style. This pool is the
 // explicit-thread equivalent: the lanes are long-lived (created once per
-// worker), so per-batch dispatch is two atomics per lane rather than a
-// thread spawn.
+// worker), so per-batch dispatch takes one mutex and two condition
+// variables rather than a thread spawn.
 //
 // Concurrency contract: all dispatch state (job_, generation_, remaining_,
 // stop_) is guarded by `mutex_` and annotated so -Wthread-safety rejects

@@ -47,14 +47,16 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
   ReferenceResult result;
   std::uint64_t examples_total = 0;
   // The loss is evaluated on a host snapshot through a zero-copy executor
-  // bound to it once; downloads overwrite the snapshot in place.
+  // bound to it once. Each evaluation copies the replica into it without
+  // a charged download: §VII-A excludes evaluation from the measured time,
+  // and a download would queue ahead of the next step's kernels.
   nn::Model snapshot = model;
   backend::Backend eval_backend(cfg.cpu.spec,
                                 backend::Backend::Mode::kZeroCopy);
   backend::MlpExecutor eval_mlp(eval_backend, cfg.mlp, nn::kEvalChunkRows);
   eval_mlp.bind_shared_model(snapshot);
   auto record = [&](double vtime) {
-    mlp.download_model(snapshot, clock);  // D2H copy, cost excluded (§VII-A)
+    snapshot = mlp.replica();
     result.curve.push_back(
         {vtime, static_cast<double>(examples_total) / static_cast<double>(n),
          eval_mlp.mean_loss(eval.features(), eval.labels())});

