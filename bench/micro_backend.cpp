@@ -88,14 +88,14 @@ void run_direct(Operands& o) {
 // The identical sequence through the backend, as MlpExecutor issues it.
 void run_backend(backend::Backend& b, Operands& o) {
   b.gemm_bias_act(o.x.view(), o.w.view(), o.bias.view(), o.out.view(),
-                  tensor::Epilogue::kBiasTanh, 0.0);
+                  tensor::Epilogue::kBiasTanh);
   b.matmul_tn(Scalar{1}, o.delta.view(), o.x.view(), Scalar{0},
-              o.grad_w.view(), 0.0);
-  b.col_sums(o.delta.view(), o.grad_b.view(), 0.0);
-  b.matmul_nn(o.delta.view(), o.w.view(), o.prev_delta.view(), 0.0);
+              o.grad_w.view());
+  b.col_sums(o.delta.view(), o.grad_b.view());
+  b.matmul_nn(o.delta.view(), o.w.view(), o.prev_delta.view());
   b.activation_backward(nn::Activation::kTanh, o.out.view(),
-                        o.prev_delta.view(), 0.0);
-  b.axpy(Scalar{-1e-3}, o.grad_w.view(), o.w.view(), 0.0);
+                        o.prev_delta.view());
+  b.axpy(Scalar{-1e-3}, o.grad_w.view(), o.w.view());
 }
 
 template <typename Fn>

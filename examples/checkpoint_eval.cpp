@@ -87,9 +87,8 @@ int main(int argc, char** argv) {
       const tensor::Index begin =
           (step * batch) % (split.train.example_count() - batch);
       exec.compute_gradient(split.train.batch_features(begin, batch),
-                            split.train.batch_labels(begin, batch), 0.0,
-                            nullptr);
-      exec.apply_gradient(0.3, 0.0);
+                            split.train.batch_labels(begin, batch));
+      exec.apply_gradient(0.3);
     }
   };
   train(400);

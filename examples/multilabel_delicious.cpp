@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
     if (cursor + batch > dataset.example_count()) cursor = 0;
     auto x = dataset.batch_features(cursor, batch);
     auto t = targets.rows_view(cursor, batch);
-    const double loss = host_mlp.compute_gradient(x, t, 0.0, nullptr);
-    host_mlp.apply_gradient(0.5, 0.0);  // updates `model` in place
+    const double loss = host_mlp.compute_gradient(x, t);
+    host_mlp.apply_gradient(0.5);  // updates `model` in place
     if (step == 0) first_loss = loss;
     last_loss = loss;
     cursor += batch;
@@ -123,13 +123,12 @@ int main(int argc, char** argv) {
   backend::MlpExecutor device_mlp(device, wide, batch);
   nn::Model wide_model(wide, rng);
   std::vector<std::int32_t> wide_labels(static_cast<std::size_t>(batch), 0);
-  double t0 = device_mlp.upload_model(wide_model, 0.0);
-  double done = t0;
-  device_mlp.compute_gradient(dataset.batch_features(0, batch), wide_labels,
-                              t0, &done);
+  device_mlp.upload_model(wide_model);
+  const double t0 = device.now();
+  device_mlp.compute_gradient(dataset.batch_features(0, batch), wide_labels);
   std::printf("simulated V100, one %lld-example batch with 983-way output: "
               "%.3f ms of device time\n",
-              static_cast<long long>(batch), (done - t0) * 1e3);
+              static_cast<long long>(batch), (device.now() - t0) * 1e3);
 
   if (!(std::isfinite(last_loss) && last_loss < first_loss)) {
     std::fprintf(stderr, "bce loss did not fall: %.4f -> %.4f\n", first_loss,

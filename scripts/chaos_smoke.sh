@@ -20,7 +20,7 @@
 # threads, not merely parse.
 #
 # With --tsan, additionally builds with -fsanitize=thread and runs the
-# concurrency/actor/fault test suites under it (slow; needs libtsan).
+# suites tests/CMakeLists.txt marks `tsan` under it (slow; needs libtsan).
 #
 # Usage:
 #   scripts/chaos_smoke.sh            # fault classes against ./build
@@ -114,28 +114,22 @@ echo "=== observability artifacts valid ==="
 
 if [[ $WITH_TSAN -eq 1 ]]; then
   TSAN_DIR=${TSAN_DIR:-build-tsan}
-  echo "=== TSan pass: concurrency + actor + mailbox + fault + checkpoint + worker + obs + dataset ==="
+  echo "=== TSan pass: the suites labelled tsan in tests/CMakeLists.txt ==="
   cmake -B "$TSAN_DIR" -S . \
     -DHETSGD_SANITIZE=thread \
     -DHETSGD_BUILD_BENCH=OFF \
     -DHETSGD_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build "$TSAN_DIR" \
-    --target concurrent_test actor_test mailbox_test fault_test \
-             checkpoint_test worker_test \
-             obs_test dataset_test \
-    -j"$(nproc)" >/dev/null
+  cmake --build "$TSAN_DIR" --target tsan_tests -j"$(nproc)" >/dev/null
   # Hogwild's unsynchronized model writes are by design; tsan.supp masks
-  # exactly that path, so any report that survives is a real race and fails.
+  # exactly that path, so any report that survives is a real race: it
+  # makes the test exit 66 and fail.
   export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp exitcode=66"
-  for t in concurrent_test actor_test mailbox_test fault_test \
-           checkpoint_test worker_test obs_test dataset_test; do
-    echo "--- $t (TSan) ---"
-    timeout $((RUN_TIMEOUT * 5)) "$TSAN_DIR/tests/$t" \
-      --gtest_brief=1 2>&1 | tee "$TSAN_DIR/$t.log" | tail -3
-    if grep -q "WARNING: ThreadSanitizer" "$TSAN_DIR/$t.log"; then
-      echo "FAIL: unsuppressed TSan report in $t"
-      exit 1
-    fi
-  done
+  if ! ctest --test-dir "$TSAN_DIR" -L tsan --timeout $((RUN_TIMEOUT * 5)) \
+      --output-on-failure >"$TSAN_DIR/tsan_tests.log" 2>&1; then
+    echo "FAIL: a tsan-labelled test failed or raised a TSan report"
+    tail -40 "$TSAN_DIR/tsan_tests.log"
+    exit 1
+  fi
+  tail -3 "$TSAN_DIR/tsan_tests.log"
   echo "=== TSan pass clean ==="
 fi

@@ -124,8 +124,8 @@ if [[ "$FAST" == "1" ]]; then
 fi
 
 # --- 5. ThreadSanitizer -----------------------------------------------------
-# chaos_smoke --tsan builds build-tsan and runs the concurrency, actor and
-# fault suites under TSan with scripts/tsan.supp; any unsuppressed report
+# chaos_smoke --tsan builds build-tsan and runs the suites tests/CMakeLists.txt
+# labels `tsan` under TSan with scripts/tsan.supp; any unsuppressed report
 # fails. The suppression file itself is kept honest by gate 4's
 # tsan-supp-stale rule.
 note "gate 5: TSan (chaos smoke + concurrency suites)"

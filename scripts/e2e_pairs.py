@@ -8,6 +8,9 @@
 Pair i trains both binaries on the dataset of seed first_seed + i, back to
 back, the base first on even pairs and the change first on odd ones, with
 the workload's arguments and thread plan from e2ebench/workloads.json.
+Before pair 0 each binary runs once on first_seed's dataset, unrecorded:
+a cold first run (page cache, CPU frequency) would otherwise count
+against whichever side runs first.
 Identical runs on a shared host vary far more in wall time than two builds
 do, so each pair's change/base ratio is the statistic, not the two sides'
 independent medians. Every run must pass e2ebench/run.py's check() (loss,
@@ -88,6 +91,37 @@ def run_binary(binary, spec, seed):
     return e2e.run_one(spec, seed, time.monotonic() + e2e.WALL_LIMIT_S)
 
 
+def run_pairs(run, binaries, spec, workload, first_seed, count):
+    """Warms each binary up, then runs `count` alternating pairs through
+    run(binary, spec, seed). Returns the (base, change) record pairs, or
+    None when a run fails run.py's check()."""
+    def checked(side, seed):
+        rec = run(binaries[side], spec, seed)
+        failures = failures_of(rec, spec["schedule"])
+        if failures:
+            e2e.log(f"[{workload} {seed} {side}] FAIL " + "; ".join(failures))
+            return None
+        return rec
+
+    for side in ("base", "change"):
+        if checked(side, first_seed) is None:
+            return None
+    pairs = []
+    for i in range(count):
+        seed = first_seed + i
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        recs = {}
+        for side in order:
+            recs[side] = checked(side, seed)
+            if recs[side] is None:
+                return None
+        ratio = recs["change"]["run_s"] / recs["base"]["run_s"]
+        e2e.log(f"[{workload} {seed}] wall {recs['base']['run_s']:.3f}"
+                f" -> {recs['change']['run_s']:.3f} s (x{ratio:.3f})")
+        pairs.append((recs["base"], recs["change"]))
+    return pairs
+
+
 def commit():
     """The tree measured: HEAD's short hash, with -dirty when uncommitted
     changes are in it (a change measured before it is committed)."""
@@ -110,22 +144,10 @@ def main():
     spec = e2e.load_workloads()["workloads"][opts.workload]
     binaries = {"base": os.path.abspath(opts.base),
                 "change": os.path.abspath(opts.change)}
-    pairs = []
-    for i in range(opts.pairs):
-        seed = opts.first_seed + i
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        recs = {}
-        for side in order:
-            recs[side] = run_binary(binaries[side], spec, seed)
-            failures = failures_of(recs[side], spec["schedule"])
-            if failures:
-                e2e.log(f"[{opts.workload} {seed} {side}] FAIL "
-                        + "; ".join(failures))
-                return 1
-        ratio = recs["change"]["run_s"] / recs["base"]["run_s"]
-        e2e.log(f"[{opts.workload} {seed}] wall {recs['base']['run_s']:.3f}"
-                f" -> {recs['change']['run_s']:.3f} s (x{ratio:.3f})")
-        pairs.append((recs["base"], recs["change"]))
+    pairs = run_pairs(run_binary, binaries, spec, opts.workload,
+                      opts.first_seed, opts.pairs)
+    if pairs is None:
+        return 1
 
     entry = summarize(pairs)
     entry.update(commit=commit(), nproc=e2e.nproc(),

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Tests scripts/e2e_pairs.py's summary and run checks on canned records.
+"""Tests scripts/e2e_pairs.py's summary, run checks and pair order on
+canned records.
 
   python3 scripts/test_e2e_pairs.py
 """
@@ -80,6 +81,46 @@ class CheckTest(unittest.TestCase):
         del rec["cpu_s"]
         self.assertEqual(e2e_pairs.failures_of(rec, SCHEDULE),
                          ["record lacks cpu_s"])
+
+
+class RunPairsTest(unittest.TestCase):
+    BINARIES = {"base": "parent/e2e_train", "change": "change/e2e_train"}
+    SPEC = {"schedule": SCHEDULE}
+
+    def fake_run(self, cold_s=None):
+        """A run() that logs (binary, seed) and takes 1 s, or `cold_s` on
+        each binary's first run."""
+        calls = []
+
+        def run(binary, spec, seed):
+            first = all(b != binary for b, _ in calls)
+            calls.append((binary, seed))
+            return record(cold_s if first and cold_s else 1.0)
+        return run, calls
+
+    def test_each_binary_warms_up_before_pair_0(self):
+        run, calls = self.fake_run()
+        pairs = e2e_pairs.run_pairs(run, self.BINARIES, self.SPEC, "w", 7, 2)
+        self.assertEqual(len(pairs), 2)
+        base, change = self.BINARIES["base"], self.BINARIES["change"]
+        self.assertEqual(calls, [(base, 7), (change, 7),  # warm-up
+                                 (base, 7), (change, 7),  # pair 0
+                                 (change, 8), (base, 8)])
+
+    def test_a_cold_first_run_is_not_recorded(self):
+        # Both binaries are equally fast once warm; the cold first runs
+        # (10x slower) must not show up as a ratio.
+        run, _ = self.fake_run(cold_s=10.0)
+        pairs = e2e_pairs.run_pairs(run, self.BINARIES, self.SPEC, "w", 7, 4)
+        entry = e2e_pairs.summarize(pairs)
+        self.assertEqual(entry["ratio"]["wall_s"]["median"], 1.0)
+        self.assertEqual(entry["ratio"]["wall_s"]["lower"], 0)
+
+    def test_a_failing_warm_up_stops_the_run(self):
+        def run(binary, spec, seed):
+            return {"exit": 1}
+        self.assertIsNone(
+            e2e_pairs.run_pairs(run, self.BINARIES, self.SPEC, "w", 7, 2))
 
 
 if __name__ == "__main__":

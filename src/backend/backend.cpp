@@ -1,6 +1,5 @@
 #include "backend/backend.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/macros.hpp"
@@ -46,36 +45,31 @@ void copy(tensor::ConstMatrixView from, tensor::MatrixView to) {
 Backend::Backend(const gpusim::DeviceSpec& spec, Mode mode)
     : perf_(spec), mode_(mode) {}
 
-double Backend::charge(double cost, double issue) {
-  if (mode_ == Mode::kZeroCopy) return issue;
-  queue_time_ = std::max(queue_time_, issue) + cost;
-  return queue_time_;
+void Backend::charge(double cost) {
+  if (mode_ == Mode::kDevice) clock_.advance(cost);
 }
 
-double Backend::launch(double cost, double issue) {
+void Backend::launch(double cost) {
   if (mode_ == Mode::kDevice) device_metrics().kernels.inc();
-  return charge(cost, issue);
+  charge(cost);
 }
 
-double Backend::transfer(tensor::ConstMatrixView from, tensor::MatrixView to,
-                         double issue) {
+void Backend::transfer(tensor::ConstMatrixView from, tensor::MatrixView to,
+                       const char* span, const char* direction) {
+  HETSGD_TRACE_SPAN(copy_span, "gpusim", span, now());
+  if (pending_faults_ > 0) {
+    --pending_faults_;
+    throw TransferError(std::string("injected transfer fault (") + direction +
+                        ")");
+  }
   copy(from, to);
   const std::uint64_t bytes = bytes_of(from);
-  ++transfers_;
-  bytes_moved_ += bytes;
   if (mode_ == Mode::kDevice) {
     device_metrics().transfers.inc();
     device_metrics().transfer_bytes.inc(bytes);
   }
-  return charge(perf_.transfer_seconds(bytes), issue);
-}
-
-void Backend::check_transfer_fault(const char* direction) {
-  if (pending_faults_ <= 0) return;
-  --pending_faults_;
-  ++failed_;
-  throw TransferError(std::string("injected transfer fault (") + direction +
-                      ")");
+  charge(perf_.transfer_seconds(bytes));
+  copy_span.set_end_vt(now());
 }
 
 void Backend::reserve(std::uint64_t bytes) {
@@ -90,142 +84,116 @@ void Backend::release(std::uint64_t bytes) {
   bytes_in_use_ -= bytes;
 }
 
-double Backend::upload(tensor::ConstMatrixView host, tensor::MatrixView device,
-                       double issue) {
+void Backend::upload(tensor::ConstMatrixView host, tensor::MatrixView device) {
   HETSGD_ASSERT(host.rows() == device.rows() && host.cols() == device.cols(),
                 "H2D copy shape mismatch");
-  HETSGD_TRACE_SPAN(span, "gpusim", "h2d_copy", issue);
-  check_transfer_fault("H2D");
-  const double done = transfer(host, device, issue);
-  span.set_end_vt(done);
-  return done;
+  transfer(host, device, "h2d_copy", "H2D");
 }
 
-double Backend::download(tensor::ConstMatrixView device,
-                         tensor::MatrixView host, double issue) {
+void Backend::download(tensor::ConstMatrixView device,
+                       tensor::MatrixView host) {
   HETSGD_ASSERT(host.rows() == device.rows() && host.cols() == device.cols(),
                 "D2H copy shape mismatch");
-  HETSGD_TRACE_SPAN(span, "gpusim", "d2h_copy", issue);
-  check_transfer_fault("D2H");
-  const double done = transfer(device, host, issue);
-  span.set_end_vt(done);
-  return done;
+  transfer(device, host, "d2h_copy", "D2H");
 }
 
-double Backend::stage_batch(tensor::ConstMatrixView x,
-                            tensor::MatrixView device,
-                            std::uint64_t extra_bytes, double issue) {
+void Backend::stage_batch(tensor::ConstMatrixView x, tensor::MatrixView device,
+                          std::uint64_t extra_bytes) {
   HETSGD_ASSERT(x.rows() == device.rows() && x.cols() == device.cols(),
                 "staged batch shape mismatch");
   copy(x, device);
-  return charge(perf_.transfer_seconds(bytes_of(x) + extra_bytes), issue);
+  charge(perf_.transfer_seconds(bytes_of(x) + extra_bytes));
 }
 
-double Backend::stage_batch(const tensor::CsrView& x,
-                            tensor::CsrMatrix& device,
-                            std::uint64_t extra_bytes, double issue) {
+void Backend::stage_batch(const tensor::CsrView& x, tensor::CsrMatrix& device,
+                          std::uint64_t extra_bytes) {
   HETSGD_ASSERT(x.cols() == device.cols(), "staged batch width mismatch");
   device.clear_rows();
   for (tensor::Index r = 0; r < x.rows(); ++r) device.append_row(x, r);
   const auto dense_bytes = static_cast<std::uint64_t>(x.rows()) *
                            static_cast<std::uint64_t>(x.cols()) *
                            sizeof(Scalar);
-  return charge(perf_.transfer_seconds(dense_bytes + extra_bytes), issue);
+  charge(perf_.transfer_seconds(dense_bytes + extra_bytes));
 }
 
-double Backend::gemm_bias_act(tensor::ConstMatrixView x,
-                              tensor::ConstMatrixView w,
-                              tensor::ConstMatrixView bias,
-                              tensor::MatrixView out,
-                              tensor::Epilogue epilogue, double issue) {
+void Backend::gemm_bias_act(tensor::ConstMatrixView x,
+                            tensor::ConstMatrixView w,
+                            tensor::ConstMatrixView bias,
+                            tensor::MatrixView out,
+                            tensor::Epilogue epilogue) {
   tensor::gemm_bias_act(tensor::Trans::kNo, tensor::Trans::kYes, Scalar{1}, x,
                         w, out, bias, epilogue);
-  return launch(perf_.gemm_seconds(x.rows(), w.rows(), w.cols()), issue);
+  launch(perf_.gemm_seconds(x.rows(), w.rows(), w.cols()));
 }
 
-double Backend::gemm_bias_act(const tensor::CsrView& x,
-                              tensor::ConstMatrixView w,
-                              tensor::ConstMatrixView bias,
-                              tensor::MatrixView out,
-                              tensor::Epilogue epilogue, double issue) {
+void Backend::gemm_bias_act(const tensor::CsrView& x,
+                            tensor::ConstMatrixView w,
+                            tensor::ConstMatrixView bias,
+                            tensor::MatrixView out,
+                            tensor::Epilogue epilogue) {
   tensor::csr_bias_act(x, w, out, bias, epilogue);
-  return launch(perf_.gemm_seconds(x.rows(), w.rows(), w.cols()), issue);
+  launch(perf_.gemm_seconds(x.rows(), w.rows(), w.cols()));
 }
 
-double Backend::charge_loss(std::uint64_t elements, double issue) {
-  launch(perf_.elementwise_seconds(elements * 6), issue);
+void Backend::charge_loss(std::uint64_t elements) {
+  launch(perf_.elementwise_seconds(elements * 6));
   // One scalar (the loss) returns to the host.
-  return charge(perf_.transfer_seconds(sizeof(Scalar)), issue);
+  charge(perf_.transfer_seconds(sizeof(Scalar)));
 }
 
-double Backend::softmax_xent(tensor::ConstMatrixView logits,
-                             std::span<const std::int32_t> labels,
-                             tensor::MatrixView* dlogits, Scalar* loss,
-                             double issue) {
+void Backend::softmax_xent(tensor::ConstMatrixView logits,
+                           std::span<const std::int32_t> labels,
+                           tensor::MatrixView* dlogits, Scalar* loss) {
   const Scalar l = nn::softmax_cross_entropy(logits, labels, dlogits);
   if (loss != nullptr) *loss = l;
-  return charge_loss(static_cast<std::uint64_t>(logits.size()), issue);
+  charge_loss(static_cast<std::uint64_t>(logits.size()));
 }
 
-double Backend::sigmoid_bce(tensor::ConstMatrixView logits,
-                            tensor::ConstMatrixView targets,
-                            tensor::MatrixView dlogits, Scalar* loss,
-                            double issue) {
+void Backend::sigmoid_bce(tensor::ConstMatrixView logits,
+                          tensor::ConstMatrixView targets,
+                          tensor::MatrixView dlogits, Scalar* loss) {
   const Scalar l = nn::sigmoid_bce(logits, targets, &dlogits);
   if (loss != nullptr) *loss = l;
-  return charge_loss(static_cast<std::uint64_t>(logits.size()), issue);
+  charge_loss(static_cast<std::uint64_t>(logits.size()));
 }
 
-double Backend::matmul_tn(Scalar alpha, tensor::ConstMatrixView delta,
-                          tensor::ConstMatrixView prev, Scalar beta,
-                          tensor::MatrixView out, double issue) {
+void Backend::matmul_tn(Scalar alpha, tensor::ConstMatrixView delta,
+                        tensor::ConstMatrixView prev, Scalar beta,
+                        tensor::MatrixView out) {
   tensor::gemm(tensor::Trans::kYes, tensor::Trans::kNo, alpha, delta, prev,
                beta, out);
-  return launch(perf_.gemm_seconds(out.rows(), out.cols(), delta.rows()),
-                issue);
+  launch(perf_.gemm_seconds(out.rows(), out.cols(), delta.rows()));
 }
 
-double Backend::matmul_tn(Scalar alpha, tensor::ConstMatrixView delta,
-                          const tensor::CsrView& prev, Scalar beta,
-                          tensor::MatrixView out, double issue) {
+void Backend::matmul_tn(Scalar alpha, tensor::ConstMatrixView delta,
+                        const tensor::CsrView& prev, Scalar beta,
+                        tensor::MatrixView out) {
   tensor::csr_gemm_tn(alpha, delta, prev, beta, out);
-  return launch(perf_.gemm_seconds(out.rows(), out.cols(), delta.rows()),
-                issue);
+  launch(perf_.gemm_seconds(out.rows(), out.cols(), delta.rows()));
 }
 
-double Backend::col_sums(tensor::ConstMatrixView m, tensor::MatrixView out,
-                         double issue) {
+void Backend::col_sums(tensor::ConstMatrixView m, tensor::MatrixView out) {
   tensor::col_sums(m, out);
-  return launch(
-      perf_.elementwise_seconds(static_cast<std::uint64_t>(m.size())), issue);
+  launch(perf_.elementwise_seconds(static_cast<std::uint64_t>(m.size())));
 }
 
-double Backend::matmul_nn(tensor::ConstMatrixView delta,
-                          tensor::ConstMatrixView w, tensor::MatrixView out,
-                          double issue) {
+void Backend::matmul_nn(tensor::ConstMatrixView delta,
+                        tensor::ConstMatrixView w, tensor::MatrixView out) {
   tensor::matmul_nn(delta, w, out);
-  return launch(perf_.gemm_seconds(delta.rows(), w.cols(), w.rows()), issue);
+  launch(perf_.gemm_seconds(delta.rows(), w.cols(), w.rows()));
 }
 
-double Backend::activation_backward(nn::Activation act,
-                                    tensor::ConstMatrixView activated,
-                                    tensor::MatrixView delta, double issue) {
+void Backend::activation_backward(nn::Activation act,
+                                  tensor::ConstMatrixView activated,
+                                  tensor::MatrixView delta) {
   nn::activation_backward(act, activated, delta);
-  return launch(
-      perf_.elementwise_seconds(static_cast<std::uint64_t>(delta.size())),
-      issue);
+  launch(perf_.elementwise_seconds(static_cast<std::uint64_t>(delta.size())));
 }
 
-double Backend::axpy(Scalar alpha, tensor::ConstMatrixView x,
-                     tensor::MatrixView y, double issue) {
+void Backend::axpy(Scalar alpha, tensor::ConstMatrixView x,
+                   tensor::MatrixView y) {
   tensor::axpy(alpha, x, y);
-  return launch(
-      perf_.elementwise_seconds(static_cast<std::uint64_t>(x.size())), issue);
-}
-
-double Backend::synchronize(double issue) const {
-  if (mode_ == Mode::kZeroCopy) return issue;
-  return std::max(issue, queue_time_);
+  launch(perf_.elementwise_seconds(static_cast<std::uint64_t>(x.size())));
 }
 
 }  // namespace hetsgd::backend

@@ -1,13 +1,14 @@
-// The backend: the MLP kernel set, host<->device transfers and a FIFO
-// virtual-time queue, in one of two modes selected at construction.
+// The backend: the MLP kernel set, host<->device transfers and the
+// device queue's virtual clock, in one of two modes selected at
+// construction.
 //
 // Every kernel takes matrix views (the caller passes the first `batch`
-// rows of its activation and delta matrices), performs the real math
-// immediately with the packed-SIMD tensor:: kernels, and returns the
-// operation's virtual completion time for the caller's issue time,
-// mirroring the CUDA stream model the paper's GPU worker uses: kernels
-// execute eagerly on the calling thread, while their *costs* are
-// sequenced on a FIFO queue in virtual time.
+// rows of its activation and delta matrices) and performs the real math
+// immediately with the packed-SIMD tensor:: kernels, mirroring the CUDA
+// stream model the paper's GPU worker uses: kernels execute eagerly on the
+// calling thread, while their *costs* advance one virtual clock in issue
+// order, as on a single stream. The host sets the issue time once per
+// round trip (wait_until) and reads completions from now().
 //
 //  * kZeroCopy — the Hogwild configuration. The caller's matrices are the
 //    live host storage (the shared model, which a lane's in-place step
@@ -21,10 +22,9 @@
 //    (§V-A): a discrete device that happens to be the host. The caller
 //    reserves its private matrices' bytes against the spec's memory
 //    (reserve() aborts past it, like a failed cudaMalloc), transfers
-//    really copy and honor fault injection, and each kernel charges its
-//    PerfModel cost on the queue cursor, so virtual time advances as on a
-//    CUDA stream. This mode exports the device signals: "gpusim"
-//    h2d_copy/d2h_copy trace spans and the
+//    really copy and honor fault injection, and each kernel and copy
+//    advances the clock by its PerfModel cost. This mode exports the
+//    device signals: "gpusim" h2d_copy/d2h_copy trace spans and the
 //    hetsgd_gpu_{transfers,transfer_bytes,kernels}_total counters.
 //
 // Concurrency contract (DESIGN.md §13): a Backend is single-owner,
@@ -39,6 +39,7 @@
 #include <string>
 
 #include "gpusim/perf_model.hpp"
+#include "gpusim/virtual_clock.hpp"
 #include "nn/activation.hpp"
 #include "tensor/csr.hpp"
 #include "tensor/gemm.hpp"
@@ -67,6 +68,14 @@ class Backend {
   // in place, so model uploads and gradient downloads are skipped.
   bool zero_copy() const { return mode_ == Mode::kZeroCopy; }
 
+  // --- virtual time ------------------------------------------------------
+  // The device clock: the completion time of everything issued so far
+  // (kDevice), or the last issue time (kZeroCopy, which charges nothing).
+  double now() const { return clock_.now(); }
+  // The host issues the next operations at `t`: an idle device waits
+  // until then; one still busy runs them after its queued work.
+  void wait_until(double t) { clock_.advance_to(t); }
+
   // --- device memory -----------------------------------------------------
   // Counts `bytes` of the caller's matrices against the spec's memory
   // capacity (the cudaMalloc analog). Aborts past the capacity, mirroring
@@ -79,23 +88,22 @@ class Backend {
   // --- transfers ---------------------------------------------------------
   // Copy host -> device / device -> host (same shapes), charging modeled
   // link time. These are the fault-injection surfaces: a pending injected
-  // fault makes the call throw TransferError (consuming one injection).
-  double upload(tensor::ConstMatrixView host, tensor::MatrixView device,
-                double issue);
-  double download(tensor::ConstMatrixView device, tensor::MatrixView host,
-                  double issue);
+  // fault makes the call throw TransferError (consuming one injection)
+  // before anything is copied or charged.
+  void upload(tensor::ConstMatrixView host, tensor::MatrixView device);
+  void download(tensor::ConstMatrixView device, tensor::MatrixView host);
   // Copies a training batch into `device` (same shape), with
   // `extra_bytes` (labels) riding along in the charged transfer. This is
   // the input staging path, deliberately NOT fault-checked: the model
   // upload and gradient download bracket every round trip and are the
   // injection points.
-  double stage_batch(tensor::ConstMatrixView x, tensor::MatrixView device,
-                     std::uint64_t extra_bytes, double issue);
+  void stage_batch(tensor::ConstMatrixView x, tensor::MatrixView device,
+                   std::uint64_t extra_bytes);
   // The CSR form: copies only x's rows into `device` (its capacity kept
   // across batches) but charges the dense batch's bytes, the paper's
   // format, so virtual time does not depend on the storage form.
-  double stage_batch(const tensor::CsrView& x, tensor::CsrMatrix& device,
-                     std::uint64_t extra_bytes, double issue);
+  void stage_batch(const tensor::CsrView& x, tensor::CsrMatrix& device,
+                   std::uint64_t extra_bytes);
 
   // --- kernels -----------------------------------------------------------
   // Shapes follow the MLP layer convention: w is out x in, x/out
@@ -104,87 +112,72 @@ class Backend {
   // csr_gemm_tn); those charge the PerfModel cost of the dense shapes.
 
   // out = epilogue(x * w^T + bias): the fused forward layer.
-  double gemm_bias_act(tensor::ConstMatrixView x, tensor::ConstMatrixView w,
-                       tensor::ConstMatrixView bias, tensor::MatrixView out,
-                       tensor::Epilogue epilogue, double issue);
-  double gemm_bias_act(const tensor::CsrView& x, tensor::ConstMatrixView w,
-                       tensor::ConstMatrixView bias, tensor::MatrixView out,
-                       tensor::Epilogue epilogue, double issue);
+  void gemm_bias_act(tensor::ConstMatrixView x, tensor::ConstMatrixView w,
+                     tensor::ConstMatrixView bias, tensor::MatrixView out,
+                     tensor::Epilogue epilogue);
+  void gemm_bias_act(const tensor::CsrView& x, tensor::ConstMatrixView w,
+                     tensor::ConstMatrixView bias, tensor::MatrixView out,
+                     tensor::Epilogue epilogue);
   // Fused softmax + cross-entropy: writes dLoss/dlogits into *dlogits,
   // stores the mean loss into *loss, and charges the kernel plus the
   // one-scalar D2H return of the loss value. A null `dlogits` runs the
   // loss alone (evaluation) and writes nothing else.
-  double softmax_xent(tensor::ConstMatrixView logits,
-                      std::span<const std::int32_t> labels,
-                      tensor::MatrixView* dlogits, tensor::Scalar* loss,
-                      double issue);
+  void softmax_xent(tensor::ConstMatrixView logits,
+                    std::span<const std::int32_t> labels,
+                    tensor::MatrixView* dlogits, tensor::Scalar* loss);
   // Fused sigmoid + binary cross-entropy, the multi-label counterpart:
   // `targets` holds the batch's 0/1 rows and, like the labels above, is
   // read from host memory. Same outputs and charges as softmax_xent.
-  double sigmoid_bce(tensor::ConstMatrixView logits,
-                     tensor::ConstMatrixView targets,
-                     tensor::MatrixView dlogits, tensor::Scalar* loss,
-                     double issue);
+  void sigmoid_bce(tensor::ConstMatrixView logits,
+                   tensor::ConstMatrixView targets, tensor::MatrixView dlogits,
+                   tensor::Scalar* loss);
   // out = alpha * delta^T * prev + beta * out (out x in): the weight
   // gradient at alpha = 1, beta = 0, and at alpha = -eta, beta = 1 the
   // in-place SGD step W -= eta * delta^T * prev.
-  double matmul_tn(tensor::Scalar alpha, tensor::ConstMatrixView delta,
-                   tensor::ConstMatrixView prev, tensor::Scalar beta,
-                   tensor::MatrixView out, double issue);
-  double matmul_tn(tensor::Scalar alpha, tensor::ConstMatrixView delta,
-                   const tensor::CsrView& prev, tensor::Scalar beta,
-                   tensor::MatrixView out, double issue);
+  void matmul_tn(tensor::Scalar alpha, tensor::ConstMatrixView delta,
+                 tensor::ConstMatrixView prev, tensor::Scalar beta,
+                 tensor::MatrixView out);
+  void matmul_tn(tensor::Scalar alpha, tensor::ConstMatrixView delta,
+                 const tensor::CsrView& prev, tensor::Scalar beta,
+                 tensor::MatrixView out);
   // out(1 x cols) = column sums of m.
-  double col_sums(tensor::ConstMatrixView m, tensor::MatrixView out,
-                  double issue);
+  void col_sums(tensor::ConstMatrixView m, tensor::MatrixView out);
   // out = delta * w (batch x in), the delta back-propagation product.
-  double matmul_nn(tensor::ConstMatrixView delta, tensor::ConstMatrixView w,
-                   tensor::MatrixView out, double issue);
+  void matmul_nn(tensor::ConstMatrixView delta, tensor::ConstMatrixView w,
+                 tensor::MatrixView out);
   // delta ⊙= act'(activated), element-wise.
-  double activation_backward(nn::Activation act,
-                             tensor::ConstMatrixView activated,
-                             tensor::MatrixView delta, double issue);
+  void activation_backward(nn::Activation act,
+                           tensor::ConstMatrixView activated,
+                           tensor::MatrixView delta);
   // y += alpha * x (the device-side SGD update, and the in-place step's
   // bias update).
-  double axpy(tensor::Scalar alpha, tensor::ConstMatrixView x,
-              tensor::MatrixView y, double issue);
-
-  // Host blocks until the queue drains; returns max(issue, queue front).
-  double synchronize(double issue) const;
+  void axpy(tensor::Scalar alpha, tensor::ConstMatrixView x,
+            tensor::MatrixView y);
 
   // --- fault injection ---------------------------------------------------
   // Makes the next `count` upload/download calls throw TransferError.
   void inject_transfer_faults(std::int64_t count) { pending_faults_ += count; }
-  std::uint64_t failed_transfers() const { return failed_; }
-
-  // --- diagnostics -------------------------------------------------------
-  std::uint64_t transfer_count() const { return transfers_; }
-  std::uint64_t bytes_transferred() const { return bytes_moved_; }
 
  private:
-  // Charges `cost` on the FIFO queue cursor (kDevice) or returns `issue`
-  // unchanged (kZeroCopy, where the worker charges analytically).
-  double charge(double cost, double issue);
+  // Advances the clock by `cost` (kDevice); kZeroCopy charges nothing,
+  // the worker charges analytically.
+  void charge(double cost);
   // charge() for one kernel; kDevice also counts it as a device kernel.
-  double launch(double cost, double issue);
+  void launch(double cost);
   // Charges a fused loss kernel over `elements` logits, then the
   // one-scalar D2H return of the loss value.
-  double charge_loss(std::uint64_t elements, double issue);
-  // Copies `from` into `to` and counts and charges one transfer of it.
-  double transfer(tensor::ConstMatrixView from, tensor::MatrixView to,
-                  double issue);
-  void check_transfer_fault(const char* direction);
+  void charge_loss(std::uint64_t elements);
+  // The fault-checked copy behind upload/download: fires a pending
+  // injection, else copies `from` into `to` and counts and charges one
+  // transfer of it under a "gpusim" `span` trace span.
+  void transfer(tensor::ConstMatrixView from, tensor::MatrixView to,
+                const char* span, const char* direction);
 
   gpusim::PerfModel perf_;
   Mode mode_;
-  // FIFO queue cursor: an op starts at max(issue, previous completion) and
-  // completes `cost` later.
-  double queue_time_ = 0.0;
+  gpusim::VirtualClock clock_;
   std::uint64_t bytes_in_use_ = 0;
   std::int64_t pending_faults_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t transfers_ = 0;
-  std::uint64_t bytes_moved_ = 0;
 };
 
 }  // namespace hetsgd::backend

@@ -67,25 +67,20 @@ void MlpExecutor::bind_host_gradient(nn::Gradient& grad) {
   gradient_ = &grad;
 }
 
-double MlpExecutor::upload_model(const nn::Model& model, double issue_time) {
-  if (backend_.zero_copy()) return issue_time;  // the replica IS the model
+void MlpExecutor::upload_model(const nn::Model& model) {
+  if (backend_.zero_copy()) return;  // the replica IS the model
   HETSGD_ASSERT(replica_ != nullptr &&
                     model.layer_count() == replica_->layer_count(),
                 "model/replica layer count mismatch");
-  double t = issue_time;
   for (std::size_t l = 0; l < model.layer_count(); ++l) {
     nn::Layer& device = replica_->layer(l);
-    t = backend_.upload(model.layer(l).weights.view(), device.weights.view(),
-                        issue_time);
-    t = backend_.upload(model.layer(l).bias.view(), device.bias.view(),
-                        issue_time);
+    backend_.upload(model.layer(l).weights.view(), device.weights.view());
+    backend_.upload(model.layer(l).bias.view(), device.bias.view());
   }
-  return t;
 }
 
 tensor::BatchView MlpExecutor::run_forward(tensor::BatchView x,
-                                           std::uint64_t target_bytes,
-                                           double issue_time) {
+                                           std::uint64_t target_bytes) {
   const Index batch = x.rows();
   HETSGD_ASSERT(batch > 0 && batch <= max_batch_, "batch exceeds max_batch");
   HETSGD_ASSERT(x.cols() == config_.input_dim, "batch width mismatch");
@@ -97,12 +92,12 @@ tensor::BatchView MlpExecutor::run_forward(tensor::BatchView x,
   // Zero-copy backends read the dataset rows in place.
   tensor::BatchView input = x;
   if (!backend_.zero_copy() && x.is_csr()) {
-    backend_.stage_batch(x.csr(), input_csr_, target_bytes, issue_time);
+    backend_.stage_batch(x.csr(), input_csr_, target_bytes);
     input = input_csr_.view();
   } else if (!backend_.zero_copy()) {
     if (input_.empty()) input_ = tensor::Matrix(max_batch_, config_.input_dim);
     const tensor::MatrixView staged = input_.rows_view(0, batch);
-    backend_.stage_batch(x.dense(), staged, target_bytes, issue_time);
+    backend_.stage_batch(x.dense(), staged, target_bytes);
     input = staged;
   }
 
@@ -117,12 +112,12 @@ tensor::BatchView MlpExecutor::run_forward(tensor::BatchView x,
     const tensor::MatrixView out = acts_[l].rows_view(0, batch);
     if (l == 0 && input.is_csr()) {
       backend_.gemm_bias_act(input.csr(), layer.weights.view(),
-                             layer.bias.view(), out, ep, issue_time);
+                             layer.bias.view(), out, ep);
     } else {
       const tensor::ConstMatrixView prev =
           l == 0 ? input.dense() : acts_[l - 1].rows_view(0, batch);
       backend_.gemm_bias_act(prev, layer.weights.view(), layer.bias.view(),
-                             out, ep, issue_time);
+                             out, ep);
     }
   }
   return input;
@@ -130,19 +125,18 @@ tensor::BatchView MlpExecutor::run_forward(tensor::BatchView x,
 
 void MlpExecutor::weight_product(std::size_t l, tensor::BatchView input,
                                  Scalar alpha, tensor::ConstMatrixView delta,
-                                 Scalar beta, tensor::MatrixView out,
-                                 double issue_time) {
+                                 Scalar beta, tensor::MatrixView out) {
   if (l == 0 && input.is_csr()) {
-    backend_.matmul_tn(alpha, delta, input.csr(), beta, out, issue_time);
+    backend_.matmul_tn(alpha, delta, input.csr(), beta, out);
     return;
   }
   const tensor::ConstMatrixView prev_act =
       l == 0 ? input.dense() : acts_[l - 1].rows_view(0, input.rows());
-  backend_.matmul_tn(alpha, delta, prev_act, beta, out, issue_time);
+  backend_.matmul_tn(alpha, delta, prev_act, beta, out);
 }
 
-void MlpExecutor::run_backward(tensor::BatchView input, const Scalar* step_eta,
-                               double issue_time, double* completion_time) {
+void MlpExecutor::run_backward(tensor::BatchView input,
+                               const Scalar* step_eta) {
   const bool in_place = step_eta != nullptr;
   HETSGD_ASSERT(in_place || gradient_ != nullptr,
                 "executor not bound (zero-copy backends need bind_* first)");
@@ -153,32 +147,26 @@ void MlpExecutor::run_backward(tensor::BatchView input, const Scalar* step_eta,
       // dW = delta^T * prev_act; db = column sums of delta.
       nn::Layer& grad = gradient_->layer(l);
       weight_product(l, input, Scalar{1}, delta, Scalar{0},
-                     grad.weights.view(), issue_time);
-      backend_.col_sums(delta, grad.bias.view(), issue_time);
+                     grad.weights.view());
+      backend_.col_sums(delta, grad.bias.view());
     }
     if (l > 0) {
       // delta_{l-1} = (delta_l * W^l) ⊙ act'(a_{l-1}), read from W^l
       // before the in-place step writes it.
       const tensor::MatrixView prev_delta = deltas_[l - 1].rows_view(0, batch);
-      backend_.matmul_nn(delta, replica_->layer(l).weights.view(), prev_delta,
-                         issue_time);
+      backend_.matmul_nn(delta, replica_->layer(l).weights.view(),
+                         prev_delta);
       backend_.activation_backward(config_.hidden_activation,
                                    acts_[l - 1].rows_view(0, batch),
-                                   prev_delta, issue_time);
+                                   prev_delta);
     }
     if (in_place) step_layer(l, *step_eta, delta, input);
-  }
-
-  if (completion_time != nullptr) {
-    *completion_time = backend_.synchronize(issue_time);
   }
 }
 
 Scalar MlpExecutor::compute_gradient(tensor::BatchView x,
-                                     std::span<const std::int32_t> labels,
-                                     double issue_time,
-                                     double* completion_time) {
-  return train_softmax(x, labels, nullptr, issue_time, completion_time);
+                                     std::span<const std::int32_t> labels) {
+  return train_softmax(x, labels, nullptr);
 }
 
 Scalar MlpExecutor::sgd_step(tensor::BatchView x,
@@ -186,43 +174,38 @@ Scalar MlpExecutor::sgd_step(tensor::BatchView x,
                              Scalar eta) {
   HETSGD_ASSERT(backend_.zero_copy(),
                 "sgd_step requires a zero-copy backend");
-  return train_softmax(x, labels, &eta, 0.0, nullptr);
+  return train_softmax(x, labels, &eta);
 }
 
 Scalar MlpExecutor::train_softmax(tensor::BatchView x,
                                   std::span<const std::int32_t> labels,
-                                  const Scalar* step_eta, double issue_time,
-                                  double* completion_time) {
+                                  const Scalar* step_eta) {
   const Index batch = x.rows();
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == batch,
                 "label count mismatch");
   const tensor::BatchView input = run_forward(
-      x, static_cast<std::uint64_t>(batch) * sizeof(std::int32_t),
-      issue_time);
+      x, static_cast<std::uint64_t>(batch) * sizeof(std::int32_t));
   // Loss + dLoss/dlogits (fused softmax-xent kernel).
   Scalar loss = 0;
   tensor::MatrixView dlogits = deltas_.back().rows_view(0, batch);
   backend_.softmax_xent(acts_.back().rows_view(0, batch), labels, &dlogits,
-                        &loss, issue_time);
-  run_backward(input, step_eta, issue_time, completion_time);
+                        &loss);
+  run_backward(input, step_eta);
   return loss;
 }
 
 Scalar MlpExecutor::compute_gradient(tensor::BatchView x,
-                                     tensor::ConstMatrixView targets,
-                                     double issue_time,
-                                     double* completion_time) {
+                                     tensor::ConstMatrixView targets) {
   const Index batch = x.rows();
   HETSGD_ASSERT(targets.rows() == batch &&
                     targets.cols() == config_.num_classes,
                 "targets shape mismatch");
   const tensor::BatchView input = run_forward(
-      x, static_cast<std::uint64_t>(targets.size()) * sizeof(Scalar),
-      issue_time);
+      x, static_cast<std::uint64_t>(targets.size()) * sizeof(Scalar));
   Scalar loss = 0;
   backend_.sigmoid_bce(acts_.back().rows_view(0, batch), targets,
-                       deltas_.back().rows_view(0, batch), &loss, issue_time);
-  run_backward(input, nullptr, issue_time, completion_time);
+                       deltas_.back().rows_view(0, batch), &loss);
+  run_backward(input, nullptr);
   return loss;
 }
 
@@ -236,14 +219,14 @@ HETSGD_NOINLINE void MlpExecutor::step_layer(std::size_t l, Scalar eta,
                                              tensor::ConstMatrixView delta,
                                              tensor::BatchView input) {
   nn::Layer& layer = replica_->layer(l);
-  weight_product(l, input, -eta, delta, Scalar{1}, layer.weights.view(), 0.0);
+  weight_product(l, input, -eta, delta, Scalar{1}, layer.weights.view());
   const tensor::MatrixView db = bias_steps_[l].view();
-  backend_.col_sums(delta, db, 0.0);
-  backend_.axpy(-eta, db, layer.bias.view(), 0.0);
+  backend_.col_sums(delta, db);
+  backend_.axpy(-eta, db, layer.bias.view());
 }
 
 tensor::ConstMatrixView MlpExecutor::forward(tensor::BatchView x) {
-  run_forward(x, 0, 0.0);
+  run_forward(x, 0);
   return acts_.back().rows_view(0, x.rows());
 }
 
@@ -256,60 +239,37 @@ double MlpExecutor::mean_loss(tensor::BatchView x,
   for (Index begin = 0; begin < n; begin += nn::kEvalChunkRows) {
     const Index count = std::min(nn::kEvalChunkRows, n - begin);
     run_forward(x.rows_view(begin, count),
-                static_cast<std::uint64_t>(count) * sizeof(std::int32_t), 0.0);
+                static_cast<std::uint64_t>(count) * sizeof(std::int32_t));
     // No dlogits: the loss alone, no delta written.
     Scalar loss = 0;
     backend_.softmax_xent(acts_.back().rows_view(0, count),
                           labels.subspan(static_cast<std::size_t>(begin),
                                          static_cast<std::size_t>(count)),
-                          nullptr, &loss, 0.0);
+                          nullptr, &loss);
     total += static_cast<double>(loss) * static_cast<double>(count);
   }
   return total / static_cast<double>(n);
 }
 
-double MlpExecutor::apply_gradient(Scalar eta, double issue_time) {
-  double t = issue_time;
+void MlpExecutor::apply_gradient(Scalar eta) {
   for (std::size_t l = 0; l < acts_.size(); ++l) {
     nn::Layer& layer = replica_->layer(l);
     const nn::Layer& grad = gradient_->layer(l);
-    t = backend_.axpy(-eta, grad.weights.view(), layer.weights.view(),
-                      issue_time);
-    t = backend_.axpy(-eta, grad.bias.view(), layer.bias.view(), issue_time);
+    backend_.axpy(-eta, grad.weights.view(), layer.weights.view());
+    backend_.axpy(-eta, grad.bias.view(), layer.bias.view());
   }
-  return t;
 }
 
-double MlpExecutor::download_gradient(nn::Gradient& grad, double issue_time) {
-  if (backend_.zero_copy()) return issue_time;  // already in host storage
+void MlpExecutor::download_gradient(nn::Gradient& grad) {
+  if (backend_.zero_copy()) return;  // already in host storage
   HETSGD_ASSERT(gradient_ != nullptr &&
                     grad.layer_count() == gradient_->layer_count(),
                 "gradient layer count mismatch");
-  double t = issue_time;
   for (std::size_t l = 0; l < grad.layer_count(); ++l) {
     const nn::Layer& device = gradient_->layer(l);
-    t = backend_.download(device.weights.view(), grad.layer(l).weights.view(),
-                          issue_time);
-    t = backend_.download(device.bias.view(), grad.layer(l).bias.view(),
-                          issue_time);
+    backend_.download(device.weights.view(), grad.layer(l).weights.view());
+    backend_.download(device.bias.view(), grad.layer(l).bias.view());
   }
-  return t;
-}
-
-double MlpExecutor::download_model(nn::Model& model, double issue_time) {
-  if (backend_.zero_copy()) return issue_time;
-  HETSGD_ASSERT(replica_ != nullptr &&
-                    model.layer_count() == replica_->layer_count(),
-                "model layer count mismatch");
-  double t = issue_time;
-  for (std::size_t l = 0; l < model.layer_count(); ++l) {
-    const nn::Layer& device = replica_->layer(l);
-    t = backend_.download(device.weights.view(), model.layer(l).weights.view(),
-                          issue_time);
-    t = backend_.download(device.bias.view(), model.layer(l).bias.view(),
-                          issue_time);
-  }
-  return t;
 }
 
 void MlpExecutor::release_buffers() {

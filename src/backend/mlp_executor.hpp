@@ -29,8 +29,10 @@
 //  * Device (Backend::Mode::kDevice): the executor's own replica,
 //    gradient and input staging rows, reserved against the device's
 //    memory at construction (the staging rows at their dense size, also
-//    when CSR rows are staged); upload_model / download_gradient /
-//    download_model really move bytes (and really hit fault injection).
+//    when CSR rows are staged); upload_model / download_gradient really
+//    move bytes (and really hit fault injection). Every call's costs
+//    advance the backend's clock (Backend::now); the caller sets a round
+//    trip's issue time with Backend::wait_until.
 //
 //  * Zero-copy (Backend::Mode::kZeroCopy): bind_shared_model() /
 //    bind_host_gradient() make the replica the bound host model
@@ -78,7 +80,7 @@ class MlpExecutor {
   std::uint64_t device_bytes() const { return device_bytes_; }
 
   // The replica the kernels run on (the bound model under zero-copy).
-  // Reading it charges no transfer: download_model is the charged copy.
+  // Reading it charges no transfer.
   const nn::Model& replica() const { return *replica_; }
 
   // Layer `layer`'s delta matrix (max_batch rows): dLoss/d its
@@ -89,21 +91,18 @@ class MlpExecutor {
   }
 
   // Deep-copies the host model into the replica (no-op when the replica is
-  // bound to it). Returns the virtual completion time.
-  double upload_model(const nn::Model& model, double issue_time);
+  // bound to it).
+  void upload_model(const nn::Model& model);
 
   // Forward + backward over `x` (batch x input_dim). Returns the batch
-  // loss; sets `*completion_time` (if non-null) to the synchronized queue
-  // time. The gradient lands in the executor's gradient (the bound host
+  // loss. The gradient lands in the executor's gradient (the bound host
   // gradient under zero-copy). One class label per row trains softmax
   // cross-entropy; a batch x num_classes matrix of 0/1 targets trains
   // sigmoid BCE. Either reaches the loss kernel from host memory.
   tensor::Scalar compute_gradient(tensor::BatchView x,
-                                  std::span<const std::int32_t> labels,
-                                  double issue_time, double* completion_time);
+                                  std::span<const std::int32_t> labels);
   tensor::Scalar compute_gradient(tensor::BatchView x,
-                                  tensor::ConstMatrixView targets,
-                                  double issue_time, double* completion_time);
+                                  tensor::ConstMatrixView targets);
 
   // Zero-copy replica bound with bind_shared_model only: one plain SGD step
   // on (x, labels), written in place. Runs compute_gradient's forward and
@@ -126,17 +125,15 @@ class MlpExecutor {
   // Mean softmax cross-entropy over (x, labels), any number of rows: the
   // forward and a loss-only kernel per nn::kEvalChunkRows-row chunk, each
   // chunk's loss weighted by its rows and accumulated in double. Writes
-  // neither deltas nor gradient. Issues at virtual time 0 and reports no
-  // completion: evaluation runs on zero-copy backends, which charge none.
+  // neither deltas nor gradient.
   double mean_loss(tensor::BatchView x,
                    std::span<const std::int32_t> labels);
 
   // replica <- replica - eta * gradient, entirely backend-side.
-  double apply_gradient(tensor::Scalar eta, double issue_time);
+  void apply_gradient(tensor::Scalar eta);
 
-  // Moves the gradient / replica to host storage (no-op when bound).
-  double download_gradient(nn::Gradient& grad, double issue_time);
-  double download_model(nn::Model& model, double issue_time);
+  // Moves the gradient to host storage (no-op when bound).
+  void download_gradient(nn::Gradient& grad);
 
   // Frees every matrix and returns its device bytes (worker retirement /
   // epoch trim); the executor is unusable afterwards until rebuilt.
@@ -147,24 +144,21 @@ class MlpExecutor {
   // the fused forward; the logits land in acts_.back(). Returns the
   // first layer's input: the staged rows, or `x` itself under zero-copy.
   tensor::BatchView run_forward(tensor::BatchView x,
-                                std::uint64_t target_bytes, double issue_time);
+                                std::uint64_t target_bytes);
   // compute_gradient's softmax-xent body, shared with sgd_step: forward,
   // loss, then run_backward with `step_eta`.
   tensor::Scalar train_softmax(tensor::BatchView x,
                                std::span<const std::int32_t> labels,
-                               const tensor::Scalar* step_eta,
-                               double issue_time, double* completion_time);
+                               const tensor::Scalar* step_eta);
   // Back-propagates deltas_.back() (dLoss/dlogits). With `step_eta` null
   // the gradient lands in the executor's gradient; otherwise each layer
   // takes the in-place step (sgd_step) with rate *step_eta.
-  void run_backward(tensor::BatchView input, const tensor::Scalar* step_eta,
-                    double issue_time, double* completion_time);
+  void run_backward(tensor::BatchView input, const tensor::Scalar* step_eta);
   // out = alpha * delta^T * (layer l's input) + beta * out: the layer's
   // weight product, on the CSR kernel when l == 0 and `input` is CSR.
   void weight_product(std::size_t l, tensor::BatchView input,
                       tensor::Scalar alpha, tensor::ConstMatrixView delta,
-                      tensor::Scalar beta, tensor::MatrixView out,
-                      double issue_time);
+                      tensor::Scalar beta, tensor::MatrixView out);
   // Layer `l`'s share of sgd_step: W += -eta * delta^T * prev_act and
   // b += -eta * colsum(delta), into the bound model.
   void step_layer(std::size_t l, tensor::Scalar eta,

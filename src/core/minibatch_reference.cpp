@@ -35,7 +35,8 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
       dataset, std::span(idx).first(static_cast<std::size_t>(sample)),
       dataset.name() + "-eval");
   // TF-style: model uploaded once and kept resident across steps.
-  double clock = mlp.upload_model(model, 0.0);
+  mlp.upload_model(model);
+  double clock = dev.now();
 
   // Multi-label pipeline overhead per step (delicious's 983 classes).
   double step_overhead = 0.0;
@@ -73,11 +74,10 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
       const Index batch = std::min<Index>(cfg.gpu.batch, n - cursor);
       auto x = dataset.batch_features(cursor, batch);
       auto y = dataset.batch_labels(cursor, batch);
-      double done = clock;
-      mlp.compute_gradient(x, y, clock, &done);
-      done = mlp.apply_gradient(static_cast<tensor::Scalar>(lr), clock);
-      done += step_overhead;
-      clock = done;
+      dev.wait_until(clock);
+      mlp.compute_gradient(x, y);
+      mlp.apply_gradient(static_cast<tensor::Scalar>(lr));
+      clock = dev.now() + step_overhead;
       cursor += batch;
       examples_total += static_cast<std::uint64_t>(batch);
       ++result.updates;

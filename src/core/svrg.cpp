@@ -90,7 +90,7 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
       const Index count = std::min(full_chunk, n - begin);
       auto x = dataset.batch_features(begin, count);
       auto y = dataset.batch_labels(begin, count);
-      snap_exec.compute_gradient(x, y, 0.0, nullptr);
+      snap_exec.compute_gradient(x, y);
       mu.axpy(static_cast<Scalar>(count) / static_cast<Scalar>(n), g_snap);
     }
     clock += full_pass_cost;
@@ -106,8 +106,8 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
       }
       auto x = dataset.batch_features(cursor, batch);
       auto y = dataset.batch_labels(cursor, batch);
-      w_exec.compute_gradient(x, y, 0.0, nullptr);
-      snap_exec.compute_gradient(x, y, 0.0, nullptr);
+      w_exec.compute_gradient(x, y);
+      snap_exec.compute_gradient(x, y);
       // w -= eta * (g_cur - g_snap + mu)
       w.axpy(static_cast<Scalar>(-eta), g_cur);
       w.axpy(static_cast<Scalar>(eta), g_snap);

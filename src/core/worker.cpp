@@ -260,41 +260,42 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
   const double issue = clock_.now();
   auto x = dataset_.batch_features(begin, size);
   auto y = dataset_.batch_labels(begin, size);
-  double done = issue;
 
   // The upload/compute/download round trip is retried as a unit on
   // transient transfer failures, with capped exponential backoff charged to
   // virtual time (the modeled driver re-issuing the copy). Past
   // max_transfer_retries the error escapes handle(): the actor framework
-  // turns it into a WorkerFault report via on_handle_exception.
+  // turns it into a WorkerFault report via on_handle_exception. Each
+  // attempt is issued at the worker's clock; the device clock keeps the
+  // copies a failed attempt queued, so a retry starts after both.
   constexpr double kTransferBackoffVseconds = 1e-4;  // doubles per attempt
   const std::int64_t max_retries =
       std::max<std::int64_t>(0, config_.fault.max_transfer_retries);
   for (std::int64_t attempt = 0;; ++attempt) {
     try {
+      backend_->wait_until(clock_.now());
       // Deep-copy the current global model into the device replica. The
       // reads race with concurrent Hogwild-lane updates — Hogwild
       // semantics extend across the PCIe boundary. The host-side snapshot
       // is kept to measure how stale the replica became by merge time.
       {
         HETSGD_TRACE_SPAN(h2d_span, "gpu-worker", "upload_model",
-                          clock_.now(), flow);
+                          backend_->now(), flow);
         upload_snapshot_ = model_;
-        executor_->upload_model(upload_snapshot_, clock_.now());
-        done = clock_.now();
-        h2d_span.set_end_vt(done);
+        executor_->upload_model(upload_snapshot_);
+        h2d_span.set_end_vt(backend_->now());
       }
       {
         HETSGD_TRACE_SPAN(kernel_span, "gpu-worker", "compute_gradient",
-                          clock_.now(), flow);
-        executor_->compute_gradient(x, y, clock_.now(), &done);
-        kernel_span.set_end_vt(done);
+                          backend_->now(), flow);
+        executor_->compute_gradient(x, y);
+        kernel_span.set_end_vt(backend_->now());
       }
       {
         HETSGD_TRACE_SPAN(d2h_span, "gpu-worker", "download_gradient",
-                          clock_.now(), flow);
-        done = executor_->download_gradient(host_gradient_, clock_.now());
-        d2h_span.set_end_vt(done);
+                          backend_->now(), flow);
+        executor_->download_gradient(host_gradient_);
+        d2h_span.set_end_vt(backend_->now());
       }
       break;
     } catch (const backend::TransferError& e) {
@@ -333,14 +334,15 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
       static_cast<double>(model_.max_abs_diff(upload_snapshot_));
   const auto lr = static_cast<tensor::Scalar>(
       config_.effective_lr(size) * work.lr_scale);
+  double done = backend_->now();
   {
-    HETSGD_TRACE_SPAN(merge_span, "gpu-worker", "host_merge",
-                      clock_.now(), flow);
+    HETSGD_TRACE_SPAN(merge_span, "gpu-worker", "host_merge", done, flow);
     model_.axpy(-lr, host_gradient_);
     if (config_.gpu.host_merge_bandwidth > 0.0) {
       done += 2.0 * static_cast<double>(model_bytes(config_.mlp)) /
               config_.gpu.host_merge_bandwidth;
     }
+    merge_span.set_end_vt(done);
   }
 
   // Stalls inflate the compute span (issue -> done) by the configured

@@ -2,7 +2,8 @@
 //
 // Experiments in the paper plot loss against wall-clock seconds on a
 // 56-thread Xeon + V100 testbed. Neither exists here, so every worker owns
-// a VirtualClock advanced by the perf model's cost estimates; the
+// a VirtualClock advanced by the perf model's cost estimates (a replica
+// worker's device queue owns another, in its backend::Backend); the
 // coordinator schedules work in clock order and the benchmark time axis is
 // virtual seconds. This makes runs deterministic and hardware-independent
 // while leaving the actual SGD math (and its real thread-level races on the
@@ -32,8 +33,9 @@ class VirtualClock {
     return now_;
   }
 
-  // Moves the clock forward to `t` if `t` is later (used when an operation
-  // waits on another stream's completion). Never moves backwards.
+  // Moves the clock forward to `t` if `t` is later (a worker waiting for
+  // an epoch boundary, a device queue idling until the host issues work).
+  // Never moves backwards.
   double advance_to(double t) {
     if (t > now_) now_ = t;
     return now_;

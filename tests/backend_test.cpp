@@ -1,9 +1,10 @@
 // The replica workers' engine — Backend in device mode — checked bit for
 // bit against zero-copy mode (the Hogwild lanes' host path) and, in both
 // modes, against the independent reference MLP (reference_mlp.hpp), plus
-// the contract a worker relies on: the FIFO virtual-time queue, pinned
-// completion times, the transfer fault surface, device-memory accounting,
-// and the device signals (trace spans and counters) the benchmarks read.
+// the contract a worker relies on: the device clock, pinned completion
+// times, the transfer fault surface and its retry timing, device-memory
+// accounting, and the device signals (trace spans and counters) the
+// benchmarks read.
 // Transfers and each kernel are also checked in both modes, per op,
 // against references that share no code with them.
 #include "backend/backend.hpp"
@@ -206,27 +207,27 @@ TEST(DeviceBackend, ApplyGradientMatchesHostSgd) {
   }
 }
 
-TEST(DeviceBackend, UploadDownloadRoundTrip) {
+TEST(DeviceBackend, UploadFillsThePrivateReplica) {
   Fixture f(4);
   Backend b = device();
   MlpExecutor mlp(b, f.config, 4);
-  mlp.upload_model(f.model, 0.0);
-  nn::Model back(f.config, f.rng);  // different values
-  mlp.download_model(back, 0.0);
-  EXPECT_EQ(back.max_abs_diff(f.model), 0.0);
+  mlp.upload_model(f.model);
+  EXPECT_NE(&mlp.replica(), &f.model);
+  EXPECT_EQ(mlp.replica().max_abs_diff(f.model), 0.0);
 }
 
 TEST(DeviceBackend, VirtualTimeAdvances) {
   Fixture f(8);
   Backend b = device();
   MlpExecutor mlp(b, f.config, 8);
-  const double t0 = mlp.upload_model(f.model, 0.0);
+  mlp.upload_model(f.model);
+  const double t0 = b.now();
   EXPECT_GT(t0, 0.0);
-  double done = 0.0;
-  mlp.compute_gradient(f.x.view(), f.y, t0, &done);
+  mlp.compute_gradient(f.x.view(), f.y);
+  const double done = b.now();
   EXPECT_GT(done, t0);
-  const double t1 = mlp.apply_gradient(0.1, done);
-  EXPECT_GT(t1, done);
+  mlp.apply_gradient(0.1);
+  EXPECT_GT(b.now(), done);
 }
 
 // The virtual-time contract of the replica path, pinned to the completion
@@ -251,13 +252,14 @@ TEST(DeviceBackend, PinnedVirtualTimeAndHostMath) {
     Backend b = device();
     MlpExecutor mlp(b, f.config, 16);
     nn::Gradient grad = nn::make_zero_gradient(f.model);
-    nn::Model model_after = f.model;
-    const double t_upload = mlp.upload_model(f.model, 0.0);
-    double t_done = 0.0;
-    mlp.compute_gradient(f.x.view(), f.y, t_upload, &t_done);
-    mlp.download_gradient(grad, t_done);
-    const double t_apply = mlp.apply_gradient(0.2, t_done);
-    mlp.download_model(model_after, t_apply);
+    mlp.upload_model(f.model);
+    const double t_upload = b.now();
+    mlp.compute_gradient(f.x.view(), f.y);
+    const double t_done = b.now();
+    mlp.download_gradient(grad);
+    mlp.apply_gradient(0.2);
+    const double t_apply = b.now();
+    const nn::Model& model_after = mlp.replica();
 
     EXPECT_EQ(t_upload, want.t_upload);
     EXPECT_EQ(t_done, want.t_done);
@@ -294,12 +296,13 @@ TEST(DeviceBackend, CsrBatchKeepsThePinnedVirtualTime) {
     MlpExecutor mlp(b, f.config, 16);
     r.reserved = b.bytes_in_use();
     r.grad = nn::make_zero_gradient(f.model);
-    nn::Model model_after = f.model;
-    r.t_upload = mlp.upload_model(f.model, 0.0);
-    mlp.compute_gradient(f.batch(), f.y, r.t_upload, &r.t_done);
-    mlp.download_gradient(r.grad, r.t_done);
-    r.t_apply = mlp.apply_gradient(0.2, r.t_done);
-    mlp.download_model(model_after, r.t_apply);
+    mlp.upload_model(f.model);
+    r.t_upload = b.now();
+    mlp.compute_gradient(f.batch(), f.y);
+    r.t_done = b.now();
+    mlp.download_gradient(r.grad);
+    mlp.apply_gradient(0.2);
+    r.t_apply = b.now();
     return r;
   };
   const Fixture csr = csr_fixture();
@@ -315,40 +318,73 @@ TEST(DeviceBackend, CsrBatchKeepsThePinnedVirtualTime) {
   EXPECT_LT(got.grad.max_abs_diff(csr.reference_gradient()), kRefTol);
 }
 
-TEST(DeviceBackend, QueueIsFifoInVirtualTime) {
+TEST(DeviceBackend, OpsRunBackToBackFromTheIssueTime) {
   Backend b = device();
   Matrix buf(16, 16);
   Matrix host(16, 16);
   const double cost =
       b.perf().transfer_seconds(16 * 16 * sizeof(tensor::Scalar));
-  // Two ops issued at t=0: the second queues behind the first.
-  const double t1 = b.upload(host.view(), buf.view(), 0.0);
-  const double t2 = b.upload(host.view(), buf.view(), 0.0);
-  EXPECT_DOUBLE_EQ(t1, cost);
-  EXPECT_DOUBLE_EQ(t2, t1 + cost);
-  // An op issued after the queue drains starts at its issue time.
-  const double t3 = b.upload(host.view(), buf.view(), 10.0);
-  EXPECT_DOUBLE_EQ(t3, 10.0 + cost);
+  // Two ops issued at t=0: the second starts when the first completes.
+  b.upload(host.view(), buf.view());
+  EXPECT_DOUBLE_EQ(b.now(), cost);
+  b.upload(host.view(), buf.view());
+  EXPECT_DOUBLE_EQ(b.now(), 2 * cost);
+  // Ops issued after the device went idle start at their issue time.
+  b.wait_until(10.0);
+  b.upload(host.view(), buf.view());
+  EXPECT_DOUBLE_EQ(b.now(), 10.0 + cost);
 }
 
-TEST(DeviceBackend, SynchronizeReturnsMaxOfIssueAndQueue) {
+TEST(DeviceBackend, WaitUntilNeverMovesTheClockBack) {
   Backend b = device();
-  EXPECT_DOUBLE_EQ(b.synchronize(5.0), 5.0);
+  b.wait_until(5.0);
+  EXPECT_DOUBLE_EQ(b.now(), 5.0);
   const Matrix x(4, 4);
   Matrix y(4, 4);
-  const double done = b.axpy(2, x.view(), y.view(), 10.0);
-  EXPECT_GT(done, 10.0);
-  EXPECT_DOUBLE_EQ(b.synchronize(5.0), done);
-  EXPECT_DOUBLE_EQ(b.synchronize(done + 1.0), done + 1.0);
+  b.axpy(2, x.view(), y.view());
+  const double done = b.now();
+  EXPECT_GT(done, 5.0);
+  // Issued before the device drains: the next op queues behind the axpy.
+  b.wait_until(5.0);
+  EXPECT_DOUBLE_EQ(b.now(), done);
+  b.wait_until(done + 1.0);
+  EXPECT_DOUBLE_EQ(b.now(), done + 1.0);
+}
+
+// Worker::execute_replica's retry protocol: each attempt is issued at the
+// worker's clock (wait_until), a failed copy charges nothing, and the
+// backoff advances the worker's clock only. So after a fault injected
+// mid-upload, the first retried copy starts at max(the copies queued
+// before the fault, the clock after backoff).
+TEST(DeviceBackend, RetriedCopyStartsAfterQueuedCopiesAndBackoff) {
+  const Matrix host(16, 16);
+  Matrix d(16, 16);
+  const double cost =
+      device().perf().transfer_seconds(16 * 16 * sizeof(tensor::Scalar));
+  // Backoffs ending before and after the two queued copies.
+  for (const double backoff_clock : {0.5 * cost, 5.0 * cost}) {
+    SCOPED_TRACE(backoff_clock);
+    Backend b = device();
+    b.wait_until(0.0);
+    b.upload(host.view(), d.view());
+    b.upload(host.view(), d.view());
+    b.inject_transfer_faults(1);
+    EXPECT_THROW(b.upload(host.view(), d.view()), TransferError);
+    EXPECT_EQ(b.now(), 2 * cost);
+    b.wait_until(backoff_clock);
+    const double start = b.now();
+    EXPECT_EQ(start, std::max(2 * cost, backoff_clock));
+    b.upload(host.view(), d.view());
+    EXPECT_EQ(b.now(), start + cost);
+  }
 }
 
 TEST(DeviceBackend, CopyShapeMismatchDies) {
   Backend b = device();
   Matrix buf(3, 2);
   Matrix host(2, 3);
-  EXPECT_DEATH(b.upload(host.view(), buf.view(), 0.0),
-               "H2D copy shape mismatch");
-  EXPECT_DEATH(b.download(buf.view(), host.view(), 0.0),
+  EXPECT_DEATH(b.upload(host.view(), buf.view()), "H2D copy shape mismatch");
+  EXPECT_DEATH(b.download(buf.view(), host.view()),
                "D2H copy shape mismatch");
 }
 
@@ -386,9 +422,8 @@ TEST(DeviceBackend, BatchBeyondMaxDies) {
   Fixture f(16);
   Backend b = device();
   MlpExecutor mlp(b, f.config, 8);
-  mlp.upload_model(f.model, 0.0);
-  double done = 0.0;
-  EXPECT_DEATH(mlp.compute_gradient(f.x.view(), f.y, 0.0, &done), "max_batch");
+  mlp.upload_model(f.model);
+  EXPECT_DEATH(mlp.compute_gradient(f.x.view(), f.y), "max_batch");
 }
 
 TEST(DeviceBackend, TrainingConvergesLikeHost) {
@@ -398,14 +433,12 @@ TEST(DeviceBackend, TrainingConvergesLikeHost) {
     // run_minibatch_reference.
     Backend b = device();
     MlpExecutor mlp(b, f.config, 32);
-    double clock = mlp.upload_model(f.model, 0.0);
+    mlp.upload_model(f.model);
     for (int step = 0; step < 20; ++step) {
-      double done = clock;
-      mlp.compute_gradient(f.batch(), f.y, clock, &done);
-      clock = mlp.apply_gradient(0.3, done);
+      mlp.compute_gradient(f.batch(), f.y);
+      mlp.apply_gradient(0.3);
     }
-    nn::Model final_device = f.model;
-    mlp.download_model(final_device, clock);
+    const nn::Model& final_device = mlp.replica();
 
     nn::Model host_model = f.model;
     ModeRunner host(Backend::Mode::kZeroCopy, host_model, 32);
@@ -427,11 +460,10 @@ TEST(DeviceBackend, NanPoisonedInputPropagatesToGradient) {
   f.x(0, 0) = std::numeric_limits<tensor::Scalar>::quiet_NaN();
   Backend b = device();
   MlpExecutor mlp(b, f.config, 8);
-  mlp.upload_model(f.model, 0.0);
-  double done = 0.0;
-  const double loss = mlp.compute_gradient(f.x.view(), f.y, 0.0, &done);
+  mlp.upload_model(f.model);
+  const double loss = mlp.compute_gradient(f.x.view(), f.y);
   nn::Gradient grad = nn::make_zero_gradient(f.model);
-  mlp.download_gradient(grad, done);
+  mlp.download_gradient(grad);
   // NaN must flow through the kernels, not be masked: the coordinator's
   // divergence rollback depends on seeing it in the merge.
   EXPECT_TRUE(std::isnan(loss));
@@ -439,31 +471,33 @@ TEST(DeviceBackend, NanPoisonedInputPropagatesToGradient) {
       static_cast<double>(grad.layer(0).weights.data()[0])));
 }
 
-TEST(DeviceBackend, InjectedTransferFaultThrowsOnceAndCounts) {
+TEST(DeviceBackend, InjectedTransferFaultThrowsOnce) {
   Fixture f(4);
   Backend b = device();
   MlpExecutor mlp(b, f.config, 4);
   b.inject_transfer_faults(1);
-  EXPECT_THROW(mlp.upload_model(f.model, 0.0), TransferError);
-  EXPECT_EQ(b.failed_transfers(), 1u);
+  const std::uint64_t transfers = counter("hetsgd_gpu_transfers_total");
+  EXPECT_THROW(mlp.upload_model(f.model), TransferError);
+  EXPECT_EQ(counter("hetsgd_gpu_transfers_total"), transfers);
+  EXPECT_EQ(b.now(), 0.0);
   // The injection is consumed: the retry goes through.
-  EXPECT_NO_THROW(mlp.upload_model(f.model, 0.0));
+  EXPECT_NO_THROW(mlp.upload_model(f.model));
+  EXPECT_EQ(mlp.replica().max_abs_diff(f.model), 0.0);
 }
 
 TEST(DeviceBackend, BatchStagingIsNotAFaultSurface) {
   Fixture f(4);
   Backend b = device();
   MlpExecutor mlp(b, f.config, 4);
-  mlp.upload_model(f.model, 0.0);
+  mlp.upload_model(f.model);
   // Input staging is deliberately outside the injection surface (the model
   // upload and gradient download bracket every round trip); a pending
   // fault must survive compute_gradient and fire on the next transfer.
   b.inject_transfer_faults(1);
-  double done = 0.0;
-  EXPECT_NO_THROW(mlp.compute_gradient(f.x.view(), f.y, 0.0, &done));
+  EXPECT_NO_THROW(mlp.compute_gradient(f.x.view(), f.y));
   nn::Gradient grad = nn::make_zero_gradient(f.model);
-  EXPECT_THROW(mlp.download_gradient(grad, done), TransferError);
-  EXPECT_EQ(b.failed_transfers(), 1u);
+  EXPECT_THROW(mlp.download_gradient(grad), TransferError);
+  EXPECT_NO_THROW(mlp.download_gradient(grad));
 }
 
 // The kernels one compute_gradient issues for L layers: L fused forward
@@ -481,18 +515,17 @@ TEST(DeviceBackend, CountsKernelsAndTransfers) {
   const std::uint64_t kernels = counter("hetsgd_gpu_kernels_total");
   const std::uint64_t transfers = counter("hetsgd_gpu_transfers_total");
   const std::uint64_t bytes = counter("hetsgd_gpu_transfer_bytes_total");
-  double done = mlp.upload_model(f.model, 0.0);
-  mlp.compute_gradient(f.x.view(), f.y, done, &done);
+  mlp.upload_model(f.model);
+  mlp.compute_gradient(f.x.view(), f.y);
   nn::Gradient grad = nn::make_zero_gradient(f.model);
-  mlp.download_gradient(grad, done);
+  mlp.download_gradient(grad);
   EXPECT_EQ(counter("hetsgd_gpu_kernels_total") - kernels,
             kernels_per_gradient(f.config));
-  EXPECT_EQ(counter("hetsgd_gpu_transfers_total") - transfers,
-            b.transfer_count());
-  EXPECT_EQ(counter("hetsgd_gpu_transfer_bytes_total") - bytes,
-            b.bytes_transferred());
   // Model up + gradient down: weights and bias per layer, each way.
-  EXPECT_EQ(b.transfer_count(), 4 * f.config.layer_shapes().size());
+  EXPECT_EQ(counter("hetsgd_gpu_transfers_total") - transfers,
+            4 * f.config.layer_shapes().size());
+  EXPECT_EQ(counter("hetsgd_gpu_transfer_bytes_total") - bytes,
+            2 * f.config.parameter_count() * sizeof(tensor::Scalar));
 }
 
 // The loss-only entry: compute_gradient's loss on the same batch, in both
@@ -513,10 +546,10 @@ TEST(MlpExecutorEval, MeanLossMatchesComputeGradientAndWritesNoDelta) {
     for (auto& label : other_y) label = (label + 1) % 4;
     Backend b = device();
     MlpExecutor mlp(b, f.config, 16);
-    double t = mlp.upload_model(f.model, 0.0);
-    const double loss = mlp.compute_gradient(f.batch(), f.y, t, &t);
+    mlp.upload_model(f.model);
+    const double loss = mlp.compute_gradient(f.batch(), f.y);
     nn::Gradient grad = nn::make_zero_gradient(f.model);
-    mlp.download_gradient(grad, t);
+    mlp.download_gradient(grad);
     const std::size_t layers = f.config.layer_shapes().size();
     std::vector<Matrix> deltas;
     for (std::size_t l = 0; l < layers; ++l) deltas.push_back(mlp.delta(l));
@@ -533,7 +566,7 @@ TEST(MlpExecutorEval, MeanLossMatchesComputeGradientAndWritesNoDelta) {
     EXPECT_EQ(mlp.mean_loss(f.batch(), f.y), loss);
     EXPECT_EQ(counter("hetsgd_gpu_kernels_total") - kernels, 2 * (layers + 1));
     nn::Gradient grad_after = nn::make_zero_gradient(f.model);
-    mlp.download_gradient(grad_after, t);
+    mlp.download_gradient(grad_after);
     EXPECT_EQ(grad_after.max_abs_diff(grad), 0.0);
 
     nn::Model model = f.model;
@@ -577,11 +610,11 @@ TEST(ZeroCopyBackend, CountsNoDeviceKernelsOrTransfers) {
   mlp.bind_host_gradient(grad);
   const std::uint64_t kernels = counter("hetsgd_gpu_kernels_total");
   const std::uint64_t transfers = counter("hetsgd_gpu_transfers_total");
-  double done = mlp.upload_model(f.model, 0.0);
-  mlp.compute_gradient(f.x.view(), f.y, done, &done);
-  mlp.download_gradient(grad, done);
+  mlp.upload_model(f.model);
+  mlp.compute_gradient(f.x.view(), f.y);
+  mlp.download_gradient(grad);
   EXPECT_EQ(grad.max_abs_diff(device_grad), 0.0);
-  mlp.apply_gradient(0.1, done);  // updates the bound model in place
+  mlp.apply_gradient(0.1);  // updates the bound model in place
   // Evaluation, too, stays off the device signals.
   mlp.mean_loss(f.x.view(), f.y);
   mlp.forward(f.x.view());
@@ -717,9 +750,9 @@ class BothModes : public testing::TestWithParam<Backend::Mode> {
 
   bool device_mode() const { return GetParam() == Backend::Mode::kDevice; }
 
-  // Completion time of one op of `cost` issued at `issue` on an idle queue.
-  double done_after(double issue, double cost) const {
-    return device_mode() ? issue + cost : issue;
+  // The clock after one op of `cost` that started at `start`.
+  double done_after(double start, double cost) const {
+    return device_mode() ? start + cost : start;
   }
 
   // Device kernels counted since the fixture was built.
@@ -727,12 +760,8 @@ class BothModes : public testing::TestWithParam<Backend::Mode> {
     return counter("hetsgd_gpu_kernels_total") - kernels_before_;
   }
 
-  // Issue times far apart, so every op starts on an idle queue.
-  double next_issue() { return issue_ += 1.0; }
-
   Backend b_;
   std::uint64_t kernels_before_;
-  double issue_ = 0.0;
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -778,13 +807,14 @@ TEST_P(BothModes, GemmBiasActMatchesReference) {
       SCOPED_TRACE(e);
       Matrix out(s.m + 2, s.n);
       const std::uint64_t sparse_before = counter("hetsgd_sparse_gemms_total");
-      const double issue = next_issue();
-      const double done =
-          s.csr ? b_.gemm_bias_act(x_csr.rows_view(0, s.m), w.view(),
-                                   bias.view(), out.rows_view(0, s.m),
-                                   epilogues[e], issue)
-                : b_.gemm_bias_act(x.rows_view(0, s.m), w.view(), bias.view(),
-                                   out.rows_view(0, s.m), epilogues[e], issue);
+      const double start = b_.now();
+      if (s.csr) {
+        b_.gemm_bias_act(x_csr.rows_view(0, s.m), w.view(), bias.view(),
+                         out.rows_view(0, s.m), epilogues[e]);
+      } else {
+        b_.gemm_bias_act(x.rows_view(0, s.m), w.view(), bias.view(),
+                         out.rows_view(0, s.m), epilogues[e]);
+      }
       ++launches;
       Rows want = product;
       for (auto& row : want) {
@@ -795,8 +825,8 @@ TEST_P(BothModes, GemmBiasActMatchesReference) {
       expect_close(out.rows_view(0, s.m), want, kGemmTol);
       EXPECT_TRUE(all_zero(out.rows_view(s.m, 2)));
       EXPECT_EQ(counter("hetsgd_sparse_gemms_total") > sparse_before, s.csr);
-      EXPECT_DOUBLE_EQ(done,
-                       done_after(issue, b_.perf().gemm_seconds(s.m, s.n, s.k)));
+      EXPECT_DOUBLE_EQ(b_.now(),
+                       done_after(start, b_.perf().gemm_seconds(s.m, s.n, s.k)));
     }
   }
   EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
@@ -814,17 +844,19 @@ TEST_P(BothModes, MatmulTnMatchesReference) {
     const tensor::CsrMatrix prev_csr =
         tensor::CsrMatrix::from_dense(prev.view());
     const auto product = [&](tensor::Scalar alpha, tensor::Scalar beta,
-                             tensor::MatrixView out, double at) {
-      return s.csr ? b_.matmul_tn(alpha, delta.rows_view(0, s.m),
-                                  prev_csr.rows_view(0, s.m), beta, out, at)
-                   : b_.matmul_tn(alpha, delta.rows_view(0, s.m),
-                                  prev.rows_view(0, s.m), beta, out, at);
+                             tensor::MatrixView out) {
+      if (s.csr) {
+        b_.matmul_tn(alpha, delta.rows_view(0, s.m),
+                     prev_csr.rows_view(0, s.m), beta, out);
+      } else {
+        b_.matmul_tn(alpha, delta.rows_view(0, s.m), prev.rows_view(0, s.m),
+                     beta, out);
+      }
     };
     Matrix grad_w(s.n, s.k);
     const std::uint64_t sparse_before = counter("hetsgd_sparse_gemms_total");
-    const double issue = next_issue();
-    const double done =
-        product(tensor::Scalar{1}, tensor::Scalar{0}, grad_w.view(), issue);
+    const double start = b_.now();
+    product(tensor::Scalar{1}, tensor::Scalar{0}, grad_w.view());
     ++launches;
     expect_close(grad_w.view(),
                  naive_product(tensor::Trans::kYes, tensor::Trans::kNo,
@@ -832,16 +864,15 @@ TEST_P(BothModes, MatmulTnMatchesReference) {
                                prev.rows_view(0, s.m), s.n, s.k),
                  kGemmTol);
     EXPECT_EQ(counter("hetsgd_sparse_gemms_total") > sparse_before, s.csr);
-    EXPECT_DOUBLE_EQ(done,
-                     done_after(issue, b_.perf().gemm_seconds(s.n, s.k, s.m)));
+    EXPECT_DOUBLE_EQ(b_.now(),
+                     done_after(start, b_.perf().gemm_seconds(s.n, s.k, s.m)));
 
     // The in-place SGD step's form, alpha = -eta and beta = 1:
     // w += -0.5 * delta^T * prev, at the same charge.
     const Matrix w0 = random_matrix(s.n, s.k, rng);
     Matrix w = w0;
-    const double step_issue = next_issue();
-    const double step_done =
-        product(tensor::Scalar{-0.5}, tensor::Scalar{1}, w.view(), step_issue);
+    const double step_start = b_.now();
+    product(tensor::Scalar{-0.5}, tensor::Scalar{1}, w.view());
     ++launches;
     Rows want = naive_product(tensor::Trans::kYes, tensor::Trans::kNo,
                               delta.rows_view(0, s.m), prev.rows_view(0, s.m),
@@ -854,8 +885,8 @@ TEST_P(BothModes, MatmulTnMatchesReference) {
       }
     }
     expect_close(w.view(), want, kGemmTol);
-    EXPECT_DOUBLE_EQ(step_done, done_after(step_issue, b_.perf().gemm_seconds(
-                                                           s.n, s.k, s.m)));
+    EXPECT_DOUBLE_EQ(b_.now(), done_after(step_start, b_.perf().gemm_seconds(
+                                                          s.n, s.k, s.m)));
   }
   EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
 }
@@ -869,17 +900,16 @@ TEST_P(BothModes, MatmulNnMatchesReference) {
     const Matrix delta = input_matrix(s, s.m + 2, s.n, rng);
     const Matrix w = random_matrix(s.n, s.k, rng);
     Matrix out(s.m + 2, s.k);
-    const double issue = next_issue();
-    const double done = b_.matmul_nn(delta.rows_view(0, s.m), w.view(),
-                                     out.rows_view(0, s.m), issue);
+    const double start = b_.now();
+    b_.matmul_nn(delta.rows_view(0, s.m), w.view(), out.rows_view(0, s.m));
     ++launches;
     expect_close(out.rows_view(0, s.m),
                  naive_product(tensor::Trans::kNo, tensor::Trans::kNo,
                                delta.rows_view(0, s.m), w.view(), s.m, s.k),
                  kGemmTol);
     EXPECT_TRUE(all_zero(out.rows_view(s.m, 2)));
-    EXPECT_DOUBLE_EQ(done,
-                     done_after(issue, b_.perf().gemm_seconds(s.m, s.k, s.n)));
+    EXPECT_DOUBLE_EQ(b_.now(),
+                     done_after(start, b_.perf().gemm_seconds(s.m, s.k, s.n)));
   }
   EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
 }
@@ -891,9 +921,8 @@ TEST_P(BothModes, ColSumsMatchesReference) {
     SCOPED_TRACE(testing::Message() << s);
     const Matrix m = input_matrix(s, s.m + 2, s.k, rng);
     Matrix out(1, s.k);
-    const double issue = next_issue();
-    const double done =
-        b_.col_sums(m.rows_view(0, s.m), out.view(), issue);
+    const double start = b_.now();
+    b_.col_sums(m.rows_view(0, s.m), out.view());
     ++launches;
     Rows want(1, std::vector<double>(static_cast<std::size_t>(s.k), 0.0));
     for (Index r = 0; r < s.m; ++r) {
@@ -901,8 +930,8 @@ TEST_P(BothModes, ColSumsMatchesReference) {
     }
     expect_close(out.view(), want, kGemmTol);
     EXPECT_DOUBLE_EQ(
-        done, done_after(issue, b_.perf().elementwise_seconds(
-                                    static_cast<std::uint64_t>(s.m * s.k))));
+        b_.now(), done_after(start, b_.perf().elementwise_seconds(
+                                        static_cast<std::uint64_t>(s.m * s.k))));
   }
   EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
 }
@@ -925,10 +954,9 @@ TEST_P(BothModes, ActivationBackwardMatchesReference) {
       }
       const Matrix delta_in = input_matrix(s, s.m + 2, s.n, rng);
       Matrix delta = delta_in;
-      const double issue = next_issue();
-      const double done =
-          b_.activation_backward(act, activated.rows_view(0, s.m),
-                                 delta.rows_view(0, s.m), issue);
+      const double start = b_.now();
+      b_.activation_backward(act, activated.rows_view(0, s.m),
+                             delta.rows_view(0, s.m));
       ++launches;
       // The output y stands in for the pre-activation z: only relu's slope
       // reads z, and relu's y > 0 exactly where z > 0.
@@ -942,8 +970,9 @@ TEST_P(BothModes, ActivationBackwardMatchesReference) {
       // Rows past the batch keep their incoming delta.
       expect_close(delta.view(), want, kElementwiseTol);
       EXPECT_DOUBLE_EQ(
-          done, done_after(issue, b_.perf().elementwise_seconds(
-                                      static_cast<std::uint64_t>(s.m * s.n))));
+          b_.now(),
+          done_after(start, b_.perf().elementwise_seconds(
+                                static_cast<std::uint64_t>(s.m * s.n))));
     }
   }
   EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
@@ -961,13 +990,13 @@ TEST_P(BothModes, AxpyMatchesReference) {
     for (Index r = 0; r < s.m; ++r) {
       for (Index c = 0; c < s.n; ++c) want[r][c] += alpha * x(r, c);
     }
-    const double issue = next_issue();
-    const double done = b_.axpy(alpha, x.view(), y.view(), issue);
+    const double start = b_.now();
+    b_.axpy(alpha, x.view(), y.view());
     ++launches;
     expect_close(y.view(), want, kElementwiseTol);
     EXPECT_DOUBLE_EQ(
-        done, done_after(issue, b_.perf().elementwise_seconds(
-                                    static_cast<std::uint64_t>(s.m * s.n))));
+        b_.now(), done_after(start, b_.perf().elementwise_seconds(
+                                        static_cast<std::uint64_t>(s.m * s.n))));
   }
   EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
 }
@@ -1000,9 +1029,8 @@ TEST_P(BothModes, SoftmaxXentMatchesReference) {
     Matrix dlogits(s.m + 1, s.n);
     tensor::MatrixView dv = dlogits.rows_view(0, s.m);
     tensor::Scalar loss = 0;
-    const double issue = next_issue();
-    const double done = b_.softmax_xent(logits.rows_view(0, s.m), labels, &dv,
-                                        &loss, issue);
+    const double start = b_.now();
+    b_.softmax_xent(logits.rows_view(0, s.m), labels, &dv, &loss);
     ++launches;
     // Mean -log softmax(z)[y] and (softmax(z) - onehot(y)) / m, with the
     // row maximum subtracted.
@@ -1025,8 +1053,8 @@ TEST_P(BothModes, SoftmaxXentMatchesReference) {
     expect_close(Matrix{{loss}}.view(), {{want_loss}}, kLossTol);
     expect_close(dv, want, kLossTol);
     EXPECT_TRUE(all_zero(dlogits.rows_view(s.m, 1)));
-    EXPECT_DOUBLE_EQ(done,
-                     done_after(issue, loss_cost(b_.perf(), s.m * s.n)));
+    EXPECT_DOUBLE_EQ(b_.now(),
+                     done_after(start, loss_cost(b_.perf(), s.m * s.n)));
   }
   EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
 }
@@ -1043,10 +1071,9 @@ TEST_P(BothModes, SigmoidBceMatchesReference) {
     }
     Matrix dlogits(s.m + 1, s.n);
     tensor::Scalar loss = 0;
-    const double issue = next_issue();
-    const double done =
-        b_.sigmoid_bce(logits.rows_view(0, s.m), targets.view(),
-                       dlogits.rows_view(0, s.m), &loss, issue);
+    const double start = b_.now();
+    b_.sigmoid_bce(logits.rows_view(0, s.m), targets.view(),
+                   dlogits.rows_view(0, s.m), &loss);
     ++launches;
     // Mean over examples of the summed -[t log p + (1-t) log(1-p)], in its
     // overflow-free form max(z,0) - z*t + log(1 + exp(-|z|)), and
@@ -1068,8 +1095,8 @@ TEST_P(BothModes, SigmoidBceMatchesReference) {
     expect_close(Matrix{{loss}}.view(), {{want_loss}}, kLossTol);
     expect_close(dlogits.rows_view(0, s.m), want, kLossTol);
     EXPECT_TRUE(all_zero(dlogits.rows_view(s.m, 1)));
-    EXPECT_DOUBLE_EQ(done,
-                     done_after(issue, loss_cost(b_.perf(), s.m * s.n)));
+    EXPECT_DOUBLE_EQ(b_.now(),
+                     done_after(start, loss_cost(b_.perf(), s.m * s.n)));
   }
   EXPECT_EQ(kernels_counted(), device_mode() ? launches : 0u);
 }
@@ -1085,12 +1112,13 @@ TEST_P(BothModes, LossOnlySoftmaxXentMatchesTheFullKernel) {
   tensor::MatrixView dv = dlogits.view();
   tensor::Scalar full = 0;
   tensor::Scalar alone = 0;
-  const double full_done =
-      b_.softmax_xent(logits.view(), labels, &dv, &full, 10.0);
-  const double alone_done =
-      b_.softmax_xent(logits.view(), labels, nullptr, &alone, 20.0);
+  b_.wait_until(10.0);
+  b_.softmax_xent(logits.view(), labels, &dv, &full);
+  const double full_charge = b_.now() - 10.0;
+  b_.wait_until(20.0);
+  b_.softmax_xent(logits.view(), labels, nullptr, &alone);
   EXPECT_EQ(alone, full);
-  EXPECT_DOUBLE_EQ(alone_done - 20.0, full_done - 10.0);
+  EXPECT_DOUBLE_EQ(b_.now() - 20.0, full_charge);
   EXPECT_EQ(tensor::max_abs_diff(logits.view(), before.view()), 0.0);
   EXPECT_EQ(kernels_counted(), device_mode() ? 2u : 0u);
 }
@@ -1121,46 +1149,63 @@ TEST_P(BothModes, ReserveFillsCapacityExactly) {
   EXPECT_EQ(small.bytes_in_use(), spec.memory_capacity);
 }
 
+// The device transfer counters' movement since `transfers`/`bytes` were
+// read: (copies, bytes).
+std::pair<std::uint64_t, std::uint64_t> transfers_since(std::uint64_t transfers,
+                                                        std::uint64_t bytes) {
+  return {counter("hetsgd_gpu_transfers_total") - transfers,
+          counter("hetsgd_gpu_transfer_bytes_total") - bytes};
+}
+
 TEST_P(BothModes, RoundTripCountsTransfers) {
   Rng rng(3);
   const Matrix host = random_matrix(13, 7, rng);
   const std::uint64_t bytes = 13 * 7 * sizeof(tensor::Scalar);
   Matrix d(13, 7);
-  const double t = b_.upload(host.view(), d.view(), 1.0);
-  EXPECT_DOUBLE_EQ(t, done_after(1.0, b_.perf().transfer_seconds(bytes)));
+  const std::uint64_t transfers = counter("hetsgd_gpu_transfers_total");
+  const std::uint64_t moved = counter("hetsgd_gpu_transfer_bytes_total");
+  b_.wait_until(1.0);
+  b_.upload(host.view(), d.view());
+  EXPECT_DOUBLE_EQ(b_.now(),
+                   done_after(1.0, b_.perf().transfer_seconds(bytes)));
   Matrix back(13, 7);
-  b_.download(d.view(), back.view(), t);
+  b_.download(d.view(), back.view());
   EXPECT_EQ(tensor::max_abs_diff(host.view(), back.view()), 0.0);
-  EXPECT_EQ(b_.transfer_count(), 2u);
-  EXPECT_EQ(b_.bytes_transferred(), 2 * bytes);
+  // Only device copies are device traffic.
+  const std::pair<std::uint64_t, std::uint64_t> none{0, 0};
+  const std::pair<std::uint64_t, std::uint64_t> both{2, 2 * bytes};
+  EXPECT_EQ(transfers_since(transfers, moved), device_mode() ? both : none);
 }
 
 TEST_P(BothModes, FailedTransferMovesNothing) {
   const Matrix host{{1, 2}, {3, 4}};
   Matrix d(2, 2);
   Matrix back{{9, 9}, {9, 9}};
+  const std::uint64_t transfers = counter("hetsgd_gpu_transfers_total");
+  const std::uint64_t moved = counter("hetsgd_gpu_transfer_bytes_total");
   b_.inject_transfer_faults(2);
-  EXPECT_THROW(b_.upload(host.view(), d.view(), 1.0), TransferError);
-  EXPECT_THROW(b_.download(d.view(), back.view(), 1.0), TransferError);
-  EXPECT_EQ(b_.failed_transfers(), 2u);
+  b_.wait_until(1.0);
+  EXPECT_THROW(b_.upload(host.view(), d.view()), TransferError);
+  EXPECT_THROW(b_.download(d.view(), back.view()), TransferError);
   EXPECT_TRUE(all_zero(d.view()));
   EXPECT_DOUBLE_EQ(back(1, 1), 9.0);
-  EXPECT_EQ(b_.transfer_count(), 0u);
-  EXPECT_EQ(b_.bytes_transferred(), 0u);
-  EXPECT_DOUBLE_EQ(b_.synchronize(1.0), 1.0);  // nothing was queued
+  EXPECT_EQ(transfers_since(transfers, moved),
+            (std::pair<std::uint64_t, std::uint64_t>{0, 0}));
+  EXPECT_DOUBLE_EQ(b_.now(), 1.0);  // nothing was charged
   // Both injections are consumed.
-  EXPECT_NO_THROW(b_.upload(host.view(), d.view(), 1.0));
-  EXPECT_EQ(b_.failed_transfers(), 2u);
+  EXPECT_NO_THROW(b_.upload(host.view(), d.view()));
+  EXPECT_NO_THROW(b_.download(d.view(), back.view()));
+  EXPECT_DOUBLE_EQ(back(1, 1), 4.0);
 }
 
 TEST(DeviceBackend, UploadCopiesIntoPrivateMemory) {
   Backend b = device();
   Matrix host{{1, 2}, {3, 4}};
   Matrix d(2, 2);
-  b.upload(host.view(), d.view(), 0.0);
+  b.upload(host.view(), d.view());
   host(0, 0) = 100;  // a later host write does not reach the device copy
   Matrix back(2, 2);
-  b.download(d.view(), back.view(), 0.0);
+  b.download(d.view(), back.view());
   EXPECT_DOUBLE_EQ(back(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(back(1, 1), 4.0);
 }
@@ -1171,16 +1216,17 @@ TEST(DeviceBackend, StageBatchCopiesRowsAndChargesLabels) {
   Rng rng(11);
   const Matrix x = random_matrix(5, 3, rng);
   const std::uint64_t label_bytes = 5 * sizeof(std::int32_t);
-  const double done =
-      b.stage_batch(x.view(), in.rows_view(0, 5), label_bytes, 1.0);
+  const std::uint64_t transfers = counter("hetsgd_gpu_transfers_total");
+  b.wait_until(1.0);
+  b.stage_batch(x.view(), in.rows_view(0, 5), label_bytes);
   const std::uint64_t x_bytes =
       static_cast<std::uint64_t>(x.size()) * sizeof(tensor::Scalar);
-  EXPECT_DOUBLE_EQ(done,
+  EXPECT_DOUBLE_EQ(b.now(),
                    1.0 + b.perf().transfer_seconds(x_bytes + label_bytes));
   // Only the batch rows are written, and staging is no counted transfer.
   EXPECT_EQ(tensor::max_abs_diff(in.rows_view(0, 5), x.view()), 0.0);
   EXPECT_TRUE(all_zero(in.rows_view(5, 3)));
-  EXPECT_EQ(b.transfer_count(), 0u);
+  EXPECT_EQ(counter("hetsgd_gpu_transfers_total"), transfers);
 }
 
 TEST(DeviceBackend, StageBatchShapeMismatchDies) {
@@ -1188,35 +1234,37 @@ TEST(DeviceBackend, StageBatchShapeMismatchDies) {
   Matrix in(4, 3);
   Matrix too_many(5, 3);
   Matrix too_wide(4, 4);
-  EXPECT_DEATH(b.stage_batch(too_many.view(), in.view(), 0, 0.0),
+  EXPECT_DEATH(b.stage_batch(too_many.view(), in.view(), 0),
                "staged batch shape mismatch");
-  EXPECT_DEATH(b.stage_batch(too_wide.view(), in.view(), 0, 0.0),
+  EXPECT_DEATH(b.stage_batch(too_wide.view(), in.view(), 0),
                "staged batch shape mismatch");
 }
 
-TEST(DeviceBackend, BackendsHaveIndependentQueues) {
+TEST(DeviceBackend, BackendsHaveIndependentClocks) {
   Backend busy = device();
   Backend idle = device();
   const Matrix x(64, 64);
   Matrix y(64, 64);
-  const double t = busy.axpy(1, x.view(), y.view(), 0.0);
-  EXPECT_GT(t, 0.0);
+  busy.axpy(1, x.view(), y.view());
+  EXPECT_GT(busy.now(), 0.0);
   // One replica's queued work never delays another's.
-  EXPECT_DOUBLE_EQ(idle.synchronize(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(idle.axpy(1, x.view(), y.view(), 0.0), t);
+  EXPECT_DOUBLE_EQ(idle.now(), 0.0);
+  idle.axpy(1, x.view(), y.view());
+  EXPECT_DOUBLE_EQ(idle.now(), busy.now());
 }
 
 Backend zero_copy() {
   return Backend(gpusim::xeon56_spec(), Backend::Mode::kZeroCopy);
 }
 
-TEST(ZeroCopyBackend, SynchronizeReturnsIssue) {
+TEST(ZeroCopyBackend, ChargesNoVirtualTime) {
   Backend b = zero_copy();
   const Matrix x(64, 64);
   Matrix y(64, 64);
-  EXPECT_DOUBLE_EQ(b.axpy(1, x.view(), y.view(), 10.0), 10.0);
-  // No queue: the host never waits on kernels it already ran.
-  EXPECT_DOUBLE_EQ(b.synchronize(5.0), 5.0);
+  b.wait_until(10.0);
+  b.axpy(1, x.view(), y.view());
+  // The kernel ran on the host at its issue time: nothing is queued.
+  EXPECT_DOUBLE_EQ(b.now(), 10.0);
 }
 
 TEST(ZeroCopyBackend, ApplyGradientUpdatesTheSharedModel) {
@@ -1228,9 +1276,8 @@ TEST(ZeroCopyBackend, ApplyGradientUpdatesTheSharedModel) {
     nn::Gradient grad = nn::make_zero_gradient(f.model);
     mlp.bind_shared_model(shared);
     mlp.bind_host_gradient(grad);
-    double done = 0.0;
-    mlp.compute_gradient(f.batch(), f.y, 0.0, &done);
-    mlp.apply_gradient(0.1, done);
+    mlp.compute_gradient(f.batch(), f.y);
+    mlp.apply_gradient(0.1);
     // The replica is the shared model: the update lands there, no
     // download — the same model the device replica's round trip produces.
     EXPECT_EQ(
@@ -1249,8 +1296,8 @@ TEST(DeviceBackend, TransfersEmitDeviceCopySpans) {
     Backend b = device();
     Matrix buf(4, 4);
     Matrix host(4, 4);
-    const double t = b.upload(host.view(), buf.view(), 0.0);
-    b.download(buf.view(), host.view(), t);
+    b.upload(host.view(), buf.view());
+    b.download(buf.view(), host.view());
   }
   const std::string path = testing::TempDir() + "backend_test_trace.json";
   std::string error;

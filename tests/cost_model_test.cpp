@@ -162,10 +162,11 @@ TEST(CostModel, GpuBatchEstimateTracksDeviceCharges) {
       const tensor::Matrix x(batch, shape.inputs);
       const std::vector<std::int32_t> labels(
           static_cast<std::size_t>(batch), 0);
-      executor.upload_model(model, 0.0);
-      executor.compute_gradient(x.view(), labels, 0.0, nullptr);
+      executor.upload_model(model);
+      executor.compute_gradient(x.view(), labels);
+      executor.download_gradient(gradient);
       const double charged =
-          executor.download_gradient(gradient, 0.0) +
+          device.now() +
           2.0 * static_cast<double>(model_bytes(mlp)) / merge_bandwidth;
       const double ratio =
           gpu_batch_seconds(perf, mlp, batch, merge_bandwidth) / charged;

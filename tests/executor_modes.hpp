@@ -45,26 +45,28 @@ class ModeRunner {
   // a 0/1 target matrix: sigmoid BCE); its gradient lands in grad().
   template <typename Targets>
   double gradient(tensor::BatchView x, const Targets& targets) {
-    double t = exec_.upload_model(model_, 0.0);
-    const double loss = exec_.compute_gradient(x, targets, t, &t);
-    exec_.download_gradient(grad_, t);
+    exec_.upload_model(model_);
+    const double loss = exec_.compute_gradient(x, targets);
+    exec_.download_gradient(grad_);
     return loss;
   }
 
-  // model <- model - eta * grad() on the executor's side of the seam.
+  // model <- model - eta * grad() on the executor's side of the seam (a
+  // bound model is the replica and already holds the result).
   void sgd(double eta) {
-    const double t = exec_.upload_model(model_, 0.0);
-    exec_.download_model(model_, exec_.apply_gradient(eta, t));
+    exec_.upload_model(model_);
+    exec_.apply_gradient(eta);
+    if (!backend_.zero_copy()) model_ = exec_.replica();
   }
 
   tensor::ConstMatrixView forward(tensor::BatchView x) {
-    exec_.upload_model(model_, 0.0);
+    exec_.upload_model(model_);
     return exec_.forward(x);
   }
 
   double mean_loss(tensor::BatchView x,
                    std::span<const std::int32_t> labels) {
-    exec_.upload_model(model_, 0.0);
+    exec_.upload_model(model_);
     return exec_.mean_loss(x, labels);
   }
 

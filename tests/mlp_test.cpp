@@ -286,7 +286,7 @@ TEST_P(InPlaceStep, MatchesGradientThenAxpyBitForBit) {
   const Scalar eta = 0.3;
   for (int step = 0; step < 4; ++step) {
     const std::uint64_t before = sparse_gemms();
-    const Scalar want_loss = grad_exec.compute_gradient(x, p.y, 0.0, nullptr);
+    const Scalar want_loss = grad_exec.compute_gradient(x, p.y);
     two_pass.axpy(-eta, g);
     const std::uint64_t between = sparse_gemms();
     const Scalar loss = step_exec.sgd_step(x, p.y, eta);

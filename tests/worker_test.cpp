@@ -4,14 +4,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
+#include <fstream>
+#include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.hpp"
 #include "nn/model.hpp"
+#include "obs/trace.hpp"
 #include "reference_mlp.hpp"
 
 namespace hetsgd::core {
@@ -337,6 +342,136 @@ TEST(GpuWorkerProtocol, ShutdownReleasesDeviceBuffers) {
   // Worker retirement must return the replica to the device allocator: a
   // retired elastic worker cannot pin device memory.
   EXPECT_EQ(worker.device_backend().bytes_in_use(), 0u);
+}
+
+// One complete span of a written trace and its virtual-time stamps (NaN
+// where the span has none).
+struct TracedSpan {
+  std::string name;
+  double vt0 = 0.0;
+  double vt1 = 0.0;
+};
+
+// A number that follows `key` in `line`, or NaN when the key is absent.
+double number_after(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(key);
+  if (at == std::string::npos) return std::nan("");
+  return std::stod(line.substr(at + key.size()));
+}
+
+// Runs one replica batch on a fresh GPU worker under the tracer (with
+// `plan`'s injections when it is non-null) and returns its spans of
+// category `cat`, in trace order. The writer puts one event per line.
+std::map<std::string, std::vector<TracedSpan>> traced_replica_batch(
+    FaultPlan* plan) {
+  Rig rig;
+  obs::Tracer::instance().start();
+  {
+    Worker worker(0, rig.config, rig.dataset, rig.model, rig.coordinator,
+                  gpusim::DeviceKind::kGpu);
+    worker.set_fault_plan(plan);
+    rig.coordinator.start();
+    worker.start();
+    worker.send({msg::kCoordinator, rig.work(0, 64)});
+    rig.coordinator.wait_for_report(0);
+    worker.send({msg::kCoordinator, msg::Shutdown{}});
+    worker.join();
+    rig.coordinator.join();
+  }
+  const std::string path = testing::TempDir() + "worker_test_trace.json";
+  std::string error;
+  EXPECT_TRUE(obs::Tracer::instance().stop_and_write(path, &error)) << error;
+  std::map<std::string, std::vector<TracedSpan>> by_cat;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"ph\":\"X\"") == std::string::npos) continue;
+    const auto field = [&](const std::string& key) {
+      const std::size_t at = line.find(key) + key.size();
+      return line.substr(at, line.find('"', at) - at);
+    };
+    by_cat[field("\"cat\":\"")].push_back(
+        {field("\"name\":\""), number_after(line, "\"vt0\":"),
+         number_after(line, "\"vt1\":")});
+  }
+  return by_cat;
+}
+
+// The one span named `name` among `spans`.
+TracedSpan only(const std::vector<TracedSpan>& spans, const std::string& name) {
+  std::vector<TracedSpan> found;
+  for (const TracedSpan& s : spans) {
+    if (s.name == name) found.push_back(s);
+  }
+  EXPECT_EQ(found.size(), 1u) << name;
+  return found.empty() ? TracedSpan{} : found.front();
+}
+
+// A replica batch's phases are stamped from the device clock: the upload
+// starts at the batch's issue time, each phase where the previous one
+// ended, each copy where the one before it did, and the host merge ends
+// where the batch does.
+TEST(GpuWorkerProtocol, TraceStampsFollowTheDeviceClock) {
+  auto spans = traced_replica_batch(nullptr);
+  const std::vector<TracedSpan>& phases = spans["gpu-worker"];
+  const TracedSpan execute = only(phases, "execute");
+  const TracedSpan upload = only(phases, "upload_model");
+  const TracedSpan compute = only(phases, "compute_gradient");
+  const TracedSpan download = only(phases, "download_gradient");
+  const TracedSpan merge = only(phases, "host_merge");
+  EXPECT_EQ(execute.vt0, 0.0);
+  EXPECT_EQ(upload.vt0, execute.vt0);
+  EXPECT_GT(upload.vt1, upload.vt0);
+  EXPECT_EQ(compute.vt0, upload.vt1);
+  EXPECT_GT(compute.vt1, compute.vt0);
+  EXPECT_EQ(download.vt0, compute.vt1);
+  EXPECT_GT(download.vt1, download.vt0);
+  EXPECT_EQ(merge.vt0, download.vt1);
+  EXPECT_GT(merge.vt1, merge.vt0);
+  EXPECT_EQ(execute.vt1, merge.vt1);
+
+  // Weights and bias per layer, up inside upload_model, then down inside
+  // download_gradient.
+  const std::vector<TracedSpan>& copies = spans["gpusim"];
+  const std::size_t per_way = 2 * Rig().model.layer_count();
+  ASSERT_EQ(copies.size(), 2 * per_way);
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(copies[i].name, i < per_way ? "h2d_copy" : "d2h_copy");
+    EXPECT_GT(copies[i].vt1, copies[i].vt0);
+    if (i > 0 && i != per_way) {
+      EXPECT_EQ(copies[i].vt0, copies[i - 1].vt1);
+    }
+  }
+  EXPECT_EQ(copies.front().vt0, upload.vt0);
+  EXPECT_EQ(copies[per_way - 1].vt1, upload.vt1);
+  EXPECT_EQ(copies[per_way].vt0, download.vt0);
+  EXPECT_EQ(copies.back().vt1, download.vt1);
+}
+
+// A transfer fault fails the round trip's first copy, so nothing is queued
+// when the worker backs off: the retried upload starts at the clock after
+// the 1e-4 s backoff (backend_test pins a fault after queued copies).
+TEST(GpuWorkerProtocol, RetriedUploadStartsAfterTheBackoff) {
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(FaultPlan::parse("transfer:worker=0,at=0,count=1", 7, &plan,
+                               &error))
+      << error;
+  plan.resolve_times(1.0);
+  auto spans = traced_replica_batch(&plan);
+  std::vector<TracedSpan> uploads;
+  for (const TracedSpan& s : spans["gpu-worker"]) {
+    if (s.name == "upload_model") uploads.push_back(s);
+  }
+  ASSERT_EQ(uploads.size(), 2u);
+  EXPECT_EQ(uploads[0].vt0, 0.0);
+  EXPECT_TRUE(std::isnan(uploads[0].vt1));  // unwound by the fault
+  EXPECT_EQ(uploads[1].vt0, 1e-4);
+  const std::vector<TracedSpan>& copies = spans["gpusim"];
+  ASSERT_GE(copies.size(), 2u);
+  EXPECT_TRUE(std::isnan(copies[0].vt1));  // the failed copy
+  EXPECT_EQ(copies[1].vt0, 1e-4);
 }
 
 // Runs one batch of `size` examples on a worker of `kind`, first restored
