@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
       const double dt = horizon / kBuckets;
       for (const auto& w : r.workers) {
         // Rebuild the bucket series from the recorded segments.
-        core::UtilizationMonitor monitor(1);
+        core::UtilizationMonitor monitor;
+        monitor.add_worker();
         for (const auto& seg : w.segments) {
           monitor.record(0, seg.t0, std::min(seg.t1, horizon), seg.intensity);
         }

@@ -1,5 +1,5 @@
 // Microbenchmark — Hogwild gradient + racy update throughput on the host,
-// and the adaptive controller's per-request overhead ("the computation of
+// and Algorithm 2's per-report batch decision overhead ("the computation of
 // a new batch size is light and does not incur observable overhead",
 // §VI-C).
 //
@@ -22,7 +22,7 @@
 #include "backend/mlp_executor.hpp"
 #include "common/rng.hpp"
 #include "concurrent/thread_pool.hpp"
-#include "core/adaptive.hpp"
+#include "core/scheduler.hpp"
 #include "data/synthetic.hpp"
 #include "nn/model.hpp"
 #include "obs/clock.hpp"
@@ -151,24 +151,26 @@ void BM_HogwildLanesDelicious(benchmark::State& state) {
 }
 BENCHMARK(BM_HogwildLanesDelicious)->Arg(1)->Arg(4)->UseRealTime();
 
-void BM_AdaptiveControllerRequest(benchmark::State& state) {
-  core::AdaptiveController controller(2.0);
-  controller.register_worker(0, gpusim::DeviceKind::kCpu,
-                             {56, 56, 56 * 64, 56});
-  controller.register_worker(1, gpusim::DeviceKind::kGpu, {8192, 64, 8192, 1});
-  std::uint64_t u0 = 0, u1 = 0;
+// Algorithm 2's decision on one report, two workers alternating.
+void BM_AdaptiveBatch(benchmark::State& state) {
+  std::vector<core::WorkerStats> stats(2);
+  std::vector<core::WorkerSchedule> schedule(2);
+  stats[0].kind = gpusim::DeviceKind::kCpu;
+  stats[0].current_batch = 56;
+  schedule[0].limits = {56, 56, 56 * 64, 56};
+  stats[1].kind = gpusim::DeviceKind::kGpu;
+  stats[1].current_batch = 8192;
+  schedule[1].limits = {8192, 64, 8192, 1};
   int flip = 0;
   for (auto _ : state) {
-    if ((flip++ & 1) == 0) {
-      u0 += 56;
-      benchmark::DoNotOptimize(controller.on_request(0, u0));
-    } else {
-      u1 += 1;
-      benchmark::DoNotOptimize(controller.on_request(1, u1));
-    }
+    const int e = flip++ & 1;
+    stats[e].updates += e == 0 ? 56 : 1;
+    stats[e].current_batch =
+        core::adaptive_batch(stats, schedule, e, 2.0, 1.0).batch;
+    benchmark::DoNotOptimize(stats[e].current_batch);
   }
 }
-BENCHMARK(BM_AdaptiveControllerRequest);
+BENCHMARK(BM_AdaptiveBatch);
 
 }  // namespace
 

@@ -79,11 +79,11 @@ echo "=== all fault classes recovered ==="
 # pins the outcome it produces deterministically: a dead worker's batch is
 # reclaimed and re-dispatched, a straggler is quarantined after its
 # deadline miss, a NaN gradient triggers the divergence rollback, and the
-# elastic run records both membership changes and publishes the joiner's
-# (worker 2's) gauges. Every trace must show at least one batch whose flow
-# events cross threads (dispatch on the coordinator, execution on a
-# worker); the combined run's fault interleaving is timing-dependent, so
-# only its structure is checked.
+# elastic run records both membership changes, Algorithm 2 growing and
+# shrinking a batch, and the joiner's (worker 2's) gauges. Every trace
+# must show at least one batch whose flow events cross threads (dispatch
+# on the coordinator, execution on a worker); the combined run's fault
+# interleaving is timing-dependent, so only its structure is checked.
 echo "=== validating trace/metrics artifacts ==="
 python3 scripts/validate_trace.py \
   --trace "$BUILD_DIR/chaos_die_trace.json" \
@@ -107,6 +107,7 @@ python3 scripts/validate_trace.py \
 python3 scripts/validate_trace.py \
   --trace "$BUILD_DIR/chaos_elastic_trace.json" \
   --require-instant worker-join --require-instant worker-retire \
+  --require-instant batch_grow --require-instant batch_shrink \
   --require-flow \
   --metrics "$BUILD_DIR/chaos_elastic_metrics.jsonl" \
   --require-metric hetsgd_worker2_updates

@@ -59,6 +59,7 @@ void Backend::transfer(tensor::ConstMatrixView from, tensor::MatrixView to,
   HETSGD_TRACE_SPAN(copy_span, "gpusim", span, now());
   if (pending_faults_ > 0) {
     --pending_faults_;
+    copy_span.set_end_vt(now());  // the failed copy moves nothing
     throw TransferError(std::string("injected transfer fault (") + direction +
                         ")");
   }

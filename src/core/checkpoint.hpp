@@ -3,8 +3,8 @@
 //
 // A model-only checkpoint (nn::save_model) restarts *a* run; resuming
 // *the same* run additionally needs the coordinator's RNG stream (dataset
-// permutation), the virtual clocks, the update ledger, and the adaptive
-// batch-size controller — ABS-SGD (arXiv:2308.15164) shows adaptive batch
+// permutation), the virtual clocks, the update ledger, and each worker's
+// adaptive batch size — ABS-SGD (arXiv:2308.15164) shows adaptive batch
 // state must travel with the model for recovery to preserve convergence
 // behaviour. Each worker's own progress (clock, busy time, update count)
 // is the ledger's copy: workers report it with every batch, and a resumed
@@ -39,8 +39,8 @@
 namespace hetsgd::core {
 
 // Per-worker persisted state: ledger counters (which the resumed worker
-// also continues its clock, busy time and update count from) and the
-// adaptive controller entry. On disk each record ends in a length-prefixed
+// also continues its clock, busy time and update count from) and its
+// Algorithm 2 fields. On disk each record ends in a length-prefixed
 // blob slot: checkpoints cut before the ledger became the only copy of a
 // worker's progress kept a private worker-state blob there; the writer
 // now puts a zero length and the reader skips whatever the slot holds.
@@ -48,9 +48,9 @@ struct WorkerCheckpoint {
   msg::WorkerId id = 0;
   std::uint8_t kind = 0;  // gpusim::DeviceKind
   WorkerStats stats;
-  tensor::Index adaptive_batch = 0;
-  // The count Algorithm 2 compared at the cut (AdaptiveController::
-  // updates); the resumed controller restarts from stats.updates.
+  tensor::Index adaptive_batch = 0;  // stats.current_batch
+  // The count Algorithm 2 compared at the cut (core::compared_updates);
+  // restore reads stats.updates instead.
   std::uint64_t adaptive_updates = 0;
 };
 

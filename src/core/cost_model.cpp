@@ -69,10 +69,10 @@ double gpu_batch_seconds(const gpusim::PerfModel& perf,
   double t = 0.0;
   // Model upload and gradient download happen as per-layer weight + bias
   // copies, so each pays the link latency separately — on small models the
-  // latencies dominate the parameter bytes. (This must track DeviceMlp's
-  // actual charging: the coordinator's dispatch deadlines are multiples of
-  // this estimate, and a systematic under-estimate reads healthy workers
-  // as stragglers.)
+  // latencies dominate the parameter bytes. (This must track the
+  // device-mode MlpExecutor's actual charging: the Scheduler's dispatch
+  // deadlines are multiples of this estimate, and a systematic
+  // under-estimate reads healthy workers as stragglers.)
   for (const auto& s : shapes) {
     const auto wbytes =
         static_cast<std::uint64_t>(s.out) * s.in * sizeof(tensor::Scalar);

@@ -1,9 +1,10 @@
 // Analytic virtual-time costs of one training batch on each worker type.
 //
-// Shared between the workers (which charge these costs to their clocks)
-// and the calibration benchmark (bench/table1_hardware), which uses the
-// same formulas to print modeled epoch times and verify the CPU:GPU speed
-// ratio lands in the paper's measured 236-317x band.
+// Shared between the Hogwild worker (which charges cpu_batch_seconds to
+// its clock), the Scheduler (which estimates each dispatch's cost with
+// them) and the calibration benchmark (bench/table1_hardware), which uses
+// the same formulas to print modeled epoch times and verify the CPU:GPU
+// speed ratio lands in the paper's measured 236-317x band.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +49,10 @@ double cpu_batch_intensity(int lanes, int host_threads,
 // Virtual seconds for one GPU-worker batch processed through the simulated
 // device: model upload (deep copy), batch upload, forward/backward kernel
 // sequence, gradient download, and the host-side merge into the global
-// model at `host_merge_bandwidth`. This mirrors DeviceMlp's per-kernel
-// charges analytically (used for calibration printouts; the worker itself
-// charges the exact per-kernel costs).
+// model at `host_merge_bandwidth`: analytically, the charges a device-mode
+// backend::MlpExecutor makes to the replica worker's clock, a few percent
+// high (CostModel.GpuBatchEstimateTracksDeviceCharges). The Scheduler's
+// frontier and dispatch deadlines read this estimate.
 double gpu_batch_seconds(const gpusim::PerfModel& perf,
                          const nn::MlpConfig& mlp, tensor::Index batch,
                          double host_merge_bandwidth);

@@ -200,7 +200,7 @@ struct FaultToleranceConfig {
   double lr_backoff = 0.5;
 
   // Full crash-consistent checkpoints (model + RNG + ledger + adaptive
-  // controller + worker clocks) managed by core::CheckpointManager. Empty dir =
+  // batches + worker clocks) managed by core::CheckpointManager. Empty dir =
   // off. One is cut at the first epoch barrier after every
   // checkpoint_interval_vseconds of virtual time, or at every epoch flip
   // when the interval is 0. `checkpoint_retain` bounds how many checkpoint

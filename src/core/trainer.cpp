@@ -242,17 +242,18 @@ TrainingResult Trainer::run_framework() {
   for (const auto& w : workers) w->join();
   exporter.stop();  // final snapshot at the quiescent point
 
+  const Scheduler& scheduler = coordinator.scheduler();
   TrainingResult result;
   result.algorithm = config_.algorithm;
   result.loss_curve = coordinator.loss_curve();
-  result.total_vtime = coordinator.final_vtime();
-  result.epochs = coordinator.epochs_completed();
+  result.total_vtime = scheduler.ledger().max_clock();
+  result.epochs = scheduler.epochs_completed();
   result.cpu_updates =
-      coordinator.ledger().updates_by_kind(gpusim::DeviceKind::kCpu);
+      scheduler.ledger().updates_by_kind(gpusim::DeviceKind::kCpu);
   result.gpu_updates =
-      coordinator.ledger().updates_by_kind(gpusim::DeviceKind::kGpu);
+      scheduler.ledger().updates_by_kind(gpusim::DeviceKind::kGpu);
   const double horizon = std::max(result.total_vtime, 1e-12);
-  for (const auto& stats : coordinator.ledger().all()) {
+  for (const auto& stats : scheduler.ledger().all()) {
     WorkerSummary w;
     w.name = stats.name;
     w.kind = stats.kind;
@@ -263,34 +264,37 @@ TrainingResult Trainer::run_framework() {
     w.final_clock = stats.clock;
     w.final_batch = stats.current_batch;
     w.mean_utilization =
-        coordinator.monitor().mean_utilization(stats.id, horizon);
+        scheduler.monitor().mean_utilization(stats.id, horizon);
     w.mean_staleness = stats.mean_staleness();
     w.max_staleness = stats.max_staleness;
-    w.segments = coordinator.monitor().segments(stats.id);
+    w.segments = scheduler.monitor().segments(stats.id);
     result.workers.push_back(std::move(w));
+    const WorkerSchedule& record = scheduler.schedule(stats.id);
+    if (record.quarantined || record.failed) ++result.quarantined_workers;
   }
   // Merge the fault log: worker-side injections (from the plan) plus
   // coordinator-side detections/recoveries (from the ledger), time-sorted.
   result.fault_events = fault_plan.fired();
-  const auto& detected = coordinator.ledger().fault_records();
+  const auto& detected = scheduler.ledger().fault_records();
   result.fault_events.insert(result.fault_events.end(), detected.begin(),
                              detected.end());
+  for (const FaultRecord& r : detected) {
+    if (r.kind == FaultKind::kWorkerJoin) ++result.workers_joined;
+    if (r.kind == FaultKind::kWorkerRetire) ++result.workers_retired;
+    if (r.kind == FaultKind::kDivergenceAbort) result.diverged = true;
+  }
   std::stable_sort(result.fault_events.begin(), result.fault_events.end(),
                    [](const FaultRecord& a, const FaultRecord& b) {
                      return a.vtime < b.vtime;
                    });
-  result.examples_dispatched = coordinator.examples_dispatched();
-  result.examples_reclaimed = coordinator.examples_reclaimed();
-  result.late_examples = coordinator.late_examples();
+  result.examples_dispatched = scheduler.examples_dispatched();
+  result.examples_reclaimed = scheduler.examples_reclaimed();
+  result.late_examples = scheduler.late_examples();
   result.rollbacks = coordinator.rollbacks();
-  result.quarantined_workers = coordinator.quarantined_workers();
   result.checkpoints_written = coordinator.checkpoints_written();
   result.final_lr_scale = coordinator.lr_scale();
-  result.diverged = coordinator.diverged();
   result.resumed = resume_ckpt.has_value();
   result.resume_epoch = resume_ckpt ? resume_ckpt->epoch : 0;
-  result.workers_joined = coordinator.workers_joined();
-  result.workers_retired = coordinator.workers_retired();
   {
     // All actors are joined: the model is quiescent and safe to serialize.
     ByteWriter w;

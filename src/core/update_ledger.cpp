@@ -64,7 +64,7 @@ void UpdateLedger::set_current_batch(msg::WorkerId id, tensor::Index batch) {
   publish(s);
 }
 
-void UpdateLedger::on_report(const msg::ScheduleWork& report) {
+void UpdateLedger::on_report(const msg::ScheduleWork& report, bool late) {
   WorkerStats& s = at(report.worker);
   HETSGD_ASSERT(report.updates >= s.updates,
                 "update counts must be monotone");
@@ -72,24 +72,12 @@ void UpdateLedger::on_report(const msg::ScheduleWork& report) {
   s.updates = report.updates;
   s.busy_vtime = report.busy_vtime;
   s.clock = report.clock_vtime;
-  s.examples += report.examples;
-  if (report.examples > 0) {
+  if (!late && report.examples > 0) {
+    s.examples += report.examples;
     ++s.batches;
     s.staleness_sum += report.staleness;
     s.max_staleness = std::max(s.max_staleness, report.staleness);
   }
-  publish(s);
-}
-
-void UpdateLedger::on_late_report(const msg::ScheduleWork& report) {
-  WorkerStats& s = at(report.worker);
-  HETSGD_ASSERT(report.updates >= s.updates,
-                "update counts must be monotone");
-  HETSGD_ASSERT(report.clock_vtime >= s.clock, "worker clock went backwards");
-  s.updates = report.updates;
-  s.busy_vtime = report.busy_vtime;
-  s.clock = report.clock_vtime;
-  // examples/batches deliberately untouched: the range was reclaimed.
   publish(s);
 }
 

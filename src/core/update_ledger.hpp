@@ -1,9 +1,10 @@
 // Per-worker bookkeeping of model updates, batches, and virtual time.
 //
-// The coordinator maintains this from ScheduleWork messages; it is the
-// data behind Fig. 8 (update distribution), and the one record of each
-// worker's progress (clock, busy time, update count) that checkpoints
-// persist and resumed workers continue from.
+// The coordinator's Scheduler maintains this from ScheduleWork messages;
+// it is the data behind Fig. 8 (update distribution), and the one record
+// of each worker's progress (clock, busy time, update count, batch size)
+// that Algorithm 2 reads, checkpoints persist and resumed workers continue
+// from.
 //
 // Each mutating method also publishes what it changed to the metrics
 // registry: the hetsgd_worker<id>_{updates,examples,busy_vseconds,
@@ -75,18 +76,16 @@ class UpdateLedger {
   const WorkerStats& stats(msg::WorkerId id) const;
   const std::vector<WorkerStats>& all() const { return workers_; }
 
-  // Records the batch size the adaptive controller just assigned.
+  // Records the batch size Algorithm 2 just assigned.
   void set_current_batch(msg::WorkerId id, tensor::Index batch);
 
-  // Folds a completed-batch report into the ledger.
-  void on_report(const msg::ScheduleWork& report);
-
-  // Folds a *late* report — one whose batch was already reclaimed after a
-  // deadline miss. Clocks, update counts, and utilization advance (the
-  // Hogwild updates really happened), but examples/batches do NOT: the
-  // reclaimed range was re-dispatched elsewhere and counting it twice
-  // would break `dispatched == reported + reclaimed`.
-  void on_late_report(const msg::ScheduleWork& report);
+  // Folds a completed-batch report into the ledger. A `late` report's
+  // batch was already reclaimed after a deadline miss: its clock and update
+  // count advance (the Hogwild updates really happened), but examples,
+  // batches and staleness do NOT — the reclaimed range was re-dispatched
+  // elsewhere and counting it twice would break
+  // `dispatched == reported + reclaimed`.
+  void on_report(const msg::ScheduleWork& report, bool late = false);
 
   // Checkpoint restore: overwrites the counters of an already-registered
   // worker (matched by stats.id) with the persisted values. Name and kind

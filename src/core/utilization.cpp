@@ -7,9 +7,6 @@
 
 namespace hetsgd::core {
 
-UtilizationMonitor::UtilizationMonitor(std::size_t workers)
-    : per_worker_(workers) {}
-
 void UtilizationMonitor::add_worker() { per_worker_.emplace_back(); }
 
 void UtilizationMonitor::record(msg::WorkerId worker, double t0, double t1,

@@ -22,10 +22,8 @@ struct BusySegment {
 
 class UtilizationMonitor {
  public:
-  explicit UtilizationMonitor(std::size_t workers);
-
-  // Grows the monitor by one worker, with the next dense id. A worker that
-  // joins mid-run has an empty (idle) history before its join.
+  // Adds a worker, with the next dense id. A worker that joins mid-run has
+  // an empty (idle) history before its join.
   void add_worker();
 
   void record(msg::WorkerId worker, double t0, double t1, double intensity);

@@ -282,7 +282,13 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
         HETSGD_TRACE_SPAN(h2d_span, "gpu-worker", "upload_model",
                           backend_->now(), flow);
         upload_snapshot_ = model_;
-        executor_->upload_model(upload_snapshot_);
+        try {
+          executor_->upload_model(upload_snapshot_);
+        } catch (const backend::TransferError&) {
+          // A failed copy ends the attempt: its upload ends there too.
+          h2d_span.set_end_vt(backend_->now());
+          throw;
+        }
         h2d_span.set_end_vt(backend_->now());
       }
       {
@@ -311,7 +317,10 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
                       "transfer failed (%s); retry %lld/%lld after %.2e vs",
                       e.what(), static_cast<long long>(attempt + 1),
                       static_cast<long long>(max_retries), backoff);
+      HETSGD_TRACE_SPAN(backoff_span, "gpu-worker", "transfer_backoff",
+                        clock_.now(), flow);
       clock_.advance(backoff);
+      backoff_span.set_end_vt(clock_.now());
     }
   }
 

@@ -23,7 +23,8 @@
 // Both modes count the updates they applied in one exact counter and
 // report it with their clock and busy time in every ScheduleWork; the
 // coordinator's UpdateLedger keeps those values, and checkpoints persist
-// them from there (Algorithm 2's beta discount is the controller's).
+// them from there (Algorithm 2 applies the beta discount when it compares
+// counts).
 #pragma once
 
 #include <cstdint>

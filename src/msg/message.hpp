@@ -23,7 +23,7 @@ inline constexpr WorkerId kCoordinator = -1;
 
 // Worker -> coordinator: "I applied my update(s); give me the next batch."
 // `updates` is the worker's cumulative number of model updates u^E —
-// the adaptive controller's only input. `busy_vtime` is the virtual time
+// Algorithm 2's only input. `busy_vtime` is the virtual time
 // the worker has spent computing, used by the utilization monitor.
 struct ScheduleWork {
   WorkerId worker = 0;

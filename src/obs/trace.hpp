@@ -76,7 +76,6 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
 
   void set_end_vt(double vt) { vt1_ = vt; }
-  void set_flow(std::uint64_t id) { flow_ = id; }
 
  private:
   const char* cat_;

@@ -74,7 +74,7 @@ TEST(UpdateLedger, LateReportAdvancesClockButNotExamples) {
   UpdateLedger ledger;
   ledger.register_worker(0, "gpu", gpusim::DeviceKind::kGpu, 64);
   ledger.on_report(report(0, 1, 0.5, 0.5, 1.0, 64));
-  ledger.on_late_report(report(0, 2, 1.5, 1.5, 1.0, 64));
+  ledger.on_report(report(0, 2, 1.5, 1.5, 1.0, 64), /*late=*/true);
   const WorkerStats s = ledger.stats(0);
   EXPECT_EQ(s.updates, 2u);
   EXPECT_DOUBLE_EQ(s.busy_vtime, 1.5);
@@ -83,8 +83,9 @@ TEST(UpdateLedger, LateReportAdvancesClockButNotExamples) {
   EXPECT_EQ(s.batches, 1u);
   EXPECT_EQ(ledger.updates_by_kind(gpusim::DeviceKind::kGpu), 2u);
   EXPECT_EQ(ledger.total_examples(), 64u);
-  EXPECT_DEATH(ledger.on_late_report(report(0, 1, 2.0, 2.0, 1.0, 64)),
-               "monotone");
+  EXPECT_DEATH(
+      ledger.on_report(report(0, 1, 2.0, 2.0, 1.0, 64), /*late=*/true),
+      "monotone");
 }
 
 TEST(UpdateLedger, RestoreStatsKeepsNameAndKind) {
@@ -121,7 +122,9 @@ TEST(UpdateLedger, RestoreStatsKeepsNameAndKind) {
 }
 
 TEST(UtilizationMonitor, RecordsSegments) {
-  UtilizationMonitor monitor(2);
+  UtilizationMonitor monitor;
+  monitor.add_worker();
+  monitor.add_worker();
   monitor.record(0, 0.0, 1.0, 0.5);
   monitor.record(0, 2.0, 3.0, 1.0);
   EXPECT_EQ(monitor.segments(0).size(), 2u);
@@ -129,7 +132,8 @@ TEST(UtilizationMonitor, RecordsSegments) {
 }
 
 TEST(UtilizationMonitor, BucketSeriesExactApportioning) {
-  UtilizationMonitor monitor(1);
+  UtilizationMonitor monitor;
+  monitor.add_worker();
   // Busy [0.5, 1.5] at intensity 1.0 across two 1-second buckets.
   monitor.record(0, 0.5, 1.5, 1.0);
   auto series = monitor.bucket_series(0, 1.0, 2.0);
@@ -139,7 +143,8 @@ TEST(UtilizationMonitor, BucketSeriesExactApportioning) {
 }
 
 TEST(UtilizationMonitor, IntensityScalesBuckets) {
-  UtilizationMonitor monitor(1);
+  UtilizationMonitor monitor;
+  monitor.add_worker();
   monitor.record(0, 0.0, 2.0, 0.25);
   auto series = monitor.bucket_series(0, 1.0, 2.0);
   EXPECT_NEAR(series[0], 0.25, 1e-12);
@@ -147,7 +152,8 @@ TEST(UtilizationMonitor, IntensityScalesBuckets) {
 }
 
 TEST(UtilizationMonitor, IdleGapsAreZero) {
-  UtilizationMonitor monitor(1);
+  UtilizationMonitor monitor;
+  monitor.add_worker();
   monitor.record(0, 0.0, 1.0, 1.0);
   monitor.record(0, 3.0, 4.0, 1.0);
   auto series = monitor.bucket_series(0, 1.0, 4.0);
@@ -157,7 +163,8 @@ TEST(UtilizationMonitor, IdleGapsAreZero) {
 }
 
 TEST(UtilizationMonitor, SegmentsBeyondHorizonClipped) {
-  UtilizationMonitor monitor(1);
+  UtilizationMonitor monitor;
+  monitor.add_worker();
   monitor.record(0, 0.5, 100.0, 1.0);
   auto series = monitor.bucket_series(0, 1.0, 2.0);
   ASSERT_EQ(series.size(), 2u);
@@ -166,7 +173,8 @@ TEST(UtilizationMonitor, SegmentsBeyondHorizonClipped) {
 }
 
 TEST(UtilizationMonitor, MeanUtilization) {
-  UtilizationMonitor monitor(1);
+  UtilizationMonitor monitor;
+  monitor.add_worker();
   monitor.record(0, 0.0, 5.0, 0.8);  // busy half the 10s horizon at 0.8
   EXPECT_NEAR(monitor.mean_utilization(0, 10.0), 0.4, 1e-12);
 }
@@ -175,7 +183,8 @@ TEST(UtilizationMonitor, FloatingPointTailTerminates) {
   // Regression: horizon/buckets rounding used to spin forever when a
   // segment reached past buckets*dt (observed hanging fig7 with
   // horizon = total virtual time of a real run).
-  UtilizationMonitor monitor(1);
+  UtilizationMonitor monitor;
+  monitor.add_worker();
   const double horizon = 0.0488397199193018;  // from the hanging run
   monitor.record(0, 0.0, horizon, 0.8);
   auto series = monitor.bucket_series(0, horizon / 24.0, horizon);
@@ -186,7 +195,8 @@ TEST(UtilizationMonitor, FloatingPointTailTerminates) {
 }
 
 TEST(UtilizationMonitor, ManyIrrationalBucketBoundaries) {
-  UtilizationMonitor monitor(1);
+  UtilizationMonitor monitor;
+  monitor.add_worker();
   for (int i = 0; i < 100; ++i) {
     monitor.record(0, i * 0.137, i * 0.137 + 0.1, 0.5);
   }
@@ -195,7 +205,8 @@ TEST(UtilizationMonitor, ManyIrrationalBucketBoundaries) {
 }
 
 TEST(UtilizationMonitor, InvalidRecordDies) {
-  UtilizationMonitor monitor(1);
+  UtilizationMonitor monitor;
+  monitor.add_worker();
   EXPECT_DEATH(monitor.record(0, 2.0, 1.0, 0.5), "ends before");
   EXPECT_DEATH(monitor.record(0, 0.0, 1.0, 1.5), "intensity");
   EXPECT_DEATH(monitor.record(5, 0.0, 1.0, 0.5), "unknown worker");

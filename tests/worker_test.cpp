@@ -451,7 +451,9 @@ TEST(GpuWorkerProtocol, TraceStampsFollowTheDeviceClock) {
 
 // A transfer fault fails the round trip's first copy, so nothing is queued
 // when the worker backs off: the retried upload starts at the clock after
-// the 1e-4 s backoff (backend_test pins a fault after queued copies).
+// the 1e-4 s backoff (backend_test pins a fault after queued copies). The
+// failed attempt, the backoff and the retried round trip tile the batch's
+// virtual time with no gap.
 TEST(GpuWorkerProtocol, RetriedUploadStartsAfterTheBackoff) {
   FaultPlan plan;
   std::string error;
@@ -460,17 +462,30 @@ TEST(GpuWorkerProtocol, RetriedUploadStartsAfterTheBackoff) {
       << error;
   plan.resolve_times(1.0);
   auto spans = traced_replica_batch(&plan);
-  std::vector<TracedSpan> uploads;
+  std::vector<TracedSpan> phases;
   for (const TracedSpan& s : spans["gpu-worker"]) {
-    if (s.name == "upload_model") uploads.push_back(s);
+    if (s.name != "execute") phases.push_back(s);
   }
-  ASSERT_EQ(uploads.size(), 2u);
-  EXPECT_EQ(uploads[0].vt0, 0.0);
-  EXPECT_TRUE(std::isnan(uploads[0].vt1));  // unwound by the fault
-  EXPECT_EQ(uploads[1].vt0, 1e-4);
+  const std::vector<std::string> names = {
+      "upload_model",     "transfer_backoff",  "upload_model",
+      "compute_gradient", "download_gradient", "host_merge"};
+  ASSERT_EQ(phases.size(), names.size());
+  const TracedSpan execute = only(spans["gpu-worker"], "execute");
+  EXPECT_EQ(phases.front().vt0, execute.vt0);
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(phases[i].name, names[i]);
+    if (i > 0) {
+      EXPECT_EQ(phases[i].vt0, phases[i - 1].vt1);
+    }
+  }
+  EXPECT_EQ(phases.back().vt1, execute.vt1);
+  EXPECT_EQ(phases[0].vt1, 0.0);  // the failed upload ends where it began
+  EXPECT_EQ(phases[1].vt1, 1e-4);
+  EXPECT_EQ(phases[2].vt0, 1e-4);
   const std::vector<TracedSpan>& copies = spans["gpusim"];
   ASSERT_GE(copies.size(), 2u);
-  EXPECT_TRUE(std::isnan(copies[0].vt1));  // the failed copy
+  EXPECT_EQ(copies[0].vt1, copies[0].vt0);  // the failed copy moves nothing
   EXPECT_EQ(copies[1].vt0, 1e-4);
 }
 
